@@ -19,7 +19,7 @@ import numpy as np
 
 from . import gradcheck, io as ssdr_io, scenes
 from .core import ContractError, luminance
-from .inverse import LossConfig, loss_rerender, optimize
+from .inverse import PARAM_NAMES, LossConfig, loss_rerender, optimize
 from .render import (RenderConfig, RenderNanError, reference_render,
                      render_discretized, render_mc)
 
@@ -39,6 +39,20 @@ def _setup_logging() -> None:
              "debug": logging.DEBUG}.get(os.environ.get("SSDR_LOG", "info").lower(),
                                          logging.INFO)
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
+
+
+# one-letter abbreviations accepted by --params
+PARAM_ABBREVIATIONS = {"a": "albedo", "r": "roughness", "m": "metallic", "n": "normal"}
+
+
+def _parse_params(text: str) -> tuple[str, ...]:
+    """Comma list of parameter classes, abbreviated or in full."""
+    names = tuple(PARAM_ABBREVIATIONS.get(p.strip(), p.strip())
+                  for p in text.split(",") if p.strip())
+    for name in names:
+        if name not in PARAM_NAMES:
+            raise UsageError(f"unknown parameter class {name!r}")
+    return names
 
 
 def _parse_grid(text: str) -> tuple[int, int]:
@@ -121,13 +135,7 @@ def cmd_render(args) -> int:
 def cmd_gradcheck(args) -> int:
     bundle = load_validated_bundle(args.bundle)
     light = resolve_light(bundle, args.lighting, seed=args.seed)
-    classes = [p.strip() for p in args.params.split(",") if p.strip()]
-    name_map = {"a": "albedo", "r": "roughness", "m": "metallic", "n": "normal",
-                "light": "light"}
-    classes = [name_map.get(c, c) for c in classes]
-    for c in classes:
-        if c not in ("albedo", "roughness", "metallic", "normal", "light"):
-            raise UsageError(f"unknown parameter class {c!r}")
+    classes = _parse_params(args.params)
 
     g = bundle.gbuffer
     h, w = g.depth.shape
@@ -219,10 +227,7 @@ def cmd_optimize(args) -> int:
     else:
         raise UsageError("no target image: pass --target or add one to the bundle")
 
-    name_map = {"a": "albedo", "r": "roughness", "m": "metallic", "n": "normal",
-                "light": "light"}
-    params = tuple(name_map.get(p.strip(), p.strip())
-                   for p in args.params.split(",") if p.strip())
+    params = _parse_params(args.params)
     cfg = LossConfig(iterations=args.iters, step_size=args.step, params=params,
                      spp=args.spp, seed=args.seed,
                      specular_scale=bundle.specular_scale)

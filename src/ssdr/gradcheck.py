@@ -14,9 +14,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import volumetric
-from .core import Camera, GBuffer, normalize, orthonormal_basis
+from .core import Camera, GBuffer, dot, normalize, orthonormal_basis
 from .lighting import LightField
-from .render import RenderConfig, draw_frozen_samples, eval_frozen, render_backward
+from .render import (FrozenSamples, GradientImage, RenderConfig, draw_frozen_samples,
+                     eval_frozen, render_backward)
 
 
 @dataclass
@@ -34,66 +35,69 @@ class CheckResult:
         return f"[{mark}] {self.name}: max rel err {self.max_rel_err:.3e} (tol {self.tol:g})"
 
 
-def _rel_err(fd: float, adj: float, scale: float) -> float:
-    denom = max(abs(fd), abs(adj), scale)
-    return abs(fd - adj) / denom
+def _rel_err(fd, adj, scale):
+    """|fd - adj| over the larger of |fd|, |adj| and `scale`; elementwise."""
+    denom = np.maximum(np.maximum(np.abs(fd), np.abs(adj)), scale)
+    return np.abs(fd - adj) / denom
+
+
+def material_differences(g: GBuffer, fs: FrozenSamples, grad: GradientImage,
+                         light: LightField, cfg: RenderConfig, cls: str,
+                         eps: float = 2e-6):
+    """Central differences of every frozen pixel's channel sum with respect
+    to each component of its own `cls` parameter, and the matching adjoints
+    from `grad` (of the all-ones adjoint image); both (n_pix, k), for the 3
+    albedo channels, the 2 normal tangent directions, or the 1 scalar.
+
+    On a frozen sample set a pixel's value depends only on its own
+    materials, so one component is shifted at every pixel at once, and two
+    evaluations give that component's differences for all pixels."""
+    maps = {"albedo": g.albedo, "roughness": g.roughness,
+            "metallic": g.metallic, "normal": g.normal}
+    if cls not in maps:
+        raise ValueError(f"unknown material class {cls!r}")
+    pix = (fs.gy, fs.gx)
+    base = maps[cls]
+    if cls == "albedo":
+        pairs = [(base + step, base - step) for step in np.eye(3) * eps]
+        adj = grad.dalbedo[pix]
+    elif cls == "normal":
+        tangents = orthonormal_basis(base)
+        pairs = [(normalize(base + eps * tv), normalize(base - eps * tv))
+                 for tv in tangents]
+        adj = np.stack([dot(grad.dnormal[pix], tv[pix]) for tv in tangents], axis=1)
+    else:
+        pairs = [(base + eps, base - eps)]
+        adj = getattr(grad, "d" + cls)[pix][:, None]
+
+    def value(shifted):
+        m = dict(maps, **{cls: shifted})
+        return eval_frozen(fs, m["albedo"], m["roughness"], m["metallic"],
+                           m["normal"], light, cfg).sum(axis=1)
+
+    fd = np.stack([(value(plus) - value(minus)) / (2 * eps)
+                   for plus, minus in pairs], axis=1)
+    return fd, adj
 
 
 def check_render_material(g: GBuffer, camera: Camera, light: LightField,
                           cfg: RenderConfig, tol: float = 1e-4,
                           eps: float = 2e-6,
-                          classes=("albedo", "roughness", "metallic", "normal"),
-                          max_pixels: int | None = None) -> list[CheckResult]:
-    """FD-vs-adjoint over every shadeable pixel for each material class."""
+                          classes=("albedo", "roughness", "metallic", "normal")
+                          ) -> list[CheckResult]:
+    """FD-vs-adjoint over every shadeable pixel for each material class;
+    the cost is linear in the pixel count."""
     fs = draw_frozen_samples(g, camera, cfg)
     grad = render_backward(g, camera, light, cfg, np.ones((*g.depth.shape, 3)))
 
-    n_pix = fs.gy.size
-    take = np.arange(n_pix if max_pixels is None else min(n_pix, max_pixels))
-
-    def fd_pair(albedo, roughness, metallic, nrm):
-        return eval_frozen(fs, albedo, roughness, metallic, nrm, light, cfg).sum(axis=1)
-
-    base = fd_pair(g.albedo, g.roughness, g.metallic, g.normal)
+    base = eval_frozen(fs, g.albedo, g.roughness, g.metallic, g.normal,
+                       light, cfg).sum(axis=1)
     scale = max(1e-7, 1e-6 * float(np.abs(base).max()))
 
     results = []
     for cls in classes:
-        errs = []
-        for k in take:
-            y, x = int(fs.gy[k]), int(fs.gx[k])
-            if cls == "albedo":
-                for ch in range(3):
-                    ap = g.albedo.copy(); am = g.albedo.copy()
-                    ap[y, x, ch] += eps; am[y, x, ch] -= eps
-                    fd = (fd_pair(ap, g.roughness, g.metallic, g.normal)[k]
-                          - fd_pair(am, g.roughness, g.metallic, g.normal)[k]) / (2 * eps)
-                    errs.append(_rel_err(fd, grad.dalbedo[y, x, ch], scale))
-            elif cls == "roughness":
-                rp = g.roughness.copy(); rm = g.roughness.copy()
-                rp[y, x] += eps; rm[y, x] -= eps
-                fd = (fd_pair(g.albedo, rp, g.metallic, g.normal)[k]
-                      - fd_pair(g.albedo, rm, g.metallic, g.normal)[k]) / (2 * eps)
-                errs.append(_rel_err(fd, grad.droughness[y, x], scale))
-            elif cls == "metallic":
-                mp = g.metallic.copy(); mm = g.metallic.copy()
-                mp[y, x] += eps; mm[y, x] -= eps
-                fd = (fd_pair(g.albedo, g.roughness, mp, g.normal)[k]
-                      - fd_pair(g.albedo, g.roughness, mm, g.normal)[k]) / (2 * eps)
-                errs.append(_rel_err(fd, grad.dmetallic[y, x], scale))
-            elif cls == "normal":
-                n0 = g.normal[y, x]
-                t1, t2 = orthonormal_basis(n0)
-                for tv in (t1, t2):
-                    npp = g.normal.copy(); nmm = g.normal.copy()
-                    npp[y, x] = normalize(n0 + eps * tv)
-                    nmm[y, x] = normalize(n0 - eps * tv)
-                    fd = (fd_pair(g.albedo, g.roughness, g.metallic, npp)[k]
-                          - fd_pair(g.albedo, g.roughness, g.metallic, nmm)[k]) / (2 * eps)
-                    adj = float(grad.dnormal[y, x] @ tv)
-                    errs.append(_rel_err(fd, adj, scale))
-            else:
-                raise ValueError(f"unknown material class {cls!r}")
+        fd, adj = material_differences(g, fs, grad, light, cfg, cls, eps)
+        errs = _rel_err(fd, adj, scale)
         results.append(CheckResult(f"render/{cls}", float(np.max(errs)), tol))
     return results
 

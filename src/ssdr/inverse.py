@@ -80,25 +80,16 @@ class AdamState:
 
 @dataclass(frozen=True)
 class LossConfig:
-    """Recovery settings.  `params` selects which maps to optimize.
-
-    The per-map supervision weights (albedo/normal/material/depth) are
-    accepted for config compatibility but drive no term here: those losses
-    need pretrained feature networks and are out of scope."""
+    """Recovery settings.  `params` selects which maps to optimize."""
 
     iterations: int = 200
     step_size: float = 0.05
     params: tuple[str, ...] = ("albedo",)
     rerender_weight: float = 1.0       # weight of the image L2 term
-    hdr_eps: float = 0.0               # reserved for HDR loss variants
     spp: int = 16
     seed: int = 0
     specular_scale: float = 1.0
     pdf_floor: float = 1e-6
-    albedo_weight: float = 1.0
-    normal_weight: float = 1.0
-    material_weight: float = 1.0
-    depth_weight: float = 1.0
 
     def __post_init__(self):
         if self.iterations < 0 or self.rerender_weight < 0:

@@ -297,7 +297,6 @@ class Bundle:
     path: Path
     gbuffer: GBuffer
     camera: Camera
-    scene_scale: float = 1.0
     specular_scale: float = 1.0
     lighting_spec: dict | None = None
     feature_grid: FeatureGrid | None = None
@@ -375,7 +374,6 @@ def read_bundle(directory) -> Bundle:
            if manifest.get("volume_weights") else None)
 
     return Bundle(path=directory, gbuffer=g, camera=camera,
-                  scene_scale=float(manifest.get("scene_scale", 1.0)),
                   specular_scale=float(manifest.get("specular_scale", 1.0)),
                   lighting_spec=lighting_spec, feature_grid=fg,
                   decoder_weights=dec, volume_weights=vol,
@@ -384,8 +382,8 @@ def read_bundle(directory) -> Bundle:
 
 
 def write_bundle(directory, gbuffer: GBuffer, camera: Camera,
-                 lighting_spec: dict | None = None, scene_scale: float = 1.0,
-                 specular_scale: float = 1.0, extras: dict | None = None) -> Path:
+                 lighting_spec: dict | None = None, specular_scale: float = 1.0,
+                 extras: dict | None = None) -> Path:
     """Write a bundle directory; `extras` maps manifest keys to arrays or
     objects that are serialized next to the maps."""
     directory = Path(directory)
@@ -397,7 +395,7 @@ def write_bundle(directory, gbuffer: GBuffer, camera: Camera,
     write_pfm(directory / "metallic.pfm", gbuffer.metallic[:, :, None])
     (directory / "camera.json").write_text(json.dumps(camera.to_dict(), indent=2))
 
-    manifest: dict = {"scene_scale": scene_scale, "specular_scale": specular_scale}
+    manifest: dict = {"specular_scale": specular_scale}
     if lighting_spec is not None:
         manifest["lighting"] = lighting_spec
     extras = extras or {}

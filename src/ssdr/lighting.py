@@ -167,20 +167,19 @@ class SkyGradientLight(LightField):
         return np.concatenate([(dL * t).sum(axis=0), (dL * (1.0 - t)).sum(axis=0)])
 
 
-class SkyDiscLight(SkyGradientLight):
-    """Sky gradient plus a compact bright source: a smooth angular disc."""
-
-    n_params = 0
+class SkyDiscLight(LightField):
+    """Sky gradient plus a compact bright source: a smooth angular disc.
+    Not parameterized."""
 
     def __init__(self, zenith, horizon, disc_direction, disc_radius, disc_color,
                  up=(0.0, -1.0, 0.0)):
-        super().__init__(zenith, horizon, up)
+        self.sky = SkyGradientLight(zenith, horizon, up)
         self.disc_direction = normalize(np.asarray(disc_direction, dtype=np.float64))
         self.disc_radius = float(disc_radius)
         self.disc_color = as_rgb(disc_color).astype(np.float64)
 
     def radiance(self, p, d):
-        base = super().radiance(p, d)
+        base = self.sky.radiance(p, d)
         d = np.atleast_2d(np.asarray(d, dtype=np.float64))
         c = d @ self.disc_direction
         cos_in = np.cos(self.disc_radius)
@@ -188,16 +187,6 @@ class SkyDiscLight(SkyGradientLight):
         w = np.clip((c - cos_out) / (cos_in - cos_out), 0.0, 1.0)
         w = w * w * (3.0 - 2.0 * w)
         return base + w[:, None] * self.disc_color
-
-    def get_params(self):
-        return np.zeros(0)
-
-    def set_params(self, vec):
-        if np.asarray(vec).size:
-            raise ContractError("disc light is not parameterized")
-
-    def backprop(self, p, d, dL):
-        return np.zeros(0)
 
 
 class GridLight(LightField):

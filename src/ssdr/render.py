@@ -13,7 +13,7 @@ results are bit-identical at any thread count.
 from __future__ import annotations
 
 import concurrent.futures
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -82,27 +82,67 @@ def _row_blocks(height: int):
             for y in range(0, height, _BLOCK_ROWS)]
 
 
-def _flatten_block(g, points, view, valid, rows):
+# ---------------------------------------------------------------------------
+# the sample-and-shade kernel, shared by the render, its adjoint and the
+# frozen-sample evaluation
+
+
+@dataclass
+class FrozenSamples:
+    """Shadeable pixels in row-major order with their geometry and
+    materials: the kernel's record of a row block.  `d` and `ok` hold a
+    drawn sample set, reused at perturbed parameters by gradient checks
+    (common random numbers with detached sample locations)."""
+
+    gy: np.ndarray
+    gx: np.ndarray
+    pix_id: np.ndarray    # (n_pix,) uint64 random-stream key
+    p: np.ndarray         # (n_pix, 3)
+    v: np.ndarray         # (n_pix, 3)
+    n: np.ndarray         # (n_pix, 3)
+    alb: np.ndarray       # (n_pix, 3)
+    rough: np.ndarray     # (n_pix,)
+    metal: np.ndarray     # (n_pix,)
+    d: np.ndarray | None = None    # (n_pix, spp, 3)
+    ok: np.ndarray | None = None   # (n_pix, spp)
+
+
+def _pixels(g, points, view, valid, rows) -> FrozenSamples:
+    """The record of the shadeable pixels in the row slice `rows`."""
     w = g.depth.shape[1]
-    sel = (rows, slice(None))
-    idx = np.nonzero(valid[sel])
+    idx = np.nonzero(valid[rows])
     gy = idx[0] + rows.start
     gx = idx[1]
-    pix_id = (gy * w + gx).astype(np.uint64)
-    return {
-        "gy": gy, "gx": gx, "pix_id": pix_id,
-        "p": points[gy, gx], "v": view[gy, gx], "n": g.normal[gy, gx],
-        "alb": g.albedo[gy, gx], "rough": g.roughness[gy, gx],
-        "metal": g.metallic[gy, gx],
-    }
+    return FrozenSamples(
+        gy=gy, gx=gx, pix_id=(gy * w + gx).astype(np.uint64),
+        p=points[gy, gx], v=view[gy, gx], n=g.normal[gy, gx],
+        alb=g.albedo[gy, gx], rough=g.roughness[gy, gx],
+        metal=g.metallic[gy, gx])
 
 
 def _sample_chunks(n_pix: int, spp: int):
+    """Sample ranges of at most _CHUNK_LANES lanes; none without pixels."""
     per = max(1, min(spp, _CHUNK_LANES // max(n_pix, 1)))
-    s = 0
-    while s < spp:
-        yield s, min(s + per, spp)
-        s += per
+    for s0 in range(0, spp if n_pix else 0, per):
+        yield s0, min(s0 + per, spp)
+
+
+def _lanes(px: FrozenSamples):
+    """Per-pixel BRDF inputs (v, n, albedo, roughness, metallic), broadcast
+    over the sample axis."""
+    return (px.v[:, None, :], px.n[:, None, :], px.alb[:, None, :],
+            px.rough[:, None], px.metal[:, None])
+
+
+def _draw(px: FrozenSamples, cfg: RenderConfig, s0: int, s1: int):
+    """Directions (n_pix, s1-s0, 3) and validity of samples s0..s1-1 of
+    every pixel, drawn from the counter RNG."""
+    u = uniform_block(cfg.seed, px.pix_id[:, None],
+                      np.arange(s0, s1, dtype=np.uint64)[None, :], 3)
+    v, n, alb, rough, metal = _lanes(px)
+    d, _, ok = brdf.sample_directions(v, n, alb, rough, metal,
+                                      cfg.specular_scale, u)
+    return d, ok
 
 
 def _masked_radiance(light: LightField, p, d, mask):
@@ -113,61 +153,115 @@ def _masked_radiance(light: LightField, p, d, mask):
     return out
 
 
-def render_block(g, camera, light, cfg, points, view, valid, rows) -> np.ndarray:
-    blk = _flatten_block(g, points, view, valid, rows)
-    h = rows.stop - rows.start
-    w = g.depth.shape[1]
-    out = np.zeros((h, w, 3))
-    n_pix = blk["pix_id"].size
-    if n_pix == 0:
-        return out
-    acc = np.zeros((n_pix, 3))
-    for s0, s1 in _sample_chunks(n_pix, cfg.spp):
-        ns = s1 - s0
-        u = uniform_block(cfg.seed, blk["pix_id"][:, None],
-                          np.arange(s0, s1, dtype=np.uint64)[None, :], 3)
-        d, _, ok = brdf.sample_directions(
-            blk["v"][:, None, :], blk["n"][:, None, :], blk["alb"][:, None, :],
-            blk["rough"][:, None], blk["metal"][:, None], cfg.specular_scale, u)
-        pdf = brdf.mixture_pdf(blk["v"][:, None, :], d, blk["n"][:, None, :],
-                               blk["alb"][:, None, :], blk["rough"][:, None],
-                               blk["metal"][:, None], cfg.specular_scale)
-        ok &= pdf > 0
-        f = brdf._eval_raw(blk["v"][:, None, :], d, blk["n"][:, None, :],
-                           blk["alb"][:, None, :], blk["rough"][:, None],
-                           blk["metal"][:, None], cfg.specular_scale)
-        cos = np.maximum(dot(blk["n"][:, None, :], d), 0.0)
-        p_rep = np.broadcast_to(blk["p"][:, None, :], (n_pix, ns, 3))
-        radiance = _masked_radiance(light, p_rep, d, ok)
-        if cfg.clamp_max is not None:
-            radiance = np.minimum(radiance, cfg.clamp_max)
+def _estimate(px: FrozenSamples, d, ok, light: LightField, cfg: RenderConfig,
+              adj=None, want_light: bool = False):
+    """Per-pixel sums of f * L * cos / q over the samples d (n_pix, ns, 3).
+
+    Returns (sums, None), where sums is the 1-tuple of the (n_pix, 3) value
+    sums.  Given the adjoint `adj` (n_pix, 3) of the pixel values, sums is
+    instead the albedo, roughness, metallic and normal adjoint sums, and
+    the second item is the light-parameter adjoint (its 1/spp factor
+    applied, as it is summed over pixels), or None when `want_light` is off
+    or no sample reaches the light.
+    """
+    v, n, alb, rough, metal = _lanes(px)
+    args = (v, d, n, alb, rough, metal, cfg.specular_scale)
+    if adj is None:
+        pdf = brdf.mixture_pdf(*args)
+        f = brdf._eval_raw(*args)
+    else:
+        parts = brdf.eval_pdf_with_partials(*args)
+        pdf, f = parts["pdf"], parts["f"]
+    ok = ok & (pdf > 0)
+    cos = np.maximum(dot(n, d), 0.0)
+    p_rep = np.broadcast_to(px.p[:, None, :], d.shape)
+    radiance = _masked_radiance(light, p_rep, d, ok)
+    if cfg.clamp_max is not None:
+        radiance = np.minimum(radiance, cfg.clamp_max)
+    if adj is None:
         q = np.where(ok, np.maximum(pdf, cfg.pdf_floor), 1.0)
         contrib = f * radiance * np.where(ok, cos / q, 0.0)[..., None]
-        acc += contrib.sum(axis=1)
-    acc /= cfg.spp
-    if not np.all(np.isfinite(acc)):
-        bad = int(np.nonzero(~np.isfinite(acc).all(axis=1))[0][0])
-        raise RenderNanError((int(blk["gx"][bad]), int(blk["gy"][bad])))
-    out[blk["gy"] - rows.start, blk["gx"]] = acc
-    return out
+        return (contrib.sum(axis=1),), None
+
+    q = np.maximum(pdf, cfg.pdf_floor)
+    live = (pdf > cfg.pdf_floor) & ok          # pdf-floor gates pdf gradients
+    inv_q = np.where(ok, 1.0 / q, 0.0)
+    cq = cos * inv_q                            # cos / q
+
+    aL = adj[:, None, :] * radiance             # (n_pix, ns, 3)
+    # sum_ch adj_ch f_ch L_ch cos / q^2  (shared factor of all pdf terms)
+    s_pdf = np.where(live, np.sum(aL * f, axis=-1) * cq * inv_q, 0.0)
+
+    # albedo partials are diagonal per channel
+    ga = aL * parts["df_dA"] * cq[..., None]
+    ga = np.where(ok[..., None], ga, 0.0) - s_pdf[..., None] * parts["dpdf_dA"]
+    gr = np.where(ok, np.sum(aL * parts["df_dR"], axis=-1) * cq, 0.0) \
+        - s_pdf * parts["dpdf_dR"]
+    gm = np.where(ok, np.sum(aL * parts["df_dM"], axis=-1) * cq, 0.0) \
+        - s_pdf * parts["dpdf_dM"]
+    # n: through f, through cos, and through the pdf
+    gn = np.einsum("psc,pscx->psx", aL * cq[..., None], parts["df_dn"])
+    gn += (np.sum(aL * f, axis=-1) * inv_q)[..., None] * d
+    gn = np.where(ok[..., None], gn, 0.0) - s_pdf[..., None] * parts["dpdf_dn"]
+
+    dlight = None
+    if want_light and light.n_params:
+        dL = adj[:, None, :] * f * cq[..., None]
+        if cfg.clamp_max is not None:
+            dL = np.where(radiance < cfg.clamp_max, dL, 0.0)
+        dL = np.where(ok[..., None], dL, 0.0) / cfg.spp
+        mask = ok.reshape(-1)
+        if np.any(mask):
+            dlight = light.backprop(p_rep.reshape(-1, 3)[mask],
+                                    d.reshape(-1, 3)[mask], dL.reshape(-1, 3)[mask])
+    return (ga.sum(axis=1), gr.sum(axis=1), gm.sum(axis=1), gn.sum(axis=1)), dlight
+
+
+def _shade_blocks(g, camera, light, cfg, threads, dI=None, want_light=False):
+    """Run the kernel over the fixed row blocks, on `threads` workers.
+
+    Returns, per block and in block order, the rows and columns of its
+    shadeable pixels, their sums over all samples, and the block's light
+    adjoint (see `_estimate`; dI is the adjoint image, or None for the
+    value)."""
+    points, view, valid = pixel_geometry(g, camera)
+
+    def run(rows):
+        px = _pixels(g, points, view, valid, rows)
+        n_pix = px.gy.size
+        if dI is None:
+            adj, acc = None, (np.zeros((n_pix, 3)),)
+        else:
+            adj = dI[px.gy, px.gx]
+            acc = (np.zeros((n_pix, 3)), np.zeros(n_pix), np.zeros(n_pix),
+                   np.zeros((n_pix, 3)))
+        dlight = np.zeros(light.n_params) if want_light else None
+        for s0, s1 in _sample_chunks(n_pix, cfg.spp):
+            d, ok = _draw(px, cfg, s0, s1)
+            sums, dl = _estimate(px, d, ok, light, cfg, adj, want_light)
+            for a, s in zip(acc, sums):
+                a += s
+            if dl is not None:
+                dlight += dl
+        return px.gy, px.gx, acc, dlight
+
+    blocks = _row_blocks(g.depth.shape[0])
+    if threads <= 1 or len(blocks) == 1:
+        return [run(rows) for rows in blocks]
+    with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as ex:
+        return list(ex.map(run, blocks))
 
 
 def render_mc(g: GBuffer, camera: Camera, light: LightField, cfg: RenderConfig,
               threads: int = 1) -> np.ndarray:
     """Monte Carlo re-render; returns a float64 (H, W, 3) radiance image."""
-    points, view, valid = pixel_geometry(g, camera)
-    h, w = g.depth.shape
-    image = np.zeros((h, w, 3))
-    blocks = _row_blocks(h)
-    if threads <= 1 or len(blocks) == 1:
-        for rows in blocks:
-            image[rows] = render_block(g, camera, light, cfg, points, view, valid, rows)
-        return image
-    with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as ex:
-        futs = {ex.submit(render_block, g, camera, light, cfg, points, view,
-                          valid, rows): rows for rows in blocks}
-        for fut, rows in futs.items():
-            image[rows] = fut.result()
+    image = np.zeros(g.depth.shape + (3,))
+    for gy, gx, (acc,), _ in _shade_blocks(g, camera, light, cfg, threads):
+        acc /= cfg.spp
+        if not np.all(np.isfinite(acc)):
+            bad = int(np.nonzero(~np.isfinite(acc).all(axis=1))[0][0])
+            raise RenderNanError((int(gx[bad]), int(gy[bad])))
+        image[gy, gx] = acc
     return image
 
 
@@ -176,137 +270,12 @@ def render_discretized(g: GBuffer, camera: Camera, light: LightField,
                        specular_scale: float = 1.0) -> np.ndarray:
     """Fixed-quadrature baseline: cosine-weighted cell centers instead of
     random sampling.  Deterministic, and blind to lobes that fall between
-    cell centers."""
+    cell centers.  It is `reference_render` in "cosine" mode on `grid`."""
     nt, nf = grid
     if nt < 2 or nf < 4:
         raise ContractError("discretized grid must be at least 2x4")
-    points, view, valid = pixel_geometry(g, camera)
-    h, w = g.depth.shape
-    image = np.zeros((h, w, 3))
-
-    u1 = (np.arange(nt) + 0.5) / nt
-    u2 = (np.arange(nf) + 0.5) / nf
-    uu1, uu2 = np.meshgrid(u1, u2, indexing="ij")
-    m = nt * nf
-    r = np.sqrt(uu1).ravel()
-    phi = 2.0 * np.pi * uu2.ravel()
-    z = np.sqrt(np.maximum(1.0 - uu1.ravel(), 0.0))
-    local = np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=-1)
-
-    idx = np.nonzero(valid)
-    gy, gx = idx
-    n_pix = gy.size
-    if n_pix == 0:
-        return image
-    chunk = max(1, _CHUNK_LANES // m)
-    acc = np.zeros((n_pix, 3))
-    for a in range(0, n_pix, chunk):
-        b = min(a + chunk, n_pix)
-        n_v = g.normal[gy[a:b], gx[a:b]]
-        t, bt = orthonormal_basis(n_v)
-        d = (local[None, :, 0:1] * t[:, None, :] + local[None, :, 1:2] * bt[:, None, :]
-             + local[None, :, 2:3] * n_v[:, None, :])
-        f = brdf._eval_raw(view[gy[a:b], gx[a:b]][:, None, :], d, n_v[:, None, :],
-                           g.albedo[gy[a:b], gx[a:b]][:, None, :],
-                           g.roughness[gy[a:b], gx[a:b]][:, None],
-                           g.metallic[gy[a:b], gx[a:b]][:, None], specular_scale)
-        p_rep = np.broadcast_to(points[gy[a:b], gx[a:b]][:, None, :], d.shape)
-        L = light.radiance(p_rep.reshape(-1, 3), d.reshape(-1, 3)).reshape(d.shape)
-        acc[a:b] = (np.pi / m) * np.sum(f * L, axis=1)
-    image[gy, gx] = acc
-    return image
-
-
-# ---------------------------------------------------------------------------
-# adjoint (backward) pass
-
-
-def _backward_block(g, camera, light, cfg, dI, points, view, valid, rows,
-                    want_light: bool):
-    blk = _flatten_block(g, points, view, valid, rows)
-    h = rows.stop - rows.start
-    w = g.depth.shape[1]
-    out = {
-        "dalbedo": np.zeros((h, w, 3)), "droughness": np.zeros((h, w)),
-        "dmetallic": np.zeros((h, w)), "dnormal": np.zeros((h, w, 3)),
-        "dlight": np.zeros(light.n_params) if want_light else None,
-    }
-    n_pix = blk["pix_id"].size
-    if n_pix == 0:
-        return out
-    adj = dI[blk["gy"], blk["gx"]]  # (n_pix, 3)
-    acc_a = np.zeros((n_pix, 3))
-    acc_r = np.zeros(n_pix)
-    acc_m = np.zeros(n_pix)
-    acc_n = np.zeros((n_pix, 3))
-
-    for s0, s1 in _sample_chunks(n_pix, cfg.spp):
-        ns = s1 - s0
-        u = uniform_block(cfg.seed, blk["pix_id"][:, None],
-                          np.arange(s0, s1, dtype=np.uint64)[None, :], 3)
-        d, _, ok = brdf.sample_directions(
-            blk["v"][:, None, :], blk["n"][:, None, :], blk["alb"][:, None, :],
-            blk["rough"][:, None], blk["metal"][:, None], cfg.specular_scale, u)
-        parts = brdf.eval_pdf_with_partials(
-            blk["v"][:, None, :], d, blk["n"][:, None, :], blk["alb"][:, None, :],
-            blk["rough"][:, None], blk["metal"][:, None], cfg.specular_scale)
-        pdf = parts["pdf"]
-        ok &= pdf > 0
-        cos = np.maximum(dot(blk["n"][:, None, :], d), 0.0)
-        p_rep = np.broadcast_to(blk["p"][:, None, :], (n_pix, ns, 3))
-        radiance = _masked_radiance(light, p_rep, d, ok)
-        if cfg.clamp_max is not None:
-            radiance = np.minimum(radiance, cfg.clamp_max)
-        q = np.maximum(pdf, cfg.pdf_floor)
-        live = (pdf > cfg.pdf_floor) & ok          # pdf-floor gates pdf gradients
-        inv_q = np.where(ok, 1.0 / q, 0.0)
-        cq = cos * inv_q                            # cos / q
-
-        aL = adj[:, None, :] * radiance             # (n_pix, ns, 3)
-        # sum_ch adj_ch f_ch L_ch cos / q^2  (shared factor of all pdf terms)
-        s_pdf = np.where(live, np.sum(aL * parts["f"], axis=-1) * cq * inv_q, 0.0)
-
-        # albedo partials are diagonal per channel
-        ga = aL * parts["df_dA"] * cq[..., None]
-        ga = np.where(ok[..., None], ga, 0.0) - s_pdf[..., None] * parts["dpdf_dA"]
-        gr = np.where(ok, np.sum(aL * parts["df_dR"], axis=-1) * cq, 0.0) \
-            - s_pdf * parts["dpdf_dR"]
-        gm = np.where(ok, np.sum(aL * parts["df_dM"], axis=-1) * cq, 0.0) \
-            - s_pdf * parts["dpdf_dM"]
-        # n: through f, through cos, and through the pdf
-        gn = np.einsum("psc,pscx->psx", aL * cq[..., None], parts["df_dn"])
-        gn += (np.sum(aL * parts["f"], axis=-1) * inv_q)[..., None] * d
-        gn = np.where(ok[..., None], gn, 0.0) - s_pdf[..., None] * parts["dpdf_dn"]
-
-        acc_a += ga.sum(axis=1)
-        acc_r += gr.sum(axis=1)
-        acc_m += gm.sum(axis=1)
-        acc_n += gn.sum(axis=1)
-
-        if want_light and light.n_params:
-            dL = adj[:, None, :] * parts["f"] * cq[..., None]
-            if cfg.clamp_max is not None:
-                dL = np.where(radiance < cfg.clamp_max, dL, 0.0)
-            dL = np.where(ok[..., None], dL, 0.0) / cfg.spp
-            mask = ok.reshape(-1)
-            if np.any(mask):
-                out["dlight"] += light.backprop(
-                    p_rep.reshape(-1, 3)[mask], d.reshape(-1, 3)[mask],
-                    dL.reshape(-1, 3)[mask])
-
-    inv_n = 1.0 / cfg.spp
-    acc_a *= inv_n
-    acc_r *= inv_n
-    acc_m *= inv_n
-    acc_n *= inv_n
-    # tangent-plane projection of the normal adjoint
-    acc_n -= np.sum(acc_n * blk["n"], axis=-1, keepdims=True) * blk["n"]
-
-    out["dalbedo"][blk["gy"] - rows.start, blk["gx"]] = acc_a
-    out["droughness"][blk["gy"] - rows.start, blk["gx"]] = acc_r
-    out["dmetallic"][blk["gy"] - rows.start, blk["gx"]] = acc_m
-    out["dnormal"][blk["gy"] - rows.start, blk["gx"]] = acc_n
-    return out
+    return reference_render(g, camera, light, cells=grid,
+                            specular_scale=specular_scale, mode="cosine")
 
 
 def render_backward(g: GBuffer, camera: Camera, light: LightField,
@@ -321,7 +290,6 @@ def render_backward(g: GBuffer, camera: Camera, light: LightField,
     dI = np.asarray(dI, dtype=np.float64)
     if not np.all(np.isfinite(dI)):
         raise ContractError("adjoint image must be finite")
-    points, view, valid = pixel_geometry(g, camera)
     h, w = g.depth.shape
     if dI.shape != (h, w, 3):
         raise ContractError("adjoint image shape mismatch")
@@ -330,24 +298,21 @@ def render_backward(g: GBuffer, camera: Camera, light: LightField,
         dmetallic=np.zeros((h, w)), dnormal=np.zeros((h, w, 3)),
         dlight=np.zeros(light.n_params) if want_light else None)
 
-    blocks = _row_blocks(h)
-
-    def run(rows):
-        return _backward_block(g, camera, light, cfg, dI, points, view, valid,
-                               rows, want_light)
-
-    if threads <= 1 or len(blocks) == 1:
-        results = [run(rows) for rows in blocks]
-    else:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(run, blocks))
-    for rows, res in zip(blocks, results):  # fixed reduction order
-        grad.dalbedo[rows] = res["dalbedo"]
-        grad.droughness[rows] = res["droughness"]
-        grad.dmetallic[rows] = res["dmetallic"]
-        grad.dnormal[rows] = res["dnormal"]
-        if want_light and res["dlight"] is not None:
-            grad.dlight += res["dlight"]
+    inv_n = 1.0 / cfg.spp
+    for gy, gx, acc, dlight in _shade_blocks(g, camera, light, cfg, threads, dI,
+                                             want_light):  # fixed reduction order
+        acc_a, acc_r, acc_m, acc_n = acc
+        for a in acc:
+            a *= inv_n
+        # tangent-plane projection of the normal adjoint
+        n = g.normal[gy, gx]
+        acc_n -= np.sum(acc_n * n, axis=-1, keepdims=True) * n
+        grad.dalbedo[gy, gx] = acc_a
+        grad.droughness[gy, gx] = acc_r
+        grad.dmetallic[gy, gx] = acc_m
+        grad.dnormal[gy, gx] = acc_n
+        if want_light:
+            grad.dlight += dlight
     return grad
 
 
@@ -356,53 +321,26 @@ def render_backward(g: GBuffer, camera: Camera, light: LightField,
 # with the sample set held fixed) -- the FD side of gradient checks
 
 
-@dataclass
-class FrozenSamples:
-    gy: np.ndarray
-    gx: np.ndarray
-    p: np.ndarray      # (n_pix, 3)
-    v: np.ndarray      # (n_pix, 3)
-    d: np.ndarray      # (n_pix, spp, 3)
-    ok: np.ndarray     # (n_pix, spp)
-
-
 def draw_frozen_samples(g: GBuffer, camera: Camera, cfg: RenderConfig) -> FrozenSamples:
     """Draw the base-parameter sample set once, for reuse at perturbed
     parameters (common random numbers with detached sample locations)."""
     points, view, valid = pixel_geometry(g, camera)
-    h, w = g.depth.shape
-    blk = _flatten_block(g, points, view, valid, slice(0, h))
-    u = uniform_block(cfg.seed, blk["pix_id"][:, None],
-                      np.arange(cfg.spp, dtype=np.uint64)[None, :], 3)
-    d, _, ok = brdf.sample_directions(
-        blk["v"][:, None, :], blk["n"][:, None, :], blk["alb"][:, None, :],
-        blk["rough"][:, None], blk["metal"][:, None], cfg.specular_scale, u)
-    return FrozenSamples(gy=blk["gy"], gx=blk["gx"], p=blk["p"], v=blk["v"],
-                         d=d, ok=ok)
+    px = _pixels(g, points, view, valid, slice(0, g.depth.shape[0]))
+    d, ok = _draw(px, cfg, 0, cfg.spp)
+    return replace(px, d=d, ok=ok)
 
 
 def eval_frozen(fs: FrozenSamples, albedo, roughness, metallic, normal,
                 light: LightField, cfg: RenderConfig) -> np.ndarray:
     """Estimator value on the frozen sample set under (possibly perturbed)
     material maps; returns (H-flattened n_pix, 3) pixel values."""
-    n_pix, spp = fs.ok.shape
-    alb = np.asarray(albedo, dtype=np.float64)[fs.gy, fs.gx]
-    rough = np.asarray(roughness, dtype=np.float64)[fs.gy, fs.gx]
-    metal = np.asarray(metallic, dtype=np.float64)[fs.gy, fs.gx]
-    nrm = np.asarray(normal, dtype=np.float64)[fs.gy, fs.gx]
+    def at(m):
+        return np.asarray(m, dtype=np.float64)[fs.gy, fs.gx]
 
-    pdf = brdf.mixture_pdf(fs.v[:, None, :], fs.d, nrm[:, None, :],
-                           alb[:, None, :], rough[:, None], metal[:, None],
-                           cfg.specular_scale)
-    ok = fs.ok & (pdf > 0)
-    f = brdf._eval_raw(fs.v[:, None, :], fs.d, nrm[:, None, :], alb[:, None, :],
-                       rough[:, None], metal[:, None], cfg.specular_scale)
-    cos = np.maximum(dot(nrm[:, None, :], fs.d), 0.0)
-    p_rep = np.broadcast_to(fs.p[:, None, :], (n_pix, spp, 3))
-    radiance = _masked_radiance(light, p_rep, fs.d, ok)
-    q = np.maximum(pdf, cfg.pdf_floor)
-    contrib = np.where(ok[..., None], f * radiance * (cos / q)[..., None], 0.0)
-    return contrib.sum(axis=1) / cfg.spp
+    px = replace(fs, alb=at(albedo), rough=at(roughness), metal=at(metallic),
+                 n=at(normal))
+    (acc,), _ = _estimate(px, fs.d, fs.ok, light, cfg)
+    return acc / cfg.spp
 
 
 # ---------------------------------------------------------------------------

@@ -181,18 +181,13 @@ def volume_render_batch(weights: MlpWeights, p: np.ndarray, d: np.ndarray,
 def volume_render(weights: MlpWeights, p, d, t_near: float, t_far: float,
                   n_samples: int, rng: sampling.SamplerState,
                   position_bands: int = 10, radiance_scale: float = 5.0) -> np.ndarray:
-    """Single-ray estimator of the compositing sum; deterministic given rng."""
-    if not t_near < t_far or n_samples < 2:
-        raise ContractError("need t_near < t_far and n_samples >= 2")
+    """Single-ray `volume_render_batch`, with ray id `rng.pixel`; the jitter
+    stream is (rng.seed, rng.pixel, sample 0), so `rng.sample` must be 0."""
+    if rng.sample != 0:
+        raise ContractError("volume_render streams use sample 0")
     cfg = VolumeConfig(t_near=t_near, t_far=t_far, n_samples=n_samples,
                        position_bands=position_bands, radiance_scale=radiance_scale)
-    jitter = rng.uniforms(n_samples)[None, :]
-    t, deltas = stratified_ts(t_near, t_far, jitter)
-    x = _volume_points(np.asarray(p, dtype=np.float64)[None, :],
-                       np.asarray(d, dtype=np.float64)[None, :], t)
-    sigma, color = field_eval(weights, x.reshape(-1, 3), cfg)
-    L, _ = composite(sigma.reshape(1, -1), color.reshape(1, -1, 3), deltas)
-    return L[0]
+    return volume_render_batch(weights, p, d, cfg, rng.seed, [rng.pixel])[0]
 
 
 def volume_render_backward(weights: MlpWeights, p: np.ndarray, d: np.ndarray,

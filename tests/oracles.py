@@ -132,3 +132,46 @@ def cosine_grid_dirs(n, cells: tuple[int, int]):
     t, b = orthonormal_basis(np.asarray(n, dtype=np.float64))
     return (r * np.cos(phi))[:, None] * t + (r * np.sin(phi))[:, None] * b \
         + z[:, None] * np.asarray(n)
+
+
+def per_pixel_material_fd(g, fs, light, cfg, cls: str, eps: float = 2e-6):
+    """Reference for `gradcheck.material_differences`: the same central
+    differences, perturbing one pixel at a time and re-evaluating the whole
+    frozen set each time (O(n_pix^2 spp)).  Returns (n_pix, k)."""
+    from ssdr.render import eval_frozen
+
+    def value(albedo, roughness, metallic, nrm):
+        return eval_frozen(fs, albedo, roughness, metallic, nrm, light, cfg).sum(axis=1)
+
+    rows = []
+    for k in range(fs.gy.size):
+        y, x = int(fs.gy[k]), int(fs.gx[k])
+        row = []
+        if cls == "albedo":
+            for ch in range(3):
+                ap = g.albedo.copy(); am = g.albedo.copy()
+                ap[y, x, ch] += eps; am[y, x, ch] -= eps
+                row.append((value(ap, g.roughness, g.metallic, g.normal)[k]
+                            - value(am, g.roughness, g.metallic, g.normal)[k]) / (2 * eps))
+        elif cls == "roughness":
+            rp = g.roughness.copy(); rm = g.roughness.copy()
+            rp[y, x] += eps; rm[y, x] -= eps
+            row.append((value(g.albedo, rp, g.metallic, g.normal)[k]
+                        - value(g.albedo, rm, g.metallic, g.normal)[k]) / (2 * eps))
+        elif cls == "metallic":
+            mp = g.metallic.copy(); mm = g.metallic.copy()
+            mp[y, x] += eps; mm[y, x] -= eps
+            row.append((value(g.albedo, g.roughness, mp, g.normal)[k]
+                        - value(g.albedo, g.roughness, mm, g.normal)[k]) / (2 * eps))
+        elif cls == "normal":
+            n0 = g.normal[y, x]
+            for tv in orthonormal_basis(n0):
+                npp = g.normal.copy(); nmm = g.normal.copy()
+                npp[y, x] = normalize(n0 + eps * tv)
+                nmm[y, x] = normalize(n0 - eps * tv)
+                row.append((value(g.albedo, g.roughness, g.metallic, npp)[k]
+                            - value(g.albedo, g.roughness, g.metallic, nmm)[k]) / (2 * eps))
+        else:
+            raise ValueError(f"unknown material class {cls!r}")
+        rows.append(row)
+    return np.array(rows)

@@ -203,6 +203,21 @@ def test_bundle_roundtrip(tmp_path):
                                       np.array([[0.0, 0.0, 1.0]])), 1.0)
 
 
+def test_bundle_with_legacy_scene_scale_loads(tmp_path):
+    """Older manifests carry a `scene_scale` key; it is ignored."""
+    g, camera, spec, _ = scenes.two_plane(8, 8)
+    path = sio.write_bundle(tmp_path / "b", g, camera, lighting_spec=spec,
+                            specular_scale=0.5)
+    manifest = json.loads((path / "bundle.json").read_text())
+    assert "scene_scale" not in manifest
+    manifest["scene_scale"] = 2.0
+    (path / "bundle.json").write_text(json.dumps(manifest))
+    bundle = sio.read_bundle(path)
+    assert bundle.specular_scale == 0.5
+    assert bundle.camera == camera
+    assert bundle.light_field() is not None
+
+
 def test_bundle_missing_map(tmp_path):
     g, camera, spec, _ = scenes.two_plane(8, 8)
     path = sio.write_bundle(tmp_path / "b", g, camera)

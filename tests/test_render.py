@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
-from oracles import cosine_grid_dirs
+from oracles import cosine_grid_dirs, per_pixel_material_fd
 from ssdr import scenes
 from ssdr.core import ContractError, GBuffer, dot, normalize
-from ssdr.gradcheck import check_render_material
+from ssdr.gradcheck import check_render_material, material_differences
 from ssdr.lighting import (ConstantLight, LightField, SkyDiscLight,
                            SkyGradientLight, analytic_lightfield)
-from ssdr.render import (RenderConfig, RenderNanError, reference_render,
-                         render_backward, render_discretized, render_mc)
+from ssdr.render import (RenderConfig, RenderNanError, draw_frozen_samples,
+                         reference_render, render_backward, render_discretized,
+                         render_mc)
 
 
 def _lambertian_plane(h, w, albedo=0.5):
@@ -206,7 +207,7 @@ def test_reference_modes_agree_on_smooth_scene():
 def test_frozen_samples_reproduce_forward(glossy_patch):
     """The frozen-sample estimator at the base parameters equals the plain
     forward render: both consume the identical random streams."""
-    from ssdr.render import draw_frozen_samples, eval_frozen
+    from ssdr.render import eval_frozen
     camera = scenes.default_camera(8, 8)
     light = SkyGradientLight(zenith=[1.2, 1.1, 1.0], horizon=[0.3, 0.35, 0.4])
     cfg = RenderConfig(spp=48, seed=13)
@@ -214,7 +215,7 @@ def test_frozen_samples_reproduce_forward(glossy_patch):
     fs = draw_frozen_samples(glossy_patch, camera, cfg)
     vals = eval_frozen(fs, glossy_patch.albedo, glossy_patch.roughness,
                        glossy_patch.metallic, glossy_patch.normal, light, cfg)
-    assert np.allclose(img[fs.gy, fs.gx], vals, rtol=1e-12, atol=1e-14)
+    assert np.array_equal(img[fs.gy, fs.gx], vals)
 
 
 def test_gradcheck_module_classes(glossy_patch):
@@ -224,6 +225,32 @@ def test_gradcheck_module_classes(glossy_patch):
                                     RenderConfig(spp=32, seed=5), tol=1e-4)
     for r in results:
         assert r.passed, str(r)
+
+
+def test_gradcheck_honours_clamp(glossy_patch):
+    """With clamp_max set, the frozen-sample values clamp the radiance like
+    the render and its adjoint do, so the check still passes."""
+    camera = scenes.default_camera(8, 8)
+    light = SkyGradientLight(zenith=[1.5, 1.4, 1.2], horizon=[0.4, 0.5, 0.7])
+    results = check_render_material(glossy_patch, camera, light,
+                                    RenderConfig(spp=32, seed=5, clamp_max=1.0))
+    for r in results:
+        assert r.passed, str(r)
+
+
+@pytest.mark.parametrize("cls", ["albedo", "roughness", "metallic", "normal"])
+def test_material_differences_match_per_pixel_loop(glossy_patch, cls):
+    """Shifting every pixel at once gives each pixel's own central
+    difference, as perturbing one pixel at a time does."""
+    camera = scenes.default_camera(8, 8)
+    light = SkyGradientLight(zenith=[1.5, 1.4, 1.2], horizon=[0.4, 0.5, 0.7])
+    cfg = RenderConfig(spp=32, seed=5)
+    fs = draw_frozen_samples(glossy_patch, camera, cfg)
+    grad = render_backward(glossy_patch, camera, light, cfg, np.ones((8, 8, 3)))
+    fd, adj = material_differences(glossy_patch, fs, grad, light, cfg, cls)
+    ref = per_pixel_material_fd(glossy_patch, fs, light, cfg, cls)
+    assert fd.shape == adj.shape == ref.shape
+    assert np.max(np.abs(fd - ref)) <= 1e-9 * np.max(np.abs(ref))
 
 
 def test_backward_zero_adjoint_zero_grads(glossy_patch):

@@ -281,4 +281,7 @@ def test_volume_render_contract_errors():
         vol.volume_render(w, np.zeros(3), np.array([0, 0, 1.0]), 2.0, 1.0, 16,
                           SamplerState(seed=0))
     with pytest.raises(ContractError):
+        vol.volume_render(w, np.zeros(3), np.array([0, 0, 1.0]), 1.0, 2.0, 16,
+                          SamplerState(seed=0, sample=1))
+    with pytest.raises(ContractError):
         vol.VolumeConfig(n_samples=1)
