@@ -26,8 +26,7 @@ def main():
     gt, gf = (int(v) for v in args.grid.split("x"))
 
     g, camera, spec, _ = scenes.glossy_floor(args.res, args.res)
-    light = analytic_lightfield(spec["kind"],
-                                **{k: v for k, v in spec.items() if k != "kind"})
+    light = analytic_lightfield(**spec)
     print("reference quadrature ...")
     ref = reference_render(g, camera, light, cells=(128, 256), mode="split")
     print("monte carlo ...")

@@ -13,12 +13,13 @@ import logging
 import os
 import sys
 import time
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 
 from . import gradcheck, io as ssdr_io, scenes
-from .core import ContractError, luminance
+from .core import Camera, ContractError, GBuffer, luminance
 from .inverse import PARAM_NAMES, LossConfig, loss_rerender, optimize
 from .render import (RenderConfig, RenderNanError, reference_render,
                      render_discretized, render_mc)
@@ -104,7 +105,7 @@ def resolve_light(bundle: ssdr_io.Bundle, choice: str | None, seed: int = 0):
             return bundle.light_field()
         return analytic_lightfield("constant", value=[1.0, 1.0, 1.0])
     if choice == "sky":
-        if spec_kind in ("sky", "sky-gradient", "sky_disc"):
+        if spec_kind in ("sky", "sky_disc"):
             return bundle.light_field()
         return analytic_lightfield("sky", zenith=[1.2, 1.2, 1.4],
                                    horizon=[0.4, 0.38, 0.35])
@@ -132,27 +133,27 @@ def cmd_render(args) -> int:
     return EXIT_OK
 
 
+def crop_patch(g: GBuffer, camera: Camera, patch: int) -> tuple[GBuffer, Camera]:
+    """The window of min(patch, size) pixels per axis centred on the
+    principal point (clamped to the image), with the intrinsics shifted so
+    that every kept pixel unprojects to the same point as before."""
+    h, w = g.depth.shape
+    ph, pw = min(patch, h), min(patch, w)
+    y0 = int(np.clip(np.floor(camera.cy - (ph - 1) / 2), 0, h - ph))
+    x0 = int(np.clip(np.floor(camera.cx - (pw - 1) / 2), 0, w - pw))
+    win = (slice(y0, y0 + ph), slice(x0, x0 + pw))
+    cropped = GBuffer(albedo=g.albedo[win], normal=g.normal[win], depth=g.depth[win],
+                      roughness=g.roughness[win], metallic=g.metallic[win])
+    return cropped, replace(camera, cx=camera.cx - x0, cy=camera.cy - y0,
+                            width=pw, height=ph)
+
+
 def cmd_gradcheck(args) -> int:
     bundle = load_validated_bundle(args.bundle)
     light = resolve_light(bundle, args.lighting, seed=args.seed)
     classes = _parse_params(args.params)
 
-    g = bundle.gbuffer
-    h, w = g.depth.shape
-    if h > args.patch or w > args.patch:  # gradcheck runs on a small patch
-        y0 = (h - args.patch) // 2
-        x0 = (w - args.patch) // 2
-        from .core import GBuffer
-        g = GBuffer(albedo=g.albedo[y0:y0 + args.patch, x0:x0 + args.patch],
-                    normal=g.normal[y0:y0 + args.patch, x0:x0 + args.patch],
-                    depth=g.depth[y0:y0 + args.patch, x0:x0 + args.patch],
-                    roughness=g.roughness[y0:y0 + args.patch, x0:x0 + args.patch],
-                    metallic=g.metallic[y0:y0 + args.patch, x0:x0 + args.patch])
-        from .scenes import default_camera
-        camera = default_camera(args.patch, args.patch)
-    else:
-        camera = bundle.camera
-
+    g, camera = crop_patch(bundle.gbuffer, bundle.camera, args.patch)
     cfg = RenderConfig(spp=args.spp, seed=args.seed,
                        specular_scale=bundle.specular_scale)
     material = [c for c in classes if c != "light"]
@@ -314,19 +315,16 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return EXIT_INPUT if e.code not in (0, None) else EXIT_OK
     try:
+        for flag in ("threads", "patch"):
+            if getattr(args, flag, 1) < 1:
+                raise UsageError(f"--{flag} must be at least 1, got {getattr(args, flag)}")
         return args.fn(args)
-    except (UsageError, ssdr_io.BundleError, ssdr_io.ParseError) as e:
-        log.error("%s", e)
-        return EXIT_INPUT
-    except ContractError as e:
+    except (ContractError, FileNotFoundError) as e:
         log.error("%s", e)
         return EXIT_INPUT
     except RenderNanError as e:
         log.error("%s", e)
         return EXIT_NUMERIC
-    except FileNotFoundError as e:
-        log.error("%s", e)
-        return EXIT_INPUT
 
 
 if __name__ == "__main__":

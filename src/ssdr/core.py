@@ -39,10 +39,6 @@ class Spectrum:
         a = np.asarray(a, dtype=np.float64).reshape(3)
         return cls(float(a[0]), float(a[1]), float(a[2]))
 
-    @classmethod
-    def gray(cls, v: float) -> "Spectrum":
-        return cls(v, v, v)
-
     def __array__(self, dtype=None, copy=None):
         return np.array([self.r, self.g, self.b], dtype=dtype or np.float64)
 
@@ -81,10 +77,6 @@ class ImageBuffer:
             a = a[:, :, None]
         h, w, c = a.shape
         return cls(width=w, height=h, channels=c, data=a)
-
-    def validate(self) -> None:
-        if not np.all(np.isfinite(self.data)):
-            raise ContractError("image contains non-finite values")
 
     def plane(self) -> np.ndarray:
         """Single-channel view with the channel axis dropped."""
@@ -200,6 +192,9 @@ class ValidationIssue:
     value: float
 
 
+_MAX_LISTED = 16  # issues listed per kind; every pixel is counted
+
+
 @dataclass
 class ValidationReport:
     issues: list[ValidationIssue] = field(default_factory=list)
@@ -208,13 +203,12 @@ class ValidationReport:
     def ok(self) -> bool:
         return not self.counts
 
-    def add(self, kind: str, xs: np.ndarray, ys: np.ndarray, vals: np.ndarray,
-            max_listed: int = 16) -> None:
+    def add(self, kind: str, xs: np.ndarray, ys: np.ndarray, vals: np.ndarray) -> None:
         n = int(xs.size)
         if n == 0:
             return
         self.counts[kind] = self.counts.get(kind, 0) + n
-        for i in range(min(n, max_listed)):
+        for i in range(min(n, _MAX_LISTED)):
             self.issues.append(ValidationIssue(kind, (int(xs[i]), int(ys[i])), float(vals[i])))
 
     def summary(self) -> str:

@@ -102,6 +102,21 @@ def check_render_material(g: GBuffer, camera: Camera, light: LightField,
     return results
 
 
+def _max_fd_error(objective, base: np.ndarray, adj: np.ndarray, rng,
+                  n_components: int, eps: float, scale: float) -> float:
+    """Largest relative error between central differences of the scalar
+    `objective` at the flat vector `base` and the adjoint `adj`, over up to
+    `n_components` components drawn from `rng` without replacement."""
+    comps = rng.choice(base.size, size=min(n_components, base.size), replace=False)
+    errs = []
+    for c in comps:
+        plus = base.copy(); minus = base.copy()
+        plus[c] += eps; minus[c] -= eps
+        fd = (objective(plus) - objective(minus)) / (2 * eps)
+        errs.append(_rel_err(fd, float(adj[c]), scale))
+    return float(np.max(errs))
+
+
 def check_volume_weights(weights, cfg: volumetric.VolumeConfig, n_rays: int = 4,
                          n_components: int = 48, tol: float = 1e-4,
                          eps: float = 1e-5, seed: int = 11) -> CheckResult:
@@ -114,20 +129,14 @@ def check_volume_weights(weights, cfg: volumetric.VolumeConfig, n_rays: int = 4,
 
     adj = volumetric.volume_render_backward(weights, p, d, cfg, seed, ray_ids, dL)
 
-    def objective(w):
-        L = volumetric.volume_render_batch(w, p, d, cfg, seed, ray_ids)
+    def objective(flat):
+        L = volumetric.volume_render_batch(weights.copy_with(flat), p, d, cfg,
+                                           seed, ray_ids)
         return float(np.sum(L * dL))
 
-    comps = rng.choice(weights.flat.size, size=min(n_components, weights.flat.size),
-                       replace=False)
     scale = max(1e-7, 1e-6 * float(np.abs(adj).max()))
-    errs = []
-    for c in comps:
-        wp = weights.flat.copy(); wm = weights.flat.copy()
-        wp[c] += eps; wm[c] -= eps
-        fd = (objective(weights.copy_with(wp)) - objective(weights.copy_with(wm))) / (2 * eps)
-        errs.append(_rel_err(fd, float(adj[c]), scale))
-    return CheckResult("volume_render/weights", float(np.max(errs)), tol)
+    err = _max_fd_error(objective, weights.flat, adj, rng, n_components, eps, scale)
+    return CheckResult("volume_render/weights", err, tol)
 
 
 def check_hypernet(h: volumetric.HypernetParams, fg: np.ndarray,
@@ -137,34 +146,21 @@ def check_hypernet(h: volumetric.HypernetParams, fg: np.ndarray,
     parameters, against `hypernet_backward`."""
     rng = np.random.default_rng(seed)
     fg = np.asarray(fg, dtype=np.float64).ravel()
-    p = h.bias.size
-    dflat = rng.normal(size=p)
+    dflat = rng.normal(size=h.bias.size)
     dfg, dmat, dbias = volumetric.hypernet_backward(fg, h, dflat)
 
-    def objective(fg_v, mat, bias):
+    def objective(fg_v=fg, mat=h.matrix, bias=h.bias):
         hh = volumetric.HypernetParams(h.feature_dim, h.target_dims, mat, bias)
         return float(volumetric.hypernet_forward(fg_v, hh).flat @ dflat)
 
-    errs = []
     scale = 1e-6 * (1.0 + float(np.abs(dmat).max()))
-    for c in rng.choice(fg.size, size=min(n_components // 3 + 1, fg.size), replace=False):
-        fp = fg.copy(); fm = fg.copy()
-        fp[c] += eps; fm[c] -= eps
-        fd = (objective(fp, h.matrix, h.bias) - objective(fm, h.matrix, h.bias)) / (2 * eps)
-        errs.append(_rel_err(fd, float(dfg[c]), scale))
-    flat_m = h.matrix.ravel()
-    for c in rng.choice(flat_m.size, size=min(n_components, flat_m.size), replace=False):
-        mp = flat_m.copy(); mm = flat_m.copy()
-        mp[c] += eps; mm[c] -= eps
-        fd = (objective(fg, mp.reshape(h.matrix.shape), h.bias)
-              - objective(fg, mm.reshape(h.matrix.shape), h.bias)) / (2 * eps)
-        errs.append(_rel_err(fd, float(dmat.ravel()[c]), scale))
-    for c in rng.choice(p, size=min(n_components // 3 + 1, p), replace=False):
-        bp = h.bias.copy(); bm = h.bias.copy()
-        bp[c] += eps; bm[c] -= eps
-        fd = (objective(fg, h.matrix, bp) - objective(fg, h.matrix, bm)) / (2 * eps)
-        errs.append(_rel_err(fd, float(dbias[c]), scale))
-    return CheckResult("hypernet_forward/params", float(np.max(errs)), tol)
+    few = n_components // 3 + 1
+    err = max(  # the arguments draw their components from rng in this order
+        _max_fd_error(lambda v: objective(fg_v=v), fg, dfg, rng, few, eps, scale),
+        _max_fd_error(lambda v: objective(mat=v.reshape(h.matrix.shape)),
+                      h.matrix.ravel(), dmat.ravel(), rng, n_components, eps, scale),
+        _max_fd_error(lambda v: objective(bias=v), h.bias, dbias, rng, few, eps, scale))
+    return CheckResult("hypernet_forward/params", err, tol)
 
 
 def check_light_params(g: GBuffer, camera: Camera, light: LightField,
@@ -189,13 +185,7 @@ def check_light_params(g: GBuffer, camera: Camera, light: LightField,
             light.set_params(base_params)
         return float(vals.sum())
 
-    comps = rng.choice(base_params.size, size=min(n_components, base_params.size),
-                       replace=False)
     scale = max(1e-7, 1e-6 * float(np.abs(grad.dlight).max()))
-    errs = []
-    for c in comps:
-        vp = base_params.copy(); vm = base_params.copy()
-        vp[c] += eps; vm[c] -= eps
-        fd = (objective(vp) - objective(vm)) / (2 * eps)
-        errs.append(_rel_err(fd, float(grad.dlight[c]), scale))
-    return CheckResult("render/light-params", float(np.max(errs)), tol)
+    err = _max_fd_error(objective, base_params, grad.dlight, rng, n_components,
+                        eps, scale)
+    return CheckResult("render/light-params", err, tol)

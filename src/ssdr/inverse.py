@@ -13,12 +13,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .brdf import ROUGHNESS_FLOOR
 from .core import Camera, ContractError, GBuffer, ImageBuffer, normalize
 from .lighting import LightField
 from .render import RenderConfig, render_backward, render_mc
 from .sampling import derive_seed
 
 PARAM_NAMES = ("albedo", "roughness", "metallic", "normal", "light")
+
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 def _as_image(x) -> np.ndarray:
@@ -58,9 +61,6 @@ class AdamState:
     m: np.ndarray
     v: np.ndarray
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
     def like(cls, x: np.ndarray) -> "AdamState":
@@ -71,11 +71,11 @@ class AdamState:
         """Return the update to subtract from the parameter."""
         grad = np.asarray(grad, dtype=np.float64)
         self.t += 1
-        self.m = self.beta1 * self.m + (1.0 - self.beta1) * grad
-        self.v = self.beta2 * self.v + (1.0 - self.beta2) * grad * grad
-        mh = self.m / (1.0 - self.beta1 ** self.t)
-        vh = self.v / (1.0 - self.beta2 ** self.t)
-        return lr * mh / (np.sqrt(vh) + self.eps)
+        self.m = ADAM_BETA1 * self.m + (1.0 - ADAM_BETA1) * grad
+        self.v = ADAM_BETA2 * self.v + (1.0 - ADAM_BETA2) * grad * grad
+        mh = self.m / (1.0 - ADAM_BETA1 ** self.t)
+        vh = self.v / (1.0 - ADAM_BETA2 ** self.t)
+        return lr * mh / (np.sqrt(vh) + ADAM_EPS)
 
 
 @dataclass(frozen=True)
@@ -85,14 +85,12 @@ class LossConfig:
     iterations: int = 200
     step_size: float = 0.05
     params: tuple[str, ...] = ("albedo",)
-    rerender_weight: float = 1.0       # weight of the image L2 term
     spp: int = 16
     seed: int = 0
     specular_scale: float = 1.0
-    pdf_floor: float = 1e-6
 
     def __post_init__(self):
-        if self.iterations < 0 or self.rerender_weight < 0:
+        if self.iterations < 0:
             raise ContractError("invalid loss config")
         for p in self.params:
             if p not in PARAM_NAMES:
@@ -113,24 +111,18 @@ class OptimizeResult:
 
 def _reproject(g: GBuffer) -> None:
     np.clip(g.albedo, 0.0, 1.0, out=g.albedo)
-    np.clip(g.roughness, 0.01, 1.0, out=g.roughness)
+    np.clip(g.roughness, ROUGHNESS_FLOOR, 1.0, out=g.roughness)
     np.clip(g.metallic, 0.0, 1.0, out=g.metallic)
     g.normal[...] = normalize(g.normal)
 
 
-def _summaries(g: GBuffer, light: LightField, params) -> dict:
-    out = {}
-    if "albedo" in params:
-        out["albedo_mean"] = float(g.albedo.mean())
-    if "roughness" in params:
-        out["roughness_mean"] = float(g.roughness.mean())
-    if "metallic" in params:
-        out["metallic_mean"] = float(g.metallic.mean())
-    if "normal" in params:
-        out["normal_dev"] = float(np.abs(g.normal - g.normal.mean(axis=(0, 1))).mean())
-    if "light" in params:
-        out["light_norm"] = float(np.linalg.norm(light.get_params()))
-    return out
+def _summary(name: str, x: np.ndarray) -> tuple[str, float]:
+    """The trace column for one recovered parameter."""
+    if name == "normal":
+        return "normal_dev", float(np.abs(x - x.mean(axis=(0, 1))).mean())
+    if name == "light":
+        return "light_norm", float(np.linalg.norm(x))
+    return f"{name}_mean", float(x.mean())
 
 
 def optimize(g: GBuffer, camera: Camera, light: LightField, target,
@@ -143,54 +135,39 @@ def optimize(g: GBuffer, camera: Camera, light: LightField, target,
     target = _as_image(target)
     cur = g.copy()
     _reproject(cur)
-    if "light" in cfg.params and light.n_params == 0:
+    names = [n for n in PARAM_NAMES if n in cfg.params]
+    if "light" in names and light.n_params == 0:
         raise ContractError("selected light recovery but the light field "
                             "has no parameters")
 
-    adams = {}
-    if "albedo" in cfg.params:
-        adams["albedo"] = AdamState.like(cur.albedo)
-    if "roughness" in cfg.params:
-        adams["roughness"] = AdamState.like(cur.roughness)
-    if "metallic" in cfg.params:
-        adams["metallic"] = AdamState.like(cur.metallic)
-    if "normal" in cfg.params:
-        adams["normal"] = AdamState.like(cur.normal)
-    if "light" in cfg.params:
-        adams["light"] = AdamState.like(light.get_params())
+    def value(name: str) -> np.ndarray:
+        """The live map of `name`, or a copy of the light's parameters."""
+        return light.get_params() if name == "light" else getattr(cur, name)
 
+    adams = {n: AdamState.like(value(n)) for n in names}
     trace: list[dict] = []
     for it in range(cfg.iterations):
         rcfg = RenderConfig(spp=cfg.spp, seed=derive_seed(cfg.seed, it),
-                            pdf_floor=cfg.pdf_floor,
                             specular_scale=cfg.specular_scale)
         img = render_mc(cur, camera, light, rcfg, threads=threads)
-        mse, dI = loss_rerender(img, target)
-        loss = cfg.rerender_weight * mse
+        loss, dI = loss_rerender(img, target)
         if not np.isfinite(loss):
             raise ContractError(f"loss went non-finite at iteration {it}")
-        grad = render_backward(cur, camera, light, rcfg,
-                               cfg.rerender_weight * dI, threads=threads,
-                               want_light="light" in cfg.params)
+        grad = render_backward(cur, camera, light, rcfg, dI, threads=threads,
+                               want_light="light" in names)
 
-        if "albedo" in cfg.params:
-            cur.albedo -= adams["albedo"].step(grad.dalbedo, cfg.step_size)
-        if "roughness" in cfg.params:
-            cur.roughness -= adams["roughness"].step(grad.droughness, cfg.step_size)
-        if "metallic" in cfg.params:
-            cur.metallic -= adams["metallic"].step(grad.dmetallic, cfg.step_size)
-        if "normal" in cfg.params:
-            cur.normal -= adams["normal"].step(grad.dnormal, cfg.step_size)
-        if "light" in cfg.params:
-            light.set_params(light.get_params()
-                             - adams["light"].step(grad.dlight, cfg.step_size))
+        for n in names:
+            x = value(n)
+            x -= adams[n].step(getattr(grad, "d" + n), cfg.step_size)
+            if n == "light":
+                light.set_params(x)
         _reproject(cur)
 
         row = {"iteration": it, "loss": loss}
-        row.update(_summaries(cur, light, cfg.params))
+        row.update(_summary(n, value(n)) for n in names)
         trace.append(row)
 
     return OptimizeResult(
         gbuffer=cur,
-        light_params=light.get_params() if "light" in cfg.params else None,
+        light_params=light.get_params() if "light" in names else None,
         trace=trace)

@@ -309,24 +309,32 @@ class Bundle:
     def light_field(self) -> LightField | None:
         if self.lighting_spec is None:
             return None
-        spec = dict(self.lighting_spec)
-        kind = spec.pop("kind")
-        if kind == "grid" and "path" in spec:
+        spec = self.lighting_spec
+        if spec["kind"] == "grid" and "path" in spec:
             return read_grid_light(self.path / spec["path"])
-        return analytic_lightfield(kind, **spec)
+        return analytic_lightfield(**spec)
+
+
+def _read_json_object(path) -> dict:
+    try:
+        obj = json.loads(Path(path).read_text())
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise BundleError(f"{path}: {e}") from None
+    if not isinstance(obj, dict):
+        raise BundleError(f"{path}: expected a JSON object")
+    return obj
 
 
 def read_bundle(directory) -> Bundle:
+    """Load a bundle; a missing, malformed or mistyped piece is a
+    BundleError naming the file and, where there is one, the key."""
     directory = Path(directory)
     if not directory.is_dir():
         raise BundleError(f"bundle directory {directory} does not exist")
     manifest = {}
     mpath = directory / "bundle.json"
     if mpath.exists():
-        try:
-            manifest = json.loads(mpath.read_text())
-        except json.JSONDecodeError as e:
-            raise BundleError(f"{mpath}: {e}") from None
+        manifest = _read_json_object(mpath)
 
     maps = {}
     overrides = manifest.get("maps", {})
@@ -340,7 +348,13 @@ def read_bundle(directory) -> Bundle:
     cam_file = directory / manifest.get("camera", "camera.json")
     if not cam_file.exists():
         raise BundleError("missing camera.json")
-    camera = Camera.from_dict(json.loads(cam_file.read_text()))
+    cam = _read_json_object(cam_file)
+    try:
+        camera = Camera.from_dict(cam)
+    except KeyError as e:
+        raise BundleError(f"{cam_file}: missing key {e.args[0]!r}") from None
+    except (TypeError, ValueError) as e:
+        raise BundleError(f"{cam_file}: {e}") from None
 
     dims = {name: (img.width, img.height) for name, img in maps.items()}
     base = dims["depth"]
@@ -359,7 +373,15 @@ def read_bundle(directory) -> Bundle:
     lighting_spec = manifest.get("lighting")
     lpath = directory / "lighting.json"
     if lighting_spec is None and lpath.exists():
-        lighting_spec = json.loads(lpath.read_text())
+        lighting_spec = _read_json_object(lpath)
+    if lighting_spec is not None and not (isinstance(lighting_spec, dict)
+                                          and "kind" in lighting_spec):
+        raise BundleError(f"{directory}: the lighting spec needs a 'kind' key")
+    try:
+        specular_scale = float(manifest.get("specular_scale", 1.0))
+    except (TypeError, ValueError):
+        raise BundleError(f"{mpath}: 'specular_scale' must be a number, "
+                          f"got {manifest['specular_scale']!r}") from None
 
     def _opt_image(key):
         rel = manifest.get(key)
@@ -374,7 +396,7 @@ def read_bundle(directory) -> Bundle:
            if manifest.get("volume_weights") else None)
 
     return Bundle(path=directory, gbuffer=g, camera=camera,
-                  specular_scale=float(manifest.get("specular_scale", 1.0)),
+                  specular_scale=specular_scale,
                   lighting_spec=lighting_spec, feature_grid=fg,
                   decoder_weights=dec, volume_weights=vol,
                   target=_opt_image("target"), reference=_opt_image("reference"),

@@ -26,9 +26,6 @@ class PosEncConfig:
         if self.bands < 1:
             raise ContractError("need at least one frequency band")
 
-    def out_dim(self, in_dim: int) -> int:
-        return in_dim * (2 * self.bands + int(self.include_input))
-
 
 def positional_encoding(x: np.ndarray, cfg: PosEncConfig) -> np.ndarray:
     """Sinusoidal lift, component-major: per input component
@@ -275,21 +272,27 @@ class GridLight(LightField):
 
 
 def analytic_lightfield(kind: str, **params) -> LightField:
-    """Factory for the oracle light fields used in tests and the CLI."""
+    """Factory for the oracle light fields used in tests and the CLI; a
+    missing parameter is a ContractError naming it."""
+    def need(key):
+        if key not in params:
+            raise ContractError(f"{kind!r} light field needs {key!r}")
+        return params[key]
+
     if kind == "constant":
-        return ConstantLight(params["value"])
-    if kind in ("sky", "sky-gradient"):
-        return SkyGradientLight(params["zenith"], params["horizon"],
+        return ConstantLight(need("value"))
+    if kind == "sky":
+        return SkyGradientLight(need("zenith"), need("horizon"),
                                 params.get("up", (0.0, -1.0, 0.0)))
     if kind == "sky_disc":
-        return SkyDiscLight(params["zenith"], params["horizon"],
-                            params["disc_direction"], params["disc_radius"],
-                            params["disc_color"], params.get("up", (0.0, -1.0, 0.0)))
+        return SkyDiscLight(need("zenith"), need("horizon"),
+                            need("disc_direction"), need("disc_radius"),
+                            need("disc_color"), params.get("up", (0.0, -1.0, 0.0)))
     if kind == "grid":
         if "values" in params:
-            return GridLight(params["values"], params["bounds"])
+            return GridLight(params["values"], need("bounds"))
         from . import io as ssdr_io
-        return ssdr_io.read_grid_light(params["path"])
+        return ssdr_io.read_grid_light(need("path"))
     raise ContractError(f"unknown light field kind {kind!r}")
 
 

@@ -48,11 +48,11 @@ def uniform(seed, pixel, sample, dim) -> np.ndarray:
     return (bits >> _U64(11)).astype(np.float64) * _INV_2_53
 
 
-def uniform_block(seed: int, pixel, sample, dims: int, dim_offset: int = 0) -> np.ndarray:
+def uniform_block(seed: int, pixel, sample, dims: int) -> np.ndarray:
     """Stack of `dims` independent uniforms, shape (*broadcast, dims)."""
     pixel = np.asarray(pixel, dtype=np.uint64)
     sample = np.asarray(sample, dtype=np.uint64)
-    d = np.arange(dim_offset, dim_offset + dims, dtype=np.uint64)
+    d = np.arange(dims, dtype=np.uint64)
     return uniform(seed, pixel[..., None], sample[..., None], d)
 
 
@@ -69,5 +69,5 @@ class SamplerState:
     pixel: int = 0
     sample: int = 0
 
-    def uniforms(self, n: int, offset: int = 0) -> np.ndarray:
-        return uniform_block(self.seed, self.pixel, self.sample, n, dim_offset=offset)
+    def uniforms(self, n: int) -> np.ndarray:
+        return uniform_block(self.seed, self.pixel, self.sample, n)

@@ -191,8 +191,7 @@ def bundle_for(kind: str, out_dir, width: int | None = None,
     specular_scale = 1.0
     if kind == "cornell-like":
         specular_scale = 0.0  # pure Lambertian demo scene
-        light = analytic_lightfield(spec["kind"],
-                                    **{k: v for k, v in spec.items() if k != "kind"})
+        light = analytic_lightfield(**spec)
         extras["reference"] = lambertian_reference(g, camera, light)
     return ssdr_io.write_bundle(out_dir, g, camera, lighting_spec=spec,
                                 specular_scale=specular_scale, extras=extras)

@@ -222,3 +222,85 @@ def test_learned_lighting_path(tmp_path):
 def test_learned_lighting_missing_assets(two_plane_bundle, tmp_path):
     assert main(["render", "--bundle", str(two_plane_bundle), "--out",
                  str(tmp_path / "q"), "--lighting", "learned"]) == EXIT_INPUT
+
+
+def _broken_copy(src, dst, name, edit):
+    """Copy a bundle and rewrite one of its JSON files with `edit(text)`."""
+    import shutil
+    shutil.copytree(src, dst)
+    (dst / name).write_text(edit((dst / name).read_text()))
+    return dst
+
+
+def _edit_json(**changes):
+    def edit(text):
+        d = json.loads(text)
+        for key, value in changes.items():
+            if value is None:
+                del d[key]
+            else:
+                d[key] = value
+        return json.dumps(d)
+    return edit
+
+
+def _assert_input_error(argv, caplog, *words):
+    """Exit 2 with exactly one one-line error message containing `words`."""
+    caplog.clear()
+    assert main(argv) == EXIT_INPUT
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert len(errors) == 1 and "\n" not in errors[0], errors
+    for word in words:
+        assert word in errors[0], errors[0]
+
+
+@pytest.mark.parametrize("name,edit,words", [
+    ("camera.json", lambda text: text[:-3], ("camera.json",)),
+    ("camera.json", _edit_json(cy=None), ("camera.json", "'cy'")),
+    ("bundle.json", _edit_json(lighting={"kind": "sky"}), ("'sky'", "'zenith'")),
+    ("bundle.json", _edit_json(specular_scale="abc"),
+     ("bundle.json", "'specular_scale'")),
+], ids=["malformed-camera", "camera-without-cy", "sky-without-zenith",
+        "specular-scale-not-a-number"])
+def test_render_bad_bundle_exit_2(two_plane_bundle, tmp_path, caplog, name, edit, words):
+    broken = _broken_copy(two_plane_bundle, tmp_path / "broken", name, edit)
+    _assert_input_error(["render", "--bundle", str(broken), "--out",
+                         str(tmp_path / "r"), "--spp", "2"], caplog, *words)
+
+
+@pytest.mark.parametrize("command,flag,value", [
+    ("render", "--threads", "-3"), ("gradcheck", "--patch", "0")])
+def test_flag_below_one_exit_2(two_plane_bundle, tmp_path, caplog, command, flag, value):
+    _assert_input_error([command, "--bundle", str(two_plane_bundle), "--out",
+                         str(tmp_path / "r"), "--spp", "2", flag, value],
+                        caplog, flag)
+
+
+def test_gradcheck_patch_crops_each_axis(tmp_path, monkeypatch):
+    """A 16x4 bundle at --patch 8 is checked on a 4x8 window whose pixels
+    unproject to the same points as in the full bundle."""
+    from ssdr import gradcheck
+    from ssdr.core import unproject
+    bundle = tmp_path / "wide"
+    assert main(["make-scene", "--kind", "two-plane", "--out", str(bundle),
+                 "--res", "16x4"]) == EXIT_OK
+    seen = []
+    check = gradcheck.check_render_material
+
+    def spy(g, camera, *args, **kwargs):
+        seen.append((g, camera))
+        return check(g, camera, *args, **kwargs)
+
+    monkeypatch.setattr(gradcheck, "check_render_material", spy)
+    assert main(["gradcheck", "--bundle", str(bundle), "--out", str(tmp_path / "gc"),
+                 "--spp", "8", "--patch", "8"]) == EXIT_OK
+    [(g, camera)] = seen
+    assert g.depth.shape == (4, 8)
+    assert (camera.width, camera.height) == (8, 4)
+    full = sio.read_bundle(bundle)
+    x0 = 4  # (16 - 8) // 2: the window is centred on the principal point
+    assert np.array_equal(g.depth, full.gbuffer.depth[:, x0:x0 + 8])
+    ys, xs = np.mgrid[0:4, 0:8]
+    pix = np.stack([xs, ys], axis=-1).astype(np.float64)
+    assert np.allclose(unproject(camera, pix, g.depth),
+                       unproject(full.camera, pix + [x0, 0], g.depth), rtol=0, atol=1e-12)

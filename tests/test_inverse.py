@@ -266,3 +266,24 @@ def test_optimize_light_without_parameters():
     with pytest.raises(ContractError):
         optimize(g_init, camera, fixed, target,
                  LossConfig(iterations=1, params=("light",)))
+
+
+def test_optimize_trace_layout_independent_of_param_order():
+    """Parameters are updated and reported in PARAM_NAMES order, whatever
+    order `params` lists them in, so loss.csv has a fixed column order."""
+    g, camera, spec, _ = scenes.glossy_floor(6, 6)
+    light = SkyGradientLight(spec["zenith"], spec["horizon"])
+    target = render.render_mc(g, camera, light, render.RenderConfig(spp=8, seed=1))
+    g_init = g.copy()
+    g_init.albedo[...] = 0.5
+    g_init.roughness[...] = 0.6
+    runs = [optimize(g_init, camera, light, target,
+                     LossConfig(iterations=3, params=params, spp=4, seed=2))
+            for params in (("roughness", "albedo"), ("albedo", "roughness"))]
+    a, b = (r.gbuffer for r in runs)
+    for name in ("albedo", "roughness", "metallic", "normal"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes()
+    assert runs[0].losses.tobytes() == runs[1].losses.tobytes()
+    for run in runs:
+        assert [list(row) for row in run.trace] == \
+            [["iteration", "loss", "albedo_mean", "roughness_mean"]] * 3
