@@ -268,9 +268,10 @@ def validate_gbuffer(g: GBuffer, repair: bool = False) -> tuple[ValidationReport
     return report, out
 
 
-def normalize(v: np.ndarray, axis: int = -1) -> np.ndarray:
+def normalize(v: np.ndarray) -> np.ndarray:
+    """v / |v| over the last axis (of length 3); zero vectors stay zero."""
     v = np.asarray(v, dtype=np.float64)
-    n = np.linalg.norm(v, axis=axis, keepdims=True)
+    n = np.sqrt(dot(v, v))[..., None]
     return v / np.where(n > 0, n, 1.0)
 
 
@@ -286,7 +287,13 @@ def orthonormal_basis(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.sum(np.asarray(a, dtype=np.float64) * np.asarray(b, dtype=np.float64), axis=-1)
+    """Dot product over the last axis (of length 3), broadcasting the rest.
+
+    Summed in the order of np.sum(a * b, axis=-1), bit for bit: the leading
+    0.0 turns the sum of three -0.0 products into +0.0, as np.sum does."""
+    a = np.asarray(a, dtype=np.float64)
+    b = np.asarray(b, dtype=np.float64)
+    return 0.0 + a[..., 0] * b[..., 0] + a[..., 1] * b[..., 1] + a[..., 2] * b[..., 2]
 
 
 def as_rgb(value) -> np.ndarray:

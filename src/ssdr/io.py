@@ -16,6 +16,7 @@ Formats:
 from __future__ import annotations
 
 import json
+import math
 import logging
 import struct
 import zlib
@@ -232,12 +233,25 @@ def write_grid_light(path, gl: GridLight) -> None:
 
 
 def read_grid_light(path) -> GridLight:
+    """Load a grid light blob.  Its header needs `dims`, five positive
+    integers whose product times 3 is the payload's value count, and
+    `bounds`, a finite (2, 3) array with lo <= hi on every axis; anything
+    else is a ParseError naming the file."""
     header, data = read_blob(path)
     if header.get("kind") != "grid_light":
         raise ParseError(f"{path}: not a grid light blob")
-    dims = tuple(int(d) for d in header["dims"])
-    values = data.astype(np.float64).reshape(*dims, 3)
-    return GridLight(values, np.asarray(header["bounds"], dtype=np.float64))
+    dims = header.get("dims")
+    if not (isinstance(dims, list) and len(dims) == 5
+            and all(type(n) is int and n > 0 for n in dims)):
+        raise ParseError(f"{path}: 'dims' must list five positive integers, got {dims!r}")
+    count = 3 * math.prod(dims)
+    if count != data.size:
+        raise ParseError(f"{path}: 'dims' {dims} need {count} values, "
+                         f"the payload holds {data.size}")
+    try:
+        return GridLight(data.astype(np.float64).reshape(*dims, 3), header.get("bounds"))
+    except ContractError as e:
+        raise ParseError(f"{path}: {e}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -325,6 +339,20 @@ def _read_json_object(path) -> dict:
     return obj
 
 
+_OPTIONAL_FILES = ("target", "reference", "feature_grid", "decoder_weights",
+                   "volume_weights")
+
+
+def _path_value(value, where: str, default=None):
+    """A file name from the manifest: absent or null gives `default`, and
+    anything but a string is a BundleError naming `where`."""
+    if value is None:
+        return default
+    if not isinstance(value, str):
+        raise BundleError(f"{where} must be a file name string, got {value!r}")
+    return value
+
+
 def read_bundle(directory) -> Bundle:
     """Load a bundle; a missing, malformed or mistyped piece is a
     BundleError naming the file and, where there is one, the key."""
@@ -336,16 +364,22 @@ def read_bundle(directory) -> Bundle:
     if mpath.exists():
         manifest = _read_json_object(mpath)
 
-    maps = {}
     overrides = manifest.get("maps", {})
+    if not isinstance(overrides, dict):
+        raise BundleError(f"{mpath}: 'maps' must be a JSON object, got {overrides!r}")
+    files = {key: _path_value(manifest.get(key), f"{mpath}: {key!r}")
+             for key in _OPTIONAL_FILES}
+
+    maps = {}
     for name in _MAP_NAMES:
-        rel = overrides.get(name, f"{name}.pfm")
+        rel = _path_value(overrides.get(name), f"{mpath}: 'maps.{name}'", f"{name}.pfm")
         fpath = directory / rel
         if not fpath.exists():
             raise BundleError(f"missing map: {rel}")
         maps[name] = read_pfm(fpath)
 
-    cam_file = directory / manifest.get("camera", "camera.json")
+    cam_file = directory / _path_value(manifest.get("camera"), f"{mpath}: 'camera'",
+                                       "camera.json")
     if not cam_file.exists():
         raise BundleError("missing camera.json")
     cam = _read_json_object(cam_file)
@@ -383,23 +417,18 @@ def read_bundle(directory) -> Bundle:
         raise BundleError(f"{mpath}: 'specular_scale' must be a number, "
                           f"got {manifest['specular_scale']!r}") from None
 
-    def _opt_image(key):
-        rel = manifest.get(key)
-        return read_pfm(directory / rel) if rel else None
+    def _opt(read, key):
+        return read(directory / files[key]) if files[key] else None
 
-    fg = None
-    if manifest.get("feature_grid"):
-        fg = read_feature_grid(directory / manifest["feature_grid"])
-    dec = (read_mlp_weights(directory / manifest["decoder_weights"])
-           if manifest.get("decoder_weights") else None)
-    vol = (read_mlp_weights(directory / manifest["volume_weights"])
-           if manifest.get("volume_weights") else None)
+    fg = _opt(read_feature_grid, "feature_grid")
+    dec = _opt(read_mlp_weights, "decoder_weights")
+    vol = _opt(read_mlp_weights, "volume_weights")
 
     return Bundle(path=directory, gbuffer=g, camera=camera,
                   specular_scale=specular_scale,
                   lighting_spec=lighting_spec, feature_grid=fg,
                   decoder_weights=dec, volume_weights=vol,
-                  target=_opt_image("target"), reference=_opt_image("reference"),
+                  target=_opt(read_pfm, "target"), reference=_opt(read_pfm, "reference"),
                   manifest=manifest)
 
 

@@ -186,21 +186,45 @@ class SkyDiscLight(LightField):
         return base + w[:, None] * self.disc_color
 
 
+# Lanes per GridLight.radiance block.  It bounds the call's temporaries
+# (a few hundred bytes per lane) whatever the caller's chunk size; every
+# lane is computed on its own, so the block size changes no bit.
+_LANE_BLOCK = 8192
+
+
 class GridLight(LightField):
     """5D sampled radiance field over (x, y, z, theta, phi).
 
     values: (nx, ny, nz, ntheta, nphi, 3); positions interpolate trilinearly
-    inside `bounds` (2, 3); directions bilinearly with theta = polar angle
+    inside `bounds` (2, 3), a finite array with lo <= hi on every axis (lo ==
+    hi is a flat extent); directions bilinearly with theta = polar angle
     from +z in [0, pi] and phi = atan2(y, x) wrapped to [0, 2pi).
+
+    The output bits depend on the order of the float operations, which is
+    fixed: the 32 corners are visited depth-first over (x, y, z, theta,
+    phi), the lower node first on each axis; each corner weight is the
+    product (((wx * wy) * wz) * wt) * wp, with w = 1 - f for the lower node
+    and f for the upper; and the weighted corner values are added to a zero
+    accumulator in that corner order.  The upper node of a single-node axis
+    has weight 0 and is skipped; it would add only zeros.
     """
 
     def __init__(self, values: np.ndarray, bounds: np.ndarray):
         self.values = np.asarray(values, dtype=np.float64)
-        self.bounds = np.asarray(bounds, dtype=np.float64).reshape(2, 3)
         if self.values.ndim != 6 or self.values.shape[-1] != 3:
             raise ContractError("grid light values must be (nx,ny,nz,nt,np,3)")
         if not np.all(np.isfinite(self.values)):
             raise ContractError("grid light contains non-finite values")
+        try:
+            self.bounds = np.asarray(bounds, dtype=np.float64)
+        except (TypeError, ValueError):
+            raise ContractError(f"grid light bounds must be numbers, got {bounds!r}") from None
+        if self.bounds.shape != (2, 3) or not np.all(np.isfinite(self.bounds)):
+            raise ContractError(f"grid light bounds must be a finite (2, 3) array, "
+                                f"got {bounds!r}")
+        if np.any(self.bounds[0] > self.bounds[1]):
+            raise ContractError(f"grid light bounds need lo <= hi on every axis, "
+                                f"got {self.bounds.tolist()}")
 
     def _axis_coords(self, x, lo, hi, n):
         if n == 1:
@@ -209,51 +233,69 @@ class GridLight(LightField):
         i0 = np.clip(np.floor(t).astype(np.int64), 0, n - 2)
         return t - i0, i0
 
-    def radiance(self, p, d):
-        p = np.atleast_2d(np.asarray(p, dtype=np.float64))
-        d = np.atleast_2d(np.asarray(d, dtype=np.float64))
-        nx, ny, nz, nt, nph, _ = self.values.shape
-
-        fr, ir = [], []
-        for ax in range(3):
-            f, i = self._axis_coords(p[:, ax], self.bounds[0, ax], self.bounds[1, ax],
-                                     self.values.shape[ax])
-            fr.append(f)
-            ir.append(i)
-
+    def _axes(self, p, d):
+        """Per axis, in corner order (x, y, z, theta, phi): the (weight,
+        flat offset) of its lower node, weight 1 - f, and of its upper node,
+        weight f.  A single-node axis lists its lower node only, since f is
+        0 there."""
+        nx, ny, nz, nt, nph = self.values.shape[:5]
+        coords = [self._axis_coords(p[:, ax], self.bounds[0, ax], self.bounds[1, ax], n)
+                  for ax, n in enumerate((nx, ny, nz))]
         theta = np.arccos(np.clip(d[:, 2], -1.0, 1.0))
-        ft, it = self._axis_coords(theta, 0.0, np.pi, nt)
+        coords.append(self._axis_coords(theta, 0.0, np.pi, nt))
+        strides = (ny * nz * nt * nph, nz * nt * nph, nt * nph, nph)
+        axes = [[(1.0 - f, i * s), (f, (i + 1) * s)][:min(n, 2)]
+                for (f, i), n, s in zip(coords, (nx, ny, nz, nt), strides)]
         phi = np.mod(np.arctan2(d[:, 1], d[:, 0]), 2.0 * np.pi)
         if nph == 1:
-            fp = np.zeros_like(phi)
-            ip0 = np.zeros_like(phi, dtype=np.int64)
-            ip1 = ip0
+            axes.append([(np.ones_like(phi), np.zeros_like(phi, dtype=np.int64))])
         else:
             tp = phi / (2.0 * np.pi) * nph
             ip0 = np.floor(tp).astype(np.int64) % nph
             fp = tp - np.floor(tp)
-            ip1 = (ip0 + 1) % nph
+            axes.append([(1.0 - fp, ip0), (fp, (ip0 + 1) % nph)])  # wraps at the seam
+        return axes
 
-        out = np.zeros((p.shape[0], 3))
-        for bx in (0, 1):
-            for by in (0, 1):
-                for bz in (0, 1):
-                    for bt in (0, 1):
-                        for bp in (0, 1):
-                            wx = fr[0] if bx else 1.0 - fr[0]
-                            wy = fr[1] if by else 1.0 - fr[1]
-                            wz = fr[2] if bz else 1.0 - fr[2]
-                            wt = ft if bt else 1.0 - ft
-                            wp = fp if bp else 1.0 - fp
-                            w = wx * wy * wz * wt * wp
-                            if not np.any(w):
-                                continue
-                            ix = np.minimum(ir[0] + bx, nx - 1)
-                            iy = np.minimum(ir[1] + by, ny - 1)
-                            iz = np.minimum(ir[2] + bz, nz - 1)
-                            itt = np.minimum(it + bt, nt - 1)
-                            ipp = ip1 if bp else ip0
-                            out += w[:, None] * self.values[ix, iy, iz, itt, ipp]
+    @staticmethod
+    def _corner_sum(vals, axes):
+        """Sum of the weighted corner values, (3, lanes), in the order of the
+        class docstring.  vals is the channel-major (3, M) node table; each
+        level of the depth-first walk owns one weight and one offset
+        buffer."""
+        lanes = axes[0][0][0].shape[0]
+        acc = np.zeros((3, lanes))
+        w = np.empty((4, lanes))
+        off = np.empty((4, lanes), dtype=np.int64)
+        v = np.empty((3, lanes))
+        for wx, ox in axes[0]:
+            for wy, oy in axes[1]:
+                np.multiply(wx, wy, out=w[0])
+                np.add(ox, oy, out=off[0])
+                for wz, oz in axes[2]:
+                    np.multiply(w[0], wz, out=w[1])
+                    np.add(off[0], oz, out=off[1])
+                    for wt, ot in axes[3]:
+                        np.multiply(w[1], wt, out=w[2])
+                        np.add(off[1], ot, out=off[2])
+                        for wp, op in axes[4]:
+                            np.multiply(w[2], wp, out=w[3])
+                            np.add(off[2], op, out=off[3])
+                            # offsets are in range by construction; "clip"
+                            # only spares the buffered bounds check
+                            np.take(vals, off[3], axis=1, out=v, mode="clip")
+                            v *= w[3]
+                            acc += v
+        return acc
+
+    def radiance(self, p, d):
+        p, d = np.broadcast_arrays(np.atleast_2d(np.asarray(p, dtype=np.float64)),
+                                   np.atleast_2d(np.asarray(d, dtype=np.float64)))
+        # read on every call, so a later edit of `values` is always seen
+        vals = np.ascontiguousarray(self.values.reshape(-1, 3).T)
+        out = np.empty((p.shape[0], 3))
+        for s in range(0, p.shape[0], _LANE_BLOCK):
+            blk = slice(s, s + _LANE_BLOCK)
+            out[blk] = self._corner_sum(vals, self._axes(p[blk], d[blk])).T
         return out
 
     def node_position(self, idx) -> tuple[np.ndarray, np.ndarray]:

@@ -175,3 +175,61 @@ def per_pixel_material_fd(g, fs, light, cfg, cls: str, eps: float = 2e-6):
             raise ValueError(f"unknown material class {cls!r}")
         rows.append(row)
     return np.array(rows)
+
+
+def grid_light_corner_loop(gl, p, d):
+    """Reference for `GridLight.radiance`: the original loop over the 32
+    corners, one fancy-indexed gather per corner, whole lanes at once.  The
+    blocked gather must match it byte for byte."""
+    def axis_coords(x, lo, hi, n):
+        if n == 1:
+            return np.zeros_like(x), np.zeros_like(x, dtype=np.int64)
+        t = np.clip((x - lo) / max(hi - lo, 1e-30), 0.0, 1.0) * (n - 1)
+        i0 = np.clip(np.floor(t).astype(np.int64), 0, n - 2)
+        return t - i0, i0
+
+    p = np.atleast_2d(np.asarray(p, dtype=np.float64))
+    d = np.atleast_2d(np.asarray(d, dtype=np.float64))
+    nx, ny, nz, nt, nph, _ = gl.values.shape
+
+    fr, ir = [], []
+    for ax in range(3):
+        f, i = axis_coords(p[:, ax], gl.bounds[0, ax], gl.bounds[1, ax],
+                           gl.values.shape[ax])
+        fr.append(f)
+        ir.append(i)
+
+    theta = np.arccos(np.clip(d[:, 2], -1.0, 1.0))
+    ft, it = axis_coords(theta, 0.0, np.pi, nt)
+    phi = np.mod(np.arctan2(d[:, 1], d[:, 0]), 2.0 * np.pi)
+    if nph == 1:
+        fp = np.zeros_like(phi)
+        ip0 = np.zeros_like(phi, dtype=np.int64)
+        ip1 = ip0
+    else:
+        tp = phi / (2.0 * np.pi) * nph
+        ip0 = np.floor(tp).astype(np.int64) % nph
+        fp = tp - np.floor(tp)
+        ip1 = (ip0 + 1) % nph
+
+    out = np.zeros((p.shape[0], 3))
+    for bx in (0, 1):
+        for by in (0, 1):
+            for bz in (0, 1):
+                for bt in (0, 1):
+                    for bp in (0, 1):
+                        wx = fr[0] if bx else 1.0 - fr[0]
+                        wy = fr[1] if by else 1.0 - fr[1]
+                        wz = fr[2] if bz else 1.0 - fr[2]
+                        wt = ft if bt else 1.0 - ft
+                        wp = fp if bp else 1.0 - fp
+                        w = wx * wy * wz * wt * wp
+                        if not np.any(w):
+                            continue
+                        ix = np.minimum(ir[0] + bx, nx - 1)
+                        iy = np.minimum(ir[1] + by, ny - 1)
+                        iz = np.minimum(ir[2] + bz, nz - 1)
+                        itt = np.minimum(it + bt, nt - 1)
+                        ipp = ip1 if bp else ip0
+                        out += w[:, None] * gl.values[ix, iy, iz, itt, ipp]
+    return out

@@ -260,12 +260,58 @@ def _assert_input_error(argv, caplog, *words):
     ("bundle.json", _edit_json(lighting={"kind": "sky"}), ("'sky'", "'zenith'")),
     ("bundle.json", _edit_json(specular_scale="abc"),
      ("bundle.json", "'specular_scale'")),
+    ("bundle.json", _edit_json(maps=[]), ("bundle.json", "'maps'")),
+    ("bundle.json", _edit_json(maps={"depth": 3}), ("bundle.json", "'maps.depth'")),
+    ("bundle.json", _edit_json(camera=5), ("bundle.json", "'camera'")),
+    ("bundle.json", _edit_json(target=["t.pfm"]), ("bundle.json", "'target'")),
+    ("bundle.json", _edit_json(volume_weights={}), ("bundle.json", "'volume_weights'")),
 ], ids=["malformed-camera", "camera-without-cy", "sky-without-zenith",
-        "specular-scale-not-a-number"])
+        "specular-scale-not-a-number", "maps-not-an-object", "map-path-not-a-string",
+        "camera-not-a-string", "target-not-a-string", "weights-not-a-string"])
 def test_render_bad_bundle_exit_2(two_plane_bundle, tmp_path, caplog, name, edit, words):
     broken = _broken_copy(two_plane_bundle, tmp_path / "broken", name, edit)
     _assert_input_error(["render", "--bundle", str(broken), "--out",
                          str(tmp_path / "r"), "--spp", "2"], caplog, *words)
+
+
+@pytest.fixture(scope="module")
+def grid_bundle(tmp_path_factory):
+    from ssdr import scenes
+    from ssdr.lighting import GridLight
+    g, camera, _, _ = scenes.two_plane(8, 8)
+    gl = GridLight(np.ones((2, 2, 2, 2, 2, 3)), [[-5, -5, 0], [5, 5, 10]])
+    return sio.write_bundle(tmp_path_factory.mktemp("bundles") / "grid", g, camera,
+                            extras={"grid_light": gl})
+
+
+@pytest.mark.parametrize("changes,words", [
+    ({"dims": None}, ("light.grid", "'dims'")),
+    ({"dims": [2, 2, 2, 2, 3]}, ("light.grid", "'dims'", "payload")),
+    ({"bounds": [[-5, -5, 0], [5, 5, float("nan")]]}, ("light.grid", "finite (2, 3)")),
+    ({"bounds": [-5, -5, 0, 5, 5, 10]}, ("light.grid", "finite (2, 3)")),
+    ({"bounds": None}, ("light.grid", "bounds")),
+    ({"bounds": [[-5, 5, 0], [5, -5, 10]]}, ("light.grid", "lo <= hi")),
+], ids=["no-dims", "dims-disagree-with-payload", "nan-bound", "flat-bounds",
+        "no-bounds", "lo-above-hi"])
+def test_render_bad_grid_light_exit_2(grid_bundle, tmp_path, caplog, changes, words):
+    import shutil
+    blob = shutil.copytree(grid_bundle, tmp_path / "broken") / "light.grid"
+    head, payload = blob.read_bytes().split(b"\n", 1)
+    blob.write_bytes(_edit_json(**changes)(head.decode()).encode() + b"\n" + payload)
+    _assert_input_error(["render", "--bundle", str(blob.parent), "--out",
+                         str(tmp_path / "r"), "--spp", "2", "--lighting", "grid"],
+                        caplog, *words)
+
+
+def test_grid_light_flat_extent_renders(grid_bundle, tmp_path):
+    """lo == hi on an axis is a flat extent, not an error."""
+    import shutil
+    from ssdr.lighting import GridLight
+    bundle = shutil.copytree(grid_bundle, tmp_path / "flat")
+    flat = GridLight(np.ones((2, 2, 2, 2, 2, 3)), [[-5, -5, 2], [5, 5, 2]])
+    sio.write_grid_light(bundle / "light.grid", flat)
+    assert main(["render", "--bundle", str(bundle), "--out", str(tmp_path / "r"),
+                 "--spp", "2", "--lighting", "grid"]) == EXIT_OK
 
 
 @pytest.mark.parametrize("command,flag,value", [

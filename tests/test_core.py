@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ssdr.core import (BehindCameraError, Camera, ContractError, GBuffer,
-                       ImageBuffer, Spectrum, project, unproject,
+                       ImageBuffer, Spectrum, dot, normalize, project, unproject,
                        validate_gbuffer)
 from ssdr.sampling import SamplerState, derive_seed, uniform, uniform_block
 
@@ -151,3 +151,41 @@ def test_spectrum_validation():
 def test_image_buffer_shape_contract():
     with pytest.raises(ContractError):
         ImageBuffer(width=2, height=2, channels=3, data=np.zeros((2, 2, 1)))
+
+
+@pytest.mark.parametrize("sa,sb", [((3,), (3,)), ((40, 3), (40, 3)), ((3,), (40, 3)),
+                                   ((40, 1, 3), (40, 16, 3)), ((2, 5, 1, 3), (7, 3))])
+def test_dot_matches_np_sum_bytes(sa, sb):
+    """dot is np.sum(a * b, axis=-1) bit for bit, also on the broadcast
+    (n, 1, 3) x (n, s, 3) shapes of the renderer."""
+    rng = np.random.default_rng(len(sa) + len(sb))
+    a, b = rng.normal(size=sa), rng.normal(size=sb)
+    got, want = dot(a, b), np.sum(a * b, axis=-1)
+    assert type(got) is type(want) and np.shape(got) == np.shape(want)
+    assert np.asarray(got).tobytes() == np.asarray(want).tobytes()
+
+
+def test_dot_signed_zero_products():
+    """Three -0.0 products sum to +0.0, as np.sum gives."""
+    a = np.array([[-0.0, 0.0, -0.0], [1.0, -1.0, 0.0], [-1e-300, 1e-300, -0.0],
+                  [0.0, 0.0, 0.0], [-0.0, -0.0, -0.0]])
+    b = np.array([[1.0, -1.0, 1.0], [-0.0, -0.0, 5.0], [1e-300, 1e-300, 2.0],
+                  [-1.0, -1.0, -1.0], [-0.0, -0.0, -0.0]])
+    got = dot(a, b)
+    assert got.tobytes() == np.sum(a * b, axis=-1).tobytes()
+    assert not np.any(np.signbit(got[[0, 1, 3]]))
+
+
+def test_normalize_matches_linalg_norm_bytes():
+    """normalize is v / np.linalg.norm(v) bit for bit; zero vectors stay
+    zero."""
+    rng = np.random.default_rng(7)
+    v = rng.normal(size=(6, 4, 3)) * np.logspace(-150, 150, 6)[:, None, None]
+    v[0, 0] = 0.0
+    v[1, 1] = -0.0
+    v[2, 2] = [1e-310, 0.0, -0.0]
+    n = np.linalg.norm(v, axis=-1, keepdims=True)
+    want = v / np.where(n > 0, n, 1.0)
+    assert normalize(v).tobytes() == want.tobytes()
+    assert normalize(v[3, 0]).tobytes() == want[3, 0].tobytes()
+    assert np.all(normalize(np.zeros((2, 3))) == 0.0)

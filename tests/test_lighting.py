@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ssdr import mlp, scenes
+from oracles import grid_light_corner_loop
+from ssdr import lighting, mlp, scenes
 from ssdr.core import ContractError, normalize, unproject
 from ssdr.inverse import AdamState
 from ssdr.lighting import (FeatureGrid, GridLight, PosEncConfig, SkyDiscLight,
@@ -107,6 +108,53 @@ def test_grid_light_single_cell():
     gl = GridLight(vals, [[0, 0, 0], [1, 1, 1]])
     out = gl.radiance(np.array([[0.5, 0.5, 0.5]]), normalize(np.ones((1, 3))))
     assert np.allclose(out, [[1.0, 0.0, 0.0]])
+
+
+def _grid_lanes(rng, n):
+    """Positions reaching past the bounds [[-1, -2, 0], [1, 2, 3]] on every
+    side, random unit directions, and the axis and phi-seam directions."""
+    p = rng.uniform([-2.0, -3.0, -1.0], [2.0, 3.0, 4.0], (n, 3))
+    d = normalize(rng.normal(size=(n, 3)))
+    special = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0],
+                        [1.0, 1e-300, 0.0], [1.0, -1e-300, 0.0], [1.0, -0.0, 0.0],
+                        [-1.0, 1e-300, 0.0], [-1.0, -1e-300, 0.0], [-1.0, -0.0, 0.0],
+                        [0.6, -0.0, 0.8], [0.6, 1e-300, -0.8]])
+    d[:min(n, len(special))] = special[:n]
+    return p, d
+
+
+@pytest.mark.parametrize("single", [(), (0,), (1,), (2,), (3,), (4,), (0, 1, 2, 3, 4)],
+                         ids=["none", "x", "y", "z", "theta", "phi", "all"])
+def test_grid_light_matches_corner_loop_bytes(single):
+    """The blocked gather is the original 32-corner loop, bit for bit, at
+    lane counts around the block size, with single-node axes."""
+    rng = np.random.default_rng(len(single) * 10 + sum(single))
+    shape = [1 if ax in single else n for ax, n in enumerate((3, 4, 2, 5, 8))]
+    gl = GridLight(rng.uniform(-1.0, 3.0, (*shape, 3)), [[-1, -2, 0], [1, 2, 3]])
+    block = lighting._LANE_BLOCK
+    for n in (0, 1, block - 1, block, block + 1):
+        p, d = _grid_lanes(rng, n)
+        got, want = gl.radiance(p, d), grid_light_corner_loop(gl, p, d)
+        assert got.shape == want.shape == (n, 3)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_grid_light_flat_extent_matches_corner_loop_bytes():
+    """lo == hi on an axis is a legal flat extent."""
+    rng = np.random.default_rng(3)
+    gl = GridLight(rng.uniform(0.0, 1.0, (3, 3, 3, 4, 6, 3)), [[-1, -2, 1], [1, 2, 1]])
+    p, d = _grid_lanes(rng, 500)
+    assert gl.radiance(p, d).tobytes() == grid_light_corner_loop(gl, p, d).tobytes()
+
+
+@pytest.mark.parametrize("bounds", [
+    [0, 0, 0, 1, 1, 1], [[0, 1], [0, 1], [0, 1]], [[0, 0, 0], [1, 1, np.nan]],
+    [[0, 0, -np.inf], [1, 1, 1]], [[0, 0, 0], [1, 1, "x"]], None,
+    [[0, 2, 0], [1, 1, 1]]],
+    ids=["flat-list", "transposed", "nan", "inf", "string", "none", "lo-above-hi"])
+def test_grid_light_rejects_bad_bounds(bounds):
+    with pytest.raises(ContractError, match="bounds"):
+        GridLight(np.zeros((2, 2, 2, 2, 2, 3)), bounds)
 
 
 def test_unknown_lightfield_kind():
