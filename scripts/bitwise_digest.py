@@ -11,13 +11,13 @@ Run it once against each tree and diff the two outputs:
 It covers `render_mc`, every `render_backward` field, `eval_frozen` and
 `reference_render` (both modes) on the three canned scenes under their own
 light, a `ConstantLight` and a random `GridLight`, at threads 1 and 2, plus
-one run forced into many sample chunks.  At the default 16x16 and spp 96
-a row block holds more lanes than one `GridLight` lane block, so lane
-block edges are crossed too.  Every line is `<name> <sha256>` of the
+one run forced into many sample chunks.  The size is fixed on purpose:
+at RES x RES pixels and SPP samples a row block holds more lanes than one
+`GridLight` lane block, so lane block edges are crossed too; a smaller
+render would cross none and could hide a changed bit there.  Every line is `<name> <sha256>` of the
 float64 array's bytes, so any changed bit shows as a changed line.
 """
 
-import argparse
 import hashlib
 
 import numpy as np
@@ -26,6 +26,9 @@ from ssdr import render, scenes
 from ssdr.lighting import ConstantLight, GridLight, analytic_lightfield
 from ssdr.render import (RenderConfig, draw_frozen_samples, eval_frozen,
                          reference_render, render_backward, render_mc)
+
+RES = 16
+SPP = 96
 
 
 def digest(a) -> str:
@@ -45,15 +48,15 @@ def grid_light(g, camera, rng) -> GridLight:
                      np.stack([lo + pad, hi - pad]))
 
 
-def lines(res: int, spp: int):
+def lines():
     rng = np.random.default_rng(2024)
     for kind in ("two-plane", "cornell-like", "glossy-floor"):
-        g, camera, spec, _ = scenes.make_scene(kind, res, res)
+        g, camera, spec, _ = scenes.make_scene(kind, RES, RES)
         lights = {"own": analytic_lightfield(**spec),
                   "constant": ConstantLight([0.9, 1.0, 1.1]),
                   "grid": grid_light(g, camera, rng)}
         dI = rng.normal(size=g.depth.shape + (3,))
-        cfg = RenderConfig(spp=spp, seed=3)
+        cfg = RenderConfig(spp=SPP, seed=3)
         for lname, light in lights.items():
             tag = f"{kind}/{lname}"
             for threads in (1, 2):
@@ -71,10 +74,10 @@ def lines(res: int, spp: int):
                     g, camera, light, cells=(8, 16), mode=mode)
 
     # many chunks per row block: the chunk loop and its summation order
-    g, camera, _, _ = scenes.glossy_floor(res, res)
+    g, camera, _, _ = scenes.glossy_floor(RES, RES)
     light = grid_light(g, camera, rng)
     dI = rng.normal(size=g.depth.shape + (3,))
-    cfg = RenderConfig(spp=2 * spp, seed=5)
+    cfg = RenderConfig(spp=2 * SPP, seed=5)
     saved = render._CHUNK_LANES
     render._CHUNK_LANES = 1000
     try:
@@ -87,11 +90,7 @@ def lines(res: int, spp: int):
 
 
 def main():
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--res", type=int, default=16)
-    ap.add_argument("--spp", type=int, default=96)
-    args = ap.parse_args()
-    for name, a in lines(args.res, args.spp):
+    for name, a in lines():
         print(name, digest(a))
 
 

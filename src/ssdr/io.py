@@ -190,7 +190,12 @@ def read_blob(path) -> tuple[dict, np.ndarray]:
             header = json.loads(line.decode())
         except (UnicodeDecodeError, json.JSONDecodeError) as e:
             raise ParseError(f"{path}: bad blob header: {e}") from None
-        count = int(header.get("count", -1))
+        if not isinstance(header, dict):
+            raise ParseError(f"{path}: blob header must be a JSON object")
+        count = header.get("count")
+        if type(count) is not int:
+            raise ParseError(f"{path}: blob header 'count' must be an integer, "
+                             f"got {count!r}")
         payload = f.read()
     if count < 0 or len(payload) != 4 * count:
         raise ParseError(

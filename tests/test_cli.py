@@ -284,20 +284,22 @@ def grid_bundle(tmp_path_factory):
                             extras={"grid_light": gl})
 
 
-@pytest.mark.parametrize("changes,words", [
-    ({"dims": None}, ("light.grid", "'dims'")),
-    ({"dims": [2, 2, 2, 2, 3]}, ("light.grid", "'dims'", "payload")),
-    ({"bounds": [[-5, -5, 0], [5, 5, float("nan")]]}, ("light.grid", "finite (2, 3)")),
-    ({"bounds": [-5, -5, 0, 5, 5, 10]}, ("light.grid", "finite (2, 3)")),
-    ({"bounds": None}, ("light.grid", "bounds")),
-    ({"bounds": [[-5, 5, 0], [5, -5, 10]]}, ("light.grid", "lo <= hi")),
+@pytest.mark.parametrize("edit,words", [
+    (_edit_json(dims=None), ("light.grid", "'dims'")),
+    (_edit_json(dims=[2, 2, 2, 2, 3]), ("light.grid", "'dims'", "payload")),
+    (_edit_json(bounds=[[-5, -5, 0], [5, 5, float("nan")]]), ("light.grid", "finite (2, 3)")),
+    (_edit_json(bounds=[-5, -5, 0, 5, 5, 10]), ("light.grid", "finite (2, 3)")),
+    (_edit_json(bounds=None), ("light.grid", "bounds")),
+    (_edit_json(bounds=[[-5, 5, 0], [5, -5, 10]]), ("light.grid", "lo <= hi")),
+    (lambda text: "[1]", ("light.grid", "JSON object")),
+    (_edit_json(count="x"), ("light.grid", "'count'")),
 ], ids=["no-dims", "dims-disagree-with-payload", "nan-bound", "flat-bounds",
-        "no-bounds", "lo-above-hi"])
-def test_render_bad_grid_light_exit_2(grid_bundle, tmp_path, caplog, changes, words):
+        "no-bounds", "lo-above-hi", "header-not-object", "count-not-int"])
+def test_render_bad_grid_light_exit_2(grid_bundle, tmp_path, caplog, edit, words):
     import shutil
     blob = shutil.copytree(grid_bundle, tmp_path / "broken") / "light.grid"
     head, payload = blob.read_bytes().split(b"\n", 1)
-    blob.write_bytes(_edit_json(**changes)(head.decode()).encode() + b"\n" + payload)
+    blob.write_bytes(edit(head.decode()).encode() + b"\n" + payload)
     _assert_input_error(["render", "--bundle", str(blob.parent), "--out",
                          str(tmp_path / "r"), "--spp", "2", "--lighting", "grid"],
                         caplog, *words)

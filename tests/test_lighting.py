@@ -123,28 +123,23 @@ def _grid_lanes(rng, n):
     return p, d
 
 
+@pytest.mark.parametrize("bounds", [[[-1, -2, 0], [1, 2, 3]], [[-1, -2, 1], [1, 2, 1]]],
+                         ids=["box", "flat-z"])
 @pytest.mark.parametrize("single", [(), (0,), (1,), (2,), (3,), (4,), (0, 1, 2, 3, 4)],
                          ids=["none", "x", "y", "z", "theta", "phi", "all"])
-def test_grid_light_matches_corner_loop_bytes(single):
+def test_grid_light_matches_corner_loop_bytes(single, bounds):
     """The blocked gather is the original 32-corner loop, bit for bit, at
-    lane counts around the block size, with single-node axes."""
+    lane counts around the block size, with single-node axes and with a
+    flat (lo == hi) extent."""
     rng = np.random.default_rng(len(single) * 10 + sum(single))
     shape = [1 if ax in single else n for ax, n in enumerate((3, 4, 2, 5, 8))]
-    gl = GridLight(rng.uniform(-1.0, 3.0, (*shape, 3)), [[-1, -2, 0], [1, 2, 3]])
+    gl = GridLight(rng.uniform(-1.0, 3.0, (*shape, 3)), bounds)
     block = lighting._LANE_BLOCK
     for n in (0, 1, block - 1, block, block + 1):
         p, d = _grid_lanes(rng, n)
         got, want = gl.radiance(p, d), grid_light_corner_loop(gl, p, d)
         assert got.shape == want.shape == (n, 3)
         assert got.tobytes() == want.tobytes()
-
-
-def test_grid_light_flat_extent_matches_corner_loop_bytes():
-    """lo == hi on an axis is a legal flat extent."""
-    rng = np.random.default_rng(3)
-    gl = GridLight(rng.uniform(0.0, 1.0, (3, 3, 3, 4, 6, 3)), [[-1, -2, 1], [1, 2, 1]])
-    p, d = _grid_lanes(rng, 500)
-    assert gl.radiance(p, d).tobytes() == grid_light_corner_loop(gl, p, d).tobytes()
 
 
 @pytest.mark.parametrize("bounds", [
