@@ -14,21 +14,37 @@ light, a `ConstantLight` and a random `GridLight`, at threads 1 and 2, plus
 one run forced into many sample chunks.  The size is fixed on purpose:
 at RES x RES pixels and SPP samples a row block holds more lanes than one
 `GridLight` lane block, so lane block edges are crossed too; a smaller
-render would cross none and could hide a changed bit there.  Every line is `<name> <sha256>` of the
-float64 array's bytes, so any changed bit shows as a changed line.
+render would cross none and could hide a changed bit there.
+
+It also covers the learned `BlendedLightField`, in volume-weights and in
+hypernet mode: `render_mc` and every `render_backward` field at threads 1
+and 2, and a 3-iteration albedo + light `optimize` (maps, light
+parameters, losses).  These run at the smaller LEARNED_RES and
+LEARNED_SPP, since the learned field is slow.
+
+Every line is `<name> <sha256>` of the float64 array's bytes, so any
+changed bit shows as a changed line.
 """
 
 import hashlib
+from dataclasses import replace
 
 import numpy as np
 
-from ssdr import render, scenes
-from ssdr.lighting import ConstantLight, GridLight, analytic_lightfield
+from ssdr import render, scenes, volumetric
+from ssdr.inverse import LossConfig, optimize
+from ssdr.lighting import (ConstantLight, FeatureGrid, GridLight, analytic_lightfield,
+                           decoder_input_dim)
+from ssdr.mlp import MlpWeights
 from ssdr.render import (RenderConfig, draw_frozen_samples, eval_frozen,
                          reference_render, render_backward, render_mc)
 
 RES = 16
 SPP = 96
+# two row blocks at 4 samples per pixel, with a small field, so the learned
+# light's lines take seconds
+LEARNED_RES = 12
+LEARNED_SPP = 4
 
 
 def digest(a) -> str:
@@ -46,6 +62,52 @@ def grid_light(g, camera, rng) -> GridLight:
     pad = 0.1 * (hi - lo)
     return GridLight(rng.uniform(0.0, 2.0, (3, 4, 2, 5, 8, 3)),
                      np.stack([lo + pad, hi - pad]))
+
+
+def learned_light(g, camera, mode: str) -> volumetric.BlendedLightField:
+    """A small learned light with fixed random weights, its field given
+    directly ("volume") or made by a hypernetwork ("hypernet")."""
+    rng = np.random.default_rng(7)
+    h, w = g.depth.shape
+    grid = FeatureGrid(rng.normal(size=(h, w, 4)))
+    dec = MlpWeights.random((decoder_input_dim(4), 16, 16, 3), seed=1, scale=0.2)
+    vdims = (volumetric.field_input_dim(4), 16, 16, 4)
+    vcfg = volumetric.VolumeConfig(n_samples=16, position_bands=4)
+    if mode == "volume":
+        return volumetric.BlendedLightField(
+            grid, g, camera, dec, volume_weights=MlpWeights.random(vdims, seed=2, scale=0.3),
+            volume_cfg=vcfg)
+    return volumetric.BlendedLightField(
+        grid, g, camera, dec, hypernet=volumetric.HypernetParams.random(5, vdims, seed=3,
+                                                                       scale=0.05),
+        global_feature=rng.normal(size=5), volume_cfg=vcfg)
+
+
+def learned_lines(rng):
+    g, camera, _, _ = scenes.cornell_like(LEARNED_RES, LEARNED_RES)
+    dI = rng.normal(size=g.depth.shape + (3,))
+    cfg = RenderConfig(spp=LEARNED_SPP, seed=3, specular_scale=0.0)
+    for mode in ("volume", "hypernet"):
+        tag = f"learned-{mode}"
+        light = learned_light(g, camera, mode)
+        for threads in (1, 2):
+            yield f"{tag}/t{threads}/render_mc", render_mc(g, camera, light, cfg,
+                                                           threads=threads)
+            grad = render_backward(g, camera, light, cfg, dI, threads=threads,
+                                   want_light=True)
+            for field in ("dalbedo", "droughness", "dmetallic", "dnormal", "dlight"):
+                yield f"{tag}/t{threads}/render_backward.{field}", getattr(grad, field)
+
+        target = render_mc(g, camera, light, replace(cfg, spp=4 * LEARNED_SPP, seed=9))
+        start = g.copy()
+        start.albedo[...] = 0.5
+        res = optimize(start, camera, light, target,
+                       LossConfig(iterations=3, step_size=0.001, params=("albedo", "light"),
+                                  spp=LEARNED_SPP, seed=4, specular_scale=0.0))
+        for field in ("albedo", "roughness", "metallic", "normal"):
+            yield f"{tag}/optimize.{field}", getattr(res.gbuffer, field)
+        yield f"{tag}/optimize.light_params", res.light_params
+        yield f"{tag}/optimize.losses", res.losses
 
 
 def lines():
@@ -87,6 +149,8 @@ def lines():
             yield f"multichunk/render_backward.{field}", getattr(grad, field)
     finally:
         render._CHUNK_LANES = saved
+
+    yield from learned_lines(rng)
 
 
 def main():

@@ -319,7 +319,7 @@ def main(argv=None) -> int:
             if getattr(args, flag, 1) < 1:
                 raise UsageError(f"--{flag} must be at least 1, got {getattr(args, flag)}")
         return args.fn(args)
-    except (ContractError, FileNotFoundError) as e:
+    except (ContractError, OSError) as e:
         log.error("%s", e)
         return EXIT_INPUT
     except RenderNanError as e:

@@ -329,7 +329,7 @@ class Bundle:
         if self.lighting_spec is None:
             return None
         spec = self.lighting_spec
-        if spec["kind"] == "grid" and "path" in spec:
+        if spec["kind"] == "grid" and spec.get("path") is not None:
             return read_grid_light(self.path / spec["path"])
         return analytic_lightfield(**spec)
 
@@ -410,12 +410,15 @@ def read_bundle(directory) -> Bundle:
                 metallic=maps["metallic"].plane())
 
     lighting_spec = manifest.get("lighting")
-    lpath = directory / "lighting.json"
-    if lighting_spec is None and lpath.exists():
-        lighting_spec = _read_json_object(lpath)
+    spec_file = mpath
+    if lighting_spec is None and (directory / "lighting.json").exists():
+        spec_file = directory / "lighting.json"
+        lighting_spec = _read_json_object(spec_file)
     if lighting_spec is not None and not (isinstance(lighting_spec, dict)
                                           and "kind" in lighting_spec):
         raise BundleError(f"{directory}: the lighting spec needs a 'kind' key")
+    if lighting_spec is not None and lighting_spec["kind"] == "grid":
+        _path_value(lighting_spec.get("path"), f"{spec_file}: 'lighting.path'")
     try:
         specular_scale = float(manifest.get("specular_scale", 1.0))
     except (TypeError, ValueError):

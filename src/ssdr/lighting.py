@@ -8,6 +8,7 @@ volume marching steps p + t*d.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -87,6 +88,13 @@ class LightField:
 
     Parameterized fields additionally expose a flat parameter vector and a
     backprop hook so the render adjoint can route gradients into them.
+
+    radiance_vjp(p, d) returns (L, pullback): L is radiance(p, d), and
+    pullback(dL) is backprop(p, d, dL), the parameter adjoint of L
+    contracted with dL (N, 3).  The pullback is valid only for the (p, d) it
+    was made from and the parameters at that time; a field may keep its
+    forward state in it (the learned field does, so its forward pass runs
+    once), and that state lives until the pullback is dropped.
     """
 
     n_params: int = 0
@@ -108,6 +116,9 @@ class LightField:
 
     def backprop(self, p, d, dL) -> np.ndarray:
         return np.zeros(self.n_params)
+
+    def radiance_vjp(self, p, d):
+        return self.radiance(p, d), functools.partial(self.backprop, p, d)
 
 
 class ConstantLight(LightField):
@@ -315,9 +326,9 @@ class GridLight(LightField):
 
 def analytic_lightfield(kind: str, **params) -> LightField:
     """Factory for the oracle light fields used in tests and the CLI; a
-    missing parameter is a ContractError naming it."""
+    missing (or null) parameter is a ContractError naming it."""
     def need(key):
-        if key not in params:
+        if params.get(key) is None:
             raise ContractError(f"{kind!r} light field needs {key!r}")
         return params[key]
 

@@ -19,12 +19,13 @@ def softplus(x):
 
 
 def sigmoid(x):
+    # e = exp(-|x|) never overflows: 1 / (1 + e) for x >= 0, e / (1 + e)
+    # below; in place, so at most two temporaries of x's size are live
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    e = np.exp(-np.abs(x))
+    out = np.where(x >= 0, 1.0, e)
+    e += 1.0
+    out /= e
     return out
 
 

@@ -175,7 +175,14 @@ def _estimate(px: FrozenSamples, d, ok, light: LightField, cfg: RenderConfig,
     ok = ok & (pdf > 0)
     cos = np.maximum(dot(n, d), 0.0)
     p_rep = np.broadcast_to(px.p[:, None, :], d.shape)
-    radiance = _masked_radiance(light, p_rep, d, ok)
+    pullback = None
+    if adj is not None and want_light and light.n_params:
+        # one light query serves the value and the light adjoint
+        radiance = np.zeros(ok.shape + (3,))
+        if np.any(ok):
+            radiance[ok], pullback = light.radiance_vjp(p_rep[ok], d[ok])
+    else:
+        radiance = _masked_radiance(light, p_rep, d, ok)
     if cfg.clamp_max is not None:
         radiance = np.minimum(radiance, cfg.clamp_max)
     if adj is None:
@@ -205,15 +212,11 @@ def _estimate(px: FrozenSamples, d, ok, light: LightField, cfg: RenderConfig,
     gn = np.where(ok[..., None], gn, 0.0) - s_pdf[..., None] * parts["dpdf_dn"]
 
     dlight = None
-    if want_light and light.n_params:
+    if pullback is not None:
         dL = adj[:, None, :] * f * cq[..., None]
         if cfg.clamp_max is not None:
             dL = np.where(radiance < cfg.clamp_max, dL, 0.0)
-        dL = np.where(ok[..., None], dL, 0.0) / cfg.spp
-        mask = ok.reshape(-1)
-        if np.any(mask):
-            dlight = light.backprop(p_rep.reshape(-1, 3)[mask],
-                                    d.reshape(-1, 3)[mask], dL.reshape(-1, 3)[mask])
+        dlight = pullback(dL[ok] / cfg.spp)
     return (ga.sum(axis=1), gr.sum(axis=1), gm.sum(axis=1), gn.sum(axis=1)), dlight
 
 

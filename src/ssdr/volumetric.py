@@ -9,6 +9,7 @@ non-negative for arbitrary weights.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,18 +43,24 @@ def default_field_dims(position_bands: int = 10):
     return (field_input_dim(position_bands), 64, 64, 64, 4)
 
 
-def field_eval(weights: MlpWeights, x: np.ndarray,
-               cfg: VolumeConfig = VolumeConfig()):
-    """Density (N,) and color (N, 3) of the field at points x (N, 3)."""
+def _field_forward(weights: MlpWeights, x: np.ndarray, cfg: VolumeConfig):
+    """`field_eval` plus what its adjoint needs: returns (sigma, color,
+    net), where net is the MLP output, its cache and the unscaled color."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     want = field_input_dim(cfg.position_bands)
     if weights.dims[0] != want or weights.dims[-1] != 4:
         raise ContractError(
             f"field weights shaped {weights.dims}, need input {want}, output 4")
     enc = positional_encoding(x, PosEncConfig(bands=cfg.position_bands))
-    y, _ = mlp.forward(weights, enc)
-    sigma = mlp.softplus(y[:, 0])
-    color = mlp.sigmoid(y[:, 1:4]) * cfg.radiance_scale
+    y, cache = mlp.forward(weights, enc)
+    raw_col = mlp.sigmoid(y[:, 1:4])
+    return mlp.softplus(y[:, 0]), raw_col * cfg.radiance_scale, (y, cache, raw_col)
+
+
+def field_eval(weights: MlpWeights, x: np.ndarray,
+               cfg: VolumeConfig = VolumeConfig()):
+    """Density (N,) and color (N, 3) of the field at points x (N, 3)."""
+    sigma, color, _ = _field_forward(weights, x, cfg)
     return sigma, color
 
 
@@ -162,20 +169,28 @@ def _volume_points(p, d, t):
     return p[:, None, :] + t[:, :, None] * d[:, None, :]
 
 
-def volume_render_batch(weights: MlpWeights, p: np.ndarray, d: np.ndarray,
-                        cfg: VolumeConfig, seed: int, ray_ids: np.ndarray):
-    """Stratified volume rendering of N rays; jitter keyed by (seed, ray_id)."""
+def _volume_forward(weights: MlpWeights, p: np.ndarray, d: np.ndarray,
+                    cfg: VolumeConfig, seed: int, ray_ids: np.ndarray):
+    """`volume_render_batch` plus the state `volume_render_backward` needs:
+    returns (L, state), the state holding the field's samples, its MLP
+    cache and the composite weights."""
     p = np.atleast_2d(np.asarray(p, dtype=np.float64))
     d = np.atleast_2d(np.asarray(d, dtype=np.float64))
     jitter = sampling.uniform_block(seed, np.asarray(ray_ids, dtype=np.uint64), 0,
                                     cfg.n_samples)
     t, deltas = stratified_ts(cfg.t_near, cfg.t_far, jitter)
     x = _volume_points(p, d, t)
-    sigma, color = field_eval(weights, x.reshape(-1, 3), cfg)
+    sigma, color, net = _field_forward(weights, x.reshape(-1, 3), cfg)
     sigma = sigma.reshape(t.shape)
     color = color.reshape(*t.shape, 3)
-    L, _ = composite(sigma, color, deltas)
-    return L
+    L, w = composite(sigma, color, deltas)
+    return L, (sigma, color, deltas, w, net)
+
+
+def volume_render_batch(weights: MlpWeights, p: np.ndarray, d: np.ndarray,
+                        cfg: VolumeConfig, seed: int, ray_ids: np.ndarray):
+    """Stratified volume rendering of N rays; jitter keyed by (seed, ray_id)."""
+    return _volume_forward(weights, p, d, cfg, seed, ray_ids)[0]
 
 
 def volume_render(weights: MlpWeights, p, d, t_near: float, t_far: float,
@@ -192,22 +207,14 @@ def volume_render(weights: MlpWeights, p, d, t_near: float, t_far: float,
 
 def volume_render_backward(weights: MlpWeights, p: np.ndarray, d: np.ndarray,
                            cfg: VolumeConfig, seed: int, ray_ids: np.ndarray,
-                           dL: np.ndarray) -> np.ndarray:
-    """d(volume_render_batch)/d(weights.flat), contracted with dL (N, 3)."""
-    p = np.atleast_2d(np.asarray(p, dtype=np.float64))
-    d = np.atleast_2d(np.asarray(d, dtype=np.float64))
-    jitter = sampling.uniform_block(seed, np.asarray(ray_ids, dtype=np.uint64), 0,
-                                    cfg.n_samples)
-    t, deltas = stratified_ts(cfg.t_near, cfg.t_far, jitter)
-    x = _volume_points(p, d, t).reshape(-1, 3)
+                           dL: np.ndarray, state=None) -> np.ndarray:
+    """d(volume_render_batch)/d(weights.flat), contracted with dL (N, 3).
 
-    enc = positional_encoding(x, PosEncConfig(bands=cfg.position_bands))
-    y, cache = mlp.forward(weights, enc)
-    sigma = mlp.softplus(y[:, 0]).reshape(t.shape)
-    raw_col = mlp.sigmoid(y[:, 1:4])
-    color = (raw_col * cfg.radiance_scale).reshape(*t.shape, 3)
-
-    _, w = composite(sigma, color, deltas)
+    `state` is the one `_volume_forward` returned for the same arguments;
+    without it the forward pass is run again."""
+    if state is None:
+        _, state = _volume_forward(weights, p, d, cfg, seed, ray_ids)
+    sigma, color, deltas, w, (y, cache, raw_col) = state
     dsigma, dcolor = composite_backward(sigma, color, deltas, w, dL)
 
     dy = np.empty_like(y)
@@ -327,24 +334,45 @@ class BlendedLightField(LightField):
         _, _, l_tr, l_vol, hits, _ = self._parts(p, d)
         return blend(l_tr, l_vol, hits.u), 1.0 - hits.u
 
-    def backprop(self, p, d, dL) -> np.ndarray:
-        """Parameter adjoints of radiance(p, d) contracted with dL (N, 3).
-
-        The trace geometry and its uncertainty are constants of the blend."""
-        p = np.atleast_2d(np.asarray(p, dtype=np.float64))
-        d = np.atleast_2d(np.asarray(d, dtype=np.float64))
-        dL = np.asarray(dL, dtype=np.float64).reshape(p.shape[0], 3)
-
+    def _forward(self, p, d):
+        """radiance(p, d) and the forward state `backprop` needs: the trace,
+        the decoder's output and MLP cache, the ray ids, and the volume
+        state of `_volume_forward`."""
         x, hits = decoder_inputs(self.grid, self.gbuffer, self.camera, p, d,
                                  self.traced_cfg)
         y, cache = mlp.forward(self.decoder, x)
+        ids = _ray_ids(p, d)
+        l_vol, vol_state = _volume_forward(self.volume, p, d, self.volume_cfg,
+                                           self.seed, ids)
+        return blend(mlp.softplus(y), l_vol, hits.u), (hits, y, cache, ids, vol_state)
+
+    def radiance_vjp(self, p, d):
+        """One forward pass for both the radiance and its pullback, which
+        keeps the state of that pass (see `LightField`)."""
+        p = np.atleast_2d(np.asarray(p, dtype=np.float64))
+        d = np.atleast_2d(np.asarray(d, dtype=np.float64))
+        L, state = self._forward(p, d)
+        return L, functools.partial(self.backprop, p, d, state=state)
+
+    def backprop(self, p, d, dL, state=None) -> np.ndarray:
+        """Parameter adjoints of radiance(p, d) contracted with dL (N, 3).
+
+        The trace geometry and its uncertainty are constants of the blend.
+        `state` is the forward state `radiance_vjp` kept for the same (p, d);
+        without it the forward pass is run again."""
+        p = np.atleast_2d(np.asarray(p, dtype=np.float64))
+        d = np.atleast_2d(np.asarray(d, dtype=np.float64))
+        dL = np.asarray(dL, dtype=np.float64).reshape(p.shape[0], 3)
+        if state is None:
+            _, state = self._forward(p, d)
+        hits, y, cache, ids, vol_state = state
+
         w_tr = (1.0 - hits.u)[:, None]
         dy = dL * w_tr * mlp.sigmoid(y)
         _, d_decoder = mlp.backward(self.decoder, cache, dy)
 
-        ids = _ray_ids(p, d)
         d_vol = volume_render_backward(self.volume, p, d, self.volume_cfg,
-                                       self.seed, ids, dL * hits.u[:, None])
+                                       self.seed, ids, dL * hits.u[:, None], vol_state)
         if self.hypernet is None:
             return np.concatenate([d_decoder, d_vol])
         _, dmat, dbias = hypernet_backward(self.global_feature, self.hypernet, d_vol)

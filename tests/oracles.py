@@ -233,3 +233,16 @@ def grid_light_corner_loop(gl, p, d):
                         ipp = ip1 if bp else ip0
                         out += w[:, None] * gl.values[ix, iy, iz, itt, ipp]
     return out
+
+
+def sigmoid_masked(x):
+    """Reference for `mlp.sigmoid`: the original two-branch body, one
+    boolean-mask gather and scatter per sign.  The branch-free form must
+    match it byte for byte (NaN sign aside)."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out

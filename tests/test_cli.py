@@ -265,9 +265,17 @@ def _assert_input_error(argv, caplog, *words):
     ("bundle.json", _edit_json(camera=5), ("bundle.json", "'camera'")),
     ("bundle.json", _edit_json(target=["t.pfm"]), ("bundle.json", "'target'")),
     ("bundle.json", _edit_json(volume_weights={}), ("bundle.json", "'volume_weights'")),
+    ("bundle.json", _edit_json(lighting={"kind": "grid", "path": 5}),
+     ("bundle.json", "'lighting.path'")),
+    ("bundle.json", _edit_json(lighting={"kind": "grid", "path": None}),
+     ("'grid'", "'path'")),
+    ("bundle.json", _edit_json(camera="."), ("Is a directory",)),
+    ("bundle.json", _edit_json(maps={"albedo": "."}), ("Is a directory",)),
 ], ids=["malformed-camera", "camera-without-cy", "sky-without-zenith",
         "specular-scale-not-a-number", "maps-not-an-object", "map-path-not-a-string",
-        "camera-not-a-string", "target-not-a-string", "weights-not-a-string"])
+        "camera-not-a-string", "target-not-a-string", "weights-not-a-string",
+        "grid-path-not-a-string", "grid-path-null", "camera-is-a-directory",
+        "map-is-a-directory"])
 def test_render_bad_bundle_exit_2(two_plane_bundle, tmp_path, caplog, name, edit, words):
     broken = _broken_copy(two_plane_bundle, tmp_path / "broken", name, edit)
     _assert_input_error(["render", "--bundle", str(broken), "--out",

@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import sigmoid_masked
 from ssdr import mlp, scenes, volumetric as vol
 from ssdr.core import ContractError, normalize, unproject
 from ssdr.gradcheck import check_hypernet, check_volume_weights
 from ssdr.inverse import AdamState
-from ssdr.lighting import FeatureGrid, PosEncConfig, positional_encoding
+from ssdr.lighting import (ConstantLight, FeatureGrid, GridLight, PosEncConfig,
+                           SkyDiscLight, SkyGradientLight, positional_encoding)
 from ssdr.mlp import MlpWeights
 from ssdr.sampling import SamplerState
 
@@ -225,7 +227,7 @@ def test_blended_field_param_roundtrip_and_backprop():
     assert max(errs) < 1e-4
 
 
-def test_blended_field_hypernet_mode():
+def _hypernet_setup():
     g, camera, _, _ = scenes.two_plane(16, 16)
     rng = np.random.default_rng(2)
     grid = FeatureGrid(rng.normal(size=(16, 16, 4)))
@@ -240,6 +242,11 @@ def test_blended_field_hypernet_mode():
                                                             position_bands=4))
     p = np.tile(unproject(camera, np.array([8.0, 12.0]), g.depth[12, 8]), (3, 1))
     d = normalize(rng.normal(size=(3, 3)) + [0, -1, 0.2])
+    return blf, p, d, rng
+
+
+def test_blended_field_hypernet_mode():
+    blf, p, d, rng = _hypernet_setup()
     vec = blf.get_params()
     dL = rng.normal(size=(3, 3))
     adj = blf.backprop(p, d, dL)
@@ -273,6 +280,91 @@ def test_render_adjoints_reach_learned_light_params():
     result = check_light_params(g, camera, blf, RenderConfig(spp=8, seed=2),
                                 n_components=10, tol=1e-4)
     assert result.passed, str(result)
+
+
+def _analytic_vjp_case(light):
+    rng = np.random.default_rng(11)
+    p = rng.uniform(-1.0, 1.0, (7, 3))
+    d = normalize(rng.normal(size=(7, 3)))
+    return light, p, d
+
+
+_VJP_CASES = {
+    "constant": lambda: _analytic_vjp_case(ConstantLight([0.9, 1.0, 1.1])),
+    "sky": lambda: _analytic_vjp_case(SkyGradientLight([1.2, 1.2, 1.4], [0.4, 0.38, 0.35])),
+    "sky-disc": lambda: _analytic_vjp_case(SkyDiscLight(
+        [1.2, 1.2, 1.4], [0.4, 0.38, 0.35], [0.2, -1.0, 0.3], 0.3, [6.0, 5.0, 4.0])),
+    "grid": lambda: _analytic_vjp_case(GridLight(
+        np.random.default_rng(5).uniform(0.0, 2.0, (3, 2, 2, 4, 6, 3)),
+        [[-1, -1, -1], [1, 1, 1]])),
+    "blended-volume": _blended_setup,
+    "blended-hypernet": lambda: _hypernet_setup()[:3],
+}
+
+
+@pytest.mark.parametrize("case", list(_VJP_CASES))
+def test_radiance_vjp_matches_radiance_and_backprop_bytes(case):
+    """radiance_vjp's value is radiance's, and its pullback is backprop's,
+    bit for bit, whether or not the light keeps its forward state."""
+    light, p, d = _VJP_CASES[case]()
+    dL = np.random.default_rng(4).normal(size=(p.shape[0], 3))
+    L, pullback = light.radiance_vjp(p, d)
+    assert L.tobytes() == light.radiance(p, d).tobytes()
+    adj = pullback(dL)
+    assert adj.shape == (light.n_params,)
+    assert adj.tobytes() == light.backprop(p, d, dL).tobytes()
+
+
+def test_render_backward_runs_the_learned_field_once_per_lane(monkeypatch):
+    """With want_light, every light lane's field points pass through the
+    field MLP's forward exactly once, and the light adjoint is the bits of
+    a separate radiance query followed by backprop."""
+    import functools
+
+    from ssdr.lighting import LightField
+    from ssdr.render import RenderConfig, render_backward
+
+    blf, _, _ = _blended_setup()
+    cfg = RenderConfig(spp=3, seed=4)
+    dI = np.random.default_rng(6).normal(size=blf.gbuffer.depth.shape + (3,))
+    rows = {"field": 0, "lanes": 0}
+    forward, vjp = mlp.forward, blf.radiance_vjp
+
+    def counting_forward(weights, x):
+        y, cache = forward(weights, x)
+        if weights is blf.volume:
+            rows["field"] += y.shape[0]
+        return y, cache
+
+    def counting_vjp(p, d):
+        rows["lanes"] += p.shape[0]
+        return vjp(p, d)
+
+    monkeypatch.setattr(mlp, "forward", counting_forward)
+    monkeypatch.setattr(blf, "radiance_vjp", counting_vjp)
+    grad = render_backward(blf.gbuffer, blf.camera, blf, cfg, dI, want_light=True)
+    assert rows["lanes"] > 0
+    assert rows["field"] == rows["lanes"] * blf.volume_cfg.n_samples
+
+    monkeypatch.setattr(mlp, "forward", forward)
+    monkeypatch.setattr(blf, "radiance_vjp",
+                        functools.partial(LightField.radiance_vjp, blf))
+    replay = render_backward(blf.gbuffer, blf.camera, blf, cfg, dI, want_light=True)
+    for name in ("dalbedo", "droughness", "dmetallic", "dnormal", "dlight"):
+        assert getattr(grad, name).tobytes() == getattr(replay, name).tobytes(), name
+
+
+def test_sigmoid_matches_masked_bytes():
+    """The branch-free sigmoid is the two-branch one, bit for bit."""
+    tiny = np.finfo(np.float64).smallest_subnormal
+    edges = np.array([0.0, -0.0, np.inf, -np.inf, tiny, -tiny, 1e-310, -1e-310,
+                      745.0, -745.0, 746.0, -746.0, 709.8, -709.8, 36.8, -36.8])
+    rng = np.random.default_rng(8)
+    for x in (edges, rng.normal(size=(256, 64)), 40.0 * rng.normal(size=(64, 3)),
+              np.float64(-2.5), np.zeros((0, 4))):
+        got = mlp.sigmoid(x)
+        assert got.shape == np.shape(x)
+        assert got.tobytes() == sigmoid_masked(x).tobytes()
 
 
 def test_volume_render_contract_errors():
