@@ -169,9 +169,8 @@ def cmd_gradcheck(args) -> int:
                                                     tol=args.tol))
     report = {r.name: {"max_rel_err": r.max_rel_err, "tol": r.tol,
                        "passed": r.passed} for r in results}
-    if args.out:
-        Path(args.out).mkdir(parents=True, exist_ok=True)
-        (Path(args.out) / "gradcheck.json").write_text(json.dumps(report, indent=2))
+    Path(args.out).mkdir(parents=True, exist_ok=True)
+    (Path(args.out) / "gradcheck.json").write_text(json.dumps(report, indent=2))
     for r in results:
         print(r)
     return EXIT_OK if all(r.passed for r in results) else EXIT_NUMERIC
@@ -257,15 +256,17 @@ def build_parser() -> argparse.ArgumentParser:
                                              "Monte Carlo re-renderer")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, bundle=True):
-        if bundle:
-            p.add_argument("--bundle", required=True, help="bundle directory")
+    def common(p, threads=True, exposure=True):
+        # --threads and --exposure only where the subcommand reads them
+        p.add_argument("--bundle", required=True, help="bundle directory")
         p.add_argument("--out", default="out", help="output directory")
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, default=1)
+        if threads:
+            p.add_argument("--threads", type=int, default=1)
         p.add_argument("--lighting", default=None,
                        choices=["constant", "sky", "grid", "learned"])
-        p.add_argument("--exposure", type=float, default=1.0)
+        if exposure:
+            p.add_argument("--exposure", type=float, default=1.0)
 
     p = sub.add_parser("render", help="re-render a bundle")
     common(p)
@@ -273,7 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_render)
 
     p = sub.add_parser("gradcheck", help="finite-difference adjoint check")
-    common(p)
+    common(p, threads=False, exposure=False)
     p.add_argument("--spp", type=int, default=64)
     p.add_argument("--tol", type=float, default=1e-4)
     p.add_argument("--patch", type=int, default=8)
@@ -297,7 +298,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_baseline_compare)
 
     p = sub.add_parser("optimize", help="recover materials from a target image")
-    common(p)
+    common(p, exposure=False)
     p.add_argument("--target", default=None, help="target PFM (default: bundle)")
     p.add_argument("--params", default="a", help="comma list: a,r,m,n,light")
     p.add_argument("--iters", type=int, default=200)

@@ -9,6 +9,7 @@ FD truncation error, not Monte Carlo noise.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
@@ -168,24 +169,20 @@ def check_light_params(g: GBuffer, camera: Camera, light: LightField,
                        tol: float = 1e-4, eps: float = 1e-5,
                        seed: int = 3) -> CheckResult:
     """FD over the light field's own parameters through the frozen-sample
-    estimator, against the adjoints routed by render_backward."""
+    estimator, against the adjoints routed by render_backward.  The
+    differences perturb a copy, so `light` is never written."""
     rng = np.random.default_rng(seed)
     fs = draw_frozen_samples(g, camera, cfg)
     grad = render_backward(g, camera, light, cfg, np.ones((*g.depth.shape, 3)),
                            want_light=True)
-
-    base_params = light.get_params()
+    probe = copy.copy(light)
 
     def objective(vec):
-        light.set_params(vec)
-        try:
-            vals = eval_frozen(fs, g.albedo, g.roughness, g.metallic, g.normal,
-                               light, cfg)
-        finally:
-            light.set_params(base_params)
-        return float(vals.sum())
+        probe.set_params(vec)
+        return float(eval_frozen(fs, g.albedo, g.roughness, g.metallic, g.normal,
+                                 probe, cfg).sum())
 
     scale = max(1e-7, 1e-6 * float(np.abs(grad.dlight).max()))
-    err = _max_fd_error(objective, base_params, grad.dlight, rng, n_components,
+    err = _max_fd_error(objective, light.get_params(), grad.dlight, rng, n_components,
                         eps, scale)
     return CheckResult("render/light-params", err, tol)

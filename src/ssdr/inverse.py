@@ -9,6 +9,7 @@ runs reproducible bit for bit.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -129,16 +130,19 @@ def optimize(g: GBuffer, camera: Camera, light: LightField, target,
              cfg: LossConfig, threads: int = 1) -> OptimizeResult:
     """Recover the selected parameter maps from a target image.
 
-    The input GBuffer and light field are not modified; the recovered copies
-    are returned together with the full loss trace.
+    The input GBuffer and light field are not modified; the recovered maps
+    and, when "light" is fitted, the light's parameters are returned together
+    with the full loss trace.
     """
     target = _as_image(target)
     cur = g.copy()
     _reproject(cur)
     names = [n for n in PARAM_NAMES if n in cfg.params]
-    if "light" in names and light.n_params == 0:
-        raise ContractError("selected light recovery but the light field "
-                            "has no parameters")
+    if "light" in names:
+        if light.n_params == 0:
+            raise ContractError("selected light recovery but the light field "
+                                "has no parameters")
+        light = copy.copy(light)  # set_params rebinds, so the caller's is untouched
 
     def value(name: str) -> np.ndarray:
         """The live map of `name`, or a copy of the light's parameters."""

@@ -28,7 +28,6 @@ import numpy as np
 from .core import Camera, ContractError, GBuffer, ImageBuffer
 from .lighting import FeatureGrid, GridLight, LightField, analytic_lightfield
 from .mlp import MlpWeights
-from .volumetric import HypernetParams
 
 log = logging.getLogger("ssdr")
 
@@ -214,24 +213,6 @@ def read_mlp_weights(path) -> MlpWeights:
     return MlpWeights(tuple(header["dims"]), data.astype(np.float64))
 
 
-def write_hypernet(path, h: HypernetParams) -> None:
-    write_blob(path, {"kind": "hypernet", "feature_dim": h.feature_dim,
-                      "target_dims": list(h.target_dims)},
-               np.concatenate([h.matrix.ravel(), h.bias]))
-
-
-def read_hypernet(path) -> HypernetParams:
-    header, data = read_blob(path)
-    if header.get("kind") != "hypernet":
-        raise ParseError(f"{path}: not a hypernet blob")
-    f_dim = int(header["feature_dim"])
-    dims = tuple(header["target_dims"])
-    data = data.astype(np.float64)
-    from .mlp import param_count
-    p = param_count(dims)
-    return HypernetParams(f_dim, dims, data[:p * f_dim].reshape(p, f_dim), data[p * f_dim:])
-
-
 def write_grid_light(path, gl: GridLight) -> None:
     write_blob(path, {"kind": "grid_light", "dims": list(gl.values.shape[:5]),
                       "bounds": gl.bounds.tolist()}, gl.values.ravel())
@@ -326,10 +307,12 @@ class Bundle:
     manifest: dict = field(default_factory=dict)
 
     def light_field(self) -> LightField | None:
+        """The light the lighting spec declares; a grid spec's `path` names
+        a grid light file in the bundle, read here."""
         if self.lighting_spec is None:
             return None
         spec = self.lighting_spec
-        if spec["kind"] == "grid" and spec.get("path") is not None:
+        if spec["kind"] == "grid":
             return read_grid_light(self.path / spec["path"])
         return analytic_lightfield(**spec)
 
@@ -418,7 +401,9 @@ def read_bundle(directory) -> Bundle:
                                           and "kind" in lighting_spec):
         raise BundleError(f"{directory}: the lighting spec needs a 'kind' key")
     if lighting_spec is not None and lighting_spec["kind"] == "grid":
-        _path_value(lighting_spec.get("path"), f"{spec_file}: 'lighting.path'")
+        if _path_value(lighting_spec.get("path"), f"{spec_file}: 'lighting.path'") is None:
+            raise BundleError(f"{spec_file}: a 'grid' lighting spec needs 'path', "
+                              f"the name of its grid light file")
     try:
         specular_scale = float(manifest.get("specular_scale", 1.0))
     except (TypeError, ValueError):

@@ -89,6 +89,10 @@ class LightField:
     Parameterized fields additionally expose a flat parameter vector and a
     backprop hook so the render adjoint can route gradients into them.
 
+    set_params(vec) rebinds the field's parameter arrays to new ones and
+    never writes into the arrays it held, so a shallow `copy.copy` of a
+    field can be fitted or perturbed without touching the original.
+
     radiance_vjp(p, d) returns (L, pullback): L is radiance(p, d), and
     pullback(dL) is backprop(p, d, dL), the parameter adjoint of L
     contracted with dL (N, 3).  The pullback is valid only for the (p, d) it
@@ -101,11 +105,6 @@ class LightField:
 
     def radiance(self, p: np.ndarray, d: np.ndarray) -> np.ndarray:
         raise NotImplementedError
-
-    def query(self, p, d):
-        """Radiance plus a confidence tag in [0, 1] (1 = exact oracle)."""
-        L = self.radiance(p, d)
-        return L, np.ones(L.shape[:-1])
 
     def get_params(self) -> np.ndarray:
         return np.zeros(0)
@@ -325,8 +324,9 @@ class GridLight(LightField):
 
 
 def analytic_lightfield(kind: str, **params) -> LightField:
-    """Factory for the oracle light fields used in tests and the CLI; a
-    missing (or null) parameter is a ContractError naming it."""
+    """Factory for the in-memory light fields used in tests and the CLI; a
+    missing (or null) parameter is a ContractError naming it.  Grid files
+    are read by `io.read_grid_light`."""
     def need(key):
         if params.get(key) is None:
             raise ContractError(f"{kind!r} light field needs {key!r}")
@@ -342,10 +342,7 @@ def analytic_lightfield(kind: str, **params) -> LightField:
                             need("disc_direction"), need("disc_radius"),
                             need("disc_color"), params.get("up", (0.0, -1.0, 0.0)))
     if kind == "grid":
-        if "values" in params:
-            return GridLight(params["values"], need("bounds"))
-        from . import io as ssdr_io
-        return ssdr_io.read_grid_light(need("path"))
+        return GridLight(need("values"), need("bounds"))
     raise ContractError(f"unknown light field kind {kind!r}")
 
 
@@ -403,10 +400,7 @@ def traced_radiance_batch(grid: FeatureGrid, g: GBuffer, weights: MlpWeights,
     is non-negative for any weights; the hit record feeds the downstream
     uncertainty blend.
     """
-    want = decoder_input_dim(grid.channels, cfg.direction_bands)
-    if weights.dims[0] != want or weights.dims[-1] != 3:
-        raise ContractError(
-            f"decoder weights shaped {weights.dims}, need input {want}, output 3")
+    weights.require("decoder", decoder_input_dim(grid.channels, cfg.direction_bands), 3)
     x, hits = decoder_inputs(grid, g, camera, p, d, cfg)
     y, _ = mlp.forward(weights, x)
     return mlp.softplus(y), hits

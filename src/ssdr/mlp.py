@@ -78,6 +78,13 @@ class MlpWeights:
     def copy_with(self, flat: np.ndarray) -> "MlpWeights":
         return MlpWeights(self.dims, flat)
 
+    def require(self, name: str, n_in: int, n_out: int) -> None:
+        """ContractError naming `name` unless the network maps n_in inputs
+        to n_out outputs."""
+        if self.dims[0] != n_in or self.dims[-1] != n_out:
+            raise ContractError(f"{name} weights shaped {self.dims}, "
+                                f"need input {n_in}, output {n_out}")
+
 
 def forward(weights: MlpWeights, x: np.ndarray):
     """Batched forward pass; softplus hidden units, linear output.

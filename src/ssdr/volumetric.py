@@ -17,7 +17,8 @@ import numpy as np
 from . import mlp, sampling
 from .core import ContractError, as_rgb
 from .lighting import (FeatureGrid, LightField, PosEncConfig, TracedLightConfig,
-                       decoder_inputs, positional_encoding, traced_radiance_batch)
+                       decoder_input_dim, decoder_inputs, positional_encoding,
+                       traced_radiance_batch)
 from .mlp import MlpWeights
 
 
@@ -47,10 +48,7 @@ def _field_forward(weights: MlpWeights, x: np.ndarray, cfg: VolumeConfig):
     """`field_eval` plus what its adjoint needs: returns (sigma, color,
     net), where net is the MLP output, its cache and the unscaled color."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    want = field_input_dim(cfg.position_bands)
-    if weights.dims[0] != want or weights.dims[-1] != 4:
-        raise ContractError(
-            f"field weights shaped {weights.dims}, need input {want}, output 4")
+    weights.require("field", field_input_dim(cfg.position_bands), 4)
     enc = positional_encoding(x, PosEncConfig(bands=cfg.position_bands))
     y, cache = mlp.forward(weights, enc)
     raw_col = mlp.sigmoid(y[:, 1:4])
@@ -259,6 +257,8 @@ class BlendedLightField(LightField):
 
     Parameters (for recovery/fitting) are the concatenation of the decoder
     weights and either the field weights or the hypernetwork (matrix, bias).
+    Weights whose input or output size does not fit the feature grid and
+    the configs are a ContractError here, before any query.
     """
 
     def __init__(self, feature_grid: FeatureGrid, gbuffer, camera,
@@ -285,6 +285,9 @@ class BlendedLightField(LightField):
         self.traced_cfg = traced_cfg
         self.volume_cfg = volume_cfg
         self.seed = seed
+        decoder_weights.require("decoder", decoder_input_dim(
+            feature_grid.channels, traced_cfg.direction_bands), 3)
+        self.volume.require("field", field_input_dim(volume_cfg.position_bands), 4)
 
     # -- parameter vector plumbing ------------------------------------
     @property
@@ -317,22 +320,14 @@ class BlendedLightField(LightField):
             self.volume = hypernet_forward(self.global_feature, self.hypernet)
 
     # -- queries -------------------------------------------------------
-    def _parts(self, p, d):
+    def radiance(self, p, d):
         p = np.atleast_2d(np.asarray(p, dtype=np.float64))
         d = np.atleast_2d(np.asarray(d, dtype=np.float64))
         l_tr, hits = traced_radiance_batch(self.grid, self.gbuffer, self.decoder,
                                            self.camera, p, d, self.traced_cfg)
-        ids = _ray_ids(p, d)
-        l_vol = volume_render_batch(self.volume, p, d, self.volume_cfg, self.seed, ids)
-        return p, d, l_tr, l_vol, hits, ids
-
-    def radiance(self, p, d):
-        _, _, l_tr, l_vol, hits, _ = self._parts(p, d)
+        l_vol = volume_render_batch(self.volume, p, d, self.volume_cfg, self.seed,
+                                    _ray_ids(p, d))
         return blend(l_tr, l_vol, hits.u)
-
-    def query(self, p, d):
-        _, _, l_tr, l_vol, hits, _ = self._parts(p, d)
-        return blend(l_tr, l_vol, hits.u), 1.0 - hits.u
 
     def _forward(self, p, d):
         """radiance(p, d) and the forward state `backprop` needs: the trace,

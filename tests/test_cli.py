@@ -332,6 +332,34 @@ def test_flag_below_one_exit_2(two_plane_bundle, tmp_path, caplog, command, flag
                         caplog, flag)
 
 
+@pytest.mark.parametrize("command,flag", [
+    ("gradcheck", "--threads"), ("gradcheck", "--exposure"), ("optimize", "--exposure")])
+def test_flag_the_command_does_not_read_exit_2(two_plane_bundle, tmp_path, capsys,
+                                              command, flag):
+    assert main([command, "--bundle", str(two_plane_bundle), "--out",
+                 str(tmp_path / "r"), flag, "2"]) == EXIT_INPUT
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command,extra", [("render", []),
+                                           ("gradcheck", ["--params", "light"])],
+                         ids=["render", "gradcheck"])
+def test_learned_misshaped_decoder_exit_2(tmp_path, caplog, command, extra):
+    """A decoder blob with 1 output is rejected when the learned light is
+    built, so the light's gradcheck exits 2 as the render does."""
+    import ssdr.volumetric as vol
+    from ssdr import mlp, scenes
+    from ssdr.lighting import FeatureGrid, decoder_input_dim
+    g, camera, spec, _ = scenes.two_plane(8, 8)
+    bundle = sio.write_bundle(tmp_path / "lb", g, camera, lighting_spec=spec, extras={
+        "feature_grid": FeatureGrid(np.zeros((8, 8, 4))),
+        "decoder_weights": mlp.MlpWeights.zeros((decoder_input_dim(4), 8, 1)),
+        "volume_weights": mlp.MlpWeights.zeros((vol.field_input_dim(10), 8, 4))})
+    _assert_input_error([command, "--bundle", str(bundle), "--out", str(tmp_path / "r"),
+                         "--spp", "2", "--lighting", "learned", *extra],
+                        caplog, "decoder weights shaped", "output 3")
+
+
 def test_gradcheck_patch_crops_each_axis(tmp_path, monkeypatch):
     """A 16x4 bundle at --patch 8 is checked on a 4x8 window whose pixels
     unproject to the same points as in the full bundle."""

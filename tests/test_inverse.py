@@ -3,11 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ssdr import render, scenes
+from ssdr import render, scenes, volumetric as vol
 from ssdr.core import ContractError, GBuffer
+from ssdr.gradcheck import check_light_params
 from ssdr.inverse import (AdamState, LossConfig, loss_light_hdr, loss_rerender,
                           optimize)
-from ssdr.lighting import ConstantLight, SkyGradientLight
+from ssdr.lighting import ConstantLight, FeatureGrid, SkyGradientLight, decoder_input_dim
+from ssdr.mlp import MlpWeights
 
 
 def test_loss_rerender_zero_at_match():
@@ -287,3 +289,57 @@ def test_optimize_trace_layout_independent_of_param_order():
     for run in runs:
         assert [list(row) for row in run.trace] == \
             [["iteration", "loss", "albedo_mean", "roughness_mean"]] * 3
+
+
+def _fitted_light(kind, g, camera):
+    """A small parameterized light of each kind that can be fitted."""
+    if kind == "constant":
+        return ConstantLight([0.5, 0.6, 0.7])
+    if kind == "sky":
+        return SkyGradientLight([1.2, 1.2, 1.4], [0.4, 0.38, 0.35])
+    rng = np.random.default_rng(4)
+    grid = FeatureGrid(rng.normal(size=g.depth.shape + (4,)))
+    dec = MlpWeights.random((decoder_input_dim(4), 8, 3), seed=1, scale=0.2)
+    vdims = (vol.field_input_dim(4), 8, 4)
+    vcfg = vol.VolumeConfig(n_samples=8, position_bands=4)
+    if kind == "blended-volume":
+        return vol.BlendedLightField(grid, g, camera, dec, volume_cfg=vcfg,
+                                     volume_weights=MlpWeights.random(vdims, seed=2,
+                                                                      scale=0.2))
+    return vol.BlendedLightField(grid, g, camera, dec, volume_cfg=vcfg,
+                                 hypernet=vol.HypernetParams.random(5, vdims, seed=3,
+                                                                    scale=0.05),
+                                 global_feature=rng.normal(size=5))
+
+
+_FITTED_KINDS = ["constant", "sky", "blended-volume", "blended-hypernet"]
+
+
+@pytest.mark.parametrize("kind", _FITTED_KINDS)
+def test_optimize_fits_a_copy_of_the_light(kind):
+    """A light fit leaves the caller's light bitwise unchanged and returns
+    the fitted parameters, so fitting the same light twice gives the same
+    result."""
+    g, camera, _, _ = scenes.two_plane(6, 6)
+    light = _fitted_light(kind, g, camera)
+    before = light.get_params()
+    target = np.full(g.depth.shape + (3,), 0.3)
+    cfg = LossConfig(iterations=2, step_size=0.01, params=("albedo", "light"),
+                     spp=2, seed=1)
+    first = optimize(g, camera, light, target, cfg)
+    assert light.get_params().tobytes() == before.tobytes()
+    assert not np.array_equal(first.light_params, before)
+    again = optimize(g, camera, light, target, cfg)
+    assert again.light_params.tobytes() == first.light_params.tobytes()
+    assert again.losses.tobytes() == first.losses.tobytes()
+
+
+@pytest.mark.parametrize("kind", _FITTED_KINDS)
+def test_check_light_params_leaves_the_light_unchanged(kind):
+    g, camera, _, _ = scenes.two_plane(6, 6)
+    light = _fitted_light(kind, g, camera)
+    before = light.get_params()
+    result = check_light_params(g, camera, light, render.RenderConfig(spp=2, seed=1),
+                                n_components=4)
+    assert result.passed, str(result)
+    assert light.get_params().tobytes() == before.tobytes()

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from ssdr import io as sio, mlp, scenes, volumetric as vol
+from ssdr import io as sio, mlp, scenes
 from ssdr.core import Camera, ImageBuffer
 from ssdr.lighting import FeatureGrid, GridLight
 
@@ -142,19 +142,6 @@ def test_weight_blob_roundtrip(tmp_path):
     sio.write_mlp_weights(p2, back)
     assert p1.read_bytes() == p2.read_bytes()
     assert back.dims == dims
-
-
-def test_hypernet_blob_roundtrip(tmp_path):
-    h = vol.HypernetParams.random(5, (4, 6, 4), seed=1)
-    h.matrix = h.matrix.astype(np.float32).astype(np.float64)
-    h.bias = h.bias.astype(np.float32).astype(np.float64)
-    p1 = tmp_path / "h1.blob"
-    p2 = tmp_path / "h2.blob"
-    sio.write_hypernet(p1, h)
-    back = sio.read_hypernet(p1)
-    sio.write_hypernet(p2, back)
-    assert p1.read_bytes() == p2.read_bytes()
-    assert back.feature_dim == 5 and back.target_dims == (4, 6, 4)
 
 
 def test_grid_light_blob_roundtrip(tmp_path):

@@ -163,10 +163,18 @@ def test_grid_lightfield_from_file(tmp_path):
     vals[0, 1, 1, 1, 2] = [0.0, 2.0, 0.5]
     gl = GridLight(vals, [[-1, -1, 0], [1, 1, 4]])
     sio.write_grid_light(tmp_path / "light.grid", gl)
-    loaded = analytic_lightfield("grid", path=tmp_path / "light.grid")
+    loaded = sio.read_grid_light(tmp_path / "light.grid")
     pos, d = gl.node_position((0, 1, 1, 1, 2))
     assert np.allclose(loaded.radiance(pos[None, :], d[None, :])[0],
                        [0.0, 2.0, 0.5])
+
+
+def test_analytic_grid_needs_values_not_path(tmp_path):
+    """analytic_lightfield builds lights in memory only; a grid file is
+    read by io.read_grid_light, never by the factory."""
+    with pytest.raises(ContractError, match="'values'"):
+        analytic_lightfield("grid", path=tmp_path / "light.grid",
+                            bounds=[[0, 0, 0], [1, 1, 1]])
 
 
 def _decoder_setup(channels=12):

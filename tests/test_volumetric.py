@@ -198,13 +198,6 @@ def test_blended_field_pure_and_nonnegative():
     assert np.all(a >= 0.0)
 
 
-def test_blended_field_confidence_tag():
-    blf, p, d = _blended_setup()
-    L, conf = blf.query(p, d)
-    assert L.shape == (5, 3)
-    assert np.all((conf >= 0.0) & (conf <= 1.0))
-
-
 def test_blended_field_param_roundtrip_and_backprop():
     blf, p, d = _blended_setup()
     vec = blf.get_params()
@@ -225,6 +218,29 @@ def test_blended_field_param_roundtrip_and_backprop():
         fd = float(np.sum((Lp - Lm) * dL)) / 2e-5
         errs.append(abs(fd - adj[c]) / max(abs(fd), abs(adj[c]), 1e-8))
     assert max(errs) < 1e-4
+
+
+@pytest.mark.parametrize("mode", ["volume", "hypernet"])
+@pytest.mark.parametrize("net,end,delta", [
+    ("decoder", 0, 1), ("decoder", -1, -2), ("field", 0, -3), ("field", -1, -1)],
+    ids=["decoder-input", "decoder-output", "field-input", "field-output"])
+def test_blended_field_rejects_misshaped_weights(mode, net, end, delta):
+    """A decoder that does not map decoder_input_dim inputs to 3 outputs,
+    or a field that does not map field_input_dim inputs to 4, is a
+    ContractError when the light is built, before any query."""
+    from ssdr.lighting import decoder_input_dim
+    g, camera, _, _ = scenes.two_plane(8, 8)
+    dims = {"decoder": [decoder_input_dim(4), 8, 3],
+            "field": [vol.field_input_dim(4), 8, 4]}
+    dims[net][end] += delta
+    field = ({"volume_weights": MlpWeights.zeros(dims["field"])} if mode == "volume"
+             else {"hypernet": vol.HypernetParams.zeros(3, dims["field"]),
+                   "global_feature": np.ones(3)})
+    with pytest.raises(ContractError, match=f"{net} weights shaped"):
+        vol.BlendedLightField(FeatureGrid(np.zeros((8, 8, 4))), g, camera,
+                              MlpWeights.zeros(dims["decoder"]),
+                              volume_cfg=vol.VolumeConfig(n_samples=8, position_bands=4),
+                              **field)
 
 
 def _hypernet_setup():
