@@ -22,6 +22,11 @@ and 2, and a 3-iteration albedo + light `optimize` (maps, light
 parameters, losses).  These run at the smaller LEARNED_RES and
 LEARNED_SPP, since the learned field is slow.
 
+The MLP kernel has lines of its own: `mlp.forward`'s output and
+`mlp.backward`'s dx and dflat on a fixed seeded input of MLP_ROWS rows,
+more than one softplus log1p block, so a change to the kernel shows as a
+named line and not only through the renderers.
+
 Every line is `<name> <sha256>` of the float64 array's bytes, so any
 changed bit shows as a changed line.
 """
@@ -31,7 +36,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from ssdr import render, scenes, volumetric
+from ssdr import mlp, render, scenes, volumetric
 from ssdr.inverse import LossConfig, optimize
 from ssdr.lighting import (ConstantLight, FeatureGrid, GridLight, analytic_lightfield,
                            decoder_input_dim)
@@ -45,6 +50,7 @@ SPP = 96
 # light's lines take seconds
 LEARNED_RES = 12
 LEARNED_SPP = 4
+MLP_ROWS = 5000
 
 
 def digest(a) -> str:
@@ -110,7 +116,20 @@ def learned_lines(rng):
         yield f"{tag}/optimize.losses", res.losses
 
 
+def mlp_lines():
+    """The reference field architecture on seeded inputs and adjoints;
+    the pre-activations fall on both sides of the softplus's bend."""
+    rng = np.random.default_rng(11)
+    weights = MlpWeights.random(volumetric.default_field_dims(4), seed=12)
+    y, cache = mlp.forward(weights, rng.normal(0.0, 2.0, (MLP_ROWS, weights.dims[0])))
+    dx, dflat = mlp.backward(weights, cache, rng.normal(size=y.shape))
+    yield "mlp/forward", y
+    yield "mlp/backward.dx", dx
+    yield "mlp/backward.dflat", dflat
+
+
 def lines():
+    yield from mlp_lines()
     rng = np.random.default_rng(2024)
     for kind in ("two-plane", "cornell-like", "glossy-floor"):
         g, camera, spec, _ = scenes.make_scene(kind, RES, RES)

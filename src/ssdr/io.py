@@ -206,11 +206,26 @@ def write_mlp_weights(path, weights: MlpWeights) -> None:
     write_blob(path, {"kind": "mlp_weights", "dims": list(weights.dims)}, weights.flat)
 
 
+def _positive_int(n) -> bool:
+    """A JSON integer above 0 (bools and floats such as 2.0 are not)."""
+    return type(n) is int and n > 0
+
+
 def read_mlp_weights(path) -> MlpWeights:
+    """Load an MLP weight blob.  Its header needs `dims`, a list of at least
+    two positive integers whose parameter count is the payload's value
+    count; anything else is a ParseError naming the file."""
     header, data = read_blob(path)
     if header.get("kind") != "mlp_weights":
         raise ParseError(f"{path}: not an MLP weight blob")
-    return MlpWeights(tuple(header["dims"]), data.astype(np.float64))
+    dims = header.get("dims")
+    if not (isinstance(dims, list) and len(dims) >= 2 and all(map(_positive_int, dims))):
+        raise ParseError(f"{path}: 'dims' must list at least two positive integers, "
+                         f"got {dims!r}")
+    try:
+        return MlpWeights(tuple(dims), data.astype(np.float64))
+    except ContractError as e:
+        raise ParseError(f"{path}: {e}") from None
 
 
 def write_grid_light(path, gl: GridLight) -> None:
@@ -227,8 +242,7 @@ def read_grid_light(path) -> GridLight:
     if header.get("kind") != "grid_light":
         raise ParseError(f"{path}: not a grid light blob")
     dims = header.get("dims")
-    if not (isinstance(dims, list) and len(dims) == 5
-            and all(type(n) is int and n > 0 for n in dims)):
+    if not (isinstance(dims, list) and len(dims) == 5 and all(map(_positive_int, dims))):
         raise ParseError(f"{path}: 'dims' must list five positive integers, got {dims!r}")
     count = 3 * math.prod(dims)
     if count != data.size:
@@ -264,16 +278,29 @@ def write_feature_grid(manifest_path, grid: FeatureGrid) -> None:
 
 
 def read_feature_grid(manifest_path) -> FeatureGrid:
+    """Load a feature grid.  Its manifest is a JSON object whose `width`,
+    `height` and `channels` are positive integers and whose `slices` lists
+    the ceil(channels / 3) slice file names; anything else is a ParseError
+    naming the file and the key."""
     manifest_path = Path(manifest_path)
     try:
         m = json.loads(manifest_path.read_text())
     except json.JSONDecodeError as e:
         raise ParseError(f"{manifest_path}: {e}") from None
-    if m.get("kind") != "feature_grid":
+    if not isinstance(m, dict) or m.get("kind") != "feature_grid":
         raise ParseError(f"{manifest_path}: not a feature grid manifest")
-    w, h, c = int(m["width"]), int(m["height"]), int(m["channels"])
+    for key in ("width", "height", "channels"):
+        if not _positive_int(m.get(key)):
+            raise ParseError(f"{manifest_path}: '{key}' must be a positive integer, "
+                             f"got {m.get(key)!r}")
+    w, h, c = m["width"], m["height"], m["channels"]
+    slices = m.get("slices")
+    if not (isinstance(slices, list) and len(slices) == (c + 2) // 3
+            and all(isinstance(name, str) for name in slices)):
+        raise ParseError(f"{manifest_path}: 'slices' must list {(c + 2) // 3} file "
+                         f"names for {c} channels, got {slices!r}")
     data = np.zeros((h, w, c))
-    for i, name in enumerate(m["slices"]):
+    for i, name in enumerate(slices):
         img = read_pfm(manifest_path.parent / name)
         if (img.width, img.height) != (w, h):
             raise ParseError(f"{name}: slice dimensions disagree with manifest")

@@ -14,19 +14,52 @@ import numpy as np
 from .core import ContractError
 
 
+# elements per log1p temporary in `_softplus_inplace`: 4096 rows of a
+# 64-unit layer, so the temporary stays small beside an (N, 64) activation
+_LOG1P_BLOCK = 1 << 18
+
+
+def _softplus_inplace(a: np.ndarray):
+    """Overwrite the C-contiguous float64 array `a` with softplus(a) =
+    max(a, 0) + log1p(exp(-|a|)) and return (e, pos): e = exp(-|a|) and
+    pos = a >= 0 of the input, which give softplus'(a) = sigmoid(a) with no
+    further exp (see `backward`).
+
+    exp(-|a|) never overflows, so the closed form holds for every a; NaN
+    propagates, -inf gives 0 and +inf gives +inf.  log1p runs over blocks of
+    `_LOG1P_BLOCK` elements, so its temporary is one block, not one `a`."""
+    pos = a >= 0
+    e = np.empty_like(a)
+    np.abs(a, out=e)
+    np.negative(e, out=e)
+    np.exp(e, out=e)
+    np.maximum(a, 0.0, out=a)
+    flat_a, flat_e = a.reshape(-1), e.reshape(-1)
+    for lo in range(0, flat_a.size, _LOG1P_BLOCK):
+        flat_a[lo:lo + _LOG1P_BLOCK] += np.log1p(flat_e[lo:lo + _LOG1P_BLOCK])
+    return e, pos
+
+
 def softplus(x):
-    return np.logaddexp(0.0, x)
+    """log(1 + exp(x)) in the closed form of `_softplus_inplace`: SIMD exp
+    and log1p, within 3 ulp of np.logaddexp(0, x)."""
+    out = np.array(x, dtype=np.float64, order="C")
+    _softplus_inplace(out)
+    return out[()]
+
+
+def _sigmoid_from_exp(e, pos):
+    """sigmoid(x) from e = exp(-|x|) and pos = x >= 0: 1 / (1 + e) where
+    pos, e / (1 + e) elsewhere.  e is only read."""
+    out = np.where(pos, 1.0, e)
+    out /= e + 1.0
+    return out
 
 
 def sigmoid(x):
-    # e = exp(-|x|) never overflows: 1 / (1 + e) for x >= 0, e / (1 + e)
-    # below; in place, so at most two temporaries of x's size are live
+    # e = exp(-|x|) never overflows
     x = np.asarray(x, dtype=np.float64)
-    e = np.exp(-np.abs(x))
-    out = np.where(x >= 0, 1.0, e)
-    e += 1.0
-    out /= e
-    return out
+    return _sigmoid_from_exp(np.exp(-np.abs(x)), x >= 0)
 
 
 def param_count(dims) -> int:
@@ -89,26 +122,35 @@ class MlpWeights:
 def forward(weights: MlpWeights, x: np.ndarray):
     """Batched forward pass; softplus hidden units, linear output.
 
-    Returns (y, cache) where cache is consumed by `backward`.
+    Each layer computes a = h @ W.T + b; a hidden layer then overwrites a
+    with softplus(a) = max(a, 0) + log1p(exp(-|a|)) in place
+    (`_softplus_inplace`).  Returns (y, cache), where the cache that
+    `backward` reads is (inputs, acts):
+      inputs  the input h of every layer: x, then each hidden activation
+      acts    per hidden layer, (e, pos) with e = exp(-|a|) and pos = a >= 0
+              of its pre-activation a, from which `backward` forms
+              softplus'(a) = sigmoid(a) without a second exp
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if x.shape[-1] != weights.dims[0]:
         raise ContractError(f"input dim {x.shape[-1]} != {weights.dims[0]}")
     h = x
-    pre = []
     inputs = []
+    acts = []
     n_layers = len(weights.dims) - 1
     for i, (w, b) in enumerate(weights.layers()):
         inputs.append(h)
-        a = h @ w.T + b
-        pre.append(a)
-        h = softplus(a) if i < n_layers - 1 else a
-    return h, (pre, inputs)
+        h = h @ w.T
+        h += b
+        if i < n_layers - 1:
+            acts.append(_softplus_inplace(h))
+    return h, (inputs, acts)
 
 
 def backward(weights: MlpWeights, cache, dy: np.ndarray):
-    """Adjoints of `forward`: returns (dx, dflat)."""
-    pre, inputs = cache
+    """Adjoints of `forward`: returns (dx, dflat).  The cache is only read,
+    so one forward pass may be pulled back more than once."""
+    inputs, acts = cache
     dy = np.atleast_2d(np.asarray(dy, dtype=np.float64))
     n_layers = len(weights.dims) - 1
     grads_w = [None] * n_layers
@@ -120,7 +162,7 @@ def backward(weights: MlpWeights, cache, dy: np.ndarray):
         grads_b[i] = da.sum(axis=0)
         dx = da @ ws[i]
         if i > 0:
-            dx = dx * sigmoid(pre[i - 1])  # softplus' = sigmoid
+            dx *= _sigmoid_from_exp(*acts[i - 1])  # softplus' = sigmoid
         da = dx
     dflat = np.concatenate([np.concatenate([gw.ravel(), gb]) for gw, gb in zip(grads_w, grads_b)])
     return da, dflat

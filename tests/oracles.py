@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ssdr import brdf
+from ssdr import brdf, mlp
 from ssdr.core import dot, normalize, orthonormal_basis
 from ssdr.sampling import uniform_block
 
@@ -246,3 +246,29 @@ def sigmoid_masked(x):
     ex = np.exp(x[~pos])
     out[~pos] = ex / (1.0 + ex)
     return out
+
+
+def softplus_logaddexp(x):
+    """Reference for `mlp.softplus`: its original body, numpy's logaddexp
+    ufunc, which runs scalar libm."""
+    return np.logaddexp(0.0, x)
+
+
+def mlp_backward_sigmoid(weights, x, dy):
+    """Reference for `mlp.backward` on the inputs x: recompute every layer's
+    pre-activation a and pull dy back through sigmoid(a) = softplus'(a),
+    as the original cache of pre-activations did."""
+    layers = list(weights.layers())
+    h, inputs, pre = np.asarray(x, dtype=np.float64), [], []
+    for i, (w, b) in enumerate(layers):
+        inputs.append(h)
+        a = h @ w.T + b
+        pre.append(a)
+        h = mlp.softplus(a) if i < len(layers) - 1 else a
+    da, grads = np.asarray(dy, dtype=np.float64), []
+    for i in reversed(range(len(layers))):
+        grads.append(np.concatenate([(da.T @ inputs[i]).ravel(), da.sum(axis=0)]))
+        da = da @ layers[i][0]
+        if i > 0:
+            da = da * mlp.sigmoid(pre[i - 1])
+    return da, np.concatenate(grads[::-1])

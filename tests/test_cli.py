@@ -324,6 +324,45 @@ def test_grid_light_flat_extent_renders(grid_bundle, tmp_path):
                  "--spp", "2", "--lighting", "grid"]) == EXIT_OK
 
 
+@pytest.fixture(scope="module")
+def learned_bundle(tmp_path_factory):
+    import ssdr.volumetric as vol
+    from ssdr import mlp, scenes
+    from ssdr.lighting import FeatureGrid, decoder_input_dim
+    g, camera, spec, _ = scenes.two_plane(8, 8)
+    return sio.write_bundle(tmp_path_factory.mktemp("bundles") / "learned", g, camera,
+                            lighting_spec=spec, extras={
+        "feature_grid": FeatureGrid(np.zeros((8, 8, 4))),
+        "decoder_weights": mlp.MlpWeights.zeros((decoder_input_dim(4), 8, 3)),
+        "volume_weights": mlp.MlpWeights.zeros((vol.field_input_dim(10), 8, 4))})
+
+
+@pytest.mark.parametrize("name,edit,words", [
+    ("features.json", _edit_json(width=None), ("features.json", "'width'")),
+    ("features.json", _edit_json(width="x"), ("features.json", "'width'")),
+    ("features.json", _edit_json(slices=3), ("features.json", "'slices'")),
+    ("features.json", lambda text: "[1]", ("features.json",)),
+    ("decoder.weights", _edit_json(dims=None), ("decoder.weights", "'dims'")),
+    ("decoder.weights", _edit_json(dims="abc"), ("decoder.weights", "'dims'")),
+    ("decoder.weights", _edit_json(dims=[5]), ("decoder.weights", "'dims'")),
+    ("decoder.weights", _edit_json(dims=[True, 3]), ("decoder.weights", "'dims'")),
+    ("decoder.weights", _edit_json(dims=[4, 4]), ("decoder.weights", "flat size")),
+], ids=["no-width", "width-not-an-int", "slices-not-a-list", "manifest-not-object",
+        "no-dims", "dims-a-string", "one-dim", "dims-bool", "dims-disagree-with-payload"])
+def test_render_bad_learned_assets_exit_2(learned_bundle, tmp_path, caplog, name, edit,
+                                          words):
+    """A malformed feature grid manifest, or a weight blob header (its first
+    line) without valid `dims`, is an input error naming the file."""
+    import shutil
+    path = shutil.copytree(learned_bundle, tmp_path / "broken") / name
+    head, sep, rest = path.read_bytes().partition(b"\n") if name.endswith(".weights") \
+        else (path.read_bytes(), b"", b"")
+    path.write_bytes(edit(head.decode()).encode() + sep + rest)
+    _assert_input_error(["render", "--bundle", str(path.parent), "--out",
+                         str(tmp_path / "r"), "--spp", "2", "--lighting", "learned"],
+                        caplog, *words)
+
+
 @pytest.mark.parametrize("command,flag,value", [
     ("render", "--threads", "-3"), ("gradcheck", "--patch", "0")])
 def test_flag_below_one_exit_2(two_plane_bundle, tmp_path, caplog, command, flag, value):
