@@ -11,8 +11,8 @@ from .core import (Camera, ContractError, GBuffer, ImageBuffer, Spectrum,
                    project, unproject, validate_gbuffer)
 from .inverse import LossConfig, loss_light_hdr, loss_rerender, optimize
 from .lighting import (ConstantLight, FeatureGrid, GridLight, LightField,
-                       PosEncConfig, SkyDiscLight, SkyGradientLight,
-                       analytic_lightfield, positional_encoding)
+                       SkyDiscLight, SkyGradientLight, analytic_lightfield,
+                       positional_encoding)
 from .mlp import MlpWeights
 from .render import (GradientImage, RenderConfig, reference_render,
                      render_backward, render_discretized, render_mc)
@@ -27,11 +27,11 @@ __all__ = [
     "BlendedLightField", "BrdfParams", "BrdfSample", "Camera", "ConstantLight",
     "ContractError", "FeatureGrid", "GBuffer", "GradientImage", "GridLight",
     "HypernetParams", "ImageBuffer", "LightField", "LossConfig", "MlpWeights",
-    "PosEncConfig", "RenderConfig", "SamplerState", "SkyDiscLight",
-    "SkyGradientLight", "Spectrum", "SsrtConfig", "SsrtHit", "Status",
-    "VolumeConfig", "analytic_lightfield", "blend", "field_eval",
-    "hypernet_forward", "loss_light_hdr", "loss_rerender", "optimize",
-    "positional_encoding", "project", "reference_render", "render_backward",
-    "render_discretized", "render_mc", "trace", "trace_batch", "unproject",
-    "uncertainty", "validate_gbuffer", "volume_render",
+    "RenderConfig", "SamplerState", "SkyDiscLight", "SkyGradientLight",
+    "Spectrum", "SsrtConfig", "SsrtHit", "Status", "VolumeConfig",
+    "analytic_lightfield", "blend", "field_eval", "hypernet_forward",
+    "loss_light_hdr", "loss_rerender", "optimize", "positional_encoding",
+    "project", "reference_render", "render_backward", "render_discretized",
+    "render_mc", "trace", "trace_batch", "unproject", "uncertainty",
+    "validate_gbuffer", "volume_render",
 ]

@@ -131,8 +131,8 @@ def check_volume_weights(weights, cfg: volumetric.VolumeConfig, n_rays: int = 4,
     adj = volumetric.volume_render_backward(weights, p, d, cfg, seed, ray_ids, dL)
 
     def objective(flat):
-        L = volumetric.volume_render_batch(weights.copy_with(flat), p, d, cfg,
-                                           seed, ray_ids)
+        L, _ = volumetric.volume_render_batch(weights.copy_with(flat), p, d, cfg,
+                                              seed, ray_ids)
         return float(np.sum(L * dL))
 
     scale = max(1e-7, 1e-6 * float(np.abs(adj).max()))

@@ -20,7 +20,7 @@ import math
 import logging
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -331,7 +331,6 @@ class Bundle:
     volume_weights: MlpWeights | None = None
     target: ImageBuffer | None = None
     reference: ImageBuffer | None = None
-    manifest: dict = field(default_factory=dict)
 
     def light_field(self) -> LightField | None:
         """The light the lighting spec declares; a grid spec's `path` names
@@ -448,8 +447,7 @@ def read_bundle(directory) -> Bundle:
                   specular_scale=specular_scale,
                   lighting_spec=lighting_spec, feature_grid=fg,
                   decoder_weights=dec, volume_weights=vol,
-                  target=_opt(read_pfm, "target"), reference=_opt(read_pfm, "reference"),
-                  manifest=manifest)
+                  target=_opt(read_pfm, "target"), reference=_opt(read_pfm, "reference"))
 
 
 def write_bundle(directory, gbuffer: GBuffer, camera: Camera,

@@ -18,28 +18,20 @@ from .core import Camera, ContractError, GBuffer, as_rgb, normalize
 from .mlp import MlpWeights
 
 
-@dataclass(frozen=True)
-class PosEncConfig:
-    bands: int
-    include_input: bool = True
-
-    def __post_init__(self):
-        if self.bands < 1:
-            raise ContractError("need at least one frequency band")
-
-
-def positional_encoding(x: np.ndarray, cfg: PosEncConfig) -> np.ndarray:
+def positional_encoding(x: np.ndarray, bands: int) -> np.ndarray:
     """Sinusoidal lift, component-major: per input component
-    [x?, sin(2^0 pi x), cos(2^0 pi x), ..., sin(2^(L-1) pi x), cos(...)]."""
+    [x, sin(2^0 pi x), cos(2^0 pi x), ..., sin(2^(L-1) pi x), cos(...)]
+    with L = `bands` >= 1."""
+    if bands < 1:
+        raise ContractError("need at least one frequency band")
     x = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(x)):
         raise ContractError("positional encoding requires finite input")
-    freqs = (2.0 ** np.arange(cfg.bands)) * np.pi
+    freqs = (2.0 ** np.arange(bands)) * np.pi
     ang = x[..., None] * freqs                      # (..., D, L)
     sc = np.stack([np.sin(ang), np.cos(ang)], axis=-1)  # (..., D, L, 2)
-    feats = sc.reshape(*sc.shape[:-2], 2 * cfg.bands)
-    if cfg.include_input:
-        feats = np.concatenate([x[..., None], feats], axis=-1)
+    feats = np.concatenate([x[..., None], sc.reshape(*sc.shape[:-2], 2 * bands)],
+                           axis=-1)
     return feats.reshape(*x.shape[:-1], x.shape[-1] * feats.shape[-1])
 
 
@@ -120,13 +112,34 @@ class LightField:
         return self.radiance(p, d), functools.partial(self.backprop, p, d)
 
 
+# (what an analytic light parameter must be, the test of its float64 array)
+_RGB = ("a number or three finite numbers",
+        lambda a: a.shape in ((), (3,)) and np.all(np.isfinite(a)))
+_DIRECTION = ("three finite numbers of nonzero length",
+              lambda a: a.shape == (3,) and 0.0 < np.sqrt(a @ a) < np.inf)
+_ANGLE = ("a positive angle in radians", lambda a: a.shape == () and 0.0 < a < np.inf)
+
+
+def _light_param(value, name: str, rule) -> np.ndarray:
+    """`value` as a new float64 array if it passes `rule`; anything else
+    is a ContractError naming the parameter."""
+    what, ok = rule
+    try:
+        a = np.array(value, dtype=np.float64)
+    except (TypeError, ValueError):
+        a = None
+    if a is None or not ok(a):
+        raise ContractError(f"light parameter {name!r} must be {what}, got {value!r}")
+    return a
+
+
 class ConstantLight(LightField):
     """L(p, d) = value everywhere; parameterized by its RGB value."""
 
     n_params = 3
 
     def __init__(self, value):
-        self.value = as_rgb(value).astype(np.float64)
+        self.value = as_rgb(_light_param(value, "value", _RGB))
 
     def radiance(self, p, d):
         n = np.atleast_2d(d).shape[0]
@@ -148,9 +161,9 @@ class SkyGradientLight(LightField):
     n_params = 6
 
     def __init__(self, zenith, horizon, up=(0.0, -1.0, 0.0)):
-        self.zenith = as_rgb(zenith).astype(np.float64)
-        self.horizon = as_rgb(horizon).astype(np.float64)
-        self.up = normalize(np.asarray(up, dtype=np.float64))
+        self.zenith = as_rgb(_light_param(zenith, "zenith", _RGB))
+        self.horizon = as_rgb(_light_param(horizon, "horizon", _RGB))
+        self.up = normalize(_light_param(up, "up", _DIRECTION))
 
     def _t(self, d):
         d = np.atleast_2d(np.asarray(d, dtype=np.float64))
@@ -181,9 +194,10 @@ class SkyDiscLight(LightField):
     def __init__(self, zenith, horizon, disc_direction, disc_radius, disc_color,
                  up=(0.0, -1.0, 0.0)):
         self.sky = SkyGradientLight(zenith, horizon, up)
-        self.disc_direction = normalize(np.asarray(disc_direction, dtype=np.float64))
-        self.disc_radius = float(disc_radius)
-        self.disc_color = as_rgb(disc_color).astype(np.float64)
+        self.disc_direction = normalize(_light_param(disc_direction, "disc_direction",
+                                                     _DIRECTION))
+        self.disc_radius = float(_light_param(disc_radius, "disc_radius", _ANGLE))
+        self.disc_color = as_rgb(_light_param(disc_color, "disc_color", _RGB))
 
     def radiance(self, p, d):
         base = self.sky.radiance(p, d)
@@ -385,7 +399,7 @@ def decoder_inputs(grid: FeatureGrid, g: GBuffer, camera: Camera,
     p = np.atleast_2d(np.asarray(p, dtype=np.float64))
     d = np.atleast_2d(np.asarray(d, dtype=np.float64))
     hits = ssrt.trace_batch(g.depth, camera, p, d, cfg.ssrt)
-    enc = positional_encoding(d, PosEncConfig(bands=cfg.direction_bands))
+    enc = positional_encoding(d, cfg.direction_bands)
     feats = grid.sample(hits.pixel)
     aux = gbuffer_light_inputs(g, hits.pixel)
     return np.concatenate([enc, feats, aux], axis=1), hits
@@ -396,18 +410,12 @@ def traced_radiance_batch(grid: FeatureGrid, g: GBuffer, weights: MlpWeights,
                           cfg: TracedLightConfig = TracedLightConfig()):
     """Trace each ray to its in-view source point and decode HDR radiance.
 
-    Returns (radiance (N, 3), hits).  Radiance passes through softplus, so it
-    is non-negative for any weights; the hit record feeds the downstream
-    uncertainty blend.
+    Returns (radiance (N, 3), hits, (y, cache)).  Radiance passes through
+    softplus, so it is non-negative for any weights; the hit record feeds
+    the downstream uncertainty blend, and the decoder's output y with its
+    MLP cache is the state its adjoint needs.
     """
     weights.require("decoder", decoder_input_dim(grid.channels, cfg.direction_bands), 3)
     x, hits = decoder_inputs(grid, g, camera, p, d, cfg)
-    y, _ = mlp.forward(weights, x)
-    return mlp.softplus(y), hits
-
-
-def traced_radiance(grid: FeatureGrid, g: GBuffer, weights: MlpWeights,
-                    camera: Camera, p, d, cfg: TracedLightConfig = TracedLightConfig()):
-    L, hits = traced_radiance_batch(grid, g, weights, camera,
-                                    np.asarray(p)[None, :], np.asarray(d)[None, :], cfg)
-    return L[0], hits[0]
+    y, cache = mlp.forward(weights, x)
+    return mlp.softplus(y), hits, (y, cache)

@@ -16,9 +16,8 @@ import numpy as np
 
 from . import mlp, sampling
 from .core import ContractError, as_rgb
-from .lighting import (FeatureGrid, LightField, PosEncConfig, TracedLightConfig,
-                       decoder_input_dim, decoder_inputs, positional_encoding,
-                       traced_radiance_batch)
+from .lighting import (FeatureGrid, LightField, TracedLightConfig, decoder_input_dim,
+                       positional_encoding, traced_radiance_batch)
 from .mlp import MlpWeights
 
 
@@ -44,22 +43,17 @@ def default_field_dims(position_bands: int = 10):
     return (field_input_dim(position_bands), 64, 64, 64, 4)
 
 
-def _field_forward(weights: MlpWeights, x: np.ndarray, cfg: VolumeConfig):
-    """`field_eval` plus what its adjoint needs: returns (sigma, color,
-    net), where net is the MLP output, its cache and the unscaled color."""
+def field_eval(weights: MlpWeights, x: np.ndarray,
+               cfg: VolumeConfig = VolumeConfig()):
+    """Density (N,) and color (N, 3) of the field at points x (N, 3), and
+    what their adjoint needs: returns (sigma, color, net), where net is the
+    MLP output, its cache and the unscaled color."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     weights.require("field", field_input_dim(cfg.position_bands), 4)
-    enc = positional_encoding(x, PosEncConfig(bands=cfg.position_bands))
+    enc = positional_encoding(x, cfg.position_bands)
     y, cache = mlp.forward(weights, enc)
     raw_col = mlp.sigmoid(y[:, 1:4])
     return mlp.softplus(y[:, 0]), raw_col * cfg.radiance_scale, (y, cache, raw_col)
-
-
-def field_eval(weights: MlpWeights, x: np.ndarray,
-               cfg: VolumeConfig = VolumeConfig()):
-    """Density (N,) and color (N, 3) of the field at points x (N, 3)."""
-    sigma, color, _ = _field_forward(weights, x, cfg)
-    return sigma, color
 
 
 # ---------------------------------------------------------------------------
@@ -167,28 +161,24 @@ def _volume_points(p, d, t):
     return p[:, None, :] + t[:, :, None] * d[:, None, :]
 
 
-def _volume_forward(weights: MlpWeights, p: np.ndarray, d: np.ndarray,
-                    cfg: VolumeConfig, seed: int, ray_ids: np.ndarray):
-    """`volume_render_batch` plus the state `volume_render_backward` needs:
-    returns (L, state), the state holding the field's samples, its MLP
-    cache and the composite weights."""
+def volume_render_batch(weights: MlpWeights, p: np.ndarray, d: np.ndarray,
+                        cfg: VolumeConfig, seed: int, ray_ids: np.ndarray):
+    """Stratified volume rendering of N rays; jitter keyed by (seed, ray_id).
+
+    Returns (L (N, 3), state), the state holding what
+    `volume_render_backward` needs: the field's samples, its MLP cache and
+    the composite weights."""
     p = np.atleast_2d(np.asarray(p, dtype=np.float64))
     d = np.atleast_2d(np.asarray(d, dtype=np.float64))
     jitter = sampling.uniform_block(seed, np.asarray(ray_ids, dtype=np.uint64), 0,
                                     cfg.n_samples)
     t, deltas = stratified_ts(cfg.t_near, cfg.t_far, jitter)
     x = _volume_points(p, d, t)
-    sigma, color, net = _field_forward(weights, x.reshape(-1, 3), cfg)
+    sigma, color, net = field_eval(weights, x.reshape(-1, 3), cfg)
     sigma = sigma.reshape(t.shape)
     color = color.reshape(*t.shape, 3)
     L, w = composite(sigma, color, deltas)
     return L, (sigma, color, deltas, w, net)
-
-
-def volume_render_batch(weights: MlpWeights, p: np.ndarray, d: np.ndarray,
-                        cfg: VolumeConfig, seed: int, ray_ids: np.ndarray):
-    """Stratified volume rendering of N rays; jitter keyed by (seed, ray_id)."""
-    return _volume_forward(weights, p, d, cfg, seed, ray_ids)[0]
 
 
 def volume_render(weights: MlpWeights, p, d, t_near: float, t_far: float,
@@ -200,7 +190,8 @@ def volume_render(weights: MlpWeights, p, d, t_near: float, t_far: float,
         raise ContractError("volume_render streams use sample 0")
     cfg = VolumeConfig(t_near=t_near, t_far=t_far, n_samples=n_samples,
                        position_bands=position_bands, radiance_scale=radiance_scale)
-    return volume_render_batch(weights, p, d, cfg, rng.seed, [rng.pixel])[0]
+    L, _ = volume_render_batch(weights, p, d, cfg, rng.seed, [rng.pixel])
+    return L[0]
 
 
 def volume_render_backward(weights: MlpWeights, p: np.ndarray, d: np.ndarray,
@@ -208,10 +199,10 @@ def volume_render_backward(weights: MlpWeights, p: np.ndarray, d: np.ndarray,
                            dL: np.ndarray, state=None) -> np.ndarray:
     """d(volume_render_batch)/d(weights.flat), contracted with dL (N, 3).
 
-    `state` is the one `_volume_forward` returned for the same arguments;
-    without it the forward pass is run again."""
+    `state` is the one `volume_render_batch` returned for the same
+    arguments; without it the forward pass is run again."""
     if state is None:
-        _, state = _volume_forward(weights, p, d, cfg, seed, ray_ids)
+        _, state = volume_render_batch(weights, p, d, cfg, seed, ray_ids)
     sigma, color, deltas, w, (y, cache, raw_col) = state
     dsigma, dcolor = composite_backward(sigma, color, deltas, w, dL)
 
@@ -321,31 +312,26 @@ class BlendedLightField(LightField):
 
     # -- queries -------------------------------------------------------
     def radiance(self, p, d):
-        p = np.atleast_2d(np.asarray(p, dtype=np.float64))
-        d = np.atleast_2d(np.asarray(d, dtype=np.float64))
-        l_tr, hits = traced_radiance_batch(self.grid, self.gbuffer, self.decoder,
-                                           self.camera, p, d, self.traced_cfg)
-        l_vol = volume_render_batch(self.volume, p, d, self.volume_cfg, self.seed,
-                                    _ray_ids(p, d))
-        return blend(l_tr, l_vol, hits.u)
+        return self._forward(p, d)[0]
 
     def _forward(self, p, d):
         """radiance(p, d) and the forward state `backprop` needs: the trace,
         the decoder's output and MLP cache, the ray ids, and the volume
-        state of `_volume_forward`."""
-        x, hits = decoder_inputs(self.grid, self.gbuffer, self.camera, p, d,
-                                 self.traced_cfg)
-        y, cache = mlp.forward(self.decoder, x)
+        state of `volume_render_batch`."""
+        p = np.atleast_2d(np.asarray(p, dtype=np.float64))
+        d = np.atleast_2d(np.asarray(d, dtype=np.float64))
         ids = _ray_ids(p, d)
-        l_vol, vol_state = _volume_forward(self.volume, p, d, self.volume_cfg,
-                                           self.seed, ids)
-        return blend(mlp.softplus(y), l_vol, hits.u), (hits, y, cache, ids, vol_state)
+        # The volume goes first: its forward pass is by far the larger, and
+        # run second it would be stacked on the decoder's live MLP cache.
+        l_vol, vol_state = volume_render_batch(self.volume, p, d, self.volume_cfg,
+                                               self.seed, ids)
+        l_tr, hits, (y, cache) = traced_radiance_batch(
+            self.grid, self.gbuffer, self.decoder, self.camera, p, d, self.traced_cfg)
+        return blend(l_tr, l_vol, hits.u), (hits, y, cache, ids, vol_state)
 
     def radiance_vjp(self, p, d):
         """One forward pass for both the radiance and its pullback, which
         keeps the state of that pass (see `LightField`)."""
-        p = np.atleast_2d(np.asarray(p, dtype=np.float64))
-        d = np.atleast_2d(np.asarray(d, dtype=np.float64))
         L, state = self._forward(p, d)
         return L, functools.partial(self.backprop, p, d, state=state)
 

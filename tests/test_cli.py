@@ -271,11 +271,25 @@ def _assert_input_error(argv, caplog, *words):
      ("'grid'", "'path'")),
     ("bundle.json", _edit_json(camera="."), ("Is a directory",)),
     ("bundle.json", _edit_json(maps={"albedo": "."}), ("Is a directory",)),
+    ("bundle.json", _edit_json(lighting={"kind": "constant", "value": "abc"}),
+     ("'value'",)),
+    ("bundle.json", _edit_json(lighting={"kind": "constant", "value": [1, 2]}),
+     ("'value'",)),
+    ("bundle.json", _edit_json(lighting={"kind": "sky", "zenith": [1, 1, 1],
+                                         "horizon": [1, 1]}), ("'horizon'",)),
+    ("bundle.json", _edit_json(lighting={"kind": "sky", "zenith": [1, 1, 1],
+                                         "horizon": [1, 1, 1], "up": [0, 0, 0]}),
+     ("'up'",)),
+    ("bundle.json", _edit_json(lighting={
+        "kind": "sky_disc", "zenith": [1, 1, 1], "horizon": [1, 1, 1],
+        "disc_direction": [0, -1, 0], "disc_radius": "x", "disc_color": [5, 5, 5]}),
+     ("'disc_radius'",)),
 ], ids=["malformed-camera", "camera-without-cy", "sky-without-zenith",
         "specular-scale-not-a-number", "maps-not-an-object", "map-path-not-a-string",
         "camera-not-a-string", "target-not-a-string", "weights-not-a-string",
         "grid-path-not-a-string", "grid-path-null", "camera-is-a-directory",
-        "map-is-a-directory"])
+        "map-is-a-directory", "constant-value-not-a-number", "constant-value-two-numbers",
+        "sky-horizon-two-numbers", "sky-up-zero-length", "sky-disc-radius-not-a-number"])
 def test_render_bad_bundle_exit_2(two_plane_bundle, tmp_path, caplog, name, edit, words):
     broken = _broken_copy(two_plane_bundle, tmp_path / "broken", name, edit)
     _assert_input_error(["render", "--bundle", str(broken), "--out",

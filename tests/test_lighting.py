@@ -7,33 +7,33 @@ from oracles import grid_light_corner_loop
 from ssdr import lighting, mlp, scenes
 from ssdr.core import ContractError, normalize, unproject
 from ssdr.inverse import AdamState
-from ssdr.lighting import (FeatureGrid, GridLight, PosEncConfig, SkyDiscLight,
-                           TracedLightConfig, analytic_lightfield,
-                           decoder_input_dim, decoder_inputs,
-                           positional_encoding, traced_radiance,
-                           traced_radiance_batch)
+from ssdr.lighting import (FeatureGrid, GridLight, SkyDiscLight, TracedLightConfig,
+                           analytic_lightfield, decoder_input_dim, decoder_inputs,
+                           positional_encoding, traced_radiance_batch)
 
 
 def test_posenc_zero():
-    enc = positional_encoding(np.zeros(1), PosEncConfig(bands=2))
+    enc = positional_encoding(np.zeros(1), 2)
     assert np.allclose(enc, [0.0, 0.0, 1.0, 0.0, 1.0])
 
 
 def test_posenc_first_band_half():
-    enc = positional_encoding(np.array([0.5]), PosEncConfig(bands=1))
+    enc = positional_encoding(np.array([0.5]), 1)
     assert np.allclose(enc, [0.5, 1.0, 0.0], atol=1e-12)  # sin(pi/2), cos(pi/2)
 
 
 def test_posenc_output_length():
-    enc = positional_encoding(np.zeros(3), PosEncConfig(bands=6))
+    enc = positional_encoding(np.zeros(3), 6)
     assert enc.shape == (39,)
-    enc = positional_encoding(np.zeros((7, 3)), PosEncConfig(bands=4, include_input=False))
-    assert enc.shape == (7, 24)
+    enc = positional_encoding(np.zeros((7, 3)), 4)
+    assert enc.shape == (7, 27)
+    with pytest.raises(ContractError, match="frequency band"):
+        positional_encoding(np.zeros(3), 0)
 
 
 def test_posenc_component_major_layout():
     x = np.array([0.25, 0.75])
-    enc = positional_encoding(x, PosEncConfig(bands=2))
+    enc = positional_encoding(x, 2)
     per = 2 * 2 + 1
     for c in range(2):
         chunk = enc[c * per:(c + 1) * per]
@@ -47,9 +47,9 @@ def test_posenc_component_major_layout():
 def test_posenc_injective_on_unit_interval(a, b):
     if abs(a - b) < 1e-12:
         return
-    cfg = PosEncConfig(bands=1, include_input=False)
-    ea = positional_encoding(np.array([a]), cfg)
-    eb = positional_encoding(np.array([b]), cfg)
+    # the sinusoid columns alone, without the input column
+    ea = positional_encoding(np.array([a]), 1)[1:]
+    eb = positional_encoding(np.array([b]), 1)[1:]
     assert not np.allclose(ea, eb, atol=1e-15)
 
 
@@ -189,8 +189,8 @@ def test_traced_radiance_zero_weights():
     g, camera, grid, dims = _decoder_setup()
     weights = mlp.MlpWeights.zeros(dims)
     p = unproject(camera, np.array([12.0, 18.0]), g.depth[18, 12])
-    L, hit = traced_radiance(grid, g, weights, camera, p,
-                             normalize(np.array([0.3, -0.5, 0.6])))
+    L, _, _ = traced_radiance_batch(grid, g, weights, camera, p[None, :],
+                                    normalize(np.array([[0.3, -0.5, 0.6]])))
     assert np.allclose(L, np.log(2.0), atol=1e-12)  # softplus(0)
 
 
@@ -201,8 +201,8 @@ def test_traced_radiance_pure():
     p = np.repeat(unproject(camera, np.array([[10.0, 20.0]]),
                             np.array([g.depth[20, 10]])), 6, axis=0)
     d = normalize(rng.normal(size=(6, 3)) + [0, -1.0, 0.2])
-    a, _ = traced_radiance_batch(grid, g, weights, camera, p, d)
-    b, _ = traced_radiance_batch(grid, g, weights, camera, p, d)
+    a, _, _ = traced_radiance_batch(grid, g, weights, camera, p, d)
+    b, _, _ = traced_radiance_batch(grid, g, weights, camera, p, d)
     assert np.array_equal(a, b)
     assert np.all(a >= 0.0)  # softplus output
 
@@ -211,8 +211,8 @@ def test_traced_radiance_weight_shape_error():
     g, camera, grid, _ = _decoder_setup()
     bad = mlp.MlpWeights.zeros((7, 4, 3))
     with pytest.raises(ContractError):
-        traced_radiance(grid, g, bad, camera, np.array([0.0, 0.0, 2.0]),
-                        np.array([0.0, 0.0, 1.0]))
+        traced_radiance_batch(grid, g, bad, camera, np.array([[0.0, 0.0, 2.0]]),
+                              np.array([[0.0, 0.0, 1.0]]))
 
 
 def test_decoder_input_dimension_accounting():
@@ -252,5 +252,5 @@ def test_decoder_overfits_constant_field():
     p2 = unproject(camera, np.stack([fx[idx2], fy[idx2]], -1).astype(float),
                    g.depth[fy[idx2], fx[idx2]])
     d2 = normalize(rng.normal(size=(128, 3)) + [0, -1.2, 0.0])
-    L2, _ = traced_radiance_batch(grid, g, weights, camera, p2, d2)
+    L2, _, _ = traced_radiance_batch(grid, g, weights, camera, p2, d2)
     assert np.max(np.abs(L2 - 1.0)) < 1e-2

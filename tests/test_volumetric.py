@@ -10,8 +10,8 @@ from ssdr import mlp, scenes, volumetric as vol
 from ssdr.core import ContractError, normalize, unproject
 from ssdr.gradcheck import check_hypernet, check_volume_weights
 from ssdr.inverse import AdamState
-from ssdr.lighting import (ConstantLight, FeatureGrid, GridLight, PosEncConfig,
-                           SkyDiscLight, SkyGradientLight, positional_encoding)
+from ssdr.lighting import (ConstantLight, FeatureGrid, GridLight, SkyDiscLight,
+                           SkyGradientLight, positional_encoding)
 from ssdr.mlp import MlpWeights
 from ssdr.sampling import SamplerState
 
@@ -56,7 +56,7 @@ def test_hypernet_gradients_match_fd():
 
 def test_field_eval_zero_weights():
     w = MlpWeights.zeros((vol.field_input_dim(10), 8, 8, 4))
-    sigma, color = vol.field_eval(w, np.array([[0.3, -0.2, 1.0]]))
+    sigma, color, _ = vol.field_eval(w, np.array([[0.3, -0.2, 1.0]]))
     assert np.isclose(sigma[0], math.log(2.0))
     assert np.allclose(color[0], 0.5 * 5.0)
 
@@ -64,8 +64,8 @@ def test_field_eval_zero_weights():
 def test_field_eval_deterministic():
     w = MlpWeights.random((vol.field_input_dim(10), 16, 16, 4), seed=1, scale=0.3)
     x = np.array([[0.1, 0.2, 0.3]])
-    s1, c1 = vol.field_eval(w, x)
-    s2, c2 = vol.field_eval(w, x)
+    s1, c1, _ = vol.field_eval(w, x)
+    s2, c2, _ = vol.field_eval(w, x)
     assert np.array_equal(s1, s2) and np.array_equal(c1, c2)
 
 
@@ -152,7 +152,7 @@ def test_field_overfits_constant_box():
     w = MlpWeights.random(dims, seed=7, scale=0.3)
     rng = np.random.default_rng(8)
     x = rng.uniform(-0.5, 0.5, size=(512, 3))
-    enc = positional_encoding(x, PosEncConfig(bands=bands))
+    enc = positional_encoding(x, bands)
     target_c = np.array([1.0, 0.0, 0.0])
 
     adam = AdamState.like(w.flat)
@@ -169,7 +169,7 @@ def test_field_overfits_constant_box():
         w = w.copy_with(w.flat - adam.step(dflat, 0.03))
 
     x2 = rng.uniform(-0.5, 0.5, size=(512, 3))
-    sigma2, color2 = vol.field_eval(w, x2, cfg)
+    sigma2, color2, _ = vol.field_eval(w, x2, cfg)
     assert np.mean(np.abs(sigma2 - 1.0)) < 0.05
     assert np.mean(np.abs(color2 - target_c)) < 0.1
 
