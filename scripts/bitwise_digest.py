@@ -27,6 +27,11 @@ The MLP kernel has lines of its own: `mlp.forward`'s output and
 more than one softplus log1p block, so a change to the kernel shows as a
 named line and not only through the renderers.
 
+`optimize` under analytic lights has lines too (maps, light parameters,
+losses): a material fit and a material + light fit at threads 1 and 2,
+each small enough that the render keeps its samples for the adjoint, and
+one fit whose render is too large for that, so the adjoint replays them.
+
 Every line is `<name> <sha256>` of the float64 array's bytes, so any
 changed bit shows as a changed line.
 """
@@ -51,6 +56,9 @@ SPP = 96
 LEARNED_RES = 12
 LEARNED_SPP = 4
 MLP_ROWS = 5000
+# analytic fits: RES x RES at OPT_SPP samples per pixel
+OPT_ITERS = 3
+OPT_SPP = 16
 
 
 def digest(a) -> str:
@@ -110,10 +118,47 @@ def learned_lines(rng):
         res = optimize(start, camera, light, target,
                        LossConfig(iterations=3, step_size=0.001, params=("albedo", "light"),
                                   spp=LEARNED_SPP, seed=4, specular_scale=0.0))
-        for field in ("albedo", "roughness", "metallic", "normal"):
-            yield f"{tag}/optimize.{field}", getattr(res.gbuffer, field)
-        yield f"{tag}/optimize.light_params", res.light_params
-        yield f"{tag}/optimize.losses", res.losses
+        yield from optimize_result_lines(tag, res)
+
+
+def optimize_result_lines(tag, res):
+    for field in ("albedo", "roughness", "metallic", "normal"):
+        yield f"{tag}/optimize.{field}", getattr(res.gbuffer, field)
+    yield f"{tag}/optimize.light_params", res.light_params
+    yield f"{tag}/optimize.losses", res.losses
+
+
+def optimize_lines():
+    """OPT_ITERS-iteration fits under analytic lights at threads 1 and 2:
+    glossy-floor under its own sky_disc fitting all four maps, and
+    two-plane under a ConstantLight fitting albedo + light.  The first is
+    run once more with `_CHUNK_LANES` = 1000, where the render is too large
+    to keep its samples and the adjoint replays them."""
+    fits = {"glossy-floor": (None, ("albedo", "roughness", "metallic", "normal")),
+            "two-plane": (ConstantLight([0.9, 1.0, 1.1]), ("albedo", "light"))}
+    for kind, (light, params) in fits.items():
+        g, camera, spec, _ = scenes.make_scene(kind, RES, RES)
+        light = light or analytic_lightfield(**spec)
+        target = render_mc(g, camera, light, RenderConfig(spp=4 * OPT_SPP, seed=9))
+        start = g.copy()
+        start.albedo[...] = 0.5
+        start.roughness[...] = 0.5
+        cfg = LossConfig(iterations=OPT_ITERS, step_size=0.05, params=params,
+                         spp=OPT_SPP, seed=4)
+        for threads in (1, 2):
+            yield from optimize_result_lines(
+                f"{kind}/t{threads}", optimize(start, camera, light, target, cfg,
+                                               threads=threads))
+        if kind != "glossy-floor":
+            continue
+        saved = render._CHUNK_LANES
+        render._CHUNK_LANES = 1000
+        try:
+            yield from optimize_result_lines(
+                f"multichunk/{kind}", optimize(start, camera, light, target, cfg,
+                                               threads=2))
+        finally:
+            render._CHUNK_LANES = saved
 
 
 def mlp_lines():
@@ -170,6 +215,7 @@ def lines():
         render._CHUNK_LANES = saved
 
     yield from learned_lines(rng)
+    yield from optimize_lines()
 
 
 def main():

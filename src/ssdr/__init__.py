@@ -9,7 +9,7 @@ recovers materials from a target image by gradient descent.
 from .brdf import BrdfParams, BrdfSample
 from .core import (Camera, ContractError, GBuffer, ImageBuffer, Spectrum,
                    project, unproject, validate_gbuffer)
-from .inverse import LossConfig, loss_light_hdr, loss_rerender, optimize
+from .inverse import LossConfig, loss_rerender, optimize
 from .lighting import (ConstantLight, FeatureGrid, GridLight, LightField,
                        SkyDiscLight, SkyGradientLight, analytic_lightfield,
                        positional_encoding)
@@ -30,7 +30,7 @@ __all__ = [
     "RenderConfig", "SamplerState", "SkyDiscLight", "SkyGradientLight",
     "Spectrum", "SsrtConfig", "SsrtHit", "Status", "VolumeConfig",
     "analytic_lightfield", "blend", "field_eval", "hypernet_forward",
-    "loss_light_hdr", "loss_rerender", "optimize", "positional_encoding",
+    "loss_rerender", "optimize", "positional_encoding",
     "project", "reference_render", "render_backward", "render_discretized",
     "render_mc", "trace", "trace_batch", "unproject", "uncertainty",
     "validate_gbuffer", "volume_render",

@@ -319,6 +319,9 @@ def main(argv=None) -> int:
         for flag in ("threads", "patch"):
             if getattr(args, flag, 1) < 1:
                 raise UsageError(f"--{flag} must be at least 1, got {getattr(args, flag)}")
+        if not 0.0 < getattr(args, "exposure", 1.0) < np.inf:
+            raise UsageError("--exposure must be positive and finite, "
+                             f"got {args.exposure}")
         return args.fn(args)
     except (ContractError, OSError) as e:
         log.error("%s", e)

@@ -42,19 +42,6 @@ def loss_rerender(pred, target):
     return float(np.mean(resid * resid)), 2.0 * resid / n
 
 
-def loss_light_hdr(pred, gt):
-    """log(1+x) L2 on HDR radiance batches, with the adjoint w.r.t. pred."""
-    p = np.asarray(pred, dtype=np.float64)
-    g = np.asarray(gt, dtype=np.float64)
-    if np.any(p < 0) or np.any(g < 0):
-        raise ContractError("HDR loss requires non-negative radiance")
-    if p.shape != g.shape:
-        raise ContractError(f"loss shapes differ: {p.shape} vs {g.shape}")
-    diff = np.log1p(p) - np.log1p(g)
-    n = diff.size
-    return float(np.mean(diff * diff)), 2.0 * diff / ((1.0 + p) * n)
-
-
 @dataclass
 class AdamState:
     """Per-parameter adaptive moments with bias correction."""
@@ -93,6 +80,12 @@ class LossConfig:
     def __post_init__(self):
         if self.iterations < 0:
             raise ContractError("invalid loss config")
+        if not 0.0 <= self.step_size < np.inf:   # a negative step ascends the loss
+            raise ContractError("step_size must be finite and >= 0, "
+                                f"got {self.step_size}")
+        if not np.isfinite(self.specular_scale):
+            raise ContractError("specular_scale must be finite, "
+                                f"got {self.specular_scale}")
         for p in self.params:
             if p not in PARAM_NAMES:
                 raise ContractError(f"unknown parameter class {p!r}; "
@@ -153,12 +146,14 @@ def optimize(g: GBuffer, camera: Camera, light: LightField, target,
     for it in range(cfg.iterations):
         rcfg = RenderConfig(spp=cfg.spp, seed=derive_seed(cfg.seed, it),
                             specular_scale=cfg.specular_scale)
-        img = render_mc(cur, camera, light, rcfg, threads=threads)
+        tape = []   # the render's samples and light queries, for its adjoint
+        img = render_mc(cur, camera, light, rcfg, threads=threads, tape=tape)
         loss, dI = loss_rerender(img, target)
         if not np.isfinite(loss):
             raise ContractError(f"loss went non-finite at iteration {it}")
         grad = render_backward(cur, camera, light, rcfg, dI, threads=threads,
-                               want_light="light" in names)
+                               want_light="light" in names, tape=tape)
+        del tape    # its light state belongs to the parameters before this step
 
         for n in names:
             x = value(n)

@@ -6,8 +6,10 @@ Invalid samples (below the horizon or back-facing half vectors) contribute
 zero but still count in N.  The backward pass treats the sampled directions
 and trace results as constants: gradients flow through the BRDF value, the
 PDF, the cosine, and the light's own parameters, never through the discrete
-sample locations.  All accumulation is float64 in a fixed chunk order, so
-results are bit-identical at any thread count.
+sample locations.  It reads the forward pass's samples and light queries
+from the sample tape `render_mc` can record, or replays them from the seed.
+All accumulation is float64 in a fixed chunk order, so results are
+bit-identical at any thread count.
 """
 
 from __future__ import annotations
@@ -145,16 +147,24 @@ def _draw(px: FrozenSamples, cfg: RenderConfig, s0: int, s1: int):
     return d, ok
 
 
-def _masked_radiance(light: LightField, p, d, mask):
-    """Query the light only on live lanes; zero elsewhere."""
+def _masked_radiance(light: LightField, p, d, mask, vjp=False):
+    """The light's radiance along d (n_pix, ns, 3) from the points p
+    (n_pix, 3), queried on the live lanes only and zero elsewhere, and with
+    `vjp` the `radiance_vjp` pullback of those lanes (else None; also None
+    when no lane is live)."""
     out = np.zeros(mask.shape + (3,))
+    pullback = None
     if np.any(mask):
-        out[mask] = light.radiance(p[mask], d[mask])
-    return out
+        p_live = np.broadcast_to(p[:, None, :], d.shape)[mask]
+        if vjp:
+            out[mask], pullback = light.radiance_vjp(p_live, d[mask])
+        else:
+            out[mask] = light.radiance(p_live, d[mask])
+    return out, pullback
 
 
 def _estimate(px: FrozenSamples, d, ok, light: LightField, cfg: RenderConfig,
-              adj=None, want_light: bool = False):
+              adj=None, want_light: bool = False, lit=None, record=None):
     """Per-pixel sums of f * L * cos / q over the samples d (n_pix, ns, 3).
 
     Returns (sums, None), where sums is the 1-tuple of the (n_pix, 3) value
@@ -163,6 +173,14 @@ def _estimate(px: FrozenSamples, d, ok, light: LightField, cfg: RenderConfig,
     the second item is the light-parameter adjoint (its 1/spp factor
     applied, as it is summed over pixels), or None when `want_light` is off
     or no sample reaches the light.
+
+    The light is queried on the lanes that are `ok` and have a positive
+    pdf, and a `record` list receives (d, those lanes, (radiance,
+    pullback)), with the pullback kept for any light that has parameters.
+    Given `lit`, such a (radiance, pullback) pair recorded for these
+    samples, with `ok` the recorded lanes, the light is not queried:
+    `mixture_pdf` and `eval_pdf_with_partials` give the same pdf, so the
+    adjoint's lanes are the recorded ones.
     """
     v, n, alb, rough, metal = _lanes(px)
     args = (v, d, n, alb, rough, metal, cfg.specular_scale)
@@ -174,15 +192,14 @@ def _estimate(px: FrozenSamples, d, ok, light: LightField, cfg: RenderConfig,
         pdf, f = parts["pdf"], parts["f"]
     ok = ok & (pdf > 0)
     cos = np.maximum(dot(n, d), 0.0)
-    p_rep = np.broadcast_to(px.p[:, None, :], d.shape)
-    pullback = None
-    if adj is not None and want_light and light.n_params:
+    if lit is None:
         # one light query serves the value and the light adjoint
-        radiance = np.zeros(ok.shape + (3,))
-        if np.any(ok):
-            radiance[ok], pullback = light.radiance_vjp(p_rep[ok], d[ok])
-    else:
-        radiance = _masked_radiance(light, p_rep, d, ok)
+        vjp = light.n_params > 0 and (record is not None
+                                      or (adj is not None and want_light))
+        lit = _masked_radiance(light, px.p, d, ok, vjp)
+        if record is not None:
+            record.append((d, ok, lit))
+    radiance, pullback = lit
     if cfg.clamp_max is not None:
         radiance = np.minimum(radiance, cfg.clamp_max)
     if adj is None:
@@ -212,7 +229,7 @@ def _estimate(px: FrozenSamples, d, ok, light: LightField, cfg: RenderConfig,
     gn = np.where(ok[..., None], gn, 0.0) - s_pdf[..., None] * parts["dpdf_dn"]
 
     dlight = None
-    if pullback is not None:
+    if want_light and pullback is not None:
         dL = adj[:, None, :] * f * cq[..., None]
         if cfg.clamp_max is not None:
             dL = np.where(radiance < cfg.clamp_max, dL, 0.0)
@@ -220,16 +237,34 @@ def _estimate(px: FrozenSamples, d, ok, light: LightField, cfg: RenderConfig,
     return (ga.sum(axis=1), gr.sum(axis=1), gm.sum(axis=1), gn.sum(axis=1)), dlight
 
 
-def _shade_blocks(g, camera, light, cfg, threads, dI=None, want_light=False):
+def _shade_blocks(g, camera, light, cfg, threads, dI=None, want_light=False,
+                  tape=None):
     """Run the kernel over the fixed row blocks, on `threads` workers.
 
     Returns, per block and in block order, the rows and columns of its
     shadeable pixels, their sums over all samples, and the block's light
     adjoint (see `_estimate`; dI is the adjoint image, or None for the
-    value)."""
+    value).  With a sample `tape` (see `render_mc`), the value pass records
+    into it, and the adjoint reads its samples and light queries from it
+    when it is not empty."""
     points, view, valid = pixel_geometry(g, camera)
+    blocks = _row_blocks(g.depth.shape[0])
+    key = (cfg, g.depth.shape)
+    taped = records = [None] * len(blocks)
+    if tape is not None and dI is None:
+        tape.clear()
+        if np.count_nonzero(valid) * cfg.spp <= _CHUNK_LANES:
+            # every block is one chunk; the workers fill these lists in place
+            records = [[] for _ in blocks]
+            tape.append(key)
+            tape.extend(records)
+    elif tape:
+        if tape[0] != key or len(tape) != len(blocks) + 1:
+            raise ContractError("sample tape was recorded under another render "
+                                "config or G-buffer shape")
+        taped = tape[1:]
 
-    def run(rows):
+    def run(rows, chunks, record):
         px = _pixels(g, points, view, valid, rows)
         n_pix = px.gy.size
         if dI is None:
@@ -238,28 +273,42 @@ def _shade_blocks(g, camera, light, cfg, threads, dI=None, want_light=False):
             adj = dI[px.gy, px.gx]
             acc = (np.zeros((n_pix, 3)), np.zeros(n_pix), np.zeros(n_pix),
                    np.zeros((n_pix, 3)))
+        if chunks is None:
+            chunks = ((*_draw(px, cfg, s0, s1), None)
+                      for s0, s1 in _sample_chunks(n_pix, cfg.spp))
+        elif [c[0].shape[:2] for c in chunks] != [(n_pix, cfg.spp)] * (n_pix > 0):
+            # a recorded block is one chunk of all its samples, or none
+            raise ContractError("sample tape does not match the G-buffer's pixels")
         dlight = np.zeros(light.n_params) if want_light else None
-        for s0, s1 in _sample_chunks(n_pix, cfg.spp):
-            d, ok = _draw(px, cfg, s0, s1)
-            sums, dl = _estimate(px, d, ok, light, cfg, adj, want_light)
+        for d, ok, lit in chunks:
+            sums, dl = _estimate(px, d, ok, light, cfg, adj, want_light, lit, record)
             for a, s in zip(acc, sums):
                 a += s
             if dl is not None:
                 dlight += dl
         return px.gy, px.gx, acc, dlight
 
-    blocks = _row_blocks(g.depth.shape[0])
     if threads <= 1 or len(blocks) == 1:
-        return [run(rows) for rows in blocks]
+        return list(map(run, blocks, taped, records))
     with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(run, blocks))
+        return list(ex.map(run, blocks, taped, records))
 
 
 def render_mc(g: GBuffer, camera: Camera, light: LightField, cfg: RenderConfig,
-              threads: int = 1) -> np.ndarray:
-    """Monte Carlo re-render; returns a float64 (H, W, 3) radiance image."""
+              threads: int = 1, tape: list | None = None) -> np.ndarray:
+    """Monte Carlo re-render; returns a float64 (H, W, 3) radiance image.
+
+    `tape` is a list the caller owns, to hand to `render_backward`, which
+    then reuses this render's samples instead of replaying them.  The
+    render empties it and, if its valid pixels x spp fit in one chunk
+    (`_CHUNK_LANES` lanes), records the config, the G-buffer shape and, per
+    row block, the sample directions, the lanes the light was queried on,
+    the radiance there and, for a light with parameters, the
+    `radiance_vjp` pullback, which holds the light's forward state until
+    the tape is dropped.  A larger render records nothing."""
     image = np.zeros(g.depth.shape + (3,))
-    for gy, gx, (acc,), _ in _shade_blocks(g, camera, light, cfg, threads):
+    for gy, gx, (acc,), _ in _shade_blocks(g, camera, light, cfg, threads,
+                                           tape=tape):
         acc /= cfg.spp
         if not np.all(np.isfinite(acc)):
             bad = int(np.nonzero(~np.isfinite(acc).all(axis=1))[0][0])
@@ -283,12 +332,18 @@ def render_discretized(g: GBuffer, camera: Camera, light: LightField,
 
 def render_backward(g: GBuffer, camera: Camera, light: LightField,
                     cfg: RenderConfig, dI: np.ndarray, threads: int = 1,
-                    want_light: bool = False) -> GradientImage:
+                    want_light: bool = False,
+                    tape: list | None = None) -> GradientImage:
     """Adjoints of `render_mc` for the adjoint image dI (H, W, 3).
 
-    Must be called with the same seed/config as the matching forward pass;
-    a seed mismatch is undetectable and simply yields gradients of a
-    different sample set.
+    Given the `tape` a `render_mc` call filled, it reads that render's
+    samples and light queries (and, with `want_light`, the light's
+    pullbacks) from it instead of drawing and querying again; a tape
+    recorded under another config or G-buffer shape is a ContractError.
+    Without a tape, or with an empty one, it replays the samples from the
+    seed, so it must be called with the same seed/config as the matching
+    forward pass: a seed mismatch is undetectable there and simply yields
+    gradients of a different sample set.  Both paths give the same bits.
     """
     dI = np.asarray(dI, dtype=np.float64)
     if not np.all(np.isfinite(dI)):
@@ -303,7 +358,7 @@ def render_backward(g: GBuffer, camera: Camera, light: LightField,
 
     inv_n = 1.0 / cfg.spp
     for gy, gx, acc, dlight in _shade_blocks(g, camera, light, cfg, threads, dI,
-                                             want_light):  # fixed reduction order
+                                             want_light, tape):  # fixed order
         acc_a, acc_r, acc_m, acc_n = acc
         for a in acc:
             a *= inv_n
@@ -431,8 +486,7 @@ def reference_render(g: GBuffer, camera: Camera, light: LightField,
             # integrand / warp density = spec F G L cos_nd vh / (nv nd nh)
             weight = np.where(ok, specular_scale * G * vh
                               / np.maximum(cos_nv * ch, 1e-12), 0.0)
-            L_spec = _masked_radiance(light, np.broadcast_to(
-                p_v[:, None, :], d_spec.shape), d_spec, ok)
+            L_spec, _ = _masked_radiance(light, p_v, d_spec, ok)
             acc[a:b] += np.mean(weight[..., None] * fres * L_spec, axis=1)
 
     image[gy, gx] = acc

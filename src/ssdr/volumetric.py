@@ -311,13 +311,11 @@ class BlendedLightField(LightField):
             self.volume = hypernet_forward(self.global_feature, self.hypernet)
 
     # -- queries -------------------------------------------------------
-    def radiance(self, p, d):
-        return self._forward(p, d)[0]
-
-    def _forward(self, p, d):
-        """radiance(p, d) and the forward state `backprop` needs: the trace,
-        the decoder's output and MLP cache, the ray ids, and the volume
-        state of `volume_render_batch`."""
+    def radiance(self, p, d, keep=None):
+        """The blended radiance along d from p.  A `keep` list receives the
+        forward state `backprop` needs: the trace, the decoder's output and
+        MLP cache, the ray ids, and the volume state of
+        `volume_render_batch`."""
         p = np.atleast_2d(np.asarray(p, dtype=np.float64))
         d = np.atleast_2d(np.asarray(d, dtype=np.float64))
         ids = _ray_ids(p, d)
@@ -327,13 +325,16 @@ class BlendedLightField(LightField):
                                                self.seed, ids)
         l_tr, hits, (y, cache) = traced_radiance_batch(
             self.grid, self.gbuffer, self.decoder, self.camera, p, d, self.traced_cfg)
-        return blend(l_tr, l_vol, hits.u), (hits, y, cache, ids, vol_state)
+        if keep is not None:
+            keep.append((hits, y, cache, ids, vol_state))
+        return blend(l_tr, l_vol, hits.u)
 
     def radiance_vjp(self, p, d):
         """One forward pass for both the radiance and its pullback, which
         keeps the state of that pass (see `LightField`)."""
-        L, state = self._forward(p, d)
-        return L, functools.partial(self.backprop, p, d, state=state)
+        keep = []
+        L = self.radiance(p, d, keep)
+        return L, functools.partial(self.backprop, p, d, state=keep[0])
 
     def backprop(self, p, d, dL, state=None) -> np.ndarray:
         """Parameter adjoints of radiance(p, d) contracted with dL (N, 3).
@@ -345,7 +346,9 @@ class BlendedLightField(LightField):
         d = np.atleast_2d(np.asarray(d, dtype=np.float64))
         dL = np.asarray(dL, dtype=np.float64).reshape(p.shape[0], 3)
         if state is None:
-            _, state = self._forward(p, d)
+            keep = []
+            self.radiance(p, d, keep)
+            state = keep[0]
         hits, y, cache, ids, vol_state = state
 
         w_tr = (1.0 - hits.u)[:, None]

@@ -1,8 +1,9 @@
 """The benchmark's traced run wraps ssdr functions by name, from outside the
 package (`perfbench/probes.py`).  If a learned-light call path stops going
 through a probed function, its span never fires and the traced run fails,
-even when every output bit is unchanged.  This test holds the library to
-that contract on a tiny learned render and its adjoint, in seconds.
+even when every output bit is unchanged.  These tests hold the library to
+that contract on a tiny learned render, its adjoint and one fit iteration,
+in seconds.
 
 The perfbench modules are imported read-only from their own directory.
 """
@@ -24,19 +25,23 @@ import probes  # noqa: E402
 import workloads  # noqa: E402
 
 
+def _small_learned_light(g, camera):
+    rng = np.random.default_rng(0)
+    grid = FeatureGrid(rng.normal(size=g.depth.shape + (2,)))
+    dec = MlpWeights.random((decoder_input_dim(2), 8, 3), seed=1, scale=0.2)
+    vw = MlpWeights.random((vol.field_input_dim(2), 8, 4), seed=2, scale=0.3)
+    return vol.BlendedLightField(grid, g, camera, dec, volume_weights=vw,
+                                 volume_cfg=vol.VolumeConfig(n_samples=4,
+                                                             position_bands=2))
+
+
 def test_learned_render_and_adjoint_fire_every_bench_span():
     """The render alone fires the spans of the bench's learned render, and
     the adjoint alone those of its learned fit: the adjoint runs the light's
     forward pass too, so checked together, a render that bypassed a probed
     function would go unseen."""
     g, camera, _, _ = scenes.two_plane(4, 4)
-    rng = np.random.default_rng(0)
-    grid = FeatureGrid(rng.normal(size=(4, 4, 2)))
-    dec = MlpWeights.random((decoder_input_dim(2), 8, 3), seed=1, scale=0.2)
-    vw = MlpWeights.random((vol.field_input_dim(2), 8, 4), seed=2, scale=0.3)
-    light = vol.BlendedLightField(grid, g, camera, dec, volume_weights=vw,
-                                  volume_cfg=vol.VolumeConfig(n_samples=4,
-                                                              position_bands=2))
+    light = _small_learned_light(g, camera)
     cfg = RenderConfig(spp=2, seed=3)
 
     tracer = harness.Tracer()
@@ -55,3 +60,29 @@ def test_learned_render_and_adjoint_fire_every_bench_span():
     rendered = after_render["calls"]
     assert sorted(workloads._LEARNED_SPANS - {"io.read_blob"} - rendered.keys()) == []
     assert sorted(workloads._LEARNED_FIT_SPANS - adjoint.keys()) == []
+
+
+def test_learned_optimize_iteration_fires_every_bench_span():
+    """One albedo + light `optimize` iteration, the operation of the
+    bench's learned fit, fires the spans that workload expects, the light's
+    own `radiance` among them: the adjoint reads the render's sample tape,
+    so the render alone must reach the light through its probed methods."""
+    from ssdr import inverse
+    g, camera, _, _ = scenes.two_plane(4, 4)
+    light = _small_learned_light(g, camera)
+    cfg = inverse.LossConfig(iterations=1, step_size=0.001, params=("albedo", "light"),
+                             spp=2, seed=3)
+
+    tracer = harness.Tracer()
+    inst = probes.install(tracer, type(light))
+    try:
+        stale = inst.stale_bindings()
+        inverse.optimize(g, camera, light, np.full((4, 4, 3), 0.3), cfg)
+        fired = tracer.snapshot()["calls"]
+    finally:
+        inst.restore()
+
+    assert stale == []
+    expected = ((workloads._LEARNED_SPANS - {"io.read_blob"})
+                | workloads._LEARNED_FIT_SPANS | {"light.radiance"})
+    assert sorted(expected - fired.keys()) == []

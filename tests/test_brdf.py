@@ -180,3 +180,27 @@ def test_finite_difference_partials_exist():
         lo = brdf.eval(V30, d, N_UP, params(max(r - 1e-6, 0.0)))
         hi = brdf.eval(V30, d, N_UP, params(r + 1e-6))
         assert np.all(np.isfinite((hi - lo) / 2e-6))
+
+
+@pytest.mark.parametrize("specular", [0.0, 1.0])
+def test_adjoint_pdf_is_the_forward_pdf_bytes(specular):
+    """The adjoint's pdf is the forward's, bit for bit, on sampled
+    directions: a render's sample tape gates its light query with the
+    forward pdf, and the adjoint that reads the tape relies on the gate."""
+    rng = np.random.default_rng(0)
+    m = 20000
+    n = normalize(rng.normal(size=(m, 3)))
+    v = normalize(n + 0.8 * rng.normal(size=(m, 3)))
+    albedo = rng.uniform(0.0, 1.0, (m, 3))
+    albedo[: m // 4] = 0.0
+    roughness = rng.uniform(0.0, 1.0, m)
+    roughness[: m // 8] = 0.0
+    metallic = rng.uniform(0.0, 1.0, m)
+    metallic[m // 4: m // 2] = 1.0
+    u = uniform_block(3, np.arange(m, dtype=np.uint64), 0, 3)
+    args = (n, albedo, roughness, metallic, specular)
+    d, _, valid = brdf.sample_directions(v, *args, u)
+    forward = brdf.mixture_pdf(v, d, *args)
+    adjoint = brdf.eval_pdf_with_partials(v, d, *args)["pdf"]
+    assert np.count_nonzero(valid) > m // 2
+    assert forward[valid].tobytes() == adjoint[valid].tobytes()

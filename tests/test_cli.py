@@ -385,6 +385,30 @@ def test_flag_below_one_exit_2(two_plane_bundle, tmp_path, caplog, command, flag
                         caplog, flag)
 
 
+@pytest.mark.parametrize("command,flag,value,words", [
+    ("optimize", "--step", "nan", ("step_size", "nan")),
+    ("optimize", "--step", "inf", ("step_size", "inf")),
+    ("optimize", "--step", "-0.05", ("step_size", "-0.05")),
+    ("render", "--exposure", "nan", ("--exposure", "nan")),
+    ("render", "--exposure", "-1", ("--exposure", "-1")),
+    ("render", "--exposure", "0", ("--exposure", "0")),
+    ("baseline-compare", "--exposure", "inf", ("--exposure", "inf"))])
+def test_bad_step_or_exposure_exit_2(two_plane_bundle, tmp_path, caplog, command, flag,
+                                     value, words):
+    """A step that is not finite and >= 0, or an exposure that is not
+    positive and finite, is an input error before any render, not a
+    non-finite render (exit 1), a fit that ascends the loss, or a garbage
+    or black preview (exit 0)."""
+    extra = []
+    if command == "optimize":
+        sio.write_pfm(tmp_path / "target.pfm", np.zeros((16, 16, 3)))
+        extra = ["--target", str(tmp_path / "target.pfm")]
+    _assert_input_error([command, "--bundle", str(two_plane_bundle), "--out",
+                         str(tmp_path / "r"), "--spp", "2", flag, value, *extra],
+                        caplog, *words)
+    assert not (tmp_path / "r").exists()
+
+
 @pytest.mark.parametrize("command,flag", [
     ("gradcheck", "--threads"), ("gradcheck", "--exposure"), ("optimize", "--exposure")])
 def test_flag_the_command_does_not_read_exit_2(two_plane_bundle, tmp_path, capsys,

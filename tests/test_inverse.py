@@ -3,11 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ssdr import render, scenes, volumetric as vol
+from ssdr import inverse, render, scenes, volumetric as vol
 from ssdr.core import ContractError, GBuffer
 from ssdr.gradcheck import check_light_params
-from ssdr.inverse import (AdamState, LossConfig, loss_light_hdr, loss_rerender,
-                          optimize)
+from ssdr.inverse import AdamState, LossConfig, loss_rerender, optimize
 from ssdr.lighting import ConstantLight, FeatureGrid, SkyGradientLight, decoder_input_dim
 from ssdr.mlp import MlpWeights
 
@@ -55,41 +54,6 @@ def test_loss_rerender_fd_adjoint():
         m = pred.copy(); m[i, j, c] -= eps
         fd = (loss_rerender(p, target)[0] - loss_rerender(m, target)[0]) / (2 * eps)
         assert abs(fd - adj[i, j, c]) <= 1e-6 * max(1.0, abs(fd))
-
-
-def test_loss_hdr_values():
-    e = np.e
-    loss, _ = loss_light_hdr(np.full((2, 3), e - 1.0), np.zeros((2, 3)))
-    assert np.isclose(loss, 1.0)
-    loss2, _ = loss_light_hdr(np.ones((1, 3)), np.zeros((1, 3)))
-    assert np.isclose(loss2, np.log(2.0) ** 2)
-    same, _ = loss_light_hdr(np.ones((4, 3)), np.ones((4, 3)))
-    assert same == 0.0
-
-
-def test_loss_hdr_not_scale_invariant():
-    a, _ = loss_light_hdr(np.ones((1, 3)), np.zeros((1, 3)))
-    b, _ = loss_light_hdr(2 * np.ones((1, 3)), np.zeros((1, 3)))
-    assert not np.isclose(a, b)
-
-
-def test_loss_hdr_rejects_negative():
-    with pytest.raises(ContractError):
-        loss_light_hdr(np.array([[-0.1, 0.0, 0.0]]), np.zeros((1, 3)))
-
-
-def test_loss_hdr_fd_adjoint():
-    rng = np.random.default_rng(3)
-    pred = rng.uniform(0.1, 5.0, (4, 3))
-    gt = rng.uniform(0.0, 5.0, (4, 3))
-    _, adj = loss_light_hdr(pred, gt)
-    eps = 1e-7
-    for _ in range(12):
-        i, c = rng.integers(4), rng.integers(3)
-        p = pred.copy(); p[i, c] += eps
-        m = pred.copy(); m[i, c] -= eps
-        fd = (loss_light_hdr(p, gt)[0] - loss_light_hdr(m, gt)[0]) / (2 * eps)
-        assert abs(fd - adj[i, c]) <= 1e-6 * max(1.0, abs(fd))
 
 
 def test_adam_zero_grad_zero_step():
@@ -250,6 +214,16 @@ def test_optimize_rejects_unknown_param():
         LossConfig(params=("velocity",))
 
 
+@pytest.mark.parametrize("field,value", [
+    ("step_size", np.nan), ("step_size", np.inf), ("step_size", -0.05),
+    ("specular_scale", np.nan), ("specular_scale", -np.inf)])
+def test_loss_config_rejects_bad_values(field, value):
+    """A step that is not finite and >= 0 (a negative one would ascend the
+    loss), or a non-finite specular scale, is rejected before any render."""
+    with pytest.raises(ContractError, match=field):
+        LossConfig(**{field: value})
+
+
 def test_optimize_aborts_on_non_finite_loss():
     g_init, camera, light, target = _lambertian_setup(h=4, w=4)
     target[0, 0, 0] = np.nan
@@ -343,3 +317,35 @@ def test_check_light_params_leaves_the_light_unchanged(kind):
                                 n_components=4)
     assert result.passed, str(result)
     assert light.get_params().tobytes() == before.tobytes()
+
+
+def test_learned_optimize_iteration_runs_the_volume_forward_once(monkeypatch):
+    """One albedo + light iteration on a learned light runs the field's
+    volume forward once: the adjoint pulls back through the state the
+    render kept on its sample tape instead of running the light again."""
+    g, camera, _, _ = scenes.two_plane(8, 8)    # one row block
+    light = _fitted_light("blended-volume", g, camera)
+    target = np.full(g.depth.shape + (3,), 0.3)
+    cfg = LossConfig(iterations=1, step_size=0.01, params=("albedo", "light"),
+                     spp=2, seed=1)
+    rays = []
+    forward = vol.volume_render_batch
+
+    def counting_forward(weights, p, *args):
+        rays.append(p.shape[0])
+        return forward(weights, p, *args)
+
+    monkeypatch.setattr(vol, "volume_render_batch", counting_forward)
+    fitted = optimize(g, camera, light, target, cfg)
+    assert len(rays) == 1 and rays[0] > 0
+    assert not np.array_equal(fitted.light_params, light.get_params())
+
+    def replaying_backward(*args, tape=None, **kwargs):
+        return render.render_backward(*args, **kwargs)
+
+    monkeypatch.setattr(inverse, "render_backward", replaying_backward)
+    replayed = optimize(g, camera, light, target, cfg)
+    assert len(rays) == 3
+    assert replayed.losses.tobytes() == fitted.losses.tobytes()
+    assert replayed.light_params.tobytes() == fitted.light_params.tobytes()
+    assert replayed.gbuffer.albedo.tobytes() == fitted.gbuffer.albedo.tobytes()

@@ -5,7 +5,7 @@ from oracles import cosine_grid_dirs, per_pixel_material_fd
 from ssdr import scenes
 from ssdr.core import ContractError, GBuffer, dot, normalize
 from ssdr.gradcheck import check_render_material, material_differences
-from ssdr.lighting import (ConstantLight, LightField, SkyDiscLight,
+from ssdr.lighting import (ConstantLight, GridLight, LightField, SkyDiscLight,
                            SkyGradientLight, analytic_lightfield)
 from ssdr.render import (RenderConfig, RenderNanError, draw_frozen_samples,
                          reference_render, render_backward, render_discretized,
@@ -304,3 +304,108 @@ def test_cosine_grid_estimates_irradiance():
     # E[L] over cosine cells approximates (1/pi) * integral(L cos)
     vals = np.full(d.shape[0], 2.0)
     assert abs(vals.mean() - 2.0) < 1e-12
+
+
+# ---------------------------------------------------------------------------
+# the sample tape: render_mc records its samples and light queries, and
+# render_backward reads them instead of replaying the forward pass
+
+
+def _tape_light(kind, g, camera):
+    if kind == "sky-disc":
+        return SkyDiscLight([1.2, 1.2, 1.4], [0.4, 0.38, 0.35], [0.2, -1.0, 0.3],
+                            0.3, [6.0, 5.0, 4.0])
+    if kind == "constant":
+        return ConstantLight([0.9, 1.0, 1.1])
+    if kind == "grid":
+        return GridLight(np.random.default_rng(5).uniform(0.0, 2.0, (3, 2, 2, 4, 6, 3)),
+                         [[-2, -2, 0], [2, 2, 4]])
+    from ssdr import volumetric as vol
+    from ssdr.lighting import FeatureGrid, decoder_input_dim
+    from ssdr.mlp import MlpWeights
+    grid = FeatureGrid(np.random.default_rng(1).normal(size=g.depth.shape + (4,)))
+    dec = MlpWeights.random((decoder_input_dim(4), 8, 3), seed=3, scale=0.2)
+    vw = MlpWeights.random((vol.field_input_dim(4), 8, 4), seed=4, scale=0.3)
+    return vol.BlendedLightField(grid, g, camera, dec, volume_weights=vw,
+                                 volume_cfg=vol.VolumeConfig(n_samples=6,
+                                                             position_bands=4))
+
+
+_GRAD_FIELDS = ("dalbedo", "droughness", "dmetallic", "dnormal", "dlight")
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("kind", ["sky-disc", "constant", "grid", "learned"])
+def test_render_backward_from_tape_matches_replay_bytes(kind, threads):
+    """The adjoint that reads the render's tape is the replayed adjoint,
+    bit for bit, with and without the light's adjoint; the render that
+    records the tape is the plain render's bits."""
+    g, camera, _, _ = scenes.two_plane(12, 12)   # two row blocks
+    light = _tape_light(kind, g, camera)
+    cfg = RenderConfig(spp=6, seed=5)
+    tape = []
+    image = render_mc(g, camera, light, cfg, threads=threads, tape=tape)
+    assert image.tobytes() == render_mc(g, camera, light, cfg).tobytes()
+    assert len(tape) == 1 + 2
+    dI = np.random.default_rng(2).normal(size=image.shape)
+
+    def no_query(*args, **kwargs):
+        raise AssertionError("the adjoint queried the light despite its tape")
+
+    for want_light in (False, True):
+        light.radiance = light.radiance_vjp = no_query
+        taped = render_backward(g, camera, light, cfg, dI, threads=threads,
+                                want_light=want_light, tape=tape)
+        del light.radiance, light.radiance_vjp
+        replay = render_backward(g, camera, light, cfg, dI, threads=threads,
+                                 want_light=want_light)
+        for name in _GRAD_FIELDS:
+            a, b = getattr(taped, name), getattr(replay, name)
+            assert (a is None and b is None) or a.tobytes() == b.tobytes(), name
+    if kind == "constant":
+        assert np.any(taped.dlight != 0.0)
+
+
+def test_render_above_the_lane_cap_records_nothing(monkeypatch):
+    """A render whose valid pixels x spp exceed one chunk leaves the tape
+    empty (also emptying what it held), and the adjoint given the empty
+    tape replays the samples."""
+    import ssdr.render as render
+    g, camera, spec, _ = scenes.glossy_floor(8, 8)
+    light = _light_from_spec(spec)
+    cfg = RenderConfig(spp=4, seed=1)
+    tape = ["stale"]
+    monkeypatch.setattr(render, "_CHUNK_LANES", 8 * 8 * 4 - 1)
+    image = render_mc(g, camera, light, cfg, tape=tape)
+    assert tape == []
+    dI = np.ones_like(image)
+    got = render_backward(g, camera, light, cfg, dI, tape=tape)
+    want = render_backward(g, camera, light, cfg, dI)
+    for name in _GRAD_FIELDS[:4]:
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes()
+    monkeypatch.setattr(render, "_CHUNK_LANES", 8 * 8 * 4)
+    render_mc(g, camera, light, cfg, tape=tape)
+    assert len(tape) == 2
+
+
+def test_tape_from_another_render_is_a_contract_error():
+    """A tape recorded under another RenderConfig or G-buffer shape, or for
+    other shadeable pixels, is rejected instead of yielding the gradients
+    of other samples."""
+    g, camera, spec, _ = scenes.glossy_floor(8, 8)
+    light = _light_from_spec(spec)
+    cfg = RenderConfig(spp=4, seed=1)
+    tape = []
+    render_mc(g, camera, light, cfg, tape=tape)
+    dI = np.ones((8, 8, 3))
+    for other in (RenderConfig(spp=4, seed=2), RenderConfig(spp=8, seed=1),
+                  RenderConfig(spp=4, seed=1, clamp_max=1.0)):
+        with pytest.raises(ContractError, match="tape"):
+            render_backward(g, camera, light, other, dI, tape=tape)
+    g16, camera16, _, _ = scenes.glossy_floor(16, 8)
+    with pytest.raises(ContractError, match="tape"):
+        render_backward(g16, camera16, light, cfg, np.ones((8, 16, 3)), tape=tape)
+    holed = g.copy()
+    holed.depth[3, 3] = 0.0
+    with pytest.raises(ContractError, match="tape"):
+        render_backward(holed, camera, light, cfg, dI, tape=tape)
