@@ -196,22 +196,18 @@ def sample_directions(v, n, albedo, roughness, metallic, specular, u):
     alpha = _alpha(roughness)
     pick_spec = u[..., 0] < ws
 
-    # diffuse: cosine-weighted hemisphere
-    r = np.sqrt(u[..., 1])
+    # One local vector per lane, sharing the azimuth: the diffuse lobe's
+    # cosine-weighted direction or the specular lobe's half vector
+    # ~ D(m) (n.m).  Specular lanes then mirror v about it.
     phi = 2.0 * np.pi * u[..., 2]
-    z = np.sqrt(np.maximum(1.0 - u[..., 1], 0.0))
-    d_diff = _local_to_world(np.stack([r * np.cos(phi), r * np.sin(phi), z], axis=-1), n)
-
-    # specular: half vector ~ D(m) (n.m), then mirror v about it
     tan2 = alpha * alpha * u[..., 1] / np.maximum(1.0 - u[..., 1], 1e-16)
     cos_h = 1.0 / np.sqrt(1.0 + tan2)
     sin_h = np.sqrt(np.maximum(1.0 - cos_h * cos_h, 0.0))
-    h = _local_to_world(
-        np.stack([sin_h * np.cos(phi), sin_h * np.sin(phi), cos_h], axis=-1), n)
-    vh = dot(v, h)
-    d_spec = 2.0 * vh[..., None] * h - v
-
-    d = np.where(pick_spec[..., None], d_spec, d_diff)
+    rho = np.where(pick_spec, sin_h, np.sqrt(u[..., 1]))
+    z = np.where(pick_spec, cos_h, np.sqrt(np.maximum(1.0 - u[..., 1], 0.0)))
+    w = _local_to_world(np.stack([rho * np.cos(phi), rho * np.sin(phi), z], axis=-1), n)
+    vh = dot(v, w)
+    d = np.where(pick_spec[..., None], 2.0 * vh[..., None] * w - v, w)
     valid = dot(d, n) > 0
     valid &= np.where(pick_spec, vh > 0, True)
     return d, pick_spec, valid

@@ -53,6 +53,8 @@ def _parse_params(text: str) -> tuple[str, ...]:
     for name in names:
         if name not in PARAM_NAMES:
             raise UsageError(f"unknown parameter class {name!r}")
+    if not names:
+        raise UsageError(f"--params selects no parameter class, got {text!r}")
     return names
 
 
@@ -191,18 +193,19 @@ def cmd_baseline_compare(args) -> int:
     grid = _parse_grid(args.grid)
     cfg = RenderConfig(spp=args.spp, seed=args.seed,
                        specular_scale=bundle.specular_scale)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
 
+    # the cheap estimator first, so a bad --grid fails before the others run
+    disc = render_discretized(bundle.gbuffer, bundle.camera, light, grid=grid,
+                              specular_scale=bundle.specular_scale)
     ref = reference_render(bundle.gbuffer, bundle.camera, light,
                            cells=(args.ref_cells, 2 * args.ref_cells),
                            specular_scale=bundle.specular_scale)
     mc = render_mc(bundle.gbuffer, bundle.camera, light, cfg, threads=args.threads)
-    disc = render_discretized(bundle.gbuffer, bundle.camera, light, grid=grid,
-                              specular_scale=bundle.specular_scale)
     mse_mc, _ = loss_rerender(mc, ref)
     mse_disc, _ = loss_rerender(disc, ref)
 
+    out = Path(args.out)
+    out.mkdir(parents=True, exist_ok=True)
     ssdr_io.write_pfm(out / "reference.pfm", ref)
     ssdr_io.write_pfm(out / "mc.pfm", mc)
     ssdr_io.write_pfm(out / "discretized.pfm", disc)
@@ -322,6 +325,8 @@ def main(argv=None) -> int:
         if not 0.0 < getattr(args, "exposure", 1.0) < np.inf:
             raise UsageError("--exposure must be positive and finite, "
                              f"got {args.exposure}")
+        if not 0.0 <= getattr(args, "tol", 0.0) < np.inf:
+            raise UsageError(f"--tol must be finite and >= 0, got {args.tol}")
         return args.fn(args)
     except (ContractError, OSError) as e:
         log.error("%s", e)

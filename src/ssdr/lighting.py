@@ -9,7 +9,7 @@ volume marching steps p + t*d.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -364,20 +364,17 @@ def analytic_lightfield(kind: str, **params) -> LightField:
 # traced in-view radiance decoding
 
 
-@dataclass(frozen=True)
-class TracedLightConfig:
-    direction_bands: int = 6
-    ssrt: ssrt.SsrtConfig = field(default_factory=ssrt.SsrtConfig)
+DIRECTION_BANDS = 6   # frequency bands of the decoder's direction encoding
 
 
-def decoder_input_dim(feature_channels: int, direction_bands: int = 6) -> int:
+def decoder_input_dim(feature_channels: int) -> int:
     # encoded direction + local feature + (K_d 3, K_s 3, N 3, R 1)
-    return 3 * (2 * direction_bands + 1) + feature_channels + 10
+    return 3 * (2 * DIRECTION_BANDS + 1) + feature_channels + 10
 
 
-def default_decoder_dims(feature_channels: int, direction_bands: int = 6):
+def default_decoder_dims(feature_channels: int):
     """Reference decoder architecture: 4 layers of 128 hidden units."""
-    return (decoder_input_dim(feature_channels, direction_bands), 128, 128, 128, 3)
+    return (decoder_input_dim(feature_channels), 128, 128, 128, 3)
 
 
 def gbuffer_light_inputs(g: GBuffer, px: np.ndarray) -> np.ndarray:
@@ -394,20 +391,19 @@ def gbuffer_light_inputs(g: GBuffer, px: np.ndarray) -> np.ndarray:
 
 
 def decoder_inputs(grid: FeatureGrid, g: GBuffer, camera: Camera,
-                   p: np.ndarray, d: np.ndarray, cfg: TracedLightConfig):
+                   p: np.ndarray, d: np.ndarray):
     """Trace rays and assemble the decoder input rows; returns (x, hits)."""
     p = np.atleast_2d(np.asarray(p, dtype=np.float64))
     d = np.atleast_2d(np.asarray(d, dtype=np.float64))
-    hits = ssrt.trace_batch(g.depth, camera, p, d, cfg.ssrt)
-    enc = positional_encoding(d, cfg.direction_bands)
+    hits = ssrt.trace_batch(g.depth, camera, p, d, ssrt.SsrtConfig())
+    enc = positional_encoding(d, DIRECTION_BANDS)
     feats = grid.sample(hits.pixel)
     aux = gbuffer_light_inputs(g, hits.pixel)
     return np.concatenate([enc, feats, aux], axis=1), hits
 
 
 def traced_radiance_batch(grid: FeatureGrid, g: GBuffer, weights: MlpWeights,
-                          camera: Camera, p: np.ndarray, d: np.ndarray,
-                          cfg: TracedLightConfig = TracedLightConfig()):
+                          camera: Camera, p: np.ndarray, d: np.ndarray):
     """Trace each ray to its in-view source point and decode HDR radiance.
 
     Returns (radiance (N, 3), hits, (y, cache)).  Radiance passes through
@@ -415,7 +411,7 @@ def traced_radiance_batch(grid: FeatureGrid, g: GBuffer, weights: MlpWeights,
     the downstream uncertainty blend, and the decoder's output y with its
     MLP cache is the state its adjoint needs.
     """
-    weights.require("decoder", decoder_input_dim(grid.channels, cfg.direction_bands), 3)
-    x, hits = decoder_inputs(grid, g, camera, p, d, cfg)
+    weights.require("decoder", decoder_input_dim(grid.channels), 3)
+    x, hits = decoder_inputs(grid, g, camera, p, d)
     y, cache = mlp.forward(weights, x)
     return mlp.softplus(y), hits, (y, cache)

@@ -26,22 +26,21 @@ from .lighting import LightField
 from .sampling import uniform_block
 
 _CHUNK_LANES = 1 << 20
+_PDF_FLOOR = 1e-6   # q = max(pdf, floor); pdf gradients only above it
 
 
 class RenderNanError(RuntimeError):
-    """A pixel accumulator went non-finite; carries pixel diagnostics."""
+    """A pixel accumulator went non-finite; carries the pixel."""
 
-    def __init__(self, pixel, detail=""):
+    def __init__(self, pixel):
         self.pixel = pixel
-        super().__init__(f"non-finite radiance at pixel {pixel} {detail}")
+        super().__init__(f"non-finite radiance at pixel {pixel}")
 
 
 @dataclass(frozen=True)
 class RenderConfig:
     spp: int = 64
     seed: int = 0
-    pdf_floor: float = 1e-6
-    clamp_max: float | None = None   # biased preview knob; None = unbiased
     specular_scale: float = 1.0      # 0 forces pure Lambertian shading
 
     def __post_init__(self):
@@ -200,15 +199,13 @@ def _estimate(px: FrozenSamples, d, ok, light: LightField, cfg: RenderConfig,
         if record is not None:
             record.append((d, ok, lit))
     radiance, pullback = lit
-    if cfg.clamp_max is not None:
-        radiance = np.minimum(radiance, cfg.clamp_max)
     if adj is None:
-        q = np.where(ok, np.maximum(pdf, cfg.pdf_floor), 1.0)
+        q = np.where(ok, np.maximum(pdf, _PDF_FLOOR), 1.0)
         contrib = f * radiance * np.where(ok, cos / q, 0.0)[..., None]
         return (contrib.sum(axis=1),), None
 
-    q = np.maximum(pdf, cfg.pdf_floor)
-    live = (pdf > cfg.pdf_floor) & ok          # pdf-floor gates pdf gradients
+    q = np.maximum(pdf, _PDF_FLOOR)
+    live = (pdf > _PDF_FLOOR) & ok             # pdf-floor gates pdf gradients
     inv_q = np.where(ok, 1.0 / q, 0.0)
     cq = cos * inv_q                            # cos / q
 
@@ -231,8 +228,6 @@ def _estimate(px: FrozenSamples, d, ok, light: LightField, cfg: RenderConfig,
     dlight = None
     if want_light and pullback is not None:
         dL = adj[:, None, :] * f * cq[..., None]
-        if cfg.clamp_max is not None:
-            dL = np.where(radiance < cfg.clamp_max, dL, 0.0)
         dlight = pullback(dL[ok] / cfg.spp)
     return (ga.sum(axis=1), gr.sum(axis=1), gm.sum(axis=1), gn.sum(axis=1)), dlight
 
@@ -416,10 +411,12 @@ def reference_render(g: GBuffer, camera: Camera, light: LightField,
     mode "split": diffuse term on the cosine grid plus the microfacet term
     on an NDF-warped grid, which resolves sharp specular lobes.
     """
+    nt, nf = cells
+    if nt < 1 or nf < 1:
+        raise ContractError(f"reference cells must be at least 1x1, got {nt}x{nf}")
     points, view, valid = pixel_geometry(g, camera)
     h, w = g.depth.shape
     image = np.zeros((h, w, 3))
-    nt, nf = cells
     u1 = (np.arange(nt) + 0.5) / nt
     u2 = (np.arange(nf) + 0.5) / nf
     uu1, uu2 = np.meshgrid(u1, u2, indexing="ij")

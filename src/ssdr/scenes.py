@@ -145,13 +145,12 @@ def make_scene(kind: str, width: int | None = None, height: int | None = None):
     if kind not in _SCENES:
         raise ContractError(f"unknown scene kind {kind!r}; "
                             f"choose from {sorted(_SCENES)}")
-    fn = _SCENES[kind]
-    kwargs = {}
-    if width:
-        kwargs["width"] = width
-    if height:
-        kwargs["height"] = height
-    return fn(**kwargs)
+    # None keeps the scene's own default size
+    kwargs = {k: v for k, v in (("width", width), ("height", height))
+              if v is not None}
+    if any(v < 1 for v in kwargs.values()):
+        raise ContractError(f"scene size must be at least 1x1, got {width}x{height}")
+    return _SCENES[kind](**kwargs)
 
 
 def lambertian_reference(g: GBuffer, camera: Camera, light: LightField,

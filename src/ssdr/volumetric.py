@@ -3,7 +3,7 @@ and color field, volume rendered along the light ray, and blended with the
 traced in-view prediction through the tanh depth-gap uncertainty.
 
 The field takes no view direction.  Density goes through softplus, color
-through sigmoid scaled by `radiance_scale`, so HDR radiance stays
+through sigmoid scaled by `RADIANCE_SCALE`, so HDR radiance stays
 non-negative for arbitrary weights.
 """
 
@@ -16,9 +16,11 @@ import numpy as np
 
 from . import mlp, sampling
 from .core import ContractError, as_rgb
-from .lighting import (FeatureGrid, LightField, TracedLightConfig, decoder_input_dim,
+from .lighting import (FeatureGrid, LightField, decoder_input_dim,
                        positional_encoding, traced_radiance_batch)
 from .mlp import MlpWeights
+
+RADIANCE_SCALE = 5.0   # the field's color is sigmoid(y) * RADIANCE_SCALE
 
 
 @dataclass(frozen=True)
@@ -27,7 +29,6 @@ class VolumeConfig:
     t_far: float = 20.0
     n_samples: int = 64
     position_bands: int = 10
-    radiance_scale: float = 5.0
 
     def __post_init__(self):
         if not (self.t_near < self.t_far) or self.n_samples < 2:
@@ -53,7 +54,7 @@ def field_eval(weights: MlpWeights, x: np.ndarray,
     enc = positional_encoding(x, cfg.position_bands)
     y, cache = mlp.forward(weights, enc)
     raw_col = mlp.sigmoid(y[:, 1:4])
-    return mlp.softplus(y[:, 0]), raw_col * cfg.radiance_scale, (y, cache, raw_col)
+    return mlp.softplus(y[:, 0]), raw_col * RADIANCE_SCALE, (y, cache, raw_col)
 
 
 # ---------------------------------------------------------------------------
@@ -183,13 +184,13 @@ def volume_render_batch(weights: MlpWeights, p: np.ndarray, d: np.ndarray,
 
 def volume_render(weights: MlpWeights, p, d, t_near: float, t_far: float,
                   n_samples: int, rng: sampling.SamplerState,
-                  position_bands: int = 10, radiance_scale: float = 5.0) -> np.ndarray:
+                  position_bands: int = 10) -> np.ndarray:
     """Single-ray `volume_render_batch`, with ray id `rng.pixel`; the jitter
     stream is (rng.seed, rng.pixel, sample 0), so `rng.sample` must be 0."""
     if rng.sample != 0:
         raise ContractError("volume_render streams use sample 0")
     cfg = VolumeConfig(t_near=t_near, t_far=t_far, n_samples=n_samples,
-                       position_bands=position_bands, radiance_scale=radiance_scale)
+                       position_bands=position_bands)
     L, _ = volume_render_batch(weights, p, d, cfg, rng.seed, [rng.pixel])
     return L[0]
 
@@ -208,8 +209,7 @@ def volume_render_backward(weights: MlpWeights, p: np.ndarray, d: np.ndarray,
 
     dy = np.empty_like(y)
     dy[:, 0] = dsigma.reshape(-1) * mlp.sigmoid(y[:, 0])
-    dy[:, 1:4] = (dcolor.reshape(-1, 3) * cfg.radiance_scale
-                  * raw_col * (1.0 - raw_col))
+    dy[:, 1:4] = dcolor.reshape(-1, 3) * RADIANCE_SCALE * raw_col * (1.0 - raw_col)
     _, dflat = mlp.backward(weights, cache, dy)
     return dflat
 
@@ -257,7 +257,6 @@ class BlendedLightField(LightField):
                  volume_weights: MlpWeights | None = None,
                  hypernet: HypernetParams | None = None,
                  global_feature: np.ndarray | None = None,
-                 traced_cfg: TracedLightConfig = TracedLightConfig(),
                  volume_cfg: VolumeConfig = VolumeConfig(),
                  seed: int = 7):
         if (volume_weights is None) == (hypernet is None):
@@ -273,11 +272,9 @@ class BlendedLightField(LightField):
                                else np.asarray(global_feature, dtype=np.float64).ravel())
         self.volume = (volume_weights if volume_weights is not None
                        else hypernet_forward(self.global_feature, hypernet))
-        self.traced_cfg = traced_cfg
         self.volume_cfg = volume_cfg
         self.seed = seed
-        decoder_weights.require("decoder", decoder_input_dim(
-            feature_grid.channels, traced_cfg.direction_bands), 3)
+        decoder_weights.require("decoder", decoder_input_dim(feature_grid.channels), 3)
         self.volume.require("field", field_input_dim(volume_cfg.position_bands), 4)
 
     # -- parameter vector plumbing ------------------------------------
@@ -324,7 +321,7 @@ class BlendedLightField(LightField):
         l_vol, vol_state = volume_render_batch(self.volume, p, d, self.volume_cfg,
                                                self.seed, ids)
         l_tr, hits, (y, cache) = traced_radiance_batch(
-            self.grid, self.gbuffer, self.decoder, self.camera, p, d, self.traced_cfg)
+            self.grid, self.gbuffer, self.decoder, self.camera, p, d)
         if keep is not None:
             keep.append((hits, y, cache, ids, vol_state))
         return blend(l_tr, l_vol, hits.u)

@@ -53,6 +53,15 @@ def test_make_scene_cornell_reference(tmp_path):
     assert np.max(np.abs(bundle.reference.data - perpix)) < 1e-3
 
 
+@pytest.mark.parametrize("width,height", [(0, 8), (8, 0), (0, 0), (-1, 8)])
+def test_make_scene_rejects_size_below_one(width, height):
+    """A zero size is an error, not the scene's default size."""
+    from ssdr import scenes
+    from ssdr.core import ContractError
+    with pytest.raises(ContractError, match="scene size"):
+        scenes.make_scene("two-plane", width, height)
+
+
 def test_render_outputs_and_stats(two_plane_bundle, tmp_path):
     out = tmp_path / "r"
     assert main(["render", "--bundle", str(two_plane_bundle), "--out", str(out),
@@ -407,6 +416,37 @@ def test_bad_step_or_exposure_exit_2(two_plane_bundle, tmp_path, caplog, command
                          str(tmp_path / "r"), "--spp", "2", flag, value, *extra],
                         caplog, *words)
     assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("argv,words", [
+    (["baseline-compare", "--ref-cells", "0"], ("reference cells", "0x0")),
+    (["baseline-compare", "--ref-cells", "-3"], ("reference cells", "-3x-6")),
+    (["baseline-compare", "--grid", "0x0"], ("discretized grid", "2x4")),
+    (["gradcheck", "--tol", "nan"], ("--tol", "nan")),
+    (["gradcheck", "--tol", "-1"], ("--tol", "-1")),
+    (["gradcheck", "--tol", "inf"], ("--tol", "inf")),
+    (["gradcheck", "--params", ""], ("--params",)),
+    (["optimize", "--params", ","], ("--params", "','")),
+], ids=["ref-cells-0", "ref-cells-neg", "grid-0", "tol-nan", "tol-neg", "tol-inf",
+        "gradcheck-params-empty", "optimize-params-empty"])
+def test_bad_cells_tol_or_params_exit_2(two_plane_bundle, tmp_path, caplog, argv, words):
+    """Reference cells below 1, a tolerance that is not finite and >= 0, and
+    a --params that selects nothing are input errors, not a traceback, a
+    check that fails (exit 1) or passes everything, or a fit of nothing.
+    Like a too-small --grid, they leave no output directory behind."""
+    sio.write_pfm(tmp_path / "target.pfm", np.zeros((16, 16, 3)))
+    extra = ["--target", str(tmp_path / "target.pfm")] if argv[0] == "optimize" else []
+    _assert_input_error([*argv, "--bundle", str(two_plane_bundle), "--out",
+                         str(tmp_path / "r"), "--spp", "2", *extra], caplog, *words)
+    assert not (tmp_path / "r").exists()
+
+
+@pytest.mark.parametrize("res", ["2x0", "0x0", "0x16", "-1x4"])
+def test_make_scene_size_below_one_exit_2(tmp_path, caplog, res):
+    out = tmp_path / "s"
+    _assert_input_error(["make-scene", "--kind", "two-plane", "--out", str(out),
+                         f"--res={res}"], caplog, "scene size", res)
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command,flag", [

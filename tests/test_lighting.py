@@ -7,9 +7,9 @@ from oracles import grid_light_corner_loop
 from ssdr import lighting, mlp, scenes
 from ssdr.core import ContractError, normalize, unproject
 from ssdr.inverse import AdamState
-from ssdr.lighting import (FeatureGrid, GridLight, SkyDiscLight, TracedLightConfig,
-                           analytic_lightfield, decoder_input_dim, decoder_inputs,
-                           positional_encoding, traced_radiance_batch)
+from ssdr.lighting import (FeatureGrid, GridLight, SkyDiscLight, analytic_lightfield,
+                           decoder_input_dim, decoder_inputs, positional_encoding,
+                           traced_radiance_batch)
 
 
 def test_posenc_zero():
@@ -220,8 +220,7 @@ def test_decoder_input_dimension_accounting():
     g, camera, grid, dims = _decoder_setup(channels=5)
     x, hits = decoder_inputs(grid, g, camera,
                              np.array([[0.0, 0.0, 2.0]]),
-                             normalize(np.array([[0.1, -0.4, 0.9]])),
-                             TracedLightConfig())
+                             normalize(np.array([[0.1, -0.4, 0.9]])))
     assert x.shape == (1, decoder_input_dim(5))
 
 
@@ -237,7 +236,7 @@ def test_decoder_overfits_constant_field():
     p = unproject(camera, np.stack([fx[idx], fy[idx]], -1).astype(float),
                   g.depth[fy[idx], fx[idx]])
     d = normalize(rng.normal(size=(2048, 3)) + [0, -1.2, 0.0])
-    x, _ = decoder_inputs(grid, g, camera, p, d, TracedLightConfig())
+    x, _ = decoder_inputs(grid, g, camera, p, d)
 
     adam = AdamState.like(weights.flat)
     for _ in range(1200):

@@ -160,11 +160,11 @@ def test_field_overfits_constant_box():
         y, cache = mlp.forward(w, enc)
         sigma = mlp.softplus(y[:, 0])
         raw = mlp.sigmoid(y[:, 1:4])
-        color = raw * cfg.radiance_scale
+        color = raw * vol.RADIANCE_SCALE
         dy = np.zeros_like(y)
         dy[:, 0] = 2.0 * (sigma - 1.0) * mlp.sigmoid(y[:, 0]) / sigma.size
         dcol = 2.0 * (color - target_c) / color.size
-        dy[:, 1:4] = dcol * cfg.radiance_scale * raw * (1.0 - raw)
+        dy[:, 1:4] = dcol * vol.RADIANCE_SCALE * raw * (1.0 - raw)
         _, dflat = mlp.backward(w, cache, dy)
         w = w.copy_with(w.flat - adam.step(dflat, 0.03))
 
