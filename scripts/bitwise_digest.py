@@ -32,6 +32,13 @@ losses): a material fit and a material + light fit at threads 1 and 2,
 each small enough that the render keeps its samples for the adjoint, and
 one fit whose render is too large for that, so the adjoint replays them.
 
+SSRT and the decoder's inputs have lines of their own too:
+`ssrt.trace_batch`'s status, pixel, delta_d, u and s, and the rows of
+`lighting.decoder_inputs`, for a fixed seeded ray set over each canned
+scene's depth map with a few no-geometry sentinel pixels, so a change to
+an image lookup shows layer by layer and not only through 12x12 learned
+renders.
+
 Every line is `<name> <sha256>` of the float64 array's bytes, so any
 changed bit shows as a changed line.
 """
@@ -41,7 +48,8 @@ from dataclasses import replace
 
 import numpy as np
 
-from ssdr import mlp, render, scenes, volumetric
+from ssdr import lighting, mlp, render, scenes, ssrt, volumetric
+from ssdr.core import normalize
 from ssdr.inverse import LossConfig, optimize
 from ssdr.lighting import (ConstantLight, FeatureGrid, GridLight, analytic_lightfield,
                            decoder_input_dim)
@@ -173,6 +181,31 @@ def mlp_lines():
     yield "mlp/backward.dflat", dflat
 
 
+def trace_lines():
+    """Per canned scene, with four pixels set to the sentinels 0, -1, inf
+    and nan: from each shadeable point, just off its surface, four seeded
+    random unit directions and the direction straight away from the
+    camera, whose ray projects to a single pixel.  They are traced under
+    the default SsrtConfig and under one of 8 steps of 2 pixels, so rays
+    also run out of steps."""
+    rng = np.random.default_rng(31)
+    for kind in ("two-plane", "cornell-like", "glossy-floor"):
+        g, camera, _, _ = scenes.make_scene(kind, RES, RES)
+        g.depth[[1, 5, 9, 14], [3, 0, 12, 7]] = [0.0, -1.0, np.inf, np.nan]
+        points, _, valid = render.pixel_geometry(g, camera)
+        p = points[valid] + 1e-3 * g.normal[valid]
+        dirs = [normalize(rng.normal(size=p.shape)) for _ in range(4)] + [normalize(p)]
+        p, d = np.concatenate([p] * len(dirs)), np.concatenate(dirs)
+        for tag, cfg in (("default", ssrt.SsrtConfig()),
+                         ("short", ssrt.SsrtConfig(max_steps=8, stride=2.0))):
+            hits = ssrt.trace_batch(g.depth, camera, p, d, cfg)
+            for field in ("status", "pixel", "delta_d", "u", "s"):
+                yield f"{kind}/trace_batch.{tag}.{field}", getattr(hits, field)
+        grid = lighting.FeatureGrid(rng.normal(size=(RES, RES, 4)))
+        x, _ = lighting.decoder_inputs(grid, g, camera, p, d)
+        yield f"{kind}/decoder_inputs", x
+
+
 def lines():
     yield from mlp_lines()
     rng = np.random.default_rng(2024)
@@ -216,6 +249,7 @@ def lines():
 
     yield from learned_lines(rng)
     yield from optimize_lines()
+    yield from trace_lines()
 
 
 def main():

@@ -19,10 +19,12 @@ from pathlib import Path
 import numpy as np
 
 from . import gradcheck, io as ssdr_io, scenes
-from .core import Camera, ContractError, GBuffer, luminance
+from .core import Camera, ContractError, GBuffer, luminance, validate_gbuffer
 from .inverse import PARAM_NAMES, LossConfig, loss_rerender, optimize
+from .lighting import analytic_lightfield
 from .render import (RenderConfig, RenderNanError, reference_render,
                      render_discretized, render_mc)
+from .volumetric import BlendedLightField
 
 log = logging.getLogger("ssdr")
 
@@ -69,7 +71,6 @@ def _parse_grid(text: str) -> tuple[int, int]:
 def load_validated_bundle(path) -> ssdr_io.Bundle:
     """Read a bundle and reject hard G-buffer violations (depth sentinels
     are informational: they mark pixels with no geometry)."""
-    from ssdr.core import validate_gbuffer
     bundle = ssdr_io.read_bundle(path)
     report, _ = validate_gbuffer(bundle.gbuffer)
     hard = {k: v for k, v in report.counts.items() if "sentinel" not in k}
@@ -78,40 +79,36 @@ def load_validated_bundle(path) -> ssdr_io.Bundle:
     return bundle
 
 
+_DEFAULT_LIGHT = {"kind": "constant", "value": [1.0, 1.0, 1.0]}
+# --lighting choice -> (the bundle light kinds it takes, None for any; the
+# spec it falls back to without one, None for none)
+_LIGHT_CHOICES = {None: (None, _DEFAULT_LIGHT),
+                  "constant": (("constant",), _DEFAULT_LIGHT),
+                  "grid": (("grid",), None),
+                  "sky": (("sky", "sky_disc"), {"kind": "sky", "zenith": [1.2, 1.2, 1.4],
+                                                "horizon": [0.4, 0.38, 0.35]})}
+
+
 def resolve_light(bundle: ssdr_io.Bundle, choice: str | None, seed: int = 0):
     """Pick the lighting oracle: the bundle's own spec, an analytic default,
     or the learned path (feature grid + decoder + volume weights)."""
-    from .lighting import analytic_lightfield
-    from .volumetric import BlendedLightField as _BLF
-
-    spec = bundle.lighting_spec or {}
-    spec_kind = spec.get("kind")
     if choice == "learned":
         if bundle.feature_grid is None or bundle.decoder_weights is None \
                 or bundle.volume_weights is None:
             raise UsageError("learned lighting needs feature_grid, "
                              "decoder_weights and volume_weights in the bundle")
-        return _BLF(bundle.feature_grid, bundle.gbuffer, bundle.camera,
-                    bundle.decoder_weights, volume_weights=bundle.volume_weights,
-                    seed=seed)
-    if choice is None:
-        if spec:
-            return bundle.light_field()
-        return analytic_lightfield("constant", value=[1.0, 1.0, 1.0])
-    if choice == "grid":
-        if spec_kind == "grid":
-            return bundle.light_field()
-        raise UsageError("bundle carries no grid light field")
-    if choice == "constant":
-        if spec_kind == "constant":
-            return bundle.light_field()
-        return analytic_lightfield("constant", value=[1.0, 1.0, 1.0])
-    if choice == "sky":
-        if spec_kind in ("sky", "sky_disc"):
-            return bundle.light_field()
-        return analytic_lightfield("sky", zenith=[1.2, 1.2, 1.4],
-                                   horizon=[0.4, 0.38, 0.35])
-    raise UsageError(f"unknown lighting choice {choice!r}")
+        return BlendedLightField(bundle.feature_grid, bundle.gbuffer, bundle.camera,
+                                 bundle.decoder_weights,
+                                 volume_weights=bundle.volume_weights, seed=seed)
+    if choice not in _LIGHT_CHOICES:
+        raise UsageError(f"unknown lighting choice {choice!r}")
+    kinds, fallback = _LIGHT_CHOICES[choice]
+    spec = bundle.lighting_spec or {}
+    if spec and (kinds is None or spec.get("kind") in kinds):
+        return bundle.light_field()
+    if fallback is None:
+        raise UsageError(f"bundle carries no {choice} light field")
+    return analytic_lightfield(**fallback)
 
 
 def cmd_render(args) -> int:

@@ -110,8 +110,16 @@ class Camera:
 
     @classmethod
     def from_dict(cls, d: dict) -> "Camera":
+        """fx, fy, cx, cy must be finite numbers and width, height integers,
+        none a boolean: a missing key is a KeyError, a bad value a ContractError."""
+        for key in ("fx", "fy", "cx", "cy"):
+            if type(d[key]) not in (int, float) or not np.isfinite(d[key]):
+                raise ContractError(f"{key!r} must be a finite number, got {d[key]!r}")
+        for key in ("width", "height"):
+            if type(d[key]) is not int:
+                raise ContractError(f"{key!r} must be an integer, got {d[key]!r}")
         return cls(fx=float(d["fx"]), fy=float(d["fy"]), cx=float(d["cx"]),
-                   cy=float(d["cy"]), width=int(d["width"]), height=int(d["height"]))
+                   cy=float(d["cy"]), width=d["width"], height=d["height"])
 
 
 def project(camera: Camera, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -260,12 +268,42 @@ def validate_gbuffer(g: GBuffer, repair: bool = False) -> tuple[ValidationReport
             fixed = np.clip(np.nan_to_num(arr, nan=0.0, posinf=1.0, neginf=0.0), 0.0, 1.0)
             setattr(out, name, fixed)
 
-    sentinel = ~np.isfinite(g.depth) | (g.depth <= 0)
+    sentinel = ~has_geometry(g.depth)
     ys, xs = np.nonzero(sentinel)
     report.add("depth sentinel (no geometry)", xs, ys,
                np.where(np.isfinite(g.depth[sentinel]), g.depth[sentinel], 0.0))
 
     return report, out
+
+
+def has_geometry(depth: np.ndarray) -> np.ndarray:
+    """Finite depths > 0; any other depth marks "no geometry"."""
+    return np.isfinite(depth) & (depth > 0)
+
+
+def nearest_pixel(px: np.ndarray, shape) -> tuple[np.ndarray, np.ndarray]:
+    """(row, column) indices of the pixel nearest each continuous (x, y) of
+    px (N, 2), clamped into an image of `shape` (H, W, ...)."""
+    ix = np.clip(np.rint(px[:, 0]).astype(np.int64), 0, shape[1] - 1)
+    iy = np.clip(np.rint(px[:, 1]).astype(np.int64), 0, shape[0] - 1)
+    return iy, ix
+
+
+def bilinear(image: np.ndarray, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Bilinear lookup of an (H, W) or (H, W, C) image at continuous pixel
+    coords x, y (N,), clamped at the borders.  Nodes sit at integer
+    coordinates, so an integer position returns the stored value."""
+    h, w = image.shape[:2]
+    x, y = np.clip(x, 0.0, w - 1.0), np.clip(y, 0.0, h - 1.0)
+    x0 = np.clip(np.floor(x).astype(np.int64), 0, w - 1)
+    y0 = np.clip(np.floor(y).astype(np.int64), 0, h - 1)
+    x1, y1 = np.minimum(x0 + 1, w - 1), np.minimum(y0 + 1, h - 1)
+    fx, fy = x - x0, y - y0
+    if image.ndim == 3:     # one weight per lane for all its channels
+        fx, fy = fx[:, None], fy[:, None]
+    top = image[y0, x0] * (1 - fx) + image[y0, x1] * fx
+    bot = image[y1, x0] * (1 - fx) + image[y1, x1] * fx
+    return top * (1 - fy) + bot * fy
 
 
 def normalize(v: np.ndarray) -> np.ndarray:

@@ -83,9 +83,8 @@ class LossConfig:
         if not 0.0 <= self.step_size < np.inf:   # a negative step ascends the loss
             raise ContractError("step_size must be finite and >= 0, "
                                 f"got {self.step_size}")
-        if not np.isfinite(self.specular_scale):
-            raise ContractError("specular_scale must be finite, "
-                                f"got {self.specular_scale}")
+        # spp, seed and specular_scale obey the render's rules
+        RenderConfig(spp=self.spp, seed=self.seed, specular_scale=self.specular_scale)
         for p in self.params:
             if p not in PARAM_NAMES:
                 raise ContractError(f"unknown parameter class {p!r}; "

@@ -172,6 +172,22 @@ def write_png_preview(path, image, exposure: float = 1.0) -> None:
 # blobs: one JSON header line + little-endian f32 payload
 
 
+def _json_object(raw: bytes, where, error) -> dict:
+    """`raw` decoded as a UTF-8 JSON object; anything else is an `error`
+    naming `where`."""
+    try:
+        obj = json.loads(raw.decode())
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise error(f"{where}: {e}") from None
+    if not isinstance(obj, dict):
+        raise error(f"{where}: expected a JSON object")
+    return obj
+
+
+def _read_json_object(path, error) -> dict:
+    return _json_object(Path(path).read_bytes(), path, error)
+
+
 def write_blob(path, header: dict, data: np.ndarray) -> None:
     payload = np.ascontiguousarray(data, dtype="<f4")
     head = dict(header)
@@ -184,13 +200,7 @@ def write_blob(path, header: dict, data: np.ndarray) -> None:
 def read_blob(path) -> tuple[dict, np.ndarray]:
     path = Path(path)
     with open(path, "rb") as f:
-        line = f.readline()
-        try:
-            header = json.loads(line.decode())
-        except (UnicodeDecodeError, json.JSONDecodeError) as e:
-            raise ParseError(f"{path}: bad blob header: {e}") from None
-        if not isinstance(header, dict):
-            raise ParseError(f"{path}: blob header must be a JSON object")
+        header = _json_object(f.readline(), f"{path}: blob header", ParseError)
         count = header.get("count")
         if type(count) is not int:
             raise ParseError(f"{path}: blob header 'count' must be an integer, "
@@ -211,17 +221,25 @@ def _positive_int(n) -> bool:
     return type(n) is int and n > 0
 
 
+def _read_dims_blob(path, kind: str, what: str, how_many: str, count_ok):
+    """(header, payload, dims) of a `kind` blob whose `dims` lists `how_many`
+    positive integers (a count that passes `count_ok`); else a ParseError."""
+    header, data = read_blob(path)
+    if header.get("kind") != kind:
+        raise ParseError(f"{path}: not {what} blob")
+    dims = header.get("dims")
+    if not (isinstance(dims, list) and count_ok(len(dims)) and all(map(_positive_int, dims))):
+        raise ParseError(f"{path}: 'dims' must list {how_many} positive integers, "
+                         f"got {dims!r}")
+    return header, data, dims
+
+
 def read_mlp_weights(path) -> MlpWeights:
     """Load an MLP weight blob.  Its header needs `dims`, a list of at least
     two positive integers whose parameter count is the payload's value
     count; anything else is a ParseError naming the file."""
-    header, data = read_blob(path)
-    if header.get("kind") != "mlp_weights":
-        raise ParseError(f"{path}: not an MLP weight blob")
-    dims = header.get("dims")
-    if not (isinstance(dims, list) and len(dims) >= 2 and all(map(_positive_int, dims))):
-        raise ParseError(f"{path}: 'dims' must list at least two positive integers, "
-                         f"got {dims!r}")
+    _, data, dims = _read_dims_blob(path, "mlp_weights", "an MLP weight", "at least two",
+                                    lambda n: n >= 2)
     try:
         return MlpWeights(tuple(dims), data.astype(np.float64))
     except ContractError as e:
@@ -238,12 +256,8 @@ def read_grid_light(path) -> GridLight:
     integers whose product times 3 is the payload's value count, and
     `bounds`, a finite (2, 3) array with lo <= hi on every axis; anything
     else is a ParseError naming the file."""
-    header, data = read_blob(path)
-    if header.get("kind") != "grid_light":
-        raise ParseError(f"{path}: not a grid light blob")
-    dims = header.get("dims")
-    if not (isinstance(dims, list) and len(dims) == 5 and all(map(_positive_int, dims))):
-        raise ParseError(f"{path}: 'dims' must list five positive integers, got {dims!r}")
+    header, data, dims = _read_dims_blob(path, "grid_light", "a grid light", "five",
+                                         lambda n: n == 5)
     count = 3 * math.prod(dims)
     if count != data.size:
         raise ParseError(f"{path}: 'dims' {dims} need {count} values, "
@@ -283,11 +297,8 @@ def read_feature_grid(manifest_path) -> FeatureGrid:
     the ceil(channels / 3) slice file names; anything else is a ParseError
     naming the file and the key."""
     manifest_path = Path(manifest_path)
-    try:
-        m = json.loads(manifest_path.read_text())
-    except json.JSONDecodeError as e:
-        raise ParseError(f"{manifest_path}: {e}") from None
-    if not isinstance(m, dict) or m.get("kind") != "feature_grid":
+    m = _read_json_object(manifest_path, ParseError)
+    if m.get("kind") != "feature_grid":
         raise ParseError(f"{manifest_path}: not a feature grid manifest")
     for key in ("width", "height", "channels"):
         if not _positive_int(m.get(key)):
@@ -343,18 +354,16 @@ class Bundle:
         return analytic_lightfield(**spec)
 
 
-def _read_json_object(path) -> dict:
-    try:
-        obj = json.loads(Path(path).read_text())
-    except (UnicodeDecodeError, json.JSONDecodeError) as e:
-        raise BundleError(f"{path}: {e}") from None
-    if not isinstance(obj, dict):
-        raise BundleError(f"{path}: expected a JSON object")
-    return obj
-
-
-_OPTIONAL_FILES = ("target", "reference", "feature_grid", "decoder_weights",
-                   "volume_weights")
+def _optional_files() -> dict:
+    """Manifest key -> (the file name write_bundle gives it, its reader, its
+    writer), in the order write_bundle lists them in bundle.json.  Built on
+    each call, so it holds the module's functions as bound at that time
+    (perfbench's probes rebind `read_pfm`)."""
+    return {"reference": ("reference.pfm", read_pfm, write_pfm),
+            "target": ("target.pfm", read_pfm, write_pfm),
+            "feature_grid": ("features.json", read_feature_grid, write_feature_grid),
+            "decoder_weights": ("decoder.weights", read_mlp_weights, write_mlp_weights),
+            "volume_weights": ("volume.weights", read_mlp_weights, write_mlp_weights)}
 
 
 def _path_value(value, where: str, default=None):
@@ -376,13 +385,13 @@ def read_bundle(directory) -> Bundle:
     manifest = {}
     mpath = directory / "bundle.json"
     if mpath.exists():
-        manifest = _read_json_object(mpath)
+        manifest = _read_json_object(mpath, BundleError)
 
     overrides = manifest.get("maps", {})
     if not isinstance(overrides, dict):
         raise BundleError(f"{mpath}: 'maps' must be a JSON object, got {overrides!r}")
-    files = {key: _path_value(manifest.get(key), f"{mpath}: {key!r}")
-             for key in _OPTIONAL_FILES}
+    optional = _optional_files()
+    files = {key: _path_value(manifest.get(key), f"{mpath}: {key!r}") for key in optional}
 
     maps = {}
     for name in _MAP_NAMES:
@@ -396,7 +405,7 @@ def read_bundle(directory) -> Bundle:
                                        "camera.json")
     if not cam_file.exists():
         raise BundleError("missing camera.json")
-    cam = _read_json_object(cam_file)
+    cam = _read_json_object(cam_file, BundleError)
     try:
         camera = Camera.from_dict(cam)
     except KeyError as e:
@@ -412,17 +421,14 @@ def read_bundle(directory) -> Bundle:
     if (camera.width, camera.height) != base:
         raise BundleError("camera dimensions disagree with the maps")
 
-    g = GBuffer(albedo=maps["albedo"].data,
-                normal=maps["normal"].data,
-                depth=maps["depth"].plane(),
-                roughness=maps["roughness"].plane(),
-                metallic=maps["metallic"].plane())
+    g = GBuffer(**{name: img.data if name in ("albedo", "normal") else img.plane()
+                   for name, img in maps.items()})
 
     lighting_spec = manifest.get("lighting")
     spec_file = mpath
     if lighting_spec is None and (directory / "lighting.json").exists():
         spec_file = directory / "lighting.json"
-        lighting_spec = _read_json_object(spec_file)
+        lighting_spec = _read_json_object(spec_file, BundleError)
     if lighting_spec is not None and not (isinstance(lighting_spec, dict)
                                           and "kind" in lighting_spec):
         raise BundleError(f"{directory}: the lighting spec needs a 'kind' key")
@@ -430,24 +436,16 @@ def read_bundle(directory) -> Bundle:
         if _path_value(lighting_spec.get("path"), f"{spec_file}: 'lighting.path'") is None:
             raise BundleError(f"{spec_file}: a 'grid' lighting spec needs 'path', "
                               f"the name of its grid light file")
-    try:
-        specular_scale = float(manifest.get("specular_scale", 1.0))
-    except (TypeError, ValueError):
+    # its range is RenderConfig's to check; a boolean is not a number here
+    specular_scale = manifest.get("specular_scale", 1.0)
+    if type(specular_scale) not in (int, float):
         raise BundleError(f"{mpath}: 'specular_scale' must be a number, "
-                          f"got {manifest['specular_scale']!r}") from None
-
-    def _opt(read, key):
-        return read(directory / files[key]) if files[key] else None
-
-    fg = _opt(read_feature_grid, "feature_grid")
-    dec = _opt(read_mlp_weights, "decoder_weights")
-    vol = _opt(read_mlp_weights, "volume_weights")
+                          f"got {specular_scale!r}")
 
     return Bundle(path=directory, gbuffer=g, camera=camera,
-                  specular_scale=specular_scale,
-                  lighting_spec=lighting_spec, feature_grid=fg,
-                  decoder_weights=dec, volume_weights=vol,
-                  target=_opt(read_pfm, "target"), reference=_opt(read_pfm, "reference"))
+                  specular_scale=float(specular_scale), lighting_spec=lighting_spec,
+                  **{key: optional[key][1](directory / rel)
+                     for key, rel in files.items() if rel})
 
 
 def write_bundle(directory, gbuffer: GBuffer, camera: Camera,
@@ -457,32 +455,18 @@ def write_bundle(directory, gbuffer: GBuffer, camera: Camera,
     objects that are serialized next to the maps."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    write_pfm(directory / "albedo.pfm", gbuffer.albedo)
-    write_pfm(directory / "normal.pfm", gbuffer.normal)
-    write_pfm(directory / "depth.pfm", gbuffer.depth[:, :, None])
-    write_pfm(directory / "roughness.pfm", gbuffer.roughness[:, :, None])
-    write_pfm(directory / "metallic.pfm", gbuffer.metallic[:, :, None])
+    for name in _MAP_NAMES:
+        write_pfm(directory / f"{name}.pfm", getattr(gbuffer, name))
     (directory / "camera.json").write_text(json.dumps(camera.to_dict(), indent=2))
 
     manifest: dict = {"specular_scale": specular_scale}
     if lighting_spec is not None:
         manifest["lighting"] = lighting_spec
     extras = extras or {}
-    if "reference" in extras:
-        write_pfm(directory / "reference.pfm", extras["reference"])
-        manifest["reference"] = "reference.pfm"
-    if "target" in extras:
-        write_pfm(directory / "target.pfm", extras["target"])
-        manifest["target"] = "target.pfm"
-    if "feature_grid" in extras:
-        write_feature_grid(directory / "features.json", extras["feature_grid"])
-        manifest["feature_grid"] = "features.json"
-    if "decoder_weights" in extras:
-        write_mlp_weights(directory / "decoder.weights", extras["decoder_weights"])
-        manifest["decoder_weights"] = "decoder.weights"
-    if "volume_weights" in extras:
-        write_mlp_weights(directory / "volume.weights", extras["volume_weights"])
-        manifest["volume_weights"] = "volume.weights"
+    for key, (name, _, write) in _optional_files().items():
+        if key in extras:
+            write(directory / name, extras[key])
+            manifest[key] = name
     if "grid_light" in extras:
         write_grid_light(directory / "light.grid", extras["grid_light"])
         manifest["lighting"] = {"kind": "grid", "path": "light.grid"}

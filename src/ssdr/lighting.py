@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import mlp, ssrt
-from .core import Camera, ContractError, GBuffer, as_rgb, normalize
+from . import brdf, mlp, ssrt
+from .core import (Camera, ContractError, GBuffer, as_rgb, bilinear, nearest_pixel,
+                   normalize)
 from .mlp import MlpWeights
 
 
@@ -57,18 +58,7 @@ class FeatureGrid:
     def sample(self, px: np.ndarray) -> np.ndarray:
         """Bilinear sample at continuous pixel coords (N, 2), clamped."""
         px = np.atleast_2d(np.asarray(px, dtype=np.float64))
-        h, w, _ = self.data.shape
-        x = np.clip(px[:, 0], 0.0, w - 1.0)
-        y = np.clip(px[:, 1], 0.0, h - 1.0)
-        x0 = np.clip(np.floor(x).astype(np.int64), 0, w - 1)
-        y0 = np.clip(np.floor(y).astype(np.int64), 0, h - 1)
-        x1 = np.minimum(x0 + 1, w - 1)
-        y1 = np.minimum(y0 + 1, h - 1)
-        fx = (x - x0)[:, None]
-        fy = (y - y0)[:, None]
-        top = self.data[y0, x0] * (1 - fx) + self.data[y0, x1] * fx
-        bot = self.data[y1, x0] * (1 - fx) + self.data[y1, x1] * fx
-        return top * (1 - fy) + bot * fy
+        return bilinear(self.data, px[:, 0], px[:, 1])
 
 
 # ---------------------------------------------------------------------------
@@ -379,15 +369,10 @@ def default_decoder_dims(feature_channels: int):
 
 def gbuffer_light_inputs(g: GBuffer, px: np.ndarray) -> np.ndarray:
     """(K_d, K_s, N, R) sampled at the nearest pixel of continuous coords."""
-    px = np.atleast_2d(np.asarray(px, dtype=np.float64))
-    h, w = g.depth.shape
-    ix = np.clip(np.rint(px[:, 0]).astype(np.int64), 0, w - 1)
-    iy = np.clip(np.rint(px[:, 1]).astype(np.int64), 0, h - 1)
-    a = g.albedo[iy, ix]
-    m = g.metallic[iy, ix][:, None]
-    kd = a * (1.0 - m)
-    ks = 0.04 * (1.0 - m) + a * m
-    return np.concatenate([kd, ks, g.normal[iy, ix], g.roughness[iy, ix][:, None]], axis=1)
+    at = nearest_pixel(np.atleast_2d(np.asarray(px, dtype=np.float64)), g.depth.shape)
+    a, m = g.albedo[at], g.metallic[at]
+    return np.concatenate([a * (1.0 - m[:, None]), brdf.f0_of(a, m), g.normal[at],
+                           g.roughness[at][:, None]], axis=1)
 
 
 def decoder_inputs(grid: FeatureGrid, g: GBuffer, camera: Camera,

@@ -20,10 +20,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import brdf
-from .core import (Camera, ContractError, GBuffer, dot, normalize,
+from .core import (Camera, ContractError, GBuffer, dot, has_geometry, normalize,
                    orthonormal_basis, unproject)
 from .lighting import LightField
-from .sampling import uniform_block
+from .sampling import check_seed, uniform_block
 
 _CHUNK_LANES = 1 << 20
 _PDF_FLOOR = 1e-6   # q = max(pdf, floor); pdf gradients only above it
@@ -46,6 +46,10 @@ class RenderConfig:
     def __post_init__(self):
         if self.spp < 1:
             raise ContractError("spp must be >= 1")
+        check_seed(self.seed)
+        if not 0.0 <= self.specular_scale < np.inf:
+            raise ContractError("specular_scale must be finite and >= 0, "
+                                f"got {self.specular_scale}")
 
 
 @dataclass
@@ -65,7 +69,7 @@ def pixel_geometry(g: GBuffer, camera: Camera):
     h, w = g.depth.shape
     ys, xs = np.mgrid[0:h, 0:w]
     px = np.stack([xs, ys], axis=-1).astype(np.float64)
-    valid = np.isfinite(g.depth) & (g.depth > 0)
+    valid = has_geometry(g.depth)
     depth_safe = np.where(valid, g.depth, 1.0)
     points = unproject(camera, px, depth_safe)
     view = normalize(-points)

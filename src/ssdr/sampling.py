@@ -11,6 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .core import ContractError
+
 _U64 = np.uint64
 _MIX_A = _U64(0xBF58476D1CE4E5B9)
 _MIX_B = _U64(0x94D049BB133111EB)
@@ -19,6 +21,12 @@ _PIXEL_SALT = _U64(0x632BE59BD9B4E019)
 _SAMPLE_SALT = _U64(0xFF51AFD7ED558CCD)
 _DIM_SALT = _U64(0xC4CEB9FE1A85EC53)
 _INV_2_53 = float(2.0**-53)
+
+
+def check_seed(seed) -> None:
+    """A seed must be an integer in [0, 2^64), the streams' key space."""
+    if not (isinstance(seed, (int, np.integer)) and 0 <= seed < 2**64):
+        raise ContractError(f"seed must be an integer in [0, 2^64), got {seed!r}")
 
 
 def _mix(x: np.ndarray) -> np.ndarray:

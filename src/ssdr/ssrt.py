@@ -19,7 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Camera, ContractError, project, unproject
+from .core import (Camera, ContractError, bilinear, has_geometry, nearest_pixel,
+                   project, unproject)
 
 _Z_EPS = 1e-4
 
@@ -79,24 +80,13 @@ def uncertainty(delta_d) -> np.ndarray:
 def disparity_map(depth: np.ndarray) -> np.ndarray:
     """1/depth with sentinel pixels (no geometry) mapped to disparity 0."""
     depth = np.asarray(depth, dtype=np.float64)
-    geom = np.isfinite(depth) & (depth > 0)
+    geom = has_geometry(depth)
     return np.where(geom, 1.0 / np.where(geom, depth, 1.0), 0.0)
 
 
-def _disp_at(disp: np.ndarray, px: np.ndarray, py: np.ndarray) -> np.ndarray:
-    """Bilinear disparity lookup, clamped at the borders."""
-    h, w = disp.shape
-    x = np.clip(px, 0.0, w - 1.0)
-    y = np.clip(py, 0.0, h - 1.0)
-    x0 = np.clip(np.floor(x).astype(np.int64), 0, w - 1)
-    y0 = np.clip(np.floor(y).astype(np.int64), 0, h - 1)
-    x1 = np.minimum(x0 + 1, w - 1)
-    y1 = np.minimum(y0 + 1, h - 1)
-    fx = x - x0
-    fy = y - y0
-    top = disp[y0, x0] * (1 - fx) + disp[y0, x1] * fx
-    bot = disp[y1, x0] * (1 - fx) + disp[y1, x1] * fx
-    return top * (1 - fy) + bot * fy
+def _depth_of(disp: np.ndarray) -> np.ndarray:
+    """1/disparity, with disparity 0 (no geometry) at infinite depth."""
+    return np.where(disp > 0, 1.0 / np.where(disp > 0, disp, 1.0), np.inf)
 
 
 def trace_batch(depth: np.ndarray, camera: Camera, p: np.ndarray, dirs: np.ndarray,
@@ -118,7 +108,7 @@ def trace_batch(depth: np.ndarray, camera: Camera, p: np.ndarray, dirs: np.ndarr
     if np.any(z0 <= 0):
         raise ContractError("ray origin must be in front of the camera")
 
-    finite_depth = depth[np.isfinite(depth) & (depth > 0)]
+    finite_depth = depth[has_geometry(depth)]
     z_far = 2.0 * (finite_depth.max() if finite_depth.size else 10.0) + 10.0 * cfg.thickness
 
     # clip the 3D segment so both endpoints project (z in [eps, ~z_far])
@@ -147,9 +137,7 @@ def trace_batch(depth: np.ndarray, camera: Camera, p: np.ndarray, dirs: np.ndarr
     degen = seglen < 1e-9
     degen_surf = np.full(n, np.inf)
     if np.any(degen):
-        sd = _disp_at(disp, a2d[:, 0], a2d[:, 1])
-        with np.errstate(divide="ignore"):
-            surf_z = np.where(sd > 0, 1.0 / np.where(sd > 0, sd, 1.0), np.inf)
+        surf_z = _depth_of(bilinear(disp, a2d[:, 0], a2d[:, 1]))
         zmin = np.minimum(z0, p_end[:, 2])
         zmax = np.maximum(z0, p_end[:, 2])
         hit_d = degen & np.isfinite(surf_z) & (surf_z >= zmin) & (surf_z <= zmax)
@@ -187,7 +175,7 @@ def trace_batch(depth: np.ndarray, camera: Camera, p: np.ndarray, dirs: np.ndarr
     def crossed(s):
         px = a2d + s[:, None] * delta
         inv_ray = iz0 + s * (iz1 - iz0)
-        inv_surf = _disp_at(disp, px[:, 0], px[:, 1])
+        inv_surf = bilinear(disp, px[:, 0], px[:, 1])
         return (inv_surf > 0) & (inv_ray <= inv_surf)
 
     for step in range(cfg.max_steps):
@@ -225,21 +213,15 @@ def trace_batch(depth: np.ndarray, camera: Camera, p: np.ndarray, dirs: np.ndarr
     px_final[:, 1] = np.clip(px_final[:, 1], 0.0, camera.height - 1.0)
     inv_ray = iz0 + s_final * (iz1 - iz0)
     ray_z = 1.0 / np.maximum(inv_ray, 1e-12)
-    inv_surf = _disp_at(disp, px_final[:, 0], px_final[:, 1])
-    with np.errstate(divide="ignore"):
-        surf_z = np.where(inv_surf > 0, 1.0 / np.where(inv_surf > 0, inv_surf, 1.0),
-                          np.inf)
-    surf_z = np.where(degen & found, degen_surf, surf_z)
+    surf_z = np.where(degen & found, degen_surf,
+                      _depth_of(bilinear(disp, px_final[:, 0], px_final[:, 1])))
     ray_z = np.where(degen & found, degen_surf, ray_z)
 
     # the depth gap compares against the depth stored AT the hit pixel, so
     # a crossing inside the interpolation smear of a depth discontinuity
     # (disocclusion) still reads as a large, untrustworthy gap
-    ix = np.clip(np.rint(px_final[:, 0]).astype(np.int64), 0, camera.width - 1)
-    iy = np.clip(np.rint(px_final[:, 1]).astype(np.int64), 0, camera.height - 1)
-    z_pix = depth[iy, ix]
-    pix_geom = np.isfinite(z_pix) & (z_pix > 0)
-    delta_d = np.where(found & pix_geom, np.abs(ray_z - z_pix), np.inf)
+    z_pix = depth[nearest_pixel(px_final, depth.shape)]
+    delta_d = np.where(found & has_geometry(z_pix), np.abs(ray_z - z_pix), np.inf)
 
     hit_ok = found & np.isfinite(surf_z)
     src_depth = np.where(hit_ok, surf_z, np.maximum(ray_z, _Z_EPS))

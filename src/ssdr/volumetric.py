@@ -273,6 +273,7 @@ class BlendedLightField(LightField):
         self.volume = (volume_weights if volume_weights is not None
                        else hypernet_forward(self.global_feature, hypernet))
         self.volume_cfg = volume_cfg
+        sampling.check_seed(seed)
         self.seed = seed
         decoder_weights.require("decoder", decoder_input_dim(feature_grid.channels), 3)
         self.volume.require("field", field_input_dim(volume_cfg.position_bands), 4)

@@ -293,16 +293,33 @@ def _assert_input_error(argv, caplog, *words):
         "kind": "sky_disc", "zenith": [1, 1, 1], "horizon": [1, 1, 1],
         "disc_direction": [0, -1, 0], "disc_radius": "x", "disc_color": [5, 5, 5]}),
      ("'disc_radius'",)),
+    ("bundle.json", _edit_json(specular_scale=True), ("bundle.json", "'specular_scale'")),
+    ("bundle.json", _edit_json(specular_scale=float("inf")), ("specular_scale", "inf")),
+    ("bundle.json", _edit_json(specular_scale=float("nan")), ("specular_scale", "nan")),
+    ("bundle.json", _edit_json(specular_scale=-3), ("specular_scale", "-3")),
+    ("camera.json", _edit_json(fx=float("nan")), ("camera.json", "'fx'")),
+    ("camera.json", _edit_json(fx=True), ("camera.json", "'fx'")),
+    ("camera.json", _edit_json(cy="7.5"), ("camera.json", "'cy'")),
+    ("camera.json", _edit_json(width=16.5), ("camera.json", "'width'")),
+    ("camera.json", _edit_json(height=True), ("camera.json", "'height'")),
 ], ids=["malformed-camera", "camera-without-cy", "sky-without-zenith",
         "specular-scale-not-a-number", "maps-not-an-object", "map-path-not-a-string",
         "camera-not-a-string", "target-not-a-string", "weights-not-a-string",
         "grid-path-not-a-string", "grid-path-null", "camera-is-a-directory",
         "map-is-a-directory", "constant-value-not-a-number", "constant-value-two-numbers",
-        "sky-horizon-two-numbers", "sky-up-zero-length", "sky-disc-radius-not-a-number"])
+        "sky-horizon-two-numbers", "sky-up-zero-length", "sky-disc-radius-not-a-number",
+        "specular-scale-bool", "specular-scale-inf", "specular-scale-nan",
+        "specular-scale-negative", "camera-fx-nan", "camera-fx-bool", "camera-cy-string",
+        "camera-width-not-an-int", "camera-height-bool"])
 def test_render_bad_bundle_exit_2(two_plane_bundle, tmp_path, caplog, name, edit, words):
+    """Each bad bundle is the same one-line input error in every command
+    that renders it."""
     broken = _broken_copy(two_plane_bundle, tmp_path / "broken", name, edit)
-    _assert_input_error(["render", "--bundle", str(broken), "--out",
-                         str(tmp_path / "r"), "--spp", "2"], caplog, *words)
+    sio.write_pfm(tmp_path / "target.pfm", np.zeros((16, 16, 3)))
+    for command in (["render"], ["gradcheck"],
+                    ["optimize", "--target", str(tmp_path / "target.pfm")]):
+        _assert_input_error([*command, "--bundle", str(broken), "--out",
+                             str(tmp_path / "r"), "--spp", "2"], caplog, *words)
 
 
 @pytest.fixture(scope="module")
@@ -365,22 +382,25 @@ def learned_bundle(tmp_path_factory):
     ("features.json", _edit_json(width="x"), ("features.json", "'width'")),
     ("features.json", _edit_json(slices=3), ("features.json", "'slices'")),
     ("features.json", lambda text: "[1]", ("features.json",)),
+    ("features.json", lambda text: "\udcff" + text, ("features.json", "utf-8")),
     ("decoder.weights", _edit_json(dims=None), ("decoder.weights", "'dims'")),
     ("decoder.weights", _edit_json(dims="abc"), ("decoder.weights", "'dims'")),
     ("decoder.weights", _edit_json(dims=[5]), ("decoder.weights", "'dims'")),
     ("decoder.weights", _edit_json(dims=[True, 3]), ("decoder.weights", "'dims'")),
     ("decoder.weights", _edit_json(dims=[4, 4]), ("decoder.weights", "flat size")),
 ], ids=["no-width", "width-not-an-int", "slices-not-a-list", "manifest-not-object",
-        "no-dims", "dims-a-string", "one-dim", "dims-bool", "dims-disagree-with-payload"])
+        "manifest-not-utf-8", "no-dims", "dims-a-string", "one-dim", "dims-bool",
+        "dims-disagree-with-payload"])
 def test_render_bad_learned_assets_exit_2(learned_bundle, tmp_path, caplog, name, edit,
                                           words):
     """A malformed feature grid manifest, or a weight blob header (its first
-    line) without valid `dims`, is an input error naming the file."""
+    line) without valid `dims`, is an input error naming the file.  An edit
+    may return bytes that are not UTF-8 as lone surrogates."""
     import shutil
     path = shutil.copytree(learned_bundle, tmp_path / "broken") / name
     head, sep, rest = path.read_bytes().partition(b"\n") if name.endswith(".weights") \
         else (path.read_bytes(), b"", b"")
-    path.write_bytes(edit(head.decode()).encode() + sep + rest)
+    path.write_bytes(edit(head.decode()).encode(errors="surrogateescape") + sep + rest)
     _assert_input_error(["render", "--bundle", str(path.parent), "--out",
                          str(tmp_path / "r"), "--spp", "2", "--lighting", "learned"],
                         caplog, *words)
@@ -427,13 +447,19 @@ def test_bad_step_or_exposure_exit_2(two_plane_bundle, tmp_path, caplog, command
     (["gradcheck", "--tol", "inf"], ("--tol", "inf")),
     (["gradcheck", "--params", ""], ("--params",)),
     (["optimize", "--params", ","], ("--params", "','")),
+    (["render", "--seed", "-5"], ("seed", "-5")),
+    (["gradcheck", "--seed", "-1"], ("seed", "-1")),
+    (["optimize", "--seed", "-1"], ("seed", "-1")),
+    (["render", "--seed", str(2**64)], ("seed", str(2**64))),
 ], ids=["ref-cells-0", "ref-cells-neg", "grid-0", "tol-nan", "tol-neg", "tol-inf",
-        "gradcheck-params-empty", "optimize-params-empty"])
+        "gradcheck-params-empty", "optimize-params-empty", "render-seed-neg",
+        "gradcheck-seed-neg", "optimize-seed-neg", "render-seed-2^64"])
 def test_bad_cells_tol_or_params_exit_2(two_plane_bundle, tmp_path, caplog, argv, words):
-    """Reference cells below 1, a tolerance that is not finite and >= 0, and
-    a --params that selects nothing are input errors, not a traceback, a
-    check that fails (exit 1) or passes everything, or a fit of nothing.
-    Like a too-small --grid, they leave no output directory behind."""
+    """Reference cells below 1, a tolerance that is not finite and >= 0, a
+    --params that selects nothing and a --seed outside [0, 2^64) are input
+    errors, not a traceback, a check that fails (exit 1) or passes
+    everything, or a fit of nothing.  Like a too-small --grid, they leave
+    no output directory behind."""
     sio.write_pfm(tmp_path / "target.pfm", np.zeros((16, 16, 3)))
     extra = ["--target", str(tmp_path / "target.pfm")] if argv[0] == "optimize" else []
     _assert_input_error([*argv, "--bundle", str(two_plane_bundle), "--out",

@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ssdr.core import (BehindCameraError, Camera, ContractError, GBuffer,
-                       ImageBuffer, Spectrum, dot, normalize, project, unproject,
-                       validate_gbuffer)
+                       ImageBuffer, Spectrum, bilinear, dot, normalize, project,
+                       unproject, validate_gbuffer)
 from ssdr.sampling import SamplerState, derive_seed, uniform, uniform_block
 
 
@@ -189,3 +189,18 @@ def test_normalize_matches_linalg_norm_bytes():
     assert normalize(v).tobytes() == want.tobytes()
     assert normalize(v[3, 0]).tobytes() == want[3, 0].tobytes()
     assert np.all(normalize(np.zeros((2, 3))) == 0.0)
+
+
+def test_bilinear_channels_and_nodes():
+    """A 3-channel lookup is three 1-channel lookups, byte for byte, and an
+    integer position returns the stored value."""
+    rng = np.random.default_rng(5)
+    image = rng.normal(size=(5, 7, 3))
+    x = np.concatenate([rng.uniform(-1.0, 8.0, 200), [0.0, 6.0, 3.0]])
+    y = np.concatenate([rng.uniform(-1.0, 6.0, 200), [0.0, 4.0, 2.0]])
+    got = bilinear(image, x, y)
+    for c in range(3):
+        assert got[:, c].tobytes() == bilinear(image[:, :, c], x, y).tobytes()
+    ys, xs = np.mgrid[0:5, 0:7]
+    nodes = bilinear(image, xs.ravel().astype(np.float64), ys.ravel().astype(np.float64))
+    assert nodes.tobytes() == image.reshape(-1, 3).tobytes()

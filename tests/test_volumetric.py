@@ -11,7 +11,7 @@ from ssdr.core import ContractError, normalize, unproject
 from ssdr.gradcheck import check_hypernet, check_volume_weights
 from ssdr.inverse import AdamState
 from ssdr.lighting import (ConstantLight, FeatureGrid, GridLight, SkyDiscLight,
-                           SkyGradientLight, positional_encoding)
+                           SkyGradientLight, decoder_input_dim, positional_encoding)
 from ssdr.mlp import MlpWeights
 from ssdr.sampling import SamplerState
 
@@ -393,3 +393,10 @@ def test_volume_render_contract_errors():
                           SamplerState(seed=0, sample=1))
     with pytest.raises(ContractError):
         vol.VolumeConfig(n_samples=1)
+    g, camera, _, _ = scenes.two_plane(8, 8)
+    for seed in (-1, 2**64, 0.5):
+        with pytest.raises(ContractError, match="seed must be an integer"):
+            vol.BlendedLightField(FeatureGrid(np.zeros((8, 8, 4))), g, camera,
+                                  MlpWeights.zeros((decoder_input_dim(4), 8, 3)),
+                                  volume_weights=MlpWeights.zeros((w.dims[0], 8, 4)),
+                                  seed=seed)
