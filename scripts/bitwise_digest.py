@@ -32,6 +32,12 @@ losses): a material fit and a material + light fit at threads 1 and 2,
 each small enough that the render keeps its samples for the adjoint, and
 one fit whose render is too large for that, so the adjoint replays them.
 
+The positional encoding has lines of its own: `lighting.positional_encoding`
+at the decoder's 6 and the field's 10 bands on a fixed seeded point set of
+ENC_ROWS rows, more than one encoding block, so a change to the encoding
+shows as a named line and not only through the decoder inputs and the
+learned renders.
+
 SSRT and the decoder's inputs have lines of their own too:
 `ssrt.trace_batch`'s status, pixel, delta_d, u and s, and the rows of
 `lighting.decoder_inputs`, for a fixed seeded ray set over each canned
@@ -64,6 +70,7 @@ SPP = 96
 LEARNED_RES = 12
 LEARNED_SPP = 4
 MLP_ROWS = 5000
+ENC_ROWS = 4000
 # analytic fits: RES x RES at OPT_SPP samples per pixel
 OPT_ITERS = 3
 OPT_SPP = 16
@@ -181,6 +188,14 @@ def mlp_lines():
     yield "mlp/backward.dflat", dflat
 
 
+def encoding_lines():
+    """Seeded points over [-25, 25]^3 at the decoder's and the field's band
+    counts."""
+    x = np.random.default_rng(41).uniform(-25.0, 25.0, (ENC_ROWS, 3))
+    for bands in (lighting.DIRECTION_BANDS, volumetric.VolumeConfig().position_bands):
+        yield f"positional_encoding/bands{bands}", lighting.positional_encoding(x, bands)
+
+
 def trace_lines():
     """Per canned scene, with four pixels set to the sentinels 0, -1, inf
     and nan: from each shadeable point, just off its surface, four seeded
@@ -208,6 +223,7 @@ def trace_lines():
 
 def lines():
     yield from mlp_lines()
+    yield from encoding_lines()
     rng = np.random.default_rng(2024)
     for kind in ("two-plane", "cornell-like", "glossy-floor"):
         g, camera, spec, _ = scenes.make_scene(kind, RES, RES)

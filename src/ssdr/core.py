@@ -9,6 +9,7 @@ coordinates, so projecting the point behind pixel (i, j) yields exactly
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -113,7 +114,11 @@ class Camera:
         """fx, fy, cx, cy must be finite numbers and width, height integers,
         none a boolean: a missing key is a KeyError, a bad value a ContractError."""
         for key in ("fx", "fy", "cx", "cy"):
-            if type(d[key]) not in (int, float) or not np.isfinite(d[key]):
+            try:
+                ok = type(d[key]) in (int, float) and math.isfinite(d[key])
+            except OverflowError:   # an integer beyond the float range
+                ok = False
+            if not ok:
                 raise ContractError(f"{key!r} must be a finite number, got {d[key]!r}")
         for key in ("width", "height"):
             if type(d[key]) is not int:

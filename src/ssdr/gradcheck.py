@@ -132,7 +132,7 @@ def check_volume_weights(weights, cfg: volumetric.VolumeConfig, n_rays: int = 4,
 
     def objective(flat):
         L, _ = volumetric.volume_render_batch(weights.copy_with(flat), p, d, cfg,
-                                              seed, ray_ids)
+                                              seed, ray_ids, keep=False)
         return float(np.sum(L * dL))
 
     scale = max(1e-7, 1e-6 * float(np.abs(adj).max()))

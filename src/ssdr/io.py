@@ -441,9 +441,14 @@ def read_bundle(directory) -> Bundle:
     if type(specular_scale) not in (int, float):
         raise BundleError(f"{mpath}: 'specular_scale' must be a number, "
                           f"got {specular_scale!r}")
+    try:
+        specular_scale = float(specular_scale)
+    except OverflowError:
+        raise BundleError(f"{mpath}: 'specular_scale' must be finite, got an integer "
+                          f"beyond the float range") from None
 
     return Bundle(path=directory, gbuffer=g, camera=camera,
-                  specular_scale=float(specular_scale), lighting_spec=lighting_spec,
+                  specular_scale=specular_scale, lighting_spec=lighting_spec,
                   **{key: optional[key][1](directory / rel)
                      for key, rel in files.items() if rel})
 

@@ -19,21 +19,70 @@ from .core import (Camera, ContractError, GBuffer, as_rgb, bilinear, nearest_pix
 from .mlp import MlpWeights
 
 
-def positional_encoding(x: np.ndarray, bands: int) -> np.ndarray:
+# Inputs per block of `positional_encoding`: its (bands, 2, block) sin/cos
+# buffer stays in cache and is reused.  Every element is computed on its
+# own, so the block size changes no bit.
+_ENC_BLOCK = 8192
+
+
+def positional_encoding(x: np.ndarray, bands: int,
+                        out: np.ndarray | None = None) -> np.ndarray:
     """Sinusoidal lift, component-major: per input component
     [x, sin(2^0 pi x), cos(2^0 pi x), ..., sin(2^(L-1) pi x), cos(...)]
-    with L = `bands` >= 1."""
+    with L = `bands` >= 1; x (..., D) gives (..., D * (2L + 1)).
+
+    sin and cos run once per input, at a0 = fl(pi x).  Band k + 1 comes
+    from band k by the doubling identities
+
+        s' = 2 s c,    c' = (c - s)(c + s).
+
+    Since fl(x * 2^k pi) = 2^k a0 exactly, the x column and band 0 have the
+    bits of sin/cos(x * 2^k * pi) evaluated directly, and band k >= 1 is
+    within 2^k * 4 eps (eps = 2^-52) of them, absolutely: a doubling step
+    doubles the error it is given and adds at most 1.5 eps of its own.  So
+    the whole encoding is within 2^(L+1) eps of the direct evaluation.
+
+    `out`, if given, receives the result and is returned: an array of the
+    result's shape that reshapes to (..., D, 2L + 1) without a copy, such
+    as a column slice of a wider row array.
+    """
     if bands < 1:
         raise ContractError("need at least one frequency band")
     x = np.asarray(x, dtype=np.float64)
     if not np.all(np.isfinite(x)):
         raise ContractError("positional encoding requires finite input")
-    freqs = (2.0 ** np.arange(bands)) * np.pi
-    ang = x[..., None] * freqs                      # (..., D, L)
-    sc = np.stack([np.sin(ang), np.cos(ang)], axis=-1)  # (..., D, L, 2)
-    feats = np.concatenate([x[..., None], sc.reshape(*sc.shape[:-2], 2 * bands)],
-                           axis=-1)
-    return feats.reshape(*x.shape[:-1], x.shape[-1] * feats.shape[-1])
+    width = 2 * bands + 1
+    shape = (*x.shape[:-1], x.shape[-1] * width)
+    if out is None:
+        out = np.empty(shape)
+    elif out.shape != shape:
+        raise ContractError(f"encoding output shaped {out.shape}, need {shape}")
+    dim = x.shape[-1]
+    x = x.reshape(-1, dim)
+    enc = out.reshape(x.shape[0], dim, width)
+    if enc.size and not np.may_share_memory(enc, out):
+        raise ContractError("encoding output must reshape to (..., D, 2L + 1) "
+                            "without a copy")
+    enc[..., 0] = x
+    rows = max(1, _ENC_BLOCK // dim)
+    buf = np.empty((bands, 2, min(rows, x.shape[0]) * dim))
+    tmp = np.empty(buf.shape[-1])
+    for lo in range(0, x.shape[0], rows):
+        xb = x[lo:lo + rows]
+        n = xb.size
+        sc, t = buf[..., :n], tmp[:n]
+        np.multiply(xb.reshape(-1), np.pi, out=t)
+        np.sin(t, out=sc[0, 0])
+        np.cos(t, out=sc[0, 1])
+        for k in range(1, bands):
+            (s, c), (s2, c2) = sc[k - 1], sc[k]
+            np.multiply(s, c, out=s2)
+            s2 += s2
+            np.subtract(c, s, out=c2)
+            np.add(c, s, out=t)
+            c2 *= t
+        enc[lo:lo + rows, :, 1:] = sc.reshape(2 * bands, *xb.shape).transpose(1, 2, 0)
+    return out
 
 
 @dataclass
@@ -116,7 +165,7 @@ def _light_param(value, name: str, rule) -> np.ndarray:
     what, ok = rule
     try:
         a = np.array(value, dtype=np.float64)
-    except (TypeError, ValueError):
+    except (TypeError, ValueError, OverflowError):  # overflow: an int beyond float range
         a = None
     if a is None or not ok(a):
         raise ContractError(f"light parameter {name!r} must be {what}, got {value!r}")
@@ -231,7 +280,7 @@ class GridLight(LightField):
             raise ContractError("grid light contains non-finite values")
         try:
             self.bounds = np.asarray(bounds, dtype=np.float64)
-        except (TypeError, ValueError):
+        except (TypeError, ValueError, OverflowError):
             raise ContractError(f"grid light bounds must be numbers, got {bounds!r}") from None
         if self.bounds.shape != (2, 3) or not np.all(np.isfinite(self.bounds)):
             raise ContractError(f"grid light bounds must be a finite (2, 3) array, "
@@ -377,26 +426,30 @@ def gbuffer_light_inputs(g: GBuffer, px: np.ndarray) -> np.ndarray:
 
 def decoder_inputs(grid: FeatureGrid, g: GBuffer, camera: Camera,
                    p: np.ndarray, d: np.ndarray):
-    """Trace rays and assemble the decoder input rows; returns (x, hits)."""
+    """Trace rays and assemble the decoder input rows; returns (x, hits).
+    Each row is [encoded d, feature at the hit, K_d, K_s, N, R at the hit]."""
     p = np.atleast_2d(np.asarray(p, dtype=np.float64))
     d = np.atleast_2d(np.asarray(d, dtype=np.float64))
     hits = ssrt.trace_batch(g.depth, camera, p, d, ssrt.SsrtConfig())
-    enc = positional_encoding(d, DIRECTION_BANDS)
-    feats = grid.sample(hits.pixel)
-    aux = gbuffer_light_inputs(g, hits.pixel)
-    return np.concatenate([enc, feats, aux], axis=1), hits
+    x = np.empty((d.shape[0], decoder_input_dim(grid.channels)))
+    n_enc = 3 * (2 * DIRECTION_BANDS + 1)
+    positional_encoding(d, DIRECTION_BANDS, out=x[:, :n_enc])
+    x[:, n_enc:n_enc + grid.channels] = grid.sample(hits.pixel)
+    x[:, n_enc + grid.channels:] = gbuffer_light_inputs(g, hits.pixel)
+    return x, hits
 
 
 def traced_radiance_batch(grid: FeatureGrid, g: GBuffer, weights: MlpWeights,
-                          camera: Camera, p: np.ndarray, d: np.ndarray):
+                          camera: Camera, p: np.ndarray, d: np.ndarray, keep: bool = True):
     """Trace each ray to its in-view source point and decode HDR radiance.
 
     Returns (radiance (N, 3), hits, (y, cache)).  Radiance passes through
     softplus, so it is non-negative for any weights; the hit record feeds
     the downstream uncertainty blend, and the decoder's output y with its
-    MLP cache is the state its adjoint needs.
+    MLP cache is the state its adjoint needs.  With keep=False that state
+    is None and the MLP keeps no cache (see `mlp.forward`).
     """
     weights.require("decoder", decoder_input_dim(grid.channels), 3)
     x, hits = decoder_inputs(grid, g, camera, p, d)
-    y, cache = mlp.forward(weights, x)
-    return mlp.softplus(y), hits, (y, cache)
+    y, cache = mlp.forward(weights, x, keep=keep)
+    return mlp.softplus(y), hits, ((y, cache) if keep else None)

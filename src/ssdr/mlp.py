@@ -19,16 +19,17 @@ from .core import ContractError
 _LOG1P_BLOCK = 1 << 18
 
 
-def _softplus_inplace(a: np.ndarray):
+def _softplus_inplace(a: np.ndarray, keep: bool = True):
     """Overwrite the C-contiguous float64 array `a` with softplus(a) =
     max(a, 0) + log1p(exp(-|a|)) and return (e, pos): e = exp(-|a|) and
     pos = a >= 0 of the input, which give softplus'(a) = sigmoid(a) with no
-    further exp (see `backward`).
+    further exp (see `backward`).  With keep=False pos is not formed and
+    None is returned.
 
     exp(-|a|) never overflows, so the closed form holds for every a; NaN
     propagates, -inf gives 0 and +inf gives +inf.  log1p runs over blocks of
     `_LOG1P_BLOCK` elements, so its temporary is one block, not one `a`."""
-    pos = a >= 0
+    pos = a >= 0 if keep else None
     e = np.empty_like(a)
     np.abs(a, out=e)
     np.negative(e, out=e)
@@ -37,14 +38,14 @@ def _softplus_inplace(a: np.ndarray):
     flat_a, flat_e = a.reshape(-1), e.reshape(-1)
     for lo in range(0, flat_a.size, _LOG1P_BLOCK):
         flat_a[lo:lo + _LOG1P_BLOCK] += np.log1p(flat_e[lo:lo + _LOG1P_BLOCK])
-    return e, pos
+    return (e, pos) if keep else None
 
 
 def softplus(x):
     """log(1 + exp(x)) in the closed form of `_softplus_inplace`: SIMD exp
     and log1p, within 3 ulp of np.logaddexp(0, x)."""
     out = np.array(x, dtype=np.float64, order="C")
-    _softplus_inplace(out)
+    _softplus_inplace(out, keep=False)
     return out[()]
 
 
@@ -119,7 +120,7 @@ class MlpWeights:
                                 f"need input {n_in}, output {n_out}")
 
 
-def forward(weights: MlpWeights, x: np.ndarray):
+def forward(weights: MlpWeights, x: np.ndarray, keep: bool = True):
     """Batched forward pass; softplus hidden units, linear output.
 
     Each layer computes a = h @ W.T + b; a hidden layer then overwrites a
@@ -130,6 +131,9 @@ def forward(weights: MlpWeights, x: np.ndarray):
       acts    per hidden layer, (e, pos) with e = exp(-|a|) and pos = a >= 0
               of its pre-activation a, from which `backward` forms
               softplus'(a) = sigmoid(a) without a second exp
+    With keep=False, for a caller that never pulls back, the cache is None
+    and no layer's input or (e, pos) outlives the layer that made it; y is
+    the same to the bit.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if x.shape[-1] != weights.dims[0]:
@@ -139,12 +143,15 @@ def forward(weights: MlpWeights, x: np.ndarray):
     acts = []
     n_layers = len(weights.dims) - 1
     for i, (w, b) in enumerate(weights.layers()):
-        inputs.append(h)
+        if keep:
+            inputs.append(h)
         h = h @ w.T
         h += b
         if i < n_layers - 1:
-            acts.append(_softplus_inplace(h))
-    return h, (inputs, acts)
+            act = _softplus_inplace(h, keep)
+            if keep:
+                acts.append(act)
+    return h, ((inputs, acts) if keep else None)
 
 
 def backward(weights: MlpWeights, cache, dy: np.ndarray):

@@ -45,16 +45,18 @@ def default_field_dims(position_bands: int = 10):
 
 
 def field_eval(weights: MlpWeights, x: np.ndarray,
-               cfg: VolumeConfig = VolumeConfig()):
+               cfg: VolumeConfig = VolumeConfig(), keep: bool = True):
     """Density (N,) and color (N, 3) of the field at points x (N, 3), and
     what their adjoint needs: returns (sigma, color, net), where net is the
-    MLP output, its cache and the unscaled color."""
+    MLP output, its cache and the unscaled color; with keep=False net is
+    None and the MLP keeps no cache (see `mlp.forward`)."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     weights.require("field", field_input_dim(cfg.position_bands), 4)
     enc = positional_encoding(x, cfg.position_bands)
-    y, cache = mlp.forward(weights, enc)
+    y, cache = mlp.forward(weights, enc, keep=keep)
     raw_col = mlp.sigmoid(y[:, 1:4])
-    return mlp.softplus(y[:, 0]), raw_col * RADIANCE_SCALE, (y, cache, raw_col)
+    net = (y, cache, raw_col) if keep else None
+    return mlp.softplus(y[:, 0]), raw_col * RADIANCE_SCALE, net
 
 
 # ---------------------------------------------------------------------------
@@ -163,23 +165,25 @@ def _volume_points(p, d, t):
 
 
 def volume_render_batch(weights: MlpWeights, p: np.ndarray, d: np.ndarray,
-                        cfg: VolumeConfig, seed: int, ray_ids: np.ndarray):
+                        cfg: VolumeConfig, seed: int, ray_ids: np.ndarray,
+                        keep: bool = True):
     """Stratified volume rendering of N rays; jitter keyed by (seed, ray_id).
 
     Returns (L (N, 3), state), the state holding what
     `volume_render_backward` needs: the field's samples, its MLP cache and
-    the composite weights."""
+    the composite weights.  With keep=False the state is None and the
+    field keeps no MLP cache."""
     p = np.atleast_2d(np.asarray(p, dtype=np.float64))
     d = np.atleast_2d(np.asarray(d, dtype=np.float64))
     jitter = sampling.uniform_block(seed, np.asarray(ray_ids, dtype=np.uint64), 0,
                                     cfg.n_samples)
     t, deltas = stratified_ts(cfg.t_near, cfg.t_far, jitter)
     x = _volume_points(p, d, t)
-    sigma, color, net = field_eval(weights, x.reshape(-1, 3), cfg)
+    sigma, color, net = field_eval(weights, x.reshape(-1, 3), cfg, keep)
     sigma = sigma.reshape(t.shape)
     color = color.reshape(*t.shape, 3)
     L, w = composite(sigma, color, deltas)
-    return L, (sigma, color, deltas, w, net)
+    return L, ((sigma, color, deltas, w, net) if keep else None)
 
 
 def volume_render(weights: MlpWeights, p, d, t_near: float, t_far: float,
@@ -191,7 +195,7 @@ def volume_render(weights: MlpWeights, p, d, t_near: float, t_far: float,
         raise ContractError("volume_render streams use sample 0")
     cfg = VolumeConfig(t_near=t_near, t_far=t_far, n_samples=n_samples,
                        position_bands=position_bands)
-    L, _ = volume_render_batch(weights, p, d, cfg, rng.seed, [rng.pixel])
+    L, _ = volume_render_batch(weights, p, d, cfg, rng.seed, [rng.pixel], keep=False)
     return L[0]
 
 
@@ -313,18 +317,19 @@ class BlendedLightField(LightField):
         """The blended radiance along d from p.  A `keep` list receives the
         forward state `backprop` needs: the trace, the decoder's output and
         MLP cache, the ray ids, and the volume state of
-        `volume_render_batch`."""
+        `volume_render_batch`.  Without it the forwards keep no state."""
         p = np.atleast_2d(np.asarray(p, dtype=np.float64))
         d = np.atleast_2d(np.asarray(d, dtype=np.float64))
+        want = keep is not None
         ids = _ray_ids(p, d)
         # The volume goes first: its forward pass is by far the larger, and
         # run second it would be stacked on the decoder's live MLP cache.
         l_vol, vol_state = volume_render_batch(self.volume, p, d, self.volume_cfg,
-                                               self.seed, ids)
-        l_tr, hits, (y, cache) = traced_radiance_batch(
-            self.grid, self.gbuffer, self.decoder, self.camera, p, d)
-        if keep is not None:
-            keep.append((hits, y, cache, ids, vol_state))
+                                               self.seed, ids, keep=want)
+        l_tr, hits, dec_state = traced_radiance_batch(
+            self.grid, self.gbuffer, self.decoder, self.camera, p, d, keep=want)
+        if want:
+            keep.append((hits, *dec_state, ids, vol_state))
         return blend(l_tr, l_vol, hits.u)
 
     def radiance_vjp(self, p, d):

@@ -302,6 +302,11 @@ def _assert_input_error(argv, caplog, *words):
     ("camera.json", _edit_json(cy="7.5"), ("camera.json", "'cy'")),
     ("camera.json", _edit_json(width=16.5), ("camera.json", "'width'")),
     ("camera.json", _edit_json(height=True), ("camera.json", "'height'")),
+    # JSON integers beyond the float range
+    ("bundle.json", _edit_json(specular_scale=10**400), ("bundle.json", "'specular_scale'")),
+    ("bundle.json", _edit_json(lighting={"kind": "constant", "value": 10**400}),
+     ("'value'",)),
+    ("camera.json", _edit_json(fx=10**400), ("camera.json", "'fx'")),
 ], ids=["malformed-camera", "camera-without-cy", "sky-without-zenith",
         "specular-scale-not-a-number", "maps-not-an-object", "map-path-not-a-string",
         "camera-not-a-string", "target-not-a-string", "weights-not-a-string",
@@ -310,7 +315,8 @@ def _assert_input_error(argv, caplog, *words):
         "sky-horizon-two-numbers", "sky-up-zero-length", "sky-disc-radius-not-a-number",
         "specular-scale-bool", "specular-scale-inf", "specular-scale-nan",
         "specular-scale-negative", "camera-fx-nan", "camera-fx-bool", "camera-cy-string",
-        "camera-width-not-an-int", "camera-height-bool"])
+        "camera-width-not-an-int", "camera-height-bool", "specular-scale-huge-int",
+        "constant-value-huge-int", "camera-fx-huge-int"])
 def test_render_bad_bundle_exit_2(two_plane_bundle, tmp_path, caplog, name, edit, words):
     """Each bad bundle is the same one-line input error in every command
     that renders it."""
@@ -341,8 +347,9 @@ def grid_bundle(tmp_path_factory):
     (_edit_json(bounds=[[-5, 5, 0], [5, -5, 10]]), ("light.grid", "lo <= hi")),
     (lambda text: "[1]", ("light.grid", "JSON object")),
     (_edit_json(count="x"), ("light.grid", "'count'")),
+    (_edit_json(bounds=[[-5, -5, 0], [5, 5, 10**400]]), ("light.grid", "bounds")),
 ], ids=["no-dims", "dims-disagree-with-payload", "nan-bound", "flat-bounds",
-        "no-bounds", "lo-above-hi", "header-not-object", "count-not-int"])
+        "no-bounds", "lo-above-hi", "header-not-object", "count-not-int", "huge-int-bound"])
 def test_render_bad_grid_light_exit_2(grid_bundle, tmp_path, caplog, edit, words):
     import shutil
     blob = shutil.copytree(grid_bundle, tmp_path / "broken") / "light.grid"

@@ -331,9 +331,9 @@ def test_learned_optimize_iteration_runs_the_volume_forward_once(monkeypatch):
     rays = []
     forward = vol.volume_render_batch
 
-    def counting_forward(weights, p, *args):
+    def counting_forward(weights, p, *args, **kwargs):
         rays.append(p.shape[0])
-        return forward(weights, p, *args)
+        return forward(weights, p, *args, **kwargs)
 
     monkeypatch.setattr(vol, "volume_render_batch", counting_forward)
     fitted = optimize(g, camera, light, target, cfg)

@@ -27,6 +27,7 @@ def test_posenc_output_length():
     assert enc.shape == (39,)
     enc = positional_encoding(np.zeros((7, 3)), 4)
     assert enc.shape == (7, 27)
+    assert positional_encoding(np.zeros((0, 3)), 4).shape == (0, 27)
     with pytest.raises(ContractError, match="frequency band"):
         positional_encoding(np.zeros(3), 0)
 
@@ -40,6 +41,50 @@ def test_posenc_component_major_layout():
         assert chunk[0] == x[c]
         assert np.isclose(chunk[1], np.sin(np.pi * x[c]))
         assert np.isclose(chunk[2], np.cos(np.pi * x[c]))
+
+
+def test_posenc_doubling_within_stated_bound():
+    """The x column and band 0 have the bits of the direct formula
+    sin/cos(x * 2^k * pi); band k >= 1, made by angle doubling, is within
+    the docstring's 2^k * 4 eps of it, over points crossing encoding
+    blocks."""
+    bands = 13
+    x = np.random.default_rng(5).uniform(-25.0, 25.0, (3000, 3))
+    enc = positional_encoding(x, bands).reshape(3000, 3, 2 * bands + 1)
+    ang = x[..., None] * ((2.0 ** np.arange(bands)) * np.pi)
+    sin, cos = np.sin(ang), np.cos(ang)
+    assert enc[..., 0].tobytes() == x.tobytes()
+    assert enc[..., 1].tobytes() == sin[..., 0].tobytes()
+    assert enc[..., 2].tobytes() == cos[..., 0].tobytes()
+    eps = np.finfo(np.float64).eps
+    for k in range(1, bands):
+        bound = 2.0 ** k * 4 * eps
+        assert np.max(np.abs(enc[..., 1 + 2 * k] - sin[..., k])) <= bound, k
+        assert np.max(np.abs(enc[..., 2 + 2 * k] - cos[..., k])) <= bound, k
+
+
+def test_posenc_out_receives_the_returned_bytes():
+    """`out` may be a column slice of a wider row array; it receives the
+    bytes the encoding returns on its own and nothing else is written."""
+    x = np.random.default_rng(6).normal(size=(50, 3))
+    rows = np.full((50, 39 + 4), 7.0)
+    view = rows[:, :39]
+    assert positional_encoding(x, 6, out=view) is view
+    assert view.tobytes() == positional_encoding(x, 6).tobytes()
+    assert np.all(rows[:, 39:] == 7.0)
+    with pytest.raises(ContractError, match="shaped"):
+        positional_encoding(x, 6, out=rows[:, :38])
+    with pytest.raises(ContractError, match="without a copy"):
+        positional_encoding(x.reshape(2, 25, 3), 6,
+                            out=np.empty((25, 2, 39)).transpose(1, 0, 2))
+
+
+@pytest.mark.parametrize("x,bands", [
+    (np.array([0.5, np.nan, 0.1]), 4), (np.array([[0.5, 0.2, -np.inf]]), 4),
+    (np.zeros(3), 0), (np.zeros(3), -1)])
+def test_posenc_rejects_bad_input(x, bands):
+    with pytest.raises(ContractError):
+        positional_encoding(x, bands)
 
 
 @given(st.floats(0.0, 0.999), st.floats(0.0, 0.999))
@@ -222,6 +267,22 @@ def test_decoder_input_dimension_accounting():
                              np.array([[0.0, 0.0, 2.0]]),
                              normalize(np.array([[0.1, -0.4, 0.9]])))
     assert x.shape == (1, decoder_input_dim(5))
+
+
+def test_decoder_inputs_rows_are_the_concatenated_parts():
+    """The rows written in place are the bytes of [encoded d, feature at
+    the hit, G-buffer inputs at the hit] concatenated."""
+    g, camera, grid, _ = _decoder_setup(channels=5)
+    rng = np.random.default_rng(8)
+    fy, fx = np.nonzero(np.isfinite(g.depth))
+    idx = rng.integers(0, fy.size, 300)
+    p = unproject(camera, np.stack([fx[idx], fy[idx]], -1).astype(float),
+                  g.depth[fy[idx], fx[idx]])
+    d = normalize(rng.normal(size=(300, 3)))
+    x, hits = decoder_inputs(grid, g, camera, p, d)
+    parts = [positional_encoding(d, lighting.DIRECTION_BANDS), grid.sample(hits.pixel),
+             lighting.gbuffer_light_inputs(g, hits.pixel)]
+    assert x.tobytes() == np.concatenate(parts, axis=1).tobytes()
 
 
 def test_decoder_overfits_constant_field():

@@ -331,6 +331,34 @@ def test_radiance_vjp_matches_radiance_and_backprop_bytes(case):
     assert adj.tobytes() == light.backprop(p, d, dL).tobytes()
 
 
+@pytest.mark.parametrize("case", ["blended-volume", "blended-hypernet"])
+def test_render_only_radiance_keeps_no_mlp_state(case, monkeypatch):
+    """Without `keep`, neither MLP forward keeps a cache, and the radiance
+    has the bits of the query that keeps its state."""
+    light, _, _ = _VJP_CASES[case]()
+    rng = np.random.default_rng(12)
+    h, w = light.gbuffer.depth.shape
+    px = np.stack([rng.uniform(0, w - 1, 200), rng.uniform(0, h - 1, 200)], -1)
+    yi, xi = px[:, 1].round().astype(int), px[:, 0].round().astype(int)
+    p = unproject(light.camera, px, light.gbuffer.depth[yi, xi])
+    d = normalize(rng.normal(size=(200, 3)))
+    caches = []
+    forward = mlp.forward
+
+    def recording_forward(weights, x, **kwargs):
+        y, cache = forward(weights, x, **kwargs)
+        caches.append(cache)
+        return y, cache
+
+    monkeypatch.setattr(mlp, "forward", recording_forward)
+    plain = light.radiance(p, d)
+    assert len(caches) == 2 and all(c is None for c in caches)
+    keep = []
+    kept = light.radiance(p, d, keep)
+    assert len(keep) == 1 and len(caches) == 4 and None not in caches[2:]
+    assert plain.tobytes() == kept.tobytes()
+
+
 def test_render_backward_runs_the_learned_field_once_per_lane(monkeypatch):
     """With want_light, every light lane's field points pass through the
     field MLP's forward exactly once, and the light adjoint is the bits of
@@ -346,8 +374,8 @@ def test_render_backward_runs_the_learned_field_once_per_lane(monkeypatch):
     rows = {"field": 0, "lanes": 0}
     forward, vjp = mlp.forward, blf.radiance_vjp
 
-    def counting_forward(weights, x):
-        y, cache = forward(weights, x)
+    def counting_forward(weights, x, **kwargs):
+        y, cache = forward(weights, x, **kwargs)
         if weights is blf.volume:
             rows["field"] += y.shape[0]
         return y, cache
