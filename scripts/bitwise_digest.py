@@ -34,8 +34,7 @@ one fit whose render is too large for that, so the adjoint replays them.
 
 The positional encoding has lines of its own: `lighting.positional_encoding`
 at the decoder's 6 and the field's 10 bands on a fixed seeded point set of
-ENC_ROWS rows, more than one encoding block, so a change to the encoding
-shows as a named line and not only through the decoder inputs and the
+ENC_ROWS rows, so a change to the encoding shows as a named line and not only through the decoder inputs and the
 learned renders.
 
 SSRT and the decoder's inputs have lines of their own too:

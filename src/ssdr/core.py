@@ -23,6 +23,19 @@ class BehindCameraError(ContractError):
     """Point has non-positive depth along the camera forward axis."""
 
 
+def finite_number(value) -> float | None:
+    """`value` as a float if it is a finite JSON number: an int or a float,
+    not a boolean, NaN, an infinity or an integer beyond the float range;
+    else None."""
+    if type(value) not in (int, float):
+        return None
+    try:
+        value = float(value)
+    except OverflowError:
+        return None
+    return value if math.isfinite(value) else None
+
+
 @dataclass(frozen=True)
 class Spectrum:
     """Linear RGB triple (reflectance, or radiance in W sr^-1 m^-2)."""
@@ -114,11 +127,7 @@ class Camera:
         """fx, fy, cx, cy must be finite numbers and width, height integers,
         none a boolean: a missing key is a KeyError, a bad value a ContractError."""
         for key in ("fx", "fy", "cx", "cy"):
-            try:
-                ok = type(d[key]) in (int, float) and math.isfinite(d[key])
-            except OverflowError:   # an integer beyond the float range
-                ok = False
-            if not ok:
+            if finite_number(d[key]) is None:
                 raise ContractError(f"{key!r} must be a finite number, got {d[key]!r}")
         for key in ("width", "height"):
             if type(d[key]) is not int:

@@ -25,7 +25,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Camera, ContractError, GBuffer, ImageBuffer
+from .core import Camera, ContractError, GBuffer, ImageBuffer, finite_number
 from .lighting import FeatureGrid, GridLight, LightField, analytic_lightfield
 from .mlp import MlpWeights
 
@@ -310,11 +310,13 @@ def read_feature_grid(manifest_path) -> FeatureGrid:
             and all(isinstance(name, str) for name in slices)):
         raise ParseError(f"{manifest_path}: 'slices' must list {(c + 2) // 3} file "
                          f"names for {c} channels, got {slices!r}")
-    data = np.zeros((h, w, c))
-    for i, name in enumerate(slices):
-        img = read_pfm(manifest_path.parent / name)
+    # every slice is checked before `data` is sized by the manifest
+    imgs = [read_pfm(manifest_path.parent / name) for name in slices]
+    for name, img in zip(slices, imgs):
         if (img.width, img.height) != (w, h):
             raise ParseError(f"{name}: slice dimensions disagree with manifest")
+    data = np.zeros((h, w, c))
+    for i, img in enumerate(imgs):
         lo = 3 * i
         hi = min(lo + 3, c)
         data[:, :, lo:hi] = img.data[:, :, :hi - lo]
@@ -436,16 +438,11 @@ def read_bundle(directory) -> Bundle:
         if _path_value(lighting_spec.get("path"), f"{spec_file}: 'lighting.path'") is None:
             raise BundleError(f"{spec_file}: a 'grid' lighting spec needs 'path', "
                               f"the name of its grid light file")
-    # its range is RenderConfig's to check; a boolean is not a number here
-    specular_scale = manifest.get("specular_scale", 1.0)
-    if type(specular_scale) not in (int, float):
-        raise BundleError(f"{mpath}: 'specular_scale' must be a number, "
-                          f"got {specular_scale!r}")
-    try:
-        specular_scale = float(specular_scale)
-    except OverflowError:
-        raise BundleError(f"{mpath}: 'specular_scale' must be finite, got an integer "
-                          f"beyond the float range") from None
+    # its sign is RenderConfig's to check
+    specular_scale = finite_number(manifest.get("specular_scale", 1.0))
+    if specular_scale is None:
+        raise BundleError(f"{mpath}: 'specular_scale' must be a finite number, "
+                          f"got {manifest['specular_scale']!r}")
 
     return Bundle(path=directory, gbuffer=g, camera=camera,
                   specular_scale=specular_scale, lighting_spec=lighting_spec,

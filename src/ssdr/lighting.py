@@ -19,14 +19,7 @@ from .core import (Camera, ContractError, GBuffer, as_rgb, bilinear, nearest_pix
 from .mlp import MlpWeights
 
 
-# Inputs per block of `positional_encoding`: its (bands, 2, block) sin/cos
-# buffer stays in cache and is reused.  Every element is computed on its
-# own, so the block size changes no bit.
-_ENC_BLOCK = 8192
-
-
-def positional_encoding(x: np.ndarray, bands: int,
-                        out: np.ndarray | None = None) -> np.ndarray:
+def positional_encoding(x: np.ndarray, bands: int) -> np.ndarray:
     """Sinusoidal lift, component-major: per input component
     [x, sin(2^0 pi x), cos(2^0 pi x), ..., sin(2^(L-1) pi x), cos(...)]
     with L = `bands` >= 1; x (..., D) gives (..., D * (2L + 1)).
@@ -41,10 +34,6 @@ def positional_encoding(x: np.ndarray, bands: int,
     within 2^k * 4 eps (eps = 2^-52) of them, absolutely: a doubling step
     doubles the error it is given and adds at most 1.5 eps of its own.  So
     the whole encoding is within 2^(L+1) eps of the direct evaluation.
-
-    `out`, if given, receives the result and is returned: an array of the
-    result's shape that reshapes to (..., D, 2L + 1) without a copy, such
-    as a column slice of a wider row array.
     """
     if bands < 1:
         raise ContractError("need at least one frequency band")
@@ -52,37 +41,15 @@ def positional_encoding(x: np.ndarray, bands: int,
     if not np.all(np.isfinite(x)):
         raise ContractError("positional encoding requires finite input")
     width = 2 * bands + 1
-    shape = (*x.shape[:-1], x.shape[-1] * width)
-    if out is None:
-        out = np.empty(shape)
-    elif out.shape != shape:
-        raise ContractError(f"encoding output shaped {out.shape}, need {shape}")
-    dim = x.shape[-1]
-    x = x.reshape(-1, dim)
-    enc = out.reshape(x.shape[0], dim, width)
-    if enc.size and not np.may_share_memory(enc, out):
-        raise ContractError("encoding output must reshape to (..., D, 2L + 1) "
-                            "without a copy")
+    enc = np.empty((*x.shape, width))
     enc[..., 0] = x
-    rows = max(1, _ENC_BLOCK // dim)
-    buf = np.empty((bands, 2, min(rows, x.shape[0]) * dim))
-    tmp = np.empty(buf.shape[-1])
-    for lo in range(0, x.shape[0], rows):
-        xb = x[lo:lo + rows]
-        n = xb.size
-        sc, t = buf[..., :n], tmp[:n]
-        np.multiply(xb.reshape(-1), np.pi, out=t)
-        np.sin(t, out=sc[0, 0])
-        np.cos(t, out=sc[0, 1])
-        for k in range(1, bands):
-            (s, c), (s2, c2) = sc[k - 1], sc[k]
-            np.multiply(s, c, out=s2)
-            s2 += s2
-            np.subtract(c, s, out=c2)
-            np.add(c, s, out=t)
-            c2 *= t
-        enc[lo:lo + rows, :, 1:] = sc.reshape(2 * bands, *xb.shape).transpose(1, 2, 0)
-    return out
+    a = x * np.pi
+    s, c = np.sin(a), np.cos(a)
+    enc[..., 1], enc[..., 2] = s, c
+    for k in range(1, bands):
+        s, c = 2.0 * (s * c), (c - s) * (c + s)
+        enc[..., 2 * k + 1], enc[..., 2 * k + 2] = s, c
+    return enc.reshape(*x.shape[:-1], x.shape[-1] * width)
 
 
 @dataclass
@@ -159,13 +126,18 @@ _DIRECTION = ("three finite numbers of nonzero length",
 _ANGLE = ("a positive angle in radians", lambda a: a.shape == () and 0.0 < a < np.inf)
 
 
+# What np.asarray(value, dtype=np.float64) raises for a value that is not
+# numbers; OverflowError for an integer beyond the float range.
+_NOT_NUMBERS = (TypeError, ValueError, OverflowError)
+
+
 def _light_param(value, name: str, rule) -> np.ndarray:
     """`value` as a new float64 array if it passes `rule`; anything else
     is a ContractError naming the parameter."""
     what, ok = rule
     try:
         a = np.array(value, dtype=np.float64)
-    except (TypeError, ValueError, OverflowError):  # overflow: an int beyond float range
+    except _NOT_NUMBERS:
         a = None
     if a is None or not ok(a):
         raise ContractError(f"light parameter {name!r} must be {what}, got {value!r}")
@@ -280,7 +252,7 @@ class GridLight(LightField):
             raise ContractError("grid light contains non-finite values")
         try:
             self.bounds = np.asarray(bounds, dtype=np.float64)
-        except (TypeError, ValueError, OverflowError):
+        except _NOT_NUMBERS:
             raise ContractError(f"grid light bounds must be numbers, got {bounds!r}") from None
         if self.bounds.shape != (2, 3) or not np.all(np.isfinite(self.bounds)):
             raise ContractError(f"grid light bounds must be a finite (2, 3) array, "
@@ -431,12 +403,10 @@ def decoder_inputs(grid: FeatureGrid, g: GBuffer, camera: Camera,
     p = np.atleast_2d(np.asarray(p, dtype=np.float64))
     d = np.atleast_2d(np.asarray(d, dtype=np.float64))
     hits = ssrt.trace_batch(g.depth, camera, p, d, ssrt.SsrtConfig())
-    x = np.empty((d.shape[0], decoder_input_dim(grid.channels)))
-    n_enc = 3 * (2 * DIRECTION_BANDS + 1)
-    positional_encoding(d, DIRECTION_BANDS, out=x[:, :n_enc])
-    x[:, n_enc:n_enc + grid.channels] = grid.sample(hits.pixel)
-    x[:, n_enc + grid.channels:] = gbuffer_light_inputs(g, hits.pixel)
-    return x, hits
+    enc = positional_encoding(d, DIRECTION_BANDS)
+    feats = grid.sample(hits.pixel)
+    aux = gbuffer_light_inputs(g, hits.pixel)
+    return np.concatenate([enc, feats, aux], axis=1), hits
 
 
 def traced_radiance_batch(grid: FeatureGrid, g: GBuffer, weights: MlpWeights,

@@ -388,6 +388,8 @@ def learned_bundle(tmp_path_factory):
     ("features.json", _edit_json(width=None), ("features.json", "'width'")),
     ("features.json", _edit_json(width="x"), ("features.json", "'width'")),
     ("features.json", _edit_json(slices=3), ("features.json", "'slices'")),
+    ("features.json", _edit_json(width=10**400), ("features_000.pfm", "disagree")),
+    ("features.json", _edit_json(height=10**12), ("features_000.pfm", "disagree")),
     ("features.json", lambda text: "[1]", ("features.json",)),
     ("features.json", lambda text: "\udcff" + text, ("features.json", "utf-8")),
     ("decoder.weights", _edit_json(dims=None), ("decoder.weights", "'dims'")),
@@ -395,7 +397,8 @@ def learned_bundle(tmp_path_factory):
     ("decoder.weights", _edit_json(dims=[5]), ("decoder.weights", "'dims'")),
     ("decoder.weights", _edit_json(dims=[True, 3]), ("decoder.weights", "'dims'")),
     ("decoder.weights", _edit_json(dims=[4, 4]), ("decoder.weights", "flat size")),
-], ids=["no-width", "width-not-an-int", "slices-not-a-list", "manifest-not-object",
+], ids=["no-width", "width-not-an-int", "slices-not-a-list", "width-huge-int",
+        "height-beyond-memory", "manifest-not-object",
         "manifest-not-utf-8", "no-dims", "dims-a-string", "one-dim", "dims-bool",
         "dims-disagree-with-payload"])
 def test_render_bad_learned_assets_exit_2(learned_bundle, tmp_path, caplog, name, edit,

@@ -46,8 +46,7 @@ def test_posenc_component_major_layout():
 def test_posenc_doubling_within_stated_bound():
     """The x column and band 0 have the bits of the direct formula
     sin/cos(x * 2^k * pi); band k >= 1, made by angle doubling, is within
-    the docstring's 2^k * 4 eps of it, over points crossing encoding
-    blocks."""
+    the docstring's 2^k * 4 eps of it."""
     bands = 13
     x = np.random.default_rng(5).uniform(-25.0, 25.0, (3000, 3))
     enc = positional_encoding(x, bands).reshape(3000, 3, 2 * bands + 1)
@@ -61,22 +60,6 @@ def test_posenc_doubling_within_stated_bound():
         bound = 2.0 ** k * 4 * eps
         assert np.max(np.abs(enc[..., 1 + 2 * k] - sin[..., k])) <= bound, k
         assert np.max(np.abs(enc[..., 2 + 2 * k] - cos[..., k])) <= bound, k
-
-
-def test_posenc_out_receives_the_returned_bytes():
-    """`out` may be a column slice of a wider row array; it receives the
-    bytes the encoding returns on its own and nothing else is written."""
-    x = np.random.default_rng(6).normal(size=(50, 3))
-    rows = np.full((50, 39 + 4), 7.0)
-    view = rows[:, :39]
-    assert positional_encoding(x, 6, out=view) is view
-    assert view.tobytes() == positional_encoding(x, 6).tobytes()
-    assert np.all(rows[:, 39:] == 7.0)
-    with pytest.raises(ContractError, match="shaped"):
-        positional_encoding(x, 6, out=rows[:, :38])
-    with pytest.raises(ContractError, match="without a copy"):
-        positional_encoding(x.reshape(2, 25, 3), 6,
-                            out=np.empty((25, 2, 39)).transpose(1, 0, 2))
 
 
 @pytest.mark.parametrize("x,bands", [
