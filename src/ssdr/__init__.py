@@ -7,8 +7,8 @@ recovers materials from a target image by gradient descent.
 """
 
 from .brdf import BrdfParams, BrdfSample
-from .core import (Camera, ContractError, GBuffer, ImageBuffer, Spectrum,
-                   project, unproject, validate_gbuffer)
+from .core import (Camera, ContractError, GBuffer, ImageBuffer, project, unproject,
+                   validate_gbuffer)
 from .inverse import LossConfig, loss_rerender, optimize
 from .lighting import (ConstantLight, FeatureGrid, GridLight, LightField,
                        SkyDiscLight, SkyGradientLight, analytic_lightfield,
@@ -17,7 +17,7 @@ from .mlp import MlpWeights
 from .render import (GradientImage, RenderConfig, reference_render,
                      render_backward, render_discretized, render_mc)
 from .sampling import SamplerState
-from .ssrt import SsrtConfig, SsrtHit, Status, trace, trace_batch, uncertainty
+from .ssrt import SsrtConfig, Status, trace_batch, uncertainty
 from .volumetric import (BlendedLightField, HypernetParams, VolumeConfig, blend,
                          field_eval, hypernet_forward, volume_render)
 
@@ -28,10 +28,10 @@ __all__ = [
     "ContractError", "FeatureGrid", "GBuffer", "GradientImage", "GridLight",
     "HypernetParams", "ImageBuffer", "LightField", "LossConfig", "MlpWeights",
     "RenderConfig", "SamplerState", "SkyDiscLight", "SkyGradientLight",
-    "Spectrum", "SsrtConfig", "SsrtHit", "Status", "VolumeConfig",
+    "SsrtConfig", "Status", "VolumeConfig",
     "analytic_lightfield", "blend", "field_eval", "hypernet_forward",
     "loss_rerender", "optimize", "positional_encoding",
     "project", "reference_render", "render_backward", "render_discretized",
-    "render_mc", "trace", "trace_batch", "unproject", "uncertainty",
+    "render_mc", "trace_batch", "unproject", "uncertainty",
     "validate_gbuffer", "volume_render",
 ]

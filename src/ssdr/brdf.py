@@ -81,7 +81,7 @@ def f0_of(albedo, metallic) -> np.ndarray:
     return 0.04 * (1.0 - m) + albedo * m
 
 
-def lobe_weights(albedo, metallic, specular=1.0) -> tuple[np.ndarray, np.ndarray]:
+def lobe_weights(albedo, metallic, specular) -> tuple[np.ndarray, np.ndarray]:
     """Normalized (diffuse, specular) mixture weights of the sampler."""
     albedo = np.asarray(albedo, dtype=np.float64)
     m = np.asarray(metallic, dtype=np.float64)
@@ -144,7 +144,7 @@ def _specular_pdf(v, d, n, alpha) -> np.ndarray:
     return ggx_d(cos_nm, alpha) * np.maximum(cos_nm, 0.0) / (4.0 * cos_vm)
 
 
-def mixture_pdf(v, d, n, albedo, roughness, metallic, specular=1.0) -> np.ndarray:
+def mixture_pdf(v, d, n, albedo, roughness, metallic, specular) -> np.ndarray:
     """Array form of `pdf`; material arguments broadcast over rays."""
     v, d, n = (np.asarray(a, dtype=np.float64) for a in (v, d, n))
     wd, ws = lobe_weights(albedo, metallic, specular)

@@ -72,7 +72,7 @@ def load_validated_bundle(path) -> ssdr_io.Bundle:
     """Read a bundle and reject hard G-buffer violations (depth sentinels
     are informational: they mark pixels with no geometry)."""
     bundle = ssdr_io.read_bundle(path)
-    report, _ = validate_gbuffer(bundle.gbuffer)
+    report = validate_gbuffer(bundle.gbuffer)
     hard = {k: v for k, v in report.counts.items() if "sentinel" not in k}
     if hard:
         raise UsageError(f"bundle failed validation: {report.summary()}")

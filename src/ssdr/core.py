@@ -1,4 +1,4 @@
-"""Shared value types: spectra, images, cameras, G-buffers.
+"""Shared value types: images, cameras, G-buffers.
 
 Coordinate convention used throughout: right-handed view space with the
 camera at the origin looking along +z, x right, y down.  Depth maps store
@@ -36,27 +36,6 @@ def finite_number(value) -> float | None:
     return value if math.isfinite(value) else None
 
 
-@dataclass(frozen=True)
-class Spectrum:
-    """Linear RGB triple (reflectance, or radiance in W sr^-1 m^-2)."""
-
-    r: float
-    g: float
-    b: float
-
-    def __post_init__(self):
-        if not np.all(np.isfinite([self.r, self.g, self.b])):
-            raise ContractError(f"non-finite spectrum {(self.r, self.g, self.b)}")
-
-    @classmethod
-    def from_array(cls, a) -> "Spectrum":
-        a = np.asarray(a, dtype=np.float64).reshape(3)
-        return cls(float(a[0]), float(a[1]), float(a[2]))
-
-    def __array__(self, dtype=None, copy=None):
-        return np.array([self.r, self.g, self.b], dtype=dtype or np.float64)
-
-
 def luminance(rgb: np.ndarray) -> np.ndarray:
     """Rec.709 luma of a (..., 3) array."""
     rgb = np.asarray(rgb, dtype=np.float64)
@@ -83,14 +62,6 @@ class ImageBuffer:
                 f"data shape {self.data.shape} != "
                 f"({self.height}, {self.width}, {self.channels})"
             )
-
-    @classmethod
-    def from_array(cls, a: np.ndarray) -> "ImageBuffer":
-        a = np.asarray(a, dtype=np.float64)
-        if a.ndim == 2:
-            a = a[:, :, None]
-        h, w, c = a.shape
-        return cls(width=w, height=h, channels=c, data=a)
 
     def plane(self) -> np.ndarray:
         """Single-channel view with the channel axis dropped."""
@@ -194,44 +165,23 @@ class GBuffer:
             if got != want:
                 raise ContractError(f"{name} shape {got}, expected {want}")
 
-    @property
-    def height(self) -> int:
-        return self.depth.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.depth.shape[1]
-
     def copy(self) -> "GBuffer":
         return GBuffer(self.albedo.copy(), self.normal.copy(), self.depth.copy(),
                        self.roughness.copy(), self.metallic.copy())
 
 
 @dataclass
-class ValidationIssue:
-    kind: str
-    pixel: tuple[int, int]  # (x, y)
-    value: float
-
-
-_MAX_LISTED = 16  # issues listed per kind; every pixel is counted
-
-
-@dataclass
 class ValidationReport:
-    issues: list[ValidationIssue] = field(default_factory=list)
-    counts: dict = field(default_factory=dict)
+    counts: dict = field(default_factory=dict)  # issue kind -> pixel count
 
     def ok(self) -> bool:
         return not self.counts
 
-    def add(self, kind: str, xs: np.ndarray, ys: np.ndarray, vals: np.ndarray) -> None:
-        n = int(xs.size)
-        if n == 0:
-            return
-        self.counts[kind] = self.counts.get(kind, 0) + n
-        for i in range(min(n, _MAX_LISTED)):
-            self.issues.append(ValidationIssue(kind, (int(xs[i]), int(ys[i])), float(vals[i])))
+    def add(self, kind: str, bad: np.ndarray) -> None:
+        """Count the pixels flagged in the (H, W) mask `bad` under `kind`."""
+        n = int(np.count_nonzero(bad))
+        if n:
+            self.counts[kind] = self.counts.get(kind, 0) + n
 
     def summary(self) -> str:
         if self.ok():
@@ -243,51 +193,23 @@ class ValidationReport:
 _UNIT_TOL = 1e-4
 
 
-def validate_gbuffer(g: GBuffer, repair: bool = False) -> tuple[ValidationReport, GBuffer]:
-    """Check every per-pixel invariant; optionally return a repaired copy.
-
-    Repair normalizes normals and clamps scalars into range; it never
-    invents geometry (sentinel depths are reported but left alone).
-    Repair is idempotent.
-    """
+def validate_gbuffer(g: GBuffer) -> ValidationReport:
+    """Count the pixels that break each per-pixel invariant; a pixel with
+    several bad channels counts once.  Sentinel depths are counted too,
+    though they only mark pixels without geometry."""
     report = ValidationReport()
-    out = g.copy() if repair else g
-
-    nn = np.linalg.norm(g.normal, axis=-1)
-    bad = np.abs(nn - 1.0) > _UNIT_TOL
-    ys, xs = np.nonzero(bad)
-    report.add("non-unit normal", xs, ys, nn[bad])
-    if repair and xs.size:
-        safe = np.where(nn > 1e-12, nn, 1.0)
-        out.normal = g.normal / safe[..., None]
-        out.normal[nn <= 1e-12] = np.array([0.0, 0.0, -1.0])
-
-    for name, arr in (("albedo", g.albedo), ("roughness", g.roughness),
-                      ("metallic", g.metallic)):
+    report.add("non-unit normal",
+               np.abs(np.linalg.norm(g.normal, axis=-1) - 1.0) > _UNIT_TOL)
+    for name in ("albedo", "roughness", "metallic"):
+        arr = getattr(g, name)
         finite = np.isfinite(arr)
         oob = finite & ((arr < 0.0) | (arr > 1.0))
-        nonfin = ~finite
         if arr.ndim == 3:
-            idx = np.nonzero(oob.any(axis=-1))
-            vals = arr[idx][:, 0] if idx[0].size else np.empty(0)
-            report.add(f"{name} out of range", idx[1], idx[0], vals)
-            idx = np.nonzero(nonfin.any(axis=-1))
-            report.add(f"{name} non-finite", idx[1], idx[0], np.zeros(idx[0].size))
-        else:
-            ys, xs = np.nonzero(oob)
-            report.add(f"{name} out of range", xs, ys, arr[oob])
-            ys, xs = np.nonzero(nonfin)
-            report.add(f"{name} non-finite", xs, ys, np.zeros(xs.size))
-        if repair:
-            fixed = np.clip(np.nan_to_num(arr, nan=0.0, posinf=1.0, neginf=0.0), 0.0, 1.0)
-            setattr(out, name, fixed)
-
-    sentinel = ~has_geometry(g.depth)
-    ys, xs = np.nonzero(sentinel)
-    report.add("depth sentinel (no geometry)", xs, ys,
-               np.where(np.isfinite(g.depth[sentinel]), g.depth[sentinel], 0.0))
-
-    return report, out
+            oob, finite = oob.any(axis=-1), finite.all(axis=-1)
+        report.add(f"{name} out of range", oob)
+        report.add(f"{name} non-finite", ~finite)
+    report.add("depth sentinel (no geometry)", ~has_geometry(g.depth))
+    return report
 
 
 def has_geometry(depth: np.ndarray) -> np.ndarray:
@@ -349,9 +271,7 @@ def dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def as_rgb(value) -> np.ndarray:
-    """Coerce scalar / Spectrum / array-like to a float64 (..., 3) array."""
-    if isinstance(value, Spectrum):
-        return np.asarray(value)
+    """Coerce a scalar or array-like to a float64 (..., 3) array."""
     a = np.asarray(value, dtype=np.float64)
     if a.ndim == 0:
         return np.full(3, float(a))

@@ -43,8 +43,7 @@ def _rel_err(fd, adj, scale):
 
 
 def material_differences(g: GBuffer, fs: FrozenSamples, grad: GradientImage,
-                         light: LightField, cfg: RenderConfig, cls: str,
-                         eps: float = 2e-6):
+                         light: LightField, cfg: RenderConfig, cls: str):
     """Central differences of every frozen pixel's channel sum with respect
     to each component of its own `cls` parameter, and the matching adjoints
     from `grad` (of the all-ones adjoint image); both (n_pix, k), for the 3
@@ -59,6 +58,7 @@ def material_differences(g: GBuffer, fs: FrozenSamples, grad: GradientImage,
         raise ValueError(f"unknown material class {cls!r}")
     pix = (fs.gy, fs.gx)
     base = maps[cls]
+    eps = 2e-6
     if cls == "albedo":
         pairs = [(base + step, base - step) for step in np.eye(3) * eps]
         adj = grad.dalbedo[pix]
@@ -83,7 +83,6 @@ def material_differences(g: GBuffer, fs: FrozenSamples, grad: GradientImage,
 
 def check_render_material(g: GBuffer, camera: Camera, light: LightField,
                           cfg: RenderConfig, tol: float = 1e-4,
-                          eps: float = 2e-6,
                           classes=("albedo", "roughness", "metallic", "normal")
                           ) -> list[CheckResult]:
     """FD-vs-adjoint over every shadeable pixel for each material class;
@@ -97,7 +96,7 @@ def check_render_material(g: GBuffer, camera: Camera, light: LightField,
 
     results = []
     for cls in classes:
-        fd, adj = material_differences(g, fs, grad, light, cfg, cls, eps)
+        fd, adj = material_differences(g, fs, grad, light, cfg, cls)
         errs = _rel_err(fd, adj, scale)
         results.append(CheckResult(f"render/{cls}", float(np.max(errs)), tol))
     return results
@@ -119,16 +118,17 @@ def _max_fd_error(objective, base: np.ndarray, adj: np.ndarray, rng,
 
 
 def check_volume_weights(weights, cfg: volumetric.VolumeConfig, n_rays: int = 4,
-                         n_components: int = 48, tol: float = 1e-4,
-                         eps: float = 1e-5, seed: int = 11) -> CheckResult:
+                         n_components: int = 48, tol: float = 1e-4) -> CheckResult:
     """FD on a seeded subset of field weights through the volume renderer."""
+    seed = 11
     rng = np.random.default_rng(seed)
     p = rng.normal(0.0, 0.5, size=(n_rays, 3)) + np.array([0.0, 0.0, 2.0])
     d = normalize(rng.normal(size=(n_rays, 3)))
     dL = rng.normal(size=(n_rays, 3))
     ray_ids = np.arange(n_rays, dtype=np.uint64)
 
-    adj = volumetric.volume_render_backward(weights, p, d, cfg, seed, ray_ids, dL)
+    _, state = volumetric.volume_render_batch(weights, p, d, cfg, seed, ray_ids)
+    adj = volumetric.volume_render_backward(weights, p, d, cfg, seed, ray_ids, dL, state)
 
     def objective(flat):
         L, _ = volumetric.volume_render_batch(weights.copy_with(flat), p, d, cfg,
@@ -136,16 +136,16 @@ def check_volume_weights(weights, cfg: volumetric.VolumeConfig, n_rays: int = 4,
         return float(np.sum(L * dL))
 
     scale = max(1e-7, 1e-6 * float(np.abs(adj).max()))
-    err = _max_fd_error(objective, weights.flat, adj, rng, n_components, eps, scale)
+    err = _max_fd_error(objective, weights.flat, adj, rng, n_components, 1e-5, scale)
     return CheckResult("volume_render/weights", err, tol)
 
 
 def check_hypernet(h: volumetric.HypernetParams, fg: np.ndarray,
-                   n_components: int = 48, tol: float = 1e-4,
-                   eps: float = 1e-6, seed: int = 5) -> CheckResult:
+                   n_components: int = 48, tol: float = 1e-4) -> CheckResult:
     """FD of the affine weight map w.r.t. the feature vector and its own
     parameters, against `hypernet_backward`."""
-    rng = np.random.default_rng(seed)
+    eps = 1e-6
+    rng = np.random.default_rng(5)
     fg = np.asarray(fg, dtype=np.float64).ravel()
     dflat = rng.normal(size=h.bias.size)
     dfg, dmat, dbias = volumetric.hypernet_backward(fg, h, dflat)
@@ -166,12 +166,11 @@ def check_hypernet(h: volumetric.HypernetParams, fg: np.ndarray,
 
 def check_light_params(g: GBuffer, camera: Camera, light: LightField,
                        cfg: RenderConfig, n_components: int = 12,
-                       tol: float = 1e-4, eps: float = 1e-5,
-                       seed: int = 3) -> CheckResult:
+                       tol: float = 1e-4) -> CheckResult:
     """FD over the light field's own parameters through the frozen-sample
     estimator, against the adjoints routed by render_backward.  The
     differences perturb a copy, so `light` is never written."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(3)
     fs = draw_frozen_samples(g, camera, cfg)
     grad = render_backward(g, camera, light, cfg, np.ones((*g.depth.shape, 3)),
                            want_light=True)
@@ -184,5 +183,5 @@ def check_light_params(g: GBuffer, camera: Camera, light: LightField,
 
     scale = max(1e-7, 1e-6 * float(np.abs(grad.dlight).max()))
     err = _max_fd_error(objective, light.get_params(), grad.dlight, rng, n_components,
-                        eps, scale)
+                        1e-5, scale)
     return CheckResult("render/light-params", err, tol)

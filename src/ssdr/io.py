@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-import logging
+import os
 import struct
 import zlib
 from dataclasses import dataclass
@@ -28,8 +28,6 @@ import numpy as np
 from .core import Camera, ContractError, GBuffer, ImageBuffer, finite_number
 from .lighting import FeatureGrid, GridLight, LightField, analytic_lightfield
 from .mlp import MlpWeights
-
-log = logging.getLogger("ssdr")
 
 
 class ParseError(ContractError):
@@ -75,12 +73,13 @@ def read_pfm(path) -> ImageBuffer:
             raise ParseError(f"{path}: bad header near byte {f.tell()}: {e}") from None
         if width <= 0 or height <= 0:
             raise ParseError(f"{path}: non-positive dimensions {width}x{height}")
-        count = width * height * channels
-        payload = f.read(4 * count)
-        if len(payload) != 4 * count:
+        size = 4 * width * height * channels
+        left = os.fstat(f.fileno()).st_size - f.tell()
+        if left < size:     # before reading, so a huge claim allocates nothing
             raise ParseError(
-                f"{path}: truncated payload at byte {f.tell()} "
-                f"(got {len(payload)} of {4 * count} bytes)")
+                f"{path}: truncated payload at byte {f.tell() + left} "
+                f"(got {left} of {size} bytes)")
+        payload = f.read(size)
         trailing = f.read(1)
         if trailing:
             raise ParseError(f"{path}: trailing garbage at byte {f.tell() - 1}")
@@ -112,19 +111,7 @@ def write_pfm(path, image) -> None:
 
 
 # ---------------------------------------------------------------------------
-# color handling
-
-
-def srgb_to_linear(image: np.ndarray) -> np.ndarray:
-    """Inverse gamma x -> x^2.2 (power law, not the piecewise sRGB EOTF).
-
-    Out-of-range inputs are clamped with a warning."""
-    x = np.asarray(image, dtype=np.float64)
-    if np.any(x < 0) or np.any(x > 1):
-        log.warning("srgb_to_linear: clamping %d out-of-range values",
-                    int(np.sum((x < 0) | (x > 1))))
-        x = np.clip(x, 0.0, 1.0)
-    return x ** 2.2
+# PNG previews
 
 
 def tonemap(image: np.ndarray, exposure: float) -> np.ndarray:

@@ -166,12 +166,15 @@ class ConstantLight(LightField):
         return np.asarray(dL, dtype=np.float64).reshape(-1, 3).sum(axis=0)
 
 
+SKY_UP = (0.0, -1.0, 0.0)   # the sky lights' default up: view space has y down
+
+
 class SkyGradientLight(LightField):
     """Direction-only field blending horizon to zenith color with d.up."""
 
     n_params = 6
 
-    def __init__(self, zenith, horizon, up=(0.0, -1.0, 0.0)):
+    def __init__(self, zenith, horizon, up=SKY_UP):
         self.zenith = as_rgb(_light_param(zenith, "zenith", _RGB))
         self.horizon = as_rgb(_light_param(horizon, "horizon", _RGB))
         self.up = normalize(_light_param(up, "up", _DIRECTION))
@@ -203,7 +206,7 @@ class SkyDiscLight(LightField):
     Not parameterized."""
 
     def __init__(self, zenith, horizon, disc_direction, disc_radius, disc_color,
-                 up=(0.0, -1.0, 0.0)):
+                 up=SKY_UP):
         self.sky = SkyGradientLight(zenith, horizon, up)
         self.disc_direction = normalize(_light_param(disc_direction, "disc_direction",
                                                      _DIRECTION))
@@ -361,11 +364,11 @@ def analytic_lightfield(kind: str, **params) -> LightField:
         return ConstantLight(need("value"))
     if kind == "sky":
         return SkyGradientLight(need("zenith"), need("horizon"),
-                                params.get("up", (0.0, -1.0, 0.0)))
+                                params.get("up", SKY_UP))
     if kind == "sky_disc":
         return SkyDiscLight(need("zenith"), need("horizon"),
                             need("disc_direction"), need("disc_radius"),
-                            need("disc_color"), params.get("up", (0.0, -1.0, 0.0)))
+                            need("disc_color"), params.get("up", SKY_UP))
     if kind == "grid":
         return GridLight(need("values"), need("bounds"))
     raise ContractError(f"unknown light field kind {kind!r}")

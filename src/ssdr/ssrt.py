@@ -44,25 +44,12 @@ class SsrtConfig:
 
 
 @dataclass
-class SsrtHit:
-    status: Status
-    s: np.ndarray        # source point, valid on HIT
-    pixel: np.ndarray    # continuous pixel coords of the termination point
-    delta_d: float       # |ray depth - surface depth| at termination
-    u: float             # tanh uncertainty; exactly 1.0 iff status != HIT
-
-
-@dataclass
 class SsrtHitBatch:
-    status: np.ndarray   # (N,) int
-    s: np.ndarray        # (N, 3)
-    pixel: np.ndarray    # (N, 2)
-    delta_d: np.ndarray  # (N,)
-    u: np.ndarray        # (N,)
-
-    def __getitem__(self, i: int) -> SsrtHit:
-        return SsrtHit(Status(int(self.status[i])), self.s[i], self.pixel[i],
-                       float(self.delta_d[i]), float(self.u[i]))
+    status: np.ndarray   # (N,) int, a Status
+    s: np.ndarray        # (N, 3) source point, valid on HIT
+    pixel: np.ndarray    # (N, 2) continuous pixel coords of the termination point
+    delta_d: np.ndarray  # (N,) |ray depth - surface depth| at termination
+    u: np.ndarray        # (N,) tanh uncertainty; exactly 1.0 iff status != HIT
 
 
 _ONE_BELOW_1 = float(np.nextafter(1.0, 0.0))
@@ -230,11 +217,3 @@ def trace_batch(depth: np.ndarray, camera: Camera, p: np.ndarray, dirs: np.ndarr
     u = np.where(found, u_hit, 1.0)
 
     return SsrtHitBatch(status=status, s=src, pixel=px_final, delta_d=delta_d, u=u)
-
-
-def trace(depth: np.ndarray, camera: Camera, p: np.ndarray, direction: np.ndarray,
-          cfg: SsrtConfig) -> SsrtHit:
-    """Single-ray convenience wrapper around `trace_batch`."""
-    batch = trace_batch(depth, camera, np.asarray(p)[None, :],
-                        np.asarray(direction)[None, :], cfg)
-    return batch[0]

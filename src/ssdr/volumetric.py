@@ -201,13 +201,11 @@ def volume_render(weights: MlpWeights, p, d, t_near: float, t_far: float,
 
 def volume_render_backward(weights: MlpWeights, p: np.ndarray, d: np.ndarray,
                            cfg: VolumeConfig, seed: int, ray_ids: np.ndarray,
-                           dL: np.ndarray, state=None) -> np.ndarray:
+                           dL: np.ndarray, state) -> np.ndarray:
     """d(volume_render_batch)/d(weights.flat), contracted with dL (N, 3).
 
     `state` is the one `volume_render_batch` returned for the same
-    arguments; without it the forward pass is run again."""
-    if state is None:
-        _, state = volume_render_batch(weights, p, d, cfg, seed, ray_ids)
+    arguments."""
     sigma, color, deltas, w, (y, cache, raw_col) = state
     dsigma, dcolor = composite_backward(sigma, color, deltas, w, dL)
 

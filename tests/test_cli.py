@@ -111,16 +111,32 @@ def test_render_missing_map_exit_2(two_plane_bundle, tmp_path):
                  str(tmp_path / "x")]) == EXIT_INPUT
 
 
-def test_render_invalid_gbuffer_exit_2(two_plane_bundle, tmp_path):
+def test_render_invalid_gbuffer_exit_2(two_plane_bundle, tmp_path, caplog):
+    """Every hard G-buffer issue is counted in the one error line."""
     import shutil
-    broken = tmp_path / "badnorm"
-    shutil.copytree(two_plane_bundle, broken)
-    bundle = sio.read_bundle(broken)
-    bad = bundle.gbuffer.normal.copy()
-    bad[0, 0] = [0.0, 0.0, 5.0]
-    sio.write_pfm(broken / "normal.pfm", bad)
+    broken = shutil.copytree(two_plane_bundle, tmp_path / "broken")
+    g = sio.read_bundle(broken).gbuffer
+    g.normal[0, 0] = [0.0, 0.0, 5.0]
+    g.albedo[1, 2, 1] = np.nan
+    g.roughness[3, 4] = 1.5
+    for name in ("normal", "albedo", "roughness"):
+        sio.write_pfm(broken / f"{name}.pfm", getattr(g, name))
     assert main(["render", "--bundle", str(broken), "--out",
                  str(tmp_path / "v")]) == EXIT_INPUT
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert errors == ["bundle failed validation: gbuffer issues: albedo non-finite: 1 px, "
+                      "non-unit normal: 1 px, roughness out of range: 1 px"]
+
+
+def test_render_sentinel_depth_only_exit_0(two_plane_bundle, tmp_path):
+    """Depth sentinels mark pixels without geometry; they are no error."""
+    import shutil
+    bundle = shutil.copytree(two_plane_bundle, tmp_path / "sky")
+    depth = sio.read_bundle(bundle).gbuffer.depth
+    depth[2, 3] = 0.0
+    sio.write_pfm(bundle / "depth.pfm", depth)
+    assert main(["render", "--bundle", str(bundle), "--out", str(tmp_path / "r"),
+                 "--spp", "2"]) == EXIT_OK
 
 
 def test_gradcheck_passes_and_fails_by_tolerance(two_plane_bundle, tmp_path):
@@ -234,10 +250,12 @@ def test_learned_lighting_missing_assets(two_plane_bundle, tmp_path):
 
 
 def _broken_copy(src, dst, name, edit):
-    """Copy a bundle and rewrite one of its JSON files with `edit(text)`."""
+    """Copy a bundle and rewrite one of its files with `edit(text)`; bytes
+    that are not UTF-8, as in a PFM payload, pass through as lone surrogates."""
     import shutil
     shutil.copytree(src, dst)
-    (dst / name).write_text(edit((dst / name).read_text()))
+    text = (dst / name).read_bytes().decode(errors="surrogateescape")
+    (dst / name).write_bytes(edit(text).encode(errors="surrogateescape"))
     return dst
 
 
@@ -307,6 +325,11 @@ def _assert_input_error(argv, caplog, *words):
     ("bundle.json", _edit_json(lighting={"kind": "constant", "value": 10**400}),
      ("'value'",)),
     ("camera.json", _edit_json(fx=10**400), ("camera.json", "'fx'")),
+    # PFM headers claiming more bytes than the file holds
+    ("albedo.pfm", lambda text: text.replace("16 16\n", "100000000 100000000\n", 1),
+     ("albedo.pfm", "truncated payload")),
+    ("albedo.pfm", lambda text: text.replace("16 16\n", f"{10**30} 16\n", 1),
+     ("albedo.pfm", "truncated payload")),
 ], ids=["malformed-camera", "camera-without-cy", "sky-without-zenith",
         "specular-scale-not-a-number", "maps-not-an-object", "map-path-not-a-string",
         "camera-not-a-string", "target-not-a-string", "weights-not-a-string",
@@ -316,7 +339,8 @@ def _assert_input_error(argv, caplog, *words):
         "specular-scale-bool", "specular-scale-inf", "specular-scale-nan",
         "specular-scale-negative", "camera-fx-nan", "camera-fx-bool", "camera-cy-string",
         "camera-width-not-an-int", "camera-height-bool", "specular-scale-huge-int",
-        "constant-value-huge-int", "camera-fx-huge-int"])
+        "constant-value-huge-int", "camera-fx-huge-int", "pfm-size-beyond-memory",
+        "pfm-width-huge-int"])
 def test_render_bad_bundle_exit_2(two_plane_bundle, tmp_path, caplog, name, edit, words):
     """Each bad bundle is the same one-line input error in every command
     that renders it."""

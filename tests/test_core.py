@@ -4,8 +4,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ssdr.core import (BehindCameraError, Camera, ContractError, GBuffer,
-                       ImageBuffer, Spectrum, bilinear, dot, normalize, project,
-                       unproject, validate_gbuffer)
+                       ImageBuffer, bilinear, dot, normalize, project, unproject,
+                       validate_gbuffer)
 from ssdr.sampling import SamplerState, derive_seed, uniform, uniform_block
 
 
@@ -100,38 +100,21 @@ def _valid_gbuffer(h=4, w=5):
 
 
 def test_validate_clean_buffer():
-    report, _ = validate_gbuffer(_valid_gbuffer())
+    report = validate_gbuffer(_valid_gbuffer())
     assert report.ok()
     assert report.summary() == "gbuffer valid"
 
 
-def test_validate_and_repair_normal():
+def test_validate_counts_non_unit_normal():
     g = _valid_gbuffer()
     g.normal[1, 2] = [0.0, 0.0, 2.0]
-    report, fixed = validate_gbuffer(g, repair=True)
-    assert report.counts["non-unit normal"] == 1
-    assert report.issues[0].pixel == (2, 1)
-    assert np.allclose(fixed.normal[1, 2], [0.0, 0.0, 1.0])
+    assert validate_gbuffer(g).counts == {"non-unit normal": 1}
 
 
-def test_validate_repair_roughness_clamp():
+def test_validate_counts_roughness_out_of_range():
     g = _valid_gbuffer()
     g.roughness[0, 0] = 1.5
-    report, fixed = validate_gbuffer(g, repair=True)
-    assert "roughness out of range" in report.counts
-    assert fixed.roughness[0, 0] == 1.0
-
-
-def test_validate_repair_idempotent():
-    rng = np.random.default_rng(3)
-    g = _valid_gbuffer()
-    g.normal += 0.3 * rng.normal(size=g.normal.shape)
-    g.albedo += rng.normal(size=g.albedo.shape)
-    g.roughness += rng.normal(size=g.roughness.shape)
-    _, once = validate_gbuffer(g, repair=True)
-    _, twice = validate_gbuffer(once, repair=True)
-    for name in ("albedo", "normal", "roughness", "metallic", "depth"):
-        assert np.array_equal(getattr(once, name), getattr(twice, name))
+    assert validate_gbuffer(g).counts == {"roughness out of range": 1}
 
 
 def test_gbuffer_dimension_mismatch_fatal():
@@ -140,12 +123,6 @@ def test_gbuffer_dimension_mismatch_fatal():
                 depth=np.zeros((4, 4)), roughness=np.zeros((4, 4)),
                 metallic=np.zeros((4, 4)))
 
-
-def test_spectrum_validation():
-    s = Spectrum(0.1, 0.2, 0.3)
-    assert np.allclose(np.asarray(s), [0.1, 0.2, 0.3])
-    with pytest.raises(ContractError):
-        Spectrum(np.nan, 0.0, 0.0)
 
 
 def test_image_buffer_shape_contract():

@@ -49,7 +49,8 @@ def test_pfm_bottom_up_scanlines(tmp_path):
 def test_pfm_roundtrip_bitexact(tmp_path_factory, arr, channels):
     tmp = tmp_path_factory.mktemp("pfm")
     data = np.repeat(arr[:, :, None], channels, axis=2).astype(np.float64)
-    img = ImageBuffer.from_array(data)
+    img = ImageBuffer(width=data.shape[1], height=data.shape[0], channels=channels,
+                      data=data)
     p1 = tmp / "a.pfm"
     p2 = tmp / "b.pfm"
     sio.write_pfm(p1, img)
@@ -78,26 +79,6 @@ def test_pfm_bad_magic(tmp_path):
     path.write_bytes(b"P6\n1 1\n-1.0\n" + b"\0" * 4)
     with pytest.raises(sio.ParseError, match="magic"):
         sio.read_pfm(path)
-
-
-def test_srgb_endpoints_and_value():
-    assert sio.srgb_to_linear(np.array(0.0)) == 0.0
-    assert sio.srgb_to_linear(np.array(1.0)) == 1.0
-    assert np.isclose(sio.srgb_to_linear(np.array(0.5)), 0.5 ** 2.2)
-
-
-@given(st.floats(0.0, 1.0), st.floats(0.0, 1.0))
-@settings(max_examples=100)
-def test_srgb_monotonic(a, b):
-    lo, hi = sorted((a, b))
-    if hi - lo < 1e-12:
-        return
-    assert sio.srgb_to_linear(np.array(lo)) < sio.srgb_to_linear(np.array(hi))
-
-
-def test_srgb_clamps_out_of_range():
-    out = sio.srgb_to_linear(np.array([-0.5, 1.5]))
-    assert out[0] == 0.0 and out[1] == 1.0
 
 
 def test_png_black_for_zero_image(tmp_path):

@@ -37,12 +37,12 @@ def test_slide_along_plane_hits_at_origin():
     depth = np.full((64, 64), 2.0)
     p = unproject(camera, np.array([20.0, 32.0]), 2.0)
     q = unproject(camera, np.array([50.0, 32.0]), 2.0)
-    hit = ssrt.trace(depth, camera, p, normalize(q - p), CFG)
-    assert hit.status == Status.HIT
+    hit = ssrt.trace_batch(depth, camera, p[None], normalize(q - p)[None], CFG)
+    assert hit.status[0] == Status.HIT
     # the first intersection of an in-plane ray is the ray origin itself
-    assert np.linalg.norm(hit.pixel - [20.0, 32.0]) <= 1.0
-    assert hit.delta_d <= 1e-9
-    assert hit.u < 1e-6
+    assert np.linalg.norm(hit.pixel[0] - [20.0, 32.0]) <= 1.0
+    assert hit.delta_d[0] <= 1e-9
+    assert hit.u[0] < 1e-6
 
 
 def test_ray_into_sky_exits():
@@ -50,9 +50,10 @@ def test_ray_into_sky_exits():
     depth = np.full((64, 64), np.inf)
     depth[40:, :] = 2.0
     p = unproject(camera, np.array([32.0, 45.0]), 2.0)
-    hit = ssrt.trace(depth, camera, p, normalize(np.array([0.0, -0.5, -0.05])), CFG)
-    assert hit.status in (Status.EXITED_VIEW, Status.EXHAUSTED_STEPS)
-    assert hit.u == 1.0
+    hit = ssrt.trace_batch(depth, camera, p[None], normalize(np.array([[0.0, -0.5, -0.05]])),
+                          CFG)
+    assert hit.status[0] in (Status.EXITED_VIEW, Status.EXHAUSTED_STEPS)
+    assert hit.u[0] == 1.0
 
 
 def test_two_plane_oracle_agreement():
@@ -83,9 +84,9 @@ def test_single_plane_in_view_intersection():
     # point on the plane, aimed at another in-view plane point
     p = unproject(camera, np.array([10.0, 10.0]), 2.0)
     q = unproject(camera, np.array([40.0, 55.0]), 2.0)
-    hit = ssrt.trace(depth, camera, p, normalize(q - p), CFG)
-    assert hit.status == Status.HIT
-    assert np.linalg.norm(hit.pixel - [10.0, 10.0]) <= 1.0  # first crossing at t=0+
+    hit = ssrt.trace_batch(depth, camera, p[None], normalize(q - p)[None], CFG)
+    assert hit.status[0] == Status.HIT
+    assert np.linalg.norm(hit.pixel[0] - [10.0, 10.0]) <= 1.0  # first crossing at t=0+
 
 
 def test_trace_determinism():
@@ -120,10 +121,10 @@ def test_occluder_in_front_keeps_hit_with_large_gap():
     depth[:, 40:] = 1.0  # near occluder on the right
     p = unproject(camera, np.array([20.0, 32.0]), 4.0)
     q = unproject(camera, np.array([60.0, 32.0]), 2.0)  # in front of the wall
-    hit = ssrt.trace(depth, camera, p, normalize(q - p), CFG)
-    assert hit.status == Status.HIT
-    assert hit.delta_d > CFG.thickness
-    assert hit.u > 0.9999  # discounted almost entirely
+    hit = ssrt.trace_batch(depth, camera, p[None], normalize(q - p)[None], CFG)
+    assert hit.status[0] == Status.HIT
+    assert hit.delta_d[0] > CFG.thickness
+    assert hit.u[0] > 0.9999  # discounted almost entirely
 
 
 def test_refinement_converges_with_stride():
@@ -156,19 +157,19 @@ def test_exhausted_steps_status():
     p = unproject(camera, np.array([2.0, 32.0]), 2.0)
     q = unproject(camera, np.array([62.0, 32.0]), 2.0)
     tiny = SsrtConfig(max_steps=4, stride=1.0)
-    hit = ssrt.trace(depth, camera, p, normalize(q - p), tiny)
-    assert hit.status == Status.EXHAUSTED_STEPS
-    assert hit.u == 1.0
+    hit = ssrt.trace_batch(depth, camera, p[None], normalize(q - p)[None], tiny)
+    assert hit.status[0] == Status.EXHAUSTED_STEPS
+    assert hit.u[0] == 1.0
 
 
 def test_contract_violations():
     camera = scenes.default_camera(16, 16)
     depth = np.full((16, 16), 2.0)
     with pytest.raises(ContractError):
-        ssrt.trace(depth, camera, np.array([0.0, 0.0, 1.0]),
-                   np.zeros(3), CFG)
+        ssrt.trace_batch(depth, camera, np.array([[0.0, 0.0, 1.0]]),
+                         np.zeros((1, 3)), CFG)
     with pytest.raises(ContractError):
-        ssrt.trace(depth, camera, np.array([np.nan, 0.0, 1.0]),
-                   np.array([0.0, 0.0, 1.0]), CFG)
+        ssrt.trace_batch(depth, camera, np.array([[np.nan, 0.0, 1.0]]),
+                         np.array([[0.0, 0.0, 1.0]]), CFG)
     with pytest.raises(ContractError):
         SsrtConfig(max_steps=0)
