@@ -44,6 +44,11 @@ scene's depth map with a few no-geometry sentinel pixels, so a change to
 an image lookup shows layer by layer and not only through 12x12 learned
 renders.
 
+The adjoint as the analytic fits ask for it has lines too: albedo +
+roughness only, on glossy-floor under its own light, read from the
+render's sample tape at threads 1 and 2, so the benchmarked path's bits
+show and not only those of the all-parameter adjoint.
+
 Every line is `<name> <sha256>` of the float64 array's bytes, so any
 changed bit shows as a changed line.
 """
@@ -59,7 +64,7 @@ from ssdr.inverse import LossConfig, optimize
 from ssdr.lighting import (ConstantLight, FeatureGrid, GridLight, analytic_lightfield,
                            decoder_input_dim)
 from ssdr.mlp import MlpWeights
-from ssdr.render import (RenderConfig, draw_frozen_samples, eval_frozen,
+from ssdr.render import (PARAM_NAMES, RenderConfig, draw_frozen_samples, eval_frozen,
                          reference_render, render_backward, render_mc)
 
 RES = 16
@@ -73,6 +78,7 @@ ENC_ROWS = 4000
 # analytic fits: RES x RES at OPT_SPP samples per pixel
 OPT_ITERS = 3
 OPT_SPP = 16
+GRAD_FIELDS = tuple("d" + name for name in PARAM_NAMES)
 
 
 def digest(a) -> str:
@@ -122,8 +128,8 @@ def learned_lines(rng):
             yield f"{tag}/t{threads}/render_mc", render_mc(g, camera, light, cfg,
                                                            threads=threads)
             grad = render_backward(g, camera, light, cfg, dI, threads=threads,
-                                   want_light=True)
-            for field in ("dalbedo", "droughness", "dmetallic", "dnormal", "dlight"):
+                                   params=PARAM_NAMES)
+            for field in GRAD_FIELDS:
                 yield f"{tag}/t{threads}/render_backward.{field}", getattr(grad, field)
 
         target = render_mc(g, camera, light, replace(cfg, spp=4 * LEARNED_SPP, seed=9))
@@ -220,6 +226,22 @@ def trace_lines():
         yield f"{kind}/decoder_inputs", x
 
 
+def fit_backward_lines():
+    """albedo + roughness adjoints from the render's tape on glossy-floor
+    under its own light, at threads 1 and 2; the other fields are none."""
+    g, camera, spec, _ = scenes.make_scene("glossy-floor", RES, RES)
+    light = analytic_lightfield(**spec)
+    cfg = RenderConfig(spp=SPP, seed=3)
+    dI = np.random.default_rng(17).normal(size=g.depth.shape + (3,))
+    for threads in (1, 2):
+        tape = []
+        render_mc(g, camera, light, cfg, threads=threads, tape=tape)
+        grad = render_backward(g, camera, light, cfg, dI, threads=threads,
+                               params=("albedo", "roughness"), tape=tape)
+        for field in GRAD_FIELDS:
+            yield f"glossy-floor/fit/t{threads}/render_backward.{field}", getattr(grad, field)
+
+
 def lines():
     yield from mlp_lines()
     yield from encoding_lines()
@@ -237,8 +259,8 @@ def lines():
                 yield f"{tag}/t{threads}/render_mc", render_mc(g, camera, light, cfg,
                                                                threads=threads)
                 grad = render_backward(g, camera, light, cfg, dI, threads=threads,
-                                       want_light=True)
-                for field in ("dalbedo", "droughness", "dmetallic", "dnormal", "dlight"):
+                                       params=PARAM_NAMES)
+                for field in GRAD_FIELDS:
                     yield f"{tag}/t{threads}/render_backward.{field}", getattr(grad, field)
             fs = draw_frozen_samples(g, camera, cfg)
             yield f"{tag}/eval_frozen", eval_frozen(fs, g.albedo, g.roughness, g.metallic,
@@ -265,6 +287,7 @@ def lines():
     yield from learned_lines(rng)
     yield from optimize_lines()
     yield from trace_lines()
+    yield from fit_backward_lines()
 
 
 def main():

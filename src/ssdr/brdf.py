@@ -233,15 +233,23 @@ def sample(v, n, params: BrdfParams, rng: SamplerState) -> BrdfSample:
 # analytic partials consumed by the render adjoint
 
 
-def eval_pdf_with_partials(v, d, n, albedo, roughness, metallic, specular):
-    """Forward values plus every partial the detached-sample adjoint needs.
+def eval_pdf_with_partials(v, d, n, albedo, roughness, metallic, specular,
+                           params=("albedo", "roughness", "metallic", "normal")):
+    """Forward values plus the partials the detached-sample adjoint needs.
 
     Sample directions d are treated as constants; returns a dict of arrays
     broadcast over the leading shape:
       f (.,3), pdf (.),
-      df_dA (.,3) diagonal per channel, df_dR (.,3), df_dM (.,3), df_dn (.,3,3),
-      dpdf_dA (.,3), dpdf_dR (.), dpdf_dM (.), dpdf_dn (.,3).
+      df_dA (.,3) diagonal per channel, df_dR (.,3), dpdf_dA (.,3), dpdf_dR (.),
+    plus, for the material names in `params` (other names are ignored):
+      "metallic": df_dM (.,3), dpdf_dM (.)
+      "normal":   fres (.,3), dsc_dn (.,3), dpdf_dn (.,3)
+    The normal Jacobian of f has rank one, df_dn[c, x] = fres[c] * dsc_dn[x]:
+    the Fresnel term times the normal gradient of the scalar microfacet
+    factor, which is zero below the horizon.
     """
+    want_m = "metallic" in params
+    want_n = "normal" in params
     v, d, n = (np.asarray(a, dtype=np.float64) for a in (v, d, n))
     albedo = np.asarray(albedo, dtype=np.float64)
     metallic = np.asarray(metallic, dtype=np.float64)
@@ -266,14 +274,16 @@ def eval_pdf_with_partials(v, d, n, albedo, roughness, metallic, specular):
     D = np.where(face, a2 / (np.pi * t * t), 0.0)
     dD_dalpha = np.where(face, (2.0 * alpha * t - 4.0 * alpha * a2 * cos_nm * cos_nm)
                          / (np.pi * t ** 3), 0.0)
-    dD_dcnm = np.where(face, -4.0 * a2 * cos_nm * (a2 - 1.0) / (np.pi * t ** 3), 0.0)
 
     def g1_terms(c):
+        """G1 at cosine c, its alpha partial and, for the normal, its c partial."""
         k = np.sqrt(a2 + (1.0 - a2) * c * c)
         pos = c > 0
         g = np.where(pos, 2.0 * c / (c + k), 0.0)
         dk_da = alpha * (1.0 - c * c) / k
         dg_da = np.where(pos, -2.0 * c / (c + k) ** 2 * dk_da, 0.0)
+        if not want_n:
+            return g, dg_da, None
         dk_dc = (1.0 - a2) * c / k
         dg_dc = np.where(pos, (2.0 * (c + k) - 2.0 * c * (1.0 + dk_dc)) / (c + k) ** 2, 0.0)
         return g, dg_da, dg_dc
@@ -284,17 +294,8 @@ def eval_pdf_with_partials(v, d, n, albedo, roughness, metallic, specular):
     dG_dalpha = dg1v_da * g1d + g1v * dg1d_da
 
     denom = np.maximum(4.0 * cos_nv * cos_nd, 1e-12)
-    live = 4.0 * cos_nv * cos_nd > 1e-12
     sc = spec_scale * D * G / denom
     dsc_dalpha = spec_scale * (dD_dalpha * G + D * dG_dalpha) / denom
-
-    # n enters via cos_nv, cos_nd, cos_nm
-    dsc_dcv = np.where(live, spec_scale * D * (dg1v_dcv * g1d) / denom
-                       - sc / cos_nv, 0.0)
-    dsc_dcd = np.where(live, spec_scale * D * (g1v * dg1d_dcd) / denom
-                       - sc / cos_nd, 0.0)
-    dsc_dcm = spec_scale * dD_dcnm * G / denom
-    dsc_dn = dsc_dcv[..., None] * v + dsc_dcd[..., None] * d + dsc_dcm[..., None] * m
 
     f0 = f0_of(albedo, metallic)
     q = (1.0 - np.clip(cos_vm, 0.0, 1.0)) ** 5
@@ -304,19 +305,14 @@ def eval_pdf_with_partials(v, d, n, albedo, roughness, metallic, specular):
     df_df0 = (1.0 - q)[..., None] + np.where((f0 > 0) & (f0 < 0.02),
                                              50.0 * q[..., None], 0.0)
     dfres_dA = metallic[..., None] * df_df0               # per channel, diagonal
-    dfres_dM = (albedo - 0.04) * df_df0
 
     one_minus_m = (1.0 - metallic)[..., None]
     f = one_minus_m * albedo / np.pi + fres * sc[..., None]
     f = np.where(up[..., None], f, 0.0)
 
     df_dA = np.where(up[..., None], one_minus_m / np.pi + dfres_dA * sc[..., None], 0.0)
-    df_dM = np.where(up[..., None],
-                     -albedo / np.pi + dfres_dM * sc[..., None], 0.0)
     df_dR = np.where(up[..., None],
                      fres * (dsc_dalpha * dalpha_dR)[..., None], 0.0)
-    df_dn = np.where(up[..., None, None],
-                     fres[..., :, None] * dsc_dn[..., None, :], 0.0)
 
     # mixture pdf and its partials
     lum = luminance(albedo)
@@ -333,24 +329,36 @@ def eval_pdf_with_partials(v, d, n, albedo, roughness, metallic, specular):
     p = wd * pd + ws * ps
 
     dwd_raw_dA = (1.0 - metallic)[..., None] * _LUM
-    dwd_raw_dM = -lum
-    dws_raw_dM = 0.96 * spec_scale
     # d(wd/s)/dx = (dwd*ws_raw - wd_raw*dws)/s^2
     s2 = s_safe * s_safe
     dwd_dA = np.where(deg[..., None], 0.0, dwd_raw_dA * ws_raw[..., None] / s2[..., None])
-    dwd_dM = np.where(deg, 0.0, (dwd_raw_dM * ws_raw - wd_raw * dws_raw_dM) / s2)
-
     dps_dalpha = np.where(face & up, dD_dalpha * cos_nm / (4.0 * cos_vm), 0.0)
-    dps_dn = np.where((face & up)[..., None],
-                      ((dD_dcnm * cos_nm + D) / (4.0 * cos_vm))[..., None] * m, 0.0)
 
-    dpdf_dA = dwd_dA * (pd - ps)[..., None]
-    dpdf_dM = dwd_dM * (pd - ps)
-    dpdf_dR = ws * dps_dalpha * dalpha_dR
-    dpdf_dn = (wd * np.where(up, 1.0 / np.pi, 0.0))[..., None] * d + ws[..., None] * dps_dn
-
-    return {
-        "f": f, "pdf": p,
-        "df_dA": df_dA, "df_dR": df_dR, "df_dM": df_dM, "df_dn": df_dn,
-        "dpdf_dA": dpdf_dA, "dpdf_dR": dpdf_dR, "dpdf_dM": dpdf_dM, "dpdf_dn": dpdf_dn,
-    }
+    out = {"f": f, "pdf": p, "df_dA": df_dA, "df_dR": df_dR,
+           "dpdf_dA": dwd_dA * (pd - ps)[..., None],
+           "dpdf_dR": ws * dps_dalpha * dalpha_dR}
+    if want_m:
+        dfres_dM = (albedo - 0.04) * df_df0
+        out["df_dM"] = np.where(up[..., None],
+                                -albedo / np.pi + dfres_dM * sc[..., None], 0.0)
+        dwd_raw_dM = -lum
+        dws_raw_dM = 0.96 * spec_scale
+        dwd_dM = np.where(deg, 0.0, (dwd_raw_dM * ws_raw - wd_raw * dws_raw_dM) / s2)
+        out["dpdf_dM"] = dwd_dM * (pd - ps)
+    if want_n:
+        # n enters via cos_nv, cos_nd, cos_nm
+        live = 4.0 * cos_nv * cos_nd > 1e-12
+        dD_dcnm = np.where(face, -4.0 * a2 * cos_nm * (a2 - 1.0) / (np.pi * t ** 3), 0.0)
+        dsc_dcv = np.where(live, spec_scale * D * (dg1v_dcv * g1d) / denom
+                           - sc / cos_nv, 0.0)
+        dsc_dcd = np.where(live, spec_scale * D * (g1v * dg1d_dcd) / denom
+                           - sc / cos_nd, 0.0)
+        dsc_dcm = spec_scale * dD_dcnm * G / denom
+        dsc_dn = dsc_dcv[..., None] * v + dsc_dcd[..., None] * d + dsc_dcm[..., None] * m
+        out["fres"] = fres
+        out["dsc_dn"] = np.where(up[..., None], dsc_dn, 0.0)
+        dps_dn = np.where((face & up)[..., None],
+                          ((dD_dcnm * cos_nm + D) / (4.0 * cos_vm))[..., None] * m, 0.0)
+        out["dpdf_dn"] = ((wd * np.where(up, 1.0 / np.pi, 0.0))[..., None] * d
+                          + ws[..., None] * dps_dn)
+    return out

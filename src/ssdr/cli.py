@@ -20,9 +20,9 @@ import numpy as np
 
 from . import gradcheck, io as ssdr_io, scenes
 from .core import Camera, ContractError, GBuffer, luminance, validate_gbuffer
-from .inverse import PARAM_NAMES, LossConfig, loss_rerender, optimize
+from .inverse import LossConfig, loss_rerender, optimize
 from .lighting import analytic_lightfield
-from .render import (RenderConfig, RenderNanError, reference_render,
+from .render import (PARAM_NAMES, RenderConfig, RenderNanError, reference_render,
                      render_discretized, render_mc)
 from .volumetric import BlendedLightField
 

@@ -88,7 +88,8 @@ def check_render_material(g: GBuffer, camera: Camera, light: LightField,
     """FD-vs-adjoint over every shadeable pixel for each material class;
     the cost is linear in the pixel count."""
     fs = draw_frozen_samples(g, camera, cfg)
-    grad = render_backward(g, camera, light, cfg, np.ones((*g.depth.shape, 3)))
+    grad = render_backward(g, camera, light, cfg, np.ones((*g.depth.shape, 3)),
+                           params=classes)
 
     base = eval_frozen(fs, g.albedo, g.roughness, g.metallic, g.normal,
                        light, cfg).sum(axis=1)
@@ -173,7 +174,7 @@ def check_light_params(g: GBuffer, camera: Camera, light: LightField,
     rng = np.random.default_rng(3)
     fs = draw_frozen_samples(g, camera, cfg)
     grad = render_backward(g, camera, light, cfg, np.ones((*g.depth.shape, 3)),
-                           want_light=True)
+                           params=("light",))
     probe = copy.copy(light)
 
     def objective(vec):

@@ -17,10 +17,8 @@ import numpy as np
 from .brdf import ROUGHNESS_FLOOR
 from .core import Camera, ContractError, GBuffer, ImageBuffer, normalize
 from .lighting import LightField
-from .render import RenderConfig, render_backward, render_mc
+from .render import RenderConfig, check_params, render_backward, render_mc
 from .sampling import derive_seed
-
-PARAM_NAMES = ("albedo", "roughness", "metallic", "normal", "light")
 
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
@@ -85,10 +83,7 @@ class LossConfig:
                                 f"got {self.step_size}")
         # spp, seed and specular_scale obey the render's rules
         RenderConfig(spp=self.spp, seed=self.seed, specular_scale=self.specular_scale)
-        for p in self.params:
-            if p not in PARAM_NAMES:
-                raise ContractError(f"unknown parameter class {p!r}; "
-                                    f"choose from {PARAM_NAMES}")
+        check_params(self.params)
 
 
 @dataclass
@@ -129,7 +124,7 @@ def optimize(g: GBuffer, camera: Camera, light: LightField, target,
     target = _as_image(target)
     cur = g.copy()
     _reproject(cur)
-    names = [n for n in PARAM_NAMES if n in cfg.params]
+    names = check_params(cfg.params)
     if "light" in names:
         if light.n_params == 0:
             raise ContractError("selected light recovery but the light field "
@@ -151,7 +146,7 @@ def optimize(g: GBuffer, camera: Camera, light: LightField, target,
         if not np.isfinite(loss):
             raise ContractError(f"loss went non-finite at iteration {it}")
         grad = render_backward(cur, camera, light, rcfg, dI, threads=threads,
-                               want_light="light" in names, tape=tape)
+                               params=names, tape=tape)
         del tape    # its light state belongs to the parameters before this step
 
         for n in names:

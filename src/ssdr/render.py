@@ -28,6 +28,22 @@ from .sampling import check_seed, uniform_block
 _CHUNK_LANES = 1 << 20
 _PDF_FLOOR = 1e-6   # q = max(pdf, floor); pdf gradients only above it
 
+# what `render_backward` can differentiate: the four material maps and
+# the light's parameters
+PARAM_NAMES = ("albedo", "roughness", "metallic", "normal", "light")
+MATERIAL_NAMES = PARAM_NAMES[:4]
+_RGB_MAPS = ("albedo", "normal")    # the maps with 3 channels per pixel
+
+
+def check_params(params) -> tuple[str, ...]:
+    """The names in `params`, in PARAM_NAMES order; an unknown name is a
+    ContractError."""
+    for name in params:
+        if name not in PARAM_NAMES:
+            raise ContractError(f"unknown parameter class {name!r}; "
+                                f"choose from {PARAM_NAMES}")
+    return tuple(name for name in PARAM_NAMES if name in params)
+
 
 class RenderNanError(RuntimeError):
     """A pixel accumulator went non-finite; carries the pixel."""
@@ -54,14 +70,15 @@ class RenderConfig:
 
 @dataclass
 class GradientImage:
-    """Per-pixel adjoints of the rendered image; dnormal is tangent-plane
-    projected.  dlight holds the lighting-parameter adjoint when requested."""
+    """Per-pixel adjoints of the rendered image, and the adjoint of the
+    light's parameters; dnormal is tangent-plane projected.  A field is
+    None unless its name was among the `params` asked of `render_backward`."""
 
-    dalbedo: np.ndarray     # (H, W, 3)
-    droughness: np.ndarray  # (H, W)
-    dmetallic: np.ndarray   # (H, W)
-    dnormal: np.ndarray     # (H, W, 3)
-    dlight: np.ndarray | None = None
+    dalbedo: np.ndarray | None = None     # (H, W, 3)
+    droughness: np.ndarray | None = None  # (H, W)
+    dmetallic: np.ndarray | None = None   # (H, W)
+    dnormal: np.ndarray | None = None     # (H, W, 3)
+    dlight: np.ndarray | None = None      # (light.n_params,)
 
 
 def pixel_geometry(g: GBuffer, camera: Camera):
@@ -167,15 +184,16 @@ def _masked_radiance(light: LightField, p, d, mask, vjp=False):
 
 
 def _estimate(px: FrozenSamples, d, ok, light: LightField, cfg: RenderConfig,
-              adj=None, want_light: bool = False, lit=None, record=None):
+              adj=None, params=(), lit=None, record=None):
     """Per-pixel sums of f * L * cos / q over the samples d (n_pix, ns, 3).
 
     Returns (sums, None), where sums is the 1-tuple of the (n_pix, 3) value
     sums.  Given the adjoint `adj` (n_pix, 3) of the pixel values, sums is
-    instead the albedo, roughness, metallic and normal adjoint sums, and
-    the second item is the light-parameter adjoint (its 1/spp factor
-    applied, as it is summed over pixels), or None when `want_light` is off
-    or no sample reaches the light.
+    instead the adjoint sums of the material maps named in `params`, in
+    MATERIAL_NAMES order, and the second item is the light-parameter
+    adjoint (its 1/spp factor applied, as it is summed over pixels), or
+    None unless "light" is in `params` and a sample reaches the light.
+    Only the asked sums are formed.
 
     The light is queried on the lanes that are `ok` and have a positive
     pdf, and a `record` list receives (d, those lanes, (radiance,
@@ -191,14 +209,14 @@ def _estimate(px: FrozenSamples, d, ok, light: LightField, cfg: RenderConfig,
         pdf = brdf.mixture_pdf(*args)
         f = brdf._eval_raw(*args)
     else:
-        parts = brdf.eval_pdf_with_partials(*args)
+        parts = brdf.eval_pdf_with_partials(*args, params)
         pdf, f = parts["pdf"], parts["f"]
     ok = ok & (pdf > 0)
     cos = np.maximum(dot(n, d), 0.0)
+    want_light = adj is not None and "light" in params
     if lit is None:
         # one light query serves the value and the light adjoint
-        vjp = light.n_params > 0 and (record is not None
-                                      or (adj is not None and want_light))
+        vjp = light.n_params > 0 and (record is not None or want_light)
         lit = _masked_radiance(light, px.p, d, ok, vjp)
         if record is not None:
             record.append((d, ok, lit))
@@ -209,43 +227,49 @@ def _estimate(px: FrozenSamples, d, ok, light: LightField, cfg: RenderConfig,
         return (contrib.sum(axis=1),), None
 
     q = np.maximum(pdf, _PDF_FLOOR)
-    live = (pdf > _PDF_FLOOR) & ok             # pdf-floor gates pdf gradients
     inv_q = np.where(ok, 1.0 / q, 0.0)
     cq = cos * inv_q                            # cos / q
-
-    aL = adj[:, None, :] * radiance             # (n_pix, ns, 3)
-    # sum_ch adj_ch f_ch L_ch cos / q^2  (shared factor of all pdf terms)
-    s_pdf = np.where(live, np.sum(aL * f, axis=-1) * cq * inv_q, 0.0)
-
-    # albedo partials are diagonal per channel
-    ga = aL * parts["df_dA"] * cq[..., None]
-    ga = np.where(ok[..., None], ga, 0.0) - s_pdf[..., None] * parts["dpdf_dA"]
-    gr = np.where(ok, np.sum(aL * parts["df_dR"], axis=-1) * cq, 0.0) \
-        - s_pdf * parts["dpdf_dR"]
-    gm = np.where(ok, np.sum(aL * parts["df_dM"], axis=-1) * cq, 0.0) \
-        - s_pdf * parts["dpdf_dM"]
-    # n: through f, through cos, and through the pdf
-    gn = np.einsum("psc,pscx->psx", aL * cq[..., None], parts["df_dn"])
-    gn += (np.sum(aL * f, axis=-1) * inv_q)[..., None] * d
-    gn = np.where(ok[..., None], gn, 0.0) - s_pdf[..., None] * parts["dpdf_dn"]
+    sums = []
+    if any(name in params for name in MATERIAL_NAMES):
+        aL = adj[:, None, :] * radiance         # (n_pix, ns, 3)
+        aLf = dot(aL, f)
+        # sum_ch adj_ch f_ch L_ch cos / q^2, the shared factor of all pdf
+        # terms; the pdf floor gates them
+        s_pdf = np.where((pdf > _PDF_FLOOR) & ok, aLf * cq * inv_q, 0.0)
+    if "albedo" in params:
+        # albedo partials are diagonal per channel
+        ga = aL * parts["df_dA"] * cq[..., None]
+        ga = np.where(ok[..., None], ga, 0.0) - s_pdf[..., None] * parts["dpdf_dA"]
+        sums.append(ga.sum(axis=1))
+    for name, key in (("roughness", "R"), ("metallic", "M")):
+        if name in params:
+            gs = np.where(ok, dot(aL, parts["df_d" + key]) * cq, 0.0) \
+                - s_pdf * parts["dpdf_d" + key]
+            sums.append(gs.sum(axis=1))
+    if "normal" in params:
+        # n: through f (a rank-one Jacobian, fres x dsc_dn), through cos,
+        # and through the pdf
+        gn = (dot(aL, parts["fres"]) * cq)[..., None] * parts["dsc_dn"]
+        gn += (aLf * inv_q)[..., None] * d
+        gn = np.where(ok[..., None], gn, 0.0) - s_pdf[..., None] * parts["dpdf_dn"]
+        sums.append(gn.sum(axis=1))
 
     dlight = None
     if want_light and pullback is not None:
         dL = adj[:, None, :] * f * cq[..., None]
         dlight = pullback(dL[ok] / cfg.spp)
-    return (ga.sum(axis=1), gr.sum(axis=1), gm.sum(axis=1), gn.sum(axis=1)), dlight
+    return tuple(sums), dlight
 
 
-def _shade_blocks(g, camera, light, cfg, threads, dI=None, want_light=False,
-                  tape=None):
+def _shade_blocks(g, camera, light, cfg, threads, dI=None, params=(), tape=None):
     """Run the kernel over the fixed row blocks, on `threads` workers.
 
     Returns, per block and in block order, the rows and columns of its
     shadeable pixels, their sums over all samples, and the block's light
     adjoint (see `_estimate`; dI is the adjoint image, or None for the
-    value).  With a sample `tape` (see `render_mc`), the value pass records
-    into it, and the adjoint reads its samples and light queries from it
-    when it is not empty."""
+    value, and `params` names the adjoints to form).  With a sample `tape`
+    (see `render_mc`), the value pass records into it, and the adjoint
+    reads its samples and light queries from it when it is not empty."""
     points, view, valid = pixel_geometry(g, camera)
     blocks = _row_blocks(g.depth.shape[0])
     key = (cfg, g.depth.shape)
@@ -270,17 +294,17 @@ def _shade_blocks(g, camera, light, cfg, threads, dI=None, want_light=False,
             adj, acc = None, (np.zeros((n_pix, 3)),)
         else:
             adj = dI[px.gy, px.gx]
-            acc = (np.zeros((n_pix, 3)), np.zeros(n_pix), np.zeros(n_pix),
-                   np.zeros((n_pix, 3)))
+            acc = tuple(np.zeros((n_pix, 3) if name in _RGB_MAPS else n_pix)
+                        for name in MATERIAL_NAMES if name in params)
         if chunks is None:
             chunks = ((*_draw(px, cfg, s0, s1), None)
                       for s0, s1 in _sample_chunks(n_pix, cfg.spp))
         elif [c[0].shape[:2] for c in chunks] != [(n_pix, cfg.spp)] * (n_pix > 0):
             # a recorded block is one chunk of all its samples, or none
             raise ContractError("sample tape does not match the G-buffer's pixels")
-        dlight = np.zeros(light.n_params) if want_light else None
+        dlight = np.zeros(light.n_params) if "light" in params else None
         for d, ok, lit in chunks:
-            sums, dl = _estimate(px, d, ok, light, cfg, adj, want_light, lit, record)
+            sums, dl = _estimate(px, d, ok, light, cfg, adj, params, lit, record)
             for a, s in zip(acc, sums):
                 a += s
             if dl is not None:
@@ -331,44 +355,49 @@ def render_discretized(g: GBuffer, camera: Camera, light: LightField,
 
 def render_backward(g: GBuffer, camera: Camera, light: LightField,
                     cfg: RenderConfig, dI: np.ndarray, threads: int = 1,
-                    want_light: bool = False,
+                    params=MATERIAL_NAMES,
                     tape: list | None = None) -> GradientImage:
     """Adjoints of `render_mc` for the adjoint image dI (H, W, 3).
 
+    `params` names the adjoints to form, from PARAM_NAMES: the four
+    material maps by default, and "light" for the light's parameters.  The
+    GradientImage field of a name not asked for is None; an unknown name
+    is a ContractError.  A field's bits do not depend on what else was
+    asked.
+
     Given the `tape` a `render_mc` call filled, it reads that render's
-    samples and light queries (and, with `want_light`, the light's
-    pullbacks) from it instead of drawing and querying again; a tape
-    recorded under another config or G-buffer shape is a ContractError.
-    Without a tape, or with an empty one, it replays the samples from the
-    seed, so it must be called with the same seed/config as the matching
-    forward pass: a seed mismatch is undetectable there and simply yields
-    gradients of a different sample set.  Both paths give the same bits.
+    samples and light queries (and, for "light", the light's pullbacks)
+    from it instead of drawing and querying again; a tape recorded under
+    another config or G-buffer shape is a ContractError.  Without a tape,
+    or with an empty one, it replays the samples from the seed, so it must
+    be called with the same seed/config as the matching forward pass: a
+    seed mismatch is undetectable there and simply yields gradients of a
+    different sample set.  Both paths give the same bits.
     """
+    params = check_params(params)
     dI = np.asarray(dI, dtype=np.float64)
     if not np.all(np.isfinite(dI)):
         raise ContractError("adjoint image must be finite")
     h, w = g.depth.shape
     if dI.shape != (h, w, 3):
         raise ContractError("adjoint image shape mismatch")
-    grad = GradientImage(
-        dalbedo=np.zeros((h, w, 3)), droughness=np.zeros((h, w)),
-        dmetallic=np.zeros((h, w)), dnormal=np.zeros((h, w, 3)),
-        dlight=np.zeros(light.n_params) if want_light else None)
+    maps = [name for name in params if name != "light"]
+    grad = GradientImage(**{"d" + name: np.zeros((h, w, 3) if name in _RGB_MAPS else (h, w))
+                            for name in maps})
+    if "light" in params:
+        grad.dlight = np.zeros(light.n_params)
 
     inv_n = 1.0 / cfg.spp
     for gy, gx, acc, dlight in _shade_blocks(g, camera, light, cfg, threads, dI,
-                                             want_light, tape):  # fixed order
-        acc_a, acc_r, acc_m, acc_n = acc
-        for a in acc:
+                                             params, tape):  # fixed order
+        for name, a in zip(maps, acc):
             a *= inv_n
-        # tangent-plane projection of the normal adjoint
-        n = g.normal[gy, gx]
-        acc_n -= np.sum(acc_n * n, axis=-1, keepdims=True) * n
-        grad.dalbedo[gy, gx] = acc_a
-        grad.droughness[gy, gx] = acc_r
-        grad.dmetallic[gy, gx] = acc_m
-        grad.dnormal[gy, gx] = acc_n
-        if want_light:
+            if name == "normal":
+                # tangent-plane projection of the normal adjoint
+                n = g.normal[gy, gx]
+                a -= np.sum(a * n, axis=-1, keepdims=True) * n
+            getattr(grad, "d" + name)[gy, gx] = a
+        if dlight is not None:
             grad.dlight += dlight
     return grad
 

@@ -18,7 +18,7 @@ from ssdr import io as sio
 from ssdr import volumetric as vol
 from ssdr.lighting import FeatureGrid, GridLight, decoder_input_dim
 from ssdr.mlp import MlpWeights
-from ssdr.render import RenderConfig, render_backward, render_mc
+from ssdr.render import PARAM_NAMES, RenderConfig, render_backward, render_mc
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import harness  # noqa: E402
@@ -78,7 +78,7 @@ def test_learned_render_and_adjoint_fire_every_bench_span():
         stale = inst.stale_bindings()
         image = render_mc(g, camera, light, cfg)
         after_render = tracer.snapshot()
-        render_backward(g, camera, light, cfg, np.ones_like(image), want_light=True)
+        render_backward(g, camera, light, cfg, np.ones_like(image), params=PARAM_NAMES)
         adjoint = harness.snapshot_delta(tracer.snapshot(), after_render)["calls"]
     finally:
         inst.restore()

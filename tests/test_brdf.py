@@ -204,3 +204,86 @@ def test_adjoint_pdf_is_the_forward_pdf_bytes(specular):
     adjoint = brdf.eval_pdf_with_partials(v, d, *args)["pdf"]
     assert np.count_nonzero(valid) > m // 2
     assert forward[valid].tobytes() == adjoint[valid].tobytes()
+
+
+def _smooth_lanes(count, rng):
+    """`count` random lanes away from every kink of f and the pdf: cos_nv,
+    cos_nd, cos_nm and v.m above 0.2, roughness in (0.05, 0.95) and each
+    channel's F0 at least 0.005 from the F90 clamp's 0.02."""
+    lanes = []
+    while sum(len(x[0]) for x in lanes) < count:
+        m = 4 * count
+        n = normalize(rng.normal(size=(m, 3)))
+        v = normalize(n + 0.8 * rng.normal(size=(m, 3)))
+        d = normalize(n + 0.8 * rng.normal(size=(m, 3)))
+        albedo = rng.uniform(0.0, 1.0, (m, 3))
+        roughness = rng.uniform(0.05, 0.95, m)
+        metallic = rng.uniform(0.0, 1.0, m)
+        h = normalize(v + d)
+        f0 = brdf.f0_of(albedo, metallic)
+        keep = ((dot(n, v) > 0.2) & (dot(n, d) > 0.2) & (dot(n, h) > 0.2)
+                & (dot(v, h) > 0.2) & np.all(np.abs(f0 - 0.02) > 0.005, axis=-1))
+        lanes.append(tuple(a[keep] for a in (v, d, n, albedo, roughness, metallic)))
+    return tuple(np.concatenate(parts)[:count] for parts in zip(*lanes))
+
+
+@pytest.mark.parametrize("specular", [0.5, 1.0])
+def test_partials_match_central_differences(specular):
+    """Every partial `eval_pdf_with_partials` returns, the normal's rebuilt
+    from its rank-one factors, is the central difference of `_eval_raw`
+    (f) and `mixture_pdf` (pdf), on 256 lanes away from the kinks.  The
+    directions are held fixed and n is perturbed as a free 3-vector, as
+    the render adjoint differentiates it."""
+    v, d, n, albedo, roughness, metallic = _smooth_lanes(256, np.random.default_rng(4))
+    parts = brdf.eval_pdf_with_partials(v, d, n, albedo, roughness, metallic, specular)
+    df_dn = parts["fres"][:, :, None] * parts["dsc_dn"][:, None, :]
+    eps = 1e-6
+
+    def central(name, index):
+        args = {"v": v, "d": d, "n": n, "albedo": albedo,
+                "roughness": roughness, "metallic": metallic}
+        out = []
+        for sign in (1.0, -1.0):
+            x = args[name].copy()
+            x[index] += sign * eps
+            a = dict(args, **{name: x})
+            call = (a["v"], a["d"], a["n"], a["albedo"], a["roughness"], a["metallic"],
+                    specular)
+            out.append((brdf._eval_raw(*call), brdf.mixture_pdf(*call)))
+        (f_hi, p_hi), (f_lo, p_lo) = out
+        return (f_hi - f_lo) / (2 * eps), (p_hi - p_lo) / (2 * eps)
+
+    def close(fd, adj):
+        assert np.allclose(fd, adj, rtol=1e-5, atol=1e-6 * (1.0 + np.abs(adj).max()))
+
+    everything = np.s_[:]
+    for name, df, dpdf in (("roughness", parts["df_dR"], parts["dpdf_dR"]),
+                           ("metallic", parts["df_dM"], parts["dpdf_dM"])):
+        fd_f, fd_p = central(name, everything)
+        close(fd_f, df)
+        close(fd_p, dpdf)
+    for c in range(3):
+        fd_f, fd_p = central("albedo", (everything, c))
+        close(fd_f[:, c], parts["df_dA"][:, c])
+        close(fd_f[:, [k for k in range(3) if k != c]], 0.0)   # diagonal in channels
+        close(fd_p, parts["dpdf_dA"][:, c])
+        fd_f, fd_p = central("n", (everything, c))
+        close(fd_f, df_dn[:, :, c])
+        close(fd_p, parts["dpdf_dn"][:, c])
+
+
+def test_partials_skip_what_is_not_asked():
+    """Only the metallic and normal partials are optional; the rest keep
+    their bytes whatever is asked."""
+    v, d, n, albedo, roughness, metallic = _smooth_lanes(64, np.random.default_rng(5))
+    args = (v, d, n, albedo, roughness, metallic, 1.0)
+    full = brdf.eval_pdf_with_partials(*args)
+    always = {"f", "pdf", "df_dA", "df_dR", "dpdf_dA", "dpdf_dR"}
+    extra = {"metallic": {"df_dM", "dpdf_dM"}, "normal": {"fres", "dsc_dn", "dpdf_dn"}}
+    assert set(full) == always | extra["metallic"] | extra["normal"]
+    for params in ((), ("albedo", "roughness"), ("metallic",), ("normal", "light")):
+        some = brdf.eval_pdf_with_partials(*args, params)
+        want = always.union(*(extra.get(p, set()) for p in params))
+        assert set(some) == want
+        for key in want:
+            assert some[key].tobytes() == full[key].tobytes(), key

@@ -214,6 +214,25 @@ def test_optimize_rejects_unknown_param():
         LossConfig(params=("velocity",))
 
 
+@pytest.mark.parametrize("params", [("roughness", "albedo"), ("normal",),
+                                    ("light", "metallic")])
+def test_optimize_asks_the_adjoint_for_its_params_only(monkeypatch, params):
+    """Each iteration's `render_backward` call asks for exactly the fitted
+    parameters, so the adjoints nothing steps are never formed."""
+    g, camera, light, target = _lambertian_setup(h=8, w=8)
+    asked = []
+
+    def spy(*args, params, **kwargs):
+        asked.append(params)
+        return render.render_backward(*args, params=params, **kwargs)
+
+    monkeypatch.setattr(inverse, "render_backward", spy)
+    cfg = LossConfig(iterations=2, step_size=0.01, params=params, spp=2, seed=1)
+    optimize(g, camera, light, target, cfg)
+    assert len(asked) == 2
+    assert all(sorted(a) == sorted(params) for a in asked)
+
+
 @pytest.mark.parametrize("field,value", [
     ("step_size", np.nan), ("step_size", np.inf), ("step_size", -0.05),
     ("specular_scale", np.nan), ("specular_scale", -np.inf)])

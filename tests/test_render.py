@@ -7,7 +7,7 @@ from ssdr.core import ContractError, GBuffer, dot, normalize
 from ssdr.gradcheck import check_render_material, material_differences
 from ssdr.lighting import (ConstantLight, GridLight, LightField, SkyDiscLight,
                            SkyGradientLight, analytic_lightfield)
-from ssdr.render import (RenderConfig, RenderNanError, draw_frozen_samples,
+from ssdr.render import (PARAM_NAMES, RenderConfig, RenderNanError, draw_frozen_samples,
                          reference_render, render_backward, render_discretized,
                          render_mc)
 
@@ -257,7 +257,7 @@ def test_backward_zero_adjoint_zero_grads(glossy_patch):
     camera = scenes.default_camera(8, 8)
     light = ConstantLight(1.0)
     grad = render_backward(glossy_patch, camera, light, RenderConfig(spp=16, seed=1),
-                           np.zeros((8, 8, 3)), want_light=True)
+                           np.zeros((8, 8, 3)), params=PARAM_NAMES)
     assert np.all(grad.dalbedo == 0.0)
     assert np.all(grad.droughness == 0.0)
     assert np.all(grad.dmetallic == 0.0)
@@ -288,9 +288,9 @@ def test_backward_threads_deterministic(glossy_patch):
     cfg = RenderConfig(spp=16, seed=9)
     dI = np.ones((8, 8, 3))
     g1 = render_backward(glossy_patch, camera, light, cfg, dI, threads=1,
-                         want_light=True)
+                         params=PARAM_NAMES)
     g4 = render_backward(glossy_patch, camera, light, cfg, dI, threads=4,
-                         want_light=True)
+                         params=PARAM_NAMES)
     assert np.array_equal(g1.dalbedo, g4.dalbedo)
     assert np.array_equal(g1.dnormal, g4.dnormal)
     assert np.array_equal(g1.dlight, g4.dlight)
@@ -352,18 +352,57 @@ def test_render_backward_from_tape_matches_replay_bytes(kind, threads):
     def no_query(*args, **kwargs):
         raise AssertionError("the adjoint queried the light despite its tape")
 
-    for want_light in (False, True):
+    for params in (PARAM_NAMES[:4], PARAM_NAMES):
         light.radiance = light.radiance_vjp = no_query
         taped = render_backward(g, camera, light, cfg, dI, threads=threads,
-                                want_light=want_light, tape=tape)
+                                params=params, tape=tape)
         del light.radiance, light.radiance_vjp
         replay = render_backward(g, camera, light, cfg, dI, threads=threads,
-                                 want_light=want_light)
+                                 params=params)
         for name in _GRAD_FIELDS:
             a, b = getattr(taped, name), getattr(replay, name)
             assert (a is None and b is None) or a.tobytes() == b.tobytes(), name
     if kind == "constant":
         assert np.any(taped.dlight != 0.0)
+
+
+@pytest.mark.parametrize("params", [("albedo", "roughness"), ("roughness", "albedo"),
+                                    ("normal",), ("metallic", "light"), ("light",), ()])
+def test_render_backward_forms_only_the_asked_adjoints(params):
+    """A subset of PARAM_NAMES, in any order, gives each asked field the
+    bytes of the call that asks for everything, and None for the rest;
+    from the tape and by replay alike."""
+    g, camera, _, _ = scenes.glossy_floor(12, 12)
+    light = ConstantLight([0.9, 1.0, 1.1])
+    cfg = RenderConfig(spp=6, seed=5)
+    dI = np.random.default_rng(2).normal(size=(12, 12, 3))
+    full = render_backward(g, camera, light, cfg, dI, params=PARAM_NAMES)
+    assert all(np.any(getattr(full, name) != 0.0) for name in _GRAD_FIELDS)
+    tape = []
+    render_mc(g, camera, light, cfg, tape=tape)
+    for got in (render_backward(g, camera, light, cfg, dI, params=params),
+                render_backward(g, camera, light, cfg, dI, params=params, tape=tape)):
+        for name in _GRAD_FIELDS:
+            if name[1:] in params:
+                assert getattr(got, name).tobytes() == getattr(full, name).tobytes(), name
+            else:
+                assert getattr(got, name) is None, name
+
+
+def test_render_backward_default_is_the_material_maps(glossy_patch):
+    camera = scenes.default_camera(8, 8)
+    cfg = RenderConfig(spp=4, seed=1)
+    grad = render_backward(glossy_patch, camera, ConstantLight(1.0), cfg, np.ones((8, 8, 3)))
+    assert grad.dlight is None
+    assert all(getattr(grad, name) is not None for name in _GRAD_FIELDS[:4])
+
+
+@pytest.mark.parametrize("params", [("albedo", "velocity"), "albedo", ("Light",)])
+def test_render_backward_rejects_unknown_names(glossy_patch, params):
+    camera = scenes.default_camera(8, 8)
+    with pytest.raises(ContractError, match="unknown parameter class"):
+        render_backward(glossy_patch, camera, ConstantLight(1.0), RenderConfig(spp=2),
+                        np.ones((8, 8, 3)), params=params)
 
 
 def test_render_above_the_lane_cap_records_nothing(monkeypatch):

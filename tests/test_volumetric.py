@@ -360,13 +360,13 @@ def test_render_only_radiance_keeps_no_mlp_state(case, monkeypatch):
 
 
 def test_render_backward_runs_the_learned_field_once_per_lane(monkeypatch):
-    """With want_light, every light lane's field points pass through the
-    field MLP's forward exactly once, and the light adjoint is the bits of
-    a separate radiance query followed by backprop."""
+    """With the light's adjoint asked for, every light lane's field points
+    pass through the field MLP's forward exactly once, and the light
+    adjoint is the bits of a separate radiance query followed by backprop."""
     import functools
 
     from ssdr.lighting import LightField
-    from ssdr.render import RenderConfig, render_backward
+    from ssdr.render import PARAM_NAMES, RenderConfig, render_backward
 
     blf, _, _ = _blended_setup()
     cfg = RenderConfig(spp=3, seed=4)
@@ -386,14 +386,14 @@ def test_render_backward_runs_the_learned_field_once_per_lane(monkeypatch):
 
     monkeypatch.setattr(mlp, "forward", counting_forward)
     monkeypatch.setattr(blf, "radiance_vjp", counting_vjp)
-    grad = render_backward(blf.gbuffer, blf.camera, blf, cfg, dI, want_light=True)
+    grad = render_backward(blf.gbuffer, blf.camera, blf, cfg, dI, params=PARAM_NAMES)
     assert rows["lanes"] > 0
     assert rows["field"] == rows["lanes"] * blf.volume_cfg.n_samples
 
     monkeypatch.setattr(mlp, "forward", forward)
     monkeypatch.setattr(blf, "radiance_vjp",
                         functools.partial(LightField.radiance_vjp, blf))
-    replay = render_backward(blf.gbuffer, blf.camera, blf, cfg, dI, want_light=True)
+    replay = render_backward(blf.gbuffer, blf.camera, blf, cfg, dI, params=PARAM_NAMES)
     for name in ("dalbedo", "droughness", "dmetallic", "dnormal", "dlight"):
         assert getattr(grad, name).tobytes() == getattr(replay, name).tobytes(), name
 
