@@ -23,9 +23,16 @@ parameters, losses).  These run at the smaller LEARNED_RES and
 LEARNED_SPP, since the learned field is slow.
 
 The MLP kernel has lines of its own: `mlp.forward`'s output and
-`mlp.backward`'s dx and dflat on a fixed seeded input of MLP_ROWS rows,
+`mlp.backward`'s dflat and input adjoint dx = da0 @ W0 (from the first
+layer's adjoint da0 it returns) on a fixed seeded input of MLP_ROWS rows,
 more than one softplus log1p block, so a change to the kernel shows as a
 named line and not only through the renderers.
+
+The render-only learned query has lines of its own: a `BlendedLightField`
+with the benchmark's field (`default_field_dims(10)`, 64 volume samples)
+queried on BLOCK_RAYS rays, which its volume splits into four point
+blocks of unequal size, without and with `keep`; the two lines agree when
+the point blocks keep the bits of the whole query.
 
 `optimize` under analytic lights has lines too (maps, light parameters,
 losses): a material fit and a material + light fit at threads 1 and 2,
@@ -74,6 +81,7 @@ SPP = 96
 LEARNED_RES = 12
 LEARNED_SPP = 4
 MLP_ROWS = 5000
+BLOCK_RAYS = 203   # 4 volume point blocks of 50, 51, 51 and 51 rays
 ENC_ROWS = 4000
 # analytic fits: RES x RES at OPT_SPP samples per pixel
 OPT_ITERS = 3
@@ -187,10 +195,26 @@ def mlp_lines():
     rng = np.random.default_rng(11)
     weights = MlpWeights.random(volumetric.default_field_dims(4), seed=12)
     y, cache = mlp.forward(weights, rng.normal(0.0, 2.0, (MLP_ROWS, weights.dims[0])))
-    dx, dflat = mlp.backward(weights, cache, rng.normal(size=y.shape))
+    da0, dflat = mlp.backward(weights, cache, rng.normal(size=y.shape))
     yield "mlp/forward", y
-    yield "mlp/backward.dx", dx
+    yield "mlp/backward.dx", da0 @ next(weights.layers())[0]
     yield "mlp/backward.dflat", dflat
+
+
+def block_lines():
+    """The benchmark's learned field on BLOCK_RAYS seeded rays from the
+    visible points of cornell-like, render-only and with `keep`."""
+    g, camera, _, _ = scenes.cornell_like(LEARNED_RES, LEARNED_RES)
+    rng = np.random.default_rng(51)
+    light = volumetric.BlendedLightField(
+        FeatureGrid(rng.normal(size=(LEARNED_RES, LEARNED_RES, 4))), g, camera,
+        MlpWeights.random((decoder_input_dim(4), 16, 16, 3), seed=1, scale=0.2),
+        volume_weights=MlpWeights.random(volumetric.default_field_dims(10), seed=5))
+    points, _, valid = render.pixel_geometry(g, camera)
+    p = points[valid][rng.integers(0, np.count_nonzero(valid), BLOCK_RAYS)]
+    d = normalize(rng.normal(size=(BLOCK_RAYS, 3)))
+    yield "learned-blocks/radiance", light.radiance(p, d)
+    yield "learned-blocks/radiance.kept", light.radiance(p, d, [])
 
 
 def encoding_lines():
@@ -285,6 +309,7 @@ def lines():
         render._CHUNK_LANES = saved
 
     yield from learned_lines(rng)
+    yield from block_lines()
     yield from optimize_lines()
     yield from trace_lines()
     yield from fit_backward_lines()

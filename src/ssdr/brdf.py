@@ -301,9 +301,12 @@ def eval_pdf_with_partials(v, d, n, albedo, roughness, metallic, specular,
     q = (1.0 - np.clip(cos_vm, 0.0, 1.0)) ** 5
     f90 = np.clip(50.0 * f0, 0.0, 1.0)
     fres = f0 * (1.0 - q[..., None]) + f90 * q[..., None]
-    # dF/dF0 = (1-q) + 50 q inside the F90 clamp
-    df_df0 = (1.0 - q)[..., None] + np.where((f0 > 0) & (f0 < 0.02),
-                                             50.0 * q[..., None], 0.0)
+    # dF/dF0 = (1-q) + 50 q inside the F90 clamp; the clamp term is formed
+    # only where some F0 lies inside it (x + 0 is x for the 1 - q >= 0 here)
+    df_df0 = np.broadcast_to((1.0 - q)[..., None], fres.shape)
+    clamped = (f0 > 0) & (f0 < 0.02)
+    if np.any(clamped):
+        df_df0 = df_df0 + np.where(clamped, 50.0 * q[..., None], 0.0)
     dfres_dA = metallic[..., None] * df_df0               # per channel, diagonal
 
     one_minus_m = (1.0 - metallic)[..., None]

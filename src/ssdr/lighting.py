@@ -19,7 +19,8 @@ from .core import (Camera, ContractError, GBuffer, as_rgb, bilinear, nearest_pix
 from .mlp import MlpWeights
 
 
-def positional_encoding(x: np.ndarray, bands: int) -> np.ndarray:
+def positional_encoding(x: np.ndarray, bands: int,
+                        out: np.ndarray | None = None) -> np.ndarray:
     """Sinusoidal lift, component-major: per input component
     [x, sin(2^0 pi x), cos(2^0 pi x), ..., sin(2^(L-1) pi x), cos(...)]
     with L = `bands` >= 1; x (..., D) gives (..., D * (2L + 1)).
@@ -34,6 +35,9 @@ def positional_encoding(x: np.ndarray, bands: int) -> np.ndarray:
     within 2^k * 4 eps (eps = 2^-52) of them, absolutely: a doubling step
     doubles the error it is given and adds at most 1.5 eps of its own.  So
     the whole encoding is within 2^(L+1) eps of the direct evaluation.
+
+    Given `out`, a C-contiguous float64 array of the result's shape, the
+    encoding is written there and `out` is returned.
     """
     if bands < 1:
         raise ContractError("need at least one frequency band")
@@ -41,7 +45,10 @@ def positional_encoding(x: np.ndarray, bands: int) -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise ContractError("positional encoding requires finite input")
     width = 2 * bands + 1
-    enc = np.empty((*x.shape, width))
+    shape = (*x.shape[:-1], x.shape[-1] * width)
+    if out is not None and (out.shape != shape or not out.flags.c_contiguous):
+        raise ContractError(f"encoding out must be a C-contiguous {shape} array")
+    enc = np.empty((*x.shape, width)) if out is None else out.reshape(*x.shape, width)
     enc[..., 0] = x
     a = x * np.pi
     s, c = np.sin(a), np.cos(a)
@@ -49,7 +56,7 @@ def positional_encoding(x: np.ndarray, bands: int) -> np.ndarray:
     for k in range(1, bands):
         s, c = 2.0 * (s * c), (c - s) * (c + s)
         enc[..., 2 * k + 1], enc[..., 2 * k + 2] = s, c
-    return enc.reshape(*x.shape[:-1], x.shape[-1] * width)
+    return enc.reshape(shape) if out is None else out
 
 
 @dataclass

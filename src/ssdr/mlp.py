@@ -19,26 +19,32 @@ from .core import ContractError
 _LOG1P_BLOCK = 1 << 18
 
 
-def _softplus_inplace(a: np.ndarray, keep: bool = True):
+def _softplus_inplace(a: np.ndarray, keep: bool = True, e: np.ndarray | None = None):
     """Overwrite the C-contiguous float64 array `a` with softplus(a) =
     max(a, 0) + log1p(exp(-|a|)) and return (e, pos): e = exp(-|a|) and
     pos = a >= 0 of the input, which give softplus'(a) = sigmoid(a) with no
-    further exp (see `backward`).  With keep=False pos is not formed and
-    None is returned.
+    further exp (see `backward`).  With keep=False pos is not formed, None
+    is returned, and e is scratch: the given array `e` of a's shape, or a
+    new one.
 
     exp(-|a|) never overflows, so the closed form holds for every a; NaN
-    propagates, -inf gives 0 and +inf gives +inf.  log1p runs over blocks of
-    `_LOG1P_BLOCK` elements, so its temporary is one block, not one `a`."""
+    propagates, -inf gives 0 and +inf gives +inf.  With keep, log1p runs
+    over blocks of `_LOG1P_BLOCK` elements, so its temporary is one block,
+    not one `a`; without, it overwrites e."""
     pos = a >= 0 if keep else None
-    e = np.empty_like(a)
+    if e is None:
+        e = np.empty_like(a)
     np.abs(a, out=e)
     np.negative(e, out=e)
     np.exp(e, out=e)
     np.maximum(a, 0.0, out=a)
+    if not keep:
+        a += np.log1p(e, out=e)
+        return None
     flat_a, flat_e = a.reshape(-1), e.reshape(-1)
     for lo in range(0, flat_a.size, _LOG1P_BLOCK):
         flat_a[lo:lo + _LOG1P_BLOCK] += np.log1p(flat_e[lo:lo + _LOG1P_BLOCK])
-    return (e, pos) if keep else None
+    return e, pos
 
 
 def softplus(x):
@@ -51,8 +57,9 @@ def softplus(x):
 
 def _sigmoid_from_exp(e, pos):
     """sigmoid(x) from e = exp(-|x|) and pos = x >= 0: 1 / (1 + e) where
-    pos, e / (1 + e) elsewhere.  e is only read."""
-    out = np.where(pos, 1.0, e)
+    pos, e / (1 + e) elsewhere.  e is only read.  Since e <= 1, the
+    numerator is max(e, pos): no branch, and a NaN e stays NaN."""
+    out = np.maximum(e, pos)
     out /= e + 1.0
     return out
 
@@ -120,7 +127,14 @@ class MlpWeights:
                                 f"need input {n_in}, output {n_out}")
 
 
-def forward(weights: MlpWeights, x: np.ndarray, keep: bool = True):
+def workspace(weights: MlpWeights, rows: int) -> np.ndarray:
+    """The `out` of a render-only `forward` on at most `rows` rows: two
+    ping-pong activation buffers and one exp(-|a|) buffer, each of
+    rows x the widest layer output."""
+    return np.empty((3, rows * max(weights.dims[1:])))
+
+
+def forward(weights: MlpWeights, x: np.ndarray, keep: bool = True, out=None):
     """Batched forward pass; softplus hidden units, linear output.
 
     Each layer computes a = h @ W.T + b; a hidden layer then overwrites a
@@ -133,11 +147,17 @@ def forward(weights: MlpWeights, x: np.ndarray, keep: bool = True):
               softplus'(a) = sigmoid(a) without a second exp
     With keep=False, for a caller that never pulls back, the cache is None
     and no layer's input or (e, pos) outlives the layer that made it; y is
-    the same to the bit.
+    the same to the bit.  Such a caller may pass a `workspace` of at least
+    x's rows as `out`: the layers then write into it and allocate nothing
+    of an activation's size, and y is a view into it, valid until the
+    workspace is written again.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if x.shape[-1] != weights.dims[0]:
         raise ContractError(f"input dim {x.shape[-1]} != {weights.dims[0]}")
+    if keep and out is not None:
+        raise ContractError("a forward that keeps its cache has no workspace")
+    n = x.shape[0]
     h = x
     inputs = []
     acts = []
@@ -145,18 +165,25 @@ def forward(weights: MlpWeights, x: np.ndarray, keep: bool = True):
     for i, (w, b) in enumerate(weights.layers()):
         if keep:
             inputs.append(h)
-        h = h @ w.T
+        if out is None:
+            h = h @ w.T
+        else:
+            h = np.matmul(h, w.T, out=out[i % 2, :n * w.shape[0]].reshape(n, w.shape[0]))
         h += b
         if i < n_layers - 1:
-            act = _softplus_inplace(h, keep)
+            act = _softplus_inplace(h, keep,
+                                    None if out is None else out[2, :h.size].reshape(h.shape))
             if keep:
                 acts.append(act)
     return h, ((inputs, acts) if keep else None)
 
 
 def backward(weights: MlpWeights, cache, dy: np.ndarray):
-    """Adjoints of `forward`: returns (dx, dflat).  The cache is only read,
-    so one forward pass may be pulled back more than once."""
+    """Adjoints of `forward`: returns (da0, dflat), where da0 is the
+    adjoint of the first layer's pre-activation x @ W0.T + b0.  The input
+    adjoint dx = da0 @ W0 is left to a caller that needs it; the library's
+    callers need dflat only.  The cache is only read, so one forward pass
+    may be pulled back more than once."""
     inputs, acts = cache
     dy = np.atleast_2d(np.asarray(dy, dtype=np.float64))
     n_layers = len(weights.dims) - 1
@@ -167,9 +194,8 @@ def backward(weights: MlpWeights, cache, dy: np.ndarray):
     for i in reversed(range(n_layers)):
         grads_w[i] = da.T @ inputs[i]
         grads_b[i] = da.sum(axis=0)
-        dx = da @ ws[i]
         if i > 0:
-            dx *= _sigmoid_from_exp(*acts[i - 1])  # softplus' = sigmoid
-        da = dx
+            da = da @ ws[i]
+            da *= _sigmoid_from_exp(*acts[i - 1])  # softplus' = sigmoid
     dflat = np.concatenate([np.concatenate([gw.ravel(), gb]) for gw, gb in zip(grads_w, grads_b)])
     return da, dflat

@@ -45,15 +45,18 @@ def default_field_dims(position_bands: int = 10):
 
 
 def field_eval(weights: MlpWeights, x: np.ndarray,
-               cfg: VolumeConfig = VolumeConfig(), keep: bool = True):
+               cfg: VolumeConfig = VolumeConfig(), keep: bool = True, work=None):
     """Density (N,) and color (N, 3) of the field at points x (N, 3), and
     what their adjoint needs: returns (sigma, color, net), where net is the
     MLP output, its cache and the unscaled color; with keep=False net is
-    None and the MLP keeps no cache (see `mlp.forward`)."""
+    None and the MLP keeps no cache (see `mlp.forward`).  Such a query may
+    pass `work`, an (encoding, `mlp.workspace`) pair of at least N rows,
+    which the encoding and the MLP layers then write into."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     weights.require("field", field_input_dim(cfg.position_bands), 4)
-    enc = positional_encoding(x, cfg.position_bands)
-    y, cache = mlp.forward(weights, enc, keep=keep)
+    enc, mlp_work = (None, None) if work is None else (work[0][:x.shape[0]], work[1])
+    enc = positional_encoding(x, cfg.position_bands, out=enc)
+    y, cache = mlp.forward(weights, enc, keep=keep, out=mlp_work)
     raw_col = mlp.sigmoid(y[:, 1:4])
     net = (y, cache, raw_col) if keep else None
     return mlp.softplus(y[:, 0]), raw_col * RADIANCE_SCALE, net
@@ -164,6 +167,27 @@ def _volume_points(p, d, t):
     return p[:, None, :] + t[:, :, None] * d[:, None, :]
 
 
+# Field points per block of a render-only `volume_render_batch`.  A block
+# is one GEMM of that many rows per layer, and blocks are balanced, so none
+# is smaller than half of this: at every such row count OpenBLAS gives a row
+# the bits it has in one whole-query GEMM, so blocking changes no bit.
+_POINT_BLOCK = 4096
+
+
+def _march(weights: MlpWeights, p, d, cfg: VolumeConfig, seed: int, ray_ids,
+           keep: bool, work):
+    """`volume_render_batch` of one block of rays, `work` as in
+    `field_eval`; returns (L, (sigma, color, deltas, w, net))."""
+    jitter = sampling.uniform_block(seed, ray_ids, 0, cfg.n_samples)
+    t, deltas = stratified_ts(cfg.t_near, cfg.t_far, jitter)
+    x = _volume_points(p, d, t)
+    sigma, color, net = field_eval(weights, x.reshape(-1, 3), cfg, keep, work)
+    sigma = sigma.reshape(t.shape)
+    color = color.reshape(*t.shape, 3)
+    L, w = composite(sigma, color, deltas)
+    return L, (sigma, color, deltas, w, net)
+
+
 def volume_render_batch(weights: MlpWeights, p: np.ndarray, d: np.ndarray,
                         cfg: VolumeConfig, seed: int, ray_ids: np.ndarray,
                         keep: bool = True):
@@ -171,19 +195,26 @@ def volume_render_batch(weights: MlpWeights, p: np.ndarray, d: np.ndarray,
 
     Returns (L (N, 3), state), the state holding what
     `volume_render_backward` needs: the field's samples, its MLP cache and
-    the composite weights.  With keep=False the state is None and the
-    field keeps no MLP cache."""
+    the composite weights.  With keep=False the state is None, the field
+    keeps no MLP cache, and the rays are marched in balanced blocks of at
+    most max(1, _POINT_BLOCK // n_samples) rays, whose encoding and MLP
+    layers reuse one workspace: the query's memory is one block's, whatever
+    N is, and its bits are those of the query run whole."""
     p = np.atleast_2d(np.asarray(p, dtype=np.float64))
     d = np.atleast_2d(np.asarray(d, dtype=np.float64))
-    jitter = sampling.uniform_block(seed, np.asarray(ray_ids, dtype=np.uint64), 0,
-                                    cfg.n_samples)
-    t, deltas = stratified_ts(cfg.t_near, cfg.t_far, jitter)
-    x = _volume_points(p, d, t)
-    sigma, color, net = field_eval(weights, x.reshape(-1, 3), cfg, keep)
-    sigma = sigma.reshape(t.shape)
-    color = color.reshape(*t.shape, 3)
-    L, w = composite(sigma, color, deltas)
-    return L, ((sigma, color, deltas, w, net) if keep else None)
+    ray_ids = np.asarray(ray_ids, dtype=np.uint64)
+    if keep:
+        return _march(weights, p, d, cfg, seed, ray_ids, True, None)
+    n = p.shape[0]
+    k = max(1, -(-n // max(1, _POINT_BLOCK // cfg.n_samples)))
+    rows = -(-n // k) * cfg.n_samples
+    work = (np.empty((rows, field_input_dim(cfg.position_bands))),
+            mlp.workspace(weights, rows))
+    L = np.empty((n, 3))
+    for i in range(k):
+        blk = slice(n * i // k, n * (i + 1) // k)
+        L[blk], _ = _march(weights, p[blk], d[blk], cfg, seed, ray_ids[blk], False, work)
+    return L, None
 
 
 def volume_render(weights: MlpWeights, p, d, t_near: float, t_far: float,
@@ -320,8 +351,9 @@ class BlendedLightField(LightField):
         d = np.atleast_2d(np.asarray(d, dtype=np.float64))
         want = keep is not None
         ids = _ray_ids(p, d)
-        # The volume goes first: its forward pass is by far the larger, and
-        # run second it would be stacked on the decoder's live MLP cache.
+        # The volume goes first.  Measured both ways on learned renders and
+        # fits, the order leaves the peak RSS as it is, and volume first
+        # takes no more minor page faults.
         l_vol, vol_state = volume_render_batch(self.volume, p, d, self.volume_cfg,
                                                self.seed, ids, keep=want)
         l_tr, hits, dec_state = traced_radiance_batch(

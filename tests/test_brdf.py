@@ -287,3 +287,22 @@ def test_partials_skip_what_is_not_asked():
         assert set(some) == want
         for key in want:
             assert some[key].tobytes() == full[key].tobytes(), key
+
+
+def test_partials_outside_the_f90_clamp_keep_their_bytes():
+    """The F90 clamp's term of dF/dF0 is formed only when some F0 lies in
+    (0, 0.02): the lanes outside the clamp have the same bytes in a call
+    that has lanes inside it and in one that has none."""
+    v, d, n, albedo, roughness, metallic = _smooth_lanes(256, np.random.default_rng(6))
+    f0 = brdf.f0_of(albedo, metallic)
+    inside = np.any((f0 > 0) & (f0 < 0.02), axis=-1)
+    assert 0 < np.count_nonzero(inside) < inside.size
+
+    def partials(lanes):
+        return brdf.eval_pdf_with_partials(v[lanes], d[lanes], n[lanes], albedo[lanes],
+                                           roughness[lanes], metallic[lanes], 1.0)
+
+    mixed, outside = partials(np.s_[:]), partials(~inside)
+    assert set(mixed) == set(outside)
+    for key in mixed:
+        assert mixed[key][~inside].tobytes() == outside[key].tobytes(), key

@@ -65,13 +65,32 @@ def test_forward_hidden_layers_are_softplus_bytes(monkeypatch):
 
 
 def test_backward_matches_sigmoid_reference_bytes():
+    """dflat has the reference's bytes, and the first layer's adjoint
+    gives its input adjoint dx = da0 @ W0."""
     weights, x, dy = _net_and_input(3000)
     _, cache = mlp.forward(weights, x)
     want_dx, want_dflat = mlp_backward_sigmoid(weights, x, dy)
+    w0 = next(weights.layers())[0]
     for _ in range(2):  # the cache is only read, so a second pullback agrees
-        dx, dflat = mlp.backward(weights, cache, dy)
-        assert dx.tobytes() == want_dx.tobytes()
+        da0, dflat = mlp.backward(weights, cache, dy)
+        assert da0.shape == (3000, weights.dims[1])
+        assert (da0 @ w0).tobytes() == want_dx.tobytes()
         assert dflat.tobytes() == want_dflat.tobytes()
+
+
+def test_forward_into_a_workspace_has_the_plain_bytes():
+    """A render-only forward into a workspace with room for more rows than
+    it is given, used twice, gives the bytes of the forward that keeps its
+    cache; a forward that keeps its cache takes no workspace."""
+    weights, x, _ = _net_and_input(3000)
+    want, _ = mlp.forward(weights, x)
+    work = mlp.workspace(weights, 4000)
+    for rows in (slice(0, 3000), slice(1000, 2500)):
+        y, cache = mlp.forward(weights, x[rows], keep=False, out=work)
+        assert cache is None and np.shares_memory(y, work)
+        assert y.tobytes() == want[rows].tobytes()
+    with pytest.raises(mlp.ContractError):
+        mlp.forward(weights, x, out=work)
 
 
 def test_forward_temporaries_below_half_an_activation():

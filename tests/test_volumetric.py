@@ -331,17 +331,22 @@ def test_radiance_vjp_matches_radiance_and_backprop_bytes(case):
     assert adj.tobytes() == light.backprop(p, d, dL).tobytes()
 
 
+def _rays_over(light, rng, n):
+    """n rays from seeded points of the light's G-buffer, in random
+    directions."""
+    h, w = light.gbuffer.depth.shape
+    px = np.stack([rng.uniform(0, w - 1, n), rng.uniform(0, h - 1, n)], -1)
+    yi, xi = px[:, 1].round().astype(int), px[:, 0].round().astype(int)
+    p = unproject(light.camera, px, light.gbuffer.depth[yi, xi])
+    return p, normalize(rng.normal(size=(n, 3)))
+
+
 @pytest.mark.parametrize("case", ["blended-volume", "blended-hypernet"])
 def test_render_only_radiance_keeps_no_mlp_state(case, monkeypatch):
     """Without `keep`, neither MLP forward keeps a cache, and the radiance
     has the bits of the query that keeps its state."""
     light, _, _ = _VJP_CASES[case]()
-    rng = np.random.default_rng(12)
-    h, w = light.gbuffer.depth.shape
-    px = np.stack([rng.uniform(0, w - 1, 200), rng.uniform(0, h - 1, 200)], -1)
-    yi, xi = px[:, 1].round().astype(int), px[:, 0].round().astype(int)
-    p = unproject(light.camera, px, light.gbuffer.depth[yi, xi])
-    d = normalize(rng.normal(size=(200, 3)))
+    p, d = _rays_over(light, np.random.default_rng(12), 200)
     caches = []
     forward = mlp.forward
 
@@ -357,6 +362,86 @@ def test_render_only_radiance_keeps_no_mlp_state(case, monkeypatch):
     kept = light.radiance(p, d, keep)
     assert len(keep) == 1 and len(caches) == 4 and None not in caches[2:]
     assert plain.tobytes() == kept.tobytes()
+
+
+@pytest.mark.parametrize("n_samples,bands,n_rays,rays_per_block", [
+    (12, 4, 1103, [275, 276, 276, 276]),
+    (vol._POINT_BLOCK + 5, 2, 3, [1, 1, 1])], ids=["uneven-split", "one-ray-per-block"])
+def test_render_only_radiance_has_the_kept_bytes_across_point_blocks(
+        n_samples, bands, n_rays, rays_per_block, monkeypatch):
+    """A render-only query runs its field in balanced blocks of at most
+    `_POINT_BLOCK` points, or one ray when a ray has more, and its radiance
+    has the bytes of the query that keeps its state, which runs whole."""
+    g, camera, _, _ = scenes.two_plane(24, 24)
+    rng = np.random.default_rng(13)
+    light = vol.BlendedLightField(
+        FeatureGrid(rng.normal(size=(24, 24, 4))), g, camera,
+        MlpWeights.random((decoder_input_dim(4), 16, 3), seed=3, scale=0.2),
+        volume_weights=MlpWeights.random((vol.field_input_dim(bands), 12, 12, 4),
+                                         seed=4, scale=0.3),
+        volume_cfg=vol.VolumeConfig(n_samples=n_samples, position_bands=bands))
+    p, d = _rays_over(light, rng, n_rays)
+    rows = []
+    forward = mlp.forward
+
+    def recording_forward(weights, x, **kwargs):
+        y, cache = forward(weights, x, **kwargs)
+        if weights is light.volume:
+            rows.append(y.shape[0])
+        return y, cache
+
+    monkeypatch.setattr(mlp, "forward", recording_forward)
+    plain = light.radiance(p, d)
+    assert rows == [n * n_samples for n in rays_per_block]
+    kept = light.radiance(p, d, [])
+    assert rows[len(rays_per_block):] == [n_rays * n_samples]
+    assert plain.tobytes() == kept.tobytes()
+
+
+# Run in a grandchild forked from a fresh interpreter: Linux carries
+# ru_maxrss across exec, so an interpreter exec'd from the test process
+# would report the test process's own peak.
+_LEARNED_RENDER_RSS = """
+import os, sys
+pid = os.fork()
+if pid == 0:
+    import resource
+    import numpy as np
+    from ssdr import scenes, volumetric as vol
+    from ssdr.lighting import FeatureGrid, default_decoder_dims
+    from ssdr.mlp import MlpWeights
+    from ssdr.render import RenderConfig, render_mc
+    g, camera, _, _ = scenes.two_plane(32, 32)
+    grid = FeatureGrid(np.random.default_rng(1).uniform(0.0, 1.0, (32, 32, 8)))
+    light = vol.BlendedLightField(
+        grid, g, camera, MlpWeights.random(default_decoder_dims(8), 2),
+        volume_weights=MlpWeights.random(vol.default_field_dims(10), 3))
+    image = render_mc(g, camera, light, RenderConfig(spp=8, seed=3))
+    assert np.all(np.isfinite(image))
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, flush=True)
+    os._exit(0)
+sys.exit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+"""
+
+
+def test_learned_render_peak_rss_is_bounded():
+    """A learned 32x32 render at spp 8, with the bench's light (decoder 8
+    channels, field 10 bands, 64 volume samples), peaks at 120 MB or less
+    in a process of its own: its volume queries run in point blocks.
+    Queried whole, they peaked at 232 MB."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import ssdr
+    env = {**os.environ, "PYTHONPATH": str(Path(ssdr.__file__).resolve().parents[1]),
+           "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    out = subprocess.run([sys.executable, "-c", _LEARNED_RENDER_RSS], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    peak_mb = int(out.stdout.split()[-1]) / 1024   # ru_maxrss is in KiB on Linux
+    assert peak_mb <= 120, peak_mb
 
 
 def test_render_backward_runs_the_learned_field_once_per_lane(monkeypatch):
