@@ -28,11 +28,13 @@ layer's adjoint da0 it returns) on a fixed seeded input of MLP_ROWS rows,
 more than one softplus log1p block, so a change to the kernel shows as a
 named line and not only through the renderers.
 
-The render-only learned query has lines of its own: a `BlendedLightField`
-with the benchmark's field (`default_field_dims(10)`, 64 volume samples)
-queried on BLOCK_RAYS rays, which its volume splits into four point
-blocks of unequal size, without and with `keep`; the two lines agree when
-the point blocks keep the bits of the whole query.
+The learned query's point blocks have lines of their own: a
+`BlendedLightField` with the benchmark's field (`default_field_dims(10)`,
+64 volume samples) queried on BLOCK_RAYS rays, which its volume splits
+into four point blocks of unequal size, without and with `keep` (the two
+lines agree), and the pullback of the kept query, whose weight adjoint
+sums the blocks' in block order; a change to the partition or to that
+order shows as a changed line.
 
 `optimize` under analytic lights has lines too (maps, light parameters,
 losses): a material fit and a material + light fit at threads 1 and 2,
@@ -203,7 +205,8 @@ def mlp_lines():
 
 def block_lines():
     """The benchmark's learned field on BLOCK_RAYS seeded rays from the
-    visible points of cornell-like, render-only and with `keep`."""
+    visible points of cornell-like, render-only and with `keep`, and the
+    kept query's pullback of a seeded adjoint."""
     g, camera, _, _ = scenes.cornell_like(LEARNED_RES, LEARNED_RES)
     rng = np.random.default_rng(51)
     light = volumetric.BlendedLightField(
@@ -215,6 +218,8 @@ def block_lines():
     d = normalize(rng.normal(size=(BLOCK_RAYS, 3)))
     yield "learned-blocks/radiance", light.radiance(p, d)
     yield "learned-blocks/radiance.kept", light.radiance(p, d, [])
+    _, pullback = light.radiance_vjp(p, d)
+    yield "learned-blocks/backprop", pullback(rng.normal(size=(BLOCK_RAYS, 3)))
 
 
 def encoding_lines():

@@ -122,6 +122,10 @@ def optimize(g: GBuffer, camera: Camera, light: LightField, target,
     with the full loss trace.
     """
     target = _as_image(target)
+    if target.shape != g.depth.shape + (3,):
+        raise ContractError(f"target shape {target.shape} != {g.depth.shape + (3,)}")
+    if not np.all(np.isfinite(target)):
+        raise ContractError("target has non-finite values")
     cur = g.copy()
     _reproject(cur)
     names = check_params(cfg.params)

@@ -43,6 +43,8 @@ class BundleError(ContractError):
 
 
 def _read_token(f, path) -> bytes:
+    """The next whitespace-delimited header token.  No PFM header token is
+    near 32 bytes long, so a longer one is a ParseError at its 33rd byte."""
     tok = b""
     while True:
         c = f.read(1)
@@ -52,6 +54,9 @@ def _read_token(f, path) -> bytes:
             if tok:
                 return tok
             continue
+        if len(tok) == 32:
+            raise ParseError(f"{path}: header token longer than 32 bytes at byte "
+                             f"{f.tell() - 1}")
         tok += c
 
 
@@ -73,6 +78,8 @@ def read_pfm(path) -> ImageBuffer:
             raise ParseError(f"{path}: bad header near byte {f.tell()}: {e}") from None
         if width <= 0 or height <= 0:
             raise ParseError(f"{path}: non-positive dimensions {width}x{height}")
+        if scale == 0 or not math.isfinite(scale):
+            raise ParseError(f"{path}: scale {scale} is not a nonzero finite number")
         size = 4 * width * height * channels
         left = os.fstat(f.fileno()).st_size - f.tell()
         if left < size:     # before reading, so a huge claim allocates nothing

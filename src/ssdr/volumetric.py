@@ -162,30 +162,11 @@ def composite_backward(sigma, color, deltas, w, dL):
     return dsigma, dcolor
 
 
-def _volume_points(p, d, t):
-    # march from p toward the source along +d (see module docstring)
-    return p[:, None, :] + t[:, :, None] * d[:, None, :]
-
-
-# Field points per block of a render-only `volume_render_batch`.  A block
-# is one GEMM of that many rows per layer, and blocks are balanced, so none
-# is smaller than half of this: at every such row count OpenBLAS gives a row
-# the bits it has in one whole-query GEMM, so blocking changes no bit.
+# Field points per block of a `volume_render_batch` query, kept or not.
+# Render and fit march the same blocks, so they run GEMMs of the same
+# shapes and agree bit for bit by construction; the size only bounds the
+# memory of a block.
 _POINT_BLOCK = 4096
-
-
-def _march(weights: MlpWeights, p, d, cfg: VolumeConfig, seed: int, ray_ids,
-           keep: bool, work):
-    """`volume_render_batch` of one block of rays, `work` as in
-    `field_eval`; returns (L, (sigma, color, deltas, w, net))."""
-    jitter = sampling.uniform_block(seed, ray_ids, 0, cfg.n_samples)
-    t, deltas = stratified_ts(cfg.t_near, cfg.t_far, jitter)
-    x = _volume_points(p, d, t)
-    sigma, color, net = field_eval(weights, x.reshape(-1, 3), cfg, keep, work)
-    sigma = sigma.reshape(t.shape)
-    color = color.reshape(*t.shape, 3)
-    L, w = composite(sigma, color, deltas)
-    return L, (sigma, color, deltas, w, net)
 
 
 def volume_render_batch(weights: MlpWeights, p: np.ndarray, d: np.ndarray,
@@ -193,28 +174,36 @@ def volume_render_batch(weights: MlpWeights, p: np.ndarray, d: np.ndarray,
                         keep: bool = True):
     """Stratified volume rendering of N rays; jitter keyed by (seed, ray_id).
 
-    Returns (L (N, 3), state), the state holding what
+    The rays are marched in balanced blocks of at most
+    max(1, _POINT_BLOCK // n_samples) rays.  Returns (L (N, 3), state),
+    the state holding, per block, its ray slice and what
     `volume_render_backward` needs: the field's samples, its MLP cache and
     the composite weights.  With keep=False the state is None, the field
-    keeps no MLP cache, and the rays are marched in balanced blocks of at
-    most max(1, _POINT_BLOCK // n_samples) rays, whose encoding and MLP
-    layers reuse one workspace: the query's memory is one block's, whatever
-    N is, and its bits are those of the query run whole."""
+    keeps no MLP cache, and the blocks' encoding and MLP layers reuse one
+    workspace: the query's memory is one block's, whatever N is."""
     p = np.atleast_2d(np.asarray(p, dtype=np.float64))
     d = np.atleast_2d(np.asarray(d, dtype=np.float64))
     ray_ids = np.asarray(ray_ids, dtype=np.uint64)
-    if keep:
-        return _march(weights, p, d, cfg, seed, ray_ids, True, None)
     n = p.shape[0]
     k = max(1, -(-n // max(1, _POINT_BLOCK // cfg.n_samples)))
     rows = -(-n // k) * cfg.n_samples
-    work = (np.empty((rows, field_input_dim(cfg.position_bands))),
-            mlp.workspace(weights, rows))
+    work = None if keep else (np.empty((rows, field_input_dim(cfg.position_bands))),
+                              mlp.workspace(weights, rows))
     L = np.empty((n, 3))
+    state = []
     for i in range(k):
         blk = slice(n * i // k, n * (i + 1) // k)
-        L[blk], _ = _march(weights, p[blk], d[blk], cfg, seed, ray_ids[blk], False, work)
-    return L, None
+        jitter = sampling.uniform_block(seed, ray_ids[blk], 0, cfg.n_samples)
+        t, deltas = stratified_ts(cfg.t_near, cfg.t_far, jitter)
+        # march from p toward the source along +d
+        x = p[blk, None, :] + t[:, :, None] * d[blk, None, :]
+        sigma, color, net = field_eval(weights, x.reshape(-1, 3), cfg, keep, work)
+        sigma = sigma.reshape(t.shape)
+        color = color.reshape(*t.shape, 3)
+        L[blk], w = composite(sigma, color, deltas)
+        if keep:
+            state.append((blk, sigma, color, deltas, w, net))
+    return L, (state if keep else None)
 
 
 def volume_render(weights: MlpWeights, p, d, t_near: float, t_far: float,
@@ -236,14 +225,15 @@ def volume_render_backward(weights: MlpWeights, p: np.ndarray, d: np.ndarray,
     """d(volume_render_batch)/d(weights.flat), contracted with dL (N, 3).
 
     `state` is the one `volume_render_batch` returned for the same
-    arguments."""
-    sigma, color, deltas, w, (y, cache, raw_col) = state
-    dsigma, dcolor = composite_backward(sigma, color, deltas, w, dL)
-
-    dy = np.empty_like(y)
-    dy[:, 0] = dsigma.reshape(-1) * mlp.sigmoid(y[:, 0])
-    dy[:, 1:4] = dcolor.reshape(-1, 3) * RADIANCE_SCALE * raw_col * (1.0 - raw_col)
-    _, dflat = mlp.backward(weights, cache, dy)
+    arguments; its blocks are pulled back in order and their weight
+    adjoints summed."""
+    dflat = np.zeros(weights.flat.size)
+    for blk, sigma, color, deltas, w, (y, cache, raw_col) in state:
+        dsigma, dcolor = composite_backward(sigma, color, deltas, w, dL[blk])
+        dy = np.empty_like(y)
+        dy[:, 0] = dsigma.reshape(-1) * mlp.sigmoid(y[:, 0])
+        dy[:, 1:4] = dcolor.reshape(-1, 3) * RADIANCE_SCALE * raw_col * (1.0 - raw_col)
+        dflat += mlp.backward(weights, cache, dy)[1]
     return dflat
 
 

@@ -330,6 +330,10 @@ def _assert_input_error(argv, caplog, *words):
      ("albedo.pfm", "truncated payload")),
     ("albedo.pfm", lambda text: text.replace("16 16\n", f"{10**30} 16\n", 1),
      ("albedo.pfm", "truncated payload")),
+    # PFM scales that are zero or not finite
+    ("albedo.pfm", lambda text: text.replace("\n-1.0\n", "\n0\n", 1), ("albedo.pfm", "scale")),
+    ("albedo.pfm", lambda text: text.replace("\n-1.0\n", "\n-inf\n", 1),
+     ("albedo.pfm", "scale")),
 ], ids=["malformed-camera", "camera-without-cy", "sky-without-zenith",
         "specular-scale-not-a-number", "maps-not-an-object", "map-path-not-a-string",
         "camera-not-a-string", "target-not-a-string", "weights-not-a-string",
@@ -340,7 +344,7 @@ def _assert_input_error(argv, caplog, *words):
         "specular-scale-negative", "camera-fx-nan", "camera-fx-bool", "camera-cy-string",
         "camera-width-not-an-int", "camera-height-bool", "specular-scale-huge-int",
         "constant-value-huge-int", "camera-fx-huge-int", "pfm-size-beyond-memory",
-        "pfm-width-huge-int"])
+        "pfm-width-huge-int", "pfm-scale-zero", "pfm-scale-inf"])
 def test_render_bad_bundle_exit_2(two_plane_bundle, tmp_path, caplog, name, edit, words):
     """Each bad bundle is the same one-line input error in every command
     that renders it."""
@@ -350,6 +354,35 @@ def test_render_bad_bundle_exit_2(two_plane_bundle, tmp_path, caplog, name, edit
                     ["optimize", "--target", str(tmp_path / "target.pfm")]):
         _assert_input_error([*command, "--bundle", str(broken), "--out",
                              str(tmp_path / "r"), "--spp", "2"], caplog, *words)
+
+
+def test_render_zero_filled_pfm_exits_2_at_once(two_plane_bundle, tmp_path, caplog):
+    """A 300 KB zero-filled map is a garbled header: the error comes at its
+    first header token, which may be no longer than 32 bytes, not after the
+    reader has scanned the whole file for whitespace."""
+    import re
+    import shutil
+    broken = tmp_path / "zeros"
+    shutil.copytree(two_plane_bundle, broken)
+    (broken / "albedo.pfm").write_bytes(bytes(300_000))
+    _assert_input_error(["render", "--bundle", str(broken), "--out", str(tmp_path / "r"),
+                         "--spp", "2"], caplog, "albedo.pfm")
+    message = caplog.records[-1].getMessage()
+    assert int(re.search(r"byte (\d+)", message).group(1)) < 100, message
+
+
+@pytest.mark.parametrize("iters", ["0", "1"])
+def test_optimize_target_of_another_size_exit_2(tmp_path, caplog, iters):
+    """A target that is not the bundle's size exits 2 before any render,
+    also when no iteration would run."""
+    bundle = tmp_path / "tp8"
+    assert main(["make-scene", "--kind", "two-plane", "--out", str(bundle),
+                 "--res", "8x8"]) == EXIT_OK
+    sio.write_pfm(tmp_path / "target.pfm", np.zeros((6, 6, 3)))
+    _assert_input_error(["optimize", "--bundle", str(bundle), "--target",
+                         str(tmp_path / "target.pfm"), "--iters", iters, "--spp", "2",
+                         "--out", str(tmp_path / "o")], caplog, "target", "(6, 6, 3)")
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.fixture(scope="module")

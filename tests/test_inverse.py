@@ -244,12 +244,31 @@ def test_loss_config_rejects_bad_values(field, value):
 
 
 def test_optimize_aborts_on_non_finite_loss():
+    """A finite target so large that the squared error overflows."""
     g_init, camera, light, target = _lambertian_setup(h=4, w=4)
-    target[0, 0, 0] = np.nan
-    with pytest.raises(ContractError, match="iteration 0"):
+    target[0, 0, 0] = 1e200
+    with np.errstate(over="ignore"), pytest.raises(ContractError, match="iteration 0"):
         optimize(g_init, camera, light, target,
                  LossConfig(iterations=3, params=("albedo",), spp=4,
                             specular_scale=0.0))
+
+
+@pytest.mark.parametrize("iterations", [0, 1])
+@pytest.mark.parametrize("bad", ["shape", "channels", "nan", "inf"])
+def test_optimize_checks_the_target_before_rendering(monkeypatch, iterations, bad):
+    """A target that is not a finite (H, W, 3) image is a ContractError
+    before the first render, even when no iteration would run."""
+    g_init, camera, light, target = _lambertian_setup(h=4, w=4)
+    target = {"shape": target[:3], "channels": target[..., :1],
+              "nan": np.where(target > 0.5, np.nan, target),
+              "inf": np.full_like(target, np.inf)}[bad]
+    renders = []
+    monkeypatch.setattr(inverse, "render_mc", lambda *a, **k: renders.append(a))
+    with pytest.raises(ContractError, match="target"):
+        optimize(g_init, camera, light, target,
+                 LossConfig(iterations=iterations, params=("albedo",), spp=4,
+                            specular_scale=0.0))
+    assert renders == []
 
 
 def test_optimize_light_without_parameters():

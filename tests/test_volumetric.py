@@ -364,14 +364,18 @@ def test_render_only_radiance_keeps_no_mlp_state(case, monkeypatch):
     assert plain.tobytes() == kept.tobytes()
 
 
-@pytest.mark.parametrize("n_samples,bands,n_rays,rays_per_block", [
-    (12, 4, 1103, [275, 276, 276, 276]),
-    (vol._POINT_BLOCK + 5, 2, 3, [1, 1, 1])], ids=["uneven-split", "one-ray-per-block"])
+@pytest.mark.parametrize("n_samples,bands,n_rays,point_block,rays_per_block", [
+    (12, 4, 1103, vol._POINT_BLOCK, [275, 276, 276, 276]),
+    (vol._POINT_BLOCK + 5, 2, 3, vol._POINT_BLOCK, [1, 1, 1]),
+    (12, 4, 11, 3 * 12, [2, 3, 3, 3])],
+    ids=["uneven-split", "one-ray-per-block", "blocks-below-300-rows"])
 def test_render_only_radiance_has_the_kept_bytes_across_point_blocks(
-        n_samples, bands, n_rays, rays_per_block, monkeypatch):
-    """A render-only query runs its field in balanced blocks of at most
-    `_POINT_BLOCK` points, or one ray when a ray has more, and its radiance
-    has the bytes of the query that keeps its state, which runs whole."""
+        n_samples, bands, n_rays, point_block, rays_per_block, monkeypatch):
+    """A query, render-only or kept, runs its field in the same balanced
+    blocks of at most `_POINT_BLOCK` points, or one ray when a ray has
+    more, so both run GEMMs of the same shapes and the render-only
+    radiance has the bytes of the kept one, whatever the block size."""
+    monkeypatch.setattr(vol, "_POINT_BLOCK", point_block)
     g, camera, _, _ = scenes.two_plane(24, 24)
     rng = np.random.default_rng(13)
     light = vol.BlendedLightField(
@@ -392,10 +396,53 @@ def test_render_only_radiance_has_the_kept_bytes_across_point_blocks(
 
     monkeypatch.setattr(mlp, "forward", recording_forward)
     plain = light.radiance(p, d)
-    assert rows == [n * n_samples for n in rays_per_block]
     kept = light.radiance(p, d, [])
-    assert rows[len(rays_per_block):] == [n_rays * n_samples]
+    assert rows == 2 * [n * n_samples for n in rays_per_block]
     assert plain.tobytes() == kept.tobytes()
+
+
+def test_volume_gradients_match_fd_across_point_blocks(monkeypatch):
+    """With one ray per point block, the adjoint pulls back each block's
+    state and sums their weight adjoints, and matches central
+    differences."""
+    cfg = vol.VolumeConfig(t_near=0.05, t_far=6.0, n_samples=16, position_bands=4)
+    monkeypatch.setattr(vol, "_POINT_BLOCK", cfg.n_samples)
+    w = MlpWeights.random((vol.field_input_dim(4), 12, 12, 4), seed=3, scale=0.4)
+    rows = []
+    backward = mlp.backward
+
+    def recording_backward(weights, cache, dy):
+        rows.append(dy.shape[0])
+        return backward(weights, cache, dy)
+
+    monkeypatch.setattr(mlp, "backward", recording_backward)
+    result = check_volume_weights(w, cfg, n_rays=4, n_components=40, tol=1e-4)
+    assert rows == 4 * [cfg.n_samples]
+    assert result.passed, str(result)
+
+
+@pytest.mark.parametrize("case", ["blended-volume", "blended-hypernet"])
+def test_radiance_vjp_pullback_has_backprop_bytes_across_point_blocks(case, monkeypatch):
+    """With one ray per point block, radiance_vjp's value and pullback are
+    radiance's and backprop's, bit for bit."""
+    light, p, d = _VJP_CASES[case]()
+    n_samples = light.volume_cfg.n_samples
+    monkeypatch.setattr(vol, "_POINT_BLOCK", n_samples)
+    dL = np.random.default_rng(4).normal(size=(p.shape[0], 3))
+    rows = []
+    backward = mlp.backward
+
+    def recording_backward(weights, cache, dy):
+        if weights is light.volume:
+            rows.append(dy.shape[0])
+        return backward(weights, cache, dy)
+
+    monkeypatch.setattr(mlp, "backward", recording_backward)
+    L, pullback = light.radiance_vjp(p, d)
+    assert L.tobytes() == light.radiance(p, d).tobytes()
+    adj = pullback(dL)
+    assert rows == p.shape[0] * [n_samples] and p.shape[0] > 1
+    assert adj.tobytes() == light.backprop(p, d, dL).tobytes()
 
 
 # Run in a grandchild forked from a fresh interpreter: Linux carries
@@ -424,11 +471,34 @@ sys.exit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
 """
 
 
-def test_learned_render_peak_rss_is_bounded():
-    """A learned 32x32 render at spp 8, with the bench's light (decoder 8
-    channels, field 10 bands, 64 volume samples), peaks at 120 MB or less
-    in a process of its own: its volume queries run in point blocks.
-    Queried whole, they peaked at 232 MB."""
+_LEARNED_FIT_RSS = """
+import os, sys
+pid = os.fork()
+if pid == 0:
+    import resource
+    import numpy as np
+    from ssdr import scenes, volumetric as vol
+    from ssdr.inverse import LossConfig, optimize
+    from ssdr.lighting import FeatureGrid, default_decoder_dims
+    from ssdr.mlp import MlpWeights
+    g, camera, _, _ = scenes.two_plane(16, 16)
+    grid = FeatureGrid(np.random.default_rng(1).uniform(0.0, 1.0, (16, 16, 8)))
+    light = vol.BlendedLightField(
+        grid, g, camera, MlpWeights.random(default_decoder_dims(8), 2),
+        volume_weights=MlpWeights.random(vol.default_field_dims(10), 3))
+    res = optimize(g, camera, light, np.full((16, 16, 3), 0.3),
+                   LossConfig(iterations=1, step_size=0.001, params=("albedo", "light"),
+                              spp=4, seed=4))
+    assert np.all(np.isfinite(res.light_params))
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, flush=True)
+    os._exit(0)
+sys.exit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+"""
+
+
+def _peak_rss_mb(script: str) -> float:
+    """The peak RSS, in MB, of `script` run in a process of its own with
+    BLAS at one thread; the script prints its ru_maxrss last."""
     import os
     import subprocess
     import sys
@@ -437,11 +507,28 @@ def test_learned_render_peak_rss_is_bounded():
     import ssdr
     env = {**os.environ, "PYTHONPATH": str(Path(ssdr.__file__).resolve().parents[1]),
            "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
-    out = subprocess.run([sys.executable, "-c", _LEARNED_RENDER_RSS], env=env,
+    out = subprocess.run([sys.executable, "-c", script], env=env,
                          capture_output=True, text=True, timeout=300)
     assert out.returncode == 0, out.stderr
-    peak_mb = int(out.stdout.split()[-1]) / 1024   # ru_maxrss is in KiB on Linux
+    return int(out.stdout.split()[-1]) / 1024   # ru_maxrss is in KiB on Linux
+
+
+def test_learned_render_peak_rss_is_bounded():
+    """A learned 32x32 render at spp 8, with the bench's light (decoder 8
+    channels, field 10 bands, 64 volume samples), peaks at 120 MB or less
+    in a process of its own: its volume queries run in point blocks.
+    Queried whole, they peaked at 232 MB."""
+    peak_mb = _peak_rss_mb(_LEARNED_RENDER_RSS)
     assert peak_mb <= 120, peak_mb
+
+
+def test_learned_fit_peak_rss_is_bounded():
+    """One albedo + light `optimize` iteration on a learned 16x16 render at
+    spp 4, with the bench's light, peaks at 310 MB or less in a process of
+    its own: its kept volume queries run in point blocks too.  Kept whole,
+    they peaked at 332 MB."""
+    peak_mb = _peak_rss_mb(_LEARNED_FIT_RSS)
+    assert peak_mb <= 310, peak_mb
 
 
 def test_render_backward_runs_the_learned_field_once_per_lane(monkeypatch):
