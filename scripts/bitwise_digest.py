@@ -41,6 +41,13 @@ losses): a material fit and a material + light fit at threads 1 and 2,
 each small enough that the render keeps its samples for the adjoint, and
 one fit whose render is too large for that, so the adjoint replays them.
 
+The BRDF has lines of its own: `_eval_raw`'s f, `mixture_pdf`'s pdf and
+every output of `eval_pdf_with_partials` at specular 0.5 and 1, on
+BRDF_LANES fixed seeded lanes that take in below-horizon directions,
+back-facing half vectors, F0 inside the F90 clamp and roughness below its
+floor, so a change to the BRDF shows as a named line and not only through
+the renders.
+
 The positional encoding has lines of its own: `lighting.positional_encoding`
 at the decoder's 6 and the field's 10 bands on a fixed seeded point set of
 ENC_ROWS rows, so a change to the encoding shows as a named line and not only through the decoder inputs and the
@@ -67,7 +74,7 @@ from dataclasses import replace
 
 import numpy as np
 
-from ssdr import lighting, mlp, render, scenes, ssrt, volumetric
+from ssdr import brdf, lighting, mlp, render, scenes, ssrt, volumetric
 from ssdr.core import normalize
 from ssdr.inverse import LossConfig, optimize
 from ssdr.lighting import (ConstantLight, FeatureGrid, GridLight, analytic_lightfield,
@@ -85,6 +92,7 @@ LEARNED_SPP = 4
 MLP_ROWS = 5000
 BLOCK_RAYS = 203   # 4 volume point blocks of 50, 51, 51 and 51 rays
 ENC_ROWS = 4000
+BRDF_LANES = 6000
 # analytic fits: RES x RES at OPT_SPP samples per pixel
 OPT_ITERS = 3
 OPT_SPP = 16
@@ -222,6 +230,34 @@ def block_lines():
     yield "learned-blocks/backprop", pullback(rng.normal(size=(BLOCK_RAYS, 3)))
 
 
+def brdf_lines():
+    """Seeded lanes: a quarter of the views, and half the directions,
+    uniform over the sphere, the other views near the normal and the other
+    directions drawn by `sample_directions`; a quarter of the albedos zero,
+    so F0 falls inside the F90 clamp where metallic is above 1/2, and an
+    eighth of the roughnesses 0."""
+    rng = np.random.default_rng(61)
+    m = BRDF_LANES
+    n = normalize(rng.normal(size=(m, 3)))
+    v = np.where((rng.random(m) < 0.25)[:, None], normalize(rng.normal(size=(m, 3))),
+                 normalize(n + 0.8 * rng.normal(size=(m, 3))))
+    uniform = normalize(rng.normal(size=(m, 3)))
+    albedo = rng.uniform(0.0, 1.0, (m, 3))
+    albedo[rng.random(m) < 0.25] = 0.0
+    roughness = rng.uniform(0.0, 1.0, m)
+    roughness[rng.random(m) < 0.125] = 0.0
+    metallic = rng.uniform(0.0, 1.0, m)
+    u = rng.random((m, 3))
+    for specular in (0.5, 1.0):
+        args = (n, albedo, roughness, metallic, specular)
+        d = np.where((np.arange(m) % 2 == 0)[:, None],
+                     brdf.sample_directions(v, *args, u)[0], uniform)
+        yield f"brdf/s{specular}/f", brdf._eval_raw(v, d, *args)
+        yield f"brdf/s{specular}/pdf", brdf.mixture_pdf(v, d, *args)
+        for key, a in brdf.eval_pdf_with_partials(v, d, *args).items():
+            yield f"brdf/s{specular}/partials.{key}", a
+
+
 def encoding_lines():
     """Seeded points over [-25, 25]^3 at the decoder's and the field's band
     counts."""
@@ -272,6 +308,7 @@ def fit_backward_lines():
 
 
 def lines():
+    yield from brdf_lines()
     yield from mlp_lines()
     yield from encoding_lines()
     rng = np.random.default_rng(2024)

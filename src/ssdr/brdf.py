@@ -17,11 +17,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import ContractError, as_rgb, dot, luminance, normalize, orthonormal_basis
+from .core import (REC709, ContractError, as_rgb, dot, luminance, normalize,
+                   orthonormal_basis)
 from .sampling import SamplerState, uniform_block
 
 ROUGHNESS_FLOOR = 0.01
-_LUM = np.array([0.2126, 0.7152, 0.0722])
 
 
 @dataclass(frozen=True)
@@ -51,28 +51,33 @@ def _alpha(roughness) -> np.ndarray:
     return r * r
 
 
-def ggx_d(cos_nm, alpha) -> np.ndarray:
-    """GGX normal distribution; zero for back-facing half vectors."""
+def ggx_d(cos_nm, alpha) -> tuple[np.ndarray, np.ndarray]:
+    """GGX normal distribution, zero for back-facing half vectors, and the
+    t = cos_nm^2 (alpha^2 - 1) + 1 of its denominator pi t^2, which its
+    partials reuse."""
     cos_nm = np.asarray(cos_nm, dtype=np.float64)
     alpha = np.asarray(alpha, dtype=np.float64)
     a2 = alpha * alpha
     t = cos_nm * cos_nm * (a2 - 1.0) + 1.0
-    return np.where(cos_nm > 0, a2 / (np.pi * t * t), 0.0)
+    return np.where(cos_nm > 0, a2 / (np.pi * t * t), 0.0), t
 
 
-def smith_g1(cos_nw, alpha) -> np.ndarray:
+def smith_g1(cos_nw, alpha) -> tuple[np.ndarray, np.ndarray]:
+    """Smith masking G1 = 2c / (c + k), zero for c <= 0, and its
+    k = sqrt(alpha^2 + (1 - alpha^2) c^2), which its partials reuse."""
     cos_nw = np.asarray(cos_nw, dtype=np.float64)
     alpha = np.asarray(alpha, dtype=np.float64)
     k = np.sqrt(alpha * alpha + (1.0 - alpha * alpha) * cos_nw * cos_nw)
-    return np.where(cos_nw > 0, 2.0 * cos_nw / (cos_nw + k), 0.0)
+    return np.where(cos_nw > 0, 2.0 * cos_nw / (cos_nw + k), 0.0), k
 
 
-def fresnel_schlick(cos_vh, f0) -> np.ndarray:
+def fresnel_schlick(cos_vh, f0) -> tuple[np.ndarray, np.ndarray]:
     """Schlick Fresnel with grazing reflectance F90 = clamp(50 F0, 0, 1), so
-    a zero-F0 surface reflects exactly nothing; f0 is (..., 3)."""
+    a zero-F0 surface reflects exactly nothing; f0 is (..., 3).  Also
+    returns F90's weight q = (1 - cos_vh)^5, which its partials reuse."""
     q = (1.0 - np.clip(np.asarray(cos_vh, dtype=np.float64), 0.0, 1.0)) ** 5
     f90 = np.clip(50.0 * f0, 0.0, 1.0)
-    return f0 * (1.0 - q[..., None]) + f90 * q[..., None]
+    return f0 * (1.0 - q[..., None]) + f90 * q[..., None], q
 
 
 def f0_of(albedo, metallic) -> np.ndarray:
@@ -81,15 +86,20 @@ def f0_of(albedo, metallic) -> np.ndarray:
     return 0.04 * (1.0 - m) + albedo * m
 
 
-def lobe_weights(albedo, metallic, specular) -> tuple[np.ndarray, np.ndarray]:
-    """Normalized (diffuse, specular) mixture weights of the sampler."""
-    albedo = np.asarray(albedo, dtype=np.float64)
+def _lobe_masses(albedo, metallic, specular):
+    """Unnormalized (diffuse, specular) mixture weights, their sum (1 where
+    it is not positive) and the mask of those degenerate lanes."""
     m = np.asarray(metallic, dtype=np.float64)
     wd = (1.0 - m) * luminance(albedo)
     ws = np.asarray(specular, dtype=np.float64) * (0.04 * (1.0 - m) + m)
     s = wd + ws
     deg = s <= 0
-    s = np.where(deg, 1.0, s)
+    return wd, ws, np.where(deg, 1.0, s), deg
+
+
+def lobe_weights(albedo, metallic, specular) -> tuple[np.ndarray, np.ndarray]:
+    """Normalized (diffuse, specular) mixture weights of the sampler."""
+    wd, ws, s, deg = _lobe_masses(albedo, metallic, specular)
     return np.where(deg, 1.0, wd / s), np.where(deg, 0.0, ws / s)
 
 
@@ -111,46 +121,18 @@ def eval(v, d, n, params: BrdfParams) -> np.ndarray:
 
 
 def _eval_raw(v, d, n, albedo, roughness, metallic, specular) -> np.ndarray:
-    albedo = np.asarray(albedo, dtype=np.float64)
-    metallic = np.asarray(metallic, dtype=np.float64)
-    cos_nd = dot(n, d)
-    cos_nv = dot(n, v)
-    alpha = _alpha(roughness)
-
-    m = normalize(v + d)
-    cos_nm = dot(n, m)
-    cos_vm = dot(v, m)
-    D = ggx_d(cos_nm, alpha)
-    G = smith_g1(cos_nv, alpha) * smith_g1(cos_nd, alpha)
-    denom = np.maximum(4.0 * cos_nv * cos_nd, 1e-12)
-    spec_common = np.asarray(specular, dtype=np.float64) * D * G / denom
-    fresnel = fresnel_schlick(cos_vm, f0_of(albedo, metallic))
-
-    diffuse = (1.0 - metallic)[..., None] * albedo / np.pi
-    f = diffuse + fresnel * spec_common[..., None]
-    return np.where((cos_nd > 0)[..., None], f, 0.0)
+    """Array form of `eval`, without its checks; material broadcasts over rays."""
+    return _kernel(v, d, n, albedo, roughness, metallic, specular, ("f",))["f"]
 
 
-def diffuse_pdf(d, n) -> np.ndarray:
-    """Cosine-hemisphere density, the diffuse mixture component."""
-    c = dot(n, d)
+def diffuse_pdf(c) -> np.ndarray:
+    """Cosine-hemisphere density at c = n.d, the diffuse mixture component."""
     return np.where(c > 0, c / np.pi, 0.0)
-
-
-def _specular_pdf(v, d, n, alpha) -> np.ndarray:
-    m = normalize(v + d)
-    cos_nm = dot(n, m)
-    cos_vm = np.maximum(dot(v, m), 1e-12)
-    return ggx_d(cos_nm, alpha) * np.maximum(cos_nm, 0.0) / (4.0 * cos_vm)
 
 
 def mixture_pdf(v, d, n, albedo, roughness, metallic, specular) -> np.ndarray:
     """Array form of `pdf`; material arguments broadcast over rays."""
-    v, d, n = (np.asarray(a, dtype=np.float64) for a in (v, d, n))
-    wd, ws = lobe_weights(albedo, metallic, specular)
-    alpha = _alpha(roughness)
-    val = wd * diffuse_pdf(d, n) + ws * _specular_pdf(v, d, n, alpha)
-    return np.where(dot(n, d) > 0, val, 0.0)
+    return _kernel(v, d, n, albedo, roughness, metallic, specular, ("pdf",))["pdf"]
 
 
 def pdf(v, d, n, params: BrdfParams) -> np.ndarray:
@@ -174,8 +156,9 @@ def sample_pdf_sphere(v, d, n, params: BrdfParams) -> np.ndarray:
     m = np.where((dot(n, m) >= 0)[..., None], m, -m)
     cos_nm = dot(n, m)
     cos_vm = np.abs(dot(v, m))
-    spec = ggx_d(cos_nm, alpha) * np.maximum(cos_nm, 0.0) / np.maximum(4.0 * cos_vm, 1e-12)
-    return wd * diffuse_pdf(d, n) + ws * spec
+    D, _ = ggx_d(cos_nm, alpha)
+    spec = D * np.maximum(cos_nm, 0.0) / np.maximum(4.0 * cos_vm, 1e-12)
+    return wd * diffuse_pdf(dot(n, d)) + ws * spec
 
 
 def _local_to_world(local, n):
@@ -230,7 +213,7 @@ def sample(v, n, params: BrdfParams, rng: SamplerState) -> BrdfSample:
 
 
 # ---------------------------------------------------------------------------
-# analytic partials consumed by the render adjoint
+# the one evaluator of f, the pdf and the partials the render adjoint consumes
 
 
 def eval_pdf_with_partials(v, d, n, albedo, roughness, metallic, specular,
@@ -248,118 +231,115 @@ def eval_pdf_with_partials(v, d, n, albedo, roughness, metallic, specular,
     the Fresnel term times the normal gradient of the scalar microfacet
     factor, which is zero below the horizon.
     """
-    want_m = "metallic" in params
-    want_n = "normal" in params
-    v, d, n = (np.asarray(a, dtype=np.float64) for a in (v, d, n))
-    albedo = np.asarray(albedo, dtype=np.float64)
-    metallic = np.asarray(metallic, dtype=np.float64)
-    spec_scale = np.asarray(specular, dtype=np.float64)
+    return _kernel(v, d, n, albedo, roughness, metallic, specular,
+                   ("f", "pdf", "partials", *params))
 
-    r_clamped = np.clip(np.asarray(roughness, dtype=np.float64), ROUGHNESS_FLOOR, 1.0)
-    alpha = r_clamped * r_clamped
-    dalpha_dR = np.where(
-        (roughness >= ROUGHNESS_FLOOR) & (roughness <= 1.0), 2.0 * r_clamped, 0.0)
 
-    cos_nv = dot(n, v)
+def _kernel(v, d, n, albedo, roughness, metallic, specular, want):
+    """f, the pdf and their partials, forming only what `want` names: "f"
+    and "pdf" are the values, "partials" the partials
+    `eval_pdf_with_partials` always returns, and "metallic" and "normal"
+    with it add theirs.
+
+    The value half builds f from `ggx_d`, `smith_g1`, `f0_of` and
+    `fresnel_schlick`, and the pdf from `ggx_d`, `lobe_weights` and
+    `diffuse_pdf`, so every view's f and pdf have the same bytes.  The
+    derivative half reuses the intermediates those return (D's t, G1's k,
+    F90's weight q) and forms again only alpha^2 and the lobe masses.
+    """
+    v, d, n, albedo, metallic, specular = (
+        np.asarray(a, dtype=np.float64) for a in (v, d, n, albedo, metallic, specular))
+    alpha = _alpha(roughness)
     cos_nd = dot(n, d)
     up = cos_nd > 0
-
     m = normalize(v + d)
     cos_nm = dot(n, m)
     cos_vm = np.maximum(dot(v, m), 1e-12)
+    if "normal" not in want:
+        # m is (..., 3), the widest intermediate, and only the normal
+        # partials read it again; freed here, the views fault in fewer pages
+        del m
+    D, t = ggx_d(cos_nm, alpha)
+    out = {}
+    if "f" in want:
+        cos_nv = dot(n, v)
+        (g1v, kv), (g1d, kd) = smith_g1(cos_nv, alpha), smith_g1(cos_nd, alpha)
+        G = g1v * g1d
+        denom = np.maximum(4.0 * cos_nv * cos_nd, 1e-12)
+        sc = specular * D * G / denom
+        f0 = f0_of(albedo, metallic)
+        fres, q = fresnel_schlick(cos_vm, f0)
+        one_minus_m = (1.0 - metallic)[..., None]
+        out["f"] = np.where(up[..., None], one_minus_m * albedo / np.pi
+                            + fres * sc[..., None], 0.0)
+    if "pdf" in want:
+        wd, ws = lobe_weights(albedo, metallic, specular)
+        pd = diffuse_pdf(cos_nd)
+        ps = np.where(up, D * np.maximum(cos_nm, 0.0) / (4.0 * cos_vm), 0.0)
+        out["pdf"] = np.where(up, wd * pd + ws * ps, 0.0)
+    if "partials" not in want:
+        return out
 
     a2 = alpha * alpha
-    t = cos_nm * cos_nm * (a2 - 1.0) + 1.0
+    pi_t3 = np.pi * t ** 3
     face = cos_nm > 0
-    D = np.where(face, a2 / (np.pi * t * t), 0.0)
     dD_dalpha = np.where(face, (2.0 * alpha * t - 4.0 * alpha * a2 * cos_nm * cos_nm)
-                         / (np.pi * t ** 3), 0.0)
+                         / pi_t3, 0.0)
+    # the clamp is the identity where it passes the derivative
+    rough = np.asarray(roughness, dtype=np.float64)
+    dalpha_dR = np.where((rough >= ROUGHNESS_FLOOR) & (rough <= 1.0), 2.0 * rough, 0.0)
 
-    def g1_terms(c):
-        """G1 at cosine c, its alpha partial and, for the normal, its c partial."""
-        k = np.sqrt(a2 + (1.0 - a2) * c * c)
+    def dg1(c, k):
+        """G1's partials at cosine c: by alpha and, for the normal, by c."""
         pos = c > 0
-        g = np.where(pos, 2.0 * c / (c + k), 0.0)
-        dk_da = alpha * (1.0 - c * c) / k
-        dg_da = np.where(pos, -2.0 * c / (c + k) ** 2 * dk_da, 0.0)
-        if not want_n:
-            return g, dg_da, None
+        ck2 = (c + k) ** 2
+        dg_da = np.where(pos, -2.0 * c / ck2 * (alpha * (1.0 - c * c) / k), 0.0)
+        if "normal" not in want:
+            return dg_da, None
         dk_dc = (1.0 - a2) * c / k
-        dg_dc = np.where(pos, (2.0 * (c + k) - 2.0 * c * (1.0 + dk_dc)) / (c + k) ** 2, 0.0)
-        return g, dg_da, dg_dc
+        return dg_da, np.where(pos, (2.0 * (c + k) - 2.0 * c * (1.0 + dk_dc)) / ck2, 0.0)
 
-    g1v, dg1v_da, dg1v_dcv = g1_terms(cos_nv)
-    g1d, dg1d_da, dg1d_dcd = g1_terms(cos_nd)
-    G = g1v * g1d
-    dG_dalpha = dg1v_da * g1d + g1v * dg1d_da
+    dg1v_da, dg1v_dcv = dg1(cos_nv, kv)
+    dg1d_da, dg1d_dcd = dg1(cos_nd, kd)
+    dsc_dalpha = specular * (dD_dalpha * G + D * (dg1v_da * g1d + g1v * dg1d_da)) / denom
 
-    denom = np.maximum(4.0 * cos_nv * cos_nd, 1e-12)
-    sc = spec_scale * D * G / denom
-    dsc_dalpha = spec_scale * (dD_dalpha * G + D * dG_dalpha) / denom
-
-    f0 = f0_of(albedo, metallic)
-    q = (1.0 - np.clip(cos_vm, 0.0, 1.0)) ** 5
-    f90 = np.clip(50.0 * f0, 0.0, 1.0)
-    fres = f0 * (1.0 - q[..., None]) + f90 * q[..., None]
     # dF/dF0 = (1-q) + 50 q inside the F90 clamp; the clamp term is formed
     # only where some F0 lies inside it (x + 0 is x for the 1 - q >= 0 here)
     df_df0 = np.broadcast_to((1.0 - q)[..., None], fres.shape)
     clamped = (f0 > 0) & (f0 < 0.02)
     if np.any(clamped):
         df_df0 = df_df0 + np.where(clamped, 50.0 * q[..., None], 0.0)
-    dfres_dA = metallic[..., None] * df_df0               # per channel, diagonal
+    upc = up[..., None]
+    out["df_dA"] = np.where(upc, one_minus_m / np.pi
+                            + metallic[..., None] * df_df0 * sc[..., None], 0.0)
+    out["df_dR"] = np.where(upc, fres * (dsc_dalpha * dalpha_dR)[..., None], 0.0)
 
-    one_minus_m = (1.0 - metallic)[..., None]
-    f = one_minus_m * albedo / np.pi + fres * sc[..., None]
-    f = np.where(up[..., None], f, 0.0)
-
-    df_dA = np.where(up[..., None], one_minus_m / np.pi + dfres_dA * sc[..., None], 0.0)
-    df_dR = np.where(up[..., None],
-                     fres * (dsc_dalpha * dalpha_dR)[..., None], 0.0)
-
-    # mixture pdf and its partials
-    lum = luminance(albedo)
-    wd_raw = (1.0 - metallic) * lum
-    ws_raw = spec_scale * (0.04 * (1.0 - metallic) + metallic)
-    s = wd_raw + ws_raw
-    deg = s <= 0
-    s_safe = np.where(deg, 1.0, s)
-    wd = np.where(deg, 1.0, wd_raw / s_safe)
-    ws = np.where(deg, 0.0, ws_raw / s_safe)
-
-    pd = np.where(up, cos_nd / np.pi, 0.0)
-    ps = np.where(face & up, D * cos_nm / (4.0 * cos_vm), 0.0)
-    p = wd * pd + ws * ps
-
-    dwd_raw_dA = (1.0 - metallic)[..., None] * _LUM
-    # d(wd/s)/dx = (dwd*ws_raw - wd_raw*dws)/s^2
-    s2 = s_safe * s_safe
-    dwd_dA = np.where(deg[..., None], 0.0, dwd_raw_dA * ws_raw[..., None] / s2[..., None])
+    # d(wd/s)/dx = (dwd*ws_raw - wd_raw*dws)/s^2, with s = wd_raw + ws_raw
+    wd_raw, ws_raw, s, deg = _lobe_masses(albedo, metallic, specular)
+    s2 = s * s
+    dwd_dA = np.where(deg[..., None], 0.0,
+                      one_minus_m * REC709 * ws_raw[..., None] / s2[..., None])
     dps_dalpha = np.where(face & up, dD_dalpha * cos_nm / (4.0 * cos_vm), 0.0)
-
-    out = {"f": f, "pdf": p, "df_dA": df_dA, "df_dR": df_dR,
-           "dpdf_dA": dwd_dA * (pd - ps)[..., None],
-           "dpdf_dR": ws * dps_dalpha * dalpha_dR}
-    if want_m:
-        dfres_dM = (albedo - 0.04) * df_df0
-        out["df_dM"] = np.where(up[..., None],
-                                -albedo / np.pi + dfres_dM * sc[..., None], 0.0)
-        dwd_raw_dM = -lum
-        dws_raw_dM = 0.96 * spec_scale
-        dwd_dM = np.where(deg, 0.0, (dwd_raw_dM * ws_raw - wd_raw * dws_raw_dM) / s2)
+    out["dpdf_dA"] = dwd_dA * (pd - ps)[..., None]
+    out["dpdf_dR"] = ws * dps_dalpha * dalpha_dR
+    if "metallic" in want:
+        out["df_dM"] = np.where(upc, -albedo / np.pi
+                                + (albedo - 0.04) * df_df0 * sc[..., None], 0.0)
+        dwd_dM = np.where(deg, 0.0, (-luminance(albedo) * ws_raw
+                                     - wd_raw * (0.96 * specular)) / s2)
         out["dpdf_dM"] = dwd_dM * (pd - ps)
-    if want_n:
+    if "normal" in want:
         # n enters via cos_nv, cos_nd, cos_nm
         live = 4.0 * cos_nv * cos_nd > 1e-12
-        dD_dcnm = np.where(face, -4.0 * a2 * cos_nm * (a2 - 1.0) / (np.pi * t ** 3), 0.0)
-        dsc_dcv = np.where(live, spec_scale * D * (dg1v_dcv * g1d) / denom
+        dD_dcnm = np.where(face, -4.0 * a2 * cos_nm * (a2 - 1.0) / pi_t3, 0.0)
+        dsc_dcv = np.where(live, specular * D * (dg1v_dcv * g1d) / denom
                            - sc / cos_nv, 0.0)
-        dsc_dcd = np.where(live, spec_scale * D * (g1v * dg1d_dcd) / denom
+        dsc_dcd = np.where(live, specular * D * (g1v * dg1d_dcd) / denom
                            - sc / cos_nd, 0.0)
-        dsc_dcm = spec_scale * dD_dcnm * G / denom
+        dsc_dcm = specular * dD_dcnm * G / denom
         dsc_dn = dsc_dcv[..., None] * v + dsc_dcd[..., None] * d + dsc_dcm[..., None] * m
         out["fres"] = fres
-        out["dsc_dn"] = np.where(up[..., None], dsc_dn, 0.0)
+        out["dsc_dn"] = np.where(upc, dsc_dn, 0.0)
         dps_dn = np.where((face & up)[..., None],
                           ((dD_dcnm * cos_nm + D) / (4.0 * cos_vm))[..., None] * m, 0.0)
         out["dpdf_dn"] = ((wd * np.where(up, 1.0 / np.pi, 0.0))[..., None] * d

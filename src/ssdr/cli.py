@@ -328,6 +328,9 @@ def main(argv=None) -> int:
     except (ContractError, OSError) as e:
         log.error("%s", e)
         return EXIT_INPUT
+    except MemoryError as e:
+        log.error("out of memory, the request is too large: %s", e)
+        return EXIT_INPUT
     except RenderNanError as e:
         log.error("%s", e)
         return EXIT_NUMERIC

@@ -36,10 +36,15 @@ def finite_number(value) -> float | None:
     return value if math.isfinite(value) else None
 
 
+# Rec.709 luma weights of (r, g, b)
+REC709 = np.array([0.2126, 0.7152, 0.0722])
+
+
 def luminance(rgb: np.ndarray) -> np.ndarray:
     """Rec.709 luma of a (..., 3) array."""
     rgb = np.asarray(rgb, dtype=np.float64)
-    return rgb[..., 0] * 0.2126 + rgb[..., 1] * 0.7152 + rgb[..., 2] * 0.0722
+    wr, wg, wb = REC709
+    return rgb[..., 0] * wr + rgb[..., 1] * wg + rgb[..., 2] * wb
 
 
 @dataclass

@@ -199,9 +199,7 @@ def _estimate(px: FrozenSamples, d, ok, light: LightField, cfg: RenderConfig,
     pdf, and a `record` list receives (d, those lanes, (radiance,
     pullback)), with the pullback kept for any light that has parameters.
     Given `lit`, such a (radiance, pullback) pair recorded for these
-    samples, with `ok` the recorded lanes, the light is not queried:
-    `mixture_pdf` and `eval_pdf_with_partials` give the same pdf, so the
-    adjoint's lanes are the recorded ones.
+    samples, with `ok` the recorded lanes, the light is not queried.
     """
     v, n, alb, rough, metal = _lanes(px)
     args = (v, d, n, alb, rough, metal, cfg.specular_scale)
@@ -511,8 +509,9 @@ def reference_render(g: GBuffer, camera: Camera, light: LightField,
             cos_nd = dot(n_v[:, None, :], d_spec)
             ok = (vh > 1e-9) & (cos_nd > 0)
             cos_nv = dot(n_v[:, None, :], v_v[:, None, :])
-            G = brdf.smith_g1(cos_nv, alpha[:, None]) * brdf.smith_g1(cos_nd, alpha[:, None])
-            fres = brdf.fresnel_schlick(vh, brdf.f0_of(alb, mt)[:, None, :])
+            G = (brdf.smith_g1(cos_nv, alpha[:, None])[0]
+                 * brdf.smith_g1(cos_nd, alpha[:, None])[0])
+            fres, _ = brdf.fresnel_schlick(vh, brdf.f0_of(alb, mt)[:, None, :])
             # integrand / warp density = spec F G L cos_nd vh / (nv nd nh)
             weight = np.where(ok, specular_scale * G * vh
                               / np.maximum(cos_nv * ch, 1e-12), 0.0)

@@ -59,7 +59,7 @@ def test_white_furnace_bound(roughness):
 
 
 def test_pure_diffuse_pdf_closed_form():
-    assert np.isclose(float(brdf.diffuse_pdf(N_UP, N_UP)), 1.0 / np.pi)
+    assert np.isclose(float(brdf.diffuse_pdf(dot(N_UP, N_UP))), 1.0 / np.pi)
     params = brdf.BrdfParams(albedo=(0.7, 0.7, 0.7), roughness=1.0,
                              metallic=0.0, specular=0.0)
     assert np.isclose(float(brdf.pdf(V30, N_UP, N_UP, params)), 1.0 / np.pi)
@@ -182,11 +182,13 @@ def test_finite_difference_partials_exist():
         assert np.all(np.isfinite((hi - lo) / 2e-6))
 
 
-@pytest.mark.parametrize("specular", [0.0, 1.0])
+@pytest.mark.parametrize("specular", [0.0, 0.5, 1.0])
 def test_adjoint_pdf_is_the_forward_pdf_bytes(specular):
-    """The adjoint's pdf is the forward's, bit for bit, on sampled
-    directions: a render's sample tape gates its light query with the
-    forward pdf, and the adjoint that reads the tape relies on the gate."""
+    """The adjoint's f and pdf are the forward's, bit for bit, on every
+    lane: sampled directions, invalid ones included, and uniformly random
+    ones, some below the horizon.  A render's sample tape gates its light
+    query with the forward pdf, and the adjoint that reads the tape relies
+    on the gate."""
     rng = np.random.default_rng(0)
     m = 20000
     n = normalize(rng.normal(size=(m, 3)))
@@ -200,10 +202,34 @@ def test_adjoint_pdf_is_the_forward_pdf_bytes(specular):
     u = uniform_block(3, np.arange(m, dtype=np.uint64), 0, 3)
     args = (n, albedo, roughness, metallic, specular)
     d, _, valid = brdf.sample_directions(v, *args, u)
-    forward = brdf.mixture_pdf(v, d, *args)
-    adjoint = brdf.eval_pdf_with_partials(v, d, *args)["pdf"]
     assert np.count_nonzero(valid) > m // 2
-    assert forward[valid].tobytes() == adjoint[valid].tobytes()
+    uniform = normalize(rng.normal(size=(m, 3)))
+    assert np.count_nonzero(dot(n, uniform) <= 0) > m // 4
+    for dirs in (d, uniform):
+        adjoint = brdf.eval_pdf_with_partials(v, dirs, *args)
+        assert brdf.mixture_pdf(v, dirs, *args).tobytes() == adjoint["pdf"].tobytes()
+        assert brdf._eval_raw(v, dirs, *args).tobytes() == adjoint["f"].tobytes()
+
+
+def test_each_view_forms_only_its_own_half(monkeypatch):
+    """`mixture_pdf` forms no G, F0 or Fresnel term and `_eval_raw` no lobe
+    weights or diffuse pdf, so the render's value pass, which calls both,
+    forms each half once."""
+    v, d, n, albedo, roughness, metallic = _smooth_lanes(64, np.random.default_rng(7))
+    args = (v, d, n, albedo, roughness, metallic, 1.0)
+    full = brdf.eval_pdf_with_partials(*args)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("formed a term of the other half")
+
+    with monkeypatch.context() as mp:
+        for name in ("smith_g1", "f0_of", "fresnel_schlick"):
+            mp.setattr(brdf, name, refuse)
+        assert brdf.mixture_pdf(*args).tobytes() == full["pdf"].tobytes()
+    with monkeypatch.context() as mp:
+        for name in ("lobe_weights", "diffuse_pdf"):
+            mp.setattr(brdf, name, refuse)
+        assert brdf._eval_raw(*args).tobytes() == full["f"].tobytes()
 
 
 def _smooth_lanes(count, rng):

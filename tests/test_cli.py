@@ -542,6 +542,24 @@ def test_make_scene_size_below_one_exit_2(tmp_path, caplog, res):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv,module,name", [
+    (["baseline-compare", "--ref-cells", "100000"], "ssdr.cli", "reference_render"),
+    (["make-scene", "--kind", "two-plane", "--res", "100000x100000"], "ssdr.scenes",
+     "bundle_for")], ids=["baseline-compare", "make-scene"])
+def test_out_of_memory_exit_2(two_plane_bundle, tmp_path, caplog, monkeypatch, argv,
+                              module, name):
+    """A request larger than memory exits 2 with one line.  The failed
+    allocation is faked: a real one of that size could be granted on a
+    host that overcommits memory, and the host then run out."""
+    def allocate(*args, **kwargs):
+        raise MemoryError("Unable to allocate 149. GiB for an array")
+
+    monkeypatch.setattr(f"{module}.{name}", allocate)
+    bundle = ["--bundle", str(two_plane_bundle)] if argv[0] == "baseline-compare" else []
+    _assert_input_error([*argv, *bundle, "--out", str(tmp_path / "r")], caplog,
+                        "out of memory", "149. GiB")
+
+
 @pytest.mark.parametrize("command,flag", [
     ("gradcheck", "--threads"), ("gradcheck", "--exposure"), ("optimize", "--exposure")])
 def test_flag_the_command_does_not_read_exit_2(two_plane_bundle, tmp_path, capsys,
