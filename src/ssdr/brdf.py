@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (REC709, ContractError, as_rgb, dot, luminance, normalize,
-                   orthonormal_basis)
+from .core import (REC709, ContractError, as_rgb, check_unit, dot, luminance,
+                   normalize, orthonormal_basis)
 from .sampling import SamplerState, uniform_block
 
 ROUGHNESS_FLOOR = 0.01
@@ -103,17 +103,11 @@ def lobe_weights(albedo, metallic, specular) -> tuple[np.ndarray, np.ndarray]:
     return np.where(deg, 1.0, wd / s), np.where(deg, 0.0, ws / s)
 
 
-def _check_unit(name, w):
-    n2 = dot(w, w)
-    if np.any(np.abs(n2 - 1.0) > 2.1e-3):
-        raise ContractError(f"{name} is not unit length")
-
-
 def eval(v, d, n, params: BrdfParams) -> np.ndarray:
     """BRDF value f(v, d); zero spectrum below the horizon (d.n <= 0)."""
     v, d, n = (np.asarray(a, dtype=np.float64) for a in (v, d, n))
     for name, w in (("v", v), ("d", d), ("n", n)):
-        _check_unit(name, w)
+        check_unit(name, w)
     if np.any(dot(v, n) <= 0):
         raise ContractError("eval requires v.n > 0")
     return _eval_raw(v, d, n, params.albedo, params.roughness, params.metallic,

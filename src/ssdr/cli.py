@@ -22,7 +22,7 @@ from . import gradcheck, io as ssdr_io, scenes
 from .core import Camera, ContractError, GBuffer, luminance, validate_gbuffer
 from .inverse import LossConfig, loss_rerender, optimize
 from .lighting import analytic_lightfield
-from .render import (PARAM_NAMES, RenderConfig, RenderNanError, reference_render,
+from .render import (MATERIAL_NAMES, RenderConfig, RenderNanError, reference_render,
                      render_discretized, render_mc)
 from .volumetric import BlendedLightField
 
@@ -44,17 +44,15 @@ def _setup_logging() -> None:
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
 
 
-# one-letter abbreviations accepted by --params
-PARAM_ABBREVIATIONS = {"a": "albedo", "r": "roughness", "m": "metallic", "n": "normal"}
+# --params takes each material map by its first letter too
+PARAM_ABBREVIATIONS = {name[0]: name for name in MATERIAL_NAMES}
 
 
 def _parse_params(text: str) -> tuple[str, ...]:
-    """Comma list of parameter classes, abbreviated or in full."""
+    """Comma list of parameter classes, abbreviated or in full; the names
+    are `render.check_params`'s to check."""
     names = tuple(PARAM_ABBREVIATIONS.get(p.strip(), p.strip())
                   for p in text.split(",") if p.strip())
-    for name in names:
-        if name not in PARAM_NAMES:
-            raise UsageError(f"unknown parameter class {name!r}")
     if not names:
         raise UsageError(f"--params selects no parameter class, got {text!r}")
     return names
@@ -69,12 +67,10 @@ def _parse_grid(text: str) -> tuple[int, int]:
 
 
 def load_validated_bundle(path) -> ssdr_io.Bundle:
-    """Read a bundle and reject hard G-buffer violations (depth sentinels
-    are informational: they mark pixels with no geometry)."""
+    """Read a bundle and reject any G-buffer violation."""
     bundle = ssdr_io.read_bundle(path)
     report = validate_gbuffer(bundle.gbuffer)
-    hard = {k: v for k, v in report.counts.items() if "sentinel" not in k}
-    if hard:
+    if not report.ok():
         raise UsageError(f"bundle failed validation: {report.summary()}")
     return bundle
 
@@ -324,7 +320,9 @@ def main(argv=None) -> int:
                              f"got {args.exposure}")
         if not 0.0 <= getattr(args, "tol", 0.0) < np.inf:
             raise UsageError(f"--tol must be finite and >= 0, got {args.tol}")
-        return args.fn(args)
+        # a render that overflows is reported once, as a RenderNanError
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.fn(args)
     except (ContractError, OSError) as e:
         log.error("%s", e)
         return EXIT_INPUT

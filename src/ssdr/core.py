@@ -200,8 +200,8 @@ _UNIT_TOL = 1e-4
 
 def validate_gbuffer(g: GBuffer) -> ValidationReport:
     """Count the pixels that break each per-pixel invariant; a pixel with
-    several bad channels counts once.  Sentinel depths are counted too,
-    though they only mark pixels without geometry."""
+    several bad channels counts once.  Depths that mark "no geometry" (see
+    `GBuffer`) are legal and not counted."""
     report = ValidationReport()
     report.add("non-unit normal",
                np.abs(np.linalg.norm(g.normal, axis=-1) - 1.0) > _UNIT_TOL)
@@ -213,7 +213,6 @@ def validate_gbuffer(g: GBuffer) -> ValidationReport:
             oob, finite = oob.any(axis=-1), finite.all(axis=-1)
         report.add(f"{name} out of range", oob)
         report.add(f"{name} non-finite", ~finite)
-    report.add("depth sentinel (no geometry)", ~has_geometry(g.depth))
     return report
 
 
@@ -252,6 +251,14 @@ def normalize(v: np.ndarray) -> np.ndarray:
     v = np.asarray(v, dtype=np.float64)
     n = np.sqrt(dot(v, v))[..., None]
     return v / np.where(n > 0, n, 1.0)
+
+
+def check_unit(name: str, w: np.ndarray) -> None:
+    """The unit-length rule for directions (..., 3): |w.w - 1| <= 2.1e-3 on
+    every lane, else a ContractError naming `name`.  A zero or non-finite
+    vector breaks it."""
+    if not np.all(np.abs(dot(w, w) - 1.0) <= 2.1e-3):
+        raise ContractError(f"{name} is not unit length")
 
 
 def orthonormal_basis(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -74,6 +74,8 @@ def read_pfm(path) -> ImageBuffer:
             width = int(_read_token(f, path))
             height = int(_read_token(f, path))
             scale = float(_read_token(f, path))
+        except ParseError:      # a ValueError too, and it names the file already
+            raise
         except ValueError as e:
             raise ParseError(f"{path}: bad header near byte {f.tell()}: {e}") from None
         if width <= 0 or height <= 0:
@@ -421,16 +423,12 @@ def read_bundle(directory) -> Bundle:
                    for name, img in maps.items()})
 
     lighting_spec = manifest.get("lighting")
-    spec_file = mpath
-    if lighting_spec is None and (directory / "lighting.json").exists():
-        spec_file = directory / "lighting.json"
-        lighting_spec = _read_json_object(spec_file, BundleError)
     if lighting_spec is not None and not (isinstance(lighting_spec, dict)
                                           and "kind" in lighting_spec):
-        raise BundleError(f"{directory}: the lighting spec needs a 'kind' key")
+        raise BundleError(f"{mpath}: the lighting spec needs a 'kind' key")
     if lighting_spec is not None and lighting_spec["kind"] == "grid":
-        if _path_value(lighting_spec.get("path"), f"{spec_file}: 'lighting.path'") is None:
-            raise BundleError(f"{spec_file}: a 'grid' lighting spec needs 'path', "
+        if _path_value(lighting_spec.get("path"), f"{mpath}: 'lighting.path'") is None:
+            raise BundleError(f"{mpath}: a 'grid' lighting spec needs 'path', "
                               f"the name of its grid light file")
     # its sign is RenderConfig's to check
     specular_scale = finite_number(manifest.get("specular_scale", 1.0))

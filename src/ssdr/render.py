@@ -15,6 +15,7 @@ bit-identical at any thread count.
 from __future__ import annotations
 
 import concurrent.futures
+import contextvars
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -51,6 +52,14 @@ class RenderNanError(RuntimeError):
     def __init__(self, pixel):
         self.pixel = pixel
         super().__init__(f"non-finite radiance at pixel {pixel}")
+
+
+def _finite_pixels(acc, gy, gx) -> np.ndarray:
+    """`acc`, the (n, 3) values of pixels (gy, gx), if all are finite."""
+    if not np.all(np.isfinite(acc)):
+        bad = int(np.nonzero(~np.isfinite(acc).all(axis=1))[0][0])
+        raise RenderNanError((int(gx[bad]), int(gy[bad])))
+    return acc
 
 
 @dataclass(frozen=True)
@@ -270,7 +279,7 @@ def _shade_blocks(g, camera, light, cfg, threads, dI=None, params=(), tape=None)
     reads its samples and light queries from it when it is not empty."""
     points, view, valid = pixel_geometry(g, camera)
     blocks = _row_blocks(g.depth.shape[0])
-    key = (cfg, g.depth.shape)
+    key = (cfg, valid.shape, valid.tobytes())    # what a tape's samples are of
     taped = records = [None] * len(blocks)
     if tape is not None and dI is None:
         tape.clear()
@@ -280,9 +289,9 @@ def _shade_blocks(g, camera, light, cfg, threads, dI=None, params=(), tape=None)
             tape.append(key)
             tape.extend(records)
     elif tape:
-        if tape[0] != key or len(tape) != len(blocks) + 1:
+        if tape[0] != key:
             raise ContractError("sample tape was recorded under another render "
-                                "config or G-buffer shape")
+                                "config or for other shadeable pixels")
         taped = tape[1:]
 
     def run(rows, chunks, record):
@@ -297,9 +306,6 @@ def _shade_blocks(g, camera, light, cfg, threads, dI=None, params=(), tape=None)
         if chunks is None:
             chunks = ((*_draw(px, cfg, s0, s1), None)
                       for s0, s1 in _sample_chunks(n_pix, cfg.spp))
-        elif [c[0].shape[:2] for c in chunks] != [(n_pix, cfg.spp)] * (n_pix > 0):
-            # a recorded block is one chunk of all its samples, or none
-            raise ContractError("sample tape does not match the G-buffer's pixels")
         dlight = np.zeros(light.n_params) if "light" in params else None
         for d, ok, lit in chunks:
             sums, dl = _estimate(px, d, ok, light, cfg, adj, params, lit, record)
@@ -311,8 +317,10 @@ def _shade_blocks(g, camera, light, cfg, threads, dI=None, params=(), tape=None)
 
     if threads <= 1 or len(blocks) == 1:
         return list(map(run, blocks, taped, records))
+    ctx = contextvars.copy_context()    # np.errstate, which a new thread lacks
     with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(run, blocks, taped, records))
+        return list(ex.map(lambda *block: ctx.copy().run(run, *block),
+                           blocks, taped, records))
 
 
 def render_mc(g: GBuffer, camera: Camera, light: LightField, cfg: RenderConfig,
@@ -322,19 +330,16 @@ def render_mc(g: GBuffer, camera: Camera, light: LightField, cfg: RenderConfig,
     `tape` is a list the caller owns, to hand to `render_backward`, which
     then reuses this render's samples instead of replaying them.  The
     render empties it and, if its valid pixels x spp fit in one chunk
-    (`_CHUNK_LANES` lanes), records the config, the G-buffer shape and, per
-    row block, the sample directions, the lanes the light was queried on,
-    the radiance there and, for a light with parameters, the
+    (`_CHUNK_LANES` lanes), records the config, the shadeable-pixel mask
+    and, per row block, the sample directions, the lanes the light was
+    queried on, the radiance there and, for a light with parameters, the
     `radiance_vjp` pullback, which holds the light's forward state until
     the tape is dropped.  A larger render records nothing."""
     image = np.zeros(g.depth.shape + (3,))
     for gy, gx, (acc,), _ in _shade_blocks(g, camera, light, cfg, threads,
                                            tape=tape):
         acc /= cfg.spp
-        if not np.all(np.isfinite(acc)):
-            bad = int(np.nonzero(~np.isfinite(acc).all(axis=1))[0][0])
-            raise RenderNanError((int(gx[bad]), int(gy[bad])))
-        image[gy, gx] = acc
+        image[gy, gx] = _finite_pixels(acc, gy, gx)
     return image
 
 
@@ -366,11 +371,11 @@ def render_backward(g: GBuffer, camera: Camera, light: LightField,
     Given the `tape` a `render_mc` call filled, it reads that render's
     samples and light queries (and, for "light", the light's pullbacks)
     from it instead of drawing and querying again; a tape recorded under
-    another config or G-buffer shape is a ContractError.  Without a tape,
-    or with an empty one, it replays the samples from the seed, so it must
-    be called with the same seed/config as the matching forward pass: a
-    seed mismatch is undetectable there and simply yields gradients of a
-    different sample set.  Both paths give the same bits.
+    another config or for other shadeable pixels is a ContractError.
+    Without a tape, or with an empty one, it replays the samples from the
+    seed, so it must be called with the same seed/config as the matching
+    forward pass: a seed mismatch is undetectable there and simply yields
+    gradients of a different sample set.  Both paths give the same bits.
     """
     params = check_params(params)
     dI = np.asarray(dI, dtype=np.float64)
@@ -441,6 +446,7 @@ def reference_render(g: GBuffer, camera: Camera, light: LightField,
     Lambertian under constant light, adequate for smooth integrands).
     mode "split": diffuse term on the cosine grid plus the microfacet term
     on an NDF-warped grid, which resolves sharp specular lobes.
+    A non-finite pixel is a RenderNanError naming it.
     """
     nt, nf = cells
     if nt < 1 or nf < 1:
@@ -518,5 +524,5 @@ def reference_render(g: GBuffer, camera: Camera, light: LightField,
             L_spec, _ = _masked_radiance(light, p_v, d_spec, ok)
             acc[a:b] += np.mean(weight[..., None] * fres * L_spec, axis=1)
 
-    image[gy, gx] = acc
+    image[gy, gx] = _finite_pixels(acc, gy, gx)
     return image

@@ -19,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import (Camera, ContractError, bilinear, has_geometry, nearest_pixel,
-                   project, unproject)
+from .core import (Camera, ContractError, bilinear, check_unit, has_geometry,
+                   nearest_pixel, project, unproject)
 
 _Z_EPS = 1e-4
 
@@ -78,19 +78,16 @@ def _depth_of(disp: np.ndarray) -> np.ndarray:
 
 def trace_batch(depth: np.ndarray, camera: Camera, p: np.ndarray, dirs: np.ndarray,
                 cfg: SsrtConfig) -> SsrtHitBatch:
-    """March N rays in lockstep. p, dirs: (N, 3); dirs unit length."""
+    """March N rays in lockstep. p, dirs: (N, 3); dirs unit length (see
+    `core.check_unit`)."""
     depth = np.asarray(depth, dtype=np.float64)
     disp = disparity_map(depth)
     p = np.atleast_2d(np.asarray(p, dtype=np.float64))
     dirs = np.atleast_2d(np.asarray(dirs, dtype=np.float64))
     n = p.shape[0]
-    if not np.all(np.isfinite(p)) or not np.all(np.isfinite(dirs)):
-        raise ContractError("non-finite ray origin or direction")
-    dlen = np.linalg.norm(dirs, axis=-1)
-    if np.any(dlen < 1e-12):
-        raise ContractError("zero-length trace direction")
-    if np.any(np.abs(dlen - 1.0) > 2.1e-3):
-        raise ContractError("trace direction must be unit length")
+    if not np.all(np.isfinite(p)):
+        raise ContractError("non-finite ray origin")
+    check_unit("trace direction", dirs)
     z0 = p[:, 2]
     if np.any(z0 <= 0):
         raise ContractError("ray origin must be in front of the camera")

@@ -1,4 +1,5 @@
 import json
+import struct
 
 import numpy as np
 import pytest
@@ -250,13 +251,21 @@ def test_learned_lighting_missing_assets(two_plane_bundle, tmp_path):
 
 
 def _broken_copy(src, dst, name, edit):
-    """Copy a bundle and rewrite one of its files with `edit(text)`; bytes
-    that are not UTF-8, as in a PFM payload, pass through as lone surrogates."""
+    """Copy a bundle and rewrite one of its files with `edit(text)`, or
+    delete it where that returns None; bytes that are not UTF-8, as in a
+    PFM payload, pass through as lone surrogates."""
     import shutil
     shutil.copytree(src, dst)
-    text = (dst / name).read_bytes().decode(errors="surrogateescape")
-    (dst / name).write_bytes(edit(text).encode(errors="surrogateescape"))
+    text = edit((dst / name).read_bytes().decode(errors="surrogateescape"))
+    if text is None:
+        (dst / name).unlink()
+    else:
+        (dst / name).write_bytes(text.encode(errors="surrogateescape"))
     return dst
+
+
+# a float32 NaN as the text `_broken_copy` hands to an edit
+_NAN_F32 = struct.pack("<f", float("nan")).decode(errors="surrogateescape")
 
 
 def _edit_json(**changes):
@@ -334,6 +343,18 @@ def _assert_input_error(argv, caplog, *words):
     ("albedo.pfm", lambda text: text.replace("\n-1.0\n", "\n0\n", 1), ("albedo.pfm", "scale")),
     ("albedo.pfm", lambda text: text.replace("\n-1.0\n", "\n-inf\n", 1),
      ("albedo.pfm", "scale")),
+    ("camera.json", _edit_json(fx=0), ("camera.json", "focal lengths must be positive")),
+    ("camera.json", _edit_json(cx=16.0), ("camera.json", "principal point outside")),
+    ("camera.json", _edit_json(width=8), ("camera dimensions disagree with the maps",)),
+    ("camera.json", lambda text: None, ("missing camera.json",)),
+    # a 3-channel depth map of the maps' size, all zeros
+    ("depth.pfm", lambda text: "PF\n16 16\n-1.0\n" + "\0" * 3 * 16 * 16 * 4,
+     ("expected 1 channel",)),
+    ("albedo.pfm", lambda text: text.replace("16 16\n", "1.5 16\n", 1),
+     ("albedo.pfm", "bad header")),
+    ("albedo.pfm", lambda text: text.replace("16 16\n", "0 16\n", 1),
+     ("albedo.pfm", "non-positive dimensions")),
+    ("bundle.json", _edit_json(lighting={"value": [1, 1, 1]}), ("bundle.json", "'kind'")),
 ], ids=["malformed-camera", "camera-without-cy", "sky-without-zenith",
         "specular-scale-not-a-number", "maps-not-an-object", "map-path-not-a-string",
         "camera-not-a-string", "target-not-a-string", "weights-not-a-string",
@@ -344,7 +365,10 @@ def _assert_input_error(argv, caplog, *words):
         "specular-scale-negative", "camera-fx-nan", "camera-fx-bool", "camera-cy-string",
         "camera-width-not-an-int", "camera-height-bool", "specular-scale-huge-int",
         "constant-value-huge-int", "camera-fx-huge-int", "pfm-size-beyond-memory",
-        "pfm-width-huge-int", "pfm-scale-zero", "pfm-scale-inf"])
+        "pfm-width-huge-int", "pfm-scale-zero", "pfm-scale-inf", "camera-fx-zero",
+        "camera-cx-outside", "camera-width-disagrees", "no-camera-json",
+        "depth-3-channels", "pfm-width-not-an-int", "pfm-width-zero",
+        "lighting-without-kind"])
 def test_render_bad_bundle_exit_2(two_plane_bundle, tmp_path, caplog, name, edit, words):
     """Each bad bundle is the same one-line input error in every command
     that renders it."""
@@ -454,10 +478,17 @@ def learned_bundle(tmp_path_factory):
     ("decoder.weights", _edit_json(dims=[5]), ("decoder.weights", "'dims'")),
     ("decoder.weights", _edit_json(dims=[True, 3]), ("decoder.weights", "'dims'")),
     ("decoder.weights", _edit_json(dims=[4, 4]), ("decoder.weights", "flat size")),
+    ("decoder.weights", _edit_json(kind="grid_light"),
+     ("decoder.weights", "not an MLP weight blob")),
+    ("features.json", _edit_json(kind="grid"), ("features.json", "not a feature grid")),
+    # the zero features are one character per byte
+    ("features_000.pfm", lambda text: text[:-4] + _NAN_F32,
+     ("feature grid", "non-finite")),
 ], ids=["no-width", "width-not-an-int", "slices-not-a-list", "width-huge-int",
         "height-beyond-memory", "manifest-not-object",
         "manifest-not-utf-8", "no-dims", "dims-a-string", "one-dim", "dims-bool",
-        "dims-disagree-with-payload"])
+        "dims-disagree-with-payload", "decoder-of-another-kind",
+        "features-of-another-kind", "nan-in-feature-slice"])
 def test_render_bad_learned_assets_exit_2(learned_bundle, tmp_path, caplog, name, edit,
                                           words):
     """A malformed feature grid manifest, or a weight blob header (its first
@@ -471,6 +502,29 @@ def test_render_bad_learned_assets_exit_2(learned_bundle, tmp_path, caplog, name
     _assert_input_error(["render", "--bundle", str(path.parent), "--out",
                          str(tmp_path / "r"), "--spp", "2", "--lighting", "learned"],
                         caplog, *words)
+
+
+@pytest.mark.parametrize("bundle,name,lighting,words", [
+    ("grid_bundle", "light.grid", "grid", ("light.grid", "non-finite")),
+    ("learned_bundle", "decoder.weights", "learned", ("decoder.weights", "non-finite")),
+    ("learned_bundle", "volume.weights", "learned", ("volume.weights", "non-finite"))],
+    ids=["grid-light-values", "decoder-weights", "volume-weights"])
+def test_render_nan_in_blob_payload_exit_2(request, tmp_path, caplog, bundle, name,
+                                           lighting, words):
+    """A NaN among a blob's values, here its last one, is an input error
+    naming the file."""
+    import shutil
+    path = shutil.copytree(request.getfixturevalue(bundle), tmp_path / "broken") / name
+    path.write_bytes(path.read_bytes()[:-4] + struct.pack("<f", float("nan")))
+    _assert_input_error(["render", "--bundle", str(path.parent), "--out",
+                         str(tmp_path / "r"), "--spp", "2", "--lighting", lighting],
+                        caplog, *words)
+
+
+@pytest.mark.parametrize("command", ["render", "gradcheck", "baseline-compare", "optimize"])
+def test_missing_bundle_directory_exit_2(tmp_path, caplog, command):
+    _assert_input_error([command, "--bundle", str(tmp_path / "nowhere"), "--out",
+                         str(tmp_path / "r")], caplog, "nowhere", "does not exist")
 
 
 @pytest.mark.parametrize("command,flag,value", [
@@ -518,9 +572,13 @@ def test_bad_step_or_exposure_exit_2(two_plane_bundle, tmp_path, caplog, command
     (["gradcheck", "--seed", "-1"], ("seed", "-1")),
     (["optimize", "--seed", "-1"], ("seed", "-1")),
     (["render", "--seed", str(2**64)], ("seed", str(2**64))),
+    (["optimize", "--iters", "-1"], ("invalid loss config",)),
+    (["gradcheck", "--params", "a,bogus"], ("unknown parameter class 'bogus'", "choose from")),
+    (["optimize", "--params", "Light"], ("unknown parameter class 'Light'", "choose from")),
 ], ids=["ref-cells-0", "ref-cells-neg", "grid-0", "tol-nan", "tol-neg", "tol-inf",
         "gradcheck-params-empty", "optimize-params-empty", "render-seed-neg",
-        "gradcheck-seed-neg", "optimize-seed-neg", "render-seed-2^64"])
+        "gradcheck-seed-neg", "optimize-seed-neg", "render-seed-2^64", "optimize-iters-neg",
+        "gradcheck-params-unknown", "optimize-params-unknown"])
 def test_bad_cells_tol_or_params_exit_2(two_plane_bundle, tmp_path, caplog, argv, words):
     """Reference cells below 1, a tolerance that is not finite and >= 0, a
     --params that selects nothing and a --seed outside [0, 2^64) are input
@@ -616,3 +674,121 @@ def test_gradcheck_patch_crops_each_axis(tmp_path, monkeypatch):
     pix = np.stack([xs, ys], axis=-1).astype(np.float64)
     assert np.allclose(unproject(camera, pix, g.depth),
                        unproject(full.camera, pix + [x0, 0], g.depth), rtol=0, atol=1e-12)
+
+
+def test_optimize_light_params_file_is_the_library_result(two_plane_bundle, tmp_path):
+    """`optimize --params a,light` writes the fitted light parameters: the
+    `OptimizeResult.light_params` of the same library call."""
+    from ssdr.inverse import LossConfig, optimize
+    target = tmp_path / "target.pfm"
+    sio.write_pfm(target, np.full((16, 16, 3), 0.3))
+    out = tmp_path / "o"
+    assert main(["optimize", "--bundle", str(two_plane_bundle), "--target", str(target),
+                 "--params", "a,light", "--iters", "2", "--spp", "2",
+                 "--out", str(out)]) == EXIT_OK
+    bundle = sio.read_bundle(two_plane_bundle)
+    result = optimize(bundle.gbuffer, bundle.camera, bundle.light_field(),
+                      sio.read_pfm(target).data,
+                      LossConfig(iterations=2, params=("albedo", "light"), spp=2,
+                                 specular_scale=bundle.specular_scale))
+    assert not np.array_equal(result.light_params, [1.0, 1.0, 1.0])
+    assert np.array_equal(np.loadtxt(out / "light_params.txt"), result.light_params)
+
+
+def test_optimize_without_target_flag_fits_the_bundle_target(tmp_path):
+    """Without --target, optimize fits the bundle's own target: its loss
+    trace is the one of that image passed as --target."""
+    from ssdr import scenes
+    g, camera, spec, _ = scenes.two_plane(8, 8)
+    bundle = sio.write_bundle(tmp_path / "b", g, camera, lighting_spec=spec,
+                              extras={"target": np.full((8, 8, 3), 0.3)})
+    traces = []
+    for i, extra in enumerate(([], ["--target", str(bundle / "target.pfm")])):
+        out = tmp_path / f"o{i}"
+        assert main(["optimize", "--bundle", str(bundle), "--iters", "2", "--spp", "2",
+                     "--out", str(out), *extra]) == EXIT_OK
+        traces.append((out / "loss.csv").read_text())
+    assert len(traces[0].splitlines()) == 3
+    assert traces[0] == traces[1]
+
+
+def test_optimize_zero_iterations_writes_the_trace_header(two_plane_bundle, tmp_path):
+    sio.write_pfm(tmp_path / "target.pfm", np.zeros((16, 16, 3)))
+    out = tmp_path / "o"
+    assert main(["optimize", "--bundle", str(two_plane_bundle), "--target",
+                 str(tmp_path / "target.pfm"), "--iters", "0", "--out", str(out)]) == EXIT_OK
+    assert (out / "loss.csv").read_text() == "iteration,loss\n"
+
+
+def test_gradcheck_light_passes_on_a_constant_light(two_plane_bundle, tmp_path):
+    out = tmp_path / "gc"
+    assert main(["gradcheck", "--bundle", str(two_plane_bundle), "--out", str(out),
+                 "--params", "light", "--spp", "8", "--patch", "4"]) == EXIT_OK
+    report = json.loads((out / "gradcheck.json").read_text())
+    assert list(report) == ["render/light-params"]
+    assert report["render/light-params"]["passed"]
+
+
+@pytest.fixture(scope="module")
+def glossy_bundle(tmp_path_factory):
+    """The glossy-floor scene at 8x8; its light is a sky_disc, without
+    parameters."""
+    out = tmp_path_factory.mktemp("bundles") / "gf"
+    assert main(["make-scene", "--kind", "glossy-floor", "--out", str(out),
+                 "--res", "8x8"]) == EXIT_OK
+    return out
+
+
+def test_gradcheck_light_without_parameters_exit_2(glossy_bundle, tmp_path, caplog):
+    _assert_input_error(["gradcheck", "--bundle", str(glossy_bundle), "--out",
+                         str(tmp_path / "gc"), "--params", "light", "--spp", "2"],
+                        caplog, "has no parameters")
+
+
+def test_render_constant_lighting_on_a_sky_bundle(glossy_bundle, tmp_path):
+    """--lighting constant on a bundle whose light is a sky renders under
+    the default constant light, as a copy of the bundle that declares it."""
+    const = _broken_copy(glossy_bundle, tmp_path / "const", "bundle.json",
+                         _edit_json(lighting={"kind": "constant", "value": [1.0, 1.0, 1.0]}))
+    images = []
+    for i, (bundle, extra) in enumerate(((glossy_bundle, ["--lighting", "constant"]),
+                                         (const, []), (glossy_bundle, []))):
+        out = tmp_path / f"r{i}"
+        assert main(["render", "--bundle", str(bundle), "--out", str(out),
+                     "--spp", "4", *extra]) == EXIT_OK
+        images.append((out / "rerender.pfm").read_bytes())
+    assert images[0] == images[1] != images[2]
+
+
+@pytest.fixture(scope="module")
+def overflow_bundle(tmp_path_factory):
+    """A bundle whose constant light of 1e308 overflows every estimator."""
+    from ssdr import scenes
+    g, camera, _, _ = scenes.two_plane(8, 8)
+    g.albedo[...] = 0.1
+    return sio.write_bundle(tmp_path_factory.mktemp("bundles") / "overflow", g, camera,
+                            lighting_spec={"kind": "constant", "value": [1e308] * 3})
+
+
+@pytest.mark.parametrize("argv", [
+    ["render", "--threads", "1"], ["render", "--threads", "2"],
+    ["baseline-compare", "--spp", "4", "--grid", "2x4", "--ref-cells", "2"]],
+    ids=["render-threads-1", "render-threads-2", "baseline-compare"])
+def test_overflowing_render_exits_1_with_one_line(overflow_bundle, tmp_path, capfd, argv):
+    """A render that overflows is a numerical failure: exit 1, and stderr
+    holds the one ERROR line naming the pixel, no NumPy warning.  The
+    command runs in a process of its own, so that its stderr is the real
+    one, whatever warning filters the test runner sets."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    import ssdr
+    env = {**os.environ, "PYTHONPATH": str(Path(ssdr.__file__).resolve().parents[1])}
+    code = subprocess.run([sys.executable, "-m", "ssdr.cli", *argv, "--bundle",
+                           str(overflow_bundle), "--out", str(tmp_path / "r")],
+                          env=env, timeout=120).returncode
+    assert capfd.readouterr().err.splitlines() == [
+        "ERROR ssdr: non-finite radiance at pixel (0, 0)"]
+    assert code == EXIT_NUMERIC

@@ -117,6 +117,38 @@ def test_validate_counts_roughness_out_of_range():
     assert validate_gbuffer(g).counts == {"roughness out of range": 1}
 
 
+def test_validate_accepts_pixels_without_geometry():
+    """Depths that mark "no geometry" (sky pixels) are legal G-buffer
+    content, so they are no issue of the report."""
+    g = _valid_gbuffer()
+    g.depth[0, :4] = [0.0, -1.0, np.inf, np.nan]
+    report = validate_gbuffer(g)
+    assert report.ok(), report.counts
+    assert report.summary() == "gbuffer valid"
+
+
+@pytest.mark.parametrize("length,unit", [(1.0005, True), (1.0015, False), (0.0, False),
+                                         (np.nan, False)])
+def test_one_unit_length_rule_for_brdf_and_ssrt(length, unit):
+    """`brdf.eval` and `ssrt.trace_batch` share the rule |w.w - 1| <= 2.1e-3:
+    a direction of length 1.0005 is unit, one of 1.0015 or 0 is not, and
+    neither is a NaN direction (which `brdf.eval` took for one below the
+    horizon)."""
+    from ssdr import brdf, scenes, ssrt
+    d = length * normalize(np.array([0.2, -0.1, 1.0]))
+    n = np.array([0.0, 0.0, 1.0])
+    calls = [lambda: brdf.eval(n, d, n, brdf.BrdfParams((0.5, 0.5, 0.5), 0.4, 0.0)),
+             lambda: ssrt.trace_batch(np.full((8, 8), 2.0), scenes.default_camera(8, 8),
+                                      np.array([[0.0, 0.0, 1.0]]), d[None],
+                                      ssrt.SsrtConfig())]
+    for call in calls:
+        if unit:
+            call()
+        else:
+            with pytest.raises(ContractError, match="not unit length"):
+                call()
+
+
 def test_gbuffer_dimension_mismatch_fatal():
     with pytest.raises(ContractError):
         GBuffer(albedo=np.zeros((4, 5, 3)), normal=np.zeros((4, 5, 3)),

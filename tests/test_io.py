@@ -74,6 +74,20 @@ def test_pfm_truncated_payload(tmp_path):
         sio.read_pfm(path)
 
 
+@pytest.mark.parametrize("data,message", [
+    (b"PF\n1", "unexpected EOF at byte 4"),
+    (b"PF\n" + b"1" * 40, "header token longer than 32 bytes at byte 35")],
+    ids=["eof-in-token", "token-over-32-bytes"])
+def test_pfm_header_token_errors_are_reported_once(tmp_path, data, message):
+    """A header that ends inside a token, or a token longer than 32 bytes, is
+    one ParseError naming the file and the byte, not wrapped in another."""
+    path = tmp_path / "short.pfm"
+    path.write_bytes(data)
+    with pytest.raises(sio.ParseError) as err:
+        sio.read_pfm(path)
+    assert str(err.value) == f"{path}: {message}"
+
+
 def test_pfm_bad_magic(tmp_path):
     path = tmp_path / "nope.pfm"
     path.write_bytes(b"P6\n1 1\n-1.0\n" + b"\0" * 4)

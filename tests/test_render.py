@@ -207,6 +207,26 @@ def test_nan_aborts_with_pixel():
     assert exc.value.pixel is not None
 
 
+@pytest.mark.parametrize("estimate", [reference_render, render_discretized])
+def test_quadrature_estimators_abort_with_pixel(estimate):
+    """The quadrature estimators report a non-finite pixel as `render_mc`
+    does, instead of returning it."""
+    g = _lambertian_plane(4, 4)
+    with pytest.raises(RenderNanError) as exc:
+        estimate(g, scenes.default_camera(4, 4), _NanLight(), specular_scale=0.0)
+    assert exc.value.pixel == (0, 0)
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_render_workers_run_under_the_callers_errstate(threads):
+    """The render's worker threads run under the caller's `np.errstate`, as
+    its own thread does: an overflow raises at any thread count."""
+    g, camera, _, _ = scenes.two_plane(8, 16)    # two row blocks
+    g.albedo[...] = 0.1
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+        render_mc(g, camera, ConstantLight(1e308), RenderConfig(spp=64), threads=threads)
+
+
 def test_reference_modes_agree_on_smooth_scene():
     g, camera, spec, _ = scenes.two_plane(12, 12)
     light = _light_from_spec(spec)

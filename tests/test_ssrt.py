@@ -89,6 +89,25 @@ def test_single_plane_in_view_intersection():
     assert np.linalg.norm(hit.pixel[0] - [10.0, 10.0]) <= 1.0  # first crossing at t=0+
 
 
+@pytest.mark.parametrize("dz", [1.0, -1.0])
+def test_ray_along_the_view_axis(dz):
+    """A ray along the optical axis projects to one pixel.  Forward from
+    (0, 0, 1) it hits the back wall at (0, 0, 4) with no depth gap, as the
+    plane oracle says; backward it leaves the view."""
+    g, camera, _, (_, wall) = scenes.two_plane(15, 15)
+    p, d = np.array([[0.0, 0.0, 1.0]]), np.array([[0.0, 0.0, dz]])
+    hit = ssrt.trace_batch(g.depth, camera, p, d, CFG)
+    if dz > 0:
+        assert hit.status[0] == Status.HIT
+        assert hit.delta_d[0] == 0.0 and hit.u[0] == 0.0
+        assert np.allclose(hit.s[0], scenes.ray_plane_point(p, d, wall)[0], rtol=0,
+                           atol=1e-12)
+        assert np.allclose(hit.s[0], [0.0, 0.0, 4.0], rtol=0, atol=1e-12)
+    else:
+        assert hit.status[0] == Status.EXITED_VIEW
+        assert hit.u[0] == 1.0
+
+
 def test_trace_determinism():
     g, camera, _, _ = scenes.two_plane(32, 32)
     p = unproject(camera, np.array([[10.0, 25.0]]), np.array([g.depth[25, 10]]))
