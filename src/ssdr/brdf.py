@@ -251,7 +251,7 @@ def _kernel(v, d, n, albedo, roughness, metallic, specular, want):
     cos_vm = np.maximum(dot(v, m), 1e-12)
     if "normal" not in want:
         # m is (..., 3), the widest intermediate, and only the normal
-        # partials read it again; freed here, the views fault in fewer pages
+        # partials read it again; freed here, the views' peak memory is lower
         del m
     D, t = ggx_d(cos_nm, alpha)
     out = {}

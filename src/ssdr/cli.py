@@ -122,7 +122,7 @@ def cmd_render(args) -> int:
     ssdr_io.write_png_preview(out / "rerender.png", image, exposure=args.exposure)
     stats = {"time_s": dt, "spp": args.spp, "seed": args.seed,
              "mean_luminance": float(luminance(image).mean())}
-    (out / "stats.json").write_text(json.dumps(stats, indent=2))
+    (out / "stats.json").write_text(json.dumps(stats, indent=2, allow_nan=False))
     log.info("rendered %s in %.2fs, mean luminance %.5f", args.bundle, dt,
              stats["mean_luminance"])
     return EXIT_OK
@@ -320,7 +320,7 @@ def main(argv=None) -> int:
                              f"got {args.exposure}")
         if not 0.0 <= getattr(args, "tol", 0.0) < np.inf:
             raise UsageError(f"--tol must be finite and >= 0, got {args.tol}")
-        # a render that overflows is reported once, as a RenderNanError
+        # a render that overflows float64 or float32 is reported once, exit 1
         with np.errstate(over="ignore", invalid="ignore"):
             return args.fn(args)
     except (ContractError, OSError) as e:
@@ -329,7 +329,7 @@ def main(argv=None) -> int:
     except MemoryError as e:
         log.error("out of memory, the request is too large: %s", e)
         return EXIT_INPUT
-    except RenderNanError as e:
+    except (RenderNanError, OverflowError) as e:
         log.error("%s", e)
         return EXIT_NUMERIC
 

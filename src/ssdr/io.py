@@ -99,6 +99,8 @@ def read_pfm(path) -> ImageBuffer:
 
 
 def write_pfm(path, image) -> None:
+    """A finite value that float32 cannot hold is an OverflowError naming
+    the file, and nothing is written."""
     if isinstance(image, ImageBuffer):
         data = image.data
     else:
@@ -112,11 +114,15 @@ def write_pfm(path, image) -> None:
         magic = b"Pf"
     else:
         raise ContractError(f"PFM stores 1 or 3 channels, not {c}")
+    with np.errstate(over="ignore"):
+        payload = np.ascontiguousarray(data[::-1], dtype="<f4")
+    if np.any(np.isinf(payload) & np.isfinite(data[::-1])):
+        raise OverflowError(f"{path}: values beyond the float32 range of a PFM")
     with open(path, "wb") as f:
         f.write(magic + b"\n")
         f.write(f"{w} {h}\n".encode())
         f.write(b"-1.0\n")  # little endian
-        f.write(np.ascontiguousarray(data[::-1], dtype="<f4").tobytes())
+        f.write(payload.tobytes())
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +322,10 @@ def read_feature_grid(manifest_path) -> FeatureGrid:
         lo = 3 * i
         hi = min(lo + 3, c)
         data[:, :, lo:hi] = img.data[:, :, :hi - lo]
-    return FeatureGrid(data)
+    try:
+        return FeatureGrid(data)
+    except ContractError as e:
+        raise ParseError(f"{manifest_path}: {e}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -397,7 +406,11 @@ def read_bundle(directory) -> Bundle:
         fpath = directory / rel
         if not fpath.exists():
             raise BundleError(f"missing map: {rel}")
-        maps[name] = read_pfm(fpath)
+        img = read_pfm(fpath)
+        try:
+            maps[name] = img, img.data if name in ("albedo", "normal") else img.plane()
+        except ContractError as e:
+            raise BundleError(f"{fpath}: {e}") from None
 
     cam_file = directory / _path_value(manifest.get("camera"), f"{mpath}: 'camera'",
                                        "camera.json")
@@ -411,7 +424,7 @@ def read_bundle(directory) -> Bundle:
     except (TypeError, ValueError) as e:
         raise BundleError(f"{cam_file}: {e}") from None
 
-    dims = {name: (img.width, img.height) for name, img in maps.items()}
+    dims = {name: (img.width, img.height) for name, (img, _) in maps.items()}
     base = dims["depth"]
     for name, wh in dims.items():
         if wh != base:
@@ -419,8 +432,7 @@ def read_bundle(directory) -> Bundle:
     if (camera.width, camera.height) != base:
         raise BundleError("camera dimensions disagree with the maps")
 
-    g = GBuffer(**{name: img.data if name in ("albedo", "normal") else img.plane()
-                   for name, img in maps.items()})
+    g = GBuffer(**{name: array for name, (_, array) in maps.items()})
 
     lighting_spec = manifest.get("lighting")
     if lighting_spec is not None and not (isinstance(lighting_spec, dict)

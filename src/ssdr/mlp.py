@@ -19,21 +19,19 @@ from .core import ContractError
 _LOG1P_BLOCK = 1 << 18
 
 
-def _softplus_inplace(a: np.ndarray, keep: bool = True, e: np.ndarray | None = None):
+def _softplus_inplace(a: np.ndarray, keep: bool = True):
     """Overwrite the C-contiguous float64 array `a` with softplus(a) =
     max(a, 0) + log1p(exp(-|a|)) and return (e, pos): e = exp(-|a|) and
     pos = a >= 0 of the input, which give softplus'(a) = sigmoid(a) with no
     further exp (see `backward`).  With keep=False pos is not formed, None
-    is returned, and e is scratch: the given array `e` of a's shape, or a
-    new one.
+    is returned, and e is scratch.
 
     exp(-|a|) never overflows, so the closed form holds for every a; NaN
     propagates, -inf gives 0 and +inf gives +inf.  With keep, log1p runs
     over blocks of `_LOG1P_BLOCK` elements, so its temporary is one block,
     not one `a`; without, it overwrites e."""
     pos = a >= 0 if keep else None
-    if e is None:
-        e = np.empty_like(a)
+    e = np.empty_like(a)
     np.abs(a, out=e)
     np.negative(e, out=e)
     np.exp(e, out=e)
@@ -127,14 +125,7 @@ class MlpWeights:
                                 f"need input {n_in}, output {n_out}")
 
 
-def workspace(weights: MlpWeights, rows: int) -> np.ndarray:
-    """The `out` of a render-only `forward` on at most `rows` rows: two
-    ping-pong activation buffers and one exp(-|a|) buffer, each of
-    rows x the widest layer output."""
-    return np.empty((3, rows * max(weights.dims[1:])))
-
-
-def forward(weights: MlpWeights, x: np.ndarray, keep: bool = True, out=None):
+def forward(weights: MlpWeights, x: np.ndarray, keep: bool = True):
     """Batched forward pass; softplus hidden units, linear output.
 
     Each layer computes a = h @ W.T + b; a hidden layer then overwrites a
@@ -147,17 +138,11 @@ def forward(weights: MlpWeights, x: np.ndarray, keep: bool = True, out=None):
               softplus'(a) = sigmoid(a) without a second exp
     With keep=False, for a caller that never pulls back, the cache is None
     and no layer's input or (e, pos) outlives the layer that made it; y is
-    the same to the bit.  Such a caller may pass a `workspace` of at least
-    x's rows as `out`: the layers then write into it and allocate nothing
-    of an activation's size, and y is a view into it, valid until the
-    workspace is written again.
+    the same to the bit.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if x.shape[-1] != weights.dims[0]:
         raise ContractError(f"input dim {x.shape[-1]} != {weights.dims[0]}")
-    if keep and out is not None:
-        raise ContractError("a forward that keeps its cache has no workspace")
-    n = x.shape[0]
     h = x
     inputs = []
     acts = []
@@ -165,14 +150,10 @@ def forward(weights: MlpWeights, x: np.ndarray, keep: bool = True, out=None):
     for i, (w, b) in enumerate(weights.layers()):
         if keep:
             inputs.append(h)
-        if out is None:
-            h = h @ w.T
-        else:
-            h = np.matmul(h, w.T, out=out[i % 2, :n * w.shape[0]].reshape(n, w.shape[0]))
+        h = h @ w.T
         h += b
         if i < n_layers - 1:
-            act = _softplus_inplace(h, keep,
-                                    None if out is None else out[2, :h.size].reshape(h.shape))
+            act = _softplus_inplace(h, keep)
             if keep:
                 acts.append(act)
     return h, ((inputs, acts) if keep else None)

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import concurrent.futures
 import contextvars
+import ctypes
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -25,6 +27,24 @@ from .core import (Camera, ContractError, GBuffer, dot, has_geometry, normalize,
                    orthonormal_basis, unproject)
 from .lighting import LightField
 from .sampling import check_seed, uniform_block
+
+
+def _keep_freed_heap() -> None:
+    """Set glibc's malloc policy for the process, so that what a row block
+    frees stays mapped for the next (README, "The heap policy").  Where libc
+    has no `mallopt` (musl, macOS, Windows) this does nothing."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (AttributeError, OSError, TypeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(-3, 32 << 20)             # M_MMAP_THRESHOLD: temporaries from the heap
+    mallopt(-1, 128 << 20)            # M_TRIM_THRESHOLD: freed heap stays mapped
+    mallopt(-8, os.cpu_count() or 1)  # M_ARENA_MAX: threads share few arenas
+
+
+_keep_freed_heap()
 
 _CHUNK_LANES = 1 << 20
 _PDF_FLOOR = 1e-6   # q = max(pdf, floor); pdf gradients only above it

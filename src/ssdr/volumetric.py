@@ -45,18 +45,15 @@ def default_field_dims(position_bands: int = 10):
 
 
 def field_eval(weights: MlpWeights, x: np.ndarray,
-               cfg: VolumeConfig = VolumeConfig(), keep: bool = True, work=None):
+               cfg: VolumeConfig = VolumeConfig(), keep: bool = True):
     """Density (N,) and color (N, 3) of the field at points x (N, 3), and
     what their adjoint needs: returns (sigma, color, net), where net is the
     MLP output, its cache and the unscaled color; with keep=False net is
-    None and the MLP keeps no cache (see `mlp.forward`).  Such a query may
-    pass `work`, an (encoding, `mlp.workspace`) pair of at least N rows,
-    which the encoding and the MLP layers then write into."""
+    None and the MLP keeps no cache (see `mlp.forward`)."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     weights.require("field", field_input_dim(cfg.position_bands), 4)
-    enc, mlp_work = (None, None) if work is None else (work[0][:x.shape[0]], work[1])
-    enc = positional_encoding(x, cfg.position_bands, out=enc)
-    y, cache = mlp.forward(weights, enc, keep=keep, out=mlp_work)
+    enc = positional_encoding(x, cfg.position_bands)
+    y, cache = mlp.forward(weights, enc, keep=keep)
     raw_col = mlp.sigmoid(y[:, 1:4])
     net = (y, cache, raw_col) if keep else None
     return mlp.softplus(y[:, 0]), raw_col * RADIANCE_SCALE, net
@@ -178,17 +175,14 @@ def volume_render_batch(weights: MlpWeights, p: np.ndarray, d: np.ndarray,
     max(1, _POINT_BLOCK // n_samples) rays.  Returns (L (N, 3), state),
     the state holding, per block, its ray slice and what
     `volume_render_backward` needs: the field's samples, its MLP cache and
-    the composite weights.  With keep=False the state is None, the field
-    keeps no MLP cache, and the blocks' encoding and MLP layers reuse one
-    workspace: the query's memory is one block's, whatever N is."""
+    the composite weights.  With keep=False the state is None and the
+    field keeps no MLP cache: the query's memory is one block's, whatever
+    N is."""
     p = np.atleast_2d(np.asarray(p, dtype=np.float64))
     d = np.atleast_2d(np.asarray(d, dtype=np.float64))
     ray_ids = np.asarray(ray_ids, dtype=np.uint64)
     n = p.shape[0]
     k = max(1, -(-n // max(1, _POINT_BLOCK // cfg.n_samples)))
-    rows = -(-n // k) * cfg.n_samples
-    work = None if keep else (np.empty((rows, field_input_dim(cfg.position_bands))),
-                              mlp.workspace(weights, rows))
     L = np.empty((n, 3))
     state = []
     for i in range(k):
@@ -197,7 +191,7 @@ def volume_render_batch(weights: MlpWeights, p: np.ndarray, d: np.ndarray,
         t, deltas = stratified_ts(cfg.t_near, cfg.t_far, jitter)
         # march from p toward the source along +d
         x = p[blk, None, :] + t[:, :, None] * d[blk, None, :]
-        sigma, color, net = field_eval(weights, x.reshape(-1, 3), cfg, keep, work)
+        sigma, color, net = field_eval(weights, x.reshape(-1, 3), cfg, keep)
         sigma = sigma.reshape(t.shape)
         color = color.reshape(*t.shape, 3)
         L[blk], w = composite(sigma, color, deltas)
@@ -341,9 +335,6 @@ class BlendedLightField(LightField):
         d = np.atleast_2d(np.asarray(d, dtype=np.float64))
         want = keep is not None
         ids = _ray_ids(p, d)
-        # The volume goes first.  Measured both ways on learned renders and
-        # fits, the order leaves the peak RSS as it is, and volume first
-        # takes no more minor page faults.
         l_vol, vol_state = volume_render_batch(self.volume, p, d, self.volume_cfg,
                                                self.seed, ids, keep=want)
         l_tr, hits, dec_state = traced_radiance_batch(

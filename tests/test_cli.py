@@ -349,7 +349,7 @@ def _assert_input_error(argv, caplog, *words):
     ("camera.json", lambda text: None, ("missing camera.json",)),
     # a 3-channel depth map of the maps' size, all zeros
     ("depth.pfm", lambda text: "PF\n16 16\n-1.0\n" + "\0" * 3 * 16 * 16 * 4,
-     ("expected 1 channel",)),
+     ("depth.pfm", "expected 1 channel")),
     ("albedo.pfm", lambda text: text.replace("16 16\n", "1.5 16\n", 1),
      ("albedo.pfm", "bad header")),
     ("albedo.pfm", lambda text: text.replace("16 16\n", "0 16\n", 1),
@@ -483,7 +483,7 @@ def learned_bundle(tmp_path_factory):
     ("features.json", _edit_json(kind="grid"), ("features.json", "not a feature grid")),
     # the zero features are one character per byte
     ("features_000.pfm", lambda text: text[:-4] + _NAN_F32,
-     ("feature grid", "non-finite")),
+     ("features.json", "feature grid", "non-finite")),
 ], ids=["no-width", "width-not-an-int", "slices-not-a-list", "width-huge-int",
         "height-beyond-memory", "manifest-not-object",
         "manifest-not-utf-8", "no-dims", "dims-a-string", "one-dim", "dims-bool",
@@ -770,15 +770,9 @@ def overflow_bundle(tmp_path_factory):
                             lighting_spec={"kind": "constant", "value": [1e308] * 3})
 
 
-@pytest.mark.parametrize("argv", [
-    ["render", "--threads", "1"], ["render", "--threads", "2"],
-    ["baseline-compare", "--spp", "4", "--grid", "2x4", "--ref-cells", "2"]],
-    ids=["render-threads-1", "render-threads-2", "baseline-compare"])
-def test_overflowing_render_exits_1_with_one_line(overflow_bundle, tmp_path, capfd, argv):
-    """A render that overflows is a numerical failure: exit 1, and stderr
-    holds the one ERROR line naming the pixel, no NumPy warning.  The
-    command runs in a process of its own, so that its stderr is the real
-    one, whatever warning filters the test runner sets."""
+def _cli_in_own_process(argv) -> int:
+    """The exit code of `ssdr` run in a process of its own, so that its
+    stderr is the real one, whatever warning filters the test runner sets."""
     import os
     import subprocess
     import sys
@@ -786,9 +780,33 @@ def test_overflowing_render_exits_1_with_one_line(overflow_bundle, tmp_path, cap
 
     import ssdr
     env = {**os.environ, "PYTHONPATH": str(Path(ssdr.__file__).resolve().parents[1])}
-    code = subprocess.run([sys.executable, "-m", "ssdr.cli", *argv, "--bundle",
-                           str(overflow_bundle), "--out", str(tmp_path / "r")],
+    return subprocess.run([sys.executable, "-m", "ssdr.cli", *argv],
                           env=env, timeout=120).returncode
+
+
+@pytest.mark.parametrize("argv", [
+    ["render", "--threads", "1"], ["render", "--threads", "2"],
+    ["baseline-compare", "--spp", "4", "--grid", "2x4", "--ref-cells", "2"]],
+    ids=["render-threads-1", "render-threads-2", "baseline-compare"])
+def test_overflowing_render_exits_1_with_one_line(overflow_bundle, tmp_path, capfd, argv):
+    """A render that overflows is a numerical failure: exit 1, and stderr
+    holds the one ERROR line naming the pixel, no NumPy warning."""
+    code = _cli_in_own_process([*argv, "--bundle", str(overflow_bundle),
+                                "--out", str(tmp_path / "r")])
     assert capfd.readouterr().err.splitlines() == [
         "ERROR ssdr: non-finite radiance at pixel (0, 0)"]
     assert code == EXIT_NUMERIC
+
+
+def test_render_beyond_float32_exits_1_and_writes_nothing(overflow_bundle, tmp_path,
+                                                          capfd):
+    """At spp 4 the same render is finite in float64 but beyond the float32
+    range of a PFM: exit 1 with one ERROR line naming the file, and no
+    image or stats.json of infinities is left behind."""
+    out = tmp_path / "r"
+    code = _cli_in_own_process(["render", "--spp", "4", "--bundle", str(overflow_bundle),
+                                "--out", str(out)])
+    err = capfd.readouterr().err.splitlines()
+    assert len(err) == 1 and "rerender.pfm" in err[0] and "float32" in err[0], err
+    assert code == EXIT_NUMERIC
+    assert not any(out.iterdir())

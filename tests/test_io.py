@@ -60,6 +60,20 @@ def test_pfm_roundtrip_bitexact(tmp_path_factory, arr, channels):
     assert np.array_equal(back.data.astype(np.float32), data.astype(np.float32))
 
 
+@pytest.mark.parametrize("value", [1e39, -1e308])
+def test_write_pfm_refuses_finite_values_beyond_float32(tmp_path, value):
+    """A finite value that float32 cannot hold is an OverflowError naming
+    the file, and no file is written; the float32 maximum and infinities
+    themselves are stored as they are."""
+    path = tmp_path / "big.pfm"
+    with pytest.raises(OverflowError, match="big.pfm"):
+        sio.write_pfm(path, np.array([[1.0, value]]))
+    assert not path.exists()
+    edge = np.array([[np.finfo(np.float32).max, -np.inf, np.inf]])
+    sio.write_pfm(path, edge)
+    assert sio.read_pfm(path).plane().tobytes() == edge.tobytes()
+
+
 def test_pfm_trailing_garbage_rejected(tmp_path):
     path = tmp_path / "bad.pfm"
     path.write_bytes(b"Pf\n1 1\n-1.0\n" + struct.pack("<f", 1.0) + b"x")

@@ -78,19 +78,14 @@ def test_backward_matches_sigmoid_reference_bytes():
         assert dflat.tobytes() == want_dflat.tobytes()
 
 
-def test_forward_into_a_workspace_has_the_plain_bytes():
-    """A render-only forward into a workspace with room for more rows than
-    it is given, used twice, gives the bytes of the forward that keeps its
-    cache; a forward that keeps its cache takes no workspace."""
+def test_forward_without_cache_has_the_cached_bytes():
+    """A render-only forward (keep=False) gives the bytes of the forward
+    that keeps its cache, on the same rows, and keeps no cache."""
     weights, x, _ = _net_and_input(3000)
-    want, _ = mlp.forward(weights, x)
-    work = mlp.workspace(weights, 4000)
     for rows in (slice(0, 3000), slice(1000, 2500)):
-        y, cache = mlp.forward(weights, x[rows], keep=False, out=work)
-        assert cache is None and np.shares_memory(y, work)
-        assert y.tobytes() == want[rows].tobytes()
-    with pytest.raises(mlp.ContractError):
-        mlp.forward(weights, x, out=work)
+        y, cache = mlp.forward(weights, x[rows], keep=False)
+        assert cache is None
+        assert y.tobytes() == mlp.forward(weights, x[rows])[0].tobytes()
 
 
 def test_forward_temporaries_below_half_an_activation():
