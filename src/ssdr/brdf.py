@@ -182,7 +182,9 @@ def sample_directions(v, n, albedo, roughness, metallic, specular, u):
     sin_h = np.sqrt(np.maximum(1.0 - cos_h * cos_h, 0.0))
     rho = np.where(pick_spec, sin_h, np.sqrt(u[..., 1]))
     z = np.where(pick_spec, cos_h, np.sqrt(np.maximum(1.0 - u[..., 1], 0.0)))
-    w = _local_to_world(np.stack([rho * np.cos(phi), rho * np.sin(phi), z], axis=-1), n)
+    local = np.empty_like(u, dtype=np.float64, shape=rho.shape + (3,))
+    local[..., 0], local[..., 1], local[..., 2] = rho * np.cos(phi), rho * np.sin(phi), z
+    w = _local_to_world(local, n)
     vh = dot(v, w)
     d = np.where(pick_spec[..., None], 2.0 * vh[..., None] * w - v, w)
     valid = dot(d, n) > 0

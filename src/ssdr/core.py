@@ -262,13 +262,15 @@ def check_unit(name: str, w: np.ndarray) -> None:
 
 
 def orthonormal_basis(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Branchless tangent/bitangent frame for unit normals (..., 3)."""
+    """Branchless tangent/bitangent frame for unit normals (..., 3), each
+    stored in the memory layout of `n`."""
     n = np.asarray(n, dtype=np.float64)
     s = np.where(n[..., 2] >= 0.0, 1.0, -1.0)
     a = -1.0 / (s + n[..., 2])
     b = n[..., 0] * n[..., 1] * a
-    t = np.stack([1.0 + s * n[..., 0] ** 2 * a, s * b, -s * n[..., 0]], axis=-1)
-    bt = np.stack([b, s + n[..., 1] ** 2 * a, -n[..., 1]], axis=-1)
+    t, bt = np.empty_like(n), np.empty_like(n)
+    t[..., 0], t[..., 1], t[..., 2] = 1.0 + s * n[..., 0] ** 2 * a, s * b, -s * n[..., 0]
+    bt[..., 0], bt[..., 1], bt[..., 2] = b, s + n[..., 1] ** 2 * a, -n[..., 1]
     return t, bt
 
 

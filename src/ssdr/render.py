@@ -178,18 +178,25 @@ def _sample_chunks(n_pix: int, spp: int):
         yield s0, min(s0 + per, spp)
 
 
+def _lane_layout(a: np.ndarray) -> np.ndarray:
+    """A copy of `a` (n_pix, ..., 3) in the lane layout: the same shape,
+    stored with pixels innermost and the component next, memory
+    (..., 3, n_pix) (README, "The lane layout")."""
+    return np.moveaxis(np.moveaxis(a, 0, -1).copy(), -1, 0)
+
+
 def _lanes(px: FrozenSamples):
     """Per-pixel BRDF inputs (v, n, albedo, roughness, metallic), broadcast
-    over the sample axis."""
-    return (px.v[:, None, :], px.n[:, None, :], px.alb[:, None, :],
-            px.rough[:, None], px.metal[:, None])
+    over the sample axis, the vectors in the lane layout."""
+    v, n, alb = (_lane_layout(a)[:, None, :] for a in (px.v, px.n, px.alb))
+    return v, n, alb, px.rough[:, None], px.metal[:, None]
 
 
 def _draw(px: FrozenSamples, cfg: RenderConfig, s0: int, s1: int):
-    """Directions (n_pix, s1-s0, 3) and validity of samples s0..s1-1 of
-    every pixel, drawn from the counter RNG."""
-    u = uniform_block(cfg.seed, px.pix_id[:, None],
-                      np.arange(s0, s1, dtype=np.uint64)[None, :], 3)
+    """Directions (n_pix, s1-s0, 3) in the lane layout and validity of
+    samples s0..s1-1 of every pixel, drawn from the counter RNG."""
+    u = _lane_layout(uniform_block(cfg.seed, px.pix_id[:, None],
+                                   np.arange(s0, s1, dtype=np.uint64)[None, :], 3))
     v, n, alb, rough, metal = _lanes(px)
     d, _, ok = brdf.sample_directions(v, n, alb, rough, metal,
                                       cfg.specular_scale, u)
@@ -201,7 +208,7 @@ def _masked_radiance(light: LightField, p, d, mask, vjp=False):
     (n_pix, 3), queried on the live lanes only and zero elsewhere, and with
     `vjp` the `radiance_vjp` pullback of those lanes (else None; also None
     when no lane is live)."""
-    out = np.zeros(mask.shape + (3,))
+    out = np.zeros_like(d)
     pullback = None
     if np.any(mask):
         p_live = np.broadcast_to(p[:, None, :], d.shape)[mask]
@@ -253,12 +260,13 @@ def _estimate(px: FrozenSamples, d, ok, light: LightField, cfg: RenderConfig,
         contrib = f * radiance * np.where(ok, cos / q, 0.0)[..., None]
         return (contrib.sum(axis=1),), None
 
+    adj = _lane_layout(adj)[:, None, :]
     q = np.maximum(pdf, _PDF_FLOOR)
     inv_q = np.where(ok, 1.0 / q, 0.0)
     cq = cos * inv_q                            # cos / q
     sums = []
     if any(name in params for name in MATERIAL_NAMES):
-        aL = adj[:, None, :] * radiance         # (n_pix, ns, 3)
+        aL = adj * radiance                     # (n_pix, ns, 3)
         aLf = dot(aL, f)
         # sum_ch adj_ch f_ch L_ch cos / q^2, the shared factor of all pdf
         # terms; the pdf floor gates them
@@ -272,7 +280,8 @@ def _estimate(px: FrozenSamples, d, ok, light: LightField, cfg: RenderConfig,
         if name in params:
             gs = np.where(ok, dot(aL, parts["df_d" + key]) * cq, 0.0) \
                 - s_pdf * parts["dpdf_d" + key]
-            sums.append(gs.sum(axis=1))
+            # pairwise over the samples, as a row-major (n_pix, ns) sum
+            sums.append(np.ascontiguousarray(gs).sum(axis=1))
     if "normal" in params:
         # n: through f (a rank-one Jacobian, fres x dsc_dn), through cos,
         # and through the pdf
@@ -283,7 +292,7 @@ def _estimate(px: FrozenSamples, d, ok, light: LightField, cfg: RenderConfig,
 
     dlight = None
     if want_light and pullback is not None:
-        dL = adj[:, None, :] * f * cq[..., None]
+        dL = adj * f * cq[..., None]
         dlight = pullback(dL[ok] / cfg.spp)
     return tuple(sums), dlight
 

@@ -134,6 +134,45 @@ def cosine_grid_dirs(n, cells: tuple[int, int]):
         + z[:, None] * np.asarray(n)
 
 
+def estimate_sums_by_sample(px, d, ok, light, cfg, adj=None, params=(),
+                            pairwise=("roughness", "metallic")):
+    """Reference for the summation order of `render._estimate`'s per-pixel
+    sums over the samples d (n_pix, spp, 3).  It judges the order only: each
+    sample's terms are `_estimate` on that sample alone, a one-term sum.
+    The sums named in `pairwise` are np.sum over the C-order (n_pix, spp)
+    array of their terms, pairwise over the samples; the others, the value
+    ("value") or the adjoint sums in MATERIAL_NAMES order, are summed in a
+    sequential loop over the samples."""
+    from ssdr.render import MATERIAL_NAMES, _estimate
+
+    names = ["value"] if adj is None else [n for n in MATERIAL_NAMES if n in params]
+    terms = [_estimate(px, d[:, s:s + 1], ok[:, s:s + 1], light, cfg, adj, params)[0]
+             for s in range(d.shape[1])]
+    sums = []
+    for i, name in enumerate(names):
+        per_sample = [t[i] for t in terms]
+        if name in pairwise:
+            sums.append(np.sum(np.stack(per_sample, axis=1), axis=1))
+            continue
+        acc = per_sample[0]
+        for term in per_sample[1:]:
+            acc = acc + term
+        sums.append(acc)
+    return tuple(sums)
+
+
+def orthonormal_basis_stacked(n):
+    """`core.orthonormal_basis` as `np.stack` of its formulas, each frame
+    vector row-major."""
+    n = np.asarray(n, dtype=np.float64)
+    s = np.where(n[..., 2] >= 0.0, 1.0, -1.0)
+    a = -1.0 / (s + n[..., 2])
+    b = n[..., 0] * n[..., 1] * a
+    t = np.stack([1.0 + s * n[..., 0] ** 2 * a, s * b, -s * n[..., 0]], axis=-1)
+    bt = np.stack([b, s + n[..., 1] ** 2 * a, -n[..., 1]], axis=-1)
+    return t, bt
+
+
 def per_pixel_material_fd(g, fs, light, cfg, cls: str, eps: float = 2e-6):
     """Reference for `gradcheck.material_differences`: the same central
     differences, perturbing one pixel at a time and re-evaluating the whole

@@ -4,9 +4,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import stats
 
-from oracles import chi_square_sampler, sphere_pdf_integral, white_furnace_estimate
+from oracles import (chi_square_sampler, orthonormal_basis_stacked, sphere_pdf_integral,
+                     white_furnace_estimate)
 from ssdr import brdf
-from ssdr.core import ContractError, dot, normalize
+from ssdr.core import ContractError, dot, normalize, orthonormal_basis
+from ssdr.render import _lane_layout
 from ssdr.sampling import SamplerState, uniform_block
 
 N_UP = np.array([0.0, 0.0, 1.0])
@@ -209,6 +211,71 @@ def test_adjoint_pdf_is_the_forward_pdf_bytes(specular):
         adjoint = brdf.eval_pdf_with_partials(v, dirs, *args)
         assert brdf.mixture_pdf(v, dirs, *args).tobytes() == adjoint["pdf"].tobytes()
         assert brdf._eval_raw(v, dirs, *args).tobytes() == adjoint["f"].tobytes()
+
+
+def _component_major(a):
+    """The values of `a` (..., 3) in a copy stored component-major, memory
+    (3, ...)."""
+    return np.moveaxis(np.moveaxis(a, -1, 0).copy(), 0, -1)
+
+
+@pytest.mark.parametrize("specular", [0.0, 0.5, 1.0])
+def test_brdf_bytes_do_not_depend_on_the_lane_layout(specular):
+    """Sampling, f, the pdf and every partial give the same bytes for
+    row-major inputs and for copies of them stored component-major, memory
+    (3, spp, n_pix), or in the render's lane layout, (spp, 3, n_pix): on
+    sampled and on random directions, with below-horizon lanes and
+    back-facing half vectors among them."""
+    rng = np.random.default_rng(8)
+    n_pix, spp = 64, 32
+    n = normalize(rng.normal(size=(n_pix, 1, 3)))
+    v = normalize(n + 0.8 * rng.normal(size=(n_pix, 1, 3)))
+    albedo = rng.uniform(0.0, 1.0, (n_pix, 1, 3))
+    albedo[:8] = 0.0
+    roughness = rng.uniform(0.0, 1.0, (n_pix, 1))
+    roughness[:4] = 0.0
+    metallic = rng.uniform(0.0, 1.0, (n_pix, 1))
+    metallic[8:16] = 1.0
+    u = uniform_block(5, np.arange(n_pix, dtype=np.uint64)[:, None],
+                      np.arange(spp, dtype=np.uint64)[None, :], 3)
+    uniform = normalize(rng.normal(size=(n_pix, spp, 3)))
+    assert np.any(dot(n, uniform) <= 0)
+    assert np.any(dot(n, normalize(v + uniform)) <= 0)
+    material = (roughness, metallic, specular)
+
+    def outputs(v, n, albedo, u, uniform):
+        d, spec, valid = brdf.sample_directions(v, n, albedo, *material, u)
+        out = {"d": d, "spec": spec, "valid": valid}
+        for tag, dirs in (("sampled", d), ("uniform", uniform)):
+            args = (v, dirs, n, albedo, *material)
+            out[tag, "f"] = brdf._eval_raw(*args)
+            out[tag, "pdf"] = brdf.mixture_pdf(*args)
+            for key, val in brdf.eval_pdf_with_partials(*args).items():
+                out[tag, "partials", key] = val
+        return out
+
+    row = outputs(v, n, albedo, u, uniform)
+    assert specular == 0.0 or not row["valid"].all()
+    for layout in (_component_major, _lane_layout):
+        lane = outputs(*(layout(a) for a in (v, n, albedo, u, uniform)))
+        assert row.keys() == lane.keys()
+        for key in row:
+            assert row[key].tobytes() == lane[key].tobytes(), (layout.__name__, key)
+
+
+@pytest.mark.parametrize("shape", [(50, 3), (8, 6, 3), (8, 1, 3)])
+def test_orthonormal_basis_keeps_the_bytes_in_the_input_layout(shape):
+    """The frame is the np.stack form's bytes, stored in the layout of the
+    normals: row-major for row-major normals, component-major for
+    component-major ones."""
+    n = normalize(np.random.default_rng(2).normal(size=shape))
+    n[0] = [0.0, 0.0, -1.0]
+    for normals, layout in ((n, lambda a: a),
+                            (_component_major(n), lambda a: np.moveaxis(a, -1, 0))):
+        assert layout(normals).flags.c_contiguous
+        for got, want in zip(orthonormal_basis(normals), orthonormal_basis_stacked(n)):
+            assert got.tobytes() == want.tobytes()
+            assert layout(got).flags.c_contiguous
 
 
 def test_each_view_forms_only_its_own_half(monkeypatch):

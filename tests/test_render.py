@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import cosine_grid_dirs, per_pixel_material_fd
+from oracles import cosine_grid_dirs, estimate_sums_by_sample, per_pixel_material_fd
 from ssdr import render, scenes
 from ssdr.core import ContractError, GBuffer, dot, normalize
 from ssdr.gradcheck import check_render_material, material_differences
@@ -314,6 +314,35 @@ def test_backward_threads_deterministic(glossy_patch):
     assert np.array_equal(g1.dalbedo, g4.dalbedo)
     assert np.array_equal(g1.dnormal, g4.dnormal)
     assert np.array_equal(g1.dlight, g4.dlight)
+
+
+def test_estimate_sums_keep_their_reduction_orders(glossy_patch):
+    """One row block's sums from `_estimate` have the oracle's bytes: the
+    value, albedo and normal sums sequential over the samples, the
+    roughness and metallic sums pairwise, as np.sum sums a row-major
+    (n_pix, spp) array.  At spp 24 the two orders differ, so a sum whose
+    order followed the lane layout would show."""
+    camera = scenes.default_camera(8, 8)
+    light = SkyDiscLight([1.2, 1.2, 1.4], [0.4, 0.38, 0.35], [0.2, -1.0, 0.3],
+                         0.3, [6.0, 5.0, 4.0])
+    cfg = RenderConfig(spp=24, seed=4)
+    px = render._pixels(glossy_patch, *render.pixel_geometry(glossy_patch, camera),
+                        slice(0, 8))
+    d, ok = render._draw(px, cfg, 0, cfg.spp)
+    adj = np.random.default_rng(3).normal(size=(px.gy.size, 3))
+    for a, params in ((None, ()), (adj, render.MATERIAL_NAMES)):
+        sums, _ = render._estimate(px, d, ok, light, cfg, a, params)
+        want = estimate_sums_by_sample(px, d, ok, light, cfg, a, params)
+        assert len(sums) == len(want)
+        for got, ref in zip(sums, want):
+            assert got.tobytes() == ref.tobytes()
+    # the orders tell apart at this spp: summed sequentially, the roughness
+    # and metallic sums move
+    pair = estimate_sums_by_sample(px, d, ok, light, cfg, adj, render.MATERIAL_NAMES)
+    seq = estimate_sums_by_sample(px, d, ok, light, cfg, adj, render.MATERIAL_NAMES,
+                                  pairwise=())
+    for i in (1, 2):
+        assert seq[i].tobytes() != pair[i].tobytes()
 
 
 def test_cosine_grid_estimates_irradiance():
