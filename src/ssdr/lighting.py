@@ -9,6 +9,7 @@ volume marching steps p + t*d.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,11 @@ def positional_encoding(x: np.ndarray, bands: int) -> np.ndarray:
     """Sinusoidal lift, component-major: per input component
     [x, sin(2^0 pi x), cos(2^0 pi x), ..., sin(2^(L-1) pi x), cos(...)]
     with L = `bands` >= 1; x (..., D) gives (..., D * (2L + 1)).
+
+    The encoding is stored batch-innermost, as (D, 2L + 1, N) for N input
+    points, so every pass runs over N contiguous elements and writes its
+    column in place; the result is a view of it, F-order (N, D * (2L + 1))
+    for 2-D x.
 
     sin and cos run once per input, at a0 = fl(pi x).  Band k + 1 comes
     from band k by the doubling identities
@@ -41,15 +47,21 @@ def positional_encoding(x: np.ndarray, bands: int) -> np.ndarray:
     if not np.all(np.isfinite(x)):
         raise ContractError("positional encoding requires finite input")
     width = 2 * bands + 1
-    enc = np.empty((*x.shape, width))
-    enc[..., 0] = x
-    a = x * np.pi
-    s, c = np.sin(a), np.cos(a)
-    enc[..., 1], enc[..., 2] = s, c
+    *batch, dim = x.shape
+    n = math.prod(batch)
+    enc = np.empty((dim, width, n))
+    enc[:, 0] = x.reshape(n, dim).T
+    a = enc[:, 0] * np.pi
+    np.sin(a, out=enc[:, 1])
+    np.cos(a, out=enc[:, 2])
     for k in range(1, bands):
-        s, c = 2.0 * (s * c), (c - s) * (c + s)
-        enc[..., 2 * k + 1], enc[..., 2 * k + 2] = s, c
-    return enc.reshape(*x.shape[:-1], x.shape[-1] * width)
+        s, c, s2, c2 = (enc[:, j] for j in range(2 * k - 1, 2 * k + 3))
+        np.multiply(s, c, out=s2)
+        s2 *= 2.0
+        np.add(c, s, out=a)
+        np.subtract(c, s, out=c2)
+        c2 *= a
+    return enc.reshape(dim * width, n).T.reshape(*batch, dim * width)
 
 
 @dataclass

@@ -14,9 +14,10 @@ import numpy as np
 from .core import ContractError
 
 
-# elements per log1p temporary in `_softplus_inplace`: 4096 rows of a
-# 64-unit layer, so the temporary stays small beside an (N, 64) activation
-_LOG1P_BLOCK = 1 << 18
+# elements per tile of `_softplus_inplace`: 512 rows of a 64-unit layer, so
+# every pass over a tile finds its operands in cache; a multiple of every
+# SIMD width
+_SOFTPLUS_TILE = 1 << 15
 
 
 def _softplus_inplace(a: np.ndarray, keep: bool = True):
@@ -27,22 +28,38 @@ def _softplus_inplace(a: np.ndarray, keep: bool = True):
     is returned, and e is scratch.
 
     exp(-|a|) never overflows, so the closed form holds for every a; NaN
-    propagates, -inf gives 0 and +inf gives +inf.  With keep, log1p runs
-    over blocks of `_LOG1P_BLOCK` elements, so its temporary is one block,
-    not one `a`; without, it overwrites e."""
-    pos = a >= 0 if keep else None
-    e = np.empty_like(a)
-    np.abs(a, out=e)
-    np.negative(e, out=e)
-    np.exp(e, out=e)
-    np.maximum(a, 0.0, out=a)
-    if not keep:
-        a += np.log1p(e, out=e)
-        return None
-    flat_a, flat_e = a.reshape(-1), e.reshape(-1)
-    for lo in range(0, flat_a.size, _LOG1P_BLOCK):
-        flat_a[lo:lo + _LOG1P_BLOCK] += np.log1p(flat_e[lo:lo + _LOG1P_BLOCK])
-    return e, pos
+    propagates, -inf gives 0 and +inf gives +inf.  Every pass runs over one
+    tile of `_SOFTPLUS_TILE` elements before the next tile starts, so the
+    tile stays in cache.  The passes are elementwise, so tiling changes no
+    bit, NaN signs included: NumPy's SIMD add takes a NaN's sign from its
+    first operand in the vector loop and from its second in the tail, so
+    the tile is a multiple of the vector width and the last tile takes the
+    remainder, and each element meets the loop part it meets over the
+    whole array.  With keep, e and pos are full size and filled tile by
+    tile; the scratch is one (the last) tile either way."""
+    if not a.flags.c_contiguous:
+        raise ContractError("softplus works in place on a C-contiguous array")
+    flat = a.reshape(-1)
+    n = flat.size
+    edges = [i * _SOFTPLUS_TILE for i in range(max(n // _SOFTPLUS_TILE, 1))] + [n]
+    scratch = np.empty(n - edges[-2])
+    if keep:
+        e, pos = np.empty_like(a), np.empty(a.shape, dtype=bool)
+        flat_e, flat_pos = e.reshape(-1), pos.reshape(-1)
+    for lo, hi in zip(edges, edges[1:]):
+        t = flat[lo:hi]
+        s = scratch[:hi - lo]
+        if keep:
+            np.greater_equal(t, 0, out=flat_pos[lo:hi])
+            te = flat_e[lo:hi]
+        else:
+            te = s
+        np.abs(t, out=te)
+        np.negative(te, out=te)
+        np.exp(te, out=te)
+        np.maximum(t, 0.0, out=t)
+        t += np.log1p(te, out=s)
+    return (e, pos) if keep else None
 
 
 def softplus(x):

@@ -287,6 +287,31 @@ def sigmoid_masked(x):
     return out
 
 
+def softplus_closed_form(a):
+    """Reference for `mlp._softplus_inplace`: its closed form
+    max(a, 0) + log1p(exp(-|a|)) over the whole array at once, one
+    temporary per operation and no tiles."""
+    return np.maximum(a, 0) + np.log1p(np.exp(-np.abs(a)))
+
+
+def positional_encoding_rowmajor(x, bands):
+    """Reference for `lighting.positional_encoding`: the row-major
+    construction, one strided column of an (..., D, 2L + 1) array per sin,
+    cos and doubling step.  The batch-innermost storage must match its
+    bytes."""
+    x = np.asarray(x, dtype=np.float64)
+    width = 2 * bands + 1
+    enc = np.empty((*x.shape, width))
+    enc[..., 0] = x
+    a = x * np.pi
+    s, c = np.sin(a), np.cos(a)
+    enc[..., 1], enc[..., 2] = s, c
+    for k in range(1, bands):
+        s, c = 2.0 * (s * c), (c - s) * (c + s)
+        enc[..., 2 * k + 1], enc[..., 2 * k + 2] = s, c
+    return enc.reshape(*x.shape[:-1], x.shape[-1] * width)
+
+
 def softplus_logaddexp(x):
     """Reference for `mlp.softplus`: its original body, numpy's logaddexp
     ufunc, which runs scalar libm."""

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import grid_light_corner_loop
+from oracles import grid_light_corner_loop, positional_encoding_rowmajor
 from ssdr import lighting, mlp, scenes
 from ssdr.core import ContractError, normalize, unproject
 from ssdr.inverse import AdamState
@@ -60,6 +60,20 @@ def test_posenc_doubling_within_stated_bound():
         bound = 2.0 ** k * 4 * eps
         assert np.max(np.abs(enc[..., 1 + 2 * k] - sin[..., k])) <= bound, k
         assert np.max(np.abs(enc[..., 2 + 2 * k] - cos[..., k])) <= bound, k
+
+
+@pytest.mark.parametrize("bands", [1, 4, 10])
+@pytest.mark.parametrize("shape", [(0, 3), (3,), (7, 3), (2, 5, 3)])
+def test_posenc_has_the_row_major_bytes(shape, bands):
+    """Stored batch-innermost, the encoding reads, row-major, as the
+    row-major construction's bytes; 2-D input gives an F-order view."""
+    x = np.random.default_rng(3).uniform(-25.0, 25.0, shape)
+    enc = positional_encoding(x, bands)
+    want = positional_encoding_rowmajor(x, bands)
+    assert enc.shape == want.shape
+    assert enc.tobytes() == want.tobytes()
+    if len(shape) == 2:
+        assert enc.flags.f_contiguous
 
 
 @pytest.mark.parametrize("x,bands", [

@@ -3,8 +3,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from oracles import mlp_backward_sigmoid, softplus_logaddexp
+from oracles import mlp_backward_sigmoid, softplus_closed_form, softplus_logaddexp
 from ssdr import mlp
+from ssdr.core import ContractError
 from ssdr.mlp import MlpWeights
 
 TINY = np.finfo(np.float64).smallest_subnormal
@@ -46,9 +47,9 @@ def _net_and_input(rows, seed=6):
 
 
 def test_forward_hidden_layers_are_softplus_bytes(monkeypatch):
-    """The log1p blocks of the in-place softplus, here 1000 elements that
-    split rows, give the whole-array bits."""
-    monkeypatch.setattr(mlp, "_LOG1P_BLOCK", 1000)
+    """The tiles of the in-place softplus, here 1000 elements that split
+    rows, give the bits of the whole-array closed form."""
+    monkeypatch.setattr(mlp, "_SOFTPLUS_TILE", 1000)
     weights, x, _ = _net_and_input(500)
     y, (inputs, acts) = mlp.forward(weights, x)
     h = x
@@ -59,9 +60,63 @@ def test_forward_hidden_layers_are_softplus_bytes(monkeypatch):
             e, pos = acts[i]
             assert e.tobytes() == np.exp(-np.abs(a)).tobytes()
             assert np.array_equal(pos, a >= 0)
-            a = mlp.softplus(a)
+            a = softplus_closed_form(a)
         h = a
     assert y.tobytes() == h.tobytes()
+
+
+def _softplus_input(shape, seed=9):
+    """Seeded entries on both sides of the bend, with inf, -inf, NaN of
+    both signs and -0 among them, and NaN in the last two."""
+    a = np.random.default_rng(seed).normal(0.0, 20.0, shape)
+    flat = a.reshape(-1)
+    flat[::7] = -0.0
+    flat[3::11] = np.inf
+    flat[5::13] = -np.inf
+    flat[2::17] = np.nan
+    flat[4::19] = -np.nan
+    flat[-2:] = np.nan
+    return a
+
+
+@pytest.mark.parametrize("keep", [False, True])
+@pytest.mark.parametrize("shape,tile", [
+    ((50, 64), 1000),        # splits rows; the last tile takes the 200 left
+    ((50, 64), 640),         # divides the array, ten rows a tile
+    ((50, 64), 1 << 15),     # one tile, larger than the array
+    ((7, 3), 8),             # splits rows of 3; the last tile takes 5 more
+    ((32775,), None),        # the module's tile, and 7 elements over it
+    ((1, 64), 64), ((0, 64), 1000), ((), 8)])
+def test_softplus_inplace_tiles_match_whole_array_bytes(monkeypatch, keep, shape, tile):
+    """Every tiling gives the whole-array closed form's bytes in `a`, NaN
+    signs too, and with keep e = exp(-|a|) and pos = a >= 0 of the input.
+    The tiles are multiples of 8 elements, the widest float64 SIMD vector,
+    as `_SOFTPLUS_TILE` is."""
+    if tile is not None:
+        monkeypatch.setattr(mlp, "_SOFTPLUS_TILE", tile)
+    a0 = _softplus_input(shape)
+    a = a0.copy()
+    got = mlp._softplus_inplace(a, keep)
+    assert a.tobytes() == softplus_closed_form(a0).tobytes()
+    if not keep:
+        assert got is None
+        return
+    e, pos = got
+    assert e.shape == pos.shape == shape
+    assert e.tobytes() == np.exp(-np.abs(a0)).tobytes()
+    assert pos.tobytes() == (a0 >= 0).tobytes()
+
+
+@pytest.mark.parametrize("keep", [False, True])
+def test_softplus_inplace_rejects_arrays_it_cannot_write_through(keep):
+    """An F-order or a sliced array would be copied by its flat view, so
+    the in-place writes would be lost: both are refused, untouched."""
+    a = _softplus_input((40, 64))
+    for bad in (np.asfortranarray(a), a[:, ::2], a[:, 1:]):
+        before = bad.copy()
+        with pytest.raises(ContractError, match="C-contiguous"):
+            mlp._softplus_inplace(bad, keep)
+        assert np.array_equal(bad, before, equal_nan=True)
 
 
 def test_backward_matches_sigmoid_reference_bytes():
@@ -91,8 +146,8 @@ def test_forward_without_cache_has_the_cached_bytes():
 def test_forward_temporaries_below_half_an_activation():
     """Beyond the output and cache it returns, `forward` on a volume field's
     rows of one learned render holds less than half an (N, 64) activation
-    at its peak: the log1p temporary is one row block.  (A whole-array
-    log1p temporary would exceed them by one activation less the (N, 4)
+    at its peak: the softplus scratch is one tile.  (A whole-array
+    temporary would exceed them by one activation less the (N, 4)
     output, so "less than one activation" would not catch it.)"""
     n = 36096
     weights = MlpWeights.random((63, 64, 64, 64, 4), seed=2)

@@ -69,6 +69,29 @@ def test_field_eval_deterministic():
     assert np.array_equal(s1, s2) and np.array_equal(c1, c2)
 
 
+@pytest.mark.parametrize("rows", [4032, 564, 97, 33, 1])
+def test_field_on_the_encoding_view_has_the_contiguous_bytes(rows, monkeypatch):
+    """The field's GEMMs read the encoding as the F-order view it is
+    returned as; the density, the color and the weight adjoint have the
+    bytes of the same field on a C-contiguous copy of it."""
+    w = MlpWeights.random(vol.default_field_dims(10), seed=2)
+    rng = np.random.default_rng(rows)
+    x = rng.uniform(-2.0, 2.0, (rows, 3))
+    dy = rng.normal(size=(rows, 4))
+
+    def field():
+        sigma, color, (_, cache, _) = vol.field_eval(w, x)
+        return cache[0][0], (sigma, color, mlp.backward(w, cache, dy)[1])
+
+    enc, got = field()
+    monkeypatch.setattr(vol, "positional_encoding",
+                        lambda x, bands: np.ascontiguousarray(positional_encoding(x, bands)))
+    copy, want = field()
+    assert enc.flags.f_contiguous and copy.flags.c_contiguous
+    for a, b in zip(got, want):
+        assert a.tobytes() == b.tobytes()
+
+
 def test_volume_render_zero_density():
     w = _const_field_weights(1e-9, (2.0, 2.0, 2.0))
     L = vol.volume_render(w, np.zeros(3) + [0, 0, 2], np.array([0.0, 0.0, 1.0]),
