@@ -14,7 +14,10 @@ light, a `ConstantLight` and a random `GridLight`, at threads 1 and 2, plus
 one run forced into many sample chunks.  The size is fixed on purpose:
 at RES x RES pixels and SPP samples a row block holds more lanes than one
 `GridLight` lane block, so lane block edges are crossed too; a smaller
-render would cross none and could hide a changed bit there.
+render would cross none and could hide a changed bit there.  A
+`GridLight` shares one table of spatial sums between the lanes of a
+pixel; one more `render_mc` line, at 1 sample per pixel, pins its
+per-lane path, for lanes whose positions all differ.
 
 It also covers the learned `BlendedLightField`, in volume-weights and in
 hypernet mode: `render_mc` and every `render_backward` field at threads 1
@@ -321,6 +324,14 @@ def fit_backward_lines():
             yield f"glossy-floor/fit/t{threads}/render_backward.{field}", getattr(grad, field)
 
 
+def spp1_lines():
+    """glossy-floor under a grid light at 1 sample per pixel, so every
+    light lane has a position of its own."""
+    g, camera, _, _ = scenes.glossy_floor(RES, RES)
+    light = grid_light(g, camera, np.random.default_rng(5))
+    yield "spp1/grid/render_mc", render_mc(g, camera, light, RenderConfig(spp=1, seed=3))
+
+
 def lines():
     yield from brdf_lines()
     yield from mlp_lines()
@@ -369,6 +380,7 @@ def lines():
     yield from optimize_lines()
     yield from trace_lines()
     yield from fit_backward_lines()
+    yield from spp1_lines()
 
 
 def main():

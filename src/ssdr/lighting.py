@@ -237,9 +237,30 @@ class SkyDiscLight(LightField):
 
 
 # Lanes per GridLight.radiance block.  It bounds the call's temporaries
-# (a few hundred bytes per lane) whatever the caller's chunk size; every
-# lane is computed on its own, so the block size changes no bit.
-_LANE_BLOCK = 8192
+# whatever the caller's chunk size: a few hundred bytes per lane and, on
+# the table path, the table of spatial sums (3 x runs x touched cells
+# float64) and the gathered terms summed into it.  The table is built only
+# when it has fewer cells than the block's lanes have direction corners,
+# 4 x 6144, so each is under 0.57 MiB; a `render-grid` block's, about 102
+# runs x 80 cells, is 0.2 MB.  At 8192 lanes `render-grid` ran as fast
+# but its peak RSS read about 0.4 MB higher.  Every lane is computed on
+# its own, so the block size changes no bit.
+_LANE_BLOCK = 6144
+
+
+def _weighted_sum(src, terms):
+    """The sum of w * src[:, idx] over the (w, idx) pairs, in order,
+    starting from the first product.  Index arrays are in range by
+    construction; mode "clip" only spares the bounds check."""
+    acc = None
+    for w, idx in terms:
+        term = np.take(src, idx, axis=1, mode="clip")
+        term *= w
+        if acc is None:
+            acc = term
+        else:
+            acc += term
+    return acc
 
 
 class GridLight(LightField):
@@ -251,12 +272,22 @@ class GridLight(LightField):
     from +z in [0, pi] and phi = atan2(y, x) wrapped to [0, 2pi).
 
     The output bits depend on the order of the float operations, which is
-    fixed: the 32 corners are visited depth-first over (x, y, z, theta,
-    phi), the lower node first on each axis; each corner weight is the
-    product (((wx * wy) * wz) * wt) * wp, with w = 1 - f for the lower node
-    and f for the upper; and the weighted corner values are added to a zero
-    accumulator in that corner order.  The upper node of a single-node axis
-    has weight 0 and is skipped; it would add only zeros.
+    fixed: space first, then direction (the Irradiance Volume order).  On
+    each axis w = 1 - f for the lower node and f for the upper, and the
+    corners are visited depth-first, the lower node first.  For each of
+    the lane's 4 direction cells k, depth-first over (theta, phi), the
+    spatial sum S_k adds ((wx * wy) * wz) * V[j, k] over the 8 spatial
+    corners j, depth-first over (x, y, z); the radiance adds (wt * wp) *
+    S_k over the 4 cells.  Both sums start from their first product.  The
+    upper node of a single-node axis has weight 0 and is skipped; it would
+    add only zeros.
+
+    So a lane's bits are a function of its own (p, d), however the lanes
+    are grouped (NaN signs aside).  Consecutive lanes with the same
+    position bits (a render passes its lanes pixel by pixel) share one
+    table of S over the theta rows their block touches, when that table
+    is smaller than the lanes' own corners; otherwise each lane forms S
+    for its 4 cells.  Both run the operations above.
     """
 
     def __init__(self, values: np.ndarray, bounds: np.ndarray):
@@ -283,59 +314,69 @@ class GridLight(LightField):
         i0 = np.clip(np.floor(t).astype(np.int64), 0, n - 2)
         return t - i0, i0
 
-    def _axes(self, p, d):
-        """Per axis, in corner order (x, y, z, theta, phi): the (weight,
-        flat offset) of its lower node, weight 1 - f, and of its upper node,
-        weight f.  A single-node axis lists its lower node only, since f is
-        0 there."""
-        nx, ny, nz, nt, nph = self.values.shape[:5]
-        coords = [self._axis_coords(p[:, ax], self.bounds[0, ax], self.bounds[1, ax], n)
-                  for ax, n in enumerate((nx, ny, nz))]
+    def _space(self, p, unit):
+        """The spatial corners of the points p, in corner order: [(weight
+        (wx * wy) * wz, offset of the node in steps of `unit`)]."""
+        nx, ny, nz = self.values.shape[:3]
+        axes = []
+        for ax, (n, s) in enumerate(zip((nx, ny, nz), (ny * nz * unit, nz * unit, unit))):
+            f, i = self._axis_coords(p[:, ax], self.bounds[0, ax], self.bounds[1, ax], n)
+            axes.append([(1.0 - f, i * s), (f, (i + 1) * s)][:min(n, 2)])
+        return [((wx * wy) * wz, ox + oy + oz)
+                for wx, ox in axes[0] for wy, oy in axes[1] for wz, oz in axes[2]]
+
+    def _directions(self, d):
+        """The direction corners of d, in corner order: [(weight wt * wp,
+        cell it * nphi + ip)], and each lane's lower theta row."""
+        nt, nph = self.values.shape[3:5]
         theta = np.arccos(np.clip(d[:, 2], -1.0, 1.0))
-        coords.append(self._axis_coords(theta, 0.0, np.pi, nt))
-        strides = (ny * nz * nt * nph, nz * nt * nph, nt * nph, nph)
-        axes = [[(1.0 - f, i * s), (f, (i + 1) * s)][:min(n, 2)]
-                for (f, i), n, s in zip(coords, (nx, ny, nz, nt), strides)]
-        phi = np.mod(np.arctan2(d[:, 1], d[:, 0]), 2.0 * np.pi)
+        ft, it = self._axis_coords(theta, 0.0, np.pi, nt)
+        rows = [(1.0 - ft, it * nph), (ft, (it + 1) * nph)][:min(nt, 2)]
+        # atan2 mod 2 pi, with np.mod's bits at a fraction of its cost
+        phi = np.arctan2(d[:, 1], d[:, 0])
+        phi += np.where(phi < 0.0, 2.0 * np.pi, 0.0)
         if nph == 1:
-            axes.append([(np.ones_like(phi), np.zeros_like(phi, dtype=np.int64))])
+            cols = [(np.ones_like(phi), 0)]
         else:
             tp = phi / (2.0 * np.pi) * nph
-            ip0 = np.floor(tp).astype(np.int64) % nph
-            fp = tp - np.floor(tp)
-            axes.append([(1.0 - fp, ip0), (fp, (ip0 + 1) % nph)])  # wraps at the seam
-        return axes
+            fl = np.floor(tp)
+            ip0 = fl.astype(np.int64)
+            ip0[ip0 == nph] = 0              # phi rounded up to 2 pi
+            ip1 = ip0 + 1
+            ip1[ip1 == nph] = 0              # wraps at the seam
+            fp = tp - fl
+            cols = [(1.0 - fp, ip0), (fp, ip1)]
+        return [(wt * wp, ot + op) for wt, ot in rows for wp, op in cols], it
 
-    @staticmethod
-    def _corner_sum(vals, axes):
-        """Sum of the weighted corner values, (3, lanes), in the order of the
-        class docstring.  vals is the channel-major (3, M) node table; each
-        level of the depth-first walk owns one weight and one offset
-        buffer."""
-        lanes = axes[0][0][0].shape[0]
-        acc = np.zeros((3, lanes))
-        w = np.empty((4, lanes))
-        off = np.empty((4, lanes), dtype=np.int64)
-        v = np.empty((3, lanes))
-        for wx, ox in axes[0]:
-            for wy, oy in axes[1]:
-                np.multiply(wx, wy, out=w[0])
-                np.add(ox, oy, out=off[0])
-                for wz, oz in axes[2]:
-                    np.multiply(w[0], wz, out=w[1])
-                    np.add(off[0], oz, out=off[1])
-                    for wt, ot in axes[3]:
-                        np.multiply(w[1], wt, out=w[2])
-                        np.add(off[1], ot, out=off[2])
-                        for wp, op in axes[4]:
-                            np.multiply(w[2], wp, out=w[3])
-                            np.add(off[2], op, out=off[3])
-                            # offsets are in range by construction; "clip"
-                            # only spares the buffered bounds check
-                            np.take(vals, off[3], axis=1, out=v, mode="clip")
-                            v *= w[3]
-                            acc += v
-        return acc
+    def _block(self, vals, p, d):
+        """Radiance of one lane block, (3, lanes), from the channel-major
+        (3, M) node table vals: a table S of spatial sums, then a weighted
+        sum of each lane's 4 entries of it."""
+        n = p.shape[0]
+        nt, nph = self.values.shape[3:5]
+        corners, it = self._directions(d)
+        # runs of consecutive lanes whose positions have the same bits
+        bits = p.view(np.int64)
+        ne = bits[1:] != bits[:-1]
+        new = np.ones(n, dtype=bool)
+        np.logical_or(ne[:, 0], ne[:, 1], out=new[1:])
+        new[1:] |= ne[:, 2]
+        starts = np.flatnonzero(new)
+        c0 = int(it.min()) * nph
+        c1 = (int(it.max()) + min(nt, 2)) * nph
+        if starts.size * (c1 - c0) < n * len(corners):
+            # S per run, over the touched theta rows: (3, runs, cells)
+            table = _weighted_sum(vals.reshape(3, -1, nt * nph)[:, :, c0:c1],
+                                  ((ws[:, None], node) for ws, node in self._space(p[starts], 1)))
+            row = (np.cumsum(new) - 1) * (c1 - c0) - c0
+            at = (row + cell for _, cell in corners)
+        else:
+            # S per lane, over its own cells: (3, corners, lanes)
+            cells = np.stack([cell for _, cell in corners])
+            table = _weighted_sum(vals, ((ws, off + cells)
+                                         for ws, off in self._space(p, nt * nph)))
+            at = (q * n + np.arange(n) for q in range(len(corners)))
+        return _weighted_sum(table.reshape(3, -1), ((wd, i) for (wd, _), i in zip(corners, at)))
 
     def radiance(self, p, d):
         p, d = np.broadcast_arrays(np.atleast_2d(np.asarray(p, dtype=np.float64)),
@@ -345,7 +386,7 @@ class GridLight(LightField):
         out = np.empty((p.shape[0], 3))
         for s in range(0, p.shape[0], _LANE_BLOCK):
             blk = slice(s, s + _LANE_BLOCK)
-            out[blk] = self._corner_sum(vals, self._axes(p[blk], d[blk])).T
+            out[blk] = self._block(vals, p[blk], d[blk]).T
         return out
 
     def node_position(self, idx) -> tuple[np.ndarray, np.ndarray]:

@@ -211,7 +211,9 @@ def _masked_radiance(light: LightField, p, d, mask, vjp=False):
     out = np.zeros_like(d)
     pullback = None
     if np.any(mask):
-        p_live = np.broadcast_to(p[:, None, :], d.shape)[mask]
+        # each live lane's pixel point, in lane order: pixel by pixel, so
+        # a GridLight sees runs of equal positions
+        p_live = p[np.nonzero(mask)[0]]
         if vjp:
             out[mask], pullback = light.radiance_vjp(p_live, d[mask])
         else:

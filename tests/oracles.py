@@ -219,7 +219,8 @@ def per_pixel_material_fd(g, fs, light, cfg, cls: str, eps: float = 2e-6):
 def grid_light_corner_loop(gl, p, d):
     """Reference for `GridLight.radiance`: the original loop over the 32
     corners, one fancy-indexed gather per corner, whole lanes at once.  The
-    blocked gather must match it byte for byte."""
+    space-first radiance adds the same terms in another order, so it must
+    match it up to rounding."""
     def axis_coords(x, lo, hi, n):
         if n == 1:
             return np.zeros_like(x), np.zeros_like(x, dtype=np.int64)

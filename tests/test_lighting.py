@@ -152,10 +152,16 @@ def test_grid_light_single_cell():
     assert np.allclose(out, [[1.0, 0.0, 0.0]])
 
 
-def _grid_lanes(rng, n):
+def _grid_lanes(rng, n, gl):
     """Positions reaching past the bounds [[-1, -2, 0], [1, 2, 3]] on every
-    side, random unit directions, and the axis and phi-seam directions."""
+    side, some coordinates exactly on a cell face or at a bound, random
+    unit directions, and the axis and phi-seam directions."""
     p = rng.uniform([-2.0, -3.0, -1.0], [2.0, 3.0, 4.0], (n, 3))
+    for ax in range(3):
+        faces = np.array([gl.node_position((i,) * 5)[0][ax]
+                          for i in range(gl.values.shape[ax])])
+        on = rng.random(n) < 0.3
+        p[on, ax] = rng.choice(faces, on.sum())
     d = normalize(rng.normal(size=(n, 3)))
     special = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, -1.0],
                         [1.0, 1e-300, 0.0], [1.0, -1e-300, 0.0], [1.0, -0.0, 0.0],
@@ -165,23 +171,73 @@ def _grid_lanes(rng, n):
     return p, d
 
 
+def _in_runs(rng, p, longest):
+    """p with each position repeated over a run of 1 to `longest`
+    consecutive lanes, as a render passes a pixel's lanes."""
+    rows = np.repeat(np.arange(len(p)), rng.integers(1, longest + 1, len(p)))
+    return p[rows[:len(p)]]
+
+
+def _grid_rel_error(gl, got, want):
+    """Largest error over the largest node value: the radiance is a convex
+    combination of node values."""
+    return np.abs(got - want).max(initial=0.0) / np.abs(gl.values).max()
+
+
 @pytest.mark.parametrize("bounds", [[[-1, -2, 0], [1, 2, 3]], [[-1, -2, 1], [1, 2, 1]]],
                          ids=["box", "flat-z"])
 @pytest.mark.parametrize("single", [(), (0,), (1,), (2,), (3,), (4,), (0, 1, 2, 3, 4)],
                          ids=["none", "x", "y", "z", "theta", "phi", "all"])
 def test_grid_light_matches_corner_loop_bytes(single, bounds):
-    """The blocked gather is the original 32-corner loop, bit for bit, at
-    lane counts around the block size, with single-node axes and with a
-    flat (lo == hi) extent."""
+    """The space-first radiance is the 32-corner loop's up to rounding: a
+    relative error of at most 1e-13, with distinct positions (each lane
+    forms its own spatial sums), with positions in runs (the lanes of a
+    run share a table) and with runs whose directions are all below the
+    horizon (a table whose theta rows do not start at 0), at lane counts
+    around the block size, with single-node axes and with a flat (lo ==
+    hi) extent.  The two orders round differently, so only a bound holds;
+    the name is kept from when the two were byte-equal."""
     rng = np.random.default_rng(len(single) * 10 + sum(single))
     shape = [1 if ax in single else n for ax, n in enumerate((3, 4, 2, 5, 8))]
     gl = GridLight(rng.uniform(-1.0, 3.0, (*shape, 3)), bounds)
     block = lighting._LANE_BLOCK
     for n in (0, 1, block - 1, block, block + 1):
-        p, d = _grid_lanes(rng, n)
-        got, want = gl.radiance(p, d), grid_light_corner_loop(gl, p, d)
-        assert got.shape == want.shape == (n, 3)
-        assert got.tobytes() == want.tobytes()
+        p, d = _grid_lanes(rng, n, gl)
+        runs = _in_runs(rng, p, 200)
+        lower = d * np.where(d[:, 2:] > 0.0, -1.0, 1.0)
+        for pos, dirs in ((p, d), (runs, d), (runs, lower)):
+            got, want = gl.radiance(pos, dirs), grid_light_corner_loop(gl, pos, dirs)
+            assert got.shape == want.shape == (n, 3)
+            assert _grid_rel_error(gl, got, want) <= 1e-13
+
+
+def test_grid_light_lane_bytes_ignore_layout(monkeypatch):
+    """Each lane's bytes are the same whether its position shares a long
+    run (the table path; one run straddles a block edge), stands alone
+    after a shuffle (the per-lane path) or is queried by itself."""
+    rng = np.random.default_rng(41)
+    gl = GridLight(rng.uniform(0.0, 2.0, (3, 4, 2, 5, 8, 3)), [[-1, -2, 0], [1, 2, 3]])
+    run, edge = 300, lighting._LANE_BLOCK
+    assert edge % run and 40 * run <= 2 * edge     # one run straddles the one edge
+    pool, _ = _grid_lanes(rng, 40, gl)
+    p = np.repeat(pool, run, axis=0)
+    d = normalize(rng.normal(size=p.shape))
+    spatial = []
+    space = GridLight._space
+    monkeypatch.setattr(GridLight, "_space",
+                        lambda self, q, unit: spatial.append(len(q)) or space(self, q, unit))
+
+    sorted_ = gl.radiance(p, d)
+    # the table path: spatial corners once per run, in each block
+    assert spatial == [edge // run + 1, 40 - edge // run]
+    spatial.clear()
+    perm = rng.permutation(len(p))
+    shuffled = np.empty_like(sorted_)
+    shuffled[perm] = gl.radiance(p[perm], d[perm])
+    assert sum(spatial) == len(p)           # the per-lane path
+    assert shuffled.tobytes() == sorted_.tobytes()
+    for i in rng.choice(len(p), 20, replace=False):
+        assert gl.radiance(p[i], d[i]).tobytes() == sorted_[i].tobytes()
 
 
 @pytest.mark.parametrize("bounds", [
