@@ -5,7 +5,8 @@ f(v, d) = (1 - metallic) * albedo / pi
 
 with F0 = lerp(0.04, albedo, metallic) and alpha = clamp(R, 0.01, 1)^2.
 Importance sampling mixes a cosine-weighted diffuse lobe with Walter-style
-NDF half-vector sampling; `pdf` is the exact mixture density of `sample`.
+NDF half-vector sampling; `pdf` is the exact mixture density of
+`sample_directions`.
 
 All operations broadcast over leading axes; directions are unit (..., 3)
 arrays.  `v` points from the surface toward the eye, `d` toward the light.
@@ -19,7 +20,6 @@ import numpy as np
 
 from .core import (REC709, ContractError, as_rgb, check_unit, dot, luminance,
                    normalize, orthonormal_basis)
-from .sampling import SamplerState, uniform_block
 
 ROUGHNESS_FLOOR = 0.01
 
@@ -36,14 +36,6 @@ class BrdfParams:
 
     def __post_init__(self):
         object.__setattr__(self, "albedo", as_rgb(self.albedo))
-
-
-@dataclass
-class BrdfSample:
-    direction: np.ndarray   # d_i, unit, toward the light
-    pdf: float              # mixture density, sr^-1; 0 marks an invalid sample
-    value: np.ndarray       # f evaluated at d_i
-    lobe: str               # "diffuse" | "specular"
 
 
 def _alpha(roughness) -> np.ndarray:
@@ -130,7 +122,7 @@ def mixture_pdf(v, d, n, albedo, roughness, metallic, specular) -> np.ndarray:
 
 
 def pdf(v, d, n, params: BrdfParams) -> np.ndarray:
-    """Mixture density of `sample` at direction d; 0 for d.n <= 0."""
+    """Mixture density of `sample_directions` at direction d; 0 for d.n <= 0."""
     return mixture_pdf(v, d, n, params.albedo, params.roughness,
                        params.metallic, params.specular)
 
@@ -138,9 +130,9 @@ def pdf(v, d, n, params: BrdfParams) -> np.ndarray:
 def sample_pdf_sphere(v, d, n, params: BrdfParams) -> np.ndarray:
     """Density of the raw sampling process over the full sphere.
 
-    Unlike `pdf` this keeps the below-horizon specular mass that `sample`
-    reports as invalid, so it integrates to exactly 1 over all directions.
-    Used by normalization oracles only.
+    Unlike `pdf` this keeps the below-horizon specular mass that
+    `sample_directions` reports as invalid, so it integrates to exactly 1
+    over all directions.  Used by normalization oracles only.
     """
     v, d, n = (np.asarray(a, dtype=np.float64) for a in (v, d, n))
     wd, ws = lobe_weights(params.albedo, params.metallic, params.specular)
@@ -190,22 +182,6 @@ def sample_directions(v, n, albedo, roughness, metallic, specular, u):
     valid = dot(d, n) > 0
     valid &= np.where(pick_spec, vh > 0, True)
     return d, pick_spec, valid
-
-
-def sample(v, n, params: BrdfParams, rng: SamplerState) -> BrdfSample:
-    """Draw one importance-sampled direction for a single shading point."""
-    v = np.asarray(v, dtype=np.float64)
-    n = np.asarray(n, dtype=np.float64)
-    if dot(v, n) <= 0:
-        raise ContractError("sample requires v.n > 0")
-    u = uniform_block(rng.seed, rng.pixel, rng.sample, 3)
-    d, spec, valid = sample_directions(v, n, params.albedo, params.roughness,
-                                       params.metallic, params.specular, u)
-    lobe = "specular" if bool(spec) else "diffuse"
-    if not bool(valid):
-        return BrdfSample(direction=d, pdf=0.0, value=np.zeros(3), lobe=lobe)
-    p = float(pdf(v, d, n, params))
-    return BrdfSample(direction=d, pdf=p, value=eval(v, d, n, params), lobe=lobe)
 
 
 # ---------------------------------------------------------------------------

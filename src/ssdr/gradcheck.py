@@ -129,7 +129,7 @@ def check_volume_weights(weights, cfg: volumetric.VolumeConfig, n_rays: int = 4,
     ray_ids = np.arange(n_rays, dtype=np.uint64)
 
     _, state = volumetric.volume_render_batch(weights, p, d, cfg, seed, ray_ids)
-    adj = volumetric.volume_render_backward(weights, p, d, cfg, seed, ray_ids, dL, state)
+    adj = volumetric.volume_render_backward(weights, p, cfg, dL, state)
 
     def objective(flat):
         L, _ = volumetric.volume_render_batch(weights.copy_with(flat), p, d, cfg,

@@ -4,9 +4,8 @@ Formats:
   * PFM ("PF"/"Pf"): HDR interchange for all maps; bottom-up scanlines,
     negative scale token = little endian.  Write-then-read round-trips
     float32 payloads bit for bit.
-  * weight/grid blobs: one UTF-8 JSON header line, then raw little-endian
-    float32 data.
-  * feature grids: JSON manifest plus 3-channel PFM slices.
+  * weight, grid light and feature grid blobs: one UTF-8 JSON header line,
+    then raw little-endian float32 data.
   * G-buffer bundle: a directory with albedo/normal/depth/roughness/metallic
     PFMs and camera.json; optional bundle.json adds lighting, weights,
     targets, and scene metadata.
@@ -98,6 +97,17 @@ def read_pfm(path) -> ImageBuffer:
     return ImageBuffer(width=width, height=height, channels=channels, data=data.copy())
 
 
+def _float32(path, data) -> np.ndarray:
+    """`data` as contiguous little-endian float32 for the file `path`; a
+    finite value that float32 cannot hold is an OverflowError naming it."""
+    data = np.asarray(data)
+    with np.errstate(over="ignore"):
+        payload = np.ascontiguousarray(data, dtype="<f4")
+    if np.any(np.isinf(payload) & np.isfinite(data)):
+        raise OverflowError(f"{path}: values beyond the float32 range")
+    return payload
+
+
 def write_pfm(path, image) -> None:
     """A finite value that float32 cannot hold is an OverflowError naming
     the file, and nothing is written."""
@@ -114,10 +124,7 @@ def write_pfm(path, image) -> None:
         magic = b"Pf"
     else:
         raise ContractError(f"PFM stores 1 or 3 channels, not {c}")
-    with np.errstate(over="ignore"):
-        payload = np.ascontiguousarray(data[::-1], dtype="<f4")
-    if np.any(np.isinf(payload) & np.isfinite(data[::-1])):
-        raise OverflowError(f"{path}: values beyond the float32 range of a PFM")
+    payload = _float32(path, data[::-1])
     with open(path, "wb") as f:
         f.write(magic + b"\n")
         f.write(f"{w} {h}\n".encode())
@@ -191,7 +198,8 @@ def _read_json_object(path, error) -> dict:
 
 
 def write_blob(path, header: dict, data: np.ndarray) -> None:
-    payload = np.ascontiguousarray(data, dtype="<f4")
+    """Like `write_pfm`, refuses finite values beyond float32."""
+    payload = _float32(path, data)
     head = dict(header)
     head["count"] = int(payload.size)
     with open(path, "wb") as f:
@@ -236,6 +244,14 @@ def _read_dims_blob(path, kind: str, what: str, how_many: str, count_ok):
     return header, data, dims
 
 
+def _check_count(path, dims, per_cell: int, data) -> None:
+    """A ParseError unless `per_cell` values per cell of `dims` fill the payload."""
+    count = per_cell * math.prod(dims)
+    if count != data.size:
+        raise ParseError(f"{path}: 'dims' {dims} need {count} values, "
+                         f"the payload holds {data.size}")
+
+
 def read_mlp_weights(path) -> MlpWeights:
     """Load an MLP weight blob.  Its header needs `dims`, a list of at least
     two positive integers whose parameter count is the payload's value
@@ -260,72 +276,28 @@ def read_grid_light(path) -> GridLight:
     else is a ParseError naming the file."""
     header, data, dims = _read_dims_blob(path, "grid_light", "a grid light", "five",
                                          lambda n: n == 5)
-    count = 3 * math.prod(dims)
-    if count != data.size:
-        raise ParseError(f"{path}: 'dims' {dims} need {count} values, "
-                         f"the payload holds {data.size}")
+    _check_count(path, dims, 3, data)
     try:
         return GridLight(data.astype(np.float64).reshape(*dims, 3), header.get("bounds"))
     except ContractError as e:
         raise ParseError(f"{path}: {e}") from None
 
 
-# ---------------------------------------------------------------------------
-# feature grids: JSON manifest + 3-channel PFM slices
+def write_feature_grid(path, grid: FeatureGrid) -> None:
+    write_blob(path, {"kind": "feature_grid", "dims": list(grid.data.shape)}, grid.data)
 
 
-def write_feature_grid(manifest_path, grid: FeatureGrid) -> None:
-    manifest_path = Path(manifest_path)
-    h, w, c = grid.data.shape
-    n_slices = (c + 2) // 3
-    stem = manifest_path.stem
-    slices = []
-    for i in range(n_slices):
-        chunk = np.zeros((h, w, 3))
-        lo = 3 * i
-        hi = min(lo + 3, c)
-        chunk[:, :, :hi - lo] = grid.data[:, :, lo:hi]
-        name = f"{stem}_{i:03d}.pfm"
-        write_pfm(manifest_path.parent / name, chunk)
-        slices.append(name)
-    manifest_path.write_text(json.dumps(
-        {"kind": "feature_grid", "width": w, "height": h, "channels": c,
-         "slices": slices}, indent=2))
-
-
-def read_feature_grid(manifest_path) -> FeatureGrid:
-    """Load a feature grid.  Its manifest is a JSON object whose `width`,
-    `height` and `channels` are positive integers and whose `slices` lists
-    the ceil(channels / 3) slice file names; anything else is a ParseError
-    naming the file and the key."""
-    manifest_path = Path(manifest_path)
-    m = _read_json_object(manifest_path, ParseError)
-    if m.get("kind") != "feature_grid":
-        raise ParseError(f"{manifest_path}: not a feature grid manifest")
-    for key in ("width", "height", "channels"):
-        if not _positive_int(m.get(key)):
-            raise ParseError(f"{manifest_path}: '{key}' must be a positive integer, "
-                             f"got {m.get(key)!r}")
-    w, h, c = m["width"], m["height"], m["channels"]
-    slices = m.get("slices")
-    if not (isinstance(slices, list) and len(slices) == (c + 2) // 3
-            and all(isinstance(name, str) for name in slices)):
-        raise ParseError(f"{manifest_path}: 'slices' must list {(c + 2) // 3} file "
-                         f"names for {c} channels, got {slices!r}")
-    # every slice is checked before `data` is sized by the manifest
-    imgs = [read_pfm(manifest_path.parent / name) for name in slices]
-    for name, img in zip(slices, imgs):
-        if (img.width, img.height) != (w, h):
-            raise ParseError(f"{name}: slice dimensions disagree with manifest")
-    data = np.zeros((h, w, c))
-    for i, img in enumerate(imgs):
-        lo = 3 * i
-        hi = min(lo + 3, c)
-        data[:, :, lo:hi] = img.data[:, :, :hi - lo]
+def read_feature_grid(path) -> FeatureGrid:
+    """Load a feature grid blob.  Its header needs `dims`, three positive
+    integers (H, W, C) whose product is the payload's value count; anything
+    else, or a value that is not finite, is a ParseError naming the file."""
+    _, data, dims = _read_dims_blob(path, "feature_grid", "a feature grid", "three",
+                                    lambda n: n == 3)
+    _check_count(path, dims, 1, data)
     try:
-        return FeatureGrid(data)
+        return FeatureGrid(data.astype(np.float64).reshape(dims))
     except ContractError as e:
-        raise ParseError(f"{manifest_path}: {e}") from None
+        raise ParseError(f"{path}: {e}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +320,6 @@ class Bundle:
     decoder_weights: MlpWeights | None = None
     volume_weights: MlpWeights | None = None
     target: ImageBuffer | None = None
-    reference: ImageBuffer | None = None
 
     def light_field(self) -> LightField | None:
         """The light the lighting spec declares; a grid spec's `path` names
@@ -366,9 +337,8 @@ def _optional_files() -> dict:
     writer), in the order write_bundle lists them in bundle.json.  Built on
     each call, so it holds the module's functions as bound at that time
     (perfbench's probes rebind `read_pfm`)."""
-    return {"reference": ("reference.pfm", read_pfm, write_pfm),
-            "target": ("target.pfm", read_pfm, write_pfm),
-            "feature_grid": ("features.json", read_feature_grid, write_feature_grid),
+    return {"target": ("target.pfm", read_pfm, write_pfm),
+            "feature_grid": ("features.blob", read_feature_grid, write_feature_grid),
             "decoder_weights": ("decoder.weights", read_mlp_weights, write_mlp_weights),
             "volume_weights": ("volume.weights", read_mlp_weights, write_mlp_weights)}
 

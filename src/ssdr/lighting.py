@@ -405,9 +405,9 @@ class GridLight(LightField):
 
 
 def analytic_lightfield(kind: str, **params) -> LightField:
-    """Factory for the in-memory light fields used in tests and the CLI; a
-    missing (or null) parameter is a ContractError naming it.  Grid files
-    are read by `io.read_grid_light`."""
+    """Factory for the analytic light fields of a lighting spec; a missing
+    (or null) parameter is a ContractError naming it.  Grid lights are read
+    from their file by `io.read_grid_light`."""
     def need(key):
         if params.get(key) is None:
             raise ContractError(f"{kind!r} light field needs {key!r}")
@@ -422,8 +422,6 @@ def analytic_lightfield(kind: str, **params) -> LightField:
         return SkyDiscLight(need("zenith"), need("horizon"),
                             need("disc_direction"), need("disc_radius"),
                             need("disc_color"), params.get("up", SKY_UP))
-    if kind == "grid":
-        return GridLight(need("values"), need("bounds"))
     raise ContractError(f"unknown light field kind {kind!r}")
 
 

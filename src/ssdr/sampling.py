@@ -7,8 +7,6 @@ the exact random stream of the base render (common random numbers).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .core import ContractError
@@ -67,15 +65,3 @@ def uniform_block(seed: int, pixel, sample, dims: int) -> np.ndarray:
 def derive_seed(seed: int, stream: int) -> int:
     """Decorrelated child seed, e.g. one per optimizer iteration."""
     return int(_key(np.uint64(seed), np.uint64(stream), _U64(0), _U64(0)))
-
-
-@dataclass(frozen=True)
-class SamplerState:
-    """Identity of one random stream: equal triples replay identical streams."""
-
-    seed: int
-    pixel: int = 0
-    sample: int = 0
-
-    def uniforms(self, n: int) -> np.ndarray:
-        return uniform_block(self.seed, self.pixel, self.sample, n)

@@ -12,8 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Camera, ContractError, GBuffer, normalize, orthonormal_basis
-from .lighting import LightField, analytic_lightfield
+from .core import Camera, ContractError, GBuffer, normalize
 
 
 def default_camera(width: int, height: int) -> Camera:
@@ -153,41 +152,12 @@ def make_scene(kind: str, width: int | None = None, height: int | None = None):
     return _SCENES[kind](**kwargs)
 
 
-def lambertian_reference(g: GBuffer, light: LightField) -> np.ndarray:
-    """Quadrature reference for pure-Lambertian scenes under direction-only
-    lights.  Pixels sharing a normal share one hemisphere integral, so the
-    cell count can be large: 1000 x 1000 per normal."""
-    h, w = g.depth.shape
-    uniq, inv = np.unique(g.normal.reshape(-1, 3), axis=0, return_inverse=True)
-    cells = 1000    # per axis
-    u = (np.arange(cells) + 0.5) / cells
-    phi = 2.0 * np.pi * u
-    means = np.zeros((uniq.shape[0], 3))
-    for i, n_v in enumerate(uniq):
-        t, bt = orthonormal_basis(n_v)
-        acc = np.zeros(3)
-        for uj in u:  # integrate one theta-row at a time, 1e3 lanes
-            r = np.sqrt(uj)
-            z = np.sqrt(max(1.0 - uj, 0.0))
-            d = (r * np.cos(phi)[:, None] * t + r * np.sin(phi)[:, None] * bt
-                 + z * n_v)
-            acc += light.radiance(np.zeros_like(d), d).sum(axis=0)
-        means[i] = acc / cells**2
-    mean_l = means[inv].reshape(h, w, 3)
-    return (1.0 - g.metallic)[..., None] * g.albedo * mean_l
-
-
 def bundle_for(kind: str, out_dir, width: int | None = None,
                height: int | None = None):
-    """Materialize a scene as an on-disk bundle, with a quadrature reference
-    image where the scene is Lambertian."""
+    """Materialize a scene as an on-disk bundle."""
     from . import io as ssdr_io
     g, camera, spec, _planes = make_scene(kind, width, height)
-    extras = {}
-    specular_scale = 1.0
-    if kind == "cornell-like":
-        specular_scale = 0.0  # pure Lambertian demo scene
-        light = analytic_lightfield(**spec)
-        extras["reference"] = lambertian_reference(g, light)
+    # cornell-like is the pure Lambertian demo scene
+    specular_scale = 0.0 if kind == "cornell-like" else 1.0
     return ssdr_io.write_bundle(out_dir, g, camera, lighting_spec=spec,
-                                specular_scale=specular_scale, extras=extras)
+                                specular_scale=specular_scale)

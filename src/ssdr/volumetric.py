@@ -200,21 +200,8 @@ def volume_render_batch(weights: MlpWeights, p: np.ndarray, d: np.ndarray,
     return L, (state if keep else None)
 
 
-def volume_render(weights: MlpWeights, p, d, t_near: float, t_far: float,
-                  n_samples: int, rng: sampling.SamplerState,
-                  position_bands: int = 10) -> np.ndarray:
-    """Single-ray `volume_render_batch`, with ray id `rng.pixel`; the jitter
-    stream is (rng.seed, rng.pixel, sample 0), so `rng.sample` must be 0."""
-    if rng.sample != 0:
-        raise ContractError("volume_render streams use sample 0")
-    cfg = VolumeConfig(t_near=t_near, t_far=t_far, n_samples=n_samples,
-                       position_bands=position_bands)
-    L, _ = volume_render_batch(weights, p, d, cfg, rng.seed, [rng.pixel], keep=False)
-    return L[0]
-
-
-def volume_render_backward(weights: MlpWeights, p: np.ndarray, d: np.ndarray,
-                           cfg: VolumeConfig, seed: int, ray_ids: np.ndarray,
+# Unread `p` and `cfg` stay for perfbench's `_count_field_points` (ROADMAP item 1).
+def volume_render_backward(weights: MlpWeights, p: np.ndarray, cfg: VolumeConfig,
                            dL: np.ndarray, state) -> np.ndarray:
     """d(volume_render_batch)/d(weights.flat), contracted with dL (N, 3).
 
@@ -329,8 +316,8 @@ class BlendedLightField(LightField):
     def radiance(self, p, d, keep=None):
         """The blended radiance along d from p.  A `keep` list receives the
         forward state `backprop` needs: the trace, the decoder's output and
-        MLP cache, the ray ids, and the volume state of
-        `volume_render_batch`.  Without it the forwards keep no state."""
+        MLP cache, and the volume state of `volume_render_batch`.  Without
+        it the forwards keep no state."""
         p = np.atleast_2d(np.asarray(p, dtype=np.float64))
         d = np.atleast_2d(np.asarray(d, dtype=np.float64))
         want = keep is not None
@@ -340,7 +327,7 @@ class BlendedLightField(LightField):
         l_tr, hits, dec_state = traced_radiance_batch(
             self.grid, self.gbuffer, self.decoder, self.camera, p, d, keep=want)
         if want:
-            keep.append((hits, *dec_state, ids, vol_state))
+            keep.append((hits, *dec_state, vol_state))
         return blend(l_tr, l_vol, hits.u)
 
     def radiance_vjp(self, p, d):
@@ -363,14 +350,14 @@ class BlendedLightField(LightField):
             keep = []
             self.radiance(p, d, keep)
             state = keep[0]
-        hits, y, cache, ids, vol_state = state
+        hits, y, cache, vol_state = state
 
         w_tr = (1.0 - hits.u)[:, None]
         dy = dL * w_tr * mlp.sigmoid(y)
         _, d_decoder = mlp.backward(self.decoder, cache, dy)
 
-        d_vol = volume_render_backward(self.volume, p, d, self.volume_cfg,
-                                       self.seed, ids, dL * hits.u[:, None], vol_state)
+        d_vol = volume_render_backward(self.volume, p, self.volume_cfg,
+                                       dL * hits.u[:, None], vol_state)
         if self.hypernet is None:
             return np.concatenate([d_decoder, d_vol])
         _, dmat, dbias = hypernet_backward(self.global_feature, self.hypernet, d_vol)

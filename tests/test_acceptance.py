@@ -19,7 +19,6 @@ from ssdr.inverse import LossConfig, loss_rerender, optimize
 from ssdr.lighting import ConstantLight, SkyGradientLight, analytic_lightfield
 from ssdr.mlp import MlpWeights
 from ssdr.render import RenderConfig, reference_render, render_discretized, render_mc
-from ssdr.sampling import SamplerState
 
 N_UP = np.array([0.0, 0.0, 1.0])
 V_TILT = normalize(np.array([0.45, 0.1, 0.89]))
@@ -145,8 +144,9 @@ def test_criterion_08_volume_closed_form():
     flat[-4] = math.log(math.expm1(0.5))          # softplus^-1(0.5)
     flat[-3:] = math.log((1 / 5) / (1 - 1 / 5))   # sigmoid^-1(1/scale)
     w = w.copy_with(flat)
-    L = vol.volume_render(w, np.array([0.0, 0.0, 2.0]), np.array([0.0, 0.0, 1.0]),
-                          0.0, 4.0, 256, SamplerState(seed=0))
+    cfg = vol.VolumeConfig(t_near=0.0, t_far=4.0, n_samples=256)
+    L, _ = vol.volume_render_batch(w, np.array([0.0, 0.0, 2.0]), np.array([0.0, 0.0, 1.0]),
+                                   cfg, 0, [0], keep=False)
     expect = 1.0 - math.exp(-2.0)
     err = float(np.max(np.abs(L - expect)))
 

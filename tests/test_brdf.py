@@ -9,7 +9,7 @@ from oracles import (chi_square_sampler, orthonormal_basis_stacked, sphere_pdf_i
 from ssdr import brdf
 from ssdr.core import ContractError, dot, normalize, orthonormal_basis
 from ssdr.render import _lane_layout
-from ssdr.sampling import SamplerState, uniform_block
+from ssdr.sampling import uniform_block
 
 N_UP = np.array([0.0, 0.0, 1.0])
 V30 = normalize(np.array([0.5, 0.0, np.sqrt(3) / 2]))
@@ -87,21 +87,29 @@ def test_sampling_density_normalization(roughness, metallic):
 
 
 def test_sample_pdf_consistency():
+    """The pdf the render pairs with each valid `sample_directions` draw,
+    `mixture_pdf` over arrays of materials, is positive and is `pdf` of
+    that draw's own material."""
     rng = np.random.default_rng(4)
-    checked = 0
+    lanes = []
     for k in range(300):
         params = brdf.BrdfParams(albedo=rng.uniform(0.05, 1.0, 3),
                                  roughness=rng.uniform(0.02, 1.0),
                                  metallic=rng.uniform(0.0, 1.0))
         n = normalize(rng.normal(size=3))
         v = normalize(rng.normal(size=3))
-        if dot(v, n) <= 0.05:
-            continue
-        s = brdf.sample(v, n, params, SamplerState(seed=k, pixel=1, sample=2))
-        if s.pdf == 0.0:
-            continue
-        direct = float(brdf.pdf(v, s.direction, n, params))
-        assert abs(s.pdf - direct) / direct <= 1e-6
+        if dot(v, n) > 0.05:
+            lanes.append((params, v, n, uniform_block(k, 1, 2, 3)))
+    params, v, n, u = zip(*lanes)
+    v, n, u = np.array(v), np.array(n), np.array(u)
+    mat = (np.array([q.albedo for q in params]), np.array([q.roughness for q in params]),
+           np.array([q.metallic for q in params]), 1.0)
+    d, _, valid = brdf.sample_directions(v, n, *mat, u)
+    q = brdf.mixture_pdf(v, d, n, *mat)
+    checked = 0
+    for i in np.flatnonzero(valid):
+        direct = float(brdf.pdf(v[i], d[i], n[i], params[i]))
+        assert q[i] > 0 and abs(q[i] - direct) / direct <= 1e-6
         checked += 1
     assert checked > 100
 
@@ -121,13 +129,14 @@ def test_invalid_samples_reported_with_zero_pdf():
     # grazing view on a rough metal mirrors many samples below the horizon
     v = normalize(np.array([0.995, 0.0, 0.0999]))
     params = brdf.BrdfParams(albedo=(0.9, 0.9, 0.9), roughness=0.9, metallic=1.0)
-    seen_invalid = 0
-    for k in range(200):
-        s = brdf.sample(v, N_UP, params, SamplerState(seed=k))
-        if s.pdf == 0.0:
-            seen_invalid += 1
-            assert np.all(s.value == 0.0)
-    assert seen_invalid > 10  # the caller must be able to skip them
+    u = np.array([uniform_block(k, 0, 0, 3) for k in range(200)])
+    d, _, valid = brdf.sample_directions(v, N_UP, params.albedo, params.roughness,
+                                         params.metallic, params.specular, u)
+    below = dot(d, N_UP) <= 0
+    assert np.count_nonzero(~valid) > 10  # the caller must be able to skip them
+    assert np.count_nonzero(below) > 10 and not valid[below].any()
+    assert np.all(brdf.mixture_pdf(v, d[below], N_UP, params.albedo, params.roughness,
+                                   params.metallic, params.specular) == 0.0)
 
 
 def test_metal_always_specular_lobe():

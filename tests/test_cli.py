@@ -38,20 +38,16 @@ def test_make_scene_glossy_floor_roughness(tmp_path):
     assert np.allclose(bundle.gbuffer.roughness[floor], 0.1)
 
 
-def test_make_scene_cornell_reference(tmp_path):
+def test_make_scene_cornell_lambertian(tmp_path):
+    """cornell-like is the pure Lambertian scene.  Its bundle carries no
+    reference image: baseline-compare renders its own."""
     out = tmp_path / "cb"
     assert main(["make-scene", "--kind", "cornell-like", "--out", str(out),
                  "--res", "12x12"]) == EXIT_OK
     bundle = sio.read_bundle(out)
-    assert bundle.reference is not None
     assert bundle.specular_scale == 0.0
-    # the shipped reference agrees with an independent per-pixel quadrature
-    from ssdr.render import reference_render
-    light = bundle.light_field()
-    perpix = reference_render(bundle.gbuffer, bundle.camera, light,
-                              cells=(128, 256), mode="cosine",
-                              specular_scale=0.0)
-    assert np.max(np.abs(bundle.reference.data - perpix)) < 1e-3
+    assert not (out / "reference.pfm").exists()
+    assert "reference" not in json.loads((out / "bundle.json").read_text())
 
 
 @pytest.mark.parametrize("width,height", [(0, 8), (8, 0), (0, 0), (-1, 8)])
@@ -264,10 +260,6 @@ def _broken_copy(src, dst, name, edit):
     return dst
 
 
-# a float32 NaN as the text `_broken_copy` hands to an edit
-_NAN_F32 = struct.pack("<f", float("nan")).decode(errors="surrogateescape")
-
-
 def _edit_json(**changes):
     def edit(text):
         d = json.loads(text)
@@ -465,14 +457,24 @@ def learned_bundle(tmp_path_factory):
         "volume_weights": mlp.MlpWeights.zeros((vol.field_input_dim(10), 8, 4))})
 
 
+# The start of a feature grid file of the old format, a JSON manifest of
+# 3-channel PFM slices; a reader fails on its first line
+_OLD_FEATURE_MANIFEST = json.dumps(
+    {"kind": "feature_grid", "width": 8, "height": 8, "channels": 4,
+     "slices": ["features_000.pfm", "features_001.pfm"]}, indent=2)
+
+
 @pytest.mark.parametrize("name,edit,words", [
-    ("features.json", _edit_json(width=None), ("features.json", "'width'")),
-    ("features.json", _edit_json(width="x"), ("features.json", "'width'")),
-    ("features.json", _edit_json(slices=3), ("features.json", "'slices'")),
-    ("features.json", _edit_json(width=10**400), ("features_000.pfm", "disagree")),
-    ("features.json", _edit_json(height=10**12), ("features_000.pfm", "disagree")),
-    ("features.json", lambda text: "[1]", ("features.json",)),
-    ("features.json", lambda text: "\udcff" + text, ("features.json", "utf-8")),
+    ("features.blob", _edit_json(dims=[8, "x", 4]), ("features.blob", "'dims'")),
+    ("features.blob", _edit_json(dims=[8, 10**400, 4]),
+     ("features.blob", "'dims'", "payload")),
+    ("features.blob", _edit_json(dims=[10**12, 8, 4]),
+     ("features.blob", "'dims'", "payload")),
+    ("features.blob", lambda text: "[1]", ("features.blob", "JSON object")),
+    ("features.blob", lambda text: "\udcff" + text, ("features.blob", "utf-8")),
+    ("features.blob", lambda text: _OLD_FEATURE_MANIFEST, ("features.blob", "blob header")),
+    ("features.blob", _edit_json(dims=[8, 8, 5]), ("features.blob", "'dims'", "payload")),
+    ("features.blob", _edit_json(dims=[8, 32]), ("features.blob", "'dims'", "three")),
     ("decoder.weights", _edit_json(dims=None), ("decoder.weights", "'dims'")),
     ("decoder.weights", _edit_json(dims="abc"), ("decoder.weights", "'dims'")),
     ("decoder.weights", _edit_json(dims=[5]), ("decoder.weights", "'dims'")),
@@ -480,24 +482,21 @@ def learned_bundle(tmp_path_factory):
     ("decoder.weights", _edit_json(dims=[4, 4]), ("decoder.weights", "flat size")),
     ("decoder.weights", _edit_json(kind="grid_light"),
      ("decoder.weights", "not an MLP weight blob")),
-    ("features.json", _edit_json(kind="grid"), ("features.json", "not a feature grid")),
-    # the zero features are one character per byte
-    ("features_000.pfm", lambda text: text[:-4] + _NAN_F32,
-     ("features.json", "feature grid", "non-finite")),
-], ids=["no-width", "width-not-an-int", "slices-not-a-list", "width-huge-int",
-        "height-beyond-memory", "manifest-not-object",
-        "manifest-not-utf-8", "no-dims", "dims-a-string", "one-dim", "dims-bool",
-        "dims-disagree-with-payload", "decoder-of-another-kind",
-        "features-of-another-kind", "nan-in-feature-slice"])
+    ("features.blob", _edit_json(kind="grid"), ("features.blob", "not a feature grid")),
+], ids=["width-not-an-int", "width-huge-int", "height-beyond-memory",
+        "features-header-not-object", "features-header-not-utf-8", "old-manifest",
+        "features-dims-disagree-with-count", "features-two-dims", "no-dims",
+        "dims-a-string", "one-dim", "dims-bool", "dims-disagree-with-payload",
+        "decoder-of-another-kind", "features-of-another-kind"])
 def test_render_bad_learned_assets_exit_2(learned_bundle, tmp_path, caplog, name, edit,
                                           words):
-    """A malformed feature grid manifest, or a weight blob header (its first
-    line) without valid `dims`, is an input error naming the file.  An edit
-    may return bytes that are not UTF-8 as lone surrogates."""
+    """A feature grid or weight blob whose header (its first line) is not
+    a JSON object with valid `dims`, such as a feature grid manifest of the
+    old PFM-slice format, is an input error naming the file.  An edit may
+    return bytes that are not UTF-8 as lone surrogates."""
     import shutil
     path = shutil.copytree(learned_bundle, tmp_path / "broken") / name
-    head, sep, rest = path.read_bytes().partition(b"\n") if name.endswith(".weights") \
-        else (path.read_bytes(), b"", b"")
+    head, sep, rest = path.read_bytes().partition(b"\n")
     path.write_bytes(edit(head.decode()).encode(errors="surrogateescape") + sep + rest)
     _assert_input_error(["render", "--bundle", str(path.parent), "--out",
                          str(tmp_path / "r"), "--spp", "2", "--lighting", "learned"],
@@ -507,8 +506,9 @@ def test_render_bad_learned_assets_exit_2(learned_bundle, tmp_path, caplog, name
 @pytest.mark.parametrize("bundle,name,lighting,words", [
     ("grid_bundle", "light.grid", "grid", ("light.grid", "non-finite")),
     ("learned_bundle", "decoder.weights", "learned", ("decoder.weights", "non-finite")),
-    ("learned_bundle", "volume.weights", "learned", ("volume.weights", "non-finite"))],
-    ids=["grid-light-values", "decoder-weights", "volume-weights"])
+    ("learned_bundle", "volume.weights", "learned", ("volume.weights", "non-finite")),
+    ("learned_bundle", "features.blob", "learned", ("features.blob", "non-finite"))],
+    ids=["grid-light-values", "decoder-weights", "volume-weights", "features"])
 def test_render_nan_in_blob_payload_exit_2(request, tmp_path, caplog, bundle, name,
                                            lighting, words):
     """A NaN among a blob's values, here its last one, is an input error

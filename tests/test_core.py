@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from ssdr.core import (BehindCameraError, Camera, ContractError, GBuffer,
                        ImageBuffer, bilinear, dot, normalize, project, unproject,
                        validate_gbuffer)
-from ssdr.sampling import SamplerState, derive_seed, uniform, uniform_block
+from ssdr.sampling import derive_seed, uniform, uniform_block
 
 
 def test_project_principal_point(camera100):
@@ -58,11 +58,11 @@ def test_project_unproject_roundtrip(cam, fu, fv, depth):
     assert np.isclose(point[2], depth)
 
 
-def test_sampler_state_determinism():
-    a = SamplerState(seed=7, pixel=11, sample=3).uniforms(8)
-    b = SamplerState(seed=7, pixel=11, sample=3).uniforms(8)
+def test_uniform_block_determinism():
+    a = uniform_block(7, 11, 3, 8)
+    b = uniform_block(7, 11, 3, 8)
     assert np.array_equal(a, b)
-    c = SamplerState(seed=8, pixel=11, sample=3).uniforms(8)
+    c = uniform_block(8, 11, 3, 8)
     assert not np.array_equal(a, c)
 
 

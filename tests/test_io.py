@@ -177,12 +177,22 @@ def test_feature_grid_roundtrip(tmp_path):
     rng = np.random.default_rng(3)
     grid = FeatureGrid(rng.normal(size=(6, 5, 7)).astype(np.float32)
                        .astype(np.float64))
-    manifest = tmp_path / "features.json"
-    sio.write_feature_grid(manifest, grid)
-    back = sio.read_feature_grid(manifest)
-    assert back.channels == 7
-    assert np.array_equal(back.data.astype(np.float32),
-                          grid.data.astype(np.float32))
+    p1, p2 = tmp_path / "f1.blob", tmp_path / "f2.blob"
+    sio.write_feature_grid(p1, grid)
+    back = sio.read_feature_grid(p1)
+    assert back.data.shape == (6, 5, 7)
+    assert back.data.tobytes() == grid.data.tobytes()
+    sio.write_feature_grid(p2, back)
+    assert p1.read_bytes() == p2.read_bytes()
+
+
+def test_write_feature_grid_refuses_finite_values_beyond_float32(tmp_path):
+    """A finite value beyond float32 is an OverflowError naming the blob,
+    and nothing is written, as for a PFM."""
+    path = tmp_path / "big.blob"
+    with pytest.raises(OverflowError, match="big.blob"):
+        sio.write_feature_grid(path, FeatureGrid(np.full((2, 2, 3), 1e39)))
+    assert not path.exists()
 
 
 def test_bundle_roundtrip(tmp_path):
@@ -199,14 +209,41 @@ def test_bundle_roundtrip(tmp_path):
                                       np.array([[0.0, 0.0, 1.0]])), 1.0)
 
 
+def test_bundle_roundtrip_every_optional_key(tmp_path):
+    """Every optional piece a bundle carries reads back with the float32
+    values it was written with."""
+    g, camera, _, _ = scenes.two_plane(8, 8)
+    rng = np.random.default_rng(5)
+    f32 = lambda shape: rng.normal(size=shape).astype(np.float32).astype(np.float64)
+    grid = FeatureGrid(f32((8, 8, 5)))
+    decoder = mlp.MlpWeights((4, 6, 3), f32(mlp.param_count((4, 6, 3))))
+    volume = mlp.MlpWeights((3, 5, 4), f32(mlp.param_count((3, 5, 4))))
+    light = GridLight(f32((2, 2, 2, 3, 4, 3)), [[-1, -1, 0], [1, 1, 4]])
+    target = f32((8, 8, 3))
+    path = sio.write_bundle(tmp_path / "b", g, camera, extras={
+        "target": target, "feature_grid": grid, "decoder_weights": decoder,
+        "volume_weights": volume, "grid_light": light})
+    bundle = sio.read_bundle(path)
+    assert bundle.target.data.tobytes() == target.tobytes()
+    assert bundle.feature_grid.data.tobytes() == grid.data.tobytes()
+    for back, weights in ((bundle.decoder_weights, decoder),
+                          (bundle.volume_weights, volume)):
+        assert back.dims == weights.dims and back.flat.tobytes() == weights.flat.tobytes()
+    back = bundle.light_field()
+    assert back.values.tobytes() == light.values.tobytes()
+    assert back.bounds.tobytes() == light.bounds.tobytes()
+
+
 def test_bundle_with_legacy_scene_scale_loads(tmp_path):
-    """Older manifests carry a `scene_scale` key; it is ignored."""
+    """Older manifests carry `scene_scale` and `reference` keys; they are
+    ignored."""
     g, camera, spec, _ = scenes.two_plane(8, 8)
     path = sio.write_bundle(tmp_path / "b", g, camera, lighting_spec=spec,
                             specular_scale=0.5)
     manifest = json.loads((path / "bundle.json").read_text())
     assert "scene_scale" not in manifest
     manifest["scene_scale"] = 2.0
+    manifest["reference"] = "reference.pfm"
     (path / "bundle.json").write_text(json.dumps(manifest))
     bundle = sio.read_bundle(path)
     assert bundle.specular_scale == 0.5

@@ -267,10 +267,10 @@ def test_grid_lightfield_from_file(tmp_path):
                        [0.0, 2.0, 0.5])
 
 
-def test_analytic_grid_needs_values_not_path(tmp_path):
-    """analytic_lightfield builds lights in memory only; a grid file is
-    read by io.read_grid_light, never by the factory."""
-    with pytest.raises(ContractError, match="'values'"):
+def test_analytic_grid_is_unknown_kind(tmp_path):
+    """analytic_lightfield builds analytic lights only; a grid light is
+    read from its file by io.read_grid_light, never by the factory."""
+    with pytest.raises(ContractError, match="unknown light field kind 'grid'"):
         analytic_lightfield("grid", path=tmp_path / "light.grid",
                             bounds=[[0, 0, 0], [1, 1, 1]])
 

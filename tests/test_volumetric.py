@@ -13,7 +13,6 @@ from ssdr.inverse import AdamState
 from ssdr.lighting import (ConstantLight, FeatureGrid, GridLight, SkyDiscLight,
                            SkyGradientLight, decoder_input_dim, positional_encoding)
 from ssdr.mlp import MlpWeights
-from ssdr.sampling import SamplerState
 
 
 def _const_field_weights(sigma_value: float, color_rgb, scale: float = 5.0,
@@ -94,8 +93,9 @@ def test_field_on_the_encoding_view_has_the_contiguous_bytes(rows, monkeypatch):
 
 def test_volume_render_zero_density():
     w = _const_field_weights(1e-9, (2.0, 2.0, 2.0))
-    L = vol.volume_render(w, np.zeros(3) + [0, 0, 2], np.array([0.0, 0.0, 1.0]),
-                          0.1, 5.0, 64, SamplerState(seed=1))
+    cfg = vol.VolumeConfig(t_near=0.1, t_far=5.0, n_samples=64)
+    L, _ = vol.volume_render_batch(w, np.zeros(3) + [0, 0, 2], np.array([0.0, 0.0, 1.0]),
+                                   cfg, 1, [0], keep=False)
     assert np.all(L < 1e-6)
 
 
@@ -111,8 +111,9 @@ def test_composite_two_sample_hand_value():
 
 def test_homogeneous_medium_closed_form():
     w = _const_field_weights(0.5, (1.0, 1.0, 1.0))
-    L = vol.volume_render(w, np.array([0.0, 0.0, 2.0]), np.array([0.0, 0.0, 1.0]),
-                          0.0, 4.0, 256, SamplerState(seed=0))
+    cfg = vol.VolumeConfig(t_near=0.0, t_far=4.0, n_samples=256)
+    L, _ = vol.volume_render_batch(w, np.array([0.0, 0.0, 2.0]), np.array([0.0, 0.0, 1.0]),
+                                   cfg, 0, [0], keep=False)
     expect = 1.0 * (1.0 - math.exp(-0.5 * 4.0))
     assert np.all(np.abs(L - expect) < 1e-3)
 
@@ -609,11 +610,7 @@ def test_sigmoid_matches_masked_bytes():
 def test_volume_render_contract_errors():
     w = MlpWeights.zeros((vol.field_input_dim(10), 8, 8, 4))
     with pytest.raises(ContractError):
-        vol.volume_render(w, np.zeros(3), np.array([0, 0, 1.0]), 2.0, 1.0, 16,
-                          SamplerState(seed=0))
-    with pytest.raises(ContractError):
-        vol.volume_render(w, np.zeros(3), np.array([0, 0, 1.0]), 1.0, 2.0, 16,
-                          SamplerState(seed=0, sample=1))
+        vol.VolumeConfig(t_near=2.0, t_far=1.0, n_samples=16)
     with pytest.raises(ContractError):
         vol.VolumeConfig(n_samples=1)
     g, camera, _, _ = scenes.two_plane(8, 8)
