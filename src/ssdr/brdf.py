@@ -15,6 +15,7 @@ arrays.  `v` points from the surface toward the eye, `d` toward the light.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -106,9 +107,10 @@ def eval(v, d, n, params: BrdfParams) -> np.ndarray:
                      params.specular)
 
 
-def _eval_raw(v, d, n, albedo, roughness, metallic, specular) -> np.ndarray:
-    """Array form of `eval`, without its checks; material broadcasts over rays."""
-    return _kernel(v, d, n, albedo, roughness, metallic, specular, ("f",))["f"]
+def _eval_raw(v, d, n, albedo, roughness, metallic, specular, terms=None) -> np.ndarray:
+    """Array form of `eval`, without its checks; material broadcasts over rays.
+    `terms`, the `_half_terms` of these lanes, spares forming them again."""
+    return _kernel(v, d, n, albedo, roughness, metallic, specular, ("f",), terms)["f"]
 
 
 def diffuse_pdf(c) -> np.ndarray:
@@ -116,9 +118,11 @@ def diffuse_pdf(c) -> np.ndarray:
     return np.where(c > 0, c / np.pi, 0.0)
 
 
-def mixture_pdf(v, d, n, albedo, roughness, metallic, specular) -> np.ndarray:
-    """Array form of `pdf`; material arguments broadcast over rays."""
-    return _kernel(v, d, n, albedo, roughness, metallic, specular, ("pdf",))["pdf"]
+def mixture_pdf(v, d, n, albedo, roughness, metallic, specular, terms=None) -> np.ndarray:
+    """Array form of `pdf`; material arguments broadcast over rays.
+    `terms`, the `_half_terms` of these lanes, spares forming them again."""
+    return _kernel(v, d, n, albedo, roughness, metallic, specular, ("pdf",),
+                   terms)["pdf"]
 
 
 def pdf(v, d, n, params: BrdfParams) -> np.ndarray:
@@ -204,34 +208,65 @@ def eval_pdf_with_partials(v, d, n, albedo, roughness, metallic, specular,
     factor, which is zero below the horizon.
     """
     return _kernel(v, d, n, albedo, roughness, metallic, specular,
-                   ("f", "pdf", "partials", *params))
+                   ("f", "pdf", "partials", *params), None)
 
 
-def _kernel(v, d, n, albedo, roughness, metallic, specular, want):
-    """f, the pdf and their partials, forming only what `want` names: "f"
-    and "pdf" are the values, "partials" the partials
-    `eval_pdf_with_partials` always returns, and "metallic" and "normal"
-    with it add theirs.
+class _HalfTerms(NamedTuple):
+    """What f and the pdf read of the half vector m = normalize(v + d),
+    per lane; `t` and `m` are kept only for the partials."""
 
-    The value half builds f from `ggx_d`, `smith_g1`, `f0_of` and
-    `fresnel_schlick`, and the pdf from `ggx_d`, `lobe_weights` and
-    `diffuse_pdf`, so every view's f and pdf have the same bytes.  The
-    derivative half reuses the intermediates those return (D's t, G1's k,
-    F90's weight q) and forms again only alpha^2 and the lobe masses.
-    """
-    v, d, n, albedo, metallic, specular = (
-        np.asarray(a, dtype=np.float64) for a in (v, d, n, albedo, metallic, specular))
+    alpha: np.ndarray
+    cos_nd: np.ndarray
+    up: np.ndarray          # cos_nd > 0
+    cos_nm: np.ndarray
+    cos_vm: np.ndarray      # v.m, floored at 1e-12
+    D: np.ndarray
+    t: np.ndarray | None = None     # D's t
+    m: np.ndarray | None = None
+
+
+def _half_terms(v, d, n, roughness, keep) -> _HalfTerms:
+    """The half-vector terms of lanes (v, d, n): alpha, n.d with its `up`
+    mask, n.m, v.m and D.  `keep` may name "t" and "m" to keep those too;
+    without them the record holds no (..., 3) array and no t, which only
+    the partials read."""
+    v, d, n = (np.asarray(a, dtype=np.float64) for a in (v, d, n))
     alpha = _alpha(roughness)
     cos_nd = dot(n, d)
     up = cos_nd > 0
     m = normalize(v + d)
     cos_nm = dot(n, m)
     cos_vm = np.maximum(dot(v, m), 1e-12)
-    if "normal" not in want:
-        # m is (..., 3), the widest intermediate, and only the normal
-        # partials read it again; freed here, the views' peak memory is lower
-        del m
+    if "m" not in keep:
+        # m is (..., 3), the widest intermediate; freed here, before D's
+        # temporaries, the views' peak memory is lower
+        m = None
     D, t = ggx_d(cos_nm, alpha)
+    return _HalfTerms(alpha, cos_nd, up, cos_nm, cos_vm, D,
+                      t if "t" in keep else None, m)
+
+
+def _kernel(v, d, n, albedo, roughness, metallic, specular, want, terms):
+    """f, the pdf and their partials, forming only what `want` names: "f"
+    and "pdf" are the values, "partials" the partials
+    `eval_pdf_with_partials` always returns, and "metallic" and "normal"
+    with it add theirs.
+
+    The half-vector terms both values read come from `_half_terms`: the
+    kernel forms them, with the t and m its partials need, unless handed
+    `terms`, so that two value views of the same lanes form them once.
+    The value half builds f from those, `smith_g1`, `f0_of` and
+    `fresnel_schlick`, and the pdf from those, `lobe_weights` and
+    `diffuse_pdf`, so every view's f and pdf have the same bytes.  The
+    derivative half reuses the intermediates those return (D's t, G1's k,
+    F90's weight q) and forms again only alpha^2 and the lobe masses.
+    """
+    v, d, n, albedo, metallic, specular = (
+        np.asarray(a, dtype=np.float64) for a in (v, d, n, albedo, metallic, specular))
+    if terms is None:
+        keep = ("t", "m") if "normal" in want else ("t",) if "partials" in want else ()
+        terms = _half_terms(v, d, n, roughness, keep)
+    alpha, cos_nd, up, cos_nm, cos_vm, D, t, m = terms
     out = {}
     if "f" in want:
         cos_nv = dot(n, v)
@@ -282,8 +317,17 @@ def _kernel(v, d, n, albedo, roughness, metallic, specular, want):
     if np.any(clamped):
         df_df0 = df_df0 + np.where(clamped, 50.0 * q[..., None], 0.0)
     upc = up[..., None]
+
+    def like_fres(a, b):
+        """a * b stored in fres's layout.  Where every operand is stride 0
+        along the component axis (a per-pixel vector of constants, a
+        broadcast per-lane scalar), NumPy would keep the component
+        innermost (README, "The lane layout")."""
+        shape = np.broadcast_shapes(np.shape(a), np.shape(b))
+        return np.multiply(a, b, out=np.empty_like(fres, shape=shape))
+
     out["df_dA"] = np.where(upc, one_minus_m / np.pi
-                            + metallic[..., None] * df_df0 * sc[..., None], 0.0)
+                            + like_fres(metallic[..., None], df_df0) * sc[..., None], 0.0)
     out["df_dR"] = np.where(upc, fres * (dsc_dalpha * dalpha_dR)[..., None], 0.0)
 
     # d(wd/s)/dx = (dwd*ws_raw - wd_raw*dws)/s^2, with s = wd_raw + ws_raw
@@ -292,7 +336,7 @@ def _kernel(v, d, n, albedo, roughness, metallic, specular, want):
     dwd_dA = np.where(deg[..., None], 0.0,
                       one_minus_m * REC709 * ws_raw[..., None] / s2[..., None])
     dps_dalpha = np.where(face & up, dD_dalpha * cos_nm / (4.0 * cos_vm), 0.0)
-    out["dpdf_dA"] = dwd_dA * (pd - ps)[..., None]
+    out["dpdf_dA"] = like_fres(dwd_dA, (pd - ps)[..., None])
     out["dpdf_dR"] = ws * dps_dalpha * dalpha_dR
     if "metallic" in want:
         out["df_dM"] = np.where(upc, -albedo / np.pi

@@ -213,7 +213,7 @@ def _masked_radiance(light: LightField, p, d, mask, vjp=False):
     if np.any(mask):
         # each live lane's pixel point, in lane order: pixel by pixel, so
         # a GridLight sees runs of equal positions
-        p_live = p[np.nonzero(mask)[0]]
+        p_live = np.repeat(p, np.count_nonzero(mask, axis=1), axis=0)
         if vjp:
             out[mask], pullback = light.radiance_vjp(p_live, d[mask])
         else:
@@ -242,13 +242,18 @@ def _estimate(px: FrozenSamples, d, ok, light: LightField, cfg: RenderConfig,
     v, n, alb, rough, metal = _lanes(px)
     args = (v, d, n, alb, rough, metal, cfg.specular_scale)
     if adj is None:
-        pdf = brdf.mixture_pdf(*args)
-        f = brdf._eval_raw(*args)
+        # both value views read one record of the half-vector terms, freed
+        # before the light query
+        terms = brdf._half_terms(v, d, n, rough, keep=())
+        pdf = brdf.mixture_pdf(*args, terms=terms)
+        f = brdf._eval_raw(*args, terms=terms)
+        cos = np.maximum(terms.cos_nd, 0.0)
+        del terms
     else:
         parts = brdf.eval_pdf_with_partials(*args, params)
         pdf, f = parts["pdf"], parts["f"]
+        cos = np.maximum(dot(n, d), 0.0)
     ok = ok & (pdf > 0)
-    cos = np.maximum(dot(n, d), 0.0)
     want_light = adj is not None and "light" in params
     if lit is None:
         # one light query serves the value and the light adjoint
@@ -259,8 +264,9 @@ def _estimate(px: FrozenSamples, d, ok, light: LightField, cfg: RenderConfig,
     radiance, pullback = lit
     if adj is None:
         q = np.where(ok, np.maximum(pdf, _PDF_FLOOR), 1.0)
-        contrib = f * radiance * np.where(ok, cos / q, 0.0)[..., None]
-        return (contrib.sum(axis=1),), None
+        f *= radiance           # f * L * (cos / q), in place
+        f *= np.where(ok, cos / q, 0.0)[..., None]
+        return (f.sum(axis=1),), None
 
     adj = _lane_layout(adj)[:, None, :]
     q = np.maximum(pdf, _PDF_FLOOR)

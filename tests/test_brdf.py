@@ -270,6 +270,14 @@ def test_brdf_bytes_do_not_depend_on_the_lane_layout(specular):
         assert row.keys() == lane.keys()
         for key in row:
             assert row[key].tobytes() == lane[key].tobytes(), (layout.__name__, key)
+    # lane-layout inputs give lane-layout albedo partials, as f is stored,
+    # with lanes inside the F90 clamp and with none (F0 >= 0.04 when every
+    # albedo channel is)
+    for alb in (albedo, np.maximum(albedo, 0.04)):
+        parts = brdf.eval_pdf_with_partials(
+            *(_lane_layout(a) for a in (v, uniform, n, alb)), *material)
+        for key in ("df_dA", "dpdf_dA"):
+            assert parts[key].strides == parts["f"].strides, key
 
 
 @pytest.mark.parametrize("shape", [(50, 3), (8, 6, 3), (8, 1, 3)])
@@ -306,6 +314,39 @@ def test_each_view_forms_only_its_own_half(monkeypatch):
         for name in ("lobe_weights", "diffuse_pdf"):
             mp.setattr(brdf, name, refuse)
         assert brdf._eval_raw(*args).tobytes() == full["f"].tobytes()
+
+
+@pytest.mark.parametrize("specular", [0.0, 0.5, 1.0])
+def test_shared_half_terms_keep_the_views_bytes(specular):
+    """`mixture_pdf` and `_eval_raw` handed the lanes' `_half_terms` give the
+    bytes of the calls that form them, in row-major and in lane-layout
+    inputs: on lanes below the horizon, with back-facing half vectors, with
+    F0 inside the F90 clamp and with roughness below ROUGHNESS_FLOOR.  The
+    shared record holds no half vector and no t."""
+    rng = np.random.default_rng(11)
+    n_pix, spp = 48, 16
+    n = normalize(rng.normal(size=(n_pix, 1, 3)))
+    v = normalize(n + 0.8 * rng.normal(size=(n_pix, 1, 3)))
+    albedo = rng.uniform(0.0, 1.0, (n_pix, 1, 3))
+    albedo[:8] = 0.01
+    roughness = rng.uniform(0.0, 1.0, (n_pix, 1))
+    roughness[:6] = 0.002
+    metallic = rng.uniform(0.0, 1.0, (n_pix, 1))
+    metallic[:8] = 0.9
+    d = normalize(rng.normal(size=(n_pix, spp, 3)))
+    assert np.any(dot(n, d) <= 0)
+    assert np.any(dot(n, normalize(v + d)) <= 0)
+    f0 = brdf.f0_of(albedo, metallic)
+    assert np.any((f0 > 0) & (f0 < 0.02))
+    for layout in (lambda a: a, _lane_layout):
+        lanes = [layout(a) for a in (v, d, n, albedo)]
+        args = (*lanes, roughness, metallic, specular)
+        terms = brdf._half_terms(*lanes[:3], roughness, keep=())
+        assert terms.t is None and terms.m is None
+        assert brdf.mixture_pdf(*args, terms=terms).tobytes() == \
+            brdf.mixture_pdf(*args).tobytes()
+        assert brdf._eval_raw(*args, terms=terms).tobytes() == \
+            brdf._eval_raw(*args).tobytes()
 
 
 def _smooth_lanes(count, rng):

@@ -476,6 +476,61 @@ def test_render_above_the_lane_cap_records_nothing(monkeypatch):
     assert len(tape) == 2
 
 
+def test_value_pass_forms_d_once_per_chunk(monkeypatch):
+    """The value pass's two BRDF views read one record of the half-vector
+    terms: a render forms the GGX D once per sample chunk, where each view
+    forming its own took two, and still calls each view once per chunk."""
+    from ssdr import brdf
+    g, camera, spec, _ = scenes.glossy_floor(8, 16)     # two row blocks
+    cfg = RenderConfig(spp=8, seed=2)
+    monkeypatch.setattr(render, "_CHUNK_LANES", 8 * 8 * 3)
+    _, _, valid = render.pixel_geometry(g, camera)
+    chunks = sum(len(list(render._sample_chunks(np.count_nonzero(valid[rows]), cfg.spp)))
+                 for rows in render._row_blocks(g.depth.shape[0]))
+    assert chunks > len(render._row_blocks(g.depth.shape[0]))
+    calls = dict.fromkeys(("ggx_d", "mixture_pdf", "_eval_raw"), 0)
+    for name in calls:
+        def counted(*args, _name=name, _real=getattr(brdf, name), **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+        monkeypatch.setattr(brdf, name, counted)
+    render_mc(g, camera, _light_from_spec(spec), cfg)
+    assert calls == dict.fromkeys(calls, chunks)
+
+
+class _PointLight(LightField):
+    """Radiance 1 everywhere; records the points of every query."""
+
+    def __init__(self):
+        self.points = []
+
+    def radiance(self, p, d):
+        self.points.append(p.copy())
+        return np.ones_like(d)
+
+
+def test_masked_radiance_gathers_each_live_lanes_point():
+    """`_masked_radiance` queries the light with each live lane's pixel
+    point in lane order, the bytes of `p[np.nonzero(mask)[0]]`: with every
+    lane live, with pixels that have no live lane, and with none live, when
+    it queries nothing.  Directions and mask are in the lane layout."""
+    rng = np.random.default_rng(3)
+    n_pix, ns = 40, 6
+    p = rng.normal(size=(n_pix, 3))
+    d = render._lane_layout(normalize(rng.normal(size=(n_pix, ns, 3))))
+    some = rng.random((n_pix, ns)) < 0.5
+    some[::5] = False
+    masks = {"all": np.ones((n_pix, ns), bool), "some": some,
+             "none": np.zeros((n_pix, ns), bool)}
+    for key, mask in masks.items():
+        mask = render._lane_layout(mask[..., None])[..., 0]
+        light = _PointLight()
+        out, _ = render._masked_radiance(light, p, d, mask)
+        assert np.array_equal(out, np.broadcast_to(mask[..., None], d.shape)), key
+        want = p[np.nonzero(mask)[0]]
+        assert [q.tobytes() for q in light.points] == ([want.tobytes()] if want.size else [])
+
+
 def test_tape_from_another_render_is_a_contract_error():
     """A tape recorded under another RenderConfig or G-buffer shape, or for
     other shadeable pixels, is rejected instead of yielding the gradients
