@@ -8,10 +8,12 @@ Run it once against each tree and diff the two outputs:
     PYTHONPATH=/path/to/other/src python3 scripts/bitwise_digest.py > old.txt
     diff old.txt new.txt
 
-It covers `render_mc`, every `render_backward` field, `eval_frozen` and
-`reference_render` (both modes) on the three canned scenes under their own
-light, a `ConstantLight` and a random `GridLight`, at threads 1 and 2, plus
-one run forced into many sample chunks.  The size is fixed on purpose:
+It covers `render_mc`, every `render_backward` field, the gradient
+checks' frozen-sample values at the base maps (`gradcheck.frozen_values`,
+the shadeable pixels in row-major order; its lines keep the name
+`eval_frozen`) and `reference_render` (both modes) on the three canned
+scenes under their own light, a `ConstantLight` and a random `GridLight`,
+at threads 1 and 2, plus one run forced into many sample chunks.  The size is fixed on purpose:
 at RES x RES pixels and SPP samples a row block holds more lanes than one
 `GridLight` lane block, so lane block edges are crossed too; a smaller
 render would cross none and could hide a changed bit there.  A
@@ -80,14 +82,14 @@ from dataclasses import replace
 
 import numpy as np
 
-from ssdr import brdf, lighting, mlp, render, scenes, ssrt, volumetric
+from ssdr import brdf, gradcheck, lighting, mlp, render, scenes, ssrt, volumetric
 from ssdr.core import normalize
 from ssdr.inverse import LossConfig, optimize
 from ssdr.lighting import (ConstantLight, FeatureGrid, GridLight, analytic_lightfield,
                            decoder_input_dim)
 from ssdr.mlp import MlpWeights
-from ssdr.render import (PARAM_NAMES, RenderConfig, draw_frozen_samples, eval_frozen,
-                         reference_render, render_backward, render_mc)
+from ssdr.render import (PARAM_NAMES, RenderConfig, reference_render, render_backward,
+                         render_mc)
 
 RES = 16
 SPP = 96
@@ -353,9 +355,8 @@ def lines():
                                        params=PARAM_NAMES)
                 for field in GRAD_FIELDS:
                     yield f"{tag}/t{threads}/render_backward.{field}", getattr(grad, field)
-            fs = draw_frozen_samples(g, camera, cfg)
-            yield f"{tag}/eval_frozen", eval_frozen(fs, g.albedo, g.roughness, g.metallic,
-                                                     g.normal, light, cfg)
+            (values,) = gradcheck.frozen_values(g, camera, [(g, light)], cfg)
+            yield f"{tag}/eval_frozen", values
             for mode in ("split", "cosine"):
                 yield f"{tag}/reference_render.{mode}", reference_render(
                     g, camera, light, cells=(8, 16), mode=mode)

@@ -16,6 +16,9 @@ that only tests use:
 All are read from the source text (the AST), so nothing is imported:
 
     python3 scripts/design_counts.py [path/to/src/ssdr]
+
+A path that holds no package whose `__init__.py` sets `__all__` is one
+line of error and exit 2.
 """
 
 from __future__ import annotations
@@ -80,13 +83,20 @@ def counts(pkg: Path) -> dict:
                 if isinstance(node, ast.Assign) and any(
                         isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
                     public = ast.literal_eval(node.value)
+    if public is None:
+        raise ValueError("not a package whose __init__.py sets __all__")
     return {"lines": lines, "public names": len(public), "settable values": settable,
             "test-only names": " ".join(unused_outside_tests(pkg, public)) or "none"}
 
 
 def main(argv) -> int:
     pkg = Path(argv[1]) if len(argv) > 1 else Path(__file__).resolve().parent.parent / "src" / "ssdr"
-    for name, value in counts(pkg).items():
+    try:
+        figures = counts(pkg)
+    except (OSError, SyntaxError, ValueError) as exc:
+        print(f"design_counts: {pkg}: {exc}", file=sys.stderr)
+        return 2
+    for name, value in figures.items():
         print(f"{name}: {value}")
     return 0
 

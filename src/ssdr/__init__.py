@@ -15,7 +15,7 @@ from .lighting import (ConstantLight, FeatureGrid, GridLight, LightField,
                        positional_encoding)
 from .mlp import MlpWeights
 from .render import (GradientImage, RenderConfig, reference_render,
-                     render_backward, render_discretized, render_mc)
+                     render_backward, render_mc)
 from .ssrt import SsrtConfig, Status, trace_batch, uncertainty
 from .volumetric import (BlendedLightField, HypernetParams, VolumeConfig, blend,
                          field_eval, hypernet_forward)
@@ -30,7 +30,6 @@ __all__ = [
     "SsrtConfig", "Status", "VolumeConfig",
     "analytic_lightfield", "blend", "field_eval", "hypernet_forward",
     "loss_rerender", "optimize", "positional_encoding",
-    "project", "reference_render", "render_backward", "render_discretized",
-    "render_mc", "trace_batch", "unproject", "uncertainty",
+    "project", "reference_render", "render_backward", "render_mc", "trace_batch", "unproject", "uncertainty",
     "validate_gbuffer",
 ]

@@ -23,7 +23,7 @@ from .core import Camera, ContractError, GBuffer, luminance, validate_gbuffer
 from .inverse import LossConfig, loss_rerender, optimize
 from .lighting import analytic_lightfield
 from .render import (MATERIAL_NAMES, RenderConfig, RenderNanError, reference_render,
-                     render_discretized, render_mc)
+                     render_mc)
 from .volumetric import BlendedLightField
 
 log = logging.getLogger("ssdr")
@@ -184,12 +184,14 @@ def cmd_baseline_compare(args) -> int:
     bundle = load_validated_bundle(args.bundle)
     light = resolve_light(bundle, args.lighting, seed=args.seed)
     grid = _parse_grid(args.grid)
+    if grid[0] < 2 or grid[1] < 4:
+        raise UsageError(f"discretized grid must be at least 2x4, got {args.grid}")
     cfg = RenderConfig(spp=args.spp, seed=args.seed,
                        specular_scale=bundle.specular_scale)
 
-    # the cheap estimator first, so a bad --grid fails before the others run
-    disc = render_discretized(bundle.gbuffer, bundle.camera, light, grid=grid,
-                              specular_scale=bundle.specular_scale)
+    # the fixed-quadrature baseline: cosine-weighted cell centers
+    disc = reference_render(bundle.gbuffer, bundle.camera, light, cells=grid,
+                            specular_scale=bundle.specular_scale, mode="cosine")
     ref = reference_render(bundle.gbuffer, bundle.camera, light,
                            cells=(args.ref_cells, 2 * args.ref_cells),
                            specular_scale=bundle.specular_scale)

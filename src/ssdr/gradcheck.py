@@ -4,21 +4,24 @@ The render checks freeze the importance-sampled directions of the base
 parameters and re-evaluate the estimator at perturbed parameters on that
 fixed sample set (common random numbers).  That is exactly the function the
 detached-sampling backward pass differentiates, so agreement is expected at
-FD truncation error, not Monte Carlo noise.
+FD truncation error, not Monte Carlo noise.  A check shades all its
+perturbations in one pass of the render's row blocks and sample chunks,
+which draws each chunk's samples once, so its memory is one chunk's, not
+the patch's.
 """
 
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import volumetric
 from .core import Camera, GBuffer, dot, normalize, orthonormal_basis
 from .lighting import LightField
-from .render import (FrozenSamples, GradientImage, RenderConfig, draw_frozen_samples,
-                     eval_frozen, render_backward)
+from .render import (GradientImage, RenderConfig, _lane_layout, _shade_blocks,
+                     pixel_geometry, render_backward)
 
 
 @dataclass
@@ -42,43 +45,59 @@ def _rel_err(fd, adj, scale):
     return np.abs(fd - adj) / denom
 
 
-def material_differences(g: GBuffer, fs: FrozenSamples, grad: GradientImage,
-                         light: LightField, cfg: RenderConfig, cls: str):
-    """Central differences of every frozen pixel's channel sum with respect
-    to each component of its own `cls` parameter, and the matching adjoints
-    from `grad` (of the all-ones adjoint image); both (n_pix, k), for the 3
-    albedo channels, the 2 normal tangent directions, or the 1 scalar.
+def frozen_values(g: GBuffer, camera: Camera, shades, cfg: RenderConfig) -> list:
+    """The estimator on the sample set drawn at g's maps, under each
+    (G-buffer, light) pair of `shades` (common random numbers with
+    detached sample locations): per pair, the (n_pix, 3) values of g's
+    shadeable pixels in row-major order, stored in the lane layout (pixels
+    innermost), so that a sum over all of them adds channel by channel."""
+    blocks = _shade_blocks(g, camera, shades, cfg, 1)
+    return [_lane_layout(np.concatenate([acc[i] for _, _, acc, _ in blocks])) / cfg.spp
+            for i in range(len(shades))]
+
+
+def material_differences(g: GBuffer, camera: Camera, grad: GradientImage,
+                         light: LightField, cfg: RenderConfig, classes):
+    """Central differences of every shadeable pixel's channel sum with
+    respect to each component of its own parameter of each class in
+    `classes`, and the matching adjoints from `grad` (of the all-ones
+    adjoint image).  Returns the unshifted channel sums (n_pix,) and a dict
+    of class -> (differences, adjoints), both (n_pix, k), for the 3 albedo
+    channels, the 2 normal tangent directions, or the 1 scalar.
 
     On a frozen sample set a pixel's value depends only on its own
     materials, so one component is shifted at every pixel at once, and two
-    evaluations give that component's differences for all pixels."""
+    shaded maps give that component's differences for all pixels.  All the
+    shifted maps shade the one sample set in one pass."""
     maps = {"albedo": g.albedo, "roughness": g.roughness,
             "metallic": g.metallic, "normal": g.normal}
-    if cls not in maps:
-        raise ValueError(f"unknown material class {cls!r}")
-    pix = (fs.gy, fs.gx)
-    base = maps[cls]
+    pix = np.nonzero(pixel_geometry(g, camera)[2])
     eps = 2e-6
-    if cls == "albedo":
-        pairs = [(base + step, base - step) for step in np.eye(3) * eps]
-        adj = grad.dalbedo[pix]
-    elif cls == "normal":
-        tangents = orthonormal_basis(base)
-        pairs = [(normalize(base + eps * tv), normalize(base - eps * tv))
-                 for tv in tangents]
-        adj = np.stack([dot(grad.dnormal[pix], tv[pix]) for tv in tangents], axis=1)
-    else:
-        pairs = [(base + eps, base - eps)]
-        adj = getattr(grad, "d" + cls)[pix][:, None]
+    shades, spans = [(g, light)], {}
+    for cls in classes:
+        if cls not in maps:
+            raise ValueError(f"unknown material class {cls!r}")
+        base = maps[cls]
+        if cls == "albedo":
+            pairs = [(base + step, base - step) for step in np.eye(3) * eps]
+            adj = grad.dalbedo[pix]
+        elif cls == "normal":
+            tangents = orthonormal_basis(base)
+            pairs = [(normalize(base + eps * tv), normalize(base - eps * tv))
+                     for tv in tangents]
+            adj = np.stack([dot(grad.dnormal[pix], tv[pix]) for tv in tangents], axis=1)
+        else:
+            pairs = [(base + eps, base - eps)]
+            adj = getattr(grad, "d" + cls)[pix][:, None]
+        spans[cls] = slice(len(shades), len(shades) + 2 * len(pairs)), adj
+        shades += [(replace(g, **{cls: m}), light) for pair in pairs for m in pair]
 
-    def value(shifted):
-        m = dict(maps, **{cls: shifted})
-        return eval_frozen(fs, m["albedo"], m["roughness"], m["metallic"],
-                           m["normal"], light, cfg).sum(axis=1)
-
-    fd = np.stack([(value(plus) - value(minus)) / (2 * eps)
-                   for plus, minus in pairs], axis=1)
-    return fd, adj
+    sums = [v.sum(axis=1) for v in frozen_values(g, camera, shades, cfg)]
+    diffs = {}
+    for cls, (span, adj) in spans.items():
+        plus, minus = sums[span][::2], sums[span][1::2]
+        diffs[cls] = np.stack([(p - m) / (2 * eps) for p, m in zip(plus, minus)], axis=1), adj
+    return sums[0], diffs
 
 
 def check_render_material(g: GBuffer, camera: Camera, light: LightField,
@@ -87,34 +106,35 @@ def check_render_material(g: GBuffer, camera: Camera, light: LightField,
                           ) -> list[CheckResult]:
     """FD-vs-adjoint over every shadeable pixel for each material class;
     the cost is linear in the pixel count."""
-    fs = draw_frozen_samples(g, camera, cfg)
     grad = render_backward(g, camera, light, cfg, np.ones((*g.depth.shape, 3)),
                            params=classes)
-
-    base = eval_frozen(fs, g.albedo, g.roughness, g.metallic, g.normal,
-                       light, cfg).sum(axis=1)
+    base, diffs = material_differences(g, camera, grad, light, cfg, classes)
     scale = max(1e-7, 1e-6 * float(np.abs(base).max()))
 
     results = []
     for cls in classes:
-        fd, adj = material_differences(g, fs, grad, light, cfg, cls)
+        fd, adj = diffs[cls]
         errs = _rel_err(fd, adj, scale)
         results.append(CheckResult(f"render/{cls}", float(np.max(errs)), tol))
     return results
 
 
-def _max_fd_error(objective, base: np.ndarray, adj: np.ndarray, rng,
+def _max_fd_error(objectives, base: np.ndarray, adj: np.ndarray, rng,
                   n_components: int, eps: float, scale: float) -> float:
-    """Largest relative error between central differences of the scalar
-    `objective` at the flat vector `base` and the adjoint `adj`, over up to
-    `n_components` components drawn from `rng` without replacement."""
+    """Largest relative error between central differences of a scalar
+    objective at the flat vector `base` and the adjoint `adj`, over up to
+    `n_components` components drawn from `rng` without replacement.
+    `objectives` maps a list of vectors to the objective at each, so every
+    shifted vector is evaluated in one call."""
     comps = rng.choice(base.size, size=min(n_components, base.size), replace=False)
-    errs = []
+    shifted = []
     for c in comps:
         plus = base.copy(); minus = base.copy()
         plus[c] += eps; minus[c] -= eps
-        fd = (objective(plus) - objective(minus)) / (2 * eps)
-        errs.append(_rel_err(fd, float(adj[c]), scale))
+        shifted += [plus, minus]
+    values = objectives(shifted)
+    errs = [_rel_err((values[2 * i] - values[2 * i + 1]) / (2 * eps), float(adj[c]), scale)
+            for i, c in enumerate(comps)]
     return float(np.max(errs))
 
 
@@ -137,7 +157,8 @@ def check_volume_weights(weights, cfg: volumetric.VolumeConfig, n_rays: int = 4,
         return float(np.sum(L * dL))
 
     scale = max(1e-7, 1e-6 * float(np.abs(adj).max()))
-    err = _max_fd_error(objective, weights.flat, adj, rng, n_components, 1e-5, scale)
+    err = _max_fd_error(lambda vecs: [objective(v) for v in vecs], weights.flat, adj,
+                        rng, n_components, 1e-5, scale)
     return CheckResult("volume_render/weights", err, tol)
 
 
@@ -158,10 +179,12 @@ def check_hypernet(h: volumetric.HypernetParams, fg: np.ndarray,
     scale = 1e-6 * (1.0 + float(np.abs(dmat).max()))
     few = n_components // 3 + 1
     err = max(  # the arguments draw their components from rng in this order
-        _max_fd_error(lambda v: objective(fg_v=v), fg, dfg, rng, few, eps, scale),
-        _max_fd_error(lambda v: objective(mat=v.reshape(h.matrix.shape)),
+        _max_fd_error(lambda vs: [objective(fg_v=v) for v in vs], fg, dfg, rng, few,
+                      eps, scale),
+        _max_fd_error(lambda vs: [objective(mat=v.reshape(h.matrix.shape)) for v in vs],
                       h.matrix.ravel(), dmat.ravel(), rng, n_components, eps, scale),
-        _max_fd_error(lambda v: objective(bias=v), h.bias, dbias, rng, few, eps, scale))
+        _max_fd_error(lambda vs: [objective(bias=v) for v in vs], h.bias, dbias, rng, few,
+                      eps, scale))
     return CheckResult("hypernet_forward/params", err, tol)
 
 
@@ -170,19 +193,20 @@ def check_light_params(g: GBuffer, camera: Camera, light: LightField,
                        tol: float = 1e-4) -> CheckResult:
     """FD over the light field's own parameters through the frozen-sample
     estimator, against the adjoints routed by render_backward.  The
-    differences perturb a copy, so `light` is never written."""
+    differences perturb copies, so `light` is never written."""
     rng = np.random.default_rng(3)
-    fs = draw_frozen_samples(g, camera, cfg)
     grad = render_backward(g, camera, light, cfg, np.ones((*g.depth.shape, 3)),
                            params=("light",))
-    probe = copy.copy(light)
 
-    def objective(vec):
-        probe.set_params(vec)
-        return float(eval_frozen(fs, g.albedo, g.roughness, g.metallic, g.normal,
-                                 probe, cfg).sum())
+    def objectives(vecs):
+        shades = []
+        for vec in vecs:
+            probe = copy.copy(light)
+            probe.set_params(vec)
+            shades.append((g, probe))
+        return [float(v.sum()) for v in frozen_values(g, camera, shades, cfg)]
 
     scale = max(1e-7, 1e-6 * float(np.abs(grad.dlight).max()))
-    err = _max_fd_error(objective, light.get_params(), grad.dlight, rng, n_components,
+    err = _max_fd_error(objectives, light.get_params(), grad.dlight, rng, n_components,
                         1e-5, scale)
     return CheckResult("render/light-params", err, tol)

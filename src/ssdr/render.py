@@ -8,6 +8,8 @@ and trace results as constants: gradients flow through the BRDF value, the
 PDF, the cosine, and the light's own parameters, never through the discrete
 sample locations.  It reads the forward pass's samples and light queries
 from the sample tape `render_mc` can record, or replays them from the seed.
+The gradient checks shade one drawn sample set under shifted material maps
+and lights through the same row blocks and sample chunks (`_shade_blocks`).
 All accumulation is float64 in a fixed chunk order, so results are
 bit-identical at any thread count.
 """
@@ -18,7 +20,7 @@ import concurrent.futures
 import contextvars
 import ctypes
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -135,15 +137,13 @@ def _row_blocks(height: int):
 
 # ---------------------------------------------------------------------------
 # the sample-and-shade kernel, shared by the render, its adjoint and the
-# frozen-sample evaluation
+# gradient checks
 
 
 @dataclass
-class FrozenSamples:
+class PixelRecord:
     """Shadeable pixels in row-major order with their geometry and
-    materials: the kernel's record of a row block.  `d` and `ok` hold a
-    drawn sample set, reused at perturbed parameters by gradient checks
-    (common random numbers with detached sample locations)."""
+    materials: the kernel's record of a row block."""
 
     gy: np.ndarray
     gx: np.ndarray
@@ -154,17 +154,16 @@ class FrozenSamples:
     alb: np.ndarray       # (n_pix, 3)
     rough: np.ndarray     # (n_pix,)
     metal: np.ndarray     # (n_pix,)
-    d: np.ndarray | None = None    # (n_pix, spp, 3)
-    ok: np.ndarray | None = None   # (n_pix, spp)
 
 
-def _pixels(g, points, view, valid, rows) -> FrozenSamples:
-    """The record of the shadeable pixels in the row slice `rows`."""
+def _pixels(g, points, view, valid, rows) -> PixelRecord:
+    """The record of the shadeable pixels in the row slice `rows`, with the
+    materials of the G-buffer g."""
     w = g.depth.shape[1]
     idx = np.nonzero(valid[rows])
     gy = idx[0] + rows.start
     gx = idx[1]
-    return FrozenSamples(
+    return PixelRecord(
         gy=gy, gx=gx, pix_id=(gy * w + gx).astype(np.uint64),
         p=points[gy, gx], v=view[gy, gx], n=g.normal[gy, gx],
         alb=g.albedo[gy, gx], rough=g.roughness[gy, gx],
@@ -185,14 +184,14 @@ def _lane_layout(a: np.ndarray) -> np.ndarray:
     return np.moveaxis(np.moveaxis(a, 0, -1).copy(), -1, 0)
 
 
-def _lanes(px: FrozenSamples):
+def _lanes(px: PixelRecord):
     """Per-pixel BRDF inputs (v, n, albedo, roughness, metallic), broadcast
     over the sample axis, the vectors in the lane layout."""
     v, n, alb = (_lane_layout(a)[:, None, :] for a in (px.v, px.n, px.alb))
     return v, n, alb, px.rough[:, None], px.metal[:, None]
 
 
-def _draw(px: FrozenSamples, cfg: RenderConfig, s0: int, s1: int):
+def _draw(px: PixelRecord, cfg: RenderConfig, s0: int, s1: int):
     """Directions (n_pix, s1-s0, 3) in the lane layout and validity of
     samples s0..s1-1 of every pixel, drawn from the counter RNG."""
     u = _lane_layout(uniform_block(cfg.seed, px.pix_id[:, None],
@@ -221,7 +220,7 @@ def _masked_radiance(light: LightField, p, d, mask, vjp=False):
     return out, pullback
 
 
-def _estimate(px: FrozenSamples, d, ok, light: LightField, cfg: RenderConfig,
+def _estimate(px: PixelRecord, d, ok, light: LightField, cfg: RenderConfig,
               adj=None, params=(), lit=None, record=None):
     """Per-pixel sums of f * L * cos / q over the samples d (n_pix, ns, 3).
 
@@ -305,14 +304,18 @@ def _estimate(px: FrozenSamples, d, ok, light: LightField, cfg: RenderConfig,
     return tuple(sums), dlight
 
 
-def _shade_blocks(g, camera, light, cfg, threads, dI=None, params=(), tape=None):
+def _shade_blocks(g, camera, shades, cfg, threads, dI=None, params=(), tape=None):
     """Run the kernel over the fixed row blocks, on `threads` workers.
 
-    Returns, per block and in block order, the rows and columns of its
-    shadeable pixels, their sums over all samples, and the block's light
-    adjoint (see `_estimate`; dI is the adjoint image, or None for the
-    value, and `params` names the adjoints to form).  With a sample `tape`
-    (see `render_mc`), the value pass records into it, and the adjoint
+    Each chunk's samples are drawn once, from g's maps, and shaded under
+    every (G-buffer, light) pair of `shades`: the pair's G-buffer gives the
+    material maps, g the geometry and the shadeable pixels.  Returns, per
+    block and in block order, the rows and columns of its shadeable pixels,
+    their sums over all samples, and the block's light adjoint (see
+    `_estimate`).  With dI None the sums are the value sums, one per shade;
+    given the adjoint image dI, `shades` holds one pair, and the sums are
+    the adjoint sums of the maps `params` names.  With a sample `tape` (see
+    `render_mc`), the one-shade value pass records into it, and the adjoint
     reads its samples and light queries from it when it is not empty."""
     points, view, valid = pixel_geometry(g, camera)
     blocks = _row_blocks(g.depth.shape[0])
@@ -333,9 +336,11 @@ def _shade_blocks(g, camera, light, cfg, threads, dI=None, params=(), tape=None)
 
     def run(rows, chunks, record):
         px = _pixels(g, points, view, valid, rows)
+        shaded = [(px if gs is g else _pixels(gs, points, view, valid, rows), light)
+                  for gs, light in shades]
         n_pix = px.gy.size
         if dI is None:
-            adj, acc = None, (np.zeros((n_pix, 3)),)
+            adj, acc = None, tuple(np.zeros((n_pix, 3)) for _ in shades)
         else:
             adj = dI[px.gy, px.gx]
             acc = tuple(np.zeros((n_pix, 3) if name in _RGB_MAPS else n_pix)
@@ -343,13 +348,16 @@ def _shade_blocks(g, camera, light, cfg, threads, dI=None, params=(), tape=None)
         if chunks is None:
             chunks = ((*_draw(px, cfg, s0, s1), None)
                       for s0, s1 in _sample_chunks(n_pix, cfg.spp))
-        dlight = np.zeros(light.n_params) if "light" in params else None
+        dlight = np.zeros(shades[0][1].n_params) if "light" in params else None
         for d, ok, lit in chunks:
-            sums, dl = _estimate(px, d, ok, light, cfg, adj, params, lit, record)
+            sums = []
+            for pxs, light in shaded:
+                s, dl = _estimate(pxs, d, ok, light, cfg, adj, params, lit, record)
+                sums += s
+                if dl is not None:
+                    dlight += dl
             for a, s in zip(acc, sums):
                 a += s
-            if dl is not None:
-                dlight += dl
         return px.gy, px.gx, acc, dlight
 
     if threads <= 1 or len(blocks) == 1:
@@ -373,24 +381,11 @@ def render_mc(g: GBuffer, camera: Camera, light: LightField, cfg: RenderConfig,
     `radiance_vjp` pullback, which holds the light's forward state until
     the tape is dropped.  A larger render records nothing."""
     image = np.zeros(g.depth.shape + (3,))
-    for gy, gx, (acc,), _ in _shade_blocks(g, camera, light, cfg, threads,
+    for gy, gx, (acc,), _ in _shade_blocks(g, camera, [(g, light)], cfg, threads,
                                            tape=tape):
         acc /= cfg.spp
         image[gy, gx] = _finite_pixels(acc, gy, gx)
     return image
-
-
-def render_discretized(g: GBuffer, camera: Camera, light: LightField,
-                       grid: tuple[int, int] = (16, 32),
-                       specular_scale: float = 1.0) -> np.ndarray:
-    """Fixed-quadrature baseline: cosine-weighted cell centers instead of
-    random sampling.  Deterministic, and blind to lobes that fall between
-    cell centers.  It is `reference_render` in "cosine" mode on `grid`."""
-    nt, nf = grid
-    if nt < 2 or nf < 4:
-        raise ContractError("discretized grid must be at least 2x4")
-    return reference_render(g, camera, light, cells=grid,
-                            specular_scale=specular_scale, mode="cosine")
 
 
 def render_backward(g: GBuffer, camera: Camera, light: LightField,
@@ -428,8 +423,8 @@ def render_backward(g: GBuffer, camera: Camera, light: LightField,
         grad.dlight = np.zeros(light.n_params)
 
     inv_n = 1.0 / cfg.spp
-    for gy, gx, acc, dlight in _shade_blocks(g, camera, light, cfg, threads, dI,
-                                             params, tape):  # fixed order
+    for gy, gx, acc, dlight in _shade_blocks(g, camera, [(g, light)], cfg, threads,
+                                             dI, params, tape):  # fixed order
         for name, a in zip(maps, acc):
             a *= inv_n
             if name == "normal":
@@ -443,33 +438,6 @@ def render_backward(g: GBuffer, camera: Camera, light: LightField,
 
 
 # ---------------------------------------------------------------------------
-# frozen-sample evaluation (the estimator as a function of material params
-# with the sample set held fixed) -- the FD side of gradient checks
-
-
-def draw_frozen_samples(g: GBuffer, camera: Camera, cfg: RenderConfig) -> FrozenSamples:
-    """Draw the base-parameter sample set once, for reuse at perturbed
-    parameters (common random numbers with detached sample locations)."""
-    points, view, valid = pixel_geometry(g, camera)
-    px = _pixels(g, points, view, valid, slice(0, g.depth.shape[0]))
-    d, ok = _draw(px, cfg, 0, cfg.spp)
-    return replace(px, d=d, ok=ok)
-
-
-def eval_frozen(fs: FrozenSamples, albedo, roughness, metallic, normal,
-                light: LightField, cfg: RenderConfig) -> np.ndarray:
-    """Estimator value on the frozen sample set under (possibly perturbed)
-    material maps; returns (H-flattened n_pix, 3) pixel values."""
-    def at(m):
-        return np.asarray(m, dtype=np.float64)[fs.gy, fs.gx]
-
-    px = replace(fs, alb=at(albedo), rough=at(roughness), metal=at(metallic),
-                 n=at(normal))
-    (acc,), _ = _estimate(px, fs.d, fs.ok, light, cfg)
-    return acc / cfg.spp
-
-
-# ---------------------------------------------------------------------------
 # quadrature reference oracle
 
 
@@ -477,10 +445,12 @@ def reference_render(g: GBuffer, camera: Camera, light: LightField,
                      cells: tuple[int, int] = (64, 128),
                      specular_scale: float = 1.0, mode: str = "split") -> np.ndarray:
     """Deterministic quadrature of the shading integral, used as the ground
-    truth the Monte Carlo and discretized estimators are judged against.
+    truth the Monte Carlo estimator is judged against.
 
     mode "cosine": midpoint rule on a cosine-warped grid (exact for
-    Lambertian under constant light, adequate for smooth integrands).
+    Lambertian under constant light, adequate for smooth integrands); on a
+    coarse grid, the fixed-direction baseline the CLI's `baseline-compare`
+    runs, blind to lobes that fall between cell centers.
     mode "split": diffuse term on the cosine grid plus the microfacet term
     on an NDF-warped grid, which resolves sharp specular lobes.
     A non-finite pixel is a RenderNanError naming it.

@@ -2,13 +2,19 @@
 
 Everything here integrates or enumerates directly (stratified quadrature,
 closed forms, exhaustive bins) and never reuses the estimator code paths it
-is meant to judge.
+is meant to judge.  `peak_rss_mb` measures a script in a process of its own.
 """
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 
+import ssdr
 from ssdr import brdf, mlp
 from ssdr.core import dot, normalize, orthonormal_basis
 from ssdr.sampling import uniform_block
@@ -173,18 +179,24 @@ def orthonormal_basis_stacked(n):
     return t, bt
 
 
-def per_pixel_material_fd(g, fs, light, cfg, cls: str, eps: float = 2e-6):
+def per_pixel_material_fd(g, camera, light, cfg, cls: str, eps: float = 2e-6):
     """Reference for `gradcheck.material_differences`: the same central
     differences, perturbing one pixel at a time and re-evaluating the whole
     frozen set each time (O(n_pix^2 spp)).  Returns (n_pix, k)."""
-    from ssdr.render import eval_frozen
+    from ssdr.core import GBuffer
+    from ssdr.gradcheck import frozen_values
+    from ssdr.render import pixel_geometry
+
+    gy, gx = np.nonzero(pixel_geometry(g, camera)[2])
 
     def value(albedo, roughness, metallic, nrm):
-        return eval_frozen(fs, albedo, roughness, metallic, nrm, light, cfg).sum(axis=1)
+        shifted = GBuffer(albedo, nrm, g.depth, roughness, metallic)
+        (values,) = frozen_values(g, camera, [(shifted, light)], cfg)
+        return values.sum(axis=1)
 
     rows = []
-    for k in range(fs.gy.size):
-        y, x = int(fs.gy[k]), int(fs.gx[k])
+    for k in range(gy.size):
+        y, x = int(gy[k]), int(gx[k])
         row = []
         if cls == "albedo":
             for ch in range(3):
@@ -337,3 +349,14 @@ def mlp_backward_sigmoid(weights, x, dy):
         if i > 0:
             da = da * mlp.sigmoid(pre[i - 1])
     return da, np.concatenate(grads[::-1])
+
+
+def peak_rss_mb(script: str) -> float:
+    """The peak RSS, in MB, of `script` run in a process of its own with
+    BLAS at one thread; the script prints its ru_maxrss last."""
+    env = {**os.environ, "PYTHONPATH": str(Path(ssdr.__file__).resolve().parents[1]),
+           "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
+    out = subprocess.run([sys.executable, "-c", script], env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    return int(out.stdout.split()[-1]) / 1024   # ru_maxrss is in KiB on Linux

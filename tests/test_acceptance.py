@@ -18,7 +18,7 @@ from ssdr.core import GBuffer, normalize, project, unproject
 from ssdr.inverse import LossConfig, loss_rerender, optimize
 from ssdr.lighting import ConstantLight, SkyGradientLight, analytic_lightfield
 from ssdr.mlp import MlpWeights
-from ssdr.render import RenderConfig, reference_render, render_discretized, render_mc
+from ssdr.render import RenderConfig, reference_render, render_mc
 
 N_UP = np.array([0.0, 0.0, 1.0])
 V_TILT = normalize(np.array([0.45, 0.1, 0.89]))
@@ -177,7 +177,7 @@ def test_criterion_10_mc_beats_discretized_on_gloss():
                                 **{k: v for k, v in spec.items() if k != "kind"})
     ref = reference_render(g, camera, light, cells=(128, 256), mode="split")
     mc = render_mc(g, camera, light, RenderConfig(spp=256, seed=0))
-    disc = render_discretized(g, camera, light, grid=(16, 32))
+    disc = reference_render(g, camera, light, cells=(16, 32), mode="cosine")
     mse_mc, _ = loss_rerender(mc, ref)
     mse_disc, _ = loss_rerender(disc, ref)
     dt = time.perf_counter() - t0

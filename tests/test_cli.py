@@ -563,6 +563,8 @@ def test_bad_step_or_exposure_exit_2(two_plane_bundle, tmp_path, caplog, command
     (["baseline-compare", "--ref-cells", "0"], ("reference cells", "0x0")),
     (["baseline-compare", "--ref-cells", "-3"], ("reference cells", "-3x-6")),
     (["baseline-compare", "--grid", "0x0"], ("discretized grid", "2x4")),
+    (["baseline-compare", "--grid", "1x1"], ("discretized grid", "2x4", "1x1")),
+    (["baseline-compare", "--grid", "2x3"], ("discretized grid", "2x4", "2x3")),
     (["gradcheck", "--tol", "nan"], ("--tol", "nan")),
     (["gradcheck", "--tol", "-1"], ("--tol", "-1")),
     (["gradcheck", "--tol", "inf"], ("--tol", "inf")),
@@ -575,8 +577,8 @@ def test_bad_step_or_exposure_exit_2(two_plane_bundle, tmp_path, caplog, command
     (["optimize", "--iters", "-1"], ("invalid loss config",)),
     (["gradcheck", "--params", "a,bogus"], ("unknown parameter class 'bogus'", "choose from")),
     (["optimize", "--params", "Light"], ("unknown parameter class 'Light'", "choose from")),
-], ids=["ref-cells-0", "ref-cells-neg", "grid-0", "tol-nan", "tol-neg", "tol-inf",
-        "gradcheck-params-empty", "optimize-params-empty", "render-seed-neg",
+], ids=["ref-cells-0", "ref-cells-neg", "grid-0", "grid-1x1", "grid-2x3", "tol-nan",
+        "tol-neg", "tol-inf", "gradcheck-params-empty", "optimize-params-empty", "render-seed-neg",
         "gradcheck-seed-neg", "optimize-seed-neg", "render-seed-2^64", "optimize-iters-neg",
         "gradcheck-params-unknown", "optimize-params-unknown"])
 def test_bad_cells_tol_or_params_exit_2(two_plane_bundle, tmp_path, caplog, argv, words):

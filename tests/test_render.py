@@ -1,15 +1,16 @@
 import numpy as np
 import pytest
 
-from oracles import cosine_grid_dirs, estimate_sums_by_sample, per_pixel_material_fd
+from oracles import (cosine_grid_dirs, estimate_sums_by_sample, peak_rss_mb,
+                     per_pixel_material_fd)
 from ssdr import render, scenes
 from ssdr.core import ContractError, GBuffer, dot, normalize
-from ssdr.gradcheck import check_render_material, material_differences
+from ssdr.gradcheck import (check_light_params, check_render_material, frozen_values,
+                            material_differences)
 from ssdr.lighting import (ConstantLight, GridLight, LightField, SkyDiscLight,
                            SkyGradientLight, analytic_lightfield)
-from ssdr.render import (PARAM_NAMES, RenderConfig, RenderNanError, draw_frozen_samples,
-                         reference_render, render_backward, render_discretized,
-                         render_mc)
+from ssdr.render import (PARAM_NAMES, RenderConfig, RenderNanError, reference_render,
+                         render_backward, render_mc)
 
 
 def _lambertian_plane(h, w, albedo=0.5):
@@ -117,16 +118,9 @@ def test_energy_bound_under_constant_light():
 def test_discretized_lambertian_matches_closed_form():
     g = _lambertian_plane(12, 12, albedo=0.37)
     camera = scenes.default_camera(12, 12)
-    img = render_discretized(g, camera, ConstantLight(1.0), grid=(16, 32),
-                             specular_scale=0.0)
+    img = reference_render(g, camera, ConstantLight(1.0), cells=(16, 32),
+                           specular_scale=0.0, mode="cosine")
     assert np.allclose(img, 0.37, rtol=1e-2)
-
-
-def test_discretized_rejects_degenerate_grid():
-    g = _lambertian_plane(4, 4)
-    with pytest.raises(ContractError):
-        render_discretized(g, scenes.default_camera(4, 4), ConstantLight(1.0),
-                           grid=(1, 1))
 
 
 @pytest.mark.parametrize("cells", [(0, 0), (-3, -6), (4, 0)])
@@ -145,8 +139,8 @@ def test_mc_and_dense_grid_converge_to_same_integral():
     light = SkyGradientLight(zenith=[1.6, 1.5, 1.3], horizon=[0.4, 0.45, 0.55])
     mc = render_mc(g, camera, light,
                    RenderConfig(spp=4096, seed=0, specular_scale=0.0))
-    disc = render_discretized(g, camera, light, grid=(64, 128),
-                              specular_scale=0.0)
+    disc = reference_render(g, camera, light, cells=(64, 128), specular_scale=0.0,
+                            mode="cosine")
     assert np.max(np.abs(mc - disc)) / disc.max() < 0.01
 
 
@@ -167,7 +161,7 @@ def test_discretized_misses_mirror_peak():
                          disc_color=[40.0, 40.0, 40.0])
     ref = reference_render(g, camera, light, cells=(128, 256), mode="split")
     mc = render_mc(g, camera, light, RenderConfig(spp=256, seed=3))
-    disc = render_discretized(g, camera, light, grid=(16, 32))
+    disc = reference_render(g, camera, light, cells=(16, 32), mode="cosine")
     bright = ref[..., 0] > 0.5 * ref[..., 0].max()
     rel_mc = np.abs(mc[bright] - ref[bright]) / ref[bright]
     rel_disc = np.abs(disc[bright] - ref[bright]) / ref[bright]
@@ -207,13 +201,14 @@ def test_nan_aborts_with_pixel():
     assert exc.value.pixel is not None
 
 
-@pytest.mark.parametrize("estimate", [reference_render, render_discretized])
-def test_quadrature_estimators_abort_with_pixel(estimate):
+@pytest.mark.parametrize("mode", ["split", "cosine"])
+def test_quadrature_estimators_abort_with_pixel(mode):
     """The quadrature estimators report a non-finite pixel as `render_mc`
     does, instead of returning it."""
     g = _lambertian_plane(4, 4)
     with pytest.raises(RenderNanError) as exc:
-        estimate(g, scenes.default_camera(4, 4), _NanLight(), specular_scale=0.0)
+        reference_render(g, scenes.default_camera(4, 4), _NanLight(), specular_scale=0.0,
+                         mode=mode)
     assert exc.value.pixel == (0, 0)
 
 
@@ -238,15 +233,32 @@ def test_reference_modes_agree_on_smooth_scene():
 def test_frozen_samples_reproduce_forward(glossy_patch):
     """The frozen-sample estimator at the base parameters equals the plain
     forward render: both consume the identical random streams."""
-    from ssdr.render import eval_frozen
     camera = scenes.default_camera(8, 8)
     light = SkyGradientLight(zenith=[1.2, 1.1, 1.0], horizon=[0.3, 0.35, 0.4])
     cfg = RenderConfig(spp=48, seed=13)
     img = render_mc(glossy_patch, camera, light, cfg)
-    fs = draw_frozen_samples(glossy_patch, camera, cfg)
-    vals = eval_frozen(fs, glossy_patch.albedo, glossy_patch.roughness,
-                       glossy_patch.metallic, glossy_patch.normal, light, cfg)
-    assert np.array_equal(img[fs.gy, fs.gx], vals)
+    (vals,) = frozen_values(glossy_patch, camera, [(glossy_patch, light)], cfg)
+    valid = render.pixel_geometry(glossy_patch, camera)[2]
+    assert np.array_equal(img[valid], vals)
+
+
+@pytest.mark.parametrize("lanes", [render._CHUNK_LANES, 8 * 8 * 3])
+@pytest.mark.parametrize("threads", [1, 2])
+def test_frozen_values_have_the_renders_bytes(monkeypatch, threads, lanes):
+    """At the base maps, every frozen value is the bytes of `render_mc`'s
+    pixel, on two row blocks at threads 1 and 2, and with the chunk cap
+    low enough that each row block is several sample chunks: the checks
+    shade through the render's blocks and chunks."""
+    g, camera, spec, _ = scenes.glossy_floor(8, 16)     # two row blocks
+    light = _light_from_spec(spec)
+    cfg = RenderConfig(spp=8, seed=2)
+    monkeypatch.setattr(render, "_CHUNK_LANES", lanes)
+    image = render_mc(g, camera, light, cfg, threads=threads)
+    shifted = GBuffer(g.albedo * 0.5, g.normal, g.depth, g.roughness, g.metallic)
+    vals, half = frozen_values(g, camera, [(g, light), (shifted, light)], cfg)
+    valid = render.pixel_geometry(g, camera)[2]
+    assert np.ascontiguousarray(vals).tobytes() == image[valid].tobytes()
+    assert not np.array_equal(half, vals)
 
 
 def test_gradcheck_module_classes(glossy_patch):
@@ -260,15 +272,17 @@ def test_gradcheck_module_classes(glossy_patch):
 
 @pytest.mark.parametrize("cls", ["albedo", "roughness", "metallic", "normal"])
 def test_material_differences_match_per_pixel_loop(glossy_patch, cls):
-    """Shifting every pixel at once gives each pixel's own central
-    difference, as perturbing one pixel at a time does."""
+    """Shifting every pixel at once, all four classes in one pass, gives
+    each pixel's own central difference, as perturbing one pixel at a time
+    does."""
     camera = scenes.default_camera(8, 8)
     light = SkyGradientLight(zenith=[1.5, 1.4, 1.2], horizon=[0.4, 0.5, 0.7])
     cfg = RenderConfig(spp=32, seed=5)
-    fs = draw_frozen_samples(glossy_patch, camera, cfg)
     grad = render_backward(glossy_patch, camera, light, cfg, np.ones((8, 8, 3)))
-    fd, adj = material_differences(glossy_patch, fs, grad, light, cfg, cls)
-    ref = per_pixel_material_fd(glossy_patch, fs, light, cfg, cls)
+    _, diffs = material_differences(glossy_patch, camera, grad, light, cfg,
+                                    render.MATERIAL_NAMES)
+    fd, adj = diffs[cls]
+    ref = per_pixel_material_fd(glossy_patch, camera, light, cfg, cls)
     assert fd.shape == adj.shape == ref.shape
     assert np.max(np.abs(fd - ref)) <= 1e-9 * np.max(np.abs(ref))
 
@@ -476,6 +490,13 @@ def test_render_above_the_lane_cap_records_nothing(monkeypatch):
     assert len(tape) == 2
 
 
+def _chunk_count(g, camera, cfg) -> int:
+    """The number of sample chunks of a render, over all row blocks."""
+    _, _, valid = render.pixel_geometry(g, camera)
+    return sum(len(list(render._sample_chunks(np.count_nonzero(valid[rows]), cfg.spp)))
+               for rows in render._row_blocks(g.depth.shape[0]))
+
+
 def test_value_pass_forms_d_once_per_chunk(monkeypatch):
     """The value pass's two BRDF views read one record of the half-vector
     terms: a render forms the GGX D once per sample chunk, where each view
@@ -484,9 +505,7 @@ def test_value_pass_forms_d_once_per_chunk(monkeypatch):
     g, camera, spec, _ = scenes.glossy_floor(8, 16)     # two row blocks
     cfg = RenderConfig(spp=8, seed=2)
     monkeypatch.setattr(render, "_CHUNK_LANES", 8 * 8 * 3)
-    _, _, valid = render.pixel_geometry(g, camera)
-    chunks = sum(len(list(render._sample_chunks(np.count_nonzero(valid[rows]), cfg.spp)))
-                 for rows in render._row_blocks(g.depth.shape[0]))
+    chunks = _chunk_count(g, camera, cfg)
     assert chunks > len(render._row_blocks(g.depth.shape[0]))
     calls = dict.fromkeys(("ggx_d", "mixture_pdf", "_eval_raw"), 0)
     for name in calls:
@@ -619,3 +638,56 @@ def test_warm_fit_and_render_take_few_page_faults():
     assert out.returncode == 0, out.stderr
     fit, render_faults = map(float, out.stdout.split()[-2:])
     assert fit <= 500 and render_faults <= 500, (fit, render_faults)
+
+
+def test_gradient_checks_draw_once_per_chunk(monkeypatch):
+    """A gradient check draws each sample chunk's directions once for the
+    adjoint it checks and once for all its shifted maps or lights (15
+    with all four material classes), not once per chunk per shift."""
+    from ssdr import brdf
+    g, camera, _, _ = scenes.glossy_floor(8, 16)        # two row blocks
+    cfg = RenderConfig(spp=8, seed=2)
+    monkeypatch.setattr(render, "_CHUNK_LANES", 8 * 8 * 3)
+    chunks = _chunk_count(g, camera, cfg)
+    assert chunks > len(render._row_blocks(g.depth.shape[0]))
+    draws = []
+    real = brdf.sample_directions
+
+    def counted(*args, **kwargs):
+        draws.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(brdf, "sample_directions", counted)
+    light = ConstantLight([0.9, 1.0, 1.1])
+    assert len(check_render_material(g, camera, light, cfg, tol=np.inf)) == 4
+    assert len(draws) == 2 * chunks
+    draws.clear()
+    check_light_params(g, camera, light, cfg, n_components=3, tol=np.inf)
+    assert len(draws) == 2 * chunks
+
+
+_GRADCHECK_RSS = """
+import os, sys
+pid = os.fork()
+if pid == 0:
+    import resource
+    from ssdr import gradcheck, scenes
+    from ssdr.lighting import analytic_lightfield
+    from ssdr.render import RenderConfig
+    g, camera, spec, _ = scenes.glossy_floor(96, 96)
+    results = gradcheck.check_render_material(g, camera, analytic_lightfield(**spec),
+                                              RenderConfig(spp=32, seed=3))
+    assert len(results) == 4
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, flush=True)
+    os._exit(0)
+sys.exit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+"""
+
+
+def test_gradient_check_peak_rss_is_bounded():
+    """`check_render_material` on glossy-floor 96x96 at spp 32, all four
+    classes, peaks at 70 MB or less in a process of its own: it shades its
+    15 shifted maps one row block and sample chunk at a time.  Shading
+    every pixel's every sample in one array, it peaked at about 100 MB."""
+    peak_mb = peak_rss_mb(_GRADCHECK_RSS)
+    assert peak_mb <= 70, peak_mb

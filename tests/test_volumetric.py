@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import sigmoid_masked
+from oracles import peak_rss_mb, sigmoid_masked
 from ssdr import mlp, scenes, volumetric as vol
 from ssdr.core import ContractError, normalize, unproject
 from ssdr.gradcheck import check_hypernet, check_volume_weights
@@ -520,29 +520,12 @@ sys.exit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
 """
 
 
-def _peak_rss_mb(script: str) -> float:
-    """The peak RSS, in MB, of `script` run in a process of its own with
-    BLAS at one thread; the script prints its ru_maxrss last."""
-    import os
-    import subprocess
-    import sys
-    from pathlib import Path
-
-    import ssdr
-    env = {**os.environ, "PYTHONPATH": str(Path(ssdr.__file__).resolve().parents[1]),
-           "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
-    out = subprocess.run([sys.executable, "-c", script], env=env,
-                         capture_output=True, text=True, timeout=300)
-    assert out.returncode == 0, out.stderr
-    return int(out.stdout.split()[-1]) / 1024   # ru_maxrss is in KiB on Linux
-
-
 def test_learned_render_peak_rss_is_bounded():
     """A learned 32x32 render at spp 8, with the bench's light (decoder 8
     channels, field 10 bands, 64 volume samples), peaks at 120 MB or less
     in a process of its own: its volume queries run in point blocks.
     Queried whole, they peaked at 232 MB."""
-    peak_mb = _peak_rss_mb(_LEARNED_RENDER_RSS)
+    peak_mb = peak_rss_mb(_LEARNED_RENDER_RSS)
     assert peak_mb <= 120, peak_mb
 
 
@@ -551,7 +534,7 @@ def test_learned_fit_peak_rss_is_bounded():
     spp 4, with the bench's light, peaks at 310 MB or less in a process of
     its own: its kept volume queries run in point blocks too.  Kept whole,
     they peaked at 332 MB."""
-    peak_mb = _peak_rss_mb(_LEARNED_FIT_RSS)
+    peak_mb = peak_rss_mb(_LEARNED_FIT_RSS)
     assert peak_mb <= 310, peak_mb
 
 
