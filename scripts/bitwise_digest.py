@@ -21,10 +21,12 @@ render would cross none and could hide a changed bit there.  A
 pixel; one more `render_mc` line, at 1 sample per pixel, pins its
 per-lane path, for lanes whose positions all differ.
 
-It also covers the learned `BlendedLightField`, in volume-weights and in
-hypernet mode: `render_mc` and every `render_backward` field at threads 1
-and 2, and a 3-iteration albedo + light `optimize` (maps, light
-parameters, losses).  These run at the smaller LEARNED_RES and
+It also covers the learned `BlendedLightField` in its two modes, fixed
+field weights (a hypernetwork of an empty feature, F = 0; the "volume"
+lines) and a hypernetwork of a 5-long feature (F = 5; the "hypernet"
+lines): `render_mc` and every `render_backward` field at threads 1 and 2,
+and a 3-iteration albedo + light `optimize` (maps, light parameters,
+losses).  These run at the smaller LEARNED_RES and
 LEARNED_SPP, since the learned field is slow.
 
 The MLP kernel has lines of its own: `mlp.forward`'s output and
@@ -126,8 +128,9 @@ def grid_light(g, camera, rng) -> GridLight:
 
 
 def learned_light(g, camera, mode: str) -> volumetric.BlendedLightField:
-    """A small learned light with fixed random weights, its field given
-    directly ("volume") or made by a hypernetwork ("hypernet")."""
+    """A small learned light with fixed random weights, its field's weights
+    fixed (F = 0, "volume") or made by a hypernetwork of a 5-long global
+    feature ("hypernet")."""
     rng = np.random.default_rng(7)
     h, w = g.depth.shape
     grid = FeatureGrid(rng.normal(size=(h, w, 4)))
@@ -136,11 +139,11 @@ def learned_light(g, camera, mode: str) -> volumetric.BlendedLightField:
     vcfg = volumetric.VolumeConfig(n_samples=16, position_bands=4)
     if mode == "volume":
         return volumetric.BlendedLightField(
-            grid, g, camera, dec, volume_weights=MlpWeights.random(vdims, seed=2, scale=0.3),
+            grid, g, camera, dec,
+            volumetric.HypernetParams.fixed(MlpWeights.random(vdims, seed=2, scale=0.3)),
             volume_cfg=vcfg)
     return volumetric.BlendedLightField(
-        grid, g, camera, dec, hypernet=volumetric.HypernetParams.random(5, vdims, seed=3,
-                                                                       scale=0.05),
+        grid, g, camera, dec, volumetric.HypernetParams.random(5, vdims, seed=3, scale=0.05),
         global_feature=rng.normal(size=5), volume_cfg=vcfg)
 
 
@@ -239,7 +242,8 @@ def block_lines():
     light = volumetric.BlendedLightField(
         FeatureGrid(rng.normal(size=(LEARNED_RES, LEARNED_RES, 4))), g, camera,
         MlpWeights.random((decoder_input_dim(4), 16, 16, 3), seed=1, scale=0.2),
-        volume_weights=MlpWeights.random(volumetric.default_field_dims(10), seed=5))
+        volumetric.HypernetParams.fixed(
+            MlpWeights.random(volumetric.default_field_dims(10), seed=5)))
     points, _, valid = render.pixel_geometry(g, camera)
     p = points[valid][rng.integers(0, np.count_nonzero(valid), BLOCK_RAYS)]
     d = normalize(rng.normal(size=(BLOCK_RAYS, 3)))

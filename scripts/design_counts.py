@@ -1,6 +1,6 @@
 #!/usr/bin/env python3
 """Print three size figures of the `ssdr` package, and the public names
-that only tests use:
+and the other definitions that only tests use:
 
   lines            the line count of every .py file under src/ssdr
   public names     the length of `ssdr.__all__`
@@ -12,6 +12,10 @@ that only tests use:
                    perfbench/ (but its test_*.py) names it, as a name, an
                    attribute or a string, outside the name's own top-level
                    definition
+  test-only definitions
+                   the top-level functions and classes of the package's
+                   modules, outside `__all__`, that no program file
+                   references by the same rule, as module.name
 
 All are read from the source text (the AST), so nothing is imported:
 
@@ -56,23 +60,34 @@ def _referenced(tree: ast.Module) -> set:
     return found
 
 
-def unused_outside_tests(pkg: Path, public: list) -> list:
+def _program_references(pkg: Path) -> set:
+    """What the program files reference: every .py file of the package but
+    `__init__.py`, of scripts/, and of perfbench/ but its test_*.py."""
     root = pkg.parent.parent
     files = [f for f in pkg.glob("*.py") if f.name != "__init__.py"]
     files += sorted((root / "scripts").glob("*.py"))
     files += [f for f in sorted((root / "perfbench").glob("*.py"))
               if not f.name.startswith("test_")]
-    used = set().union(*(_referenced(ast.parse(f.read_text())) for f in files))
-    return sorted(set(public) - used)
+    return set().union(*(_referenced(ast.parse(f.read_text())) for f in files))
+
+
+def _unused_definitions(trees: dict, public: list, used: set) -> list:
+    """module.name of each top-level function and class of the modules'
+    `trees` that is not in `public` and not in `used`."""
+    return sorted(f"{module}.{node.name}" for module, tree in trees.items()
+                  for node in tree.body
+                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                  and node.name not in public and node.name not in used)
 
 
 def counts(pkg: Path) -> dict:
     lines = settable = 0
     public = None
+    trees = {}
     for path in sorted(pkg.glob("*.py")):
         text = path.read_text()
         lines += len(text.splitlines())
-        tree = ast.parse(text)
+        tree = trees[path.stem] = ast.parse(text)
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
                 settable += _defaults(node)
@@ -85,8 +100,11 @@ def counts(pkg: Path) -> dict:
                     public = ast.literal_eval(node.value)
     if public is None:
         raise ValueError("not a package whose __init__.py sets __all__")
+    used = _program_references(pkg)
     return {"lines": lines, "public names": len(public), "settable values": settable,
-            "test-only names": " ".join(unused_outside_tests(pkg, public)) or "none"}
+            "test-only names": " ".join(sorted(set(public) - used)) or "none",
+            "test-only definitions":
+                " ".join(_unused_definitions(trees, public, used)) or "none"}
 
 
 def main(argv) -> int:

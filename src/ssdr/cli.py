@@ -24,7 +24,7 @@ from .inverse import LossConfig, loss_rerender, optimize
 from .lighting import analytic_lightfield
 from .render import (MATERIAL_NAMES, RenderConfig, RenderNanError, reference_render,
                      render_mc)
-from .volumetric import BlendedLightField
+from .volumetric import BlendedLightField, HypernetParams
 
 log = logging.getLogger("ssdr")
 
@@ -63,7 +63,7 @@ def _parse_grid(text: str) -> tuple[int, int]:
         a, b = text.lower().split("x")
         return int(a), int(b)
     except ValueError:
-        raise UsageError(f"grid must look like 16x32, got {text!r}") from None
+        raise UsageError(f"expected WxH such as 16x32, got {text!r}") from None
 
 
 def load_validated_bundle(path) -> ssdr_io.Bundle:
@@ -95,7 +95,7 @@ def resolve_light(bundle: ssdr_io.Bundle, choice: str | None, seed: int = 0):
                              "decoder_weights and volume_weights in the bundle")
         return BlendedLightField(bundle.feature_grid, bundle.gbuffer, bundle.camera,
                                  bundle.decoder_weights,
-                                 volume_weights=bundle.volume_weights, seed=seed)
+                                 HypernetParams.fixed(bundle.volume_weights), seed=seed)
     if choice not in _LIGHT_CHOICES:
         raise UsageError(f"unknown lighting choice {choice!r}")
     kinds, fallback = _LIGHT_CHOICES[choice]
@@ -157,9 +157,6 @@ def cmd_gradcheck(args) -> int:
         results += gradcheck.check_render_material(g, camera, light, cfg,
                                                    tol=args.tol, classes=material)
     if "light" in classes:
-        if light.n_params == 0:
-            raise UsageError("selected light gradients but the light field "
-                             "has no parameters")
         results.append(gradcheck.check_light_params(g, camera, light, cfg,
                                                     tol=args.tol))
     report = {r.name: {"max_rel_err": r.max_rel_err, "tol": r.tol,

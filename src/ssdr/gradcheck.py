@@ -18,7 +18,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import volumetric
-from .core import Camera, GBuffer, dot, normalize, orthonormal_basis
+from .core import Camera, ContractError, GBuffer, dot, normalize, orthonormal_basis
 from .lighting import LightField
 from .render import (GradientImage, RenderConfig, _lane_layout, _shade_blocks,
                      pixel_geometry, render_backward)
@@ -76,7 +76,7 @@ def material_differences(g: GBuffer, camera: Camera, grad: GradientImage,
     shades, spans = [(g, light)], {}
     for cls in classes:
         if cls not in maps:
-            raise ValueError(f"unknown material class {cls!r}")
+            raise ContractError(f"unknown material class {cls!r}")
         base = maps[cls]
         if cls == "albedo":
             pairs = [(base + step, base - step) for step in np.eye(3) * eps]
@@ -193,7 +193,10 @@ def check_light_params(g: GBuffer, camera: Camera, light: LightField,
                        tol: float = 1e-4) -> CheckResult:
     """FD over the light field's own parameters through the frozen-sample
     estimator, against the adjoints routed by render_backward.  The
-    differences perturb copies, so `light` is never written."""
+    differences perturb copies, so `light` is never written.  A light
+    without parameters is a ContractError."""
+    if light.n_params == 0:
+        raise ContractError("selected light gradients but the light field has no parameters")
     rng = np.random.default_rng(3)
     grad = render_backward(g, camera, light, cfg, np.ones((*g.depth.shape, 3)),
                            params=("light",))

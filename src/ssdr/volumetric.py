@@ -1,6 +1,8 @@
 """Out-of-view lighting: a tiny positional-encoding MLP queried as a density
 and color field, volume rendered along the light ray, and blended with the
-traced in-view prediction through the tanh depth-gap uncertainty.
+traced in-view prediction through the tanh depth-gap uncertainty.  The
+field's weights always come from a hypernetwork, an affine map of a global
+scene feature; fixed weights are the hypernetwork of an empty feature.
 
 The field takes no view direction.  Density goes through softplus, color
 through sigmoid scaled by `RADIANCE_SCALE`, so HDR radiance stays
@@ -84,9 +86,12 @@ class HypernetParams:
         return cls(feature_dim, tuple(target_dims), np.zeros((p, feature_dim)), np.zeros(p))
 
     @classmethod
-    def identity(cls, target_dims) -> "HypernetParams":
-        p = mlp.param_count(target_dims)
-        return cls(p, tuple(target_dims), np.eye(p), np.zeros(p))
+    def fixed(cls, weights: MlpWeights) -> "HypernetParams":
+        """The hypernetwork of a zero-length feature (F = 0) whose output is
+        `weights`: a (P, 0) matrix and `weights.flat` as the bias.  Its
+        forward is zeros(P) + bias, the bias bit for bit, except that a
+        -0.0 weight comes back as +0.0."""
+        return cls(0, weights.dims, np.zeros((weights.flat.size, 0)), weights.flat)
 
     @classmethod
     def random(cls, feature_dim: int, target_dims, seed: int, scale: float = 0.1):
@@ -250,32 +255,26 @@ class BlendedLightField(LightField):
     depth map supports it, the volumetric field elsewhere, mixed by the
     tanh depth-gap uncertainty of each trace.
 
-    Parameters (for recovery/fitting) are the concatenation of the decoder
-    weights and either the field weights or the hypernetwork (matrix, bias).
-    Weights whose input or output size does not fit the feature grid and
-    the configs are a ContractError here, before any query.
+    The field's weights are `hypernet`'s output for `global_feature`; fixed
+    weights are `HypernetParams.fixed(weights)` with the default empty
+    feature.  Parameters (for recovery/fitting) are the concatenation of
+    the decoder weights and the hypernetwork's matrix and bias.  A feature
+    that does not fit the hypernetwork, or weights whose input or output
+    size does not fit the feature grid and the configs, is a ContractError
+    here, before any query.
     """
 
     def __init__(self, feature_grid: FeatureGrid, gbuffer, camera,
-                 decoder_weights: MlpWeights,
-                 volume_weights: MlpWeights | None = None,
-                 hypernet: HypernetParams | None = None,
-                 global_feature: np.ndarray | None = None,
-                 volume_cfg: VolumeConfig = VolumeConfig(),
+                 decoder_weights: MlpWeights, hypernet: HypernetParams,
+                 global_feature=(), volume_cfg: VolumeConfig = VolumeConfig(),
                  seed: int = 7):
-        if (volume_weights is None) == (hypernet is None):
-            raise ContractError("provide exactly one of volume_weights or hypernet")
-        if hypernet is not None and global_feature is None:
-            raise ContractError("hypernet mode needs the global feature vector")
         self.grid = feature_grid
         self.gbuffer = gbuffer
         self.camera = camera
         self.decoder = decoder_weights
         self.hypernet = hypernet
-        self.global_feature = (None if global_feature is None
-                               else np.asarray(global_feature, dtype=np.float64).ravel())
-        self.volume = (volume_weights if volume_weights is not None
-                       else hypernet_forward(self.global_feature, hypernet))
+        self.global_feature = np.asarray(global_feature, dtype=np.float64).ravel()
+        self.volume = hypernet_forward(self.global_feature, hypernet)
         self.volume_cfg = volume_cfg
         sampling.check_seed(seed)
         self.seed = seed
@@ -285,14 +284,9 @@ class BlendedLightField(LightField):
     # -- parameter vector plumbing ------------------------------------
     @property
     def n_params(self) -> int:
-        head = self.decoder.flat.size
-        if self.hypernet is None:
-            return head + self.volume.flat.size
-        return head + self.hypernet.matrix.size + self.hypernet.bias.size
+        return self.decoder.flat.size + self.hypernet.matrix.size + self.hypernet.bias.size
 
     def get_params(self) -> np.ndarray:
-        if self.hypernet is None:
-            return np.concatenate([self.decoder.flat, self.volume.flat])
         return np.concatenate([self.decoder.flat, self.hypernet.matrix.ravel(),
                                self.hypernet.bias])
 
@@ -301,16 +295,11 @@ class BlendedLightField(LightField):
         if vec.size != self.n_params:
             raise ContractError("parameter vector size mismatch")
         nd = self.decoder.flat.size
+        nm = nd + self.hypernet.matrix.size
         self.decoder = self.decoder.copy_with(vec[:nd].copy())
-        if self.hypernet is None:
-            self.volume = self.volume.copy_with(vec[nd:].copy())
-        else:
-            nm = self.hypernet.matrix.size
-            self.hypernet = HypernetParams(
-                self.hypernet.feature_dim, self.hypernet.target_dims,
-                vec[nd:nd + nm].reshape(self.hypernet.matrix.shape).copy(),
-                vec[nd + nm:].copy())
-            self.volume = hypernet_forward(self.global_feature, self.hypernet)
+        self.hypernet = HypernetParams(self.hypernet.feature_dim, self.hypernet.target_dims,
+                                       vec[nd:nm].copy(), vec[nm:].copy())
+        self.volume = hypernet_forward(self.global_feature, self.hypernet)
 
     # -- queries -------------------------------------------------------
     def radiance(self, p, d, keep=None):
@@ -358,7 +347,5 @@ class BlendedLightField(LightField):
 
         d_vol = volume_render_backward(self.volume, p, self.volume_cfg,
                                        dL * hits.u[:, None], vol_state)
-        if self.hypernet is None:
-            return np.concatenate([d_decoder, d_vol])
         _, dmat, dbias = hypernet_backward(self.global_feature, self.hypernet, d_vol)
         return np.concatenate([d_decoder, dmat.ravel(), dbias])

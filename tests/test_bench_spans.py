@@ -58,7 +58,7 @@ def _small_learned_light(g, camera):
     grid = FeatureGrid(rng.normal(size=g.depth.shape + (2,)))
     dec = MlpWeights.random((decoder_input_dim(2), 8, 3), seed=1, scale=0.2)
     vw = MlpWeights.random((vol.field_input_dim(2), 8, 4), seed=2, scale=0.3)
-    return vol.BlendedLightField(grid, g, camera, dec, volume_weights=vw,
+    return vol.BlendedLightField(grid, g, camera, dec, vol.HypernetParams.fixed(vw),
                                  volume_cfg=vol.VolumeConfig(n_samples=4,
                                                              position_bands=2))
 

@@ -602,6 +602,13 @@ def test_make_scene_size_below_one_exit_2(tmp_path, caplog, res):
     assert not out.exists()
 
 
+def test_make_scene_res_not_wxh_exit_2(tmp_path, caplog):
+    out = tmp_path / "s"
+    _assert_input_error(["make-scene", "--kind", "two-plane", "--out", str(out),
+                         "--res", "64"], caplog, "WxH", "'64'")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("argv,module,name", [
     (["baseline-compare", "--ref-cells", "100000"], "ssdr.cli", "reference_render"),
     (["make-scene", "--kind", "two-plane", "--res", "100000x100000"], "ssdr.scenes",

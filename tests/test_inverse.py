@@ -195,13 +195,13 @@ def test_optimize_learned_light_weights_smoke():
     vw = MlpWeights.random((vol.field_input_dim(4), 8, 4), seed=2, scale=0.2)
     vcfg = vol.VolumeConfig(n_samples=8, position_bands=4)
     light_true = vol.BlendedLightField(grid, g, camera, dec_true,
-                                       volume_weights=vw, volume_cfg=vcfg)
+                                       vol.HypernetParams.fixed(vw), volume_cfg=vcfg)
     target = render.render_mc(g, camera, light_true,
                               render.RenderConfig(spp=128, seed=11))
 
     dec_off = dec_true.copy_with(dec_true.flat
                                  + rng.normal(0, 0.2, dec_true.flat.size))
-    light = vol.BlendedLightField(grid, g, camera, dec_off, volume_weights=vw,
+    light = vol.BlendedLightField(grid, g, camera, dec_off, vol.HypernetParams.fixed(vw),
                                   volume_cfg=vcfg)
     cfg = LossConfig(iterations=120, step_size=0.02, params=("light",),
                      spp=16, seed=3)
@@ -315,13 +315,13 @@ def _fitted_light(kind, g, camera):
     vdims = (vol.field_input_dim(4), 8, 4)
     vcfg = vol.VolumeConfig(n_samples=8, position_bands=4)
     if kind == "blended-volume":
-        return vol.BlendedLightField(grid, g, camera, dec, volume_cfg=vcfg,
-                                     volume_weights=MlpWeights.random(vdims, seed=2,
-                                                                      scale=0.2))
-    return vol.BlendedLightField(grid, g, camera, dec, volume_cfg=vcfg,
-                                 hypernet=vol.HypernetParams.random(5, vdims, seed=3,
-                                                                    scale=0.05),
-                                 global_feature=rng.normal(size=5))
+        return vol.BlendedLightField(
+            grid, g, camera, dec,
+            vol.HypernetParams.fixed(MlpWeights.random(vdims, seed=2, scale=0.2)),
+            volume_cfg=vcfg)
+    return vol.BlendedLightField(grid, g, camera, dec,
+                                 vol.HypernetParams.random(5, vdims, seed=3, scale=0.05),
+                                 global_feature=rng.normal(size=5), volume_cfg=vcfg)
 
 
 _FITTED_KINDS = ["constant", "sky", "blended-volume", "blended-hypernet"]

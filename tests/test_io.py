@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from ssdr import io as sio, mlp, scenes
-from ssdr.core import Camera, ImageBuffer
+from ssdr.core import Camera, ContractError, ImageBuffer
 from ssdr.lighting import FeatureGrid, GridLight
 
 
@@ -126,6 +126,28 @@ def test_png_zero_exposure_black(tmp_path):
     raw = path.read_bytes()
     idat = raw[raw.index(b"IDAT") + 4:raw.index(b"IEND") - 8]
     assert set(zlib.decompress(idat)) <= {0}
+
+
+@pytest.mark.parametrize("write,image", [
+    (sio.write_png_preview, np.arange(6.0).reshape(2, 3) / 4.0),
+    (sio.write_png_preview, np.arange(6.0).reshape(2, 3, 1) / 4.0),
+    (sio.write_png, np.arange(6, dtype=np.uint8).reshape(2, 3))],
+    ids=["preview-2d", "preview-one-channel", "png-2d"])
+def test_png_of_a_gray_image_repeats_it_in_rgb(tmp_path, write, image):
+    write(tmp_path / "gray.png", image)
+    write(tmp_path / "rgb.png", np.repeat(image.reshape(2, 3, 1), 3, axis=2))
+    assert (tmp_path / "gray.png").read_bytes() == (tmp_path / "rgb.png").read_bytes()
+
+
+@pytest.mark.parametrize("write,data,message", [
+    (sio.write_pfm, np.zeros((2, 2, 2)), "1 or 3 channels, not 2"),
+    (sio.write_png, np.zeros((2, 2, 2), dtype=np.uint8), "3 channels"),
+    (sio.write_png_preview, np.array([[0.0, np.nan]]), "finite image")],
+    ids=["pfm-two-channels", "png-two-channels", "preview-non-finite"])
+def test_image_writers_reject_what_they_cannot_store(tmp_path, write, data, message):
+    with pytest.raises(ContractError, match=message):
+        write(tmp_path / "out", data)
+    assert not (tmp_path / "out").exists()
 
 
 def test_png_midgray_byte(tmp_path):

@@ -270,6 +270,22 @@ def test_gradcheck_module_classes(glossy_patch):
         assert r.passed, str(r)
 
 
+def test_gradcheck_light_params_without_parameters_is_a_contract_error(glossy_patch):
+    """A light without parameters has no adjoint to check: a ContractError
+    that says so, not a reduction over an empty adjoint."""
+    light = GridLight(np.ones((2, 2, 2, 4, 6, 3)), [[-2, -2, 0], [2, 2, 4]])
+    with pytest.raises(ContractError, match="has no parameters"):
+        check_light_params(glossy_patch, scenes.default_camera(8, 8), light,
+                           RenderConfig(spp=2, seed=1))
+
+
+def test_gradcheck_unknown_material_class_is_a_contract_error(glossy_patch):
+    light = ConstantLight([0.9, 1.0, 1.1])
+    with pytest.raises(ContractError, match="unknown material class 'light'"):
+        check_render_material(glossy_patch, scenes.default_camera(8, 8), light,
+                              RenderConfig(spp=2, seed=1), classes=("light",))
+
+
 @pytest.mark.parametrize("cls", ["albedo", "roughness", "metallic", "normal"])
 def test_material_differences_match_per_pixel_loop(glossy_patch, cls):
     """Shifting every pixel at once, all four classes in one pass, gives
@@ -389,7 +405,7 @@ def _tape_light(kind, g, camera):
     grid = FeatureGrid(np.random.default_rng(1).normal(size=g.depth.shape + (4,)))
     dec = MlpWeights.random((decoder_input_dim(4), 8, 3), seed=3, scale=0.2)
     vw = MlpWeights.random((vol.field_input_dim(4), 8, 4), seed=4, scale=0.3)
-    return vol.BlendedLightField(grid, g, camera, dec, volume_weights=vw,
+    return vol.BlendedLightField(grid, g, camera, dec, vol.HypernetParams.fixed(vw),
                                  volume_cfg=vol.VolumeConfig(n_samples=6,
                                                              position_bands=4))
 
@@ -466,6 +482,20 @@ def test_render_backward_rejects_unknown_names(glossy_patch, params):
     with pytest.raises(ContractError, match="unknown parameter class"):
         render_backward(glossy_patch, camera, ConstantLight(1.0), RenderConfig(spp=2),
                         np.ones((8, 8, 3)), params=params)
+
+
+@pytest.mark.parametrize("dI,message", [
+    (np.ones((8, 7, 3)), "shape mismatch"), (np.ones((8, 8)), "shape mismatch"),
+    (np.full((8, 8, 3), np.inf), "must be finite")], ids=["width", "channels", "inf"])
+def test_render_backward_rejects_a_bad_adjoint_image(glossy_patch, dI, message):
+    with pytest.raises(ContractError, match=message):
+        render_backward(glossy_patch, scenes.default_camera(8, 8), ConstantLight(1.0),
+                        RenderConfig(spp=2), dI)
+
+
+def test_render_config_rejects_spp_below_one():
+    with pytest.raises(ContractError, match="spp must be >= 1"):
+        RenderConfig(spp=0)
 
 
 def test_render_above_the_lane_cap_records_nothing(monkeypatch):

@@ -19,7 +19,33 @@ def test_design_counts_reads_the_package():
     out = _design_counts(str(Path(ssdr.__file__).parent))
     assert out.returncode == 0, out.stderr
     names = [line.split(":")[0] for line in out.stdout.splitlines()]
-    assert names == ["lines", "public names", "settable values", "test-only names"]
+    assert names == ["lines", "public names", "settable values", "test-only names",
+                     "test-only definitions"]
+
+
+def test_design_counts_lists_test_only_definitions(tmp_path):
+    """A top-level function or class outside `__all__` that no program file
+    references, but only its own definition or a test, is listed as
+    module.name; one referenced from another definition or a script is
+    not."""
+    files = {
+        "src/pkg/__init__.py": 'from .a import shown\n__all__ = ["shown"]\n',
+        "src/pkg/a.py": ("def shown():\n    return _helper()\n\n"
+                         "def _helper():\n    return 1\n\n"
+                         "def only_tested():\n    return only_tested\n\n"
+                         "class Used:\n    pass\n\n"
+                         "class OnlyTested:\n    pass\n"),
+        "scripts/run.py": "from pkg import shown\nfrom pkg.a import Used\nshown(), Used\n",
+        "perfbench/test_a.py": "from pkg.a import OnlyTested, only_tested\nOnlyTested, only_tested\n",
+    }
+    for name, text in files.items():
+        (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
+        (tmp_path / name).write_text(text)
+    out = _design_counts(str(tmp_path / "src" / "pkg"))
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert lines[3:] == ["test-only names: none",
+                         "test-only definitions: a.OnlyTested a.only_tested"]
 
 
 @pytest.mark.parametrize("path", ["--help", "no/such/dir", "src", "tests"])

@@ -33,11 +33,13 @@ def test_hypernet_zero_maps_to_zero():
     assert np.array_equal(out.flat, np.zeros_like(out.flat))
 
 
-def test_hypernet_identity_map():
-    dims = (4, 8, 4)
-    h = vol.HypernetParams.identity(dims)
-    target = np.random.default_rng(0).normal(size=mlp.param_count(dims))
-    assert np.array_equal(vol.hypernet_forward(target, h).flat, target)
+def test_hypernet_fixed_returns_its_weights():
+    """The hypernetwork of an empty feature returns the weights it was
+    built from, bit for bit."""
+    w = MlpWeights.random((4, 8, 4), seed=0, scale=0.5)
+    h = vol.HypernetParams.fixed(w)
+    assert h.matrix.shape == (w.flat.size, 0)
+    assert vol.hypernet_forward(np.zeros(0), h).flat.tobytes() == w.flat.tobytes()
 
 
 def test_hypernet_dimension_mismatch():
@@ -205,7 +207,7 @@ def _blended_setup():
     from ssdr.lighting import decoder_input_dim
     dec = MlpWeights.random((decoder_input_dim(8), 16, 16, 3), seed=3, scale=0.2)
     vw = MlpWeights.random((vol.field_input_dim(4), 12, 12, 4), seed=4, scale=0.3)
-    blf = vol.BlendedLightField(grid, g, camera, dec, volume_weights=vw,
+    blf = vol.BlendedLightField(grid, g, camera, dec, vol.HypernetParams.fixed(vw),
                                 volume_cfg=vol.VolumeConfig(n_samples=12,
                                                             position_bands=4))
     p = np.repeat(unproject(camera, np.array([[12.0, 18.0]]),
@@ -228,6 +230,8 @@ def test_blended_field_param_roundtrip_and_backprop():
     assert vec.size == blf.n_params
     blf.set_params(vec)
     assert np.array_equal(blf.get_params(), vec)
+    with pytest.raises(ContractError, match="size mismatch"):
+        blf.set_params(vec[:-1])
 
     rng = np.random.default_rng(9)
     dL = rng.normal(size=(5, 3))
@@ -257,14 +261,23 @@ def test_blended_field_rejects_misshaped_weights(mode, net, end, delta):
     dims = {"decoder": [decoder_input_dim(4), 8, 3],
             "field": [vol.field_input_dim(4), 8, 4]}
     dims[net][end] += delta
-    field = ({"volume_weights": MlpWeights.zeros(dims["field"])} if mode == "volume"
-             else {"hypernet": vol.HypernetParams.zeros(3, dims["field"]),
-                   "global_feature": np.ones(3)})
+    field = ((vol.HypernetParams.fixed(MlpWeights.zeros(dims["field"])), ())
+             if mode == "volume" else (vol.HypernetParams.zeros(3, dims["field"]), np.ones(3)))
     with pytest.raises(ContractError, match=f"{net} weights shaped"):
         vol.BlendedLightField(FeatureGrid(np.zeros((8, 8, 4))), g, camera,
-                              MlpWeights.zeros(dims["decoder"]),
-                              volume_cfg=vol.VolumeConfig(n_samples=8, position_bands=4),
-                              **field)
+                              MlpWeights.zeros(dims["decoder"]), *field,
+                              volume_cfg=vol.VolumeConfig(n_samples=8, position_bands=4))
+
+
+def test_blended_field_needs_the_hypernet_feature():
+    """A light whose hypernetwork takes a 3-long feature, built without
+    one, is a ContractError at construction."""
+    g, camera, _, _ = scenes.two_plane(8, 8)
+    with pytest.raises(ContractError, match="feature size 0 != 3"):
+        vol.BlendedLightField(FeatureGrid(np.zeros((8, 8, 4))), g, camera,
+                              MlpWeights.zeros((decoder_input_dim(4), 8, 3)),
+                              vol.HypernetParams.zeros(3, (vol.field_input_dim(4), 8, 4)),
+                              volume_cfg=vol.VolumeConfig(n_samples=8, position_bands=4))
 
 
 def _hypernet_setup():
@@ -276,8 +289,7 @@ def _hypernet_setup():
     vdims = (vol.field_input_dim(4), 8, 4)
     h = vol.HypernetParams.random(5, vdims, seed=2, scale=0.05)
     fg = rng.normal(size=5)
-    blf = vol.BlendedLightField(grid, g, camera, dec, hypernet=h,
-                                global_feature=fg,
+    blf = vol.BlendedLightField(grid, g, camera, dec, h, global_feature=fg,
                                 volume_cfg=vol.VolumeConfig(n_samples=8,
                                                             position_bands=4))
     p = np.tile(unproject(camera, np.array([8.0, 12.0]), g.depth[12, 8]), (3, 1))
@@ -302,19 +314,24 @@ def test_blended_field_hypernet_mode():
     assert max(errs) < 1e-4
 
 
-def test_render_adjoints_reach_learned_light_params():
-    """Through the full estimator, FD on the blended field's weights matches
-    the adjoints routed out of the render backward pass."""
+@pytest.mark.parametrize("mode", ["fixed", "hypernet"])
+def test_render_adjoints_reach_learned_light_params(mode):
+    """Through the full estimator, FD on the blended field's parameters
+    matches the adjoints routed out of the render backward pass: the
+    decoder and the fixed field weights, or the decoder and the matrix and
+    bias of a hypernetwork of a 3-long feature."""
     from ssdr.gradcheck import check_light_params
     from ssdr.render import RenderConfig
 
     g, camera, _, _ = scenes.two_plane(8, 8)
     rng = np.random.default_rng(3)
     grid = FeatureGrid(rng.normal(size=(8, 8, 4)))
-    from ssdr.lighting import decoder_input_dim
     dec = MlpWeights.random((decoder_input_dim(4), 8, 3), seed=5, scale=0.2)
-    vw = MlpWeights.random((vol.field_input_dim(4), 8, 4), seed=6, scale=0.3)
-    blf = vol.BlendedLightField(grid, g, camera, dec, volume_weights=vw,
+    vdims = (vol.field_input_dim(4), 8, 4)
+    field = ((vol.HypernetParams.fixed(MlpWeights.random(vdims, seed=6, scale=0.3)), ())
+             if mode == "fixed"
+             else (vol.HypernetParams.random(3, vdims, seed=6, scale=0.1), rng.normal(size=3)))
+    blf = vol.BlendedLightField(grid, g, camera, dec, *field,
                                 volume_cfg=vol.VolumeConfig(n_samples=8,
                                                             position_bands=4))
     result = check_light_params(g, camera, blf, RenderConfig(spp=8, seed=2),
@@ -405,8 +422,8 @@ def test_render_only_radiance_has_the_kept_bytes_across_point_blocks(
     light = vol.BlendedLightField(
         FeatureGrid(rng.normal(size=(24, 24, 4))), g, camera,
         MlpWeights.random((decoder_input_dim(4), 16, 3), seed=3, scale=0.2),
-        volume_weights=MlpWeights.random((vol.field_input_dim(bands), 12, 12, 4),
-                                         seed=4, scale=0.3),
+        vol.HypernetParams.fixed(MlpWeights.random((vol.field_input_dim(bands), 12, 12, 4),
+                                                   seed=4, scale=0.3)),
         volume_cfg=vol.VolumeConfig(n_samples=n_samples, position_bands=bands))
     p, d = _rays_over(light, rng, n_rays)
     rows = []
@@ -486,7 +503,7 @@ if pid == 0:
     grid = FeatureGrid(np.random.default_rng(1).uniform(0.0, 1.0, (32, 32, 8)))
     light = vol.BlendedLightField(
         grid, g, camera, MlpWeights.random(default_decoder_dims(8), 2),
-        volume_weights=MlpWeights.random(vol.default_field_dims(10), 3))
+        vol.HypernetParams.fixed(MlpWeights.random(vol.default_field_dims(10), 3)))
     image = render_mc(g, camera, light, RenderConfig(spp=8, seed=3))
     assert np.all(np.isfinite(image))
     print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, flush=True)
@@ -509,7 +526,7 @@ if pid == 0:
     grid = FeatureGrid(np.random.default_rng(1).uniform(0.0, 1.0, (16, 16, 8)))
     light = vol.BlendedLightField(
         grid, g, camera, MlpWeights.random(default_decoder_dims(8), 2),
-        volume_weights=MlpWeights.random(vol.default_field_dims(10), 3))
+        vol.HypernetParams.fixed(MlpWeights.random(vol.default_field_dims(10), 3)))
     res = optimize(g, camera, light, np.full((16, 16, 3), 0.3),
                    LossConfig(iterations=1, step_size=0.001, params=("albedo", "light"),
                               spp=4, seed=4))
@@ -601,5 +618,5 @@ def test_volume_render_contract_errors():
         with pytest.raises(ContractError, match="seed must be an integer"):
             vol.BlendedLightField(FeatureGrid(np.zeros((8, 8, 4))), g, camera,
                                   MlpWeights.zeros((decoder_input_dim(4), 8, 3)),
-                                  volume_weights=MlpWeights.zeros((w.dims[0], 8, 4)),
+                                  vol.HypernetParams.fixed(MlpWeights.zeros((w.dims[0], 8, 4))),
                                   seed=seed)
