@@ -13,10 +13,12 @@ checks' frozen-sample values at the base maps (`gradcheck.frozen_values`,
 the shadeable pixels in row-major order; its lines keep the name
 `eval_frozen`) and `reference_render` (both modes) on the three canned
 scenes under their own light, a `ConstantLight` and a random `GridLight`,
-at threads 1 and 2, plus one run forced into many sample chunks.  The size is fixed on purpose:
-at RES x RES pixels and SPP samples a row block holds more lanes than one
-`GridLight` lane block, so lane block edges are crossed too; a smaller
-render would cross none and could hide a changed bit there.  A
+at threads 1 and 2, plus one run forced into many sample chunks.  The
+size is fixed on purpose.  A `GridLight` queries its lanes in blocks of
+`lighting._LANE_BLOCK`; at RES x RES pixels and SPP samples a row block
+holds fewer lanes than that, so one more grid `render_mc` line, at 2 SPP
+samples per pixel and 2 threads, has row blocks that cross a lane block
+edge: a render that crossed none could hide a changed bit there.  A
 `GridLight` shares one table of spatial sums between the lanes of a
 pixel; one more `render_mc` line, at 1 sample per pixel, pins its
 per-lane path, for lanes whose positions all differ.
@@ -338,6 +340,16 @@ def spp1_lines():
     yield "spp1/grid/render_mc", render_mc(g, camera, light, RenderConfig(spp=1, seed=3))
 
 
+def lane_block_lines():
+    """glossy-floor under a grid light at 2 SPP samples per pixel and 2
+    threads: each row block queries the light on about 23k lanes (of its
+    8 * RES * 2 SPP samples), more than one lane block of 2^14."""
+    g, camera, _, _ = scenes.glossy_floor(RES, RES)
+    light = grid_light(g, camera, np.random.default_rng(5))
+    yield "lane-block/grid/t2/render_mc", render_mc(g, camera, light,
+                                                    RenderConfig(spp=2 * SPP, seed=3), threads=2)
+
+
 def lines():
     yield from brdf_lines()
     yield from mlp_lines()
@@ -386,6 +398,7 @@ def lines():
     yield from trace_lines()
     yield from fit_backward_lines()
     yield from spp1_lines()
+    yield from lane_block_lines()
 
 
 def main():

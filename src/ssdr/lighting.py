@@ -236,29 +236,35 @@ class SkyDiscLight(LightField):
         return base + w[:, None] * self.disc_color
 
 
-# Lanes per GridLight.radiance block.  It bounds the call's temporaries
-# whatever the caller's chunk size: a few hundred bytes per lane and, on
-# the table path, the table of spatial sums (3 x runs x touched cells
-# float64) and the gathered terms summed into it.  The table is built only
-# when it has fewer cells than the block's lanes have direction corners,
-# 4 x 6144, so each is under 0.57 MiB; a `render-grid` block's, about 102
-# runs x 80 cells, is 0.2 MB.  At 8192 lanes `render-grid` ran as fast
-# but its peak RSS read about 0.4 MB higher.  Every lane is computed on
-# its own, so the block size changes no bit.
-_LANE_BLOCK = 6144
+# Lanes per GridLight.radiance block.  A block runs about 100 NumPy
+# passes, and each releases the GIL only while it runs: at 2 render
+# threads a pass too short to pay for the handoff leaves the other worker
+# waiting.  A 64x64 spp-64 row block's ~30.5k light lanes go in two blocks
+# here; in 6144-lane blocks a 2-thread render of scripts/thread_scaling.py
+# made 1,500-2,400 voluntary context switches, and makes 730-830 now.
+# The block also bounds the call's temporaries whatever the caller's chunk
+# size: at the peak about 200 bytes per lane in pixel runs of 64 lanes,
+# the table of spatial sums included (test_grid_light_lane_block_peak_bytes),
+# and about 520 on the per-lane path.  `render-grid`'s peak RSS reads
+# 61.1-62.4 MB at 6144 lanes and 63.4-64.6 MB at 2^14; at 2^15 it read
+# 67.3-67.5 MB even with a leaner pass, 9% above the 6144-lane figure.
+# Every lane is computed on its own, so the block size changes no bit.
+_LANE_BLOCK = 1 << 14
 
 
 def _weighted_sum(src, terms):
     """The sum of w * src[:, idx] over the (w, idx) pairs, in order,
-    starting from the first product.  Index arrays are in range by
-    construction; mode "clip" only spares the bounds check."""
-    acc = None
+    starting from the first product.  Every gather after the first lands
+    in the first one's buffer.  Index arrays are in range by
+    construction; mode "clip" spares the bounds check, and with it numpy
+    writes a gather straight into its `out`."""
+    acc = term = None
     for w, idx in terms:
-        term = np.take(src, idx, axis=1, mode="clip")
-        term *= w
+        term = np.take(src, idx, axis=1, mode="clip", out=term)
         if acc is None:
-            acc = term
+            acc = term * w
         else:
+            term *= w
             acc += term
     return acc
 
@@ -327,25 +333,26 @@ class GridLight(LightField):
 
     def _directions(self, d):
         """The direction corners of d, in corner order: [(weight wt * wp,
-        cell it * nphi + ip)], and each lane's lower theta row."""
+        cell it * nphi + ip)], and each lane's lower theta row.  Each
+        corner's arrays are its own."""
         nt, nph = self.values.shape[3:5]
-        theta = np.arccos(np.clip(d[:, 2], -1.0, 1.0))
-        ft, it = self._axis_coords(theta, 0.0, np.pi, nt)
+        ft, it = self._axis_coords(np.arccos(np.clip(d[:, 2], -1.0, 1.0)), 0.0, np.pi, nt)
         rows = [(1.0 - ft, it * nph), (ft, (it + 1) * nph)][:min(nt, 2)]
         # atan2 mod 2 pi, with np.mod's bits at a fraction of its cost
-        phi = np.arctan2(d[:, 1], d[:, 0])
-        phi += np.where(phi < 0.0, 2.0 * np.pi, 0.0)
+        tp = np.arctan2(d[:, 1], d[:, 0])
+        tp += np.where(tp < 0.0, 2.0 * np.pi, 0.0)
         if nph == 1:
-            cols = [(np.ones_like(phi), 0)]
+            cols = [(np.ones_like(tp), 0)]
         else:
-            tp = phi / (2.0 * np.pi) * nph
+            tp /= 2.0 * np.pi                # phi / (2 pi) * nph, in place
+            tp *= nph
             fl = np.floor(tp)
             ip0 = fl.astype(np.int64)
             ip0[ip0 == nph] = 0              # phi rounded up to 2 pi
             ip1 = ip0 + 1
             ip1[ip1 == nph] = 0              # wraps at the seam
-            fp = tp - fl
-            cols = [(1.0 - fp, ip0), (fp, ip1)]
+            tp -= fl                         # the phi fraction
+            cols = [(1.0 - tp, ip0), (tp, ip1)]
         return [(wt * wp, ot + op) for wt, ot in rows for wp, op in cols], it
 
     def _block(self, vals, p, d):
@@ -361,15 +368,29 @@ class GridLight(LightField):
         new = np.ones(n, dtype=bool)
         np.logical_or(ne[:, 0], ne[:, 1], out=new[1:])
         new[1:] |= ne[:, 2]
+        del ne
         starts = np.flatnonzero(new)
         c0 = int(it.min()) * nph
         c1 = (int(it.max()) + min(nt, 2)) * nph
+        del it
         if starts.size * (c1 - c0) < n * len(corners):
-            # S per run, over the touched theta rows: (3, runs, cells)
-            table = _weighted_sum(vals.reshape(3, -1, nt * nph)[:, :, c0:c1],
-                                  ((ws[:, None], node) for ws, node in self._space(p[starts], 1)))
-            row = (np.cumsum(new) - 1) * (c1 - c0) - c0
-            at = (row + cell for _, cell in corners)
+            # S per run, over the touched theta rows: (3, runs, cells); the
+            # rows are copied out once, as each gather would copy them
+            src = np.ascontiguousarray(vals.reshape(3, -1, nt * nph)[:, :, c0:c1])
+            table = _weighted_sum(src, ((ws[:, None], node)
+                                        for ws, node in self._space(p[starts], 1)))
+            del src
+            # each lane's entry of it: the cell's index in its run's row of
+            # the table, added in place to each corner's own cell array
+            row = np.cumsum(new)
+            del new
+            row -= 1
+            row *= c1 - c0
+            row -= c0
+            for _, cell in corners:
+                cell += row
+            del row
+            at = (cell for _, cell in corners)
         else:
             # S per lane, over its own cells: (3, corners, lanes)
             cells = np.stack([cell for _, cell in corners])

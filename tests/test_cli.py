@@ -59,6 +59,13 @@ def test_make_scene_rejects_size_below_one(width, height):
         scenes.make_scene("two-plane", width, height)
 
 
+def test_make_scene_rejects_unknown_kind():
+    from ssdr import scenes
+    from ssdr.core import ContractError
+    with pytest.raises(ContractError, match="unknown scene kind 'nope'"):
+        scenes.make_scene("nope")
+
+
 def test_render_outputs_and_stats(two_plane_bundle, tmp_path):
     out = tmp_path / "r"
     assert main(["render", "--bundle", str(two_plane_bundle), "--out", str(out),
@@ -190,6 +197,14 @@ def test_unknown_lighting_choice_rejected(two_plane_bundle, tmp_path):
     # argparse rejects a bad choice and we map it to the input exit code
     assert main(["render", "--bundle", str(two_plane_bundle), "--out",
                  str(tmp_path / "y"), "--lighting", "plasma"]) == EXIT_INPUT
+
+
+def test_resolve_light_rejects_unknown_choice(two_plane_bundle):
+    """A choice argparse would refuse, asked of `resolve_light` directly, is
+    a UsageError (exit 2 in `main`), not a KeyError."""
+    from ssdr.cli import UsageError, resolve_light
+    with pytest.raises(UsageError, match="unknown lighting choice 'plasma'"):
+        resolve_light(sio.read_bundle(two_plane_bundle), "plasma")
 
 
 def test_grid_lighting_requires_grid_bundle(two_plane_bundle, tmp_path):

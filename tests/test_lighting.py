@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -82,6 +84,11 @@ def test_posenc_has_the_row_major_bytes(shape, bands):
 def test_posenc_rejects_bad_input(x, bands):
     with pytest.raises(ContractError):
         positional_encoding(x, bands)
+
+
+def test_feature_grid_rejects_non_3d_data():
+    with pytest.raises(ContractError, match=r"\(H, W, C\)"):
+        FeatureGrid(np.zeros((4, 4)))
 
 
 @given(st.floats(0.0, 0.999), st.floats(0.0, 0.999))
@@ -218,8 +225,9 @@ def test_grid_light_lane_bytes_ignore_layout(monkeypatch):
     rng = np.random.default_rng(41)
     gl = GridLight(rng.uniform(0.0, 2.0, (3, 4, 2, 5, 8, 3)), [[-1, -2, 0], [1, 2, 3]])
     run, edge = 300, lighting._LANE_BLOCK
-    assert edge % run and 40 * run <= 2 * edge     # one run straddles the one edge
-    pool, _ = _grid_lanes(rng, 40, gl)
+    runs = 2 * edge // run                          # as many as two blocks hold
+    assert edge % run and runs * run <= 2 * edge   # one run straddles the one edge
+    pool, _ = _grid_lanes(rng, runs, gl)
     p = np.repeat(pool, run, axis=0)
     d = normalize(rng.normal(size=p.shape))
     spatial = []
@@ -229,7 +237,7 @@ def test_grid_light_lane_bytes_ignore_layout(monkeypatch):
 
     sorted_ = gl.radiance(p, d)
     # the table path: spatial corners once per run, in each block
-    assert spatial == [edge // run + 1, 40 - edge // run]
+    assert spatial == [edge // run + 1, runs - edge // run]
     spatial.clear()
     perm = rng.permutation(len(p))
     shuffled = np.empty_like(sorted_)
@@ -248,6 +256,39 @@ def test_grid_light_lane_bytes_ignore_layout(monkeypatch):
 def test_grid_light_rejects_bad_bounds(bounds):
     with pytest.raises(ContractError, match="bounds"):
         GridLight(np.zeros((2, 2, 2, 2, 2, 3)), bounds)
+
+
+@pytest.mark.parametrize("shape", [(2, 2, 2, 2, 2), (2, 2, 2, 2, 2, 4), (2, 2, 2, 2, 3)],
+                         ids=["5d", "4-channels", "rgb-5d"])
+def test_grid_light_rejects_misshaped_values(shape):
+    with pytest.raises(ContractError, match=r"\(nx,ny,nz,nt,np,3\)"):
+        GridLight(np.zeros(shape), [[0, 0, 0], [1, 1, 1]])
+
+
+# tracemalloc's peak of the call below over its lanes, output included
+_GRID_BLOCK_BYTES_PER_LANE = 204
+
+
+def test_grid_light_lane_block_peak_bytes():
+    """One table-path lane block of the render-grid bench's grid shape,
+    positions in pixel runs of 64 lanes, peaks at most 10% above
+    _GRID_BLOCK_BYTES_PER_LANE bytes per lane (tracemalloc counts NumPy's
+    allocations, so the figure is deterministic), so a change cannot
+    quietly re-inflate the temporaries of a wider pass."""
+    rng = np.random.default_rng(3)
+    gl = GridLight(rng.uniform(0.0, 2.0, (4, 4, 4, 8, 16, 3)), [[-1, -1, -1], [1, 1, 1]])
+    n = lighting._LANE_BLOCK
+    p = np.repeat(rng.uniform(-1.0, 1.0, (n // 64, 3)), 64, axis=0)
+    d = normalize(rng.normal(size=(n, 3)))
+    gl.radiance(p, d)
+    tracemalloc.start()
+    try:
+        held = tracemalloc.get_traced_memory()[0]
+        gl.radiance(p, d)
+        peak = tracemalloc.get_traced_memory()[1] - held
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.1 * _GRID_BLOCK_BYTES_PER_LANE * n, peak / n
 
 
 def test_unknown_lightfield_kind():

@@ -143,6 +143,11 @@ def test_forward_without_cache_has_the_cached_bytes():
         assert y.tobytes() == mlp.forward(weights, x[rows])[0].tobytes()
 
 
+def test_forward_rejects_wrong_input_width():
+    with pytest.raises(ContractError, match="input dim 5 != 4"):
+        mlp.forward(MlpWeights.zeros((4, 3)), np.zeros((2, 5)))
+
+
 def test_forward_temporaries_below_half_an_activation():
     """Beyond the output and cache it returns, `forward` on a volume field's
     rows of one learned render holds less than half an (N, 64) activation

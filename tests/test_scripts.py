@@ -1,3 +1,5 @@
+import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -56,3 +58,20 @@ def test_design_counts_bad_path_exit_2(path):
     assert out.returncode == 2
     assert out.stdout == ""
     assert out.stderr.count("\n") == 1 and path in out.stderr, out.stderr
+
+
+def test_thread_scaling_prints_its_figures():
+    """A small render at threads 1 and 2: one line per thread count with
+    seconds and context switches per render, then the efficiency."""
+    paths = [str(_ROOT / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    out = subprocess.run([sys.executable, "scripts/thread_scaling.py", "--res", "16",
+                          "--spp", "4", "--repeats", "2"], cwd=_ROOT, env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert len(lines) == 3, out.stdout
+    for threads, line in zip((1, 2), lines):
+        assert re.fullmatch(rf"threads {threads}: \d+\.\d{{4}} s per render, \d+ voluntary "
+                            r"context switches per render", line), line
+    assert re.fullmatch(r"efficiency t1 / \(2 t2\): \d+\.\d{3}", lines[2]), lines[2]
