@@ -11,10 +11,17 @@ after one warm-up render at each thread count.  The renders alternate
 between the thread counts, so a drift in the machine's speed falls on both.
 It prints, per thread count, the median seconds of a render and the median
 voluntary context switches per render, then the efficiency t1 / (2 t2): 1
-when the second worker halves the time, 0.5 when it gains nothing.  The
-switches come from `resource.getrusage` of this process only (all its
-threads): a worker that waits for the GIL sleeps, so they count the GIL
-handoffs.  It never asks for more than 2 threads.
+when the second worker halves the time, 0.5 when it gains nothing, and the
+process's peak RSS.  The switches and the peak come from
+`resource.getrusage` of this process only (all its threads): a worker
+that waits for the GIL sleeps, so the switches count the GIL handoffs.
+Linux keeps `ru_maxrss` across `exec`, so run it from a shell, not from a
+large process.  It never asks for more than 2 threads.
+
+The render-grid bench reports the same efficiency as `scaling_eff`, for
+its own light at 64x64 spp 64.  Here RES and SPP are free, so a path the
+bench never takes can be timed: `--res 256 --spp 6` runs `GridLight`'s
+per-lane path, in row blocks of about 12k lanes.
 """
 
 from __future__ import annotations
@@ -68,6 +75,7 @@ def main(argv=None) -> int:
               f"{switches:.0f} voluntary context switches per render")
     t1, t2 = result[1][0], result[2][0]
     print(f"efficiency t1 / (2 t2): {t1 / (2.0 * t2):.3f}")
+    print(f"peak RSS: {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.1f} MB")
     return 0
 
 

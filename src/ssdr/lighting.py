@@ -244,12 +244,19 @@ class SkyDiscLight(LightField):
 # made 1,500-2,400 voluntary context switches, and makes 730-830 now.
 # The block also bounds the call's temporaries whatever the caller's chunk
 # size: at the peak about 200 bytes per lane in pixel runs of 64 lanes,
-# the table of spatial sums included (test_grid_light_lane_block_peak_bytes),
-# and about 520 on the per-lane path.  `render-grid`'s peak RSS reads
-# 61.1-62.4 MB at 6144 lanes and 63.4-64.6 MB at 2^14; at 2^15 it read
-# 67.3-67.5 MB even with a leaner pass, 9% above the 6144-lane figure.
+# the table of spatial sums included (test_grid_light_lane_block_peak_bytes).
+# `render-grid`'s peak RSS reads 61.1-62.4 MB at 6144 lanes and 63.4-64.6
+# MB at 2^14; at 2^15 it read 67.3-67.5 MB even with a leaner pass.
 # Every lane is computed on its own, so the block size changes no bit.
 _LANE_BLOCK = 1 << 14
+
+# Lanes per piece of a block on the per-lane path.  That path holds every
+# lane's 8 spatial corners beside a (3, 4, lanes) table and its gather
+# buffer, about 520 bytes per lane, so it goes in 6144-lane pieces: a whole
+# 2^14-lane block peaked at 8.2 MB, and a 2-thread 128x128 spp-16 render
+# under the bench's grid shape read 78-79 MB peak RSS against 63-64 MB in
+# 6144-lane blocks.  In pieces it peaks at 4.4 MB and reads 65 MB.
+_OWN_CELLS_PIECE = 6144
 
 
 def _weighted_sum(src, terms):
@@ -390,13 +397,23 @@ class GridLight(LightField):
             for _, cell in corners:
                 cell += row
             del row
-            at = (cell for _, cell in corners)
-        else:
-            # S per lane, over its own cells: (3, corners, lanes)
-            cells = np.stack([cell for _, cell in corners])
-            table = _weighted_sum(vals, ((ws, off + cells)
-                                         for ws, off in self._space(p, nt * nph)))
-            at = (q * n + np.arange(n) for q in range(len(corners)))
+            return _weighted_sum(table.reshape(3, -1), corners)
+        # S per lane, over its own cells, in pieces (see _OWN_CELLS_PIECE)
+        del new, starts
+        out = np.empty((3, n))
+        for s in range(0, n, _OWN_CELLS_PIECE):
+            k = slice(s, s + _OWN_CELLS_PIECE)
+            out[:, k] = self._own_cells(vals, p[k], [(w[k], c[k]) for w, c in corners])
+        return out
+
+    def _own_cells(self, vals, p, corners):
+        """Radiance of lanes that each form S over their own 4 cells:
+        (3, corners, lanes), then each lane's weighted sum of it."""
+        n = p.shape[0]
+        nt, nph = self.values.shape[3:5]
+        cells = np.stack([cell for _, cell in corners])
+        table = _weighted_sum(vals, ((ws, off + cells) for ws, off in self._space(p, nt * nph)))
+        at = (q * n + np.arange(n) for q in range(len(corners)))
         return _weighted_sum(table.reshape(3, -1), ((wd, i) for (wd, _), i in zip(corners, at)))
 
     def radiance(self, p, d):
