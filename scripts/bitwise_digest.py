@@ -35,10 +35,10 @@ The MLP kernel has lines of its own: `mlp.forward`'s output and
 `mlp.backward`'s dflat and input adjoint dx = da0 @ W0 (from the first
 layer's adjoint da0 it returns) on a fixed seeded input of MLP_ROWS rows,
 more than one softplus tile, so a change to the kernel shows as a named
-line and not only through the renderers.  The in-place softplus has lines
-too, without and with `keep` (its e and pos): a seeded SOFTPLUS_SHAPE
-array with inf, -inf and NaN entries, several tiles long, whose tile
-edges fall inside rows.
+line and not only through the renderers.  The in-place softplus has a
+line too (its name keeps the tag `scratch`): a seeded SOFTPLUS_SHAPE array
+with inf, -inf and NaN entries, several tiles long, whose tile edges fall
+inside rows.
 
 The learned query's point blocks have lines of their own: a
 `BlendedLightField` with the benchmark's field (`default_field_dims(10)`,
@@ -223,16 +223,10 @@ def mlp_lines():
     yield "mlp/forward", y
     yield "mlp/backward.dx", da0 @ next(weights.layers())[0]
     yield "mlp/backward.dflat", dflat
-    a0 = rng.normal(0.0, 20.0, SOFTPLUS_SHAPE)
-    a0.reshape(-1)[rng.integers(0, a0.size, 30)] = [np.inf, -np.inf, np.nan] * 10
-    for keep in (False, True):
-        a = a0.copy()
-        act = mlp._softplus_inplace(a, keep)
-        tag = "kept" if keep else "scratch"
-        yield f"mlp/softplus.{tag}.a", a
-        if keep:
-            yield f"mlp/softplus.{tag}.e", act[0]
-            yield f"mlp/softplus.{tag}.pos", act[1]
+    a = rng.normal(0.0, 20.0, SOFTPLUS_SHAPE)
+    a.reshape(-1)[rng.integers(0, a.size, 30)] = [np.inf, -np.inf, np.nan] * 10
+    mlp._softplus_inplace(a)
+    yield "mlp/softplus.scratch.a", a
 
 
 def block_lines():

@@ -20,12 +20,9 @@ from .core import ContractError
 _SOFTPLUS_TILE = 1 << 15
 
 
-def _softplus_inplace(a: np.ndarray, keep: bool = True):
+def _softplus_inplace(a: np.ndarray) -> None:
     """Overwrite the C-contiguous float64 array `a` with softplus(a) =
-    max(a, 0) + log1p(exp(-|a|)) and return (e, pos): e = exp(-|a|) and
-    pos = a >= 0 of the input, which give softplus'(a) = sigmoid(a) with no
-    further exp (see `backward`).  With keep=False pos is not formed, None
-    is returned, and e is scratch.
+    max(a, 0) + log1p(exp(-|a|)).
 
     exp(-|a|) never overflows, so the closed form holds for every a; NaN
     propagates, -inf gives 0 and +inf gives +inf.  Every pass runs over one
@@ -35,54 +32,51 @@ def _softplus_inplace(a: np.ndarray, keep: bool = True):
     first operand in the vector loop and from its second in the tail, so
     the tile is a multiple of the vector width and the last tile takes the
     remainder, and each element meets the loop part it meets over the
-    whole array.  With keep, e and pos are full size and filled tile by
-    tile; the scratch is one (the last) tile either way."""
+    whole array.  The only scratch is one (the last) tile."""
     if not a.flags.c_contiguous:
         raise ContractError("softplus works in place on a C-contiguous array")
     flat = a.reshape(-1)
     n = flat.size
     edges = [i * _SOFTPLUS_TILE for i in range(max(n // _SOFTPLUS_TILE, 1))] + [n]
     scratch = np.empty(n - edges[-2])
-    if keep:
-        e, pos = np.empty_like(a), np.empty(a.shape, dtype=bool)
-        flat_e, flat_pos = e.reshape(-1), pos.reshape(-1)
     for lo, hi in zip(edges, edges[1:]):
         t = flat[lo:hi]
         s = scratch[:hi - lo]
-        if keep:
-            np.greater_equal(t, 0, out=flat_pos[lo:hi])
-            te = flat_e[lo:hi]
-        else:
-            te = s
-        np.abs(t, out=te)
-        np.negative(te, out=te)
-        np.exp(te, out=te)
+        np.abs(t, out=s)
+        np.negative(s, out=s)
+        np.exp(s, out=s)
         np.maximum(t, 0.0, out=t)
-        t += np.log1p(te, out=s)
-    return (e, pos) if keep else None
+        t += np.log1p(s, out=s)
 
 
 def softplus(x):
     """log(1 + exp(x)) in the closed form of `_softplus_inplace`: SIMD exp
     and log1p, within 3 ulp of np.logaddexp(0, x)."""
     out = np.array(x, dtype=np.float64, order="C")
-    _softplus_inplace(out, keep=False)
+    _softplus_inplace(out)
     return out[()]
 
 
-def _sigmoid_from_exp(e, pos):
-    """sigmoid(x) from e = exp(-|x|) and pos = x >= 0: 1 / (1 + e) where
-    pos, e / (1 + e) elsewhere.  e is only read.  Since e <= 1, the
-    numerator is max(e, pos): no branch, and a NaN e stays NaN."""
-    out = np.maximum(e, pos)
+def sigmoid(x):
+    """1 / (1 + e) where x >= 0 and e / (1 + e) elsewhere, from
+    e = exp(-|x|), which never overflows.  Since e <= 1, the numerator is
+    max(e, x >= 0): no branch, and a NaN stays NaN."""
+    x = np.asarray(x, dtype=np.float64)
+    e = np.exp(-np.abs(x))
+    out = np.maximum(e, x >= 0)
     out /= e + 1.0
     return out
 
 
-def sigmoid(x):
-    # e = exp(-|x|) never overflows
-    x = np.asarray(x, dtype=np.float64)
-    return _sigmoid_from_exp(np.exp(-np.abs(x)), x >= 0)
+def _sigmoid_from_softplus(h: np.ndarray) -> np.ndarray:
+    """softplus'(a) = sigmoid(a) from h = softplus(a) alone, as
+    1 - exp(-h) = -expm1(-h): exact in math, and expm1 keeps the small
+    values of a far below 0 accurate.  Within 2 ulp of `sigmoid`, and
+    equal at a = +-inf, +-0 and NaN."""
+    out = np.negative(h)
+    np.expm1(out, out=out)
+    np.negative(out, out=out)
+    return out
 
 
 def param_count(dims) -> int:
@@ -148,21 +142,17 @@ def forward(weights: MlpWeights, x: np.ndarray, keep: bool = True):
     Each layer computes a = h @ W.T + b; a hidden layer then overwrites a
     with softplus(a) = max(a, 0) + log1p(exp(-|a|)) in place
     (`_softplus_inplace`).  Returns (y, cache), where the cache that
-    `backward` reads is (inputs, acts):
-      inputs  the input h of every layer: x, then each hidden activation
-      acts    per hidden layer, (e, pos) with e = exp(-|a|) and pos = a >= 0
-              of its pre-activation a, from which `backward` forms
-              softplus'(a) = sigmoid(a) without a second exp
-    With keep=False, for a caller that never pulls back, the cache is None
-    and no layer's input or (e, pos) outlives the layer that made it; y is
-    the same to the bit.
+    `backward` reads is the list of layer inputs: x, then each hidden
+    activation h = softplus(a).  Nothing else is kept: `backward` forms
+    softplus'(a) from h (`_sigmoid_from_softplus`).  With keep=False,
+    for a caller that never pulls back, the cache is None and no layer's
+    input outlives the layer that reads it; y is the same to the bit.
     """
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if x.shape[-1] != weights.dims[0]:
         raise ContractError(f"input dim {x.shape[-1]} != {weights.dims[0]}")
     h = x
     inputs = []
-    acts = []
     n_layers = len(weights.dims) - 1
     for i, (w, b) in enumerate(weights.layers()):
         if keep:
@@ -170,19 +160,17 @@ def forward(weights: MlpWeights, x: np.ndarray, keep: bool = True):
         h = h @ w.T
         h += b
         if i < n_layers - 1:
-            act = _softplus_inplace(h, keep)
-            if keep:
-                acts.append(act)
-    return h, ((inputs, acts) if keep else None)
+            _softplus_inplace(h)
+    return h, (inputs if keep else None)
 
 
 def backward(weights: MlpWeights, cache, dy: np.ndarray):
     """Adjoints of `forward`: returns (da0, dflat), where da0 is the
     adjoint of the first layer's pre-activation x @ W0.T + b0.  The input
     adjoint dx = da0 @ W0 is left to a caller that needs it; the library's
-    callers need dflat only.  The cache is only read, so one forward pass
-    may be pulled back more than once."""
-    inputs, acts = cache
+    callers need dflat only.  A hidden layer's softplus' comes from its
+    kept activation, the next layer's input.  The cache is only read, so
+    one forward pass may be pulled back more than once."""
     dy = np.atleast_2d(np.asarray(dy, dtype=np.float64))
     n_layers = len(weights.dims) - 1
     grads_w = [None] * n_layers
@@ -190,10 +178,10 @@ def backward(weights: MlpWeights, cache, dy: np.ndarray):
     ws = [w for w, _ in weights.layers()]
     da = dy
     for i in reversed(range(n_layers)):
-        grads_w[i] = da.T @ inputs[i]
+        grads_w[i] = da.T @ cache[i]
         grads_b[i] = da.sum(axis=0)
         if i > 0:
             da = da @ ws[i]
-            da *= _sigmoid_from_exp(*acts[i - 1])  # softplus' = sigmoid
+            da *= _sigmoid_from_softplus(cache[i])
     dflat = np.concatenate([np.concatenate([gw.ravel(), gb]) for gw, gb in zip(grads_w, grads_b)])
     return da, dflat

@@ -331,10 +331,10 @@ def softplus_logaddexp(x):
     return np.logaddexp(0.0, x)
 
 
-def mlp_backward_sigmoid(weights, x, dy):
-    """Reference for `mlp.backward` on the inputs x: recompute every layer's
-    pre-activation a and pull dy back through sigmoid(a) = softplus'(a),
-    as the original cache of pre-activations did."""
+def _mlp_backward_recomputed(weights, x, dy, softplus_grad):
+    """`mlp.backward` on the inputs x, its pre-activations a recomputed:
+    dy is pulled back through softplus_grad(a, softplus(a)) at every
+    hidden layer.  Returns (dx, dflat)."""
     layers = list(weights.layers())
     h, inputs, pre = np.asarray(x, dtype=np.float64), [], []
     for i, (w, b) in enumerate(layers):
@@ -347,8 +347,22 @@ def mlp_backward_sigmoid(weights, x, dy):
         grads.append(np.concatenate([(da.T @ inputs[i]).ravel(), da.sum(axis=0)]))
         da = da @ layers[i][0]
         if i > 0:
-            da = da * mlp.sigmoid(pre[i - 1])
+            da = da * softplus_grad(pre[i - 1], inputs[i])
     return da, np.concatenate(grads[::-1])
+
+
+def mlp_backward_sigmoid(weights, x, dy):
+    """The logistic reference for `mlp.backward`: softplus'(a) =
+    sigmoid(a) of the pre-activation, as the original cache of
+    pre-activations gave it.  Not its bytes: a few ulp apart."""
+    return _mlp_backward_recomputed(weights, x, dy, lambda a, h: mlp.sigmoid(a))
+
+
+def mlp_backward_expm1(weights, x, dy):
+    """Bytes reference for `mlp.backward`: softplus'(a) = 1 - exp(-h) =
+    -expm1(-h) of the activation h = softplus(a), the only per-layer
+    state its cache keeps."""
+    return _mlp_backward_recomputed(weights, x, dy, lambda a, h: -np.expm1(-h))
 
 
 def peak_rss_mb(script: str) -> float:

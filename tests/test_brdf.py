@@ -51,6 +51,12 @@ def test_eval_rejects_non_unit():
         brdf.eval(np.array([0.0, 0.0, 2.0]), N_UP, N_UP, params)
 
 
+def test_eval_rejects_a_view_below_the_surface():
+    params = brdf.BrdfParams(albedo=(0.5, 0.5, 0.5), roughness=0.4, metallic=0.0)
+    with pytest.raises(ContractError, match="v.n > 0"):
+        brdf.eval(-V30, N_UP, N_UP, params)
+
+
 @pytest.mark.parametrize("roughness", [0.1, 0.5, 1.0])
 def test_white_furnace_bound(roughness):
     params = brdf.BrdfParams(albedo=(1.0, 1.0, 1.0), roughness=roughness,

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ssdr import inverse, render, scenes, volumetric as vol
-from ssdr.core import ContractError, GBuffer
+from ssdr.core import ContractError, GBuffer, ImageBuffer
 from ssdr.gradcheck import check_light_params
 from ssdr.inverse import AdamState, LossConfig, loss_rerender, optimize
 from ssdr.lighting import ConstantLight, FeatureGrid, SkyGradientLight, decoder_input_dim
@@ -24,6 +24,14 @@ def test_loss_rerender_single_pixel_value():
     loss, adj = loss_rerender(pred, target)
     assert np.isclose(loss, 1.0)
     assert np.allclose(adj, 2.0 / 3.0)
+
+
+def test_loss_rerender_reads_image_buffers():
+    """An ImageBuffer gives the loss and adjoint of its data array."""
+    x, y = np.random.default_rng(1).random((2, 3, 2, 3))
+    got = loss_rerender(ImageBuffer(2, 3, 3, x), ImageBuffer(2, 3, 3, y))
+    want = loss_rerender(x, y)
+    assert got[0] == want[0] and got[1].tobytes() == want[1].tobytes()
 
 
 @given(st.floats(0.1, 10.0))

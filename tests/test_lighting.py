@@ -265,6 +265,15 @@ def test_grid_light_rejects_misshaped_values(shape):
         GridLight(np.zeros(shape), [[0, 0, 0], [1, 1, 1]])
 
 
+def test_parameterless_light_rejects_a_parameter_vector():
+    """A grid light has no parameters: an empty vector is accepted, any
+    other is refused."""
+    gl = GridLight(np.zeros((2, 2, 2, 2, 2, 3)), [[0, 0, 0], [1, 1, 1]])
+    gl.set_params(np.zeros(0))
+    with pytest.raises(ContractError, match="has no parameters"):
+        gl.set_params(np.zeros(1))
+
+
 @pytest.mark.parametrize("run, bytes_per_lane", [(64, 204), (1, 281)],
                          ids=["table-path", "per-lane-path"])
 def test_grid_light_lane_block_peak_bytes(run, bytes_per_lane):

@@ -132,6 +132,15 @@ def test_reference_rejects_cells_below_one(cells):
                          cells=cells)
 
 
+def test_reference_of_no_shadeable_pixel_is_black():
+    """A surface that faces away from the camera everywhere has nothing to
+    shade: a black image, not an empty reduction."""
+    g = GBuffer(albedo=np.full((4, 4, 3), 0.5), normal=np.tile([0.0, 0.0, 1.0], (4, 4, 1)),
+                depth=np.full((4, 4), 2.0), roughness=np.ones((4, 4)), metallic=np.zeros((4, 4)))
+    img = reference_render(g, scenes.default_camera(4, 4), ConstantLight(1.0))
+    assert img.shape == (4, 4, 3) and not img.any()
+
+
 def test_mc_and_dense_grid_converge_to_same_integral():
     """With the BRDF forced diffuse and a dense grid, both estimators
     approximate the same hemisphere integral."""

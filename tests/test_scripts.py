@@ -77,3 +77,19 @@ def test_thread_scaling_prints_its_figures():
                             r"context switches per render", line), line
     assert re.fullmatch(r"efficiency t1 / \(2 t2\): \d+\.\d{3}", lines[2]), lines[2]
     assert re.fullmatch(r"peak RSS: \d+\.\d MB", lines[3]), lines[3]
+
+
+@pytest.mark.parametrize("lighting", ["learned", "bundle"])
+def test_fit_memory_prints_its_figures(lighting):
+    """One 8x8 fit iteration in a forked child: its seconds, then its
+    peak RSS."""
+    paths = [str(_ROOT / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    out = subprocess.run([sys.executable, "scripts/fit_memory.py", "--res", "8", "--spp", "2",
+                          "--lighting", lighting], cwd=_ROOT, env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert len(lines) == 2, out.stdout
+    assert re.fullmatch(r"seconds: \d+\.\d{3}", lines[0]), lines[0]
+    assert re.fullmatch(r"peak RSS: \d+\.\d MB", lines[1]), lines[1]

@@ -190,5 +190,8 @@ def test_contract_violations():
     with pytest.raises(ContractError):
         ssrt.trace_batch(depth, camera, np.array([[np.nan, 0.0, 1.0]]),
                          np.array([[0.0, 0.0, 1.0]]), CFG)
+    with pytest.raises(ContractError, match="in front of the camera"):
+        ssrt.trace_batch(depth, camera, np.array([[0.0, 0.0, -1.0]]),
+                         np.array([[0.0, 0.0, 1.0]]), CFG)
     with pytest.raises(ContractError):
         SsrtConfig(max_steps=0)
