@@ -136,9 +136,14 @@ def test_sigmoid_from_softplus_within_2_ulp_of_logistic():
     _assert_sigmoid_within_2_ulp(got, a)
 
 
-def test_softplus_inplace_rejects_arrays_it_cannot_write_through():
+@pytest.mark.parametrize("tiled", [False, True])
+def test_softplus_inplace_rejects_arrays_it_cannot_write_through(monkeypatch, tiled):
     """An F-order or a sliced array would be copied by its flat view, so
-    the in-place writes would be lost: both are refused, untouched."""
+    the in-place writes would be lost: both are refused, untouched, also
+    when the array spans many tiles, so no tile is written before the
+    refusal."""
+    if tiled:
+        monkeypatch.setattr(mlp, "_SOFTPLUS_TILE", 64)
     a = _softplus_input((40, 64))
     for bad in (np.asfortranarray(a), a[:, ::2], a[:, 1:]):
         before = bad.copy()
