@@ -8,7 +8,7 @@ Run it once against each tree and diff the two outputs:
     PYTHONPATH=/path/to/other/src python3 scripts/bitwise_digest.py > old.txt
     diff old.txt new.txt
 
-It covers `render_mc`, every `render_backward` field, the gradient
+It covers `render_mc`, every `render_backward` adjoint, the gradient
 checks' frozen-sample values at the base maps (`gradcheck.frozen_values`,
 the shadeable pixels in row-major order; its lines keep the name
 `eval_frozen`) and `reference_render` (both modes) on the three canned
@@ -26,7 +26,7 @@ per-lane path, for lanes whose positions all differ.
 It also covers the learned `BlendedLightField` in its two modes, fixed
 field weights (a hypernetwork of an empty feature, F = 0; the "volume"
 lines) and a hypernetwork of a 5-long feature (F = 5; the "hypernet"
-lines): `render_mc` and every `render_backward` field at threads 1 and 2,
+lines): `render_mc` and every `render_backward` adjoint at threads 1 and 2,
 and a 3-iteration albedo + light `optimize` (maps, light parameters,
 losses).  These run at the smaller LEARNED_RES and
 LEARNED_SPP, since the learned field is slow.
@@ -66,7 +66,7 @@ ENC_ROWS rows, so a change to the encoding shows as a named line and not only th
 learned renders.
 
 SSRT and the decoder's inputs have lines of their own too:
-`ssrt.trace_batch`'s status, pixel, delta_d, u and s, and the rows of
+`ssrt.trace_batch`'s status, pixel, delta_d and u, and the rows of
 `lighting.decoder_inputs`, for a fixed seeded ray set over each canned
 scene's depth map with a few no-geometry sentinel pixels, so a change to
 an image lookup shows layer by layer and not only through 12x12 learned
@@ -78,7 +78,9 @@ render's sample tape at threads 1 and 2, so the benchmarked path's bits
 show and not only those of the all-parameter adjoint.
 
 Every line is `<name> <sha256>` of the float64 array's bytes, so any
-changed bit shows as a changed line.
+changed bit shows as a changed line, or `<name> none` for an adjoint that
+was not asked for.  It prints 280 lines, each name once; a line with
+`/t1/` in its name has a `/t2/` twin of the same bytes.
 """
 
 import hashlib
@@ -109,7 +111,7 @@ BRDF_LANES = 6000
 # analytic fits: RES x RES at OPT_SPP samples per pixel
 OPT_ITERS = 3
 OPT_SPP = 16
-GRAD_FIELDS = tuple("d" + name for name in PARAM_NAMES)
+FIELD_BANDS = 10   # the benchmark's field
 
 
 def digest(a) -> str:
@@ -138,7 +140,7 @@ def learned_light(g, camera, mode: str) -> volumetric.BlendedLightField:
     grid = FeatureGrid(rng.normal(size=(h, w, 4)))
     dec = MlpWeights.random((decoder_input_dim(4), 16, 16, 3), seed=1, scale=0.2)
     vdims = (volumetric.field_input_dim(4), 16, 16, 4)
-    vcfg = volumetric.VolumeConfig(n_samples=16, position_bands=4)
+    vcfg = volumetric.VolumeConfig(n_samples=16)
     if mode == "volume":
         return volumetric.BlendedLightField(
             grid, g, camera, dec,
@@ -161,8 +163,7 @@ def learned_lines(rng):
                                                            threads=threads)
             grad = render_backward(g, camera, light, cfg, dI, threads=threads,
                                    params=PARAM_NAMES)
-            for field in GRAD_FIELDS:
-                yield f"{tag}/t{threads}/render_backward.{field}", getattr(grad, field)
+            yield from backward_lines(f"{tag}/t{threads}", grad)
 
         target = render_mc(g, camera, light, replace(cfg, spp=4 * LEARNED_SPP, seed=9))
         start = g.copy()
@@ -171,6 +172,13 @@ def learned_lines(rng):
                        LossConfig(iterations=3, step_size=0.001, params=("albedo", "light"),
                                   spp=LEARNED_SPP, seed=4, specular_scale=0.0))
         yield from optimize_result_lines(tag, res)
+
+
+def backward_lines(tag, grad):
+    """One line per parameter class, named `d<class>`: the adjoint of the
+    `render_backward` result `grad`, or none where it was not asked."""
+    for name in PARAM_NAMES:
+        yield f"{tag}/render_backward.d{name}", grad.get(name)
 
 
 def optimize_result_lines(tag, res):
@@ -239,7 +247,7 @@ def block_lines():
         FeatureGrid(rng.normal(size=(LEARNED_RES, LEARNED_RES, 4))), g, camera,
         MlpWeights.random((decoder_input_dim(4), 16, 16, 3), seed=1, scale=0.2),
         volumetric.HypernetParams.fixed(
-            MlpWeights.random(volumetric.default_field_dims(10), seed=5)))
+            MlpWeights.random(volumetric.default_field_dims(FIELD_BANDS), seed=5)))
     points, _, valid = render.pixel_geometry(g, camera)
     p = points[valid][rng.integers(0, np.count_nonzero(valid), BLOCK_RAYS)]
     d = normalize(rng.normal(size=(BLOCK_RAYS, 3)))
@@ -281,7 +289,7 @@ def encoding_lines():
     """Seeded points over [-25, 25]^3 at the decoder's and the field's band
     counts."""
     x = np.random.default_rng(41).uniform(-25.0, 25.0, (ENC_ROWS, 3))
-    for bands in (lighting.DIRECTION_BANDS, volumetric.VolumeConfig().position_bands):
+    for bands in (lighting.DIRECTION_BANDS, FIELD_BANDS):
         yield f"positional_encoding/bands{bands}", lighting.positional_encoding(x, bands)
 
 
@@ -303,7 +311,7 @@ def trace_lines():
         for tag, cfg in (("default", ssrt.SsrtConfig()),
                          ("short", ssrt.SsrtConfig(max_steps=8, stride=2.0))):
             hits = ssrt.trace_batch(g.depth, camera, p, d, cfg)
-            for field in ("status", "pixel", "delta_d", "u", "s"):
+            for field in ("status", "pixel", "delta_d", "u"):
                 yield f"{kind}/trace_batch.{tag}.{field}", getattr(hits, field)
         grid = lighting.FeatureGrid(rng.normal(size=(RES, RES, 4)))
         x, _ = lighting.decoder_inputs(grid, g, camera, p, d)
@@ -322,8 +330,7 @@ def fit_backward_lines():
         render_mc(g, camera, light, cfg, threads=threads, tape=tape)
         grad = render_backward(g, camera, light, cfg, dI, threads=threads,
                                params=("albedo", "roughness"), tape=tape)
-        for field in GRAD_FIELDS:
-            yield f"glossy-floor/fit/t{threads}/render_backward.{field}", getattr(grad, field)
+        yield from backward_lines(f"glossy-floor/fit/t{threads}", grad)
 
 
 def spp1_lines():
@@ -363,8 +370,7 @@ def lines():
                                                                threads=threads)
                 grad = render_backward(g, camera, light, cfg, dI, threads=threads,
                                        params=PARAM_NAMES)
-                for field in GRAD_FIELDS:
-                    yield f"{tag}/t{threads}/render_backward.{field}", getattr(grad, field)
+                yield from backward_lines(f"{tag}/t{threads}", grad)
             (values,) = gradcheck.frozen_values(g, camera, [(g, light)], cfg)
             yield f"{tag}/eval_frozen", values
             for mode in ("split", "cosine"):
@@ -381,8 +387,8 @@ def lines():
     try:
         yield "multichunk/render_mc", render_mc(g, camera, light, cfg, threads=2)
         grad = render_backward(g, camera, light, cfg, dI, threads=2)
-        for field in ("dalbedo", "droughness", "dmetallic", "dnormal"):
-            yield f"multichunk/render_backward.{field}", getattr(grad, field)
+        for name in render.MATERIAL_NAMES:
+            yield f"multichunk/render_backward.d{name}", grad[name]
     finally:
         render._CHUNK_LANES = saved
 

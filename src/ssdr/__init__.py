@@ -14,8 +14,7 @@ from .lighting import (ConstantLight, FeatureGrid, GridLight, LightField,
                        SkyDiscLight, SkyGradientLight, analytic_lightfield,
                        positional_encoding)
 from .mlp import MlpWeights
-from .render import (GradientImage, RenderConfig, reference_render,
-                     render_backward, render_mc)
+from .render import RenderConfig, reference_render, render_backward, render_mc
 from .ssrt import SsrtConfig, Status, trace_batch, uncertainty
 from .volumetric import (BlendedLightField, HypernetParams, VolumeConfig, blend,
                          field_eval, hypernet_forward)
@@ -24,7 +23,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BlendedLightField", "BrdfParams", "Camera", "ConstantLight",
-    "ContractError", "FeatureGrid", "GBuffer", "GradientImage", "GridLight",
+    "ContractError", "FeatureGrid", "GBuffer", "GridLight",
     "HypernetParams", "ImageBuffer", "LightField", "LossConfig", "MlpWeights",
     "RenderConfig", "SkyDiscLight", "SkyGradientLight",
     "SsrtConfig", "Status", "VolumeConfig",

@@ -49,11 +49,9 @@ def luminance(rgb: np.ndarray) -> np.ndarray:
 
 @dataclass
 class ImageBuffer:
-    """Row-major scalar image, row 0 at the top; 1 or 3 (or more) channels.
-
-    `data` has shape (height, width, channels).  Channel counts above 3 are
-    allowed for feature maps.
-    """
+    """Row-major image as a PFM holds it, row 0 at the top: `data` has
+    shape (height, width, channels), with 1 or 3 channels.  Feature grids
+    are blobs (`lighting.FeatureGrid`), not ImageBuffers."""
 
     width: int
     height: int

@@ -20,7 +20,7 @@ import numpy as np
 from . import volumetric
 from .core import Camera, ContractError, GBuffer, dot, normalize, orthonormal_basis
 from .lighting import LightField
-from .render import (GradientImage, RenderConfig, _lane_layout, _shade_blocks,
+from .render import (MATERIAL_NAMES, RenderConfig, _lane_layout, _shade_blocks,
                      pixel_geometry, render_backward)
 
 
@@ -56,39 +56,37 @@ def frozen_values(g: GBuffer, camera: Camera, shades, cfg: RenderConfig) -> list
             for i in range(len(shades))]
 
 
-def material_differences(g: GBuffer, camera: Camera, grad: GradientImage,
+def material_differences(g: GBuffer, camera: Camera, grad: dict,
                          light: LightField, cfg: RenderConfig, classes):
     """Central differences of every shadeable pixel's channel sum with
     respect to each component of its own parameter of each class in
-    `classes`, and the matching adjoints from `grad` (of the all-ones
-    adjoint image).  Returns the unshifted channel sums (n_pix,) and a dict
-    of class -> (differences, adjoints), both (n_pix, k), for the 3 albedo
-    channels, the 2 normal tangent directions, or the 1 scalar.
+    `classes`, and the matching adjoints from `grad`, the `render_backward`
+    result of the all-ones adjoint image.  Returns the unshifted channel
+    sums (n_pix,) and a dict of class -> (differences, adjoints), both
+    (n_pix, k), for the 3 albedo channels, the 2 normal tangent
+    directions, or the 1 scalar.
 
     On a frozen sample set a pixel's value depends only on its own
     materials, so one component is shifted at every pixel at once, and two
     shaded maps give that component's differences for all pixels.  All the
     shifted maps shade the one sample set in one pass."""
-    maps = {"albedo": g.albedo, "roughness": g.roughness,
-            "metallic": g.metallic, "normal": g.normal}
     pix = np.nonzero(pixel_geometry(g, camera)[2])
     eps = 2e-6
     shades, spans = [(g, light)], {}
     for cls in classes:
-        if cls not in maps:
+        if cls not in MATERIAL_NAMES:
             raise ContractError(f"unknown material class {cls!r}")
-        base = maps[cls]
+        base, adj = getattr(g, cls), grad[cls][pix]
         if cls == "albedo":
             pairs = [(base + step, base - step) for step in np.eye(3) * eps]
-            adj = grad.dalbedo[pix]
         elif cls == "normal":
             tangents = orthonormal_basis(base)
             pairs = [(normalize(base + eps * tv), normalize(base - eps * tv))
                      for tv in tangents]
-            adj = np.stack([dot(grad.dnormal[pix], tv[pix]) for tv in tangents], axis=1)
+            adj = np.stack([dot(adj, tv[pix]) for tv in tangents], axis=1)
         else:
             pairs = [(base + eps, base - eps)]
-            adj = getattr(grad, "d" + cls)[pix][:, None]
+            adj = adj[:, None]
         spans[cls] = slice(len(shades), len(shades) + 2 * len(pairs)), adj
         shades += [(replace(g, **{cls: m}), light) for pair in pairs for m in pair]
 
@@ -102,8 +100,7 @@ def material_differences(g: GBuffer, camera: Camera, grad: GradientImage,
 
 def check_render_material(g: GBuffer, camera: Camera, light: LightField,
                           cfg: RenderConfig, tol: float = 1e-4,
-                          classes=("albedo", "roughness", "metallic", "normal")
-                          ) -> list[CheckResult]:
+                          classes=MATERIAL_NAMES) -> list[CheckResult]:
     """FD-vs-adjoint over every shadeable pixel for each material class;
     the cost is linear in the pixel count."""
     grad = render_backward(g, camera, light, cfg, np.ones((*g.depth.shape, 3)),
@@ -173,7 +170,7 @@ def check_hypernet(h: volumetric.HypernetParams, fg: np.ndarray,
     dfg, dmat, dbias = volumetric.hypernet_backward(fg, h, dflat)
 
     def objective(fg_v=fg, mat=h.matrix, bias=h.bias):
-        hh = volumetric.HypernetParams(h.feature_dim, h.target_dims, mat, bias)
+        hh = volumetric.HypernetParams(h.target_dims, mat, bias)
         return float(volumetric.hypernet_forward(fg_v, hh).flat @ dflat)
 
     scale = 1e-6 * (1.0 + float(np.abs(dmat).max()))
@@ -209,7 +206,7 @@ def check_light_params(g: GBuffer, camera: Camera, light: LightField,
             shades.append((g, probe))
         return [float(v.sum()) for v in frozen_values(g, camera, shades, cfg)]
 
-    scale = max(1e-7, 1e-6 * float(np.abs(grad.dlight).max()))
-    err = _max_fd_error(objectives, light.get_params(), grad.dlight, rng, n_components,
+    scale = max(1e-7, 1e-6 * float(np.abs(grad["light"]).max()))
+    err = _max_fd_error(objectives, light.get_params(), grad["light"], rng, n_components,
                         1e-5, scale)
     return CheckResult("render/light-params", err, tol)

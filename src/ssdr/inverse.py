@@ -155,7 +155,7 @@ def optimize(g: GBuffer, camera: Camera, light: LightField, target,
 
         for n in names:
             x = value(n)
-            x -= adams[n].step(getattr(grad, "d" + n), cfg.step_size)
+            x -= adams[n].step(grad[n], cfg.step_size)
             if n == "light":
                 light.set_params(x)
         _reproject(cur)

@@ -55,7 +55,6 @@ _PDF_FLOOR = 1e-6   # q = max(pdf, floor); pdf gradients only above it
 # the light's parameters
 PARAM_NAMES = ("albedo", "roughness", "metallic", "normal", "light")
 MATERIAL_NAMES = PARAM_NAMES[:4]
-_RGB_MAPS = ("albedo", "normal")    # the maps with 3 channels per pixel
 
 
 def check_params(params) -> tuple[str, ...]:
@@ -97,19 +96,6 @@ class RenderConfig:
         if not 0.0 <= self.specular_scale < np.inf:
             raise ContractError("specular_scale must be finite and >= 0, "
                                 f"got {self.specular_scale}")
-
-
-@dataclass
-class GradientImage:
-    """Per-pixel adjoints of the rendered image, and the adjoint of the
-    light's parameters; dnormal is tangent-plane projected.  A field is
-    None unless its name was among the `params` asked of `render_backward`."""
-
-    dalbedo: np.ndarray | None = None     # (H, W, 3)
-    droughness: np.ndarray | None = None  # (H, W)
-    dmetallic: np.ndarray | None = None   # (H, W)
-    dnormal: np.ndarray | None = None     # (H, W, 3)
-    dlight: np.ndarray | None = None      # (light.n_params,)
 
 
 def pixel_geometry(g: GBuffer, camera: Camera):
@@ -343,7 +329,7 @@ def _shade_blocks(g, camera, shades, cfg, threads, dI=None, params=(), tape=None
             adj, acc = None, tuple(np.zeros((n_pix, 3)) for _ in shades)
         else:
             adj = dI[px.gy, px.gx]
-            acc = tuple(np.zeros((n_pix, 3) if name in _RGB_MAPS else n_pix)
+            acc = tuple(np.zeros((n_pix,) + getattr(g, name).shape[2:])
                         for name in MATERIAL_NAMES if name in params)
         if chunks is None:
             chunks = ((*_draw(px, cfg, s0, s1), None)
@@ -391,14 +377,16 @@ def render_mc(g: GBuffer, camera: Camera, light: LightField, cfg: RenderConfig,
 def render_backward(g: GBuffer, camera: Camera, light: LightField,
                     cfg: RenderConfig, dI: np.ndarray, threads: int = 1,
                     params=MATERIAL_NAMES,
-                    tape: list | None = None) -> GradientImage:
+                    tape: list | None = None) -> dict[str, np.ndarray]:
     """Adjoints of `render_mc` for the adjoint image dI (H, W, 3).
 
     `params` names the adjoints to form, from PARAM_NAMES: the four
-    material maps by default, and "light" for the light's parameters.  The
-    GradientImage field of a name not asked for is None; an unknown name
-    is a ContractError.  A field's bits do not depend on what else was
-    asked.
+    material maps by default, and "light" for the light's parameters.
+    Returns a dict holding exactly the asked names, in PARAM_NAMES order:
+    each material's adjoint has the shape of its map, the normal's
+    projected onto the tangent plane, and "light" holds the adjoint of the
+    light's parameter vector.  An unknown name is a ContractError.  An
+    adjoint's bits do not depend on what else was asked.
 
     Given the `tape` a `render_mc` call filled, it reads that render's
     samples and light queries (and, for "light", the light's pullbacks)
@@ -413,14 +401,12 @@ def render_backward(g: GBuffer, camera: Camera, light: LightField,
     dI = np.asarray(dI, dtype=np.float64)
     if not np.all(np.isfinite(dI)):
         raise ContractError("adjoint image must be finite")
-    h, w = g.depth.shape
-    if dI.shape != (h, w, 3):
+    if dI.shape != g.depth.shape + (3,):
         raise ContractError("adjoint image shape mismatch")
     maps = [name for name in params if name != "light"]
-    grad = GradientImage(**{"d" + name: np.zeros((h, w, 3) if name in _RGB_MAPS else (h, w))
-                            for name in maps})
+    grad = {name: np.zeros_like(getattr(g, name)) for name in maps}
     if "light" in params:
-        grad.dlight = np.zeros(light.n_params)
+        grad["light"] = np.zeros(light.n_params)
 
     inv_n = 1.0 / cfg.spp
     for gy, gx, acc, dlight in _shade_blocks(g, camera, [(g, light)], cfg, threads,
@@ -431,9 +417,9 @@ def render_backward(g: GBuffer, camera: Camera, light: LightField,
                 # tangent-plane projection of the normal adjoint
                 n = g.normal[gy, gx]
                 a -= np.sum(a * n, axis=-1, keepdims=True) * n
-            getattr(grad, "d" + name)[gy, gx] = a
+            grad[name][gy, gx] = a
         if dlight is not None:
-            grad.dlight += dlight
+            grad["light"] += dlight
     return grad
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (Camera, ContractError, bilinear, check_unit, has_geometry,
-                   nearest_pixel, project, unproject)
+                   nearest_pixel, project)
 
 _Z_EPS = 1e-4
 
@@ -46,7 +46,6 @@ class SsrtConfig:
 @dataclass
 class SsrtHitBatch:
     status: np.ndarray   # (N,) int, a Status
-    s: np.ndarray        # (N, 3) source point, valid on HIT
     pixel: np.ndarray    # (N, 2) continuous pixel coords of the termination point
     delta_d: np.ndarray  # (N,) |ray depth - surface depth| at termination
     u: np.ndarray        # (N,) tanh uncertainty; exactly 1.0 iff status != HIT
@@ -197,8 +196,6 @@ def trace_batch(depth: np.ndarray, camera: Camera, p: np.ndarray, dirs: np.ndarr
     px_final[:, 1] = np.clip(px_final[:, 1], 0.0, camera.height - 1.0)
     inv_ray = iz0 + s_final * (iz1 - iz0)
     ray_z = 1.0 / np.maximum(inv_ray, 1e-12)
-    surf_z = np.where(degen & found, degen_surf,
-                      _depth_of(bilinear(disp, px_final[:, 0], px_final[:, 1])))
     ray_z = np.where(degen & found, degen_surf, ray_z)
 
     # the depth gap compares against the depth stored AT the hit pixel, so
@@ -207,10 +204,7 @@ def trace_batch(depth: np.ndarray, camera: Camera, p: np.ndarray, dirs: np.ndarr
     z_pix = depth[nearest_pixel(px_final, depth.shape)]
     delta_d = np.where(found & has_geometry(z_pix), np.abs(ray_z - z_pix), np.inf)
 
-    hit_ok = found & np.isfinite(surf_z)
-    src_depth = np.where(hit_ok, surf_z, np.maximum(ray_z, _Z_EPS))
-    src = unproject(camera, px_final, src_depth)
     u_hit = uncertainty(np.where(np.isfinite(delta_d), delta_d, 1e9))
     u = np.where(found, u_hit, 1.0)
 
-    return SsrtHitBatch(status=status, s=src, pixel=px_final, delta_d=delta_d, u=u)
+    return SsrtHitBatch(status=status, pixel=px_final, delta_d=delta_d, u=u)

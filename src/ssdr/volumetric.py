@@ -30,31 +30,41 @@ class VolumeConfig:
     t_near: float = 0.05
     t_far: float = 20.0
     n_samples: int = 64
-    position_bands: int = 10
 
     def __post_init__(self):
         if not (self.t_near < self.t_far) or self.n_samples < 2:
             raise ContractError("invalid volume config")
 
 
-def field_input_dim(position_bands: int = 10) -> int:
-    return 3 * (2 * position_bands + 1)
+def field_input_dim(bands: int) -> int:
+    """The width of a point's positional encoding of `bands` bands."""
+    return 3 * (2 * bands + 1)
 
 
-def default_field_dims(position_bands: int = 10):
+def default_field_dims(bands: int):
     """Reference field architecture: a small 4-layer, 64-unit network."""
-    return (field_input_dim(position_bands), 64, 64, 64, 4)
+    return (field_input_dim(bands), 64, 64, 64, 4)
 
 
-def field_eval(weights: MlpWeights, x: np.ndarray,
-               cfg: VolumeConfig = VolumeConfig(), keep: bool = True):
+def field_bands(weights: MlpWeights) -> int:
+    """The band count L >= 1 of field weights, read from their input
+    width field_input_dim(L); weights of another input width, or of an
+    output other than 4, are a ContractError naming the field."""
+    bands, rest = divmod(weights.dims[0] - 3, 6)
+    if bands < 1 or rest or weights.dims[-1] != 4:
+        raise ContractError(f"field weights shaped {weights.dims}, need input "
+                            "3(2L + 1) for a band count L >= 1, output 4")
+    return bands
+
+
+def field_eval(weights: MlpWeights, x: np.ndarray, keep: bool = True):
     """Density (N,) and color (N, 3) of the field at points x (N, 3), and
     what their adjoint needs: returns (sigma, color, net), where net is the
     MLP output, its cache and the unscaled color; with keep=False net is
-    None and the MLP keeps no cache (see `mlp.forward`)."""
+    None and the MLP keeps no cache (see `mlp.forward`).  The points are
+    encoded with the band count of the weights (`field_bands`)."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    weights.require("field", field_input_dim(cfg.position_bands), 4)
-    enc = positional_encoding(x, cfg.position_bands)
+    enc = positional_encoding(x, field_bands(weights))
     y, cache = mlp.forward(weights, enc, keep=keep)
     raw_col = mlp.sigmoid(y[:, 1:4])
     net = (y, cache, raw_col) if keep else None
@@ -67,9 +77,11 @@ def field_eval(weights: MlpWeights, x: np.ndarray,
 
 @dataclass
 class HypernetParams:
-    """Affine map from a global scene feature to the field's flat weights."""
+    """Affine map from a global scene feature of F numbers to the P flat
+    weights of a network shaped `target_dims`; F is the matrix's width.  A
+    matrix that is not (P, F) or a bias that is not (P,) is a
+    ContractError."""
 
-    feature_dim: int
     target_dims: tuple[int, ...]
     matrix: np.ndarray  # (P, F)
     bias: np.ndarray    # (P,)
@@ -77,13 +89,17 @@ class HypernetParams:
     def __post_init__(self):
         self.target_dims = tuple(int(d) for d in self.target_dims)
         p = mlp.param_count(self.target_dims)
-        self.matrix = np.asarray(self.matrix, dtype=np.float64).reshape(p, self.feature_dim)
-        self.bias = np.asarray(self.bias, dtype=np.float64).reshape(p)
+        self.matrix = np.asarray(self.matrix, dtype=np.float64)
+        self.bias = np.asarray(self.bias, dtype=np.float64)
+        if self.matrix.ndim != 2 or self.matrix.shape[0] != p or self.bias.shape != (p,):
+            raise ContractError(f"a hypernetwork of {p} weights needs a ({p}, F) matrix "
+                                f"and a ({p},) bias, got {self.matrix.shape} and "
+                                f"{self.bias.shape}")
 
     @classmethod
     def zeros(cls, feature_dim: int, target_dims) -> "HypernetParams":
         p = mlp.param_count(target_dims)
-        return cls(feature_dim, tuple(target_dims), np.zeros((p, feature_dim)), np.zeros(p))
+        return cls(target_dims, np.zeros((p, feature_dim)), np.zeros(p))
 
     @classmethod
     def fixed(cls, weights: MlpWeights) -> "HypernetParams":
@@ -91,21 +107,20 @@ class HypernetParams:
         `weights`: a (P, 0) matrix and `weights.flat` as the bias.  Its
         forward is zeros(P) + bias, the bias bit for bit, except that a
         -0.0 weight comes back as +0.0."""
-        return cls(0, weights.dims, np.zeros((weights.flat.size, 0)), weights.flat)
+        return cls(weights.dims, np.zeros((weights.flat.size, 0)), weights.flat)
 
     @classmethod
     def random(cls, feature_dim: int, target_dims, seed: int, scale: float = 0.1):
         rng = np.random.default_rng(seed)
         p = mlp.param_count(target_dims)
-        return cls(feature_dim, tuple(target_dims),
-                   rng.normal(0.0, scale, size=(p, feature_dim)),
+        return cls(target_dims, rng.normal(0.0, scale, size=(p, feature_dim)),
                    rng.normal(0.0, scale, size=p))
 
 
 def hypernet_forward(fg: np.ndarray, h: HypernetParams) -> MlpWeights:
     fg = np.asarray(fg, dtype=np.float64).ravel()
-    if fg.size != h.feature_dim:
-        raise ContractError(f"feature size {fg.size} != {h.feature_dim}")
+    if fg.size != h.matrix.shape[1]:
+        raise ContractError(f"feature size {fg.size} != {h.matrix.shape[1]}")
     return MlpWeights(h.target_dims, h.matrix @ fg + h.bias)
 
 
@@ -196,7 +211,7 @@ def volume_render_batch(weights: MlpWeights, p: np.ndarray, d: np.ndarray,
         t, deltas = stratified_ts(cfg.t_near, cfg.t_far, jitter)
         # march from p toward the source along +d
         x = p[blk, None, :] + t[:, :, None] * d[blk, None, :]
-        sigma, color, net = field_eval(weights, x.reshape(-1, 3), cfg, keep)
+        sigma, color, net = field_eval(weights, x.reshape(-1, 3), keep)
         sigma = sigma.reshape(t.shape)
         color = color.reshape(*t.shape, 3)
         L[blk], w = composite(sigma, color, deltas)
@@ -258,10 +273,11 @@ class BlendedLightField(LightField):
     The field's weights are `hypernet`'s output for `global_feature`; fixed
     weights are `HypernetParams.fixed(weights)` with the default empty
     feature.  Parameters (for recovery/fitting) are the concatenation of
-    the decoder weights and the hypernetwork's matrix and bias.  A feature
-    that does not fit the hypernetwork, or weights whose input or output
-    size does not fit the feature grid and the configs, is a ContractError
-    here, before any query.
+    the decoder weights and the hypernetwork's matrix and bias.  The
+    field's band count is read from its weights (`field_bands`).  A
+    feature that does not fit the hypernetwork, decoder weights that do not
+    fit the feature grid, or field weights that fit no band count, are a
+    ContractError here, before any query.
     """
 
     def __init__(self, feature_grid: FeatureGrid, gbuffer, camera,
@@ -279,7 +295,7 @@ class BlendedLightField(LightField):
         sampling.check_seed(seed)
         self.seed = seed
         decoder_weights.require("decoder", decoder_input_dim(feature_grid.channels), 3)
-        self.volume.require("field", field_input_dim(volume_cfg.position_bands), 4)
+        field_bands(self.volume)
 
     # -- parameter vector plumbing ------------------------------------
     @property
@@ -297,8 +313,9 @@ class BlendedLightField(LightField):
         nd = self.decoder.flat.size
         nm = nd + self.hypernet.matrix.size
         self.decoder = self.decoder.copy_with(vec[:nd].copy())
-        self.hypernet = HypernetParams(self.hypernet.feature_dim, self.hypernet.target_dims,
-                                       vec[nd:nm].copy(), vec[nm:].copy())
+        self.hypernet = HypernetParams(self.hypernet.target_dims,
+                                       vec[nd:nm].reshape(self.hypernet.matrix.shape).copy(),
+                                       vec[nm:].copy())
         self.volume = hypernet_forward(self.global_feature, self.hypernet)
 
     # -- queries -------------------------------------------------------

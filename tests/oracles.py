@@ -10,6 +10,7 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+import textwrap
 from pathlib import Path
 
 import numpy as np
@@ -365,9 +366,26 @@ def mlp_backward_expm1(weights, x, dy):
     return _mlp_backward_recomputed(weights, x, dy, lambda a, h: -np.expm1(-h))
 
 
-def peak_rss_mb(script: str) -> float:
-    """The peak RSS, in MB, of `script` run in a process of its own with
-    BLAS at one thread; the script prints its ru_maxrss last."""
+# The body runs in a child forked from a fresh interpreter: Linux carries
+# ru_maxrss across exec, so an interpreter exec'd from the test process
+# would report the test process's own peak.
+_FORKED_CHILD = """
+import os, sys
+pid = os.fork()
+if pid == 0:
+    import resource
+{body}
+    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, flush=True)
+    os._exit(0)
+sys.exit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+"""
+
+
+def peak_rss_mb(body: str) -> float:
+    """The peak RSS, in MB, of the Python statements `body` run in a
+    process of its own with BLAS at one thread; an exception in `body`
+    fails the calling test with its traceback."""
+    script = _FORKED_CHILD.format(body=textwrap.indent(textwrap.dedent(body), "    "))
     env = {**os.environ, "PYTHONPATH": str(Path(ssdr.__file__).resolve().parents[1]),
            "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
     out = subprocess.run([sys.executable, "-c", script], env=env,

@@ -89,7 +89,7 @@ def test_criterion_05_gradient_fidelity(glossy_patch):
     cfg = RenderConfig(spp=64, seed=5)
     results = gradcheck.check_render_material(glossy_patch, camera, light, cfg,
                                               tol=1e-4)
-    vcfg = vol.VolumeConfig(t_near=0.05, t_far=6.0, n_samples=16, position_bands=4)
+    vcfg = vol.VolumeConfig(t_near=0.05, t_far=6.0, n_samples=16)
     weights = MlpWeights.random((vol.field_input_dim(4), 16, 16, 4), seed=3,
                                 scale=0.4)
     results.append(gradcheck.check_volume_weights(weights, vcfg, tol=1e-4))

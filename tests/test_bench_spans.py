@@ -59,8 +59,7 @@ def _small_learned_light(g, camera):
     dec = MlpWeights.random((decoder_input_dim(2), 8, 3), seed=1, scale=0.2)
     vw = MlpWeights.random((vol.field_input_dim(2), 8, 4), seed=2, scale=0.3)
     return vol.BlendedLightField(grid, g, camera, dec, vol.HypernetParams.fixed(vw),
-                                 volume_cfg=vol.VolumeConfig(n_samples=4,
-                                                             position_bands=2))
+                                 volume_cfg=vol.VolumeConfig(n_samples=4))
 
 
 def test_learned_render_and_adjoint_fire_every_bench_span():

@@ -59,6 +59,16 @@ def test_make_scene_rejects_size_below_one(width, height):
         scenes.make_scene("two-plane", width, height)
 
 
+def test_build_scene_rejects_uncovered_pixels():
+    """Planes that leave a pixel without a surface are a ContractError:
+    one floor plane cannot cover the pixels above the horizon."""
+    from ssdr import scenes
+    from ssdr.core import ContractError
+    _, _, _, (floor, _) = scenes.two_plane(8, 8)
+    with pytest.raises(ContractError, match="uncovered pixels"):
+        scenes.build_scene(scenes.default_camera(8, 8), [floor])
+
+
 def test_make_scene_rejects_unknown_kind():
     from ssdr import scenes
     from ssdr.core import ContractError
@@ -670,6 +680,39 @@ def test_learned_misshaped_decoder_exit_2(tmp_path, caplog, command, extra):
                         caplog, "decoder weights shaped", "output 3")
 
 
+def _learned_bundle_with_field(path, dims):
+    """A two-plane 8x8 bundle with zero learned weights, its field `dims`."""
+    from ssdr import mlp, scenes
+    from ssdr.lighting import FeatureGrid, decoder_input_dim
+    g, camera, spec, _ = scenes.two_plane(8, 8)
+    return sio.write_bundle(path, g, camera, lighting_spec=spec, extras={
+        "feature_grid": FeatureGrid(np.zeros((8, 8, 4))),
+        "decoder_weights": mlp.MlpWeights.zeros((decoder_input_dim(4), 8, 3)),
+        "volume_weights": mlp.MlpWeights.zeros(dims)})
+
+
+@pytest.mark.parametrize("bands", [1, 4])
+def test_learned_field_of_any_band_count_renders(tmp_path, bands):
+    """The field's band count is read from the volume weights, so a field
+    of other than 10 bands loads and renders."""
+    import ssdr.volumetric as vol
+    bundle = _learned_bundle_with_field(tmp_path / "lb", (vol.field_input_dim(bands), 8, 4))
+    assert main(["render", "--bundle", str(bundle), "--out", str(tmp_path / "r"),
+                 "--spp", "2", "--lighting", "learned"]) == EXIT_OK
+
+
+@pytest.mark.parametrize("dims", [(64, 8, 4), (3, 8, 4), (63, 8, 3)],
+                         ids=["width-64", "no-bands", "output-3"])
+def test_learned_misshaped_field_exit_2(tmp_path, caplog, dims):
+    """Volume weights whose input width fits no band count, or whose
+    output is not 4, are rejected when the learned light is built: exit 2
+    with one line."""
+    bundle = _learned_bundle_with_field(tmp_path / "lb", dims)
+    _assert_input_error(["render", "--bundle", str(bundle), "--out", str(tmp_path / "r"),
+                         "--spp", "2", "--lighting", "learned"],
+                        caplog, f"field weights shaped {dims}", "output 4")
+
+
 def test_gradcheck_patch_crops_each_axis(tmp_path, monkeypatch):
     """A 16x4 bundle at --patch 8 is checked on a 4x8 window whose pixels
     unproject to the same points as in the full bundle."""
@@ -820,6 +863,16 @@ def test_overflowing_render_exits_1_with_one_line(overflow_bundle, tmp_path, cap
     assert capfd.readouterr().err.splitlines() == [
         "ERROR ssdr: non-finite radiance at pixel (0, 0)"]
     assert code == EXIT_NUMERIC
+
+
+def test_overflowing_render_exits_1_in_process(overflow_bundle, tmp_path, caplog):
+    """In the calling process as in its own, an overflowing render at
+    spp 16 logs one ERROR naming the pixel and exits 1."""
+    caplog.clear()
+    assert main(["render", "--spp", "16", "--bundle", str(overflow_bundle),
+                 "--out", str(tmp_path / "r")]) == EXIT_NUMERIC
+    errors = [r.getMessage() for r in caplog.records if r.levelname == "ERROR"]
+    assert errors == ["non-finite radiance at pixel (0, 0)"]
 
 
 def test_render_beyond_float32_exits_1_and_writes_nothing(overflow_bundle, tmp_path,

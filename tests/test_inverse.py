@@ -201,7 +201,7 @@ def test_optimize_learned_light_weights_smoke():
     grid = FeatureGrid(rng.normal(size=(8, 8, 4)))
     dec_true = MlpWeights.random((decoder_input_dim(4), 8, 3), seed=1, scale=0.2)
     vw = MlpWeights.random((vol.field_input_dim(4), 8, 4), seed=2, scale=0.2)
-    vcfg = vol.VolumeConfig(n_samples=8, position_bands=4)
+    vcfg = vol.VolumeConfig(n_samples=8)
     light_true = vol.BlendedLightField(grid, g, camera, dec_true,
                                        vol.HypernetParams.fixed(vw), volume_cfg=vcfg)
     target = render.render_mc(g, camera, light_true,
@@ -321,7 +321,7 @@ def _fitted_light(kind, g, camera):
     grid = FeatureGrid(rng.normal(size=g.depth.shape + (4,)))
     dec = MlpWeights.random((decoder_input_dim(4), 8, 3), seed=1, scale=0.2)
     vdims = (vol.field_input_dim(4), 8, 4)
-    vcfg = vol.VolumeConfig(n_samples=8, position_bands=4)
+    vcfg = vol.VolumeConfig(n_samples=8)
     if kind == "blended-volume":
         return vol.BlendedLightField(
             grid, g, camera, dec,

@@ -22,6 +22,14 @@ def test_pfm_single_texel(tmp_path):
     assert img.data[0, 0, 0] == 3.25
 
 
+def test_pfm_header_tokens_may_be_separated_by_runs_of_whitespace(tmp_path):
+    path = tmp_path / "spaced.pfm"
+    path.write_bytes(b"PF\n  2   1\n-1.0\n" + struct.pack("<6f", *range(6)))
+    img = sio.read_pfm(path)
+    assert (img.width, img.height, img.channels) == (2, 1, 3)
+    assert img.data.ravel().tolist() == list(range(6))
+
+
 def test_pfm_endianness_fixture(tmp_path):
     le = tmp_path / "le.pfm"
     le.write_bytes(b"Pf\n1 1\n-1.0\n" + struct.pack("<f", 7.5))
@@ -229,6 +237,11 @@ def test_bundle_roundtrip(tmp_path):
     light = bundle.light_field()
     assert np.allclose(light.radiance(np.zeros((1, 3)),
                                       np.array([[0.0, 0.0, 1.0]])), 1.0)
+
+
+def test_bundle_without_a_lighting_spec_has_no_light_field(tmp_path):
+    g, camera, _, _ = scenes.two_plane(4, 4)
+    assert sio.read_bundle(sio.write_bundle(tmp_path / "b", g, camera)).light_field() is None
 
 
 def test_bundle_roundtrip_every_optional_key(tmp_path):

@@ -143,6 +143,13 @@ def test_sky_disc_adds_source():
     assert off[0] < 1.0
 
 
+def test_sky_disc_light_has_no_parameters():
+    light = analytic_lightfield("sky_disc", zenith=1.0, horizon=0.5,
+                                disc_direction=[0.0, -1.0, 0.0], disc_radius=0.1,
+                                disc_color=5.0)
+    assert light.n_params == 0 and light.get_params().shape == (0,)
+
+
 def test_grid_light_node_exact():
     vals = np.zeros((2, 2, 2, 3, 4, 3))
     vals[1, 0, 1, 2, 3] = [1.0, 0.0, 0.0]
@@ -366,6 +373,7 @@ def test_traced_radiance_weight_shape_error():
 
 def test_decoder_input_dimension_accounting():
     assert decoder_input_dim(64) == 39 + 64 + 10
+    assert lighting.default_decoder_dims(64) == (decoder_input_dim(64), 128, 128, 128, 3)
     g, camera, grid, dims = _decoder_setup(channels=5)
     x, hits = decoder_inputs(grid, g, camera,
                              np.array([[0.0, 0.0, 2.0]]),

@@ -1,3 +1,4 @@
+import ast
 import os
 import re
 import subprocess
@@ -48,6 +49,30 @@ def test_design_counts_lists_test_only_definitions(tmp_path):
     lines = out.stdout.splitlines()
     assert lines[3:] == ["test-only names: none",
                          "test-only definitions: a.OnlyTested a.only_tested"]
+
+
+def test_bitwise_digest_prints_its_documented_lines():
+    """scripts/bitwise_digest.py exits 0 and prints as many lines as its
+    docstring says, each `<name> <64 hex digits>` or `<name> none`, every
+    name once, and each threads-1 line equal to its threads-2 twin."""
+    script = _ROOT / "scripts" / "bitwise_digest.py"
+    documented = re.search(r"It prints (\d+) lines", ast.get_docstring(ast.parse(
+        script.read_text())))
+    paths = [str(_ROOT / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    out = subprocess.run([sys.executable, str(script)], cwd=_ROOT, env=env,
+                         capture_output=True, text=True, timeout=300)
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert len(lines) == int(documented.group(1))
+    for line in lines:
+        assert re.fullmatch(r"\S+ ([0-9a-f]{64}|none)", line), line
+    digests = dict(line.split(" ") for line in lines)
+    assert len(digests) == len(lines)
+    twins = [name for name in digests if "/t1/" in name]
+    assert twins
+    for name in twins:
+        assert digests[name] == digests[name.replace("/t1/", "/t2/")], name
 
 
 @pytest.mark.parametrize("path", ["--help", "no/such/dir", "src", "tests"])

