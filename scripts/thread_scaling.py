@@ -12,11 +12,23 @@ between the thread counts, so a drift in the machine's speed falls on both.
 It prints, per thread count, the median seconds of a render and the median
 voluntary context switches per render, then the efficiency t1 / (2 t2): 1
 when the second worker halves the time, 0.5 when it gains nothing, and the
-process's peak RSS.  The switches and the peak come from
-`resource.getrusage` of this process only (all its threads): a worker
-that waits for the GIL sleeps, so the switches count the GIL handoffs.
-Linux keeps `ru_maxrss` across `exec`, so run it from a shell, not from a
-large process.  It never asks for more than 2 threads.
+process's peak RSS.
+
+As a control, once per repeat (and once to warm up), a forked second
+process renders the same single-thread render at the same time as this
+one: both start together, and each waits for the other to end before the
+next render.  The line "threads 1, two processes" gives this process's
+median tp of those renders, and the efficiency t1 / tp, printed beside the
+two-thread one, is 1 when two renders run side by side as fast as one
+alone and 0.5 when they take turns.  Two processes share the cores and
+the memory bus as two workers do, but no GIL, so the gap between the two
+efficiencies prices what sharing one process costs.
+
+The switches and the peak come from `resource.getrusage` of this process
+only (all its threads): a worker that waits for the GIL sleeps, so the
+switches count the GIL handoffs.  Linux keeps `ru_maxrss` across `exec`,
+so run it from a shell, not from a large process.  It never asks for more
+than 2 threads or 2 processes.
 
 The render-grid bench reports the same efficiency as `scaling_eff`, for
 its own light at 64x64 spp 64.  Here RES and SPP are free, so a path the
@@ -27,6 +39,7 @@ per-lane path, in row blocks of about 12k lanes.
 from __future__ import annotations
 
 import argparse
+import multiprocessing
 import resource
 import statistics
 import time
@@ -40,25 +53,57 @@ from ssdr.render import RenderConfig, render_mc
 THREADS = (1, 2)
 
 
-def measure(res: int, spp: int, repeats: int) -> dict[int, tuple[float, float]]:
-    """Thread count -> (median seconds, median voluntary context switches)
-    per render."""
+def _timed(render) -> tuple[float, int]:
+    """Seconds and voluntary context switches of this process for one
+    call of render()."""
+    csw0 = resource.getrusage(resource.RUSAGE_SELF).ru_nvcsw
+    t0 = time.perf_counter()
+    render()
+    seconds = time.perf_counter() - t0
+    return seconds, resource.getrusage(resource.RUSAGE_SELF).ru_nvcsw - csw0
+
+
+def _paired(render, barrier, repeats: int) -> list[tuple[float, int]]:
+    """`_timed` renders, each started at `barrier` together with the
+    other process's and followed by waiting for it to end."""
+    runs = []
+    for _ in range(repeats):
+        barrier.wait()
+        runs.append(_timed(render))
+        barrier.wait()
+    return runs
+
+
+def measure(res: int, spp: int, repeats: int) -> dict:
+    """Thread count, or "paired", -> (median seconds, median voluntary
+    context switches) per render."""
     g, camera, _, _ = scenes.glossy_floor(res, res)
     light = grid_light(g, camera, np.random.default_rng(5))
     cfg = RenderConfig(spp=spp, seed=3)
-    for threads in THREADS:
+
+    def render(threads=1):
         render_mc(g, camera, light, cfg, threads=threads)
-    runs = {threads: ([], []) for threads in THREADS}
-    for _ in range(repeats):
+
+    ctx = multiprocessing.get_context("fork")
+    barrier = ctx.Barrier(2)
+    other = ctx.Process(target=_paired, args=(render, barrier, repeats + 1))
+    other.start()
+    try:
         for threads in THREADS:
-            seconds, switches = runs[threads]
-            csw0 = resource.getrusage(resource.RUSAGE_SELF).ru_nvcsw
-            t0 = time.perf_counter()
-            render_mc(g, camera, light, cfg, threads=threads)
-            seconds.append(time.perf_counter() - t0)
-            switches.append(resource.getrusage(resource.RUSAGE_SELF).ru_nvcsw - csw0)
-    return {threads: (statistics.median(s), statistics.median(c))
-            for threads, (s, c) in runs.items()}
+            render(threads)
+        _paired(render, barrier, 1)
+        runs = {key: [] for key in (*THREADS, "paired")}
+        for _ in range(repeats):
+            for threads in THREADS:
+                runs[threads].append(_timed(lambda: render(threads)))
+            runs["paired"] += _paired(render, barrier, 1)
+    except BaseException:
+        barrier.abort()  # the other process stops waiting
+        raise
+    finally:
+        other.join()
+    return {key: tuple(statistics.median(column) for column in zip(*r))
+            for key, r in runs.items()}
 
 
 def main(argv=None) -> int:
@@ -71,10 +116,12 @@ def main(argv=None) -> int:
         ap.error("--res, --spp and --repeats must be at least 1")
     result = measure(args.res, args.spp, args.repeats)
     for threads, (seconds, switches) in result.items():
-        print(f"threads {threads}: {seconds:.4f} s per render, "
+        name = "threads 1, two processes" if threads == "paired" else f"threads {threads}"
+        print(f"{name}: {seconds:.4f} s per render, "
               f"{switches:.0f} voluntary context switches per render")
-    t1, t2 = result[1][0], result[2][0]
-    print(f"efficiency t1 / (2 t2): {t1 / (2.0 * t2):.3f}")
+    t1, t2, tp = (result[key][0] for key in (1, 2, "paired"))
+    print(f"efficiency t1 / (2 t2): {t1 / (2.0 * t2):.3f}, "
+          f"two processes t1 / tp: {t1 / tp:.3f}")
     print(f"peak RSS: {resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.1f} MB")
     return 0
 

@@ -54,14 +54,32 @@ def positional_encoding(x: np.ndarray, bands: int) -> np.ndarray:
     a = enc[:, 0] * np.pi
     np.sin(a, out=enc[:, 1])
     np.cos(a, out=enc[:, 2])
-    for k in range(1, bands):
+    _double_bands(enc, a)
+    return enc.reshape(dim * width, n).T.reshape(*batch, dim * width)
+
+
+def _double_bands(enc: np.ndarray, scratch: np.ndarray) -> None:
+    """Fill bands 1..L-1 of the batch-innermost encoding enc (D, 2L + 1, N)
+    in place from its band 0 by the doubling identities of
+    `positional_encoding`; scratch is any (D, N) array, overwritten."""
+    for k in range(1, (enc.shape[1] - 1) // 2):
         s, c, s2, c2 = (enc[:, j] for j in range(2 * k - 1, 2 * k + 3))
         np.multiply(s, c, out=s2)
         s2 *= 2.0
-        np.add(c, s, out=a)
+        np.add(c, s, out=scratch)
         np.subtract(c, s, out=c2)
-        c2 *= a
-    return enc.reshape(dim * width, n).T.reshape(*batch, dim * width)
+        c2 *= scratch
+
+
+def rebuild_encoding(band0: np.ndarray, bands: int) -> np.ndarray:
+    """The `positional_encoding` of N points with `bands` bands, to the
+    byte and in its F-order (N, D(2L + 1)) layout, rebuilt from its band 0
+    per component: band0 (D, 3, N) holds x, sin(pi x) and cos(pi x)."""
+    dim, _, n = band0.shape
+    enc = np.empty((dim, 2 * bands + 1, n))
+    enc[:, :3] = band0
+    _double_bands(enc, np.empty((dim, n)))
+    return enc.reshape(-1, n).T
 
 
 @dataclass

@@ -20,6 +20,14 @@ from .core import ContractError
 _SOFTPLUS_TILE = 1 << 15
 
 
+def _tiles(n: int) -> list[tuple[int, int]]:
+    """The (lo, hi) bounds of n elements in tiles of `_SOFTPLUS_TILE`, the
+    last tile taking the remainder (one tile, maybe empty, when n is
+    smaller)."""
+    edges = [i * _SOFTPLUS_TILE for i in range(max(n // _SOFTPLUS_TILE, 1))] + [n]
+    return list(zip(edges, edges[1:]))
+
+
 def _softplus_inplace(a: np.ndarray) -> None:
     """Overwrite the C-contiguous float64 array `a` with softplus(a) =
     max(a, 0) + log1p(exp(-|a|)).
@@ -36,10 +44,9 @@ def _softplus_inplace(a: np.ndarray) -> None:
     if not a.flags.c_contiguous:
         raise ContractError("softplus works in place on a C-contiguous array")
     flat = a.reshape(-1)
-    n = flat.size
-    edges = [i * _SOFTPLUS_TILE for i in range(max(n // _SOFTPLUS_TILE, 1))] + [n]
-    scratch = np.empty(n - edges[-2])
-    for lo, hi in zip(edges, edges[1:]):
+    tiles = _tiles(flat.size)
+    scratch = np.empty(tiles[-1][1] - tiles[-1][0])
+    for lo, hi in tiles:
         t = flat[lo:hi]
         s = scratch[:hi - lo]
         np.abs(t, out=s)
@@ -68,12 +75,13 @@ def sigmoid(x):
     return out
 
 
-def _sigmoid_from_softplus(h: np.ndarray) -> np.ndarray:
+def _sigmoid_from_softplus(h: np.ndarray, out: np.ndarray) -> np.ndarray:
     """softplus'(a) = sigmoid(a) from h = softplus(a) alone, as
     1 - exp(-h) = -expm1(-h): exact in math, and expm1 keeps the small
     values of a far below 0 accurate.  Within 2 ulp of `sigmoid`, and
-    equal at a = +-inf, +-0 and NaN."""
-    out = np.negative(h)
+    equal at a = +-inf, +-0 and NaN.  Written to `out`, which is
+    returned."""
+    out = np.negative(h, out=out)
     np.expm1(out, out=out)
     np.negative(out, out=out)
     return out
@@ -164,24 +172,47 @@ def forward(weights: MlpWeights, x: np.ndarray, keep: bool = True):
     return h, (inputs if keep else None)
 
 
+def _hidden_adjoint(da, w, h, out, spare):
+    """(da @ w) * softplus'(a), formed in the flat buffer `out` and
+    returned as its (rows, width) view; softplus'(a) comes from the
+    activation h = softplus(a), tile by tile, in the flat buffer `spare` of
+    the same size, which is overwritten."""
+    da_out = np.matmul(da, w, out=out.reshape(da.shape[0], -1))
+    h = h.reshape(-1)
+    for lo, hi in _tiles(out.size):
+        out[lo:hi] *= _sigmoid_from_softplus(h[lo:hi], spare[lo:hi])
+    return da_out
+
+
 def backward(weights: MlpWeights, cache, dy: np.ndarray):
     """Adjoints of `forward`: returns (da0, dflat), where da0 is the
     adjoint of the first layer's pre-activation x @ W0.T + b0.  The input
     adjoint dx = da0 @ W0 is left to a caller that needs it; the library's
     callers need dflat only.  A hidden layer's softplus' comes from its
-    kept activation, the next layer's input.  The cache is only read, so
-    one forward pass may be pulled back more than once."""
+    kept activation, the next layer's input.  The hidden adjoints take
+    turns in two (rows, width) buffers: a layer's da is formed in one by
+    `np.matmul(out=)`, and its softplus' in the other, which held the
+    adjoint just read, tile by tile (`_SOFTPLUS_TILE`) before each tile
+    multiplies into da.  The buffer da0 does not use is freed before layer
+    0's weight adjoint is formed.  The cache's first entry, the input x, may
+    instead be a function that returns it: it is called then, so a caller
+    may keep less than x and rebuild it.  The cache is only read, so one
+    forward pass may be pulled back more than once."""
     dy = np.atleast_2d(np.asarray(dy, dtype=np.float64))
-    n_layers = len(weights.dims) - 1
-    grads_w = [None] * n_layers
-    grads_b = [None] * n_layers
-    ws = [w for w, _ in weights.layers()]
+    layers = list(weights.layers())
+    rows = dy.shape[0]
+    size = rows * max(weights.dims[1:-1], default=0)
+    bufs = [np.empty(size), np.empty(size)]
+    grads = []
     da = dy
-    for i in reversed(range(n_layers)):
-        grads_w[i] = da.T @ cache[i]
-        grads_b[i] = da.sum(axis=0)
+    for i in reversed(range(len(layers))):
+        x = cache[i]
+        if i == 0:
+            bufs = None  # da keeps its own buffer alive
+            if callable(x):
+                x = x()
+        grads.append(np.concatenate([(da.T @ x).ravel(), da.sum(axis=0)]))
         if i > 0:
-            da = da @ ws[i]
-            da *= _sigmoid_from_softplus(cache[i])
-    dflat = np.concatenate([np.concatenate([gw.ravel(), gb]) for gw, gb in zip(grads_w, grads_b)])
-    return da, dflat
+            n = rows * layers[i][0].shape[1]
+            da = _hidden_adjoint(da, layers[i][0], x, bufs[i % 2][:n], bufs[1 - i % 2][:n])
+    return da, np.concatenate(grads[::-1])

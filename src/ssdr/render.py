@@ -386,7 +386,11 @@ def render_backward(g: GBuffer, camera: Camera, light: LightField,
     each material's adjoint has the shape of its map, the normal's
     projected onto the tangent plane, and "light" holds the adjoint of the
     light's parameter vector.  An unknown name is a ContractError.  An
-    adjoint's bits do not depend on what else was asked.
+    adjoint's bits do not depend on what else was asked.  The BRDF clips
+    roughness to [brdf.ROUGHNESS_FLOOR, 1]; at a bound the roughness
+    adjoint is the one-sided derivative from inside the interval, the
+    left one at 1 and the right one at the floor, and beyond a bound it
+    is 0.
 
     Given the `tape` a `render_mc` call filled, it reads that render's
     samples and light queries (and, for "light", the light's pullbacks)

@@ -19,7 +19,7 @@ import numpy as np
 from . import mlp, sampling
 from .core import ContractError, as_rgb
 from .lighting import (FeatureGrid, LightField, decoder_input_dim,
-                       positional_encoding, traced_radiance_batch)
+                       positional_encoding, rebuild_encoding, traced_radiance_batch)
 from .mlp import MlpWeights
 
 RADIANCE_SCALE = 5.0   # the field's color is sigmoid(y) * RADIANCE_SCALE
@@ -59,15 +59,24 @@ def field_bands(weights: MlpWeights) -> int:
 
 def field_eval(weights: MlpWeights, x: np.ndarray, keep: bool = True):
     """Density (N,) and color (N, 3) of the field at points x (N, 3), and
-    what their adjoint needs: returns (sigma, color, net), where net is the
-    MLP output, its cache and the unscaled color; with keep=False net is
-    None and the MLP keeps no cache (see `mlp.forward`).  The points are
-    encoded with the band count of the weights (`field_bands`)."""
+    what their adjoint needs: returns (sigma, color, net), where net is
+    y's density column, the MLP cache and the unscaled color raw_col, of
+    which color is raw_col * RADIANCE_SCALE.  The cache keeps band 0 of the
+    encoding, x, sin(pi x) and cos(pi x) per component, in place of the
+    whole: its first entry rebuilds the encoding when called
+    (`rebuild_encoding`, see `mlp.backward`).  With keep=False net is None
+    and the MLP keeps no cache (see `mlp.forward`).  The points are encoded
+    with the band count of the weights (`field_bands`)."""
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
-    enc = positional_encoding(x, field_bands(weights))
+    bands = field_bands(weights)
+    enc = positional_encoding(x, bands)
     y, cache = mlp.forward(weights, enc, keep=keep)
     raw_col = mlp.sigmoid(y[:, 1:4])
-    net = (y, cache, raw_col) if keep else None
+    net = None
+    if keep:
+        band0 = enc.T.reshape(3, -1, x.shape[0])[:, :3].copy()
+        cache[0] = functools.partial(rebuild_encoding, band0, bands)
+        net = (y[:, 0].copy(), cache, raw_col)
     return mlp.softplus(y[:, 0]), raw_col * RADIANCE_SCALE, net
 
 
@@ -194,10 +203,11 @@ def volume_render_batch(weights: MlpWeights, p: np.ndarray, d: np.ndarray,
     The rays are marched in balanced blocks of at most
     max(1, _POINT_BLOCK // n_samples) rays.  Returns (L (N, 3), state),
     the state holding, per block, its ray slice and what
-    `volume_render_backward` needs: the field's samples, its MLP cache and
-    the composite weights.  With keep=False the state is None and the
-    field keeps no MLP cache: the query's memory is one block's, whatever
-    N is."""
+    `volume_render_backward` needs: the densities, the segment lengths, the
+    composite weights and the field's `net` (`field_eval`), from whose
+    raw_col the adjoint forms the colors again.  With keep=False the state
+    is None and the field keeps no MLP cache: the query's memory is one
+    block's, whatever N is."""
     p = np.atleast_2d(np.asarray(p, dtype=np.float64))
     d = np.atleast_2d(np.asarray(d, dtype=np.float64))
     ray_ids = np.asarray(ray_ids, dtype=np.uint64)
@@ -216,7 +226,7 @@ def volume_render_batch(weights: MlpWeights, p: np.ndarray, d: np.ndarray,
         color = color.reshape(*t.shape, 3)
         L[blk], w = composite(sigma, color, deltas)
         if keep:
-            state.append((blk, sigma, color, deltas, w, net))
+            state.append((blk, sigma, deltas, w, net))
     return L, (state if keep else None)
 
 
@@ -229,10 +239,12 @@ def volume_render_backward(weights: MlpWeights, p: np.ndarray, cfg: VolumeConfig
     arguments; its blocks are pulled back in order and their weight
     adjoints summed."""
     dflat = np.zeros(weights.flat.size)
-    for blk, sigma, color, deltas, w, (y, cache, raw_col) in state:
-        dsigma, dcolor = composite_backward(sigma, color, deltas, w, dL[blk])
-        dy = np.empty_like(y)
-        dy[:, 0] = dsigma.reshape(-1) * mlp.sigmoid(y[:, 0])
+    for blk, sigma, deltas, w, (y0, cache, raw_col) in state:
+        # the forward's color, formed again and not held past the call
+        dsigma, dcolor = composite_backward(
+            sigma, (raw_col * RADIANCE_SCALE).reshape(*sigma.shape, 3), deltas, w, dL[blk])
+        dy = np.empty((y0.size, 4))
+        dy[:, 0] = dsigma.reshape(-1) * mlp.sigmoid(y0)
         dy[:, 1:4] = dcolor.reshape(-1, 3) * RADIANCE_SCALE * raw_col * (1.0 - raw_col)
         dflat += mlp.backward(weights, cache, dy)[1]
     return dflat

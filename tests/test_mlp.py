@@ -116,7 +116,7 @@ def test_softplus_inplace_tiles_match_whole_array_bytes(monkeypatch, grad, shape
     if not grad:
         return
     a, a0 = np.atleast_1d(a), np.atleast_1d(a0)  # `backward` forms it on 2-d arrays
-    got = mlp._sigmoid_from_softplus(a)
+    got = mlp._sigmoid_from_softplus(a, np.empty_like(a))
     assert got.shape == a0.shape
     _assert_sigmoid_within_2_ulp(got, a0)
 
@@ -131,7 +131,7 @@ def test_sigmoid_from_softplus_within_2_ulp_of_logistic():
                         [0.0, -0.0, np.inf, -np.inf, np.nan, -np.nan, TINY, -TINY]])
     h = mlp.softplus(a)
     before = h.copy()
-    got = mlp._sigmoid_from_softplus(h)
+    got = mlp._sigmoid_from_softplus(h, np.empty_like(h))
     assert h.tobytes() == before.tobytes()
     _assert_sigmoid_within_2_ulp(got, a)
 
@@ -209,3 +209,46 @@ def test_forward_temporaries_below_half_an_activation():
     finally:
         tracemalloc.stop()
     assert peak - held < n * 64 * 8 / 2, (peak - held) / (n * 64 * 8)
+
+
+def test_backward_calls_a_callable_input_once_for_layer_0():
+    """A cache whose first entry is a function that returns x gives the
+    bytes of the cache that holds x; the function is called once per
+    pullback, so each pullback rebuilds x for layer 0's weight adjoint."""
+    weights, x, dy = _net_and_input(3000)
+    _, cache = mlp.forward(weights, x)
+    calls = []
+
+    def rebuild():
+        calls.append(1)
+        return x.copy()
+
+    want = mlp.backward(weights, cache, dy)
+    for n in (1, 2):
+        got = mlp.backward(weights, [rebuild, *cache[1:]], dy)
+        assert len(calls) == n
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(got, want))
+
+
+def test_backward_temporaries_stay_near_two_activations():
+    """Beyond dy and the cache, `backward` on a volume field's rows holds
+    at most two (N, 64) activations and a little more at its peak: the
+    hidden adjoints take turns in two buffers and softplus' is formed in
+    the spare one, and one buffer is freed before a callable input is
+    rebuilt for layer 0 (with both kept, the rebuilt (N, 63) input took it
+    to almost three)."""
+    n = 36096
+    weights = MlpWeights.random((63, 64, 64, 64, 4), seed=2)
+    rng = np.random.default_rng(2)
+    x = rng.normal(size=(n, 63))
+    _, cache = mlp.forward(weights, x)
+    dy = rng.normal(size=(n, 4))
+    cache[0] = lambda: np.array(x)
+    tracemalloc.start()
+    try:
+        da0, dflat = mlp.backward(weights, cache, dy)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert da0.shape == (n, 64)
+    assert peak < 2.1 * n * 64 * 8, peak / (n * 64 * 8)

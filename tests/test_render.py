@@ -312,6 +312,48 @@ def test_material_differences_match_per_pixel_loop(glossy_patch, cls):
     assert np.max(np.abs(fd - ref)) <= 1e-9 * np.max(np.abs(ref))
 
 
+def test_roughness_check_passes_at_the_clip_bound():
+    """Every cornell-like plane has roughness 1.0, the upper bound `brdf`
+    clips to.  At specular_scale 1 under its own light the roughness
+    check takes the one-sided difference below the bound and passes at
+    1e-4; the central difference across the clip read half the adjoint,
+    a relative error of 0.5016."""
+    g, camera, spec, _ = scenes.cornell_like(16, 16)
+    assert np.all(g.roughness == 1.0)
+    (result,) = check_render_material(g, camera, _light_from_spec(spec),
+                                      RenderConfig(spp=32, seed=3, specular_scale=1.0),
+                                      tol=1e-4, classes=("roughness",))
+    assert result.passed, str(result)
+
+
+def test_roughness_differences_are_one_sided_only_at_the_bounds():
+    """A pixel at or beyond a roughness bound gets the one-sided difference
+    into [ROUGHNESS_FLOOR, 1], which is 0 beyond it, as the adjoint is;
+    every pixel inside keeps its central difference's bytes, the same as
+    with no pixel at a bound."""
+    g, camera, spec, _ = scenes.glossy_floor(12, 12)
+    levels = np.array([0.004, render.brdf.ROUGHNESS_FLOOR, 0.3, 0.7, 1.0, 1.3])
+    rough = levels[np.arange(144).reshape(12, 12) % 6]
+    light, cfg = _light_from_spec(spec), RenderConfig(spp=16, seed=3)
+    valid = render.pixel_geometry(g, camera)[2]
+    inside = (rough > levels[1]) & (rough < 1.0)
+
+    def differences(roughness):
+        gr = GBuffer(g.albedo, g.normal, g.depth, roughness, g.metallic)
+        grad = render_backward(gr, camera, light, cfg, np.ones((12, 12, 3)),
+                               params=("roughness",))
+        fd, adj = material_differences(gr, camera, grad, light, cfg, ("roughness",))[1]["roughness"]
+        return fd[:, 0], adj[:, 0]
+
+    fd, adj = differences(rough)
+    inside, beyond = inside[valid], np.isin(rough, levels[[0, 5]])[valid]
+    assert inside.any() and beyond.any() and (~inside & ~beyond).any()
+    assert np.all(fd[beyond] == 0.0) and np.all(adj[beyond] == 0.0)
+    unbounded = differences(np.where((rough > levels[1]) & (rough < 1.0), rough, 0.5))[0]
+    assert fd[inside].tobytes() == unbounded[inside].tobytes()
+    assert np.max(np.abs(fd - adj)) <= 1e-4 * np.max(np.abs(adj))
+
+
 def test_backward_zero_adjoint_zero_grads(glossy_patch):
     camera = scenes.default_camera(8, 8)
     light = ConstantLight(1.0)

@@ -86,9 +86,9 @@ def test_design_counts_bad_path_exit_2(path):
 
 
 def test_thread_scaling_prints_its_figures():
-    """A small render at threads 1 and 2: one line per thread count with
-    seconds and context switches per render, then the efficiency and the
-    peak RSS."""
+    """A small render at threads 1 and 2, and at threads 1 in two
+    processes at once: one line per case with seconds and context
+    switches per render, then both efficiencies and the peak RSS."""
     paths = [str(_ROOT / "src"), os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
     out = subprocess.run([sys.executable, "scripts/thread_scaling.py", "--res", "16",
@@ -96,12 +96,13 @@ def test_thread_scaling_prints_its_figures():
                          capture_output=True, text=True, timeout=120)
     assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
-    assert len(lines) == 4, out.stdout
-    for threads, line in zip((1, 2), lines):
-        assert re.fullmatch(rf"threads {threads}: \d+\.\d{{4}} s per render, \d+ voluntary "
+    assert len(lines) == 5, out.stdout
+    for case, line in zip(("threads 1", "threads 2", "threads 1, two processes"), lines):
+        assert re.fullmatch(rf"{case}: \d+\.\d{{4}} s per render, \d+ voluntary "
                             r"context switches per render", line), line
-    assert re.fullmatch(r"efficiency t1 / \(2 t2\): \d+\.\d{3}", lines[2]), lines[2]
-    assert re.fullmatch(r"peak RSS: \d+\.\d MB", lines[3]), lines[3]
+    assert re.fullmatch(r"efficiency t1 / \(2 t2\): \d+\.\d{3}, "
+                        r"two processes t1 / tp: \d+\.\d{3}", lines[3]), lines[3]
+    assert re.fullmatch(r"peak RSS: \d+\.\d MB", lines[4]), lines[4]
 
 
 @pytest.mark.parametrize("lighting", ["learned", "bundle"])

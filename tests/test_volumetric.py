@@ -86,9 +86,10 @@ def test_field_eval_deterministic():
 
 @pytest.mark.parametrize("rows", [4032, 564, 97, 33, 1])
 def test_field_on_the_encoding_view_has_the_contiguous_bytes(rows, monkeypatch):
-    """The field's GEMMs read the encoding as the F-order view it is
-    returned as; the density, the color and the weight adjoint have the
-    bytes of the same field on a C-contiguous copy of it."""
+    """The field's GEMMs read the encoding as the F-order view that
+    `positional_encoding` returns and the kept band 0 rebuilds (the
+    cache's first entry); the density, the color and the weight adjoint
+    have the bytes of the same field on C-contiguous copies of both."""
     w = MlpWeights.random(vol.default_field_dims(10), seed=2)
     rng = np.random.default_rng(rows)
     x = rng.uniform(-2.0, 2.0, (rows, 3))
@@ -96,15 +97,33 @@ def test_field_on_the_encoding_view_has_the_contiguous_bytes(rows, monkeypatch):
 
     def field():
         sigma, color, (_, cache, _) = vol.field_eval(w, x)
-        return cache[0], (sigma, color, mlp.backward(w, cache, dy)[1])
+        return cache[0](), (sigma, color, mlp.backward(w, cache, dy)[1])
 
     enc, got = field()
-    monkeypatch.setattr(vol, "positional_encoding",
-                        lambda x, bands: np.ascontiguousarray(positional_encoding(x, bands)))
+    for name in ("positional_encoding", "rebuild_encoding"):
+        monkeypatch.setattr(vol, name,
+                            lambda *args, f=getattr(vol, name): np.ascontiguousarray(f(*args)))
     copy, want = field()
     assert enc.flags.f_contiguous and copy.flags.c_contiguous
+    assert enc.tobytes() == copy.tobytes()
     for a, b in zip(got, want):
         assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("bands", range(1, 13))
+def test_kept_band0_rebuilds_the_encoding_bytes(bands):
+    """A kept field query keeps x, sin(pi x) and cos(pi x) per component,
+    and its cache's first entry rebuilds the other bands by the doubling
+    loop: the rebuilt encoding has the bytes and the F-order layout of
+    `positional_encoding`, at +-0 and at |x| up to 1e3 too."""
+    rng = np.random.default_rng(bands)
+    x = np.concatenate([rng.uniform(-1e3, 1e3, (300, 3)), rng.normal(size=(300, 3)),
+                        [[0.0, -0.0, 1e3], [-1e3, -0.0, 0.0]]])
+    w = MlpWeights.random((vol.field_input_dim(bands), 8, 4), seed=bands)
+    _, _, (_, cache, _) = vol.field_eval(w, x)
+    got, want = cache[0](), positional_encoding(x, bands)
+    assert got.flags.f_contiguous and got.shape == want.shape == (602, 3 * (2 * bands + 1))
+    assert got.tobytes() == want.tobytes()
 
 
 def test_volume_render_zero_density():
@@ -532,12 +551,12 @@ from ssdr import scenes, volumetric as vol
 from ssdr.inverse import LossConfig, optimize
 from ssdr.lighting import FeatureGrid, default_decoder_dims
 from ssdr.mlp import MlpWeights
-g, camera, _, _ = scenes.two_plane(16, 16)
-grid = FeatureGrid(np.random.default_rng(1).uniform(0.0, 1.0, (16, 16, 8)))
+g, camera, _, _ = scenes.two_plane({res}, {res})
+grid = FeatureGrid(np.random.default_rng(1).uniform(0.0, 1.0, ({res}, {res}, 8)))
 light = vol.BlendedLightField(
     grid, g, camera, MlpWeights.random(default_decoder_dims(8), 2),
     vol.HypernetParams.fixed(MlpWeights.random(vol.default_field_dims(10), 3)))
-res = optimize(g, camera, light, np.full((16, 16, 3), 0.3),
+res = optimize(g, camera, light, np.full(({res}, {res}, 3), 0.3),
                LossConfig(iterations=1, step_size=0.001, params=("albedo", "light"),
                           spp=4, seed=4))
 assert np.all(np.isfinite(res.light_params))
@@ -555,22 +574,35 @@ def test_learned_render_peak_rss_is_bounded():
 
 def test_learned_fit_peak_rss_is_bounded():
     """One albedo + light `optimize` iteration on a learned 16x16 render at
-    spp 4, with the bench's light, peaks at 200 MB or less in a process of
+    spp 4, with the bench's light, peaks at 170 MB or less in a process of
     its own: its kept volume queries run in point blocks, and their MLP
-    caches keep only the layer inputs.  Measured 177 MB with NumPy 2.4.6,
-    so the bound leaves 13%; with each hidden layer's exp(-|a|) and sign
-    kept too it peaked at 287 MB, and kept whole at 332 MB."""
-    peak_mb = peak_rss_mb(_LEARNED_FIT_RSS)
-    assert peak_mb <= 200, peak_mb
+    caches keep only the hidden layers' inputs and band 0 of the encoding.
+    Measured 149.5 MB with NumPy 2.4.6, so the bound leaves 13%; with the
+    whole encoding and a second, scaled color kept it peaked at 178 MB,
+    with each hidden layer's exp(-|a|) and sign kept too at 287 MB, and
+    kept whole at 332 MB."""
+    peak_mb = peak_rss_mb(_LEARNED_FIT_RSS.format(res=16))
+    assert peak_mb <= 170, peak_mb
+
+
+def test_learned_fit_32_peak_rss_is_bounded():
+    """The 32x32 albedo + light iteration of `scripts/fit_memory.py` (the
+    16x16 fit above at 32x32) peaks at 520 MB or less in a process of its
+    own.  Measured 462 MB with NumPy 2.4.6, so the bound leaves 13%; with
+    the whole encoding and a second, scaled color kept per field point it
+    peaked at 578 MB."""
+    peak_mb = peak_rss_mb(_LEARNED_FIT_RSS.format(res=32))
+    assert peak_mb <= 520, peak_mb
 
 
 def test_kept_field_block_holds_its_layer_inputs_per_point():
     """A kept query of one `_POINT_BLOCK` of the bench's field (63, 64,
-    64, 64, 4), 64 volume samples, holds at most 1.1x the 2146 bytes per
+    64, 64, 4), 64 volume samples, holds at most 1.13x the 1666 bytes per
     field point measured with NumPy 2.4.6 (tracemalloc's held bytes after
-    the call, radiance included): the encoding and three 64-unit
-    activations are 2040 of them.  Keeping each hidden layer's exp(-|a|)
-    and sign as well held 3874."""
+    the call, radiance included): three 64-unit activations are 1536 of
+    them, and band 0 of the encoding 72.  Keeping the whole encoding and
+    the scaled color beside raw_col held 2146, and keeping each hidden
+    layer's exp(-|a|) and sign as well 3874."""
     cfg = vol.VolumeConfig()
     w = MlpWeights.random(vol.default_field_dims(10), seed=3)
     n = vol._POINT_BLOCK // cfg.n_samples
@@ -585,7 +617,7 @@ def test_kept_field_block_holds_its_layer_inputs_per_point():
         tracemalloc.stop()
     assert len(state) == 1
     points = n * cfg.n_samples
-    assert held <= 1.1 * 2146 * points, held / points
+    assert held <= 1.13 * 1666 * points, held / points
 
 
 def test_render_backward_runs_the_learned_field_once_per_lane(monkeypatch):
