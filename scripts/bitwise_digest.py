@@ -8,6 +8,15 @@ Run it once against each tree and diff the two outputs:
     PYTHONPATH=/path/to/other/src python3 scripts/bitwise_digest.py > old.txt
     diff old.txt new.txt
 
+The lines of this tree are checked in as tests/bitwise_digest.txt, under
+a header that names what their bytes are promised under: the NumPy
+version, the BLAS library and its version, and the SIMD targets NumPy
+dispatches to on this CPU (`environment`).  The tier-1 digest test
+compares its run with the file, and skips where the environment differs
+from the header.  A change that moves bits on purpose rewrites the file:
+
+    PYTHONPATH=src python3 scripts/bitwise_digest.py --write
+
 It covers `render_mc`, every `render_backward` adjoint, the gradient
 checks' frozen-sample values at the base maps (`gradcheck.frozen_values`,
 the shadeable pixels in row-major order; its lines keep the name
@@ -83,8 +92,10 @@ was not asked for.  It prints 280 lines, each name once; a line with
 `/t1/` in its name has a `/t2/` twin of the same bytes.
 """
 
+import argparse
 import hashlib
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 
@@ -112,6 +123,7 @@ BRDF_LANES = 6000
 OPT_ITERS = 3
 OPT_SPP = 16
 FIELD_BANDS = 10   # the benchmark's field
+DIGEST_FILE = Path(__file__).resolve().parents[1] / "tests" / "bitwise_digest.txt"
 
 
 def digest(a) -> str:
@@ -401,9 +413,31 @@ def lines():
     yield from lane_block_lines()
 
 
-def main():
-    for name, a in lines():
-        print(name, digest(a))
+def environment() -> dict:
+    """The NumPy version, the BLAS NumPy was built with, and the SIMD
+    targets NumPy dispatches to on this CPU, as the header of
+    DIGEST_FILE names them."""
+    try:
+        from numpy._core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    except ImportError:   # NumPy 1.x
+        from numpy.core._multiarray_umath import __cpu_dispatch__, __cpu_features__
+    blas = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas", {})
+    return {"numpy": np.__version__,
+            "blas": f"{blas.get('name', 'unknown')} {blas.get('version', 'unknown')}",
+            "simd": " ".join(t for t in __cpu_dispatch__ if __cpu_features__.get(t))}
+
+
+def main(argv=None):
+    ap = argparse.ArgumentParser(description="Print one sha256 per renderer output.")
+    ap.add_argument("--write", action="store_true",
+                    help=f"rewrite {DIGEST_FILE.name} under tests/ instead of printing")
+    args = ap.parse_args(argv)
+    out = [f"{name} {digest(a)}" for name, a in lines()]
+    if args.write:
+        header = [f"# {key}: {value}" for key, value in environment().items()]
+        DIGEST_FILE.write_text("\n".join(header + out) + "\n")
+    else:
+        print("\n".join(out))
 
 
 if __name__ == "__main__":

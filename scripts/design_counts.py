@@ -7,15 +7,25 @@ and the other definitions that only tests use:
   settable values  every parameter with a default, in every function and
                    method (nested ones included), plus every field of a
                    class whose name ends in `Config`
-  test-only names  the `ssdr.__all__` names that no program file references:
-                   no .py file of src/ssdr (but `__init__.py`), scripts/ or
-                   perfbench/ (but its test_*.py) names it, as a name, an
-                   attribute or a string, outside the name's own top-level
-                   definition
+  test-only names  the `ssdr.__all__` names that the program does not use
   test-only definitions
                    the top-level functions and classes of the package's
-                   modules, outside `__all__`, that no program file
-                   references by the same rule, as module.name
+                   modules, outside `__all__`, that the program does not
+                   use, as module.name
+
+A name defined in module M of the package (an `__all__` name is defined
+where `__init__.py` imports it from) counts as used in these ways only:
+
+  - another module of the package, but `__init__.py`, names it as an
+    attribute or imports it;
+  - M names it as a bare name, outside the name's own top-level
+    definition;
+  - a .py file of scripts/, or of perfbench/ but its test_*.py, names it
+    as a name, an attribute or a string (the bench's probes bind by
+    string).
+
+A name inside an annotation never counts, and neither does a string in
+the package.
 
 All are read from the source text (the AST), so nothing is imported:
 
@@ -40,18 +50,33 @@ def _defaults(fn) -> int:
     return len(fn.args.defaults) + sum(d is not None for d in fn.args.kw_defaults)
 
 
-def _referenced(tree: ast.Module) -> set:
-    """Every name, attribute and string constant in `tree`, except those
-    inside the top-level definition of that same name."""
+def _outside_annotations(node):
+    """`node` and every node below it, but those of an annotation."""
+    yield node
+    for field, value in ast.iter_fields(node):
+        if field in ("annotation", "returns"):
+            continue
+        for child in value if isinstance(value, list) else [value]:
+            if isinstance(child, ast.AST):
+                yield from _outside_annotations(child)
+
+
+def _referenced(tree: ast.Module, kinds) -> set:
+    """The names `tree` references in the `kinds` of ways ("name" a bare
+    name, "attribute", "import", "string" a string constant), outside
+    annotations and outside the top-level definition of that same name."""
     found = set()
     for top in tree.body:
         own = getattr(top, "name", None)
-        for node in ast.walk(top):
-            if isinstance(node, ast.Name):
+        for node in _outside_annotations(top):
+            if isinstance(node, ast.Name) and "name" in kinds:
                 name = node.id
-            elif isinstance(node, ast.Attribute):
+            elif isinstance(node, ast.Attribute) and "attribute" in kinds:
                 name = node.attr
-            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            elif isinstance(node, ast.alias) and "import" in kinds:
+                name = node.name.rpartition(".")[2]
+            elif (isinstance(node, ast.Constant) and isinstance(node.value, str)
+                  and "string" in kinds):
                 name = node.value
             else:
                 continue
@@ -61,29 +86,33 @@ def _referenced(tree: ast.Module) -> set:
 
 
 def _program_references(pkg: Path) -> set:
-    """What the program files reference: every .py file of the package but
-    `__init__.py`, of scripts/, and of perfbench/ but its test_*.py."""
+    """What the program's other files reference: every .py file of
+    scripts/ and of perfbench/ but its test_*.py."""
     root = pkg.parent.parent
-    files = [f for f in pkg.glob("*.py") if f.name != "__init__.py"]
-    files += sorted((root / "scripts").glob("*.py"))
+    files = sorted((root / "scripts").glob("*.py"))
     files += [f for f in sorted((root / "perfbench").glob("*.py"))
               if not f.name.startswith("test_")]
-    return set().union(*(_referenced(ast.parse(f.read_text())) for f in files))
+    return set().union(*(_referenced(ast.parse(f.read_text()), ("name", "attribute", "string"))
+                         for f in files))
 
 
-def _unused_definitions(trees: dict, public: list, used: set) -> list:
-    """module.name of each top-level function and class of the modules'
-    `trees` that is not in `public` and not in `used`."""
-    return sorted(f"{module}.{node.name}" for module, tree in trees.items()
-                  for node in tree.body
-                  if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                  and node.name not in public and node.name not in used)
+def _user(trees: dict, program: set):
+    """The rule above, as used(module, name), for the package modules'
+    `trees` (`__init__.py` left out) and the `program` references."""
+    bare = {module: _referenced(tree, ("name",)) for module, tree in trees.items()}
+    cross = {module: _referenced(tree, ("attribute", "import"))
+             for module, tree in trees.items()}
+
+    def used(module, name) -> bool:
+        return (name in bare.get(module, ()) or name in program
+                or any(name in refs for other, refs in cross.items() if other != module))
+    return used
 
 
 def counts(pkg: Path) -> dict:
     lines = settable = 0
     public = None
-    trees = {}
+    trees, home = {}, {}
     for path in sorted(pkg.glob("*.py")):
         text = path.read_text()
         lines += len(text.splitlines())
@@ -98,13 +127,20 @@ def counts(pkg: Path) -> dict:
                 if isinstance(node, ast.Assign) and any(
                         isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets):
                     public = ast.literal_eval(node.value)
+                elif isinstance(node, ast.ImportFrom) and node.level == 1:
+                    home.update({a.asname or a.name: node.module for a in node.names})
     if public is None:
         raise ValueError("not a package whose __init__.py sets __all__")
-    used = _program_references(pkg)
+    trees.pop("__init__", None)
+    used = _user(trees, _program_references(pkg))
+    unused = sorted(f"{module}.{node.name}" for module, tree in trees.items()
+                    for node in tree.body
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+                    and node.name not in public and not used(module, node.name))
     return {"lines": lines, "public names": len(public), "settable values": settable,
-            "test-only names": " ".join(sorted(set(public) - used)) or "none",
-            "test-only definitions":
-                " ".join(_unused_definitions(trees, public, used)) or "none"}
+            "test-only names":
+                " ".join(sorted(n for n in public if not used(home.get(n), n))) or "none",
+            "test-only definitions": " ".join(unused) or "none"}
 
 
 def main(argv) -> int:

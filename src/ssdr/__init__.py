@@ -6,7 +6,6 @@ estimator with respect to the material maps and lighting parameters, and
 recovers materials from a target image by gradient descent.
 """
 
-from .brdf import BrdfParams
 from .core import (Camera, ContractError, GBuffer, ImageBuffer, project, unproject,
                    validate_gbuffer)
 from .inverse import LossConfig, loss_rerender, optimize
@@ -22,7 +21,7 @@ from .volumetric import (BlendedLightField, HypernetParams, VolumeConfig, blend,
 __version__ = "0.1.0"
 
 __all__ = [
-    "BlendedLightField", "BrdfParams", "Camera", "ConstantLight",
+    "BlendedLightField", "Camera", "ConstantLight",
     "ContractError", "FeatureGrid", "GBuffer", "GridLight",
     "HypernetParams", "ImageBuffer", "LightField", "LossConfig", "MlpWeights",
     "RenderConfig", "SkyDiscLight", "SkyGradientLight",

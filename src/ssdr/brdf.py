@@ -5,38 +5,25 @@ f(v, d) = (1 - metallic) * albedo / pi
 
 with F0 = lerp(0.04, albedo, metallic) and alpha = clamp(R, 0.01, 1)^2.
 Importance sampling mixes a cosine-weighted diffuse lobe with Walter-style
-NDF half-vector sampling; `pdf` is the exact mixture density of
+NDF half-vector sampling; `mixture_pdf` is the exact mixture density of
 `sample_directions`.
 
 All operations broadcast over leading axes; directions are unit (..., 3)
-arrays.  `v` points from the surface toward the eye, `d` toward the light.
+arrays, which no function here checks.  `v` points from the surface toward
+the eye, `d` toward the light.  Each takes the material as the arrays
+(albedo, roughness, metallic, specular), where `specular` scales the
+microfacet term and its sampling weight (1 = physical; 0 = pure Lambertian).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
 
-from .core import (REC709, ContractError, as_rgb, check_unit, dot, luminance,
-                   normalize, orthonormal_basis)
+from .core import REC709, dot, luminance, normalize, orthonormal_basis
 
 ROUGHNESS_FLOOR = 0.01
-
-
-@dataclass(frozen=True)
-class BrdfParams:
-    """Per-point material. `specular` scales the microfacet term and its
-    sampling weight (1 = physical; 0 = pure Lambertian, used by oracles)."""
-
-    albedo: np.ndarray
-    roughness: float
-    metallic: float
-    specular: float = 1.0
-
-    def __post_init__(self):
-        object.__setattr__(self, "albedo", as_rgb(self.albedo))
 
 
 def _alpha(roughness) -> np.ndarray:
@@ -96,20 +83,10 @@ def lobe_weights(albedo, metallic, specular) -> tuple[np.ndarray, np.ndarray]:
     return np.where(deg, 1.0, wd / s), np.where(deg, 0.0, ws / s)
 
 
-def eval(v, d, n, params: BrdfParams) -> np.ndarray:
-    """BRDF value f(v, d); zero spectrum below the horizon (d.n <= 0)."""
-    v, d, n = (np.asarray(a, dtype=np.float64) for a in (v, d, n))
-    for name, w in (("v", v), ("d", d), ("n", n)):
-        check_unit(name, w)
-    if np.any(dot(v, n) <= 0):
-        raise ContractError("eval requires v.n > 0")
-    return _eval_raw(v, d, n, params.albedo, params.roughness, params.metallic,
-                     params.specular)
-
-
 def _eval_raw(v, d, n, albedo, roughness, metallic, specular, terms=None) -> np.ndarray:
-    """Array form of `eval`, without its checks; material broadcasts over rays.
-    `terms`, the `_half_terms` of these lanes, spares forming them again."""
+    """BRDF value f(v, d), zero below the horizon (d.n <= 0); the material
+    broadcasts over rays.  `terms`, the `_half_terms` of these lanes,
+    spares forming them again."""
     return _kernel(v, d, n, albedo, roughness, metallic, specular, ("f",), terms)["f"]
 
 
@@ -119,36 +96,11 @@ def diffuse_pdf(c) -> np.ndarray:
 
 
 def mixture_pdf(v, d, n, albedo, roughness, metallic, specular, terms=None) -> np.ndarray:
-    """Array form of `pdf`; material arguments broadcast over rays.
-    `terms`, the `_half_terms` of these lanes, spares forming them again."""
+    """Mixture density of `sample_directions` at direction d, 0 for
+    d.n <= 0; the material broadcasts over rays.  `terms`, the
+    `_half_terms` of these lanes, spares forming them again."""
     return _kernel(v, d, n, albedo, roughness, metallic, specular, ("pdf",),
                    terms)["pdf"]
-
-
-def pdf(v, d, n, params: BrdfParams) -> np.ndarray:
-    """Mixture density of `sample_directions` at direction d; 0 for d.n <= 0."""
-    return mixture_pdf(v, d, n, params.albedo, params.roughness,
-                       params.metallic, params.specular)
-
-
-def sample_pdf_sphere(v, d, n, params: BrdfParams) -> np.ndarray:
-    """Density of the raw sampling process over the full sphere.
-
-    Unlike `pdf` this keeps the below-horizon specular mass that
-    `sample_directions` reports as invalid, so it integrates to exactly 1
-    over all directions.  Used by normalization oracles only.
-    """
-    v, d, n = (np.asarray(a, dtype=np.float64) for a in (v, d, n))
-    wd, ws = lobe_weights(params.albedo, params.metallic, params.specular)
-    alpha = _alpha(params.roughness)
-    m = normalize(v + d)
-    # the sampler only draws half vectors from the n.h > 0 hemisphere
-    m = np.where((dot(n, m) >= 0)[..., None], m, -m)
-    cos_nm = dot(n, m)
-    cos_vm = np.abs(dot(v, m))
-    D, _ = ggx_d(cos_nm, alpha)
-    spec = D * np.maximum(cos_nm, 0.0) / np.maximum(4.0 * cos_vm, 1e-12)
-    return wd * diffuse_pdf(dot(n, d)) + ws * spec
 
 
 def _local_to_world(local, n):

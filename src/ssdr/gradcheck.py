@@ -1,6 +1,7 @@
-"""Finite-difference validation of every adjoint in the package.
+"""Finite-difference validation of the render's adjoints: the material maps
+and the light's parameters.
 
-The render checks freeze the importance-sampled directions of the base
+The checks freeze the importance-sampled directions of the base
 parameters and re-evaluate the estimator at perturbed parameters on that
 fixed sample set (common random numbers).  That is exactly the function the
 detached-sampling backward pass differentiates, so agreement is expected at
@@ -17,7 +18,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import volumetric
 from .brdf import ROUGHNESS_FLOOR
 from .core import Camera, ContractError, GBuffer, dot, normalize, orthonormal_basis
 from .lighting import LightField
@@ -152,56 +152,6 @@ def _max_fd_error(objectives, base: np.ndarray, adj: np.ndarray, rng,
     errs = [_rel_err((values[2 * i] - values[2 * i + 1]) / (2 * eps), float(adj[c]), scale)
             for i, c in enumerate(comps)]
     return float(np.max(errs))
-
-
-def check_volume_weights(weights, cfg: volumetric.VolumeConfig, n_rays: int = 4,
-                         n_components: int = 48, tol: float = 1e-4) -> CheckResult:
-    """FD on a seeded subset of field weights through the volume renderer."""
-    seed = 11
-    rng = np.random.default_rng(seed)
-    p = rng.normal(0.0, 0.5, size=(n_rays, 3)) + np.array([0.0, 0.0, 2.0])
-    d = normalize(rng.normal(size=(n_rays, 3)))
-    dL = rng.normal(size=(n_rays, 3))
-    ray_ids = np.arange(n_rays, dtype=np.uint64)
-
-    _, state = volumetric.volume_render_batch(weights, p, d, cfg, seed, ray_ids)
-    adj = volumetric.volume_render_backward(weights, p, cfg, dL, state)
-
-    def objective(flat):
-        L, _ = volumetric.volume_render_batch(weights.copy_with(flat), p, d, cfg,
-                                              seed, ray_ids, keep=False)
-        return float(np.sum(L * dL))
-
-    scale = max(1e-7, 1e-6 * float(np.abs(adj).max()))
-    err = _max_fd_error(lambda vecs: [objective(v) for v in vecs], weights.flat, adj,
-                        rng, n_components, 1e-5, scale)
-    return CheckResult("volume_render/weights", err, tol)
-
-
-def check_hypernet(h: volumetric.HypernetParams, fg: np.ndarray,
-                   n_components: int = 48, tol: float = 1e-4) -> CheckResult:
-    """FD of the affine weight map w.r.t. the feature vector and its own
-    parameters, against `hypernet_backward`."""
-    eps = 1e-6
-    rng = np.random.default_rng(5)
-    fg = np.asarray(fg, dtype=np.float64).ravel()
-    dflat = rng.normal(size=h.bias.size)
-    dfg, dmat, dbias = volumetric.hypernet_backward(fg, h, dflat)
-
-    def objective(fg_v=fg, mat=h.matrix, bias=h.bias):
-        hh = volumetric.HypernetParams(h.target_dims, mat, bias)
-        return float(volumetric.hypernet_forward(fg_v, hh).flat @ dflat)
-
-    scale = 1e-6 * (1.0 + float(np.abs(dmat).max()))
-    few = n_components // 3 + 1
-    err = max(  # the arguments draw their components from rng in this order
-        _max_fd_error(lambda vs: [objective(fg_v=v) for v in vs], fg, dfg, rng, few,
-                      eps, scale),
-        _max_fd_error(lambda vs: [objective(mat=v.reshape(h.matrix.shape)) for v in vs],
-                      h.matrix.ravel(), dmat.ravel(), rng, n_components, eps, scale),
-        _max_fd_error(lambda vs: [objective(bias=v) for v in vs], h.bias, dbias, rng, few,
-                      eps, scale))
-    return CheckResult("hypernet_forward/params", err, tol)
 
 
 def check_light_params(g: GBuffer, camera: Camera, light: LightField,

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .brdf import ROUGHNESS_FLOOR
-from .core import Camera, ContractError, GBuffer, ImageBuffer, normalize
+from .core import Camera, ContractError, GBuffer, normalize
 from .lighting import LightField
 from .render import RenderConfig, check_params, render_backward, render_mc
 from .sampling import derive_seed
@@ -23,16 +23,10 @@ from .sampling import derive_seed
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
-def _as_image(x) -> np.ndarray:
-    if isinstance(x, ImageBuffer):
-        return x.data
-    return np.asarray(x, dtype=np.float64)
-
-
 def loss_rerender(pred, target):
     """Mean squared error over all pixels and channels, with its adjoint."""
-    p = _as_image(pred)
-    t = _as_image(target)
+    p = np.asarray(pred, dtype=np.float64)
+    t = np.asarray(target, dtype=np.float64)
     if p.shape != t.shape:
         raise ContractError(f"loss shapes differ: {p.shape} vs {t.shape}")
     resid = p - t
@@ -121,7 +115,7 @@ def optimize(g: GBuffer, camera: Camera, light: LightField, target,
     and, when "light" is fitted, the light's parameters are returned together
     with the full loss trace.
     """
-    target = _as_image(target)
+    target = np.asarray(target, dtype=np.float64)
     if target.shape != g.depth.shape + (3,):
         raise ContractError(f"target shape {target.shape} != {g.depth.shape + (3,)}")
     if not np.all(np.isfinite(target)):

@@ -109,14 +109,12 @@ def _float32(path, data) -> np.ndarray:
 
 
 def write_pfm(path, image) -> None:
-    """A finite value that float32 cannot hold is an OverflowError naming
-    the file, and nothing is written."""
-    if isinstance(image, ImageBuffer):
-        data = image.data
-    else:
-        data = np.asarray(image, dtype=np.float64)
-        if data.ndim == 2:
-            data = data[:, :, None]
+    """Write the (H, W), (H, W, 1) or (H, W, 3) array `image`.  A finite
+    value that float32 cannot hold is an OverflowError naming the file, and
+    nothing is written."""
+    data = np.asarray(image, dtype=np.float64)
+    if data.ndim == 2:
+        data = data[:, :, None]
     h, w, c = data.shape
     if c == 3:
         magic = b"PF"
@@ -165,8 +163,8 @@ def write_png(path, rgb8: np.ndarray) -> None:
 
 
 def write_png_preview(path, image, exposure: float = 1.0) -> None:
-    """Tonemap an HDR buffer and quantize to an 8-bit PNG."""
-    data = image.data if isinstance(image, ImageBuffer) else np.asarray(image)
+    """Tonemap an HDR array and quantize to an 8-bit PNG."""
+    data = np.asarray(image)
     if not np.all(np.isfinite(data)):
         raise ContractError("preview requires a finite image")
     if data.ndim == 2:

@@ -48,6 +48,33 @@ def _keep_freed_heap() -> None:
 
 _keep_freed_heap()
 
+
+def _one_blas_thread() -> None:
+    """Set every OpenBLAS the process has loaded to one thread, so that the
+    worker pool is the only source of threads and a BLAS reduction's
+    bytes do not depend on the core count (README, "The BLAS pin").  Where
+    no OpenBLAS is mapped, or it has none of these symbols (MKL,
+    Accelerate), this does nothing."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = sorted({line.split(maxsplit=5)[-1].strip() for line in maps
+                            if "openblas" in line})
+        libs = [ctypes.CDLL(path) for path in paths]
+    except OSError:
+        return
+    for lib in libs:
+        for name in ("scipy_openblas_set_num_threads64_", "scipy_openblas_set_num_threads",
+                     "openblas_set_num_threads64_", "openblas_set_num_threads"):
+            if hasattr(lib, name):
+                set_threads = getattr(lib, name)
+                set_threads.argtypes = (ctypes.c_int,)
+                set_threads.restype = None
+                set_threads(1)
+                break
+
+
+_one_blas_thread()
+
 _CHUNK_LANES = 1 << 20
 _PDF_FLOOR = 1e-6   # q = max(pdf, floor); pdf gradients only above it
 

@@ -79,15 +79,6 @@ def build_scene(camera: Camera, planes: list[PlaneDef]) -> GBuffer:
                    roughness=rough, metallic=metal)
 
 
-def ray_plane_point(p: np.ndarray, d: np.ndarray, plane: PlaneDef) -> np.ndarray:
-    """Exact intersection of rays (N,3)+(N,3) with the plane; the oracle the
-    screen-space tracer is tested against."""
-    p = np.atleast_2d(p)
-    d = np.atleast_2d(d)
-    t = (plane.offset - p[:, plane.axis]) / d[:, plane.axis]
-    return p + t[:, None] * d
-
-
 # ---------------------------------------------------------------------------
 # the three canned scenes
 

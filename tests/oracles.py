@@ -2,7 +2,12 @@
 
 Everything here integrates or enumerates directly (stratified quadrature,
 closed forms, exhaustive bins) and never reuses the estimator code paths it
-is meant to judge.  `peak_rss_mb` measures a script in a process of its own.
+is meant to judge.  The finite-difference harnesses of the volume renderer
+and the hypernetwork, which no program path runs, live here too.
+`peak_rss_mb` measures a script in a process of its own.
+
+A BRDF material is the tuple (albedo, roughness, metallic, specular) that
+`brdf`'s functions take unpacked.
 """
 
 from __future__ import annotations
@@ -16,12 +21,33 @@ from pathlib import Path
 import numpy as np
 
 import ssdr
-from ssdr import brdf, mlp
+from ssdr import brdf, mlp, volumetric
 from ssdr.core import dot, normalize, orthonormal_basis
+from ssdr.gradcheck import CheckResult, _max_fd_error
 from ssdr.sampling import uniform_block
 
 
-def sphere_pdf_integral(params: brdf.BrdfParams, v, n, seed: int,
+def sample_pdf_sphere(v, d, n, albedo, roughness, metallic, specular) -> np.ndarray:
+    """Density of the raw sampling process over the full sphere.
+
+    Unlike `brdf.mixture_pdf` this keeps the below-horizon specular mass
+    that `sample_directions` reports as invalid, so it integrates to exactly
+    1 over all directions.
+    """
+    v, d, n = (np.asarray(a, dtype=np.float64) for a in (v, d, n))
+    wd, ws = brdf.lobe_weights(albedo, metallic, specular)
+    alpha = brdf._alpha(roughness)
+    m = normalize(v + d)
+    # the sampler only draws half vectors from the n.h > 0 hemisphere
+    m = np.where((dot(n, m) >= 0)[..., None], m, -m)
+    cos_nm = dot(n, m)
+    cos_vm = np.abs(dot(v, m))
+    D, _ = brdf.ggx_d(cos_nm, alpha)
+    spec = D * np.maximum(cos_nm, 0.0) / np.maximum(4.0 * cos_vm, 1e-12)
+    return wd * brdf.diffuse_pdf(dot(n, d)) + ws * spec
+
+
+def sphere_pdf_integral(material, v, n, seed: int,
                         cells: tuple[int, int] = (700, 700),
                         cap_radius: float = 0.5) -> float:
     """Jittered-stratified integral of the sampling density over the whole
@@ -44,7 +70,7 @@ def sphere_pdf_integral(params: brdf.BrdfParams, v, n, seed: int,
     d = (st * np.cos(ph))[..., None] * t + (st * np.sin(ph))[..., None] * b \
         + ct[..., None] * mirror
     w = st * (cap_radius / nt) * (2 * np.pi / nf)
-    pdf = brdf.sample_pdf_sphere(v, d.reshape(-1, 3), n, params).reshape(nt, nf)
+    pdf = sample_pdf_sphere(v, d.reshape(-1, 3), n, *material).reshape(nt, nf)
     total += float(np.sum(pdf * w))
 
     tn, bn = orthonormal_basis(n)
@@ -55,25 +81,21 @@ def sphere_pdf_integral(params: brdf.BrdfParams, v, n, seed: int,
         + ct[..., None] * n
     w = st * (np.pi / nt) * (2 * np.pi / nf)
     outside = dot(d, mirror) <= np.cos(cap_radius)
-    pdf = brdf.sample_pdf_sphere(v, d.reshape(-1, 3), n, params).reshape(nt, nf)
+    pdf = sample_pdf_sphere(v, d.reshape(-1, 3), n, *material).reshape(nt, nf)
     total += float(np.sum(np.where(outside, pdf * w, 0.0)))
     return total
 
 
-def white_furnace_estimate(params: brdf.BrdfParams, v, n, n_samples: int,
-                           seed: int):
+def white_furnace_estimate(material, v, n, n_samples: int, seed: int):
     """BRDF-importance Monte Carlo estimate of the directional albedo
     integral per channel, plus its standard error."""
     v = np.asarray(v, dtype=np.float64)
     n = np.asarray(n, dtype=np.float64)
     u = uniform_block(seed, np.arange(n_samples, dtype=np.uint64), 0, 3)
-    d, _, ok = brdf.sample_directions(v, n, params.albedo, params.roughness,
-                                      params.metallic, params.specular, u)
-    pdf = brdf.mixture_pdf(v, d, n, params.albedo, params.roughness,
-                           params.metallic, params.specular)
+    d, _, ok = brdf.sample_directions(v, n, *material, u)
+    pdf = brdf.mixture_pdf(v, d, n, *material)
     ok = ok & (pdf > 0)
-    f = brdf._eval_raw(v, d, n, params.albedo, params.roughness,
-                       params.metallic, params.specular)
+    f = brdf._eval_raw(v, d, n, *material)
     cos = np.maximum(dot(n, d), 0.0)
     vals = np.where(ok[:, None], f * (cos / np.where(ok, pdf, 1.0))[:, None], 0.0)
     mean = vals.mean(axis=0)
@@ -81,7 +103,7 @@ def white_furnace_estimate(params: brdf.BrdfParams, v, n, n_samples: int,
     return mean, se
 
 
-def chi_square_sampler(params: brdf.BrdfParams, v, n, n_samples: int = 100_000,
+def chi_square_sampler(material, v, n, n_samples: int = 100_000,
                        bins: tuple[int, int] = (16, 32), seed: int = 2024,
                        subgrid: int = 8):
     """Chi-square statistic of sampled directions against the density,
@@ -90,8 +112,7 @@ def chi_square_sampler(params: brdf.BrdfParams, v, n, n_samples: int = 100_000,
     v = np.asarray(v, dtype=np.float64)
     n = np.asarray(n, dtype=np.float64)
     u = uniform_block(seed, np.arange(n_samples, dtype=np.uint64), 0, 3)
-    d, _, ok = brdf.sample_directions(v, n, params.albedo, params.roughness,
-                                      params.metallic, params.specular, u)
+    d, _, ok = brdf.sample_directions(v, n, *material, u)
     t, b = orthonormal_basis(n)
     dv = d[ok]
     theta = np.arccos(np.clip(dv @ n, -1.0, 1.0))
@@ -110,7 +131,7 @@ def chi_square_sampler(params: brdf.BrdfParams, v, n, n_samples: int = 100_000,
             + np.sin(tt)[..., None] * np.sin(pp)[..., None] * b
             + np.cos(tt)[..., None] * n)
     w = np.sin(tt) * (np.pi / 2 / (nt * subgrid)) * (2 * np.pi / (nf * subgrid))
-    mass = (brdf.pdf(v, dirs.reshape(-1, 3), n, params).reshape(tt.shape) * w)
+    mass = brdf.mixture_pdf(v, dirs.reshape(-1, 3), n, *material).reshape(tt.shape) * w
     per_bin = mass.reshape(nt, subgrid, nf, subgrid).sum(axis=(1, 3))
     exp = np.concatenate([per_bin.ravel(), [1.0 - per_bin.sum()]]) * n_samples
 
@@ -125,6 +146,65 @@ def chi_square_sampler(params: brdf.BrdfParams, v, n, n_samples: int = 100_000,
             obs, exp = obs[:-1], exp[:-1]
     stat = float(np.sum((obs - exp) ** 2 / exp))
     return stat, obs.size - 1
+
+
+def ray_plane_point(p: np.ndarray, d: np.ndarray, plane) -> np.ndarray:
+    """Exact intersection of rays (N,3)+(N,3) with a `scenes.PlaneDef`; the
+    oracle the screen-space tracer is tested against."""
+    p = np.atleast_2d(p)
+    d = np.atleast_2d(d)
+    t = (plane.offset - p[:, plane.axis]) / d[:, plane.axis]
+    return p + t[:, None] * d
+
+
+def check_volume_weights(weights, cfg: volumetric.VolumeConfig, n_rays: int = 4,
+                         n_components: int = 48, tol: float = 1e-4) -> CheckResult:
+    """FD on a seeded subset of field weights through the volume renderer."""
+    seed = 11
+    rng = np.random.default_rng(seed)
+    p = rng.normal(0.0, 0.5, size=(n_rays, 3)) + np.array([0.0, 0.0, 2.0])
+    d = normalize(rng.normal(size=(n_rays, 3)))
+    dL = rng.normal(size=(n_rays, 3))
+    ray_ids = np.arange(n_rays, dtype=np.uint64)
+
+    _, state = volumetric.volume_render_batch(weights, p, d, cfg, seed, ray_ids)
+    adj = volumetric.volume_render_backward(weights, p, cfg, dL, state)
+
+    def objective(flat):
+        L, _ = volumetric.volume_render_batch(weights.copy_with(flat), p, d, cfg,
+                                              seed, ray_ids, keep=False)
+        return float(np.sum(L * dL))
+
+    scale = max(1e-7, 1e-6 * float(np.abs(adj).max()))
+    err = _max_fd_error(lambda vecs: [objective(v) for v in vecs], weights.flat, adj,
+                        rng, n_components, 1e-5, scale)
+    return CheckResult("volume_render/weights", err, tol)
+
+
+def check_hypernet(h: volumetric.HypernetParams, fg: np.ndarray,
+                   n_components: int = 48, tol: float = 1e-4) -> CheckResult:
+    """FD of the affine weight map w.r.t. the feature vector and its own
+    parameters, against `hypernet_backward`."""
+    eps = 1e-6
+    rng = np.random.default_rng(5)
+    fg = np.asarray(fg, dtype=np.float64).ravel()
+    dflat = rng.normal(size=h.bias.size)
+    dfg, dmat, dbias = volumetric.hypernet_backward(fg, h, dflat)
+
+    def objective(fg_v=fg, mat=h.matrix, bias=h.bias):
+        hh = volumetric.HypernetParams(h.target_dims, mat, bias)
+        return float(volumetric.hypernet_forward(fg_v, hh).flat @ dflat)
+
+    scale = 1e-6 * (1.0 + float(np.abs(dmat).max()))
+    few = n_components // 3 + 1
+    err = max(  # the arguments draw their components from rng in this order
+        _max_fd_error(lambda vs: [objective(fg_v=v) for v in vs], fg, dfg, rng, few,
+                      eps, scale),
+        _max_fd_error(lambda vs: [objective(mat=v.reshape(h.matrix.shape)) for v in vs],
+                      h.matrix.ravel(), dmat.ravel(), rng, n_components, eps, scale),
+        _max_fd_error(lambda vs: [objective(bias=v) for v in vs], h.bias, dbias, rng, few,
+                      eps, scale))
+    return CheckResult("hypernet_forward/params", err, tol)
 
 
 def cosine_grid_dirs(n, cells: tuple[int, int]):

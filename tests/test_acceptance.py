@@ -11,8 +11,9 @@ import time
 import numpy as np
 from scipy import stats
 
-from oracles import chi_square_sampler, sphere_pdf_integral, white_furnace_estimate
-from ssdr import brdf, gradcheck, scenes, ssrt, volumetric as vol
+from oracles import (check_hypernet, check_volume_weights, chi_square_sampler,
+                     ray_plane_point, sphere_pdf_integral, white_furnace_estimate)
+from ssdr import gradcheck, scenes, ssrt, volumetric as vol
 from ssdr.cli import EXIT_OK, main
 from ssdr.core import GBuffer, normalize, project, unproject
 from ssdr.inverse import LossConfig, loss_rerender, optimize
@@ -35,9 +36,8 @@ def test_criterion_01_pdf_normalization():
     worst = 0.0
     for roughness in (0.1, 0.5, 1.0):
         for metallic in (0.0, 0.5, 1.0):
-            params = brdf.BrdfParams(albedo=(0.7, 0.6, 0.5), roughness=roughness,
-                                     metallic=metallic)
-            integral = sphere_pdf_integral(params, V_TILT, N_UP, seed=123)
+            integral = sphere_pdf_integral(((0.7, 0.6, 0.5), roughness, metallic, 1.0),
+                                           V_TILT, N_UP, seed=123)
             worst = max(worst, abs(integral - 1.0))
     dt = time.perf_counter() - t0
     _report(1, "sampling density integrates to 1 +- 1% (9 material combos)",
@@ -48,19 +48,16 @@ def test_criterion_01_pdf_normalization():
 def test_criterion_02_white_furnace():
     worst = -np.inf
     for roughness in (0.1, 0.5, 1.0):
-        params = brdf.BrdfParams(albedo=(1.0, 1.0, 1.0), roughness=roughness,
-                                 metallic=1.0)
-        mean, se = white_furnace_estimate(params, V_TILT, N_UP,
-                                          n_samples=1_000_000, seed=17)
+        mean, se = white_furnace_estimate(((1.0, 1.0, 1.0), roughness, 1.0, 1.0), V_TILT,
+                                          N_UP, n_samples=1_000_000, seed=17)
         worst = max(worst, float(np.max(mean - (1.0 + 3.0 * se))))
     _report(2, "white furnace: reflected energy <= 1 + 3 sigma per channel",
             worst <= 0.0, f"(max excess {worst:.2e})")
 
 
 def test_criterion_03_chi_square():
-    params = brdf.BrdfParams(albedo=(0.6, 0.6, 0.6), roughness=0.5, metallic=0.5)
-    stat, dof = chi_square_sampler(params, V_TILT, N_UP, n_samples=100_000,
-                                   seed=2024)
+    stat, dof = chi_square_sampler(((0.6, 0.6, 0.6), 0.5, 0.5, 1.0), V_TILT, N_UP,
+                                   n_samples=100_000, seed=2024)
     crit = stats.chi2.ppf(0.95, dof)
     _report(3, "sampler/pdf chi-square at 5% significance (16x32 grid)",
             stat < crit, f"(stat {stat:.1f} < {crit:.1f}, dof {dof})")
@@ -92,9 +89,9 @@ def test_criterion_05_gradient_fidelity(glossy_patch):
     vcfg = vol.VolumeConfig(t_near=0.05, t_far=6.0, n_samples=16)
     weights = MlpWeights.random((vol.field_input_dim(4), 16, 16, 4), seed=3,
                                 scale=0.4)
-    results.append(gradcheck.check_volume_weights(weights, vcfg, tol=1e-4))
+    results.append(check_volume_weights(weights, vcfg, tol=1e-4))
     h = vol.HypernetParams.random(6, (4, 8, 4), seed=4)
-    results.append(gradcheck.check_hypernet(
+    results.append(check_hypernet(
         h, np.random.default_rng(5).normal(size=6), tol=1e-4))
     worst = max(r.max_rel_err for r in results)
     _report(5, "adjoints match central finite differences within 1e-4",
@@ -117,7 +114,7 @@ def test_criterion_06_ssrt_oracle():
                   g.depth[wy[ti], wx[ti]])
     d = normalize(q - p)
     hits = ssrt.trace_batch(g.depth, camera, p, d, ssrt.SsrtConfig())
-    analytic_px, _ = project(camera, scenes.ray_plane_point(p, d, wall))
+    analytic_px, _ = project(camera, ray_plane_point(p, d, wall))
     err = np.linalg.norm(hits.pixel - analytic_px, axis=1)
     is_hit = hits.status == int(ssrt.Status.HIT)
     frac = float(np.mean(is_hit & (err <= 1.0)))

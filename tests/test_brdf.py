@@ -7,125 +7,103 @@ from scipy import stats
 from oracles import (chi_square_sampler, orthonormal_basis_stacked, sphere_pdf_integral,
                      white_furnace_estimate)
 from ssdr import brdf
-from ssdr.core import ContractError, dot, normalize, orthonormal_basis
+from ssdr.core import dot, normalize, orthonormal_basis
 from ssdr.render import _lane_layout
 from ssdr.sampling import uniform_block
 
 N_UP = np.array([0.0, 0.0, 1.0])
 V30 = normalize(np.array([0.5, 0.0, np.sqrt(3) / 2]))
 
+# a material is (albedo, roughness, metallic, specular), as brdf's functions
+# take it unpacked
+
 
 def test_diffuse_value_exact():
-    params = brdf.BrdfParams(albedo=(0.9, 0.9, 0.9), roughness=1.0,
-                             metallic=0.0, specular=0.0)
-    f = brdf.eval(V30, N_UP, N_UP, params)
+    f = brdf._eval_raw(V30, N_UP, N_UP, (0.9, 0.9, 0.9), 1.0, 0.0, 0.0)
     assert np.allclose(f, 0.9 / np.pi, atol=1e-12)
 
 
 def test_metal_has_no_diffuse():
-    params = brdf.BrdfParams(albedo=(0.8, 0.2, 0.1), roughness=0.6, metallic=1.0)
+    metal = ((0.8, 0.2, 0.1), 0.6, 1.0, 1.0)
     rng = np.random.default_rng(0)
     for _ in range(32):
         d = normalize(rng.normal(size=3) * [1, 1, 1] + [0, 0, 1.5])
         if d[2] <= 0:
             continue
-        full = brdf.eval(V30, d, N_UP, params)
-        spec_only = brdf.eval(V30, d, N_UP, brdf.BrdfParams(
-            albedo=(0.8, 0.2, 0.1), roughness=0.6, metallic=1.0, specular=1.0))
+        full = brdf._eval_raw(V30, d, N_UP, *metal)
+        spec_only = brdf._eval_raw(V30, d, N_UP, (0.8, 0.2, 0.1), 0.6, 1.0, 1.0)
         assert np.allclose(full, spec_only)
     # and with the microfacet term off a metal reflects nothing at all
-    dark = brdf.eval(V30, N_UP, N_UP, brdf.BrdfParams(
-        albedo=(0.8, 0.2, 0.1), roughness=0.6, metallic=1.0, specular=0.0))
+    dark = brdf._eval_raw(V30, N_UP, N_UP, (0.8, 0.2, 0.1), 0.6, 1.0, 0.0)
     assert np.allclose(dark, 0.0)
 
 
 def test_eval_below_horizon_zero():
-    params = brdf.BrdfParams(albedo=(0.5, 0.5, 0.5), roughness=0.4, metallic=0.3)
     d = normalize(np.array([0.3, 0.1, -0.8]))
-    assert np.allclose(brdf.eval(V30, d, N_UP, params), 0.0)
-
-
-def test_eval_rejects_non_unit():
-    params = brdf.BrdfParams(albedo=(0.5, 0.5, 0.5), roughness=0.4, metallic=0.0)
-    with pytest.raises(ContractError):
-        brdf.eval(np.array([0.0, 0.0, 2.0]), N_UP, N_UP, params)
-
-
-def test_eval_rejects_a_view_below_the_surface():
-    params = brdf.BrdfParams(albedo=(0.5, 0.5, 0.5), roughness=0.4, metallic=0.0)
-    with pytest.raises(ContractError, match="v.n > 0"):
-        brdf.eval(-V30, N_UP, N_UP, params)
+    assert np.allclose(brdf._eval_raw(V30, d, N_UP, (0.5, 0.5, 0.5), 0.4, 0.3, 1.0), 0.0)
 
 
 @pytest.mark.parametrize("roughness", [0.1, 0.5, 1.0])
 def test_white_furnace_bound(roughness):
-    params = brdf.BrdfParams(albedo=(1.0, 1.0, 1.0), roughness=roughness,
-                             metallic=1.0)
-    mean, se = white_furnace_estimate(params, V30, N_UP, n_samples=200_000, seed=17)
+    mean, se = white_furnace_estimate(((1.0, 1.0, 1.0), roughness, 1.0, 1.0), V30, N_UP,
+                                      n_samples=200_000, seed=17)
     assert np.all(mean <= 1.0 + 3.0 * se)
     assert np.all(mean > 0.3)  # sanity: a white metal does reflect
 
 
 def test_pure_diffuse_pdf_closed_form():
     assert np.isclose(float(brdf.diffuse_pdf(dot(N_UP, N_UP))), 1.0 / np.pi)
-    params = brdf.BrdfParams(albedo=(0.7, 0.7, 0.7), roughness=1.0,
-                             metallic=0.0, specular=0.0)
-    assert np.isclose(float(brdf.pdf(V30, N_UP, N_UP, params)), 1.0 / np.pi)
+    mat = ((0.7, 0.7, 0.7), 1.0, 0.0, 0.0)
+    assert np.isclose(float(brdf.mixture_pdf(V30, N_UP, N_UP, *mat)), 1.0 / np.pi)
     rng = np.random.default_rng(1)
     d = normalize(rng.normal(size=(64, 3)) + [0, 0, 2.0])
-    assert np.allclose(brdf.pdf(V30, d, N_UP, params),
+    assert np.allclose(brdf.mixture_pdf(V30, d, N_UP, *mat),
                        np.maximum(d[:, 2], 0.0) / np.pi)
 
 
 def test_pdf_below_horizon_zero():
-    params = brdf.BrdfParams(albedo=(0.7, 0.7, 0.7), roughness=0.5, metallic=0.5)
     d = normalize(np.array([0.1, 0.2, -0.9]))
-    assert float(brdf.pdf(V30, d, N_UP, params)) == 0.0
+    assert float(brdf.mixture_pdf(V30, d, N_UP, (0.7, 0.7, 0.7), 0.5, 0.5, 1.0)) == 0.0
 
 
 @pytest.mark.parametrize("roughness,metallic",
                          [(0.1, 0.0), (0.1, 1.0), (0.5, 0.5), (1.0, 0.0), (1.0, 1.0)])
 def test_sampling_density_normalization(roughness, metallic):
-    params = brdf.BrdfParams(albedo=(0.7, 0.6, 0.5), roughness=roughness,
-                             metallic=metallic)
-    integral = sphere_pdf_integral(params, V30, N_UP, seed=123, cells=(500, 500))
+    integral = sphere_pdf_integral(((0.7, 0.6, 0.5), roughness, metallic, 1.0), V30, N_UP,
+                                   seed=123, cells=(500, 500))
     assert abs(integral - 1.0) < 0.01
 
 
 def test_sample_pdf_consistency():
     """The pdf the render pairs with each valid `sample_directions` draw,
-    `mixture_pdf` over arrays of materials, is positive and is `pdf` of
-    that draw's own material."""
+    `mixture_pdf` over arrays of materials, is positive and is
+    `mixture_pdf` of that draw's own material alone."""
     rng = np.random.default_rng(4)
     lanes = []
     for k in range(300):
-        params = brdf.BrdfParams(albedo=rng.uniform(0.05, 1.0, 3),
-                                 roughness=rng.uniform(0.02, 1.0),
-                                 metallic=rng.uniform(0.0, 1.0))
+        material = (rng.uniform(0.05, 1.0, 3), rng.uniform(0.02, 1.0),
+                    rng.uniform(0.0, 1.0), 1.0)
         n = normalize(rng.normal(size=3))
         v = normalize(rng.normal(size=3))
         if dot(v, n) > 0.05:
-            lanes.append((params, v, n, uniform_block(k, 1, 2, 3)))
-    params, v, n, u = zip(*lanes)
+            lanes.append((material, v, n, uniform_block(k, 1, 2, 3)))
+    materials, v, n, u = zip(*lanes)
     v, n, u = np.array(v), np.array(n), np.array(u)
-    mat = (np.array([q.albedo for q in params]), np.array([q.roughness for q in params]),
-           np.array([q.metallic for q in params]), 1.0)
+    mat = tuple(np.array(column) for column in zip(*materials))
     d, _, valid = brdf.sample_directions(v, n, *mat, u)
     q = brdf.mixture_pdf(v, d, n, *mat)
     checked = 0
     for i in np.flatnonzero(valid):
-        direct = float(brdf.pdf(v[i], d[i], n[i], params[i]))
+        direct = float(brdf.mixture_pdf(v[i], d[i], n[i], *materials[i]))
         assert q[i] > 0 and abs(q[i] - direct) / direct <= 1e-6
         checked += 1
     assert checked > 100
 
 
 def test_smooth_roughness_mirror_limit():
-    params = brdf.BrdfParams(albedo=(0.9, 0.9, 0.9), roughness=0.01, metallic=1.0)
     mirror = 2.0 * dot(V30, N_UP) * N_UP - V30
     u = uniform_block(9, np.arange(2000, dtype=np.uint64), 0, 3)
-    d, spec, ok = brdf.sample_directions(V30, N_UP, params.albedo, params.roughness,
-                                         params.metallic, params.specular, u)
+    d, spec, ok = brdf.sample_directions(V30, N_UP, (0.9, 0.9, 0.9), 0.01, 1.0, 1.0, u)
     assert spec.all()
     ang = np.arccos(np.clip(d[ok] @ mirror, -1, 1))
     assert np.mean(ang < 1e-2) >= 0.99
@@ -134,41 +112,37 @@ def test_smooth_roughness_mirror_limit():
 def test_invalid_samples_reported_with_zero_pdf():
     # grazing view on a rough metal mirrors many samples below the horizon
     v = normalize(np.array([0.995, 0.0, 0.0999]))
-    params = brdf.BrdfParams(albedo=(0.9, 0.9, 0.9), roughness=0.9, metallic=1.0)
+    metal = ((0.9, 0.9, 0.9), 0.9, 1.0, 1.0)
     u = np.array([uniform_block(k, 0, 0, 3) for k in range(200)])
-    d, _, valid = brdf.sample_directions(v, N_UP, params.albedo, params.roughness,
-                                         params.metallic, params.specular, u)
+    d, _, valid = brdf.sample_directions(v, N_UP, *metal, u)
     below = dot(d, N_UP) <= 0
     assert np.count_nonzero(~valid) > 10  # the caller must be able to skip them
     assert np.count_nonzero(below) > 10 and not valid[below].any()
-    assert np.all(brdf.mixture_pdf(v, d[below], N_UP, params.albedo, params.roughness,
-                                   params.metallic, params.specular) == 0.0)
+    assert np.all(brdf.mixture_pdf(v, d[below], N_UP, *metal) == 0.0)
 
 
 def test_metal_always_specular_lobe():
-    params = brdf.BrdfParams(albedo=(0.3, 0.3, 0.3), roughness=0.4, metallic=1.0)
     u = uniform_block(11, np.arange(512, dtype=np.uint64), 0, 3)
-    _, spec, _ = brdf.sample_directions(V30, N_UP, params.albedo, params.roughness,
-                                        params.metallic, params.specular, u)
+    _, spec, _ = brdf.sample_directions(V30, N_UP, (0.3, 0.3, 0.3), 0.4, 1.0, 1.0, u)
     assert spec.all()
 
 
 def test_chi_square_sampler_agreement():
-    params = brdf.BrdfParams(albedo=(0.6, 0.6, 0.6), roughness=0.5, metallic=0.5)
-    stat, dof = chi_square_sampler(params, V30, N_UP, n_samples=100_000, seed=2024)
+    stat, dof = chi_square_sampler(((0.6, 0.6, 0.6), 0.5, 0.5, 1.0), V30, N_UP,
+                                   n_samples=100_000, seed=2024)
     assert stat < stats.chi2.ppf(0.95, dof)
 
 
 def test_specular_reciprocity():
     rng = np.random.default_rng(8)
-    params = brdf.BrdfParams(albedo=(0.7, 0.5, 0.4), roughness=0.35, metallic=1.0)
+    metal = ((0.7, 0.5, 0.4), 0.35, 1.0, 1.0)
     for _ in range(64):
         n = normalize(rng.normal(size=3))
         v = normalize(rng.normal(size=3))
         d = normalize(rng.normal(size=3))
         if dot(v, n) <= 1e-3 or dot(d, n) <= 1e-3:
             continue
-        assert np.allclose(brdf.eval(v, d, n, params), brdf.eval(d, v, n, params),
+        assert np.allclose(brdf._eval_raw(v, d, n, *metal), brdf._eval_raw(d, v, n, *metal),
                            rtol=1e-10, atol=1e-12)
 
 
@@ -177,25 +151,20 @@ def test_specular_reciprocity():
 def test_eval_pdf_continuous_in_material(roughness, metallic):
     d = normalize(np.array([0.4, -0.2, 0.6]))
     eps = 1e-5
-    params = brdf.BrdfParams(albedo=(0.6, 0.6, 0.6), roughness=roughness,
-                             metallic=metallic)
-    base_f = brdf.eval(V30, d, N_UP, params)
-    base_p = float(brdf.pdf(V30, d, N_UP, params))
-    bumped = brdf.BrdfParams(albedo=(0.6, 0.6, 0.6),
-                             roughness=min(roughness + eps, 1.0),
-                             metallic=min(metallic + eps, 1.0))
-    assert np.all(np.abs(brdf.eval(V30, d, N_UP, bumped) - base_f) < 1e-2)
-    assert abs(float(brdf.pdf(V30, d, N_UP, bumped)) - base_p) < 1e-2
+    mat = ((0.6, 0.6, 0.6), roughness, metallic, 1.0)
+    base_f = brdf._eval_raw(V30, d, N_UP, *mat)
+    base_p = float(brdf.mixture_pdf(V30, d, N_UP, *mat))
+    bumped = ((0.6, 0.6, 0.6), min(roughness + eps, 1.0), min(metallic + eps, 1.0), 1.0)
+    assert np.all(np.abs(brdf._eval_raw(V30, d, N_UP, *bumped) - base_f) < 1e-2)
+    assert abs(float(brdf.mixture_pdf(V30, d, N_UP, *bumped)) - base_p) < 1e-2
 
 
 def test_finite_difference_partials_exist():
     # derivative stencils stay finite across the roughness floor
-    params = lambda r: brdf.BrdfParams(albedo=(0.6, 0.6, 0.6), roughness=r,
-                                       metallic=0.7)
     d = normalize(np.array([0.2, 0.1, 0.95]))
     for r in (0.01, 0.05, 0.5, 0.99):
-        lo = brdf.eval(V30, d, N_UP, params(max(r - 1e-6, 0.0)))
-        hi = brdf.eval(V30, d, N_UP, params(r + 1e-6))
+        lo = brdf._eval_raw(V30, d, N_UP, (0.6, 0.6, 0.6), max(r - 1e-6, 0.0), 0.7, 1.0)
+        hi = brdf._eval_raw(V30, d, N_UP, (0.6, 0.6, 0.6), r + 1e-6, 0.7, 1.0)
         assert np.all(np.isfinite((hi - lo) / 2e-6))
 
 

@@ -887,3 +887,19 @@ def test_render_beyond_float32_exits_1_and_writes_nothing(overflow_bundle, tmp_p
     assert len(err) == 1 and "rerender.pfm" in err[0] and "float32" in err[0], err
     assert code == EXIT_NUMERIC
     assert not any(out.iterdir())
+
+
+def test_module_run_as_a_script_exits_with_mains_code(monkeypatch):
+    """`python -m ssdr.cli` exits with the code of `main`: 2 for an unknown
+    subcommand."""
+    import runpy
+    import sys
+    import warnings
+
+    monkeypatch.setattr(sys, "argv", ["ssdr", "no-such-command"])
+    with warnings.catch_warnings():
+        # ssdr.cli is imported already, and runpy warns that it runs it again
+        warnings.simplefilter("ignore", RuntimeWarning)
+        with pytest.raises(SystemExit) as exc:
+            runpy.run_module("ssdr.cli", run_name="__main__")
+    assert exc.value.code == 2

@@ -130,23 +130,23 @@ def test_validate_accepts_pixels_without_geometry():
 @pytest.mark.parametrize("length,unit", [(1.0005, True), (1.0015, False), (0.0, False),
                                          (np.nan, False)])
 def test_one_unit_length_rule_for_brdf_and_ssrt(length, unit):
-    """`brdf.eval` and `ssrt.trace_batch` share the rule |w.w - 1| <= 2.1e-3:
-    a direction of length 1.0005 is unit, one of 1.0015 or 0 is not, and
-    neither is a NaN direction (which `brdf.eval` took for one below the
-    horizon)."""
-    from ssdr import brdf, scenes, ssrt
+    """The one unit-length rule |w.w - 1| <= 2.1e-3 of `core.check_unit`,
+    which `ssrt.trace_batch` applies to its directions: a direction of
+    length 1.0005 is unit, one of 1.0015 or 0 is not, and neither is a NaN
+    direction.  (The BRDF takes its directions unchecked; the test keeps
+    the name it had when `brdf.eval` applied the rule too.)"""
+    from ssdr import scenes, ssrt
     d = length * normalize(np.array([0.2, -0.1, 1.0]))
-    n = np.array([0.0, 0.0, 1.0])
-    calls = [lambda: brdf.eval(n, d, n, brdf.BrdfParams((0.5, 0.5, 0.5), 0.4, 0.0)),
-             lambda: ssrt.trace_batch(np.full((8, 8), 2.0), scenes.default_camera(8, 8),
-                                      np.array([[0.0, 0.0, 1.0]]), d[None],
-                                      ssrt.SsrtConfig())]
-    for call in calls:
-        if unit:
+
+    def call():
+        ssrt.trace_batch(np.full((8, 8), 2.0), scenes.default_camera(8, 8),
+                         np.array([[0.0, 0.0, 1.0]]), d[None], ssrt.SsrtConfig())
+
+    if unit:
+        call()
+    else:
+        with pytest.raises(ContractError, match="not unit length"):
             call()
-        else:
-            with pytest.raises(ContractError, match="not unit length"):
-                call()
 
 
 def test_gbuffer_dimension_mismatch_fatal():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from ssdr import io as sio, mlp, scenes
-from ssdr.core import Camera, ContractError, ImageBuffer
+from ssdr.core import Camera, ContractError
 from ssdr.lighting import FeatureGrid, GridLight
 
 
@@ -57,13 +57,11 @@ def test_pfm_bottom_up_scanlines(tmp_path):
 def test_pfm_roundtrip_bitexact(tmp_path_factory, arr, channels):
     tmp = tmp_path_factory.mktemp("pfm")
     data = np.repeat(arr[:, :, None], channels, axis=2).astype(np.float64)
-    img = ImageBuffer(width=data.shape[1], height=data.shape[0], channels=channels,
-                      data=data)
     p1 = tmp / "a.pfm"
     p2 = tmp / "b.pfm"
-    sio.write_pfm(p1, img)
+    sio.write_pfm(p1, data)
     back = sio.read_pfm(p1)
-    sio.write_pfm(p2, back)
+    sio.write_pfm(p2, back.data)
     assert p1.read_bytes() == p2.read_bytes()
     assert np.array_equal(back.data.astype(np.float32), data.astype(np.float32))
 

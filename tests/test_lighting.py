@@ -426,3 +426,10 @@ def test_decoder_overfits_constant_field():
     d2 = normalize(rng.normal(size=(128, 3)) + [0, -1.2, 0.0])
     L2, _, _ = traced_radiance_batch(grid, g, weights, camera, p2, d2)
     assert np.max(np.abs(L2 - 1.0)) < 1e-2
+
+
+def test_light_field_base_has_no_radiance():
+    """`LightField` is the interface every light implements: its own
+    `radiance` raises NotImplementedError."""
+    with pytest.raises(NotImplementedError):
+        lighting.LightField().radiance(np.zeros((1, 3)), np.array([[0.0, 0.0, 1.0]]))

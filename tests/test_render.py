@@ -713,6 +713,58 @@ def test_warm_fit_and_render_take_few_page_faults():
     assert fit <= 500 and render_faults <= 500, (fit, render_faults)
 
 
+def test_keep_freed_heap_does_nothing_without_libc(monkeypatch):
+    """Where `ctypes.CDLL` cannot open libc (an OSError), the heap policy
+    returns without calling `mallopt`."""
+    import ctypes
+
+    def no_libc(*args, **kwargs):
+        raise OSError("no libc")
+
+    monkeypatch.setattr(ctypes, "CDLL", no_libc)
+    assert render._keep_freed_heap() is None
+
+
+_MAPS = ("7f00-7f01 r-xp 00000000 08:01 42 /lib/libopenblas.so.0\n"
+         "7f02-7f03 r-xp 00000000 08:01 43 /lib/libc.so.6\n")
+
+
+@pytest.mark.parametrize("symbols,called", [
+    ((), []),
+    (("openblas_set_num_threads",), [("openblas_set_num_threads", 1)]),
+    (("openblas_set_num_threads", "scipy_openblas_set_num_threads64_"),
+     [("scipy_openblas_set_num_threads64_", 1)])])
+def test_one_blas_thread_calls_the_first_set_threads_symbol(monkeypatch, symbols, called):
+    """The BLAS pin opens each mapped object whose line names openblas, and
+    calls the first set-threads symbol it has with 1; a library with none
+    of them is left alone."""
+    import ctypes
+    import io
+    import types
+
+    calls, opened = [], []
+    lib = types.SimpleNamespace(**{name: (lambda n, name=name: calls.append((name, n)))
+                                   for name in symbols})
+    monkeypatch.setattr(render, "open", lambda path: io.StringIO(_MAPS), raising=False)
+    monkeypatch.setattr(ctypes, "CDLL", lambda path: opened.append(path) or lib)
+    render._one_blas_thread()
+    assert opened == ["/lib/libopenblas.so.0"] and calls == called
+
+
+def test_one_blas_thread_does_nothing_without_the_mapped_objects(monkeypatch):
+    """Where the process's mapped objects cannot be read (no /proc), the
+    BLAS pin returns without opening a library."""
+    import ctypes
+
+    def no_maps(path):
+        raise OSError(f"{path}: no such file")
+
+    opened = []
+    monkeypatch.setattr(render, "open", no_maps, raising=False)
+    monkeypatch.setattr(ctypes, "CDLL", lambda path: opened.append(path))
+    assert render._one_blas_thread() is None and opened == []
+
+
 def test_gradient_checks_draw_once_per_chunk(monkeypatch):
     """A gradient check draws each sample chunk's directions once for the
     adjoint it checks and once for all its shifted maps or lights (15

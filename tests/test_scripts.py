@@ -1,4 +1,5 @@
 import ast
+import importlib.util
 import os
 import re
 import subprocess
@@ -27,18 +28,33 @@ def test_design_counts_reads_the_package():
 
 
 def test_design_counts_lists_test_only_definitions(tmp_path):
-    """A top-level function or class outside `__all__` that no program file
-    references, but only its own definition or a test, is listed as
-    module.name; one referenced from another definition or a script is
-    not."""
+    """A name defined in a module of the package counts as used in three
+    ways, one case each: another package module takes it as an attribute
+    or imports it; its own module names it bare outside its definition; a
+    script names it, or a bench file other than a test names it as a
+    string.  A test, an annotation, a string in the package and the
+    name's own definition do not count: a top-level function or class so
+    used is listed as module.name, and an `__all__` name as itself."""
     files = {
-        "src/pkg/__init__.py": 'from .a import shown\n__all__ = ["shown"]\n',
-        "src/pkg/a.py": ("def shown():\n    return _helper()\n\n"
+        "src/pkg/__init__.py": ('from .a import PublicAnnotated, shown\n'
+                                '__all__ = ["PublicAnnotated", "shown"]\n'),
+        "src/pkg/a.py": ("def shown(x: OnlyAnnotated) -> PublicAnnotated:\n"
+                         "    return _helper(), NAMES\n\n"
                          "def _helper():\n    return 1\n\n"
                          "def only_tested():\n    return only_tested\n\n"
+                         "def by_attribute():\n    pass\n\n"
+                         "def by_import():\n    pass\n\n"
+                         "def by_string():\n    pass\n\n"
+                         "def only_in_a_string():\n    pass\n\n"
+                         "NAMES = ('only_in_a_string',)\n\n"
                          "class Used:\n    pass\n\n"
-                         "class OnlyTested:\n    pass\n"),
-        "scripts/run.py": "from pkg import shown\nfrom pkg.a import Used\nshown(), Used\n",
+                         "class OnlyTested:\n    pass\n\n"
+                         "class OnlyAnnotated:\n    pass\n\n"
+                         "class PublicAnnotated:\n    pass\n"),
+        "src/pkg/b.py": ("from . import a\nfrom .a import by_import\n"
+                         "VALUE = a.by_attribute(), by_import()\n"),
+        "scripts/run.py": "from pkg import shown\nfrom pkg.a import Used\nshown(None), Used\n",
+        "perfbench/probes.py": 'BINDINGS = [("pkg.a", "by_string")]\n',
         "perfbench/test_a.py": "from pkg.a import OnlyTested, only_tested\nOnlyTested, only_tested\n",
     }
     for name, text in files.items():
@@ -47,14 +63,27 @@ def test_design_counts_lists_test_only_definitions(tmp_path):
     out = _design_counts(str(tmp_path / "src" / "pkg"))
     assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
-    assert lines[3:] == ["test-only names: none",
-                         "test-only definitions: a.OnlyTested a.only_tested"]
+    assert lines[3:] == ["test-only names: PublicAnnotated",
+                         "test-only definitions: a.OnlyAnnotated a.OnlyTested "
+                         "a.only_in_a_string a.only_tested"]
+
+
+def _digest_environment() -> dict:
+    """`environment()` of scripts/bitwise_digest.py, run in this process."""
+    spec = importlib.util.spec_from_file_location("bitwise_digest",
+                                                  _ROOT / "scripts" / "bitwise_digest.py")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module.environment()
 
 
 def test_bitwise_digest_prints_its_documented_lines():
     """scripts/bitwise_digest.py exits 0 and prints as many lines as its
     docstring says, each `<name> <64 hex digits>` or `<name> none`, every
-    name once, and each threads-1 line equal to its threads-2 twin."""
+    name once, and each threads-1 line equal to its threads-2 twin.  The
+    lines are those of tests/bitwise_digest.txt, byte for byte; where this
+    environment differs from the file's header, that comparison is
+    skipped, naming the field."""
     script = _ROOT / "scripts" / "bitwise_digest.py"
     documented = re.search(r"It prints (\d+) lines", ast.get_docstring(ast.parse(
         script.read_text())))
@@ -73,6 +102,22 @@ def test_bitwise_digest_prints_its_documented_lines():
     assert twins
     for name in twins:
         assert digests[name] == digests[name.replace("/t1/", "/t2/")], name
+
+    text = (_ROOT / "tests" / "bitwise_digest.txt").read_text().splitlines()
+    header = dict(line[2:].split(": ", 1) for line in text if line.startswith("# "))
+    here = _digest_environment()
+    assert header.keys() == here.keys()
+    for field, value in header.items():
+        if here[field] != value:
+            pytest.skip(f"bitwise_digest.txt holds the bytes of {field} {value}, "
+                        f"not of this {field} {here[field]}")
+    checked = dict(line.split(" ") for line in text if not line.startswith("# "))
+    moved = [name for name in checked if name in digests and digests[name] != checked[name]]
+    appeared = [name for name in digests if name not in checked]
+    went = [name for name in checked if name not in digests]
+    assert not (moved or appeared or went), (
+        f"moved: {moved}; appeared: {appeared}; went: {went} "
+        f"(scripts/bitwise_digest.py --write rewrites the file)")
 
 
 @pytest.mark.parametrize("path", ["--help", "no/such/dir", "src", "tests"])

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import ray_plane_point
 from ssdr import scenes, ssrt
 from ssdr.core import ContractError, normalize, project, unproject
 from ssdr.ssrt import SsrtConfig, Status
@@ -71,7 +72,7 @@ def test_two_plane_oracle_agreement():
                   g.depth[wy[ti], wx[ti]])
     d = normalize(q - p)
     hits = ssrt.trace_batch(g.depth, camera, p, d, CFG)
-    analytic_px, _ = project(camera, scenes.ray_plane_point(p, d, wall))
+    analytic_px, _ = project(camera, ray_plane_point(p, d, wall))
     err = np.linalg.norm(hits.pixel - analytic_px, axis=1)
     hit = hits.status == int(Status.HIT)
     assert np.mean(hit & (err <= 1.0)) >= 0.95
@@ -159,7 +160,7 @@ def test_refinement_converges_with_stride():
     q = unproject(camera, np.stack([wx[ti], wy[ti]], -1).astype(float),
                   g.depth[wy[ti], wx[ti]])
     d = normalize(q - p)
-    analytic_px, _ = project(camera, scenes.ray_plane_point(p, d, wall))
+    analytic_px, _ = project(camera, ray_plane_point(p, d, wall))
     fine = SsrtConfig(max_steps=512, stride=0.5, refinement_steps=16)
     hits = ssrt.trace_batch(g.depth, camera, p, d, fine)
     err = np.linalg.norm(hits.pixel - analytic_px, axis=1)

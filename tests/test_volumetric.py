@@ -1,15 +1,18 @@
 import math
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import peak_rss_mb, sigmoid_masked
+from oracles import check_hypernet, check_volume_weights, peak_rss_mb, sigmoid_masked
 from ssdr import mlp, scenes, volumetric as vol
 from ssdr.core import ContractError, normalize, unproject
-from ssdr.gradcheck import check_hypernet, check_volume_weights
 from ssdr.inverse import AdamState
 from ssdr.lighting import (ConstantLight, FeatureGrid, GridLight, SkyDiscLight,
                            SkyGradientLight, decoder_input_dim, positional_encoding)
@@ -557,8 +560,8 @@ light = vol.BlendedLightField(
     grid, g, camera, MlpWeights.random(default_decoder_dims(8), 2),
     vol.HypernetParams.fixed(MlpWeights.random(vol.default_field_dims(10), 3)))
 res = optimize(g, camera, light, np.full(({res}, {res}, 3), 0.3),
-               LossConfig(iterations=1, step_size=0.001, params=("albedo", "light"),
-                          spp=4, seed=4))
+               LossConfig(iterations={iterations}, step_size=0.001,
+                          params=("albedo", "light"), spp=4, seed=4))
 assert np.all(np.isfinite(res.light_params))
 """
 
@@ -581,7 +584,7 @@ def test_learned_fit_peak_rss_is_bounded():
     whole encoding and a second, scaled color kept it peaked at 178 MB,
     with each hidden layer's exp(-|a|) and sign kept too at 287 MB, and
     kept whole at 332 MB."""
-    peak_mb = peak_rss_mb(_LEARNED_FIT_RSS.format(res=16))
+    peak_mb = peak_rss_mb(_LEARNED_FIT_RSS.format(res=16, iterations=1))
     assert peak_mb <= 170, peak_mb
 
 
@@ -591,8 +594,28 @@ def test_learned_fit_32_peak_rss_is_bounded():
     own.  Measured 462 MB with NumPy 2.4.6, so the bound leaves 13%; with
     the whole encoding and a second, scaled color kept per field point it
     peaked at 578 MB."""
-    peak_mb = peak_rss_mb(_LEARNED_FIT_RSS.format(res=32))
+    peak_mb = peak_rss_mb(_LEARNED_FIT_RSS.format(res=32, iterations=1))
     assert peak_mb <= 520, peak_mb
+
+
+def test_learned_fit_light_params_do_not_depend_on_blas_threads():
+    """The 16x16 learned albedo + light fit above, over 2 iterations, gives
+    the same `light_params` bytes in a process with OpenBLAS at 1 thread
+    and in one with OpenBLAS at 2: importing ssdr sets OpenBLAS to one
+    thread.  At 2 BLAS threads the field's weight adjoint, a GEMM that
+    reduces over the rows, sums them in another order at row counts such
+    as a fit's point blocks."""
+    body = (_LEARNED_FIT_RSS.format(res=16, iterations=2)
+            + "print(res.light_params.tobytes().hex())\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(vol.__file__).resolve().parents[1])}
+    params = []
+    for threads in ("1", "2"):
+        out = subprocess.run([sys.executable, "-c", body],
+                             env={**env, "OPENBLAS_NUM_THREADS": threads},
+                             capture_output=True, text=True, timeout=300)
+        assert out.returncode == 0, out.stderr
+        params.append(out.stdout.split()[-1])
+    assert params[0] == params[1]
 
 
 def test_kept_field_block_holds_its_layer_inputs_per_point():
