@@ -215,22 +215,49 @@ def _draw(px: PixelRecord, cfg: RenderConfig, s0: int, s1: int):
     return d, ok
 
 
+# one lane's 3 float64 as one item, so a boolean copy moves 24 bytes at a
+# time (README, "The lane layout")
+_LANE_RECORD = np.dtype((np.void, 24))
+
+
+def _gather_lanes(a, mask) -> np.ndarray:
+    """a[mask] for a float64 lane array a (n_pix, ns, 3), in any layout:
+    the live lanes' vectors (k, 3), row-major in lane order."""
+    records = np.ascontiguousarray(a).view(_LANE_RECORD)[..., 0]
+    return records[mask].view(np.float64).reshape(-1, 3)
+
+
+def _scatter_lanes(values, mask, like) -> np.ndarray:
+    """An array in the layout of `like` (n_pix, ns, 3) holding the rows of
+    `values` (k, 3) at the k lanes of `mask`, in lane order, and +0.0
+    elsewhere."""
+    # the output before the C-order buffer: the other order raised the
+    # peak RSS of a 32x32 analytic fit (README, "The lane layout")
+    out = np.empty_like(like)
+    buf = np.zeros(mask.shape + (3,))
+    buf.view(_LANE_RECORD)[..., 0][mask] = \
+        np.ascontiguousarray(values, dtype=np.float64).view(_LANE_RECORD)[:, 0]
+    out[...] = buf
+    return out
+
+
 def _masked_radiance(light: LightField, p, d, mask, vjp=False):
     """The light's radiance along d (n_pix, ns, 3) from the points p
-    (n_pix, 3), queried on the live lanes only and zero elsewhere, and with
-    `vjp` the `radiance_vjp` pullback of those lanes (else None; also None
-    when no lane is live)."""
-    out = np.zeros_like(d)
-    pullback = None
-    if np.any(mask):
-        # each live lane's pixel point, in lane order: pixel by pixel, so
-        # a GridLight sees runs of equal positions
-        p_live = np.repeat(p, np.count_nonzero(mask, axis=1), axis=0)
-        if vjp:
-            out[mask], pullback = light.radiance_vjp(p_live, d[mask])
-        else:
-            out[mask] = light.radiance(p_live, d[mask])
-    return out, pullback
+    (n_pix, 3), queried on the live lanes only and zero elsewhere, in d's
+    layout, and with `vjp` the `radiance_vjp` pullback of those lanes
+    (else None; also None when no lane is live)."""
+    live = np.count_nonzero(mask, axis=1)
+    if not live.any():
+        return np.zeros_like(d), None
+    # each live lane's pixel point, in lane order: pixel by pixel, so a
+    # GridLight sees runs of equal positions
+    p_live = np.repeat(p, live, axis=0)
+    d_live = _gather_lanes(d, mask)
+    if vjp:
+        rad, pullback = light.radiance_vjp(p_live, d_live)
+    else:
+        rad, pullback = light.radiance(p_live, d_live), None
+    return _scatter_lanes(rad, mask, d), pullback
 
 
 def _estimate(px: PixelRecord, d, ok, light: LightField, cfg: RenderConfig,
@@ -313,7 +340,7 @@ def _estimate(px: PixelRecord, d, ok, light: LightField, cfg: RenderConfig,
     dlight = None
     if want_light and pullback is not None:
         dL = adj * f * cq[..., None]
-        dlight = pullback(dL[ok] / cfg.spp)
+        dlight = pullback(_gather_lanes(dL, ok) / cfg.spp)
     return tuple(sums), dlight
 
 
@@ -470,8 +497,11 @@ def reference_render(g: GBuffer, camera: Camera, light: LightField,
     runs, blind to lobes that fall between cell centers.
     mode "split": diffuse term on the cosine grid plus the microfacet term
     on an NDF-warped grid, which resolves sharp specular lobes.
-    A non-finite pixel is a RenderNanError naming it.
+    A non-finite pixel is a RenderNanError naming it; any other mode is a
+    ContractError.
     """
+    if mode not in ("split", "cosine"):
+        raise ContractError(f'unknown reference mode {mode!r}; choose "split" or "cosine"')
     nt, nf = cells
     if nt < 1 or nf < 1:
         raise ContractError(f"reference cells must be at least 1x1, got {nt}x{nf}")

@@ -132,6 +132,17 @@ def test_reference_rejects_cells_below_one(cells):
                          cells=cells)
 
 
+@pytest.mark.parametrize("mode", ["Split", "cos", ""])
+def test_reference_rejects_an_unknown_mode(mode):
+    """A mode other than "split" and "cosine" is refused before the light
+    is queried, not run as the split quadrature."""
+    g = _lambertian_plane(4, 4)
+    light = _PointLight()
+    with pytest.raises(ContractError, match='"split" or "cosine"'):
+        reference_render(g, scenes.default_camera(4, 4), light, cells=(2, 2), mode=mode)
+    assert light.points == []
+
+
 def test_reference_of_no_shadeable_pixel_is_black():
     """A surface that faces away from the camera everywhere has nothing to
     shade: a black image, not an empty reduction."""
@@ -621,6 +632,56 @@ def test_masked_radiance_gathers_each_live_lanes_point():
         assert np.array_equal(out, np.broadcast_to(mask[..., None], d.shape)), key
         want = p[np.nonzero(mask)[0]]
         assert [q.tobytes() for q in light.points] == ([want.tobytes()] if want.size else [])
+
+
+def _layout(a):
+    """a's strides along its axes longer than one, the only ones that
+    place an element."""
+    return tuple(s for s, n in zip(a.strides, a.shape) if n > 1)
+
+
+class _NegatedLight(LightField):
+    """Radiance -d, so every live lane's value has its own bytes and a sign
+    bit; the base class's pullback."""
+
+    def radiance(self, p, d):
+        return -d
+
+
+@pytest.mark.parametrize("n_pix, ns", [(40, 6), (1, 6), (40, 1), (1, 1)])
+def test_lane_moves_keep_bytes_and_layout(n_pix, ns):
+    """The record gather of live lanes has the bytes of `a[mask]`, and the
+    record scatter those of `zeros_like(d); out[mask] = rad`, in d's
+    layout, for directions in the lane layout and in C order and masks
+    with no, some and every lane live.  `_masked_radiance` returns an
+    array in d's layout, +0.0 at the dead lanes and, with no live lane, no
+    pullback."""
+    rng = np.random.default_rng(5)
+    d_c = normalize(rng.normal(size=(n_pix, ns, 3)))
+    some = rng.random((n_pix, ns)) < 0.5
+    some.flat[-1] = False
+    some.flat[0] = True     # at one lane, "some" is "all"
+    masks = {"none": np.zeros((n_pix, ns), bool), "some": some,
+             "all": np.ones((n_pix, ns), bool)}
+    p = rng.normal(size=(n_pix, 3))
+    for layout, d in (("lanes", render._lane_layout(d_c)), ("C", d_c)):
+        for key, mask in masks.items():
+            mask = render._lane_layout(mask[..., None])[..., 0]
+            case = (layout, key)
+            live = render._gather_lanes(d, mask)
+            assert live.flags.c_contiguous and live.tobytes() == d[mask].tobytes(), case
+            rad = rng.normal(size=live.shape)
+            want = np.zeros_like(d)
+            want[mask] = rad
+            out = render._scatter_lanes(rad, mask, d)
+            assert _layout(out) == _layout(d) and out.tobytes() == want.tobytes(), case
+            for vjp in (False, True):
+                out, pullback = render._masked_radiance(_NegatedLight(), p, d, mask, vjp)
+                assert _layout(out) == _layout(d), case
+                assert out[mask].tobytes() == (-d[mask]).tobytes(), case
+                dead = out[~mask]
+                assert not dead.any() and not np.signbit(dead).any(), case
+                assert (pullback is not None) == (vjp and key != "none"), case
 
 
 def test_tape_from_another_render_is_a_contract_error():
