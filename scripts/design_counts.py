@@ -11,7 +11,9 @@ and the other definitions that only tests use:
   test-only definitions
                    the top-level functions and classes of the package's
                    modules, outside `__all__`, that the program does not
-                   use, as module.name
+                   use, as module.name, and the classmethods and
+                   staticmethods of their top-level classes that the
+                   program does not call, as module.Class.method
 
 A name defined in module M of the package (an `__all__` name is defined
 where `__init__.py` imports it from) counts as used in these ways only:
@@ -23,6 +25,10 @@ where `__init__.py` imports it from) counts as used in these ways only:
   - a .py file of scripts/, or of perfbench/ but its test_*.py, names it
     as a name, an attribute or a string (the bench's probes bind by
     string).
+
+A classmethod or staticmethod m of class C counts as called only where
+a program file (a module of the package, or one of the files above) names
+`C.m`, C a bare name or an attribute, or names `cls.m` inside C.
 
 A name inside an annotation never counts, and neither does a string in
 the package.
@@ -85,15 +91,36 @@ def _referenced(tree: ast.Module, kinds) -> set:
     return found
 
 
-def _program_references(pkg: Path) -> set:
-    """What the program's other files reference: every .py file of
-    scripts/ and of perfbench/ but its test_*.py."""
+def _program_trees(pkg: Path) -> list:
+    """The ASTs of the program's other files: every .py file of scripts/
+    and of perfbench/ but its test_*.py."""
     root = pkg.parent.parent
     files = sorted((root / "scripts").glob("*.py"))
     files += [f for f in sorted((root / "perfbench").glob("*.py"))
               if not f.name.startswith("test_")]
-    return set().union(*(_referenced(ast.parse(f.read_text()), ("name", "attribute", "string"))
-                         for f in files))
+    return [ast.parse(f.read_text()) for f in files]
+
+
+def _method_calls(tree: ast.Module) -> set:
+    """The (class, method) pairs `tree` names as `C.m`, C a bare name or an
+    attribute, or as `cls.m` inside the top-level class C; outside
+    annotations."""
+    found = set()
+    for top in tree.body:
+        for node in _outside_annotations(top):
+            if isinstance(node, ast.Attribute):
+                owner = getattr(node.value, "id", getattr(node.value, "attr", None))
+                if owner == "cls" and isinstance(top, ast.ClassDef):
+                    owner = top.name
+                found.add((owner, node.attr))
+    return found
+
+
+def _class_level(node) -> bool:
+    """A method declared @classmethod or @staticmethod."""
+    return isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and any(
+        isinstance(d, ast.Name) and d.id in ("classmethod", "staticmethod")
+        for d in node.decorator_list)
 
 
 def _user(trees: dict, program: set):
@@ -132,15 +159,21 @@ def counts(pkg: Path) -> dict:
     if public is None:
         raise ValueError("not a package whose __init__.py sets __all__")
     trees.pop("__init__", None)
-    used = _user(trees, _program_references(pkg))
-    unused = sorted(f"{module}.{node.name}" for module, tree in trees.items()
-                    for node in tree.body
-                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
-                    and node.name not in public and not used(module, node.name))
+    program = _program_trees(pkg)
+    used = _user(trees, set().union(*(_referenced(tree, ("name", "attribute", "string"))
+                                      for tree in program)))
+    called = set().union(*map(_method_calls, [*trees.values(), *program]))
+    unused = [f"{module}.{node.name}" for module, tree in trees.items()
+              for node in tree.body
+              if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+              and node.name not in public and not used(module, node.name)]
+    unused += [f"{module}.{cls.name}.{fn.name}" for module, tree in trees.items()
+               for cls in tree.body if isinstance(cls, ast.ClassDef)
+               for fn in cls.body if _class_level(fn) and (cls.name, fn.name) not in called]
     return {"lines": lines, "public names": len(public), "settable values": settable,
             "test-only names":
                 " ".join(sorted(n for n in public if not used(home.get(n), n))) or "none",
-            "test-only definitions": " ".join(unused) or "none"}
+            "test-only definitions": " ".join(sorted(unused)) or "none"}
 
 
 def main(argv) -> int:

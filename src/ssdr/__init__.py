@@ -1,9 +1,9 @@
 """Screen-space differentiable Monte Carlo re-rendering.
 
-Re-renders an image from its G-buffers (albedo, normal, depth, roughness,
-metallic) under a queryable lighting field, exposes exact adjoints of the
-estimator with respect to the material maps and lighting parameters, and
-recovers materials from a target image by gradient descent.
+Re-renders an image from its G-buffers (`core.GBUFFER_MAPS`) under a
+queryable lighting field, exposes exact adjoints of the estimator with
+respect to the material maps and lighting parameters, and recovers
+materials from a target image by gradient descent.
 """
 
 from .core import (Camera, ContractError, GBuffer, ImageBuffer, project, unproject,

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import gradcheck, io as ssdr_io, scenes
-from .core import Camera, ContractError, GBuffer, luminance, validate_gbuffer
+from .core import GBUFFER_MAPS, Camera, ContractError, GBuffer, luminance, validate_gbuffer
 from .inverse import LossConfig, loss_rerender, optimize
 from .lighting import analytic_lightfield
 from .render import (MATERIAL_NAMES, RenderConfig, RenderNanError, reference_render,
@@ -77,12 +77,13 @@ def load_validated_bundle(path) -> ssdr_io.Bundle:
 
 _DEFAULT_LIGHT = {"kind": "constant", "value": [1.0, 1.0, 1.0]}
 # --lighting choice -> (the bundle light kinds it takes, None for any; the
-# spec it falls back to without one, None for none)
+# spec it falls back to without one, None for none), in --help's order
+# before "learned"
 _LIGHT_CHOICES = {None: (None, _DEFAULT_LIGHT),
                   "constant": (("constant",), _DEFAULT_LIGHT),
-                  "grid": (("grid",), None),
                   "sky": (("sky", "sky_disc"), {"kind": "sky", "zenith": [1.2, 1.2, 1.4],
-                                                "horizon": [0.4, 0.38, 0.35]})}
+                                                "horizon": [0.4, 0.38, 0.35]}),
+                  "grid": (("grid",), None)}
 
 
 def resolve_light(bundle: ssdr_io.Bundle, choice: str | None, seed: int = 0):
@@ -137,8 +138,7 @@ def crop_patch(g: GBuffer, camera: Camera, patch: int) -> tuple[GBuffer, Camera]
     y0 = int(np.clip(np.floor(camera.cy - (ph - 1) / 2), 0, h - ph))
     x0 = int(np.clip(np.floor(camera.cx - (pw - 1) / 2), 0, w - pw))
     win = (slice(y0, y0 + ph), slice(x0, x0 + pw))
-    cropped = GBuffer(albedo=g.albedo[win], normal=g.normal[win], depth=g.depth[win],
-                      roughness=g.roughness[win], metallic=g.metallic[win])
+    cropped = GBuffer(**{name: getattr(g, name)[win] for name in GBUFFER_MAPS})
     return cropped, replace(camera, cx=camera.cx - x0, cy=camera.cy - y0,
                             width=pw, height=ph)
 
@@ -231,11 +231,8 @@ def cmd_optimize(args) -> int:
 
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    g = result.gbuffer
-    ssdr_io.write_pfm(out / "albedo.pfm", g.albedo)
-    ssdr_io.write_pfm(out / "normal.pfm", g.normal)
-    ssdr_io.write_pfm(out / "roughness.pfm", g.roughness[:, :, None])
-    ssdr_io.write_pfm(out / "metallic.pfm", g.metallic[:, :, None])
+    for name in MATERIAL_NAMES:
+        ssdr_io.write_pfm(out / f"{name}.pfm", getattr(result.gbuffer, name))
     ssdr_io.write_loss_trace(out / "loss.csv", result.trace)
     if result.light_params is not None:
         np.savetxt(out / "light_params.txt", result.light_params)
@@ -259,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
         if threads:
             p.add_argument("--threads", type=int, default=1)
         p.add_argument("--lighting", default=None,
-                       choices=["constant", "sky", "grid", "learned"])
+                       choices=[*filter(None, _LIGHT_CHOICES), "learned"])
         if exposure:
             p.add_argument("--exposure", type=float, default=1.0)
 
@@ -277,8 +274,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(fn=cmd_gradcheck)
 
     p = sub.add_parser("make-scene", help="emit an analytic test bundle")
-    p.add_argument("--kind", required=True,
-                   choices=["two-plane", "cornell-like", "glossy-floor"])
+    p.add_argument("--kind", required=True, choices=list(scenes.SCENES))
     p.add_argument("--out", required=True)
     p.add_argument("--res", default=None, help="WxH, e.g. 64x64")
     p.set_defaults(fn=cmd_make_scene)

@@ -53,24 +53,13 @@ class ImageBuffer:
     shape (height, width, channels), with 1 or 3 channels.  Feature grids
     are blobs (`lighting.FeatureGrid`), not ImageBuffers."""
 
-    width: int
-    height: int
-    channels: int
     data: np.ndarray
 
     def __post_init__(self):
         self.data = np.asarray(self.data, dtype=np.float64)
-        if self.data.shape != (self.height, self.width, self.channels):
-            raise ContractError(
-                f"data shape {self.data.shape} != "
-                f"({self.height}, {self.width}, {self.channels})"
-            )
-
-    def plane(self) -> np.ndarray:
-        """Single-channel view with the channel axis dropped."""
-        if self.channels != 1:
-            raise ContractError(f"expected 1 channel, got {self.channels}")
-        return self.data[:, :, 0]
+        if self.data.ndim != 3 or self.data.shape[2] not in (1, 3):
+            raise ContractError(f"image shape {self.data.shape}, "
+                                f"expected (H, W, 1) or (H, W, 3)")
 
 
 @dataclass(frozen=True)
@@ -137,13 +126,17 @@ def unproject(camera: Camera, pixel: np.ndarray, depth: np.ndarray) -> np.ndarra
     return np.stack([x, y, np.broadcast_to(depth, x.shape)], axis=-1)
 
 
+# the G-buffer's maps in GBuffer's field order, each with its channel
+# count; a 1-channel map is an (H, W) array, a 3-channel one (H, W, 3)
+GBUFFER_MAPS = {"albedo": 3, "normal": 3, "depth": 1, "roughness": 1, "metallic": 1}
+
+
 @dataclass
 class GBuffer:
-    """Per-pixel scene description: albedo, normal, depth, roughness, metallic.
-
-    albedo (H,W,3) in [0,1]; normal (H,W,3) unit view-space vectors; depth
-    (H,W) meters > 0 (non-positive or non-finite marks "no geometry");
-    roughness, metallic (H,W) in [0,1].
+    """Per-pixel scene description, one map per entry of GBUFFER_MAPS, each
+    the size of the (H, W) depth map: albedo in [0,1]; normal unit
+    view-space vectors; depth meters > 0 (non-positive or non-finite marks
+    "no geometry"); roughness, metallic in [0,1].
     """
 
     albedo: np.ndarray
@@ -153,24 +146,18 @@ class GBuffer:
     metallic: np.ndarray
 
     def __post_init__(self):
-        self.albedo = np.asarray(self.albedo, dtype=np.float64)
-        self.normal = np.asarray(self.normal, dtype=np.float64)
-        self.depth = np.asarray(self.depth, dtype=np.float64)
-        self.roughness = np.asarray(self.roughness, dtype=np.float64)
-        self.metallic = np.asarray(self.metallic, dtype=np.float64)
-        h, w = self.depth.shape
-        shapes = {
-            "albedo": (h, w, 3), "normal": (h, w, 3), "depth": (h, w),
-            "roughness": (h, w), "metallic": (h, w),
-        }
-        for name, want in shapes.items():
+        for name in GBUFFER_MAPS:
+            setattr(self, name, np.asarray(getattr(self, name), dtype=np.float64))
+        if self.depth.ndim != 2:
+            raise ContractError(f"depth shape {self.depth.shape}, expected (H, W)")
+        for name, channels in GBUFFER_MAPS.items():
+            want = self.depth.shape + ((channels,) if channels > 1 else ())
             got = getattr(self, name).shape
             if got != want:
                 raise ContractError(f"{name} shape {got}, expected {want}")
 
     def copy(self) -> "GBuffer":
-        return GBuffer(self.albedo.copy(), self.normal.copy(), self.depth.copy(),
-                       self.roughness.copy(), self.metallic.copy())
+        return GBuffer(**{name: getattr(self, name).copy() for name in GBUFFER_MAPS})
 
 
 @dataclass

@@ -21,8 +21,8 @@ import numpy as np
 from .brdf import ROUGHNESS_FLOOR
 from .core import Camera, ContractError, GBuffer, dot, normalize, orthonormal_basis
 from .lighting import LightField
-from .render import (MATERIAL_NAMES, RenderConfig, _lane_layout, _shade_blocks,
-                     pixel_geometry, render_backward)
+from .render import (MATERIAL_NAMES, RenderConfig, _shade_blocks, pixel_geometry,
+                     render_backward)
 
 
 @dataclass
@@ -50,10 +50,9 @@ def frozen_values(g: GBuffer, camera: Camera, shades, cfg: RenderConfig) -> list
     """The estimator on the sample set drawn at g's maps, under each
     (G-buffer, light) pair of `shades` (common random numbers with
     detached sample locations): per pair, the (n_pix, 3) values of g's
-    shadeable pixels in row-major order, stored in the lane layout (pixels
-    innermost), so that a sum over all of them adds channel by channel."""
+    shadeable pixels in row-major order."""
     blocks = _shade_blocks(g, camera, shades, cfg, 1)
-    return [_lane_layout(np.concatenate([acc[i] for _, _, acc, _ in blocks])) / cfg.spp
+    return [np.concatenate([acc[i] for _, _, acc, _ in blocks]) / cfg.spp
             for i in range(len(shades))]
 
 

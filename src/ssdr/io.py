@@ -6,9 +6,9 @@ Formats:
     float32 payloads bit for bit.
   * weight, grid light and feature grid blobs: one UTF-8 JSON header line,
     then raw little-endian float32 data.
-  * G-buffer bundle: a directory with albedo/normal/depth/roughness/metallic
-    PFMs and camera.json; optional bundle.json adds lighting, weights,
-    targets, and scene metadata.
+  * G-buffer bundle: a directory with one PFM per map of
+    `core.GBUFFER_MAPS` and camera.json; optional bundle.json adds
+    lighting, weights, targets, and scene metadata.
   * PNG previews: tonemapped 8-bit, written with zlib only.
 """
 
@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import Camera, ContractError, GBuffer, ImageBuffer, finite_number
+from .core import GBUFFER_MAPS, Camera, ContractError, GBuffer, ImageBuffer, finite_number
 from .lighting import FeatureGrid, GridLight, LightField, analytic_lightfield
 from .mlp import MlpWeights
 
@@ -39,6 +39,10 @@ class BundleError(ContractError):
 
 # ---------------------------------------------------------------------------
 # PFM
+
+
+# a PFM's magic token -> its channel count
+_PFM_CHANNELS = {b"PF": 3, b"Pf": 1}
 
 
 def _read_token(f, path) -> bytes:
@@ -63,12 +67,9 @@ def read_pfm(path) -> ImageBuffer:
     path = Path(path)
     with open(path, "rb") as f:
         magic = _read_token(f, path)
-        if magic == b"PF":
-            channels = 3
-        elif magic == b"Pf":
-            channels = 1
-        else:
+        if magic not in _PFM_CHANNELS:
             raise ParseError(f"{path}: bad magic {magic!r} at byte 0")
+        channels = _PFM_CHANNELS[magic]
         try:
             width = int(_read_token(f, path))
             height = int(_read_token(f, path))
@@ -94,7 +95,7 @@ def read_pfm(path) -> ImageBuffer:
     dt = "<f4" if scale < 0 else ">f4"
     data = np.frombuffer(payload, dtype=dt).astype(np.float64)
     data = data.reshape(height, width, channels)[::-1]  # stored bottom-up
-    return ImageBuffer(width=width, height=height, channels=channels, data=data.copy())
+    return ImageBuffer(data.copy())
 
 
 def _float32(path, data) -> np.ndarray:
@@ -116,11 +117,8 @@ def write_pfm(path, image) -> None:
     if data.ndim == 2:
         data = data[:, :, None]
     h, w, c = data.shape
-    if c == 3:
-        magic = b"PF"
-    elif c == 1:
-        magic = b"Pf"
-    else:
+    magic = {n: m for m, n in _PFM_CHANNELS.items()}.get(c)
+    if magic is None:
         raise ContractError(f"PFM stores 1 or 3 channels, not {c}")
     payload = _float32(path, data[::-1])
     with open(path, "wb") as f:
@@ -302,9 +300,6 @@ def read_feature_grid(path) -> FeatureGrid:
 # G-buffer bundles
 
 
-_MAP_NAMES = ("albedo", "normal", "depth", "roughness", "metallic")
-
-
 @dataclass
 class Bundle:
     """Everything a render needs, loaded from one directory."""
@@ -369,16 +364,16 @@ def read_bundle(directory) -> Bundle:
     files = {key: _path_value(manifest.get(key), f"{mpath}: {key!r}") for key in optional}
 
     maps = {}
-    for name in _MAP_NAMES:
+    for name, channels in GBUFFER_MAPS.items():
         rel = _path_value(overrides.get(name), f"{mpath}: 'maps.{name}'", f"{name}.pfm")
         fpath = directory / rel
         if not fpath.exists():
             raise BundleError(f"missing map: {rel}")
-        img = read_pfm(fpath)
-        try:
-            maps[name] = img, img.data if name in ("albedo", "normal") else img.plane()
-        except ContractError as e:
-            raise BundleError(f"{fpath}: {e}") from None
+        data = read_pfm(fpath).data
+        if data.shape[2] != channels:
+            raise BundleError(f"{fpath}: expected {channels} channel"
+                              f"{'s' if channels > 1 else ''}, got {data.shape[2]}")
+        maps[name] = data if channels > 1 else data[:, :, 0]
 
     cam_file = directory / _path_value(manifest.get("camera"), f"{mpath}: 'camera'",
                                        "camera.json")
@@ -392,15 +387,15 @@ def read_bundle(directory) -> Bundle:
     except (TypeError, ValueError) as e:
         raise BundleError(f"{cam_file}: {e}") from None
 
-    dims = {name: (img.width, img.height) for name, (img, _) in maps.items()}
-    base = dims["depth"]
-    for name, wh in dims.items():
-        if wh != base:
-            raise BundleError(f"map dimensions disagree: {name} is {wh}, depth is {base}")
-    if (camera.width, camera.height) != base:
+    base = maps["depth"].shape
+    for name, data in maps.items():
+        if data.shape[:2] != base:
+            raise BundleError(f"map dimensions (H, W) disagree: {name} is "
+                              f"{data.shape[:2]}, depth is {base}")
+    if (camera.height, camera.width) != base:
         raise BundleError("camera dimensions disagree with the maps")
 
-    g = GBuffer(**{name: array for name, (_, array) in maps.items()})
+    g = GBuffer(**maps)
 
     lighting_spec = manifest.get("lighting")
     if lighting_spec is not None and not (isinstance(lighting_spec, dict)
@@ -429,7 +424,7 @@ def write_bundle(directory, gbuffer: GBuffer, camera: Camera,
     objects that are serialized next to the maps."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
-    for name in _MAP_NAMES:
+    for name in GBUFFER_MAPS:
         write_pfm(directory / f"{name}.pfm", getattr(gbuffer, name))
     (directory / "camera.json").write_text(json.dumps(camera.to_dict(), indent=2))
 

@@ -20,6 +20,12 @@ from .core import (Camera, ContractError, GBuffer, as_rgb, bilinear, nearest_pix
 from .mlp import MlpWeights
 
 
+def field_input_dim(bands: int) -> int:
+    """The width 3(2L + 1) of a 3-vector's positional encoding in L = `bands`
+    bands: a field point's, or the decoder's direction's."""
+    return 3 * (2 * bands + 1)
+
+
 def positional_encoding(x: np.ndarray, bands: int) -> np.ndarray:
     """Sinusoidal lift, component-major: per input component
     [x, sin(2^0 pi x), cos(2^0 pi x), ..., sin(2^(L-1) pi x), cos(...)]
@@ -490,7 +496,7 @@ DIRECTION_BANDS = 6   # frequency bands of the decoder's direction encoding
 
 def decoder_input_dim(feature_channels: int) -> int:
     # encoded direction + local feature + (K_d 3, K_s 3, N 3, R 1)
-    return 3 * (2 * DIRECTION_BANDS + 1) + feature_channels + 10
+    return field_input_dim(DIRECTION_BANDS) + feature_channels + 10
 
 
 def default_decoder_dims(feature_channels: int):

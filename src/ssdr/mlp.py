@@ -108,10 +108,6 @@ class MlpWeights:
             raise ContractError("non-finite weights")
 
     @classmethod
-    def zeros(cls, dims) -> "MlpWeights":
-        return cls(tuple(dims), np.zeros(param_count(dims)))
-
-    @classmethod
     def random(cls, dims, seed: int, scale: float | None = None) -> "MlpWeights":
         rng = np.random.default_rng(seed)
         chunks = []

@@ -515,9 +515,8 @@ def reference_render(g: GBuffer, camera: Camera, light: LightField,
     uu2 = uu2.ravel()
     m = uu1.size
 
-    idx = np.nonzero(valid)
-    gy, gx = idx
-    n_pix = gy.size
+    px = _pixels(g, points, view, valid, slice(0, h))
+    n_pix = px.gy.size
     if n_pix == 0:
         return image
 
@@ -530,12 +529,8 @@ def reference_render(g: GBuffer, camera: Camera, light: LightField,
     acc = np.zeros((n_pix, 3))
     for a in range(0, n_pix, chunk):
         b = min(a + chunk, n_pix)
-        n_v = g.normal[gy[a:b], gx[a:b]]
-        v_v = view[gy[a:b], gx[a:b]]
-        alb = g.albedo[gy[a:b], gx[a:b]]
-        rg = g.roughness[gy[a:b], gx[a:b]]
-        mt = g.metallic[gy[a:b], gx[a:b]]
-        p_v = points[gy[a:b], gx[a:b]]
+        n_v, v_v, alb, rg, mt, p_v = (x[a:b] for x in (px.n, px.v, px.alb, px.rough,
+                                                       px.metal, px.p))
         t, bt = orthonormal_basis(n_v)
 
         d_cos = (cos_local[None, :, 0:1] * t[:, None, :]
@@ -557,7 +552,7 @@ def reference_render(g: GBuffer, camera: Camera, light: LightField,
         acc[a:b] = diff * np.mean(L_cos, axis=1)
 
         if specular_scale > 0:
-            alpha = np.clip(rg, brdf.ROUGHNESS_FLOOR, 1.0) ** 2
+            alpha = brdf._alpha(rg)
             tan2 = (alpha[:, None] ** 2) * uu1[None, :] / np.maximum(1.0 - uu1[None, :], 1e-16)
             ch = 1.0 / np.sqrt(1.0 + tan2)
             sh = np.sqrt(np.maximum(1.0 - ch * ch, 0.0))
@@ -578,5 +573,5 @@ def reference_render(g: GBuffer, camera: Camera, light: LightField,
             L_spec, _ = _masked_radiance(light, p_v, d_spec, ok)
             acc[a:b] += np.mean(weight[..., None] * fres * L_spec, axis=1)
 
-    image[gy, gx] = _finite_pixels(acc, gy, gx)
+    image[px.gy, px.gx] = _finite_pixels(acc, px.gy, px.gx)
     return image

@@ -127,20 +127,21 @@ def glossy_floor(width: int = 32, height: int = 32):
     return g, camera, spec, (floor, wall)
 
 
-_SCENES = {"two-plane": two_plane, "cornell-like": cornell_like,
-           "glossy-floor": glossy_floor}
+# scene kind -> its builder, in the order `ssdr make-scene --help` lists them
+SCENES = {"two-plane": two_plane, "cornell-like": cornell_like,
+          "glossy-floor": glossy_floor}
 
 
 def make_scene(kind: str, width: int | None = None, height: int | None = None):
-    if kind not in _SCENES:
+    if kind not in SCENES:
         raise ContractError(f"unknown scene kind {kind!r}; "
-                            f"choose from {sorted(_SCENES)}")
+                            f"choose from {sorted(SCENES)}")
     # None keeps the scene's own default size
     kwargs = {k: v for k, v in (("width", width), ("height", height))
               if v is not None}
     if any(v < 1 for v in kwargs.values()):
         raise ContractError(f"scene size must be at least 1x1, got {width}x{height}")
-    return _SCENES[kind](**kwargs)
+    return SCENES[kind](**kwargs)
 
 
 def bundle_for(kind: str, out_dir, width: int | None = None,

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import mlp, sampling
 from .core import ContractError, as_rgb
-from .lighting import (FeatureGrid, LightField, decoder_input_dim,
+from .lighting import (FeatureGrid, LightField, decoder_input_dim, field_input_dim,
                        positional_encoding, rebuild_encoding, traced_radiance_batch)
 from .mlp import MlpWeights
 
@@ -34,11 +34,6 @@ class VolumeConfig:
     def __post_init__(self):
         if not (self.t_near < self.t_far) or self.n_samples < 2:
             raise ContractError("invalid volume config")
-
-
-def field_input_dim(bands: int) -> int:
-    """The width of a point's positional encoding of `bands` bands."""
-    return 3 * (2 * bands + 1)
 
 
 def default_field_dims(bands: int):
@@ -104,11 +99,6 @@ class HypernetParams:
             raise ContractError(f"a hypernetwork of {p} weights needs a ({p}, F) matrix "
                                 f"and a ({p},) bias, got {self.matrix.shape} and "
                                 f"{self.bias.shape}")
-
-    @classmethod
-    def zeros(cls, feature_dim: int, target_dims) -> "HypernetParams":
-        p = mlp.param_count(target_dims)
-        return cls(target_dims, np.zeros((p, feature_dim)), np.zeros(p))
 
     @classmethod
     def fixed(cls, weights: MlpWeights) -> "HypernetParams":

@@ -3,7 +3,8 @@
 Everything here integrates or enumerates directly (stratified quadrature,
 closed forms, exhaustive bins) and never reuses the estimator code paths it
 is meant to judge.  The finite-difference harnesses of the volume renderer
-and the hypernetwork, which no program path runs, live here too.
+and the hypernetwork, and the all-zero weights only tests build, live here
+too.
 `peak_rss_mb` measures a script in a process of its own.
 
 A BRDF material is the tuple (albedo, roughness, metallic, specular) that
@@ -205,6 +206,18 @@ def check_hypernet(h: volumetric.HypernetParams, fg: np.ndarray,
         _max_fd_error(lambda vs: [objective(bias=v) for v in vs], h.bias, dbias, rng, few,
                       eps, scale))
     return CheckResult("hypernet_forward/params", err, tol)
+
+
+def zero_weights(dims) -> mlp.MlpWeights:
+    """MLP weights of the layer widths `dims`, all zero."""
+    return mlp.MlpWeights(tuple(dims), np.zeros(mlp.param_count(dims)))
+
+
+def zero_hypernet(feature_dim: int, target_dims) -> volumetric.HypernetParams:
+    """A hypernetwork of `feature_dim`-long features onto weights of the
+    widths `target_dims`, its matrix and bias all zero."""
+    p = mlp.param_count(target_dims)
+    return volumetric.HypernetParams(target_dims, np.zeros((p, feature_dim)), np.zeros(p))
 
 
 def cosine_grid_dirs(n, cells: tuple[int, int]):

@@ -12,7 +12,8 @@ import numpy as np
 from scipy import stats
 
 from oracles import (check_hypernet, check_volume_weights, chi_square_sampler,
-                     ray_plane_point, sphere_pdf_integral, white_furnace_estimate)
+                     ray_plane_point, sphere_pdf_integral, white_furnace_estimate,
+                     zero_weights)
 from ssdr import gradcheck, scenes, ssrt, volumetric as vol
 from ssdr.cli import EXIT_OK, main
 from ssdr.core import GBuffer, normalize, project, unproject
@@ -136,7 +137,7 @@ def test_criterion_07_uncertainty():
 
 
 def test_criterion_08_volume_closed_form():
-    w = MlpWeights.zeros((vol.field_input_dim(10), 8, 8, 4))
+    w = zero_weights((vol.field_input_dim(10), 8, 8, 4))
     flat = w.flat.copy()
     flat[-4] = math.log(math.expm1(0.5))          # softplus^-1(0.5)
     flat[-3:] = math.log((1 / 5) / (1 - 1 / 5))   # sigmoid^-1(1/scale)

@@ -4,6 +4,7 @@ import struct
 import numpy as np
 import pytest
 
+from oracles import zero_weights
 from ssdr import io as sio
 from ssdr.cli import EXIT_INPUT, EXIT_NUMERIC, EXIT_OK, main
 
@@ -367,6 +368,9 @@ def _assert_input_error(argv, caplog, *words):
     # a 3-channel depth map of the maps' size, all zeros
     ("depth.pfm", lambda text: "PF\n16 16\n-1.0\n" + "\0" * 3 * 16 * 16 * 4,
      ("depth.pfm", "expected 1 channel")),
+    # a 1-channel albedo map of the maps' size, all zeros
+    ("albedo.pfm", lambda text: "Pf\n16 16\n-1.0\n" + "\0" * 16 * 16 * 4,
+     ("albedo.pfm", "expected 3 channels")),
     ("albedo.pfm", lambda text: text.replace("16 16\n", "1.5 16\n", 1),
      ("albedo.pfm", "bad header")),
     ("albedo.pfm", lambda text: text.replace("16 16\n", "0 16\n", 1),
@@ -384,7 +388,7 @@ def _assert_input_error(argv, caplog, *words):
         "constant-value-huge-int", "camera-fx-huge-int", "pfm-size-beyond-memory",
         "pfm-width-huge-int", "pfm-scale-zero", "pfm-scale-inf", "camera-fx-zero",
         "camera-cx-outside", "camera-width-disagrees", "no-camera-json",
-        "depth-3-channels", "pfm-width-not-an-int", "pfm-width-zero",
+        "depth-3-channels", "albedo-1-channel", "pfm-width-not-an-int", "pfm-width-zero",
         "lighting-without-kind"])
 def test_render_bad_bundle_exit_2(two_plane_bundle, tmp_path, caplog, name, edit, words):
     """Each bad bundle is the same one-line input error in every command
@@ -472,14 +476,14 @@ def test_grid_light_flat_extent_renders(grid_bundle, tmp_path):
 @pytest.fixture(scope="module")
 def learned_bundle(tmp_path_factory):
     import ssdr.volumetric as vol
-    from ssdr import mlp, scenes
+    from ssdr import scenes
     from ssdr.lighting import FeatureGrid, decoder_input_dim
     g, camera, spec, _ = scenes.two_plane(8, 8)
     return sio.write_bundle(tmp_path_factory.mktemp("bundles") / "learned", g, camera,
                             lighting_spec=spec, extras={
         "feature_grid": FeatureGrid(np.zeros((8, 8, 4))),
-        "decoder_weights": mlp.MlpWeights.zeros((decoder_input_dim(4), 8, 3)),
-        "volume_weights": mlp.MlpWeights.zeros((vol.field_input_dim(10), 8, 4))})
+        "decoder_weights": zero_weights((decoder_input_dim(4), 8, 3)),
+        "volume_weights": zero_weights((vol.field_input_dim(10), 8, 4))})
 
 
 # The start of a feature grid file of the old format, a JSON manifest of
@@ -668,13 +672,13 @@ def test_learned_misshaped_decoder_exit_2(tmp_path, caplog, command, extra):
     """A decoder blob with 1 output is rejected when the learned light is
     built, so the light's gradcheck exits 2 as the render does."""
     import ssdr.volumetric as vol
-    from ssdr import mlp, scenes
+    from ssdr import scenes
     from ssdr.lighting import FeatureGrid, decoder_input_dim
     g, camera, spec, _ = scenes.two_plane(8, 8)
     bundle = sio.write_bundle(tmp_path / "lb", g, camera, lighting_spec=spec, extras={
         "feature_grid": FeatureGrid(np.zeros((8, 8, 4))),
-        "decoder_weights": mlp.MlpWeights.zeros((decoder_input_dim(4), 8, 1)),
-        "volume_weights": mlp.MlpWeights.zeros((vol.field_input_dim(10), 8, 4))})
+        "decoder_weights": zero_weights((decoder_input_dim(4), 8, 1)),
+        "volume_weights": zero_weights((vol.field_input_dim(10), 8, 4))})
     _assert_input_error([command, "--bundle", str(bundle), "--out", str(tmp_path / "r"),
                          "--spp", "2", "--lighting", "learned", *extra],
                         caplog, "decoder weights shaped", "output 3")
@@ -682,13 +686,13 @@ def test_learned_misshaped_decoder_exit_2(tmp_path, caplog, command, extra):
 
 def _learned_bundle_with_field(path, dims):
     """A two-plane 8x8 bundle with zero learned weights, its field `dims`."""
-    from ssdr import mlp, scenes
+    from ssdr import scenes
     from ssdr.lighting import FeatureGrid, decoder_input_dim
     g, camera, spec, _ = scenes.two_plane(8, 8)
     return sio.write_bundle(path, g, camera, lighting_spec=spec, extras={
         "feature_grid": FeatureGrid(np.zeros((8, 8, 4))),
-        "decoder_weights": mlp.MlpWeights.zeros((decoder_input_dim(4), 8, 3)),
-        "volume_weights": mlp.MlpWeights.zeros(dims)})
+        "decoder_weights": zero_weights((decoder_input_dim(4), 8, 3)),
+        "volume_weights": zero_weights(dims)})
 
 
 @pytest.mark.parametrize("bands", [1, 4])

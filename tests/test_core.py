@@ -150,16 +150,25 @@ def test_one_unit_length_rule_for_brdf_and_ssrt(length, unit):
 
 
 def test_gbuffer_dimension_mismatch_fatal():
-    with pytest.raises(ContractError):
-        GBuffer(albedo=np.zeros((4, 5, 3)), normal=np.zeros((4, 5, 3)),
+    """A map of another size than depth, or a depth map that is not (H, W),
+    is a ContractError naming the map, not a bare ValueError from
+    unpacking depth's shape."""
+    maps = dict(albedo=np.zeros((4, 4, 3)), normal=np.zeros((4, 4, 3)),
                 depth=np.zeros((4, 4)), roughness=np.zeros((4, 4)),
                 metallic=np.zeros((4, 4)))
+    for name, bad in (("albedo", np.zeros((4, 5, 3))), ("depth", np.zeros(4)),
+                      ("depth", np.zeros((4, 4, 1)))):
+        with pytest.raises(ContractError, match=f"{name} shape"):
+            GBuffer(**{**maps, name: bad})
 
 
 
 def test_image_buffer_shape_contract():
-    with pytest.raises(ContractError):
-        ImageBuffer(width=2, height=2, channels=3, data=np.zeros((2, 2, 1)))
+    """An image is (H, W, 1) or (H, W, 3); its size is its array's."""
+    assert ImageBuffer(np.zeros((2, 5, 1))).data.shape == (2, 5, 1)
+    for shape in ((2, 2), (2, 2, 2), (2, 2, 3, 1)):
+        with pytest.raises(ContractError, match=r"\(H, W, 1\) or \(H, W, 3\)"):
+            ImageBuffer(np.zeros(shape))
 
 
 @pytest.mark.parametrize("sa,sb", [((3,), (3,)), ((40, 3), (40, 3)), ((3,), (40, 3)),

@@ -18,7 +18,7 @@ def test_pfm_single_texel(tmp_path):
     path = tmp_path / "one.pfm"
     path.write_bytes(raw)
     img = sio.read_pfm(path)
-    assert (img.width, img.height, img.channels) == (1, 1, 1)
+    assert img.data.shape == (1, 1, 1)
     assert img.data[0, 0, 0] == 3.25
 
 
@@ -26,7 +26,7 @@ def test_pfm_header_tokens_may_be_separated_by_runs_of_whitespace(tmp_path):
     path = tmp_path / "spaced.pfm"
     path.write_bytes(b"PF\n  2   1\n-1.0\n" + struct.pack("<6f", *range(6)))
     img = sio.read_pfm(path)
-    assert (img.width, img.height, img.channels) == (2, 1, 3)
+    assert img.data.shape == (1, 2, 3)
     assert img.data.ravel().tolist() == list(range(6))
 
 
@@ -77,7 +77,7 @@ def test_write_pfm_refuses_finite_values_beyond_float32(tmp_path, value):
     assert not path.exists()
     edge = np.array([[np.finfo(np.float32).max, -np.inf, np.inf]])
     sio.write_pfm(path, edge)
-    assert sio.read_pfm(path).plane().tobytes() == edge.tobytes()
+    assert sio.read_pfm(path).data[:, :, 0].tobytes() == edge.tobytes()
 
 
 def test_pfm_trailing_garbage_rejected(tmp_path):

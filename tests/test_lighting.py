@@ -2,10 +2,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from oracles import grid_light_corner_loop, positional_encoding_rowmajor
+from oracles import grid_light_corner_loop, positional_encoding_rowmajor, zero_weights
 from ssdr import lighting, mlp, scenes
 from ssdr.core import ContractError, normalize, unproject
 from ssdr.inverse import AdamState
@@ -92,6 +92,7 @@ def test_feature_grid_rejects_non_3d_data():
 
 
 @given(st.floats(0.0, 0.999), st.floats(0.0, 0.999))
+@example(a=0.3217054835308526, b=0.32170575431283)
 @settings(max_examples=300)
 def test_posenc_injective_on_unit_interval(a, b):
     if abs(a - b) < 1e-12:
@@ -99,7 +100,7 @@ def test_posenc_injective_on_unit_interval(a, b):
     # the sinusoid columns alone, without the input column
     ea = positional_encoding(np.array([a]), 1)[1:]
     eb = positional_encoding(np.array([b]), 1)[1:]
-    assert not np.allclose(ea, eb, atol=1e-15)
+    assert not np.allclose(ea, eb, rtol=0, atol=1e-15)
 
 
 def test_feature_grid_exact_at_nodes():
@@ -343,7 +344,7 @@ def _decoder_setup(channels=12):
 
 def test_traced_radiance_zero_weights():
     g, camera, grid, dims = _decoder_setup()
-    weights = mlp.MlpWeights.zeros(dims)
+    weights = zero_weights(dims)
     p = unproject(camera, np.array([12.0, 18.0]), g.depth[18, 12])
     L, _, _ = traced_radiance_batch(grid, g, weights, camera, p[None, :],
                                     normalize(np.array([[0.3, -0.5, 0.6]])))
@@ -365,7 +366,7 @@ def test_traced_radiance_pure():
 
 def test_traced_radiance_weight_shape_error():
     g, camera, grid, _ = _decoder_setup()
-    bad = mlp.MlpWeights.zeros((7, 4, 3))
+    bad = zero_weights((7, 4, 3))
     with pytest.raises(ContractError):
         traced_radiance_batch(grid, g, bad, camera, np.array([[0.0, 0.0, 2.0]]),
                               np.array([[0.0, 0.0, 1.0]]))

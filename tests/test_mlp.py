@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from oracles import (mlp_backward_expm1, mlp_backward_sigmoid, sigmoid_masked,
-                     softplus_closed_form, softplus_logaddexp)
+                     softplus_closed_form, softplus_logaddexp, zero_weights)
 from ssdr import mlp
 from ssdr.core import ContractError
 from ssdr.mlp import MlpWeights
@@ -190,7 +190,7 @@ def test_forward_without_cache_has_the_cached_bytes():
 
 def test_forward_rejects_wrong_input_width():
     with pytest.raises(ContractError, match="input dim 5 != 4"):
-        mlp.forward(MlpWeights.zeros((4, 3)), np.zeros((2, 5)))
+        mlp.forward(zero_weights((4, 3)), np.zeros((2, 5)))
 
 
 def test_forward_temporaries_below_half_an_activation():

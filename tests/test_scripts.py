@@ -19,6 +19,14 @@ def _design_counts(*args):
                           capture_output=True, text=True, timeout=60)
 
 
+def _script(name, *args, timeout=120):
+    """scripts/<name> run from the repository root, with src on its path."""
+    paths = [str(_ROOT / "src"), os.environ.get("PYTHONPATH")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
+    return subprocess.run([sys.executable, str(_ROOT / "scripts" / name), *args], cwd=_ROOT,
+                          env=env, capture_output=True, text=True, timeout=timeout)
+
+
 def test_design_counts_reads_the_package():
     out = _design_counts(str(Path(ssdr.__file__).parent))
     assert out.returncode == 0, out.stderr
@@ -34,7 +42,11 @@ def test_design_counts_lists_test_only_definitions(tmp_path):
     script names it, or a bench file other than a test names it as a
     string.  A test, an annotation, a string in the package and the
     name's own definition do not count: a top-level function or class so
-    used is listed as module.name, and an `__all__` name as itself."""
+    used is listed as module.name, and an `__all__` name as itself.  A
+    classmethod or staticmethod counts as called where a program file
+    names it as `C.m` (C bare or an attribute) or as `cls.m` inside C, one
+    case each; one called only through an instance or only by a test is
+    listed as module.Class.method."""
     files = {
         "src/pkg/__init__.py": ('from .a import PublicAnnotated, shown\n'
                                 '__all__ = ["PublicAnnotated", "shown"]\n'),
@@ -47,15 +59,22 @@ def test_design_counts_lists_test_only_definitions(tmp_path):
                          "def by_string():\n    pass\n\n"
                          "def only_in_a_string():\n    pass\n\n"
                          "NAMES = ('only_in_a_string',)\n\n"
-                         "class Used:\n    pass\n\n"
+                         "class Used:\n"
+                         "    @classmethod\n    def by_program(cls):\n        return cls.by_cls()\n\n"
+                         "    @classmethod\n    def by_cls(cls):\n        pass\n\n"
+                         "    @classmethod\n    def by_module_attribute(cls):\n        pass\n\n"
+                         "    @classmethod\n    def by_instance(cls):\n        pass\n\n"
+                         "    @staticmethod\n    def only_tested_static():\n        pass\n\n"
                          "class OnlyTested:\n    pass\n\n"
                          "class OnlyAnnotated:\n    pass\n\n"
                          "class PublicAnnotated:\n    pass\n"),
         "src/pkg/b.py": ("from . import a\nfrom .a import by_import\n"
-                         "VALUE = a.by_attribute(), by_import()\n"),
-        "scripts/run.py": "from pkg import shown\nfrom pkg.a import Used\nshown(None), Used\n",
+                         "VALUE = a.by_attribute(), by_import(), a.Used.by_module_attribute()\n"),
+        "scripts/run.py": ("from pkg import shown\nfrom pkg.a import Used\n"
+                           "shown(None), Used.by_program(), Used().by_instance()\n"),
         "perfbench/probes.py": 'BINDINGS = [("pkg.a", "by_string")]\n',
-        "perfbench/test_a.py": "from pkg.a import OnlyTested, only_tested\nOnlyTested, only_tested\n",
+        "perfbench/test_a.py": ("from pkg.a import OnlyTested, Used, only_tested\n"
+                                "OnlyTested, only_tested, Used.only_tested_static()\n"),
     }
     for name, text in files.items():
         (tmp_path / name).parent.mkdir(parents=True, exist_ok=True)
@@ -65,6 +84,7 @@ def test_design_counts_lists_test_only_definitions(tmp_path):
     lines = out.stdout.splitlines()
     assert lines[3:] == ["test-only names: PublicAnnotated",
                          "test-only definitions: a.OnlyAnnotated a.OnlyTested "
+                         "a.Used.by_instance a.Used.only_tested_static "
                          "a.only_in_a_string a.only_tested"]
 
 
@@ -87,10 +107,7 @@ def test_bitwise_digest_prints_its_documented_lines():
     script = _ROOT / "scripts" / "bitwise_digest.py"
     documented = re.search(r"It prints (\d+) lines", ast.get_docstring(ast.parse(
         script.read_text())))
-    paths = [str(_ROOT / "src"), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-    out = subprocess.run([sys.executable, str(script)], cwd=_ROOT, env=env,
-                         capture_output=True, text=True, timeout=300)
+    out = _script(script.name, timeout=300)
     assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
     assert len(lines) == int(documented.group(1))
@@ -134,11 +151,7 @@ def test_thread_scaling_prints_its_figures():
     """A small render at threads 1 and 2, and at threads 1 in two
     processes at once: one line per case with seconds and context
     switches per render, then both efficiencies and the peak RSS."""
-    paths = [str(_ROOT / "src"), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-    out = subprocess.run([sys.executable, "scripts/thread_scaling.py", "--res", "16",
-                          "--spp", "4", "--repeats", "2"], cwd=_ROOT, env=env,
-                         capture_output=True, text=True, timeout=120)
+    out = _script("thread_scaling.py", "--res", "16", "--spp", "4", "--repeats", "2")
     assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
     assert len(lines) == 5, out.stdout
@@ -154,13 +167,25 @@ def test_thread_scaling_prints_its_figures():
 def test_fit_memory_prints_its_figures(lighting):
     """One 8x8 fit iteration in a forked child: its seconds, then its
     peak RSS."""
-    paths = [str(_ROOT / "src"), os.environ.get("PYTHONPATH")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, paths)))
-    out = subprocess.run([sys.executable, "scripts/fit_memory.py", "--res", "8", "--spp", "2",
-                          "--lighting", lighting], cwd=_ROOT, env=env,
-                         capture_output=True, text=True, timeout=120)
+    out = _script("fit_memory.py", "--res", "8", "--spp", "2", "--lighting", lighting)
     assert out.returncode == 0, out.stderr
     lines = out.stdout.splitlines()
     assert len(lines) == 2, out.stdout
     assert re.fullmatch(r"seconds: \d+\.\d{3}", lines[0]), lines[0]
     assert re.fullmatch(r"peak RSS: \d+\.\d MB", lines[1]), lines[1]
+
+
+def test_demo_inverse_runs(tmp_path):
+    """A 4x4 run of one iteration per case exits 0, prints the albedo and
+    the roughness summary lines, and writes its four previews and two
+    loss traces."""
+    out = _script("demo_inverse.py", "--out", str(tmp_path), "--res", "4", "--iters", "1",
+                  "--spp", "1")
+    assert out.returncode == 0, out.stderr
+    lines = out.stdout.splitlines()
+    assert len(lines) == 3, out.stdout
+    for case, line in zip(("albedo:    ", "roughness: "), lines):
+        assert re.fullmatch(rf"{case}loss \S+ -> \S+, mean \|err\| \d+\.\d{{4}}", line), line
+    assert sorted(p.name for p in tmp_path.iterdir()) == [
+        "albedo_init.png", "albedo_loss.csv", "albedo_recovered.png", "roughness_loss.csv",
+        "roughness_recovered.png", "target.png"]

@@ -10,7 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import check_hypernet, check_volume_weights, peak_rss_mb, sigmoid_masked
+from oracles import (check_hypernet, check_volume_weights, peak_rss_mb, sigmoid_masked,
+                     zero_hypernet, zero_weights)
 from ssdr import mlp, scenes, volumetric as vol
 from ssdr.core import ContractError, normalize, unproject
 from ssdr.inverse import AdamState
@@ -22,7 +23,7 @@ from ssdr.mlp import MlpWeights
 def _const_field_weights(sigma_value: float, color_rgb, scale: float = 5.0,
                          bands: int = 10) -> MlpWeights:
     """Zero-weight field whose output biases realize a homogeneous medium."""
-    w = MlpWeights.zeros((vol.field_input_dim(bands), 8, 8, 4))
+    w = zero_weights((vol.field_input_dim(bands), 8, 8, 4))
     flat = w.flat.copy()
     flat[-4] = math.log(math.expm1(sigma_value))          # softplus^-1
     for i, c in enumerate(color_rgb):
@@ -32,7 +33,7 @@ def _const_field_weights(sigma_value: float, color_rgb, scale: float = 5.0,
 
 
 def test_hypernet_zero_maps_to_zero():
-    h = vol.HypernetParams.zeros(6, (4, 8, 4))
+    h = zero_hypernet(6, (4, 8, 4))
     out = vol.hypernet_forward(np.zeros(6), h)
     assert np.array_equal(out.flat, np.zeros_like(out.flat))
 
@@ -47,7 +48,7 @@ def test_hypernet_fixed_returns_its_weights():
 
 
 def test_hypernet_dimension_mismatch():
-    h = vol.HypernetParams.zeros(6, (4, 8, 4))
+    h = zero_hypernet(6, (4, 8, 4))
     with pytest.raises(ContractError):
         vol.hypernet_forward(np.zeros(5), h)
 
@@ -73,7 +74,7 @@ def test_hypernet_gradients_match_fd():
 
 
 def test_field_eval_zero_weights():
-    w = MlpWeights.zeros((vol.field_input_dim(10), 8, 8, 4))
+    w = zero_weights((vol.field_input_dim(10), 8, 8, 4))
     sigma, color, _ = vol.field_eval(w, np.array([[0.3, -0.2, 1.0]]))
     assert np.isclose(sigma[0], math.log(2.0))
     assert np.allclose(color[0], 0.5 * 5.0)
@@ -296,11 +297,11 @@ def test_blended_field_rejects_misshaped_weights(mode, net, end, delta):
     dims = {"decoder": [decoder_input_dim(4), 8, 3],
             "field": [vol.field_input_dim(4), 8, 4]}
     dims[net][end] += delta
-    field = ((vol.HypernetParams.fixed(MlpWeights.zeros(dims["field"])), ())
-             if mode == "volume" else (vol.HypernetParams.zeros(3, dims["field"]), np.ones(3)))
+    field = ((vol.HypernetParams.fixed(zero_weights(dims["field"])), ())
+             if mode == "volume" else (zero_hypernet(3, dims["field"]), np.ones(3)))
     with pytest.raises(ContractError, match=f"{net} weights shaped"):
         vol.BlendedLightField(FeatureGrid(np.zeros((8, 8, 4))), g, camera,
-                              MlpWeights.zeros(dims["decoder"]), *field,
+                              zero_weights(dims["decoder"]), *field,
                               volume_cfg=vol.VolumeConfig(n_samples=8))
 
 
@@ -323,8 +324,8 @@ def test_blended_field_needs_the_hypernet_feature():
     g, camera, _, _ = scenes.two_plane(8, 8)
     with pytest.raises(ContractError, match="feature size 0 != 3"):
         vol.BlendedLightField(FeatureGrid(np.zeros((8, 8, 4))), g, camera,
-                              MlpWeights.zeros((decoder_input_dim(4), 8, 3)),
-                              vol.HypernetParams.zeros(3, (vol.field_input_dim(4), 8, 4)),
+                              zero_weights((decoder_input_dim(4), 8, 3)),
+                              zero_hypernet(3, (vol.field_input_dim(4), 8, 4)),
                               volume_cfg=vol.VolumeConfig(n_samples=8))
 
 
@@ -697,7 +698,7 @@ def test_sigmoid_matches_masked_bytes():
 
 
 def test_volume_render_contract_errors():
-    w = MlpWeights.zeros((vol.field_input_dim(10), 8, 8, 4))
+    w = zero_weights((vol.field_input_dim(10), 8, 8, 4))
     with pytest.raises(ContractError):
         vol.VolumeConfig(t_near=2.0, t_far=1.0, n_samples=16)
     with pytest.raises(ContractError):
@@ -706,6 +707,6 @@ def test_volume_render_contract_errors():
     for seed in (-1, 2**64, 0.5):
         with pytest.raises(ContractError, match="seed must be an integer"):
             vol.BlendedLightField(FeatureGrid(np.zeros((8, 8, 4))), g, camera,
-                                  MlpWeights.zeros((decoder_input_dim(4), 8, 3)),
-                                  vol.HypernetParams.fixed(MlpWeights.zeros((w.dims[0], 8, 4))),
+                                  zero_weights((decoder_input_dim(4), 8, 3)),
+                                  vol.HypernetParams.fixed(zero_weights((w.dims[0], 8, 4))),
                                   seed=seed)
