@@ -108,6 +108,27 @@ def _local_to_world(local, n):
     return (local[..., 0:1] * t + local[..., 1:2] * b + local[..., 2:3] * n)
 
 
+def _azimuth(u):
+    """(cos 2 pi u, sin 2 pi u) of uniforms u from one tangent: w = u - rint(u)
+    is exact and in [-1/2, 1/2], and with t = tan(pi w) the pair is
+    ((1 - t^2) / (1 + t^2), 2t / (1 + t^2)), exactly (1, 0) at u = 0.  NumPy's
+    SIMD tan is far faster than its scalar libm cos and sin; its bits depend
+    on the loop it runs, so it gets a fresh dense array, never a view
+    (README, "The sampler's azimuth")."""
+    t = np.empty_like(u, dtype=np.float64)
+    np.rint(u, out=t)
+    np.subtract(u, t, out=t)
+    t *= np.pi
+    np.tan(t, out=t)
+    q = t * t
+    c = 1.0 - q
+    q += 1.0
+    c /= q
+    t += t
+    t /= q
+    return c, t
+
+
 def sample_directions(v, n, albedo, roughness, metallic, specular, u):
     """Vectorized lobe selection + direction sampling.
 
@@ -124,14 +145,16 @@ def sample_directions(v, n, albedo, roughness, metallic, specular, u):
     # One local vector per lane, sharing the azimuth: the diffuse lobe's
     # cosine-weighted direction or the specular lobe's half vector
     # ~ D(m) (n.m).  Specular lanes then mirror v about it.
-    phi = 2.0 * np.pi * u[..., 2]
     tan2 = alpha * alpha * u[..., 1] / np.maximum(1.0 - u[..., 1], 1e-16)
     cos_h = 1.0 / np.sqrt(1.0 + tan2)
     sin_h = np.sqrt(np.maximum(1.0 - cos_h * cos_h, 0.0))
     rho = np.where(pick_spec, sin_h, np.sqrt(u[..., 1]))
     z = np.where(pick_spec, cos_h, np.sqrt(np.maximum(1.0 - u[..., 1], 0.0)))
     local = np.empty_like(u, dtype=np.float64, shape=rho.shape + (3,))
-    local[..., 0], local[..., 1], local[..., 2] = rho * np.cos(phi), rho * np.sin(phi), z
+    cos_phi, sin_phi = _azimuth(u[..., 2])
+    np.multiply(rho, cos_phi, out=local[..., 0])
+    np.multiply(rho, sin_phi, out=local[..., 1])
+    local[..., 2] = z
     w = _local_to_world(local, n)
     vh = dot(v, w)
     d = np.where(pick_spec[..., None], 2.0 * vh[..., None] * w - v, w)

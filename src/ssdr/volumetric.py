@@ -45,8 +45,8 @@ def field_bands(weights: MlpWeights) -> int:
     """The band count L >= 1 of field weights, read from their input
     width field_input_dim(L); weights of another input width, or of an
     output other than 4, are a ContractError naming the field."""
-    bands, rest = divmod(weights.dims[0] - 3, 6)
-    if bands < 1 or rest or weights.dims[-1] != 4:
+    bands = weights.dims[0] // 6
+    if bands < 1 or field_input_dim(bands) != weights.dims[0] or weights.dims[-1] != 4:
         raise ContractError(f"field weights shaped {weights.dims}, need input "
                             "3(2L + 1) for a band count L >= 1, output 4")
     return bands

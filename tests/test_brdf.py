@@ -255,6 +255,59 @@ def test_brdf_bytes_do_not_depend_on_the_lane_layout(specular):
             assert parts[key].strides == parts["f"].strides, key
 
 
+def test_sampled_bytes_do_not_depend_on_the_call_layout():
+    """The same lanes drawn in the render's lane layout, in row-major
+    order and one lane per call give the same d, lobe and validity bytes:
+    the azimuth's tangent runs the same loop on every layout and length."""
+    rng = np.random.default_rng(12)
+    n_pix, spp = 64, 64
+    n = normalize(rng.normal(size=(n_pix, 3)))
+    v = normalize(n + 0.8 * rng.normal(size=(n_pix, 3)))
+    albedo = rng.uniform(0.0, 1.0, (n_pix, 3))
+    roughness = rng.uniform(0.0, 1.0, n_pix)
+    metallic = rng.uniform(0.0, 1.0, n_pix)
+    metallic[:16] = 1.0
+    u = uniform_block(6, np.arange(n_pix, dtype=np.uint64)[:, None],
+                      np.arange(spp, dtype=np.uint64)[None, :], 3)
+    u[:4, :4, 2] = [[0.0, 0.25, 0.5, 0.75], [2.0 ** -53, 0.5 - 2.0 ** -53,
+                    0.5 + 2.0 ** -53, 1.0 - 2.0 ** -53], [0.125, 0.375, 0.625, 0.875],
+                    [1e-9, 0.5 - 1e-9, 0.5 + 1e-9, 1.0 - 1e-9]]
+    material = (roughness[:, None], metallic[:, None], 1.0)
+
+    def draw(v, n, albedo, u):
+        return brdf.sample_directions(v, n, albedo, *material, u)
+
+    row = draw(v[:, None], n[:, None], albedo[:, None], u)
+    lane = draw(*(_lane_layout(a)[:, None] for a in (v, n, albedo)), _lane_layout(u))
+    assert lane[0].strides != row[0].strides
+    one = [brdf.sample_directions(v[i], n[i], albedo[i], roughness[i], metallic[i], 1.0,
+                                  u[i, j]) for i in range(n_pix) for j in range(spp)]
+    assert 0 < np.count_nonzero(row[1]) < row[1].size
+    assert 0 < np.count_nonzero(row[2]) < row[2].size
+    for k, name in enumerate(("d", "is_specular", "valid")):
+        want = row[k].tobytes()
+        assert np.ascontiguousarray(lane[k]).tobytes() == want, ("lane layout", name)
+        assert np.array([lane_out[k] for lane_out in one]).tobytes() == want, \
+            ("one lane per call", name)
+
+
+def test_azimuth_is_within_1e15_of_libm():
+    """The sampler's (cos 2 pi u, sin 2 pi u) from one tangent is within
+    1e-15 of np.cos and np.sin of 2 pi u on 10^6 uniforms and the edge
+    values, exactly (1, 0) at u = 0, and of unit norm to 4 eps."""
+    edges = np.array([0.0, 0.25, 0.5, 0.75, 2.0 ** -53, 0.5 - 2.0 ** -53, 0.5 + 2.0 ** -53,
+                      1.0 - 2.0 ** -53, 0.125, 0.375, 0.625, 0.875])
+    u = np.concatenate([edges, np.random.default_rng(35).random(10 ** 6)])
+    cos_phi, sin_phi = brdf._azimuth(u)
+    phi = 2.0 * np.pi * u
+    assert np.abs(cos_phi - np.cos(phi)).max() <= 1e-15
+    assert np.abs(sin_phi - np.sin(phi)).max() <= 1e-15
+    assert np.abs(cos_phi * cos_phi + sin_phi * sin_phi - 1.0).max() <= 4 * np.finfo(float).eps
+    assert (cos_phi[0], sin_phi[0]) == (1.0, 0.0)
+    at_zero = brdf._azimuth(np.zeros(()))
+    assert (float(at_zero[0]), float(at_zero[1])) == (1.0, 0.0)
+
+
 @pytest.mark.parametrize("shape", [(50, 3), (8, 6, 3), (8, 1, 3)])
 def test_orthonormal_basis_keeps_the_bytes_in_the_input_layout(shape):
     """The frame is the np.stack form's bytes, stored in the layout of the

@@ -318,6 +318,20 @@ def test_field_band_count_is_read_from_the_weights(bands):
     assert color.tobytes() == (mlp.sigmoid(y[:, 1:4]) * vol.RADIANCE_SCALE).tobytes()
 
 
+def test_field_bands_accepts_exactly_the_encoding_widths():
+    """Input widths 3(2L + 1) for L = 1..12 give L bands; every other width
+    up to the last of them is a ContractError naming the field's shape."""
+    widths = {vol.field_input_dim(bands): bands for bands in range(1, 13)}
+    for width in range(1, max(widths) + 1):
+        w = zero_weights((width, 2, 4))
+        if width in widths:
+            assert vol.field_bands(w) == widths[width]
+        else:
+            with pytest.raises(ContractError, match=r"field weights shaped .* need input "
+                               r"3\(2L \+ 1\) for a band count L >= 1, output 4"):
+                vol.field_bands(w)
+
+
 def test_blended_field_needs_the_hypernet_feature():
     """A light whose hypernetwork takes a 3-long feature, built without
     one, is a ContractError at construction."""
